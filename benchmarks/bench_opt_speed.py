@@ -66,6 +66,13 @@ def _one_search(model, n_devices: int, jobs: int, cache_dir: str) -> Dict:
     return {
         "elapsed_seconds": elapsed,
         "stages": dict(result.stage_seconds),
+        # Eq. 8-9 edge pricing, summed over segment_dp and merge; what it
+        # leaves of those stages is Bellman products.
+        "edge_pricing_seconds": sum(
+            s["duration"]
+            for s in result.telemetry["spans"]
+            if s["name"] == "search.edge_cost"
+        ),
         "cost": result.cost,
         "model_cost": result.model_cost,
         "fingerprint": _plan_fingerprint(result.plan),

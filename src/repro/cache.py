@@ -49,7 +49,7 @@ logger = logging.getLogger(__name__)
 #: Bump whenever the content of any cached artefact changes meaning
 #: (cost-model changes, CandidateSet layout changes, ...).  Old entries are
 #: detected on load, deleted and recomputed.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 _ENV_DIR = "PRIMEPAR_CACHE_DIR"
 _ENV_SWITCH = "PRIMEPAR_CACHE"

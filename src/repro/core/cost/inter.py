@@ -11,12 +11,14 @@ same-node peer, e.g. the Cannon-style skew entering a temporal region) and a
 cross-node class, each priced by its own profiled model.
 
 The matrix API evaluates a whole (producer-candidates x consumer-candidates)
-cost table at once with numpy broadcasting — the hot path of the DP.
+cost table at once — the hot path of the DP.  Every candidate's boundary
+boxes are decoded in one batched integer pass (:func:`axis_boxes`) and the
+overlaps are intersected with numpy broadcasting.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from ...graph.graph import Edge
 from ...graph.operators import OperatorSpec
 from ...graph.tensors import DTYPE_BYTES
 from ..dims import ALL_DIMS, Dim, Phase
-from ..layout import axis_intervals
+from ..layout import grid_events
 from ..spec import PartitionSpec
 
 #: Boundary points: (phase, temporal step index; -1 means the final step).
@@ -35,70 +37,101 @@ BWD_START = (Phase.BACKWARD, 0)
 BWD_END = (Phase.BACKWARD, -1)
 GRAD_END = (Phase.GRADIENT, -1)
 
+#: ``(op, specs, point, dims) -> {axis: (n_specs, n_devices, 2) boxes}``.
+BoxDecoder = Callable[..., Dict[str, np.ndarray]]
 
-class NodeBoundary:
-    """Axis-box boundary layouts of one (operator, spec) pair.
 
-    ``axis_boxes(point, dims)`` returns, for each logical axis spanned by
-    ``dims``, an ``(n_devices, 2)`` integer array of half-open intervals in
-    absolute axis units.
+def axis_boxes(
+    op: OperatorSpec,
+    specs: Sequence[PartitionSpec],
+    point: Tuple[Phase, int],
+    dims: Sequence[Dim],
+) -> Dict[str, np.ndarray]:
+    """Boundary layouts of ``specs`` at ``point``, decoded in one batch.
+
+    Returns, for each logical axis spanned by ``dims``, an
+    ``(n_specs, n_devices, 2)`` integer array of half-open intervals in
+    absolute axis units — rank by rank what
+    :func:`~repro.core.layout.axis_intervals` gives.  A dim's slice index
+    is a mixed-radix number whose digits are the spec's grid events (most
+    significant first); the digits of every spec and rank are peeled off
+    together with integer ops (specs with fewer events are padded with
+    radix-1 digits, which are always 0), folded into per-axis indices, and
+    spread by :func:`~repro.graph.tensors.slice_interval`'s formula.
     """
+    phase, t = point
+    n_specs = len(specs)
+    matrices = np.stack([spec.evaluator.dsi_matrix(phase, t) for spec in specs])
+    boxes: Dict[str, np.ndarray] = {}
+    for dim in dims:
+        axes = tuple(op.dim_axes.get(dim, ()))
+        if not axes:
+            continue
+        events = [grid_events(op, spec, dim) for spec in specs]
+        width = max(len(spec_events) for spec_events in events)
+        factors = np.ones((n_specs, width), dtype=np.int64)
+        owner = np.full((n_specs, width), -1)
+        for s, spec_events in enumerate(events):
+            for j, (axis, factor) in enumerate(spec_events):
+                factors[s, j] = factor
+                owner[s, j] = axes.index(axis)
+        # hits[a, s, j]: event j of spec s splits axis a.
+        hits = owner == np.arange(len(axes))[:, None, None]
+        axis_factors = np.where(hits, factors, 1)
+        remainder = matrices[:, :, ALL_DIMS.index(dim)]
+        total = factors.prod(axis=1)[:, None]
+        index = np.zeros((len(axes),) + remainder.shape, dtype=np.int64)
+        for j in range(width):
+            total = total // factors[:, j, None]
+            digit = remainder // total
+            remainder = remainder % total
+            index = index * axis_factors[:, :, j, None] + hits[:, :, j, None] * digit
+        counts = axis_factors.prod(axis=2)[:, :, None]
+        sizes = np.array([op.axis_sizes[axis] for axis in axes])[:, None, None]
+        base = sizes // counts
+        extra = sizes % counts
+        start = index * base + np.minimum(index, extra)
+        stop = start + base + (index < extra)
+        for a, axis in enumerate(axes):
+            boxes[axis] = np.stack([start[a], stop[a]], axis=-1)
+    return boxes
 
-    def __init__(self, op: OperatorSpec, spec: PartitionSpec) -> None:
-        self.op = op
-        self.spec = spec
-        self._cache: Dict[Tuple, Mapping[str, np.ndarray]] = {}
 
-    def axis_boxes(
-        self, point: Tuple[Phase, int], dims: Sequence[Dim]
-    ) -> Mapping[str, np.ndarray]:
-        dims = tuple(d for d in dims if self.op.dim_axes.get(d))
-        key = (point, dims)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        phase, t = point
-        t = t % self.spec.total_steps
-        n_dev = self.spec.n_devices
-        matrix = self.spec.evaluator.dsi_matrix(phase, t)
-        boxes: Dict[str, np.ndarray] = {}
-        for dim in dims:
-            axes = tuple(self.op.dim_axes[dim])
-            column = ALL_DIMS.index(dim)
-            for axis in axes:
-                boxes[axis] = np.empty((n_dev, 2), dtype=np.int64)
-            interval_cache: Dict[int, Mapping[str, object]] = {}
-            for rank in range(n_dev):
-                index = int(matrix[rank, column])
-                intervals = interval_cache.get(index)
-                if intervals is None:
-                    intervals = axis_intervals(self.op, self.spec, dim, index)
-                    interval_cache[index] = intervals
-                for axis, interval in intervals.items():
-                    boxes[axis][rank, 0] = interval.start
-                    boxes[axis][rank, 1] = interval.stop
-        self._cache[key] = boxes
-        return boxes
+def memo_axis_boxes(
+    op: OperatorSpec,
+    specs: Sequence[PartitionSpec],
+    point: Tuple[Phase, int],
+    dims: Sequence[Dim],
+) -> Dict[str, np.ndarray]:
+    """:func:`axis_boxes` of a single spec, memoized on its DSI evaluator.
+
+    The key holds everything the decode reads from ``op`` (the dims' axes
+    and sizes), so one spec priced against several operators stays exact.
+    """
+    (spec,) = specs
+    phase, t = point
+    layout = tuple(
+        (dim, tuple((axis, op.axis_sizes[axis]) for axis in op.dim_axes.get(dim, ())))
+        for dim in dims
+    )
+    key = (phase, t % spec.total_steps, layout)
+    memo = spec.evaluator.box_memo
+    boxes = memo.get(key)
+    if boxes is None:
+        boxes = memo[key] = axis_boxes(op, specs, point, dims)
+    return boxes
 
 
 def _rename(boxes: Mapping[str, np.ndarray], axis_map: Mapping[str, str]) -> Dict[str, np.ndarray]:
     return {axis_map.get(axis, axis): box for axis, box in boxes.items()}
 
 
-def _stack(boundaries: Sequence[NodeBoundary], point, dims) -> Dict[str, np.ndarray]:
-    """Stack per-candidate axis boxes into (n_candidates, n_dev, 2) arrays."""
-    per_axis: Dict[str, List[np.ndarray]] = {}
-    for boundary in boundaries:
-        for axis, box in boundary.axis_boxes(point, dims).items():
-            per_axis.setdefault(axis, []).append(box)
-    return {axis: np.stack(stack) for axis, stack in per_axis.items()}
-
-
 def _overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection lengths of broadcastable interval arrays ``[..., 2]``."""
+    """Integer intersection lengths of broadcastable interval arrays ``[..., 2]``."""
     lo = np.maximum(a[..., 0], b[..., 0])
     hi = np.minimum(a[..., 1], b[..., 1])
-    return np.clip(hi - lo, 0, None).astype(float)
+    hi -= lo
+    return np.maximum(hi, 0, out=hi)
 
 
 class InterOperatorCostModel:
@@ -123,9 +156,10 @@ class InterOperatorCostModel:
         self,
         edge: Edge,
         prod_op: OperatorSpec,
-        prod_boundaries: Sequence[NodeBoundary],
+        prod_specs: Sequence[PartitionSpec],
         cons_op: OperatorSpec,
-        cons_boundaries: Sequence[NodeBoundary],
+        cons_specs: Sequence[PartitionSpec],
+        decode: BoxDecoder = axis_boxes,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Eq. 9 forward traffic in elements, shape (n_prod, n_cons).
 
@@ -133,42 +167,48 @@ class InterOperatorCostModel:
         versus bytes that must cross nodes.
         """
         slot = cons_op.slot(edge.slot)
-        cons_boxes = _stack(cons_boundaries, FWD_START, slot.fwd_dims)
+        cons_boxes = decode(cons_op, cons_specs, FWD_START, slot.fwd_dims)
         prod_boxes = _rename(
-            _stack(prod_boundaries, FWD_END, prod_op.output_dims), edge.axis_map
+            decode(prod_op, prod_specs, FWD_END, prod_op.output_dims), edge.axis_map
         )
         fixed = {edge.map_axis(a): iv for a, iv in edge.src_fixed.items()}
-        n_dev = prod_boundaries[0].spec.n_devices
-        n_c = len(cons_boundaries)
+        n_dev = prod_specs[0].n_devices
+        n_p = len(prod_specs)
+        n_c = len(cons_specs)
         v = np.ones((n_c, n_dev))
         for box in cons_boxes.values():
             v *= (box[..., 1] - box[..., 0]).astype(float)
+        # Per-axis coverage terms; only the producer side is permuted.
+        # Consumer-only axes contribute nothing: the producer implicitly
+        # spans them.
+        terms = []
+        for axis in set(cons_boxes) | set(prod_boxes):
+            c_box = cons_boxes.get(axis)
+            p_box = prod_boxes.get(axis)
+            if c_box is not None and p_box is not None:
+                length = np.maximum(
+                    (c_box[..., 1] - c_box[..., 0]).astype(float), 1e-12
+                )
+                terms.append((p_box, c_box[None, :], length[None, :]))
+            elif p_box is not None:
+                interval = fixed.get(axis)
+                if interval is not None:
+                    window = np.array([interval.start, interval.stop])
+                else:
+                    size = prod_op.axis_sizes.get(axis, 1)
+                    window = np.array([0, size])
+                width = float(max(window[1] - window[0], 1))
+                terms.append((_overlap(p_box, window) / width, None, None))
 
         def coverage(perm=None) -> np.ndarray:
-            n_p = len(prod_boundaries)
             frac = np.ones((n_p, n_c, n_dev))
-            for axis in set(cons_boxes) | set(prod_boxes):
-                c_box = cons_boxes.get(axis)
-                p_box = prod_boxes.get(axis)
-                if p_box is not None and perm is not None:
-                    p_box = p_box[:, perm]
-                if c_box is not None and p_box is not None:
-                    inter = _overlap(p_box[:, None], c_box[None, :])
-                    length = np.maximum(
-                        (c_box[..., 1] - c_box[..., 0]).astype(float), 1e-12
-                    )
-                    frac *= inter / length[None, :]
-                elif p_box is not None:
-                    interval = fixed.get(axis)
-                    if interval is not None:
-                        window = np.array([interval.start, interval.stop])
-                    else:
-                        size = prod_op.axis_sizes.get(axis, 1)
-                        window = np.array([0, size])
-                    inter = _overlap(p_box, window)
-                    width = float(max(window[1] - window[0], 1))
-                    frac *= (inter / width)[:, None, :]
-                # Consumer-only axes: the producer implicitly spans them.
+            for p_term, c_box, length in terms:
+                if perm is not None:
+                    p_term = p_term[:, perm]
+                if c_box is None:
+                    frac *= p_term[:, None, :]
+                else:
+                    frac *= _overlap(p_term[:, None], c_box) / length
             return frac
 
         own = coverage()
@@ -183,9 +223,10 @@ class InterOperatorCostModel:
         self,
         edge: Edge,
         prod_op: OperatorSpec,
-        prod_boundaries: Sequence[NodeBoundary],
+        prod_specs: Sequence[PartitionSpec],
         cons_op: OperatorSpec,
-        cons_boundaries: Sequence[NodeBoundary],
+        cons_specs: Sequence[PartitionSpec],
+        decode: BoxDecoder = axis_boxes,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Gradient-direction traffic: consumer's slot-grad -> producer's dO.
 
@@ -193,18 +234,18 @@ class InterOperatorCostModel:
         """
         slot = cons_op.slot(edge.slot)
         grad_point = (slot.grad_phase, -1)
-        holder_boxes = _stack(cons_boundaries, grad_point, slot.fwd_dims)
+        holder_boxes = decode(cons_op, cons_specs, grad_point, slot.fwd_dims)
         needed_boxes = _rename(
-            _stack(prod_boundaries, BWD_START, prod_op.output_dims), edge.axis_map
+            decode(prod_op, prod_specs, BWD_START, prod_op.output_dims), edge.axis_map
         )
         fixed = {edge.map_axis(a): iv for a, iv in edge.src_fixed.items()}
-        n_p = len(prod_boundaries)
-        n_c = len(cons_boundaries)
-        n_dev = prod_boundaries[0].spec.n_devices
+        n_p = len(prod_specs)
+        n_c = len(cons_specs)
+        n_dev = prod_specs[0].n_devices
         # This edge supplies only the src_fixed window of the producer's
         # gradient (the Q/K/V third); restrict the demand accordingly.
         v = np.ones((n_p, n_dev))
-        restricted: Dict[str, np.ndarray] = {}
+        terms = []
         for axis, box in needed_boxes.items():
             interval = fixed.get(axis)
             if interval is not None:
@@ -212,22 +253,20 @@ class InterOperatorCostModel:
                 lo = np.maximum(box[..., 0], window[0])
                 hi = np.minimum(box[..., 1], window[1])
                 box = np.stack([lo, np.maximum(hi, lo)], axis=-1)
-            restricted[axis] = box
             v *= (box[..., 1] - box[..., 0]).astype(float)
+            h_box = holder_boxes.get(axis)
+            if h_box is not None:
+                length = np.maximum(
+                    (box[..., 1] - box[..., 0]).astype(float), 1e-12
+                )
+                terms.append((box[:, None], h_box, length[:, None, :]))
 
         def coverage(perm=None) -> np.ndarray:
             frac = np.ones((n_p, n_c, n_dev))
-            for axis, n_box in restricted.items():
-                h_box = holder_boxes.get(axis)
-                if h_box is None:
-                    continue
+            for n_box, h_box, length in terms:
                 if perm is not None:
                     h_box = h_box[:, perm]
-                inter = _overlap(n_box[:, None], h_box[None, :])
-                length = np.maximum(
-                    (n_box[..., 1] - n_box[..., 0]).astype(float), 1e-12
-                )
-                frac *= inter / length[:, None, :]
+                frac *= _overlap(n_box, h_box[None, :]) / length
             return frac
 
         own = coverage()
@@ -277,20 +316,17 @@ class InterOperatorCostModel:
         self,
         edge: Edge,
         prod_op: OperatorSpec,
-        prod_boundaries: Sequence[NodeBoundary],
+        prod_specs: Sequence[PartitionSpec],
         cons_op: OperatorSpec,
-        cons_boundaries: Sequence[NodeBoundary],
+        cons_specs: Sequence[PartitionSpec],
+        decode: BoxDecoder = axis_boxes,
     ) -> np.ndarray:
         """``interC`` over all candidate pairs, shape (n_prod, n_cons)."""
-        n_dev = prod_boundaries[0].spec.n_devices
-        fwd_intra, fwd_inter = self.forward_traffic_matrix(
-            edge, prod_op, prod_boundaries, cons_op, cons_boundaries
-        )
-        bwd_intra, bwd_inter = self.backward_traffic_matrix(
-            edge, prod_op, prod_boundaries, cons_op, cons_boundaries
-        )
+        args = (edge, prod_op, prod_specs, cons_op, cons_specs, decode)
+        fwd_intra, fwd_inter = self.forward_traffic_matrix(*args)
+        bwd_intra, bwd_inter = self.backward_traffic_matrix(*args)
         return self._predict(
-            fwd_intra + bwd_intra, fwd_inter + bwd_inter, n_dev
+            fwd_intra + bwd_intra, fwd_inter + bwd_inter, prod_specs[0].n_devices
         )
 
     def cost(
@@ -303,11 +339,7 @@ class InterOperatorCostModel:
     ) -> float:
         """Scalar ``interC(n1, n2, P1, P2)``."""
         matrix = self.cost_matrix(
-            edge,
-            prod_op,
-            [NodeBoundary(prod_op, prod_spec)],
-            cons_op,
-            [NodeBoundary(cons_op, cons_spec)],
+            edge, prod_op, [prod_spec], cons_op, [cons_spec], memo_axis_boxes
         )
         return float(matrix[0, 0])
 
@@ -323,17 +355,11 @@ class InterOperatorCostModel:
 
         Uses the same fitted linear model per direction; the execution
         simulator schedules the two directions at their actual points in
-        the training iteration.
+        the training iteration.  The specs' decoded boxes are memoized on
+        their DSI evaluators, so replaying one plan decodes each spec once.
         """
-        prod_b = [NodeBoundary(prod_op, prod_spec)]
-        cons_b = [NodeBoundary(cons_op, cons_spec)]
+        args = (edge, prod_op, [prod_spec], cons_op, [cons_spec], memo_axis_boxes)
         n_dev = prod_spec.n_devices
-        fwd_intra, fwd_inter = self.forward_traffic_matrix(
-            edge, prod_op, prod_b, cons_op, cons_b
-        )
-        bwd_intra, bwd_inter = self.backward_traffic_matrix(
-            edge, prod_op, prod_b, cons_op, cons_b
-        )
-        fwd = float(self._predict(fwd_intra, fwd_inter, n_dev)[0, 0])
-        bwd = float(self._predict(bwd_intra, bwd_inter, n_dev)[0, 0])
+        fwd = float(self._predict(*self.forward_traffic_matrix(*args), n_dev)[0, 0])
+        bwd = float(self._predict(*self.backward_traffic_matrix(*args), n_dev)[0, 0])
         return fwd, bwd

@@ -23,7 +23,7 @@ from ..dims import ALL_DIMS, Dim
 from ..spec import PartitionSpec
 from ..space import enumerate_specs
 from .. import cost as _cost  # noqa: F401  (re-export convenience)
-from ..cost.inter import BWD_END, BWD_START, FWD_END, FWD_START, GRAD_END, NodeBoundary
+from ..cost.inter import BWD_END, BWD_START, FWD_END, FWD_START, GRAD_END
 from ..cost.intra import IntraOperatorCostModel
 from ..layout import grid_signature
 from .canonical import canonical_specs
@@ -41,14 +41,12 @@ class CandidateSet:
         specs: One representative spec per boundary-equivalence class, the
             cheapest of its class under the intra-operator cost.
         intra: Eq. 7 totals per representative, shape ``(P,)``.
-        boundaries: Boundary-layout evaluators per representative.
         raw_size: Size of the un-collapsed space (paper's ``P``).
     """
 
     op: OperatorSpec
     specs: List[PartitionSpec]
     intra: np.ndarray
-    boundaries: List[NodeBoundary]
     raw_size: int
 
     def __len__(self) -> int:
@@ -197,7 +195,6 @@ def build_candidates(
         op=op,
         specs=kept,
         intra=costs[order],
-        boundaries=[NodeBoundary(op, s) for s in kept],
         raw_size=raw_size,
     )
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from ...graph.graph import ComputationGraph, Edge
 from ...obs.metrics import counter, histogram
+from ...obs.spans import span
 from ..cost.inter import InterOperatorCostModel
 from .candidates import CandidateSet
 from .segmenter import Segment
@@ -116,6 +117,8 @@ def edge_cost_matrix(
     With ``memo``, each per-edge matrix is computed once per (edge
     signature, producer/consumer candidate identity) and reused — across
     stacked layers within one search and across searches sharing the memo.
+    Each computed matrix is timed as a ``search.edge_cost`` span and its
+    candidate pairs are counted in ``dp.edge_pairs_priced``.
     """
     edges = [e for e in graph.edges if e.src == src and e.dst == dst]
     if not edges:
@@ -133,13 +136,15 @@ def edge_cost_matrix(
                 "dp.edge_memo", outcome="hit" if matrix is not None else "miss"
             ).inc()
         if matrix is None:
-            matrix = inter_model.cost_matrix(
-                edge,
-                src_set.op,
-                src_set.boundaries,
-                dst_set.op,
-                dst_set.boundaries,
-            )
+            with span("search.edge_cost", src=src, dst=dst, slot=edge.slot):
+                matrix = inter_model.cost_matrix(
+                    edge,
+                    src_set.op,
+                    src_set.specs,
+                    dst_set.op,
+                    dst_set.specs,
+                )
+            counter("dp.edge_pairs_priced").inc(matrix.size)
             if memo is not None:
                 memo[key] = matrix
         total += matrix

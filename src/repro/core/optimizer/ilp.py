@@ -66,7 +66,7 @@ class BranchAndBoundSolver:
             src_set = candidates[edge.src]
             dst_set = candidates[edge.dst]
             matrix = inter_model.cost_matrix(
-                edge, src_set.op, src_set.boundaries, dst_set.op, dst_set.boundaries
+                edge, src_set.op, src_set.specs, dst_set.op, dst_set.specs
             )
             src_i, dst_i = position[edge.src], position[edge.dst]
             self._edges_at.setdefault(max(src_i, dst_i), []).append(

@@ -49,7 +49,9 @@ class SearchResult:
         telemetry: Per-search snapshot from :mod:`repro.obs` — the metric
             delta this search produced (``"metrics"``: counters, gauges,
             histograms) and the timing spans it closed (``"spans"``).
-            Worker-process telemetry from ``jobs > 1`` fan-out is merged
+            ``search.edge_cost`` spans time the Eq. 8-9 edge pricing inside
+            ``search.segment_dp`` (and ``search.merge``); the rest of
+            ``segment_dp`` is the Bellman products.  Worker-process telemetry from ``jobs > 1`` fan-out is merged
             in, so the values match the serial path.
     """
 

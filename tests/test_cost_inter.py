@@ -1,11 +1,20 @@
 """Inter-operator redistribution cost (Eq. 8-9)."""
 
+import pickle
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core.cost.inter import InterOperatorCostModel, NodeBoundary
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import legacy_inter  # noqa: E402  (frozen per-rank model, lives next to this file)
+from repro.core.cost.inter import InterOperatorCostModel
+from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.core.spec import PartitionSpec
 from repro.graph.graph import Edge
+from repro.graph.models import MODELS_BY_KEY
+from repro.graph.transformer import build_block_graph
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +93,7 @@ class TestMisalignedEdges:
         )
         fc2_spec = PartitionSpec.from_string("N-P2x2", 3)
         intra, inter = inter8.forward_traffic_matrix(
-            edge, act, [NodeBoundary(act, act_spec)], fc2,
-            [NodeBoundary(fc2, fc2_spec)],
+            edge, act, [act_spec], fc2, [fc2_spec]
         )
         assert intra[0, 0] > 0
         assert inter[0, 0] == 0.0
@@ -103,13 +111,7 @@ class TestMatrixConsistency:
         fc2_specs = [
             PartitionSpec.from_string(s, 3) for s in ("B-N-N", "N-P2x2", "K-B-B")
         ]
-        matrix = inter8.cost_matrix(
-            edge,
-            act,
-            [NodeBoundary(act, s) for s in act_specs],
-            fc2,
-            [NodeBoundary(fc2, s) for s in fc2_specs],
-        )
+        matrix = inter8.cost_matrix(edge, act, act_specs, fc2, fc2_specs)
         for i, sa in enumerate(act_specs):
             for j, sf in enumerate(fc2_specs):
                 assert matrix[i, j] == pytest.approx(
@@ -170,3 +172,108 @@ class TestQkvThirds:
             legal_dims=scores.legal_dims, allow_temporal=False,
         )
         assert inter.cost(edge_w, qkv, qkv_spec, scores, scores_spec) == 0.0
+
+
+def _frozen_boundaries(op, specs):
+    return [legacy_inter.NodeBoundary(op, spec) for spec in specs]
+
+
+class TestFrozenEquivalence:
+    """Batched decoding prices edges to the bytes of the frozen per-rank model."""
+
+    @pytest.mark.parametrize(
+        "model_key,profiler_name,beam",
+        [
+            ("opt-175b", "profiler4", None),
+            ("llama2-70b", "profiler8", None),
+            ("opt-175b", "profiler16", 48),
+        ],
+    )
+    def test_cost_matrix_bytes_match_frozen(
+        self, request, model_key, profiler_name, beam
+    ):
+        profiler = request.getfixturevalue(profiler_name)
+        graph = build_block_graph(MODELS_BY_KEY[model_key].block_shape(batch=16))
+        candidates = PrimeParOptimizer(profiler, beam=beam).candidates_for(graph)
+        batched = InterOperatorCostModel(profiler)
+        frozen = legacy_inter.InterOperatorCostModel(profiler)
+        for edge in graph.edges:
+            src, dst = candidates[edge.src], candidates[edge.dst]
+            matrix = batched.cost_matrix(edge, src.op, src.specs, dst.op, dst.specs)
+            golden = frozen.cost_matrix(
+                edge,
+                src.op,
+                _frozen_boundaries(src.op, src.specs),
+                dst.op,
+                _frozen_boundaries(dst.op, dst.specs),
+            )
+            assert matrix.shape == golden.shape == (len(src), len(dst))
+            assert matrix.tobytes() == golden.tobytes(), edge.key()
+
+    def test_single_spec_paths_match_frozen(self, profiler8, large_block):
+        batched = InterOperatorCostModel(profiler8)
+        frozen = legacy_inter.InterOperatorCostModel(profiler8)
+        candidates = PrimeParOptimizer(profiler8).candidates_for(large_block)
+        for edge in large_block.edges:
+            src, dst = candidates[edge.src], candidates[edge.dst]
+            for prod_spec in src.specs[:4]:
+                for cons_spec in dst.specs[:4]:
+                    args = (edge, src.op, prod_spec, dst.op, cons_spec)
+                    expected = frozen.directional_costs(*args)
+                    # The second call reads the boxes memoized by the first.
+                    assert batched.directional_costs(*args) == expected
+                    assert batched.directional_costs(*args) == expected
+                    assert batched.cost(*args) == frozen.cost(*args)
+
+
+class TestBoxMemo:
+    def test_memo_is_not_pickled(self, inter8, large_mlp):
+        """A priced plan spec pickles to the bytes it had without the memo."""
+        act, fc2 = large_mlp.node("act"), large_mlp.node("fc2")
+        edge = _edge(large_mlp, "act", "fc2")
+
+        def specs():
+            return (
+                PartitionSpec.from_string(
+                    "K-M-K", 3, legal_dims=act.legal_dims, allow_temporal=False
+                ),
+                PartitionSpec.from_string("N-P2x2", 3),
+            )
+
+        act_spec, fc2_spec = specs()
+        inter8.directional_costs(edge, act, act_spec, fc2, fc2_spec)
+        assert act_spec.evaluator.box_memo and fc2_spec.evaluator.box_memo
+        # Twins priced by the frozen model touch the same DSI matrices and
+        # never had a box memo.
+        act_twin, fc2_twin = specs()
+        legacy_inter.InterOperatorCostModel(inter8.profiler).directional_costs(
+            edge, act, act_twin, fc2, fc2_twin
+        )
+        for spec, twin in ((act_spec, act_twin), (fc2_spec, fc2_twin)):
+            data = pickle.dumps(spec, pickle.HIGHEST_PROTOCOL)
+            assert len(data) == len(pickle.dumps(twin, pickle.HIGHEST_PROTOCOL))
+            assert data == pickle.dumps(twin, pickle.HIGHEST_PROTOCOL)
+            clone = pickle.loads(data)
+            assert clone == spec and not clone.evaluator.box_memo
+
+    def test_memo_keyed_by_operator_layout(self, inter8, large_block):
+        """One spec priced against two operators decodes each one's axes."""
+        frozen = legacy_inter.InterOperatorCostModel(inter8.profiler)
+        qkv = large_block.node("L0.qkv")
+        scores = large_block.node("L0.scores")
+        edge = _edge(large_block, "L0.qkv", "L0.scores", slot="I")
+        fc1, act = large_block.node("L0.fc1"), large_block.node("L0.act")
+        fc1_edge = _edge(large_block, "L0.fc1", "L0.act")
+        shared = PartitionSpec.from_string("B-K-K", 3)
+        scores_spec = PartitionSpec.from_string(
+            "B[batch]-B[heads]-B[heads]", 3,
+            legal_dims=scores.legal_dims, allow_temporal=False,
+        )
+        act_spec = PartitionSpec.from_string(
+            "K-M-K", 3, legal_dims=act.legal_dims, allow_temporal=False
+        )
+        for args in (
+            (edge, qkv, shared, scores, scores_spec),
+            (fc1_edge, fc1, shared, act, act_spec),
+        ):
+            assert inter8.directional_costs(*args) == frozen.directional_costs(*args)

@@ -1,11 +1,19 @@
 """Grid layouts: axis-targeted slicing of flattened dimensions."""
 
+import numpy as np
 import pytest
 
-from repro.core.dims import Dim
+from repro.core.cost.inter import axis_boxes
+from repro.core.dims import ALL_DIMS, Dim
 from repro.core.layout import axis_intervals, default_axis, grid_events, grid_signature
+from repro.core.optimizer.candidates import (
+    _BOUNDARY_POINTS,
+    operator_dim_limits,
+    type_key,
+)
+from repro.core.space import enumerate_specs
 from repro.core.spec import PartitionSpec
-from repro.graph.models import OPT_6_7B
+from repro.graph.models import MODELS_BY_KEY, OPT_6_7B
 from repro.graph.transformer import build_block_graph
 
 
@@ -124,3 +132,66 @@ class TestGridSignature:
         fc1 = block.node("L0.fc1")
         spec = PartitionSpec.from_string("N-P2x2", 3)
         assert grid_signature(fc1, spec) == grid_signature(fc1, spec)
+
+
+def _operator_types(model_key):
+    """One operator per candidate-set type of the model's block."""
+    graph = build_block_graph(MODELS_BY_KEY[model_key].block_shape(batch=16))
+    types = {}
+    for node in graph.nodes:
+        types.setdefault(type_key(node), node)
+    return list(types.values())
+
+
+def _enumerated_specs(op, n_bits):
+    """The operator's whole partition space, before collapse or beam."""
+    legal = list(op.legal_dims)
+    return enumerate_specs(
+        n_bits,
+        legal,
+        allow_temporal=op.allow_temporal,
+        dim_limits=operator_dim_limits(op),
+        axis_options={dim: op.partition_axis_options(dim) for dim in legal},
+        axis_capacities=op.axis_capacities(),
+        include_replicate=not op.is_matmul_like,
+    )
+
+
+class TestBatchedAxisBoxes:
+    @pytest.mark.parametrize("n_devices", [4, 8, 16, 32])
+    @pytest.mark.parametrize("model_key", ["opt-175b", "llama2-70b"])
+    def test_matches_axis_intervals_rank_by_rank(self, model_key, n_devices):
+        n_bits = n_devices.bit_length() - 1
+        for op in _operator_types(model_key):
+            specs = _enumerated_specs(op, n_bits)
+            dims = [dim for dim in ALL_DIMS if op.dim_axes.get(dim)]
+            # axis_intervals depends on (spec, dim, slice index) only, so it
+            # is tabulated once per spec and axis over every slice index and
+            # looked up by each rank's DSI at each boundary point.
+            tables = []
+            for spec in specs:
+                table = {}
+                for dim in dims:
+                    rows = [
+                        axis_intervals(op, spec, dim, index)
+                        for index in range(spec.slice_counts[dim])
+                    ]
+                    for axis in op.dim_axes[dim]:
+                        table[dim, axis] = np.array(
+                            [(row[axis].start, row[axis].stop) for row in rows]
+                        )
+                tables.append(table)
+            for point in _BOUNDARY_POINTS:
+                boxes = axis_boxes(op, specs, point, ALL_DIMS)
+                matrices = [spec.evaluator.dsi_matrix(*point) for spec in specs]
+                for dim in dims:
+                    column = ALL_DIMS.index(dim)
+                    for axis in op.dim_axes[dim]:
+                        expected = np.stack([
+                            table[dim, axis][matrix[:, column]]
+                            for matrix, table in zip(matrices, tables)
+                        ])
+                        assert boxes[axis].dtype == np.int64
+                        assert np.array_equal(boxes[axis], expected), (
+                            op.name, n_devices, point, axis
+                        )

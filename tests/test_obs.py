@@ -239,6 +239,25 @@ class TestCrossProcessDeterminism:
         span_paths = [s["path"] for s in result.telemetry["spans"]]
         assert "search" in span_paths
 
+    def test_edge_pricing_split_out_of_segment_dp(self, tmp_path, monkeypatch):
+        """Edge-cost spans and pair counts split segment_dp into its parts."""
+        result, _, _ = self._search(1, tmp_path / "t", monkeypatch)
+        counters = {}
+        for entry in result.telemetry["metrics"]["counters"]:
+            key = (entry["name"], entry["labels"].get("outcome"))
+            counters[key] = counters.get(key, 0) + entry["value"]
+        spans = result.telemetry["spans"]
+        pricing = [s for s in spans if s["name"] == "search.edge_cost"]
+        assert len(pricing) == counters[("dp.edge_memo", "miss")] > 0
+        assert all(
+            s["path"].startswith(("search/search.segment_dp/", "search/search.merge/"))
+            for s in pricing
+        )
+        segment_dp = next(s for s in spans if s["name"] == "search.segment_dp")
+        in_dp = [s for s in pricing if "search.segment_dp" in s["path"]]
+        assert sum(s["duration"] for s in in_dp) <= segment_dp["duration"]
+        assert counters[("dp.edge_pairs_priced", None)] >= len(pricing)
+
 
 class TestTraceSpans:
     def test_trace_carries_optimizer_span_track(self, profiler4, small_block):

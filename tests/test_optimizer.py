@@ -117,7 +117,7 @@ class TestOptimalityAgainstExhaustive:
         for edge in small_mlp.edges:
             src_set, dst_set = candidates[edge.src], candidates[edge.dst]
             matrix = inter.cost_matrix(
-                edge, src_set.op, src_set.boundaries, dst_set.op, dst_set.boundaries
+                edge, src_set.op, src_set.specs, dst_set.op, dst_set.specs
             )
             edge_matrices.append(
                 (names.index(edge.src), names.index(edge.dst), matrix)

@@ -2,8 +2,8 @@
 """Diff benchmark JSON against checked-in baselines, with teeth.
 
 The repo checks full-run benchmark results into ``benchmarks/results/``
-(``BENCH_serve.json``, ``BENCH_sim_speed.json``, ``BENCH_robustness.json``).
-This tool turns them into a regression gate:
+(``BENCH_serve.json``, ``BENCH_sim_speed.json``, ``BENCH_robustness.json``,
+``BENCH_opt_speed.json``).  This tool turns them into a regression gate:
 
 * **full mode** (default) — compare a current run's file against the
   baseline of the same name, metric by metric, failing when a metric
@@ -26,7 +26,8 @@ This tool turns them into a regression gate:
 
 Exit status: 0 when every check passes, 1 otherwise; one line per check.
 Paths use dots for keys and ``[*]`` to fan out over lists
-(``block_replay[*].identical``).
+(``block_replay[*].identical``); a fanned-out threshold compares the current
+and baseline lists element by element.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ THRESHOLDS: List[Tuple[str, str, str, float]] = [
      "higher_worse", 0.02),
     ("BENCH_robustness.json", "fault_classes.compute.p99",
      "higher_worse", 0.02),
+    # One entry per scale (4/8/16/32 devices).  Warm searches are bound by
+    # the segment DP, cold ones by the candidate builds.
+    ("BENCH_opt_speed.json", "scales[*].runs.warm_serial.elapsed_seconds",
+     "higher_worse", 0.50),
+    ("BENCH_opt_speed.json", "scales[*].runs.cold_serial.elapsed_seconds",
+     "higher_worse", 0.50),
 ]
 
 #: Exact invariants that must hold in *every* run (full or baseline).
@@ -70,6 +77,8 @@ INVARIANTS: List[Tuple[str, str, Any]] = [
     ("BENCH_sim_speed.json", "contended_replay.identical", True),
     ("BENCH_sim_speed.json", "fig9_pipeline_replay.identical", True),
     ("BENCH_robustness.json", "determinism.serial_equals_parallel", True),
+    ("BENCH_opt_speed.json", "scales[*].identical", True),
+    ("BENCH_opt_speed.json", "sweep.identical", True),
 ]
 
 #: Smoke-mode absolute bounds on the current run: (file, path, op, bound).
@@ -79,6 +88,8 @@ SMOKE_BOUNDS: List[Tuple[str, str, str, float]] = [
     ("BENCH_serve.json", "throughput.rps", ">", 1.0),
     ("BENCH_sim_speed.json", "contended_replay.speedup_warm", ">", 1.0),
     ("BENCH_robustness.json", "nominal_latency", ">", 0.0),
+    ("BENCH_opt_speed.json", "scales[*].runs.warm_serial.elapsed_seconds",
+     "<", 10.0),
 ]
 
 
@@ -195,24 +206,35 @@ def check_full(checker: Checker, current: Path, baseline: Path) -> None:
             if file_name != name:
                 continue
             try:
-                cur_value = next(resolve(cur, path))
-                base_value = next(resolve(base, path))
-            except (KeyError, StopIteration):
+                cur_values = list(resolve(cur, path))
+                base_values = list(resolve(base, path))
+            except KeyError:
                 checker.record(False, f"{name}:{path}: missing")
                 continue
-            if base_value == 0:
-                checker.record(True, f"{name}:{path}: zero baseline, skipped")
+            if not base_values or len(cur_values) != len(base_values):
+                checker.record(
+                    False,
+                    f"{name}:{path}: {len(cur_values)} value(s), baseline "
+                    f"has {len(base_values)}",
+                )
                 continue
-            change = cur_value / base_value - 1.0
-            if direction == "higher_worse":
-                ok = change <= limit
-            else:
-                ok = change >= -limit
-            checker.record(
-                ok,
-                f"{name}:{path} {base_value:g} -> {cur_value:g} "
-                f"({change:+.1%}, limit {'+' if direction == 'higher_worse' else '-'}{limit:.0%})",
-            )
+            for i, (cur_value, base_value) in enumerate(
+                zip(cur_values, base_values)
+            ):
+                label = path if len(base_values) == 1 else f"{path}[{i}]"
+                if base_value == 0:
+                    checker.record(True, f"{name}:{label}: zero baseline, skipped")
+                    continue
+                change = cur_value / base_value - 1.0
+                if direction == "higher_worse":
+                    ok = change <= limit
+                else:
+                    ok = change >= -limit
+                checker.record(
+                    ok,
+                    f"{name}:{label} {base_value:g} -> {cur_value:g} "
+                    f"({change:+.1%}, limit {'+' if direction == 'higher_worse' else '-'}{limit:.0%})",
+                )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
