@@ -3,8 +3,13 @@
 Scores the PrimePar plan for one headline setting under four fault
 classes — compute-only (stragglers), link-only (degraded NIC pools),
 outage-only (checkpoint/restart recovery) and a mixed model — and records
-the Monte-Carlo percentiles and per-class attribution for each.  Two
-structural checks ride along:
+the Monte-Carlo percentiles and per-class attribution for each, plus the
+seconds spent lowering the plan (``lower_seconds``, the ``sim.lower``
+spans of the sweep).  Three structural checks ride along:
+
+* **reports_identical** (per class) — the sweep's report, whose replays
+  share one lowering, must equal byte for byte a re-run of the same
+  scenarios in which every replay lowers the plan itself;
 
 * **determinism** — the mixed-class report must be bit-identical when the
   scenario fan-out runs serially and with ``--jobs`` workers (the seeded
@@ -37,6 +42,7 @@ import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -49,6 +55,8 @@ from repro import (
     v100_cluster,
 )
 from repro.graph.models import OPT_6_7B, OPT_175B
+from repro.obs.spans import get_collector
+from repro.sim import faults
 from repro.sim.faults import FaultModel, evaluate_robustness, robust_search
 
 #: The four fault classes scored against the same plan.
@@ -63,7 +71,24 @@ FAULT_CLASSES: Dict[str, str] = {
 }
 
 
-def _class_entry(report, spec: str, seconds: float) -> Dict:
+def _report_bytes(report) -> str:
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+def _per_replay_lowering_report(*args, **kwargs):
+    """:func:`evaluate_robustness` with every fault replay lowering itself."""
+    shared = faults._faulted_latency
+
+    def lower_per_replay(*replay_args):
+        return shared(*replay_args[:6], lowering=None)
+
+    with mock.patch.object(faults, "_faulted_latency", lower_per_replay):
+        return evaluate_robustness(*args, **kwargs)
+
+
+def _class_entry(
+    report, spec: str, seconds: float, lower_seconds: float, identical: bool
+) -> Dict:
     return {
         "spec": spec,
         "p50": report.p50,
@@ -75,6 +100,8 @@ def _class_entry(report, spec: str, seconds: float) -> Dict:
         "expected_recovery_cost": report.expected_recovery_cost,
         "outage_scenarios": report.outage_scenarios,
         "wall_seconds": seconds,
+        "lower_seconds": lower_seconds,
+        "reports_identical": identical,
     }
 
 
@@ -108,16 +135,28 @@ def run_benchmark(
         ).optimize(graph, n_layers=model.n_layers).plan
 
         classes: Dict[str, Dict] = {}
+        reports = {}
         nominal_latency = None
         for label, spec in FAULT_CLASSES.items():
             fault_model = FaultModel.from_spec(spec)
+            sweep = (profiler, graph, plan, batch, n_layers, fault_model)
+            mark = get_collector().mark()
             started = time.perf_counter()
             report = evaluate_robustness(
-                profiler, graph, plan, batch, n_layers, fault_model,
-                scenarios=scenarios, seed=seed, jobs=1,
+                *sweep, scenarios=scenarios, seed=seed, jobs=1
+            )
+            seconds = time.perf_counter() - started
+            lower_seconds = sum(
+                s["duration"] for s in get_collector().export(mark)
+                if s["name"] == "sim.lower"
+            )
+            reports[label] = report
+            reference = _per_replay_lowering_report(
+                *sweep, scenarios=scenarios, seed=seed, jobs=1
             )
             classes[label] = _class_entry(
-                report, spec, time.perf_counter() - started
+                report, spec, seconds, lower_seconds,
+                _report_bytes(report) == _report_bytes(reference),
             )
             nominal_latency = report.nominal_latency
 
@@ -128,17 +167,6 @@ def run_benchmark(
             scenarios=scenarios, seed=seed, jobs=jobs,
         )
         parallel_seconds = time.perf_counter() - started
-        serial_json = json.dumps(
-            {**classes["mixed"], "wall_seconds": 0.0}, sort_keys=True
-        )
-        parallel_json = json.dumps(
-            {
-                **_class_entry(
-                    parallel_report, FAULT_CLASSES["mixed"], 0.0
-                ),
-            },
-            sort_keys=True,
-        )
 
         ranked = robust_search(
             profiler, graph,
@@ -167,7 +195,10 @@ def run_benchmark(
             "fault_classes": classes,
             "determinism": {
                 "jobs": jobs,
-                "serial_equals_parallel": serial_json == parallel_json,
+                "serial_equals_parallel": (
+                    _report_bytes(reports["mixed"])
+                    == _report_bytes(parallel_report)
+                ),
                 "parallel_seconds": parallel_seconds,
             },
             "objective_ranking": {
@@ -216,7 +247,10 @@ def _report(payload: Dict) -> str:
             f"p99 {entry['p99'] * 1e3:.2f}ms  "
             f"(compute {entry['attribution']['compute'] * 1e3:.2f} / "
             f"link {entry['attribution']['link'] * 1e3:.2f} / "
-            f"recovery {entry['attribution']['recovery'] * 1e3:.2f}ms)"
+            f"recovery {entry['attribution']['recovery'] * 1e3:.2f}ms), "
+            f"{entry['wall_seconds']:.2f}s wall, "
+            f"{entry['lower_seconds'] * 1e3:.1f}ms lowering, "
+            f"identical to per-replay lowering: {entry['reports_identical']}"
         )
     det = payload["determinism"]
     lines.append(
@@ -242,6 +276,7 @@ def test_robustness_smoke(benchmark):
     nominal = payload["nominal_latency"]
     for label, entry in payload["fault_classes"].items():
         assert entry["p99"] >= nominal, (label, entry["p99"], nominal)
+        assert entry["reports_identical"], label
 
 
 def main(argv: Optional[List[str]] = None) -> int:

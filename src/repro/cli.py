@@ -580,6 +580,7 @@ def cmd_faults(args) -> int:
         beam=request.search.beam or None,
         jobs=args.jobs,
     )
+    _write_metrics_if_requested(args)
     if args.json:
         emit(json.dumps(result.to_json(), indent=1, sort_keys=True))
         return 0
@@ -610,7 +611,6 @@ def cmd_faults(args) -> int:
         )
     )
     emit(f"\nbest plan under {request.objective}: {result.best.label}")
-    _write_metrics_if_requested(args)
     return 0
 
 

@@ -17,6 +17,7 @@ Two engines produce :class:`~repro.sim.executor.IterationReport`:
 from .engine import (
     EventDrivenSimulator,
     KernelGraph,
+    PlanLowering,
     SimKernel,
     SimulationEngine,
     StreamResource,
@@ -50,6 +51,7 @@ __all__ = [
     "KernelRecord",
     "NicFlap",
     "NodeOutage",
+    "PlanLowering",
     "RecoveryModel",
     "RobustnessReport",
     "ScenarioOutcome",

@@ -59,11 +59,21 @@ frozen copy of the original implementation):
   Reports are additionally memoized on disk through :mod:`repro.sim.simcache`
   (the ``PRIMEPAR_CACHE*`` knobs apply), with cached hits re-emitting the
   telemetry of the run they replace.
+* **Lower once, replay many.**  Every cost term a replay needs (Eq. 7 step
+  compute, sized ring transfers, all-reduce and layernorm extras, Eq. 8–9
+  redistribution, the memory terms) depends only on the graph, the plan
+  and the fabric, so :meth:`EventDrivenSimulator.lower` prices them once
+  into a picklable :class:`PlanLowering`.  Replays read only from it —
+  the fault layer shares one lowering across every scenario of a sweep,
+  since stragglers and degraded links act on kernel durations and link
+  capacities after pricing.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cluster.profiler import FabricProfiler
@@ -76,6 +86,7 @@ from ..core.cost.memory import MemoryCostModel
 from ..core.spec import PartitionSpec
 from ..graph.graph import ComputationGraph
 from ..obs.metrics import counter, gauge
+from ..obs.reqtrace import trace_event
 from ..obs.spans import span
 from . import simcache
 from .eventq import IndexedEventQueue
@@ -548,6 +559,42 @@ class KernelGraph:
         self._finish(flow.kernel)
 
 
+@dataclass(frozen=True)
+class PhaseLowering:
+    """The priced terms of one ``(operator, phase)``.
+
+    ``ring`` maps a temporal step to the real point-to-point sends that
+    overlap it, ``(tensor, src rank, dst rank, bytes)`` — zero-byte and
+    self sends are dropped here, exactly as kernel emission skips them.
+    """
+
+    step_compute: float
+    total_steps: int
+    ring: Mapping[int, Tuple[Tuple[str, int, int, float], ...]]
+    allreduce: float
+
+
+@dataclass(frozen=True)
+class PlanLowering:
+    """Every cost term an event replay of one ``(graph, plan)`` reads.
+
+    Built by :meth:`EventDrivenSimulator.lower`.  The terms depend only on
+    the graph, the plan and the fabric (not on faults, which act on kernel
+    durations and link capacities after pricing), so one lowering serves
+    every replay of a robustness sweep and pickles into worker payloads.
+    """
+
+    #: ``edge.key() -> (forward, backward)`` redistribution seconds.
+    edge_costs: Mapping[Tuple[str, str, str], Tuple[float, float]]
+    phases: Mapping[Tuple[str, Phase], PhaseLowering]
+    layernorm_extras: Mapping[str, float]
+    #: One layer's static per-device memory (``MemoryCostModel.plan_memory``).
+    plan_memory: float
+    #: One layer's tracked watermark (``track_iteration``) and its makeup.
+    watermark_peak: float
+    watermark_composition: Mapping[str, float]
+
+
 class EventDrivenSimulator:
     """Event-driven counterpart of :class:`TrainingSimulator`.
 
@@ -580,6 +627,96 @@ class EventDrivenSimulator:
         self.memory = memory_model or MemoryCostModel()
         self.graph_factory = graph_factory
         self.use_disk_cache = use_disk_cache
+        #: The last lowering built, as ``(graph, specs in node order,
+        #: lowering)``; see :meth:`lower`.
+        self._lowered: Optional[
+            Tuple[ComputationGraph, Tuple[PartitionSpec, ...], PlanLowering]
+        ] = None
+
+    # ------------------------------------------------------------------
+    # lowering
+    # ------------------------------------------------------------------
+
+    def lower(
+        self, graph: ComputationGraph, plan: Mapping[str, PartitionSpec]
+    ) -> PlanLowering:
+        """Price every cost term a replay of ``plan`` on ``graph`` reads.
+
+        The last lowering is kept: calling again with the same graph object
+        and equal specs returns it without re-pricing, so a fault sweep
+        whose nominal replay missed the report cache reuses the nominal's
+        lowering.
+        """
+        specs = tuple(plan[node.name] for node in graph.nodes)
+        if self._lowered is not None:
+            last_graph, last_specs, lowering = self._lowered
+            if last_graph is graph and last_specs == specs:
+                return lowering
+        started = time.perf_counter()
+        with span("sim.lower", ops=len(graph.nodes), edges=len(graph.edges)):
+            edge_costs = {
+                edge.key(): self.inter.directional_costs(
+                    edge,
+                    graph.node(edge.src),
+                    plan[edge.src],
+                    graph.node(edge.dst),
+                    plan[edge.dst],
+                )
+                for edge in graph.edges
+            }
+            # Priced in kernel-emission order: a noisy profiler fits its
+            # collective models lazily, so first-use order fixes its draws.
+            phases: Dict[Tuple[str, Phase], PhaseLowering] = {}
+            extras: Dict[str, float] = {}
+            for node in graph.nodes:
+                phases[node.name, Phase.FORWARD] = self._price_phase(
+                    node, plan[node.name], Phase.FORWARD
+                )
+            for node in reversed(graph.nodes):
+                spec = plan[node.name]
+                for phase in (Phase.BACKWARD, Phase.GRADIENT):
+                    phases[node.name, phase] = self._price_phase(
+                        node, spec, phase
+                    )
+                extras[node.name] = self.communication.layernorm_extras(
+                    node, spec
+                )
+            watermark = track_iteration(graph, plan, self.memory)
+            lowering = PlanLowering(
+                edge_costs=edge_costs,
+                phases=phases,
+                layernorm_extras=extras,
+                plan_memory=self.memory.plan_memory(zip(graph.nodes, specs)),
+                watermark_peak=watermark.peak,
+                watermark_composition=watermark.composition_at_peak(),
+            )
+        counter("sim.lowerings").inc()
+        trace_event(
+            "sim.lower", ops=len(graph.nodes),
+            seconds=time.perf_counter() - started,
+        )
+        self._lowered = (graph, specs, lowering)
+        return lowering
+
+    def _price_phase(
+        self, node, spec: PartitionSpec, phase: Phase
+    ) -> PhaseLowering:
+        """Step compute, real ring sends and all-reduce of one phase."""
+        step_compute = self.compute.step_latency(node, spec, phase)
+        ring = {}
+        for step, entries in self.communication.ring_phase_transfers(
+            node, spec, phase
+        ).items():
+            sends = tuple(e for e in entries if e[3] > 0 and e[1] != e[2])
+            if sends:
+                ring[step] = sends
+        # A phase with neither compute nor ring traffic emits no kernels,
+        # so its all-reduce is never priced (nor its profiler model fitted).
+        allreduce = (
+            self.communication.allreduce_latency(node, spec, phase)
+            if step_compute > 0 or ring else 0.0
+        )
+        return PhaseLowering(step_compute, spec.total_steps, ring, allreduce)
 
     # ------------------------------------------------------------------
     # single iteration
@@ -605,6 +742,7 @@ class EventDrivenSimulator:
         global_batch: int,
         n_layers: int,
         force_replay: bool = False,
+        lowering: Optional[PlanLowering] = None,
     ) -> IterationReport:
         """Scale a one-layer event-driven simulation to ``n_layers`` layers.
 
@@ -615,22 +753,30 @@ class EventDrivenSimulator:
         replayed through the event engine.  ``force_replay`` skips the
         splice check and replays the full stack unconditionally — the
         fault layer needs this whenever time-varying faults (NIC flaps)
-        make the one-layer schedule non-representative.
+        make the one-layer schedule non-representative.  ``lowering`` is
+        :meth:`lower`'s output for this ``(graph, plan)``; without one the
+        plan is lowered on the first replay that misses the report cache.
         """
         with span(
             "sim.run", engine="event", devices=self.topology.n_devices
         ):
             if force_replay and n_layers > 1:
                 counter("sim.splice", outcome="forced_replay").inc()
-                return self._full_replay(graph, plan, global_batch, n_layers)
-            single, spliceable = self._single_layer(graph, plan, global_batch)
+                return self._full_replay(
+                    graph, plan, global_batch, n_layers, lowering
+                )
+            single, spliceable = self._single_layer(
+                graph, plan, global_batch, lowering
+            )
             if n_layers <= 1:
                 return single
             if spliceable:
                 counter("sim.splice", outcome="spliced").inc()
                 return single.scaled_to_layers(n_layers, global_batch)
             counter("sim.splice", outcome="replayed").inc()
-            return self._full_replay(graph, plan, global_batch, n_layers)
+            return self._full_replay(
+                graph, plan, global_batch, n_layers, lowering
+            )
 
     # ------------------------------------------------------------------
     # cached entry points
@@ -649,6 +795,7 @@ class EventDrivenSimulator:
         graph: ComputationGraph,
         plan: Mapping[str, PartitionSpec],
         global_batch: int,
+        lowering: Optional[PlanLowering] = None,
     ) -> Tuple[IterationReport, bool]:
         key = self._cache_key(graph, plan, global_batch, 1)
         if key is not None:
@@ -658,7 +805,7 @@ class EventDrivenSimulator:
                 self._replay_telemetry(report, entry["stats"])
                 return report, entry["spliceable"]
         report, spliceable, stats = self._simulate(
-            graph, plan, global_batch, 1
+            graph, lowering or self.lower(graph, plan), global_batch, 1
         )
         if key is not None:
             simcache.store(key, "event", report, spliceable, stats)
@@ -670,6 +817,7 @@ class EventDrivenSimulator:
         plan: Mapping[str, PartitionSpec],
         global_batch: int,
         n_layers: int,
+        lowering: Optional[PlanLowering] = None,
     ) -> IterationReport:
         key = self._cache_key(graph, plan, global_batch, n_layers)
         if key is not None:
@@ -678,7 +826,9 @@ class EventDrivenSimulator:
                 report = entry["report"]
                 self._replay_telemetry(report, entry["stats"])
                 return report
-        report, _, stats = self._simulate(graph, plan, global_batch, n_layers)
+        report, _, stats = self._simulate(
+            graph, lowering or self.lower(graph, plan), global_batch, n_layers
+        )
         if key is not None:
             simcache.store(key, "event", report, False, stats)
         return report
@@ -703,7 +853,7 @@ class EventDrivenSimulator:
     def _simulate(
         self,
         graph: ComputationGraph,
-        plan: Mapping[str, PartitionSpec],
+        lowering: PlanLowering,
         global_batch: int,
         n_layers: int,
     ) -> Tuple[IterationReport, bool, Dict[str, int]]:
@@ -711,16 +861,8 @@ class EventDrivenSimulator:
         n_devices = self.topology.n_devices
         streams = [kg.stream(f"dev{r}") for r in range(n_devices)]
         tails: Dict[int, List[SimKernel]] = {r: [] for r in range(n_devices)}
-        edge_costs = {
-            edge.key(): self.inter.directional_costs(
-                edge,
-                graph.node(edge.src),
-                plan[edge.src],
-                graph.node(edge.dst),
-                plan[edge.dst],
-            )
-            for edge in graph.edges
-        }
+        edge_costs = lowering.edge_costs
+        phases = lowering.phases
 
         def tag(name: str, layer: int) -> str:
             return name if n_layers == 1 else f"L{layer}.{name}"
@@ -728,7 +870,6 @@ class EventDrivenSimulator:
         # ---- Forward ---------------------------------------------------
         for layer in range(n_layers):
             for node in graph.nodes:
-                spec = plan[node.name]
                 for edge in graph.in_edges(node.name):
                     fwd, _ = edge_costs[edge.key()]
                     self._collective(
@@ -736,41 +877,33 @@ class EventDrivenSimulator:
                         "redistribute", fwd,
                     )
                 self._lower_phase(
-                    kg, streams, tails, node, spec, Phase.FORWARD,
-                    name=tag(node.name, layer),
+                    kg, streams, tails, node.name, tag(node.name, layer),
+                    phases[node.name, Phase.FORWARD], Phase.FORWARD,
                 )
 
         # ---- Backward + Gradient (reverse order) ------------------------
         for layer in reversed(range(n_layers)):
             for node in reversed(graph.nodes):
-                spec = plan[node.name]
                 for edge in graph.out_edges(node.name):
                     _, bwd = edge_costs[edge.key()]
                     self._collective(
                         kg, streams, tails, tag(node.name, layer), "-",
                         "redistribute", bwd,
                     )
-                self._lower_phase(
-                    kg, streams, tails, node, spec, Phase.BACKWARD,
-                    name=tag(node.name, layer),
-                )
-                self._lower_phase(
-                    kg, streams, tails, node, spec, Phase.GRADIENT,
-                    name=tag(node.name, layer),
-                )
-                extras = self.communication.layernorm_extras(node, spec)
+                for phase in (Phase.BACKWARD, Phase.GRADIENT):
+                    self._lower_phase(
+                        kg, streams, tails, node.name, tag(node.name, layer),
+                        phases[node.name, phase], phase,
+                    )
                 self._collective(
                     kg, streams, tails, tag(node.name, layer), "G",
-                    "allreduce", extras,
+                    "allreduce", lowering.layernorm_extras[node.name],
                 )
 
         latency = kg.execute()
         spliceable = n_layers == 1 and self._spliceable(kg, latency)
         timeline = kg.timeline()
-        peak = n_layers * self.memory.plan_memory(
-            (node, plan[node.name]) for node in graph.nodes
-        )
-        watermark = track_iteration(graph, plan, self.memory)
+        peak = n_layers * lowering.plan_memory
         counter("sim.kernels_executed", engine="event").inc(len(kg.kernels))
         stats: Dict[str, int] = {"kernels": len(kg.kernels)}
         perf = getattr(kg, "perf_stats", None)
@@ -792,10 +925,10 @@ class EventDrivenSimulator:
                 latency,
                 link_stats=kg.link_stats(),
                 memory_watermark={
-                    "peak_bytes": watermark.peak * n_layers,
+                    "peak_bytes": lowering.watermark_peak * n_layers,
                     "composition": {
                         k: v * n_layers
-                        for k, v in watermark.composition_at_peak().items()
+                        for k, v in lowering.watermark_composition.items()
                     },
                 },
                 engine="event",
@@ -883,26 +1016,24 @@ class EventDrivenSimulator:
         kg: KernelGraph,
         streams: Sequence[StreamResource],
         tails: Dict[int, List[SimKernel]],
-        node,
-        spec: PartitionSpec,
+        op: str,
+        name: str,
+        priced: PhaseLowering,
         phase: Phase,
-        name: Optional[str] = None,
     ) -> None:
-        """Per-device compute steps with overlapped ring sends on links."""
-        op_name = node.name if name is None else name
-        step_compute = self.compute.step_latency(node, spec, phase)
-        ring_schedule = self.communication.ring_phase_transfers(node, spec, phase)
-        any_ring = any(
-            n_bytes > 0 and src != dst
-            for entries in ring_schedule.values()
-            for _, src, dst, n_bytes in entries
-        )
-        if step_compute <= 0 and not any_ring:
+        """Per-device compute steps with overlapped ring sends on links.
+
+        ``op`` names the operator on the kernel records; ``name`` prefixes
+        the kernel names (it carries the layer tag in multi-layer replays).
+        """
+        step_compute = priced.step_compute
+        ring_schedule = priced.ring
+        if step_compute <= 0 and not ring_schedule:
             return
         n_ranks = len(streams)
         phase_tag = phase.value
         inbound_prev: Dict[int, List[SimKernel]] = {r: [] for r in range(n_ranks)}
-        for t in range(spec.total_steps):
+        for t in range(priced.total_steps):
             # Step-begin markers: device r enters step t once its previous
             # step's compute (stream FIFO) and inbound double-buffer
             # transfers are done.  Ring sends overlapping step t start here.
@@ -915,7 +1046,7 @@ class EventDrivenSimulator:
                     deps = inbound_prev[rank]
                 markers.append(
                     kg.add(
-                        f"{op_name}.{phase_tag}.begin{t}[{rank}]",
+                        f"{name}.{phase_tag}.begin{t}[{rank}]",
                         streams=[stream],
                         deps=deps,
                         record=False,
@@ -923,14 +1054,12 @@ class EventDrivenSimulator:
                 )
             inbound_now: Dict[int, List[SimKernel]] = {r: [] for r in range(n_ranks)}
             for tensor, src, dst, n_bytes in ring_schedule.get(t, ()):
-                if n_bytes <= 0 or src == dst:
-                    continue
                 transfer = kg.add(
-                    f"{op_name}.{phase_tag}.ring{t}.{tensor}[{src}->{dst}]",
+                    f"{name}.{phase_tag}.ring{t}.{tensor}[{src}->{dst}]",
                     deps=[markers[src]],
                     transfer=(n_bytes, self.topology.path_resources(src, dst)),
                     kind="ring",
-                    op=node.name,
+                    op=op,
                     phase=phase_tag,
                     device=src,
                     overlapped=True,
@@ -939,20 +1068,20 @@ class EventDrivenSimulator:
             if step_compute > 0:
                 for rank, stream in enumerate(streams):
                     kg.add(
-                        f"{op_name}.{phase_tag}.step{t}[{rank}]",
+                        f"{name}.{phase_tag}.step{t}[{rank}]",
                         streams=[stream],
                         duration=step_compute,
                         kind="compute",
-                        op=node.name,
+                        op=op,
                         phase=phase_tag,
                         device=rank,
                     )
             inbound_prev = inbound_now
         for rank in range(n_ranks):
             tails[rank].extend(inbound_prev[rank])
-        allreduce = self.communication.allreduce_latency(node, spec, phase)
         self._collective(
-            kg, streams, tails, op_name, phase_tag, "allreduce", allreduce
+            kg, streams, tails, name, phase_tag, "allreduce",
+            priced.allreduce,
         )
 
     # ------------------------------------------------------------------

@@ -59,7 +59,12 @@ from ..graph.graph import ComputationGraph
 from ..obs.metrics import counter
 from ..obs.quantiles import nearest_rank
 from ..obs.spans import span
-from .engine import EventDrivenSimulator, KernelGraph, _SharedLink
+from .engine import (
+    EventDrivenSimulator,
+    KernelGraph,
+    PlanLowering,
+    _SharedLink,
+)
 
 __all__ = [
     "DegradedLink",
@@ -253,6 +258,11 @@ class FaultScenario:
     @property
     def has_link_faults(self) -> bool:
         return bool(self.degraded_links or self.nic_flaps)
+
+    @property
+    def has_engine_faults(self) -> bool:
+        """Whether the event engine must replay this scenario at all."""
+        return self.has_compute_faults or self.has_link_faults
 
     @property
     def is_nominal(self) -> bool:
@@ -864,6 +874,7 @@ def _faulted_latency(
     global_batch: int,
     n_layers: int,
     scenario: FaultScenario,
+    lowering: Optional[PlanLowering] = None,
 ) -> float:
     """One event-driven replay of ``plan`` under ``scenario``'s engine faults."""
     topology = profiler.topology
@@ -875,6 +886,7 @@ def _faulted_latency(
     report = simulator.run_model(
         graph, plan, global_batch, n_layers,
         force_replay=bool(scenario.nic_flaps),
+        lowering=lowering,
     )
     return report.latency
 
@@ -888,25 +900,32 @@ def simulate_scenario(
     scenario: FaultScenario,
     recovery: RecoveryModel,
     nominal_latency: float,
+    lowering: Optional[PlanLowering] = None,
 ) -> ScenarioOutcome:
     """Simulate one scenario and decompose its slowdown by fault class.
 
     The scenario is replayed twice when it mixes fault classes — compute
     faults only, then all engine faults — so the compute/link split is
     exact; pure-compute or pure-link scenarios need one replay, and
-    nominal scenarios none.
+    nominal scenarios none.  Every replay reads ``lowering``
+    (:meth:`EventDrivenSimulator.lower` of ``plan``); without one, the
+    plan is lowered once here and shared by this scenario's replays.
     """
+    if lowering is None and scenario.has_engine_faults:
+        lowering = EventDrivenSimulator(
+            profiler, use_disk_cache=False
+        ).lower(graph, plan)
     if scenario.has_compute_faults:
         compute_latency = _faulted_latency(
             profiler, graph, plan, global_batch, n_layers,
-            scenario.compute_only(),
+            scenario.compute_only(), lowering,
         )
     else:
         compute_latency = nominal_latency
     if scenario.has_link_faults:
         engine_latency = _faulted_latency(
             profiler, graph, plan, global_batch, n_layers,
-            scenario.engine_only(),
+            scenario.engine_only(), lowering,
         )
     else:
         engine_latency = compute_latency
@@ -934,12 +953,7 @@ def simulate_scenario(
 
 def _scenario_task(payload) -> ScenarioOutcome:
     """Module-level (picklable) worker for :func:`parallel_map` fan-out."""
-    (profiler, graph, plan, global_batch, n_layers, scenario, recovery,
-     nominal_latency) = payload
-    return simulate_scenario(
-        profiler, graph, plan, global_batch, n_layers, scenario, recovery,
-        nominal_latency,
-    )
+    return simulate_scenario(*payload)
 
 
 def build_report(
@@ -991,6 +1005,11 @@ def evaluate_robustness(
     ``(seed, i)``, outcomes are merged in submission order, and percentiles
     are nearest-rank — so the report is bit-identical serial or under any
     ``jobs`` fan-out.
+
+    The plan is lowered once, on the first scenario the engine must
+    replay, and every replay reads that lowering (shipped to workers in
+    the task payload).  Nominal and outage-only sweeps replay nothing and
+    lower nothing beyond what the nominal replay itself needs.
     """
     if scenarios < 1:
         raise ValidationError(
@@ -1001,12 +1020,12 @@ def evaluate_robustness(
         scenarios=scenarios,
         devices=profiler.topology.n_devices,
     ):
-        nominal = EventDrivenSimulator(profiler).run_model(
-            graph, plan, global_batch, n_layers
-        )
+        simulator = EventDrivenSimulator(profiler)
+        nominal = simulator.run_model(graph, plan, global_batch, n_layers)
         drawn = fault_model.scenarios(
             profiler.topology, scenarios, seed, nominal.latency
         )
+        lowering: Optional[PlanLowering] = None
         payloads = []
         outcomes: List[Optional[ScenarioOutcome]] = []
         order: List[int] = []
@@ -1025,9 +1044,11 @@ def evaluate_robustness(
                 counter("faults.scenarios", kind="faulted").inc()
                 outcomes.append(None)
                 order.append(len(outcomes) - 1)
+                if lowering is None and scenario.has_engine_faults:
+                    lowering = simulator.lower(graph, plan)
                 payloads.append((
                     profiler, graph, plan, global_batch, n_layers, scenario,
-                    fault_model.recovery, nominal.latency,
+                    fault_model.recovery, nominal.latency, lowering,
                 ))
         if payloads:
             for position, outcome in zip(

@@ -22,6 +22,23 @@ def test_checked_in_baselines_pass_against_themselves(capsys):
     assert "scales[*].runs.warm_serial.elapsed_seconds[3]" in out
 
 
+def test_reports_identical_fans_out_over_fault_classes(tmp_path, capsys):
+    """One class whose report drifted from per-replay lowering fails."""
+    path = bench_compare.DEFAULT_BASELINE_DIR / "BENCH_robustness.json"
+    doc = json.loads(path.read_text())
+    flags = bench_compare.resolve(doc, "fault_classes[*].reports_identical")
+    assert list(flags) == [True] * len(doc["fault_classes"])
+    doc["fault_classes"]["link"]["reports_identical"] = False
+    (tmp_path / "BENCH_robustness.json").write_text(json.dumps(doc))
+    assert _run("--smoke", "--current-dir", tmp_path) == 1
+    failures = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  FAIL") and "BENCH_robustness" in line
+    ]
+    assert len(failures) == 1
+    assert "fault_classes[*].reports_identical" in failures[0]
+
+
 def test_fanned_out_threshold_compares_each_scale(tmp_path, capsys):
     baseline = json.loads(
         (bench_compare.DEFAULT_BASELINE_DIR / "BENCH_opt_speed.json").read_text()

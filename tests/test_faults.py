@@ -12,19 +12,26 @@ The contracts under test:
 * **Zero faults** — the empty scenario is a pass-through of the stock
   engine (the frozen-legacy half of this lives in
   ``test_golden_engine.py``).
+* **Lower once** — a sweep prices the plan once and shares the lowering
+  with every replay, byte-identically to replays that lower themselves.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
 from repro import EventDrivenSimulator, PrimeParOptimizer, ValidationError
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
+from repro.core.cost.inter import InterOperatorCostModel
 from repro.graph.models import OPT_6_7B
 from repro.graph.transformer import build_block_graph
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.sim import faults
+from repro.sim.engine import PlanLowering
 from repro.sim.faults import (
     DegradedLink,
     FaultModel,
@@ -244,6 +251,148 @@ class TestDeterminism:
         )
         payload = json.loads(json.dumps(report.to_json()))
         assert RobustnessReport.from_json(payload) == report
+
+
+def _report_bytes(report) -> str:
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+def _per_replay_lowering(monkeypatch):
+    """Make every fault replay lower the plan itself (the reference path)."""
+    shared = faults._faulted_latency
+
+    def lower_per_replay(*args):
+        return shared(*args[:6], lowering=None)
+
+    monkeypatch.setattr(faults, "_faulted_latency", lower_per_replay)
+
+
+class TestSharedLowering:
+    """One lowering per sweep must not change a single bit of any report."""
+
+    #: Flap rate 1.0 gives every node one flap per scenario, so every
+    #: mixed replay takes the forced full-stack path.
+    SPECS = {
+        "compute": "straggler=0.6:1.8",
+        "link": "degrade=0.6:0.5",
+        "mixed_flaps": "straggler=0.5:1.7,degrade=0.4:0.5,flap=1.0:0.002:0.25",
+        "outage": "outage=0.5",
+    }
+
+    @pytest.fixture(scope="class")
+    def shared_reports(self, setting):
+        profiler, graph, plan = setting
+        return {
+            (label, jobs): _report_bytes(evaluate_robustness(
+                profiler, graph, plan, 8, 4, FaultModel.from_spec(spec),
+                scenarios=6, seed=4, jobs=jobs,
+            ))
+            for label, spec in self.SPECS.items()
+            for jobs in (1, 2)
+        }
+
+    @pytest.mark.parametrize("label", sorted(SPECS))
+    def test_reports_match_per_replay_lowering(
+        self, setting, shared_reports, monkeypatch, label
+    ):
+        profiler, graph, plan = setting
+        _per_replay_lowering(monkeypatch)
+        model = FaultModel.from_spec(self.SPECS[label])
+        reference = _report_bytes(evaluate_robustness(
+            profiler, graph, plan, 8, 4, model, scenarios=6, seed=4, jobs=1,
+        ))
+        assert shared_reports[label, 1] == reference
+        assert shared_reports[label, 2] == reference
+
+    def test_direct_scenario_shares_one_lowering(self, setting, monkeypatch):
+        profiler, graph, plan = setting
+        nominal = EventDrivenSimulator(profiler).run_model(graph, plan, 8, 4)
+        model = FaultModel.from_spec(self.SPECS["mixed_flaps"])
+        drawn = model.scenarios(profiler.topology, 8, 4, nominal.latency)
+        scenario = next(
+            s for s in drawn if s.has_compute_faults and s.has_link_faults
+        )
+        shared = simulate_scenario(
+            profiler, graph, plan, 8, 4, scenario, model.recovery,
+            nominal.latency,
+        )
+        _per_replay_lowering(monkeypatch)
+        reference = simulate_scenario(
+            profiler, graph, plan, 8, 4, scenario, model.recovery,
+            nominal.latency,
+        )
+        assert shared == reference
+
+    def test_lowering_pickles(self, setting):
+        profiler, graph, plan = setting
+        lowering = EventDrivenSimulator(profiler).lower(graph, plan)
+        clone = pickle.loads(pickle.dumps(lowering))
+        assert isinstance(clone, PlanLowering)
+        assert clone == lowering
+        simulator = EventDrivenSimulator(profiler, use_disk_cache=False)
+        assert simulator.run_model(
+            graph, plan, 8, 4, lowering=clone
+        ) == simulator.run_model(graph, plan, 8, 4)
+
+
+class TestPriceOnce:
+    """A sweep prices the plan's edges once, and only if it replays."""
+
+    @staticmethod
+    def _count_pricing(monkeypatch):
+        calls = []
+        price = InterOperatorCostModel.directional_costs
+
+        def counted(self, edge, *args):
+            calls.append(edge.key())
+            return price(self, edge, *args)
+
+        monkeypatch.setattr(
+            InterOperatorCostModel, "directional_costs", counted
+        )
+        return calls
+
+    @staticmethod
+    def _lowerings(snapshot) -> float:
+        return sum(
+            e["value"] for e in snapshot["counters"]
+            if e["name"] == "sim.lowerings"
+        )
+
+    def test_faulted_sweep_prices_each_edge_once(self, setting, monkeypatch):
+        profiler, graph, plan = setting
+        EventDrivenSimulator(profiler).run_model(graph, plan, 8, 4)  # warm
+        calls = self._count_pricing(monkeypatch)
+        with use_registry(MetricsRegistry()) as registry:
+            evaluate_robustness(
+                profiler, graph, plan, 8, 4, MIXED, scenarios=6, seed=3,
+            )
+            snapshot = registry.snapshot()
+        assert sorted(calls) == sorted(edge.key() for edge in graph.edges)
+        assert self._lowerings(snapshot) == 1
+
+    def test_cold_nominal_lowering_is_reused(self, setting, monkeypatch):
+        profiler, graph, plan = setting
+        monkeypatch.setenv("PRIMEPAR_CACHE", "off")
+        calls = self._count_pricing(monkeypatch)
+        evaluate_robustness(
+            profiler, graph, plan, 8, 4, MIXED, scenarios=6, seed=3,
+        )
+        assert len(calls) == len(graph.edges)
+
+    def test_outage_only_sweep_never_lowers(self, setting, monkeypatch):
+        profiler, graph, plan = setting
+        EventDrivenSimulator(profiler).run_model(graph, plan, 8, 4)  # warm
+        calls = self._count_pricing(monkeypatch)
+        with use_registry(MetricsRegistry()) as registry:
+            report = evaluate_robustness(
+                profiler, graph, plan, 8, 4,
+                FaultModel.from_spec("outage=1.0"), scenarios=4, seed=0,
+            )
+            snapshot = registry.snapshot()
+        assert report.outage_scenarios == 4
+        assert calls == []
+        assert self._lowerings(snapshot) == 0
 
 
 class TestZeroFaultGraphPassThrough:

@@ -289,6 +289,63 @@ class TestTraceSpans:
         )
 
 
+class TestLoweringTelemetry:
+    """A fault sweep lowers its plan once: one span, one counter tick."""
+
+    FAULTS = "straggler=1.0:1.5"
+
+    @staticmethod
+    def _lowerings(counters) -> float:
+        return sum(
+            e["value"] for e in counters if e["name"] == "sim.lowerings"
+        )
+
+    def test_sweep_has_one_lower_span(self, tmp_path, monkeypatch, profiler4,
+                                      small_block):
+        from repro.sim.faults import FaultModel, evaluate_robustness
+
+        monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path / "cache"))
+        plan = PrimeParOptimizer(profiler4).optimize(small_block).plan
+        registry, collector = MetricsRegistry(), SpanCollector()
+        with use_registry(registry), use_collector(collector):
+            evaluate_robustness(
+                profiler4, small_block, plan, 8, 2,
+                FaultModel.from_spec(self.FAULTS), scenarios=3, seed=0,
+            )
+        spans = collector.export()
+        lowers = [s for s in spans if s["name"] == "sim.lower"]
+        assert len(lowers) == 1
+        assert lowers[0]["path"].startswith("faults.evaluate/")
+        assert lowers[0]["attrs"]["edges"] == len(small_block.edges)
+        assert self._lowerings(registry.snapshot()["counters"]) == 1
+        # The nominal plus three straggler scenarios, one run_model each.
+        runs = [s for s in spans if s["path"] == "faults.evaluate/sim.run"]
+        assert len(runs) == 4
+
+    def test_faults_cli_metrics_count_one_lowering_per_plan(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+
+        monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path / "cache"))
+        path = tmp_path / "m.json"
+        with use_registry(MetricsRegistry()), use_collector(SpanCollector()):
+            code = main([
+                "faults", "--model", "opt-6.7b", "--devices", "4",
+                "--batch", "4", "--faults", self.FAULTS, "--scenarios", "2",
+                "--layers", "2", "--json", "--metrics-out", str(path),
+            ])
+        assert code == 0
+        result = json.loads(capsys.readouterr().out)
+        plans = {
+            json.dumps(c["plan"], sort_keys=True) for c in result["candidates"]
+        }
+        doc = json.loads(path.read_text())
+        assert self._lowerings(doc["counters"]) == len(plans)
+        lowers = [s for s in doc["spans"] if s["name"] == "sim.lower"]
+        assert len(lowers) == len(plans)
+
+
 class TestDocumentAndLogging:
     def test_metrics_document_schema(self, tmp_path):
         registry, collector = MetricsRegistry(), SpanCollector()

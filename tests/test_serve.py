@@ -1009,6 +1009,16 @@ class TestRobustnessHTTP:
         assert stored["endpoint"] == "/v1/robustness"
         assert stored["status"] == 200
 
+    def test_debug_trace_shows_one_lowering(self, server):
+        client = PlanClient(server.url)
+        body = self._request(faults="straggler=1.0:1.5", seed=11).to_json()
+        payload = client._json("POST", "/v1/robustness?debug=trace", body)
+        lowers = [
+            e for e in payload["trace"]["events"] if e["name"] == "sim.lower"
+        ]
+        assert len(lowers) == 1
+        assert lowers[0]["attrs"]["seconds"] > 0.0
+
 
 # ----------------------------------------------------------------------
 # CLI surface: cache tiers + serve flags

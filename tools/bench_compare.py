@@ -25,9 +25,9 @@ The repo checks full-run benchmark results into ``benchmarks/results/``
       python tools/bench_compare.py --smoke --current-dir /tmp/r
 
 Exit status: 0 when every check passes, 1 otherwise; one line per check.
-Paths use dots for keys and ``[*]`` to fan out over lists
-(``block_replay[*].identical``); a fanned-out threshold compares the current
-and baseline lists element by element.
+Paths use dots for keys and ``[*]`` to fan out over a list or a dict's
+values (``block_replay[*].identical``); a fanned-out threshold compares the
+current and baseline values element by element.
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ THRESHOLDS: List[Tuple[str, str, str, float]] = [
      "higher_worse", 0.02),
     ("BENCH_robustness.json", "fault_classes.compute.p99",
      "higher_worse", 0.02),
+    # Sweep wall time, bound by lowering plus event replay.
+    ("BENCH_robustness.json", "fault_classes.compute.wall_seconds",
+     "higher_worse", 0.50),
+    ("BENCH_robustness.json", "fault_classes.link.wall_seconds",
+     "higher_worse", 0.50),
     # One entry per scale (4/8/16/32 devices).  Warm searches are bound by
     # the segment DP, cold ones by the candidate builds.
     ("BENCH_opt_speed.json", "scales[*].runs.warm_serial.elapsed_seconds",
@@ -77,6 +82,7 @@ INVARIANTS: List[Tuple[str, str, Any]] = [
     ("BENCH_sim_speed.json", "contended_replay.identical", True),
     ("BENCH_sim_speed.json", "fig9_pipeline_replay.identical", True),
     ("BENCH_robustness.json", "determinism.serial_equals_parallel", True),
+    ("BENCH_robustness.json", "fault_classes[*].reports_identical", True),
     ("BENCH_opt_speed.json", "scales[*].identical", True),
     ("BENCH_opt_speed.json", "sweep.identical", True),
 ]
@@ -94,7 +100,8 @@ SMOKE_BOUNDS: List[Tuple[str, str, str, float]] = [
 
 
 def resolve(doc: Any, path: str) -> Iterator[Any]:
-    """Yield every value at a dotted path; ``[*]`` fans out over a list."""
+    """Yield every value at a dotted path; ``[*]`` fans out over a list or
+    a dict's values."""
     segment, _, rest = path.partition(".")
     fan_out = segment.endswith("[*]")
     key = segment[:-3] if fan_out else segment
@@ -102,6 +109,8 @@ def resolve(doc: Any, path: str) -> Iterator[Any]:
         raise KeyError(path)
     value = doc[key]
     if fan_out:
+        if isinstance(value, dict):
+            value = list(value.values())
         if not isinstance(value, list):
             raise KeyError(path)
         for item in value:
