@@ -2,35 +2,31 @@
 
 Every surface that accepts a planning request — the ``primepar`` CLI, the
 ``repro.serve`` HTTP daemon, and the typed :class:`~repro.serve.client.PlanClient`
-— used to spell the same request slightly differently (argparse namespaces,
-``SearchParams``, ad-hoc dicts).  This module is the single schema:
+— builds it from this module, the only place a request field is declared:
 
 * **Request types** — frozen dataclasses (:class:`SearchRequest`,
   :class:`SimulateRequest`, :class:`ExplainRequest`,
-  :class:`RobustnessRequest`) with ``schema_version`` stamps,
-  ``to_json``/``from_json`` round-trips, and validation errors that carry
-  the offending field path (:class:`ValidationError`, mapped to HTTP 400
-  by the server).
+  :class:`RobustnessRequest`).  Each field carries its name, type,
+  default, allowed values and help text; ``from_json`` validates against
+  them, the CLI generates its flags from them (:func:`request_fields`),
+  and each type names its HTTP ``endpoint``.  Validation errors carry the
+  offending field path (:class:`ValidationError`, mapped to HTTP 400 by
+  the server and exit code 2 by the CLI).
 * **Result envelopes** — helpers (:func:`stamp`, :func:`check_schema`,
   :func:`plan_to_json`, :func:`plan_from_json`) used by the schema-versioned
   ``to_json``/``from_json`` pairs on :class:`~repro.IterationReport`,
   :class:`~repro.SearchResult`, ``PipelineReport`` and ``RobustnessReport``.
 
-``repro.serve.SearchParams`` survives as a thin deprecated alias of
-:class:`SearchRequest` (one release; it warns on use), and
-``repro.serve.RequestError`` is now literally :class:`ValidationError`.
-
-Wire compatibility: field names, defaults, canonicalization (``batch == 0``
-resolves to ``max(8, min(devices, 32))``) and the plan cache key are
-bit-identical to the pre-``repro.api`` serving layer, so warm plan stores
-and checked-in bench baselines remain valid.
+Wire compatibility: field names, canonicalization (``batch == 0`` resolves
+to ``max(8, min(devices, 32))``) and the plan cache key are bit-identical
+to the pre-``repro.api`` serving layer, so warm plan stores and checked-in
+bench baselines remain valid.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from dataclasses import Field, dataclass, field, fields
+from typing import Any, Dict, Mapping, Tuple, Union
 
 from . import cache as diskcache
 from .graph.models import MODELS_BY_KEY
@@ -45,8 +41,10 @@ __all__ = [
     "SimulateRequest",
     "ValidationError",
     "check_schema",
+    "field_type",
     "plan_from_json",
     "plan_to_json",
+    "request_fields",
     "stamp",
 ]
 
@@ -59,6 +57,18 @@ MAX_DEVICES = 4096
 
 #: Plan-scoring objectives understood by the robustness layer.
 OBJECTIVES = ("nominal", "p50", "p95", "p99", "blend")
+
+#: A fault model on the wire: a compact spec string or a JSON object.
+FaultSpec = Union[str, Mapping[str, Any]]
+
+#: Accepted Python types and error-message name per field annotation.
+_KINDS = {
+    "str": ((str,), "str"),
+    "int": ((int,), "int"),
+    "float": ((float,), "float"),
+    "bool": ((bool,), "bool"),
+    "FaultSpec": ((str, Mapping), "a spec string or a JSON object"),
+}
 
 
 class ValidationError(Exception):
@@ -80,15 +90,54 @@ class ValidationError(Exception):
         return str(self.args[0]) if self.args else ""
 
 
-def _field(body: Mapping[str, Any], name: str, kind, default, path: str = ""):
-    value = body.get(name, default)
-    where = f"{path}.{name}" if path else name
-    if isinstance(value, bool) and kind is not bool:
-        raise ValidationError(f"field {name!r} must be {kind.__name__}", where)
-    if kind is float and isinstance(value, int):
+def _arg(default: Any, help: str, **rules: Any) -> Any:
+    """A request field: its default, help text and validation ``rules``.
+
+    Rules: ``choices`` (allowed values), ``lo``/``hi`` (inclusive bounds)
+    and ``flag`` (the CLI flag stem when it differs from the field name).
+    """
+    return field(default=default, metadata={"help": help, **rules})
+
+
+def request_fields(cls) -> Tuple[Field, ...]:
+    """The flat wire fields of a request type, in body order.
+
+    A nested ``search`` field contributes :class:`SearchRequest`'s fields.
+    """
+    out = []
+    for f in fields(cls):
+        out.extend(fields(SearchRequest) if f.name == "search" else (f,))
+    return tuple(out)
+
+
+def field_type(f: Field) -> type:
+    """The Python type a field's text form parses to (for the CLI)."""
+    return _KINDS[f.type][0][0]
+
+
+def _value(body: Mapping[str, Any], f: Field) -> Any:
+    """One field of a flat body, type- and rule-checked."""
+    name, rules = f.name, f.metadata
+    value = body.get(name, f.default)
+    kinds, kind_name = _KINDS[f.type]
+    if isinstance(value, bool) and bool not in kinds:
+        raise ValidationError(f"field {name!r} must be {kind_name}", name)
+    if float in kinds and isinstance(value, int):
         value = float(value)
-    if not isinstance(value, kind):
-        raise ValidationError(f"field {name!r} must be {kind.__name__}", where)
+    if not isinstance(value, kinds):
+        raise ValidationError(f"field {name!r} must be {kind_name}", name)
+    choices = rules.get("choices")
+    if choices is not None and value not in choices:
+        raise ValidationError(
+            f"{name} must be one of {choices}, got {value!r}", name
+        )
+    lo, hi = rules.get("lo"), rules.get("hi")
+    if hi is not None and not lo <= value <= hi:
+        raise ValidationError(
+            f"{name} must be in [{lo}, {hi}], got {value}", name
+        )
+    if lo is not None and value < lo:
+        raise ValidationError(f"{name} must be >= {lo}, got {value}", name)
     return value
 
 
@@ -105,27 +154,67 @@ def _require_object(body: Any) -> Mapping[str, Any]:
     return body
 
 
+def _read(cls, body: Any) -> Dict[str, Any]:
+    """Every field of ``cls`` from a flat body; absent fields default."""
+    body = _require_object(body)
+    return {
+        f.name: (
+            SearchRequest.from_json(body) if f.name == "search"
+            else _value(body, f)
+        )
+        for f in fields(cls)
+    }
+
+
+class _Request:
+    """Shared wire form of the request dataclasses."""
+
+    def to_json(self) -> Dict[str, Any]:
+        """The flat body: a nested search's fields sit at the top level."""
+        body: Dict[str, Any] = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "search":
+                body.update(value.to_json())
+            else:
+                body[f.name] = dict(value) if isinstance(value, Mapping) else value
+        return body
+
+
 # ----------------------------------------------------------------------
 # request types
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SearchRequest:
-    """One plan-search request (CLI ``primepar search``, ``POST /v1/search``).
+class SearchRequest(_Request):
+    """One plan-search request (CLI ``primepar search``, ``POST /v1/search``)."""
 
-    ``batch == 0`` resolves to the default workload scaling
-    (``max(8, min(devices, 32))``) during :meth:`from_json`; ``beam == 0``
-    means exact search; ``deadline == 0`` defers to the server default.
-    """
+    endpoint = "/v1/search"
 
-    model: str = "opt-6.7b"
-    devices: int = 8
-    batch: int = 0
-    alpha: float = 2e-11
-    beam: int = 0
-    include_temporal: bool = True
-    deadline: float = 0.0
+    model: str = _arg(
+        "opt-6.7b", "benchmark model", choices=tuple(sorted(MODELS_BY_KEY))
+    )
+    devices: int = _arg(
+        8, f"cluster size, a power of two in [2, {MAX_DEVICES}]"
+    )
+    batch: int = _arg(
+        0, "global batch (0 = max(8, min(devices, 32)))", lo=0
+    )
+    alpha: float = _arg(2e-11, "Eq. 7 memory weight in s/byte", lo=0)
+    beam: int = _arg(0, "beam width for the search (0 = exact)", lo=0)
+    include_temporal: bool = _arg(
+        True,
+        "search the spatial-temporal space; off (--no-temporal) restricts "
+        "the search to the conventional space, the Alpa baseline",
+        flag="temporal",
+    )
+    deadline: float = _arg(
+        0.0,
+        "per-request budget in seconds; tightens, never extends, the "
+        "server default (0 = the server default)",
+        lo=0,
+    )
 
     @classmethod
     def from_json(cls, body: Any) -> "SearchRequest":
@@ -135,59 +224,17 @@ class SearchRequest:
             ValidationError: With the offending field path on any
                 malformed or out-of-range field.
         """
-        body = _require_object(body)
-        model = _field(body, "model", str, "opt-6.7b")
-        if model not in MODELS_BY_KEY:
-            raise ValidationError(
-                f"unknown model {model!r}; expected one of "
-                f"{sorted(MODELS_BY_KEY)}",
-                "model",
-            )
-        devices = _field(body, "devices", int, 8)
+        values = _read(cls, body)
+        devices = values["devices"]
         if not 2 <= devices <= MAX_DEVICES or devices & (devices - 1):
             raise ValidationError(
                 f"devices must be a power of two in [2, {MAX_DEVICES}], "
                 f"got {devices}",
                 "devices",
             )
-        batch = _field(body, "batch", int, 0)
-        if batch < 0:
-            raise ValidationError(f"batch must be >= 0, got {batch}", "batch")
-        if batch == 0:
-            batch = max(8, min(devices, 32))
-        alpha = _field(body, "alpha", float, 2e-11)
-        if alpha < 0:
-            raise ValidationError(f"alpha must be >= 0, got {alpha}", "alpha")
-        beam = _field(body, "beam", int, 0)
-        if beam < 0:
-            raise ValidationError(f"beam must be >= 0, got {beam}", "beam")
-        include_temporal = _field(body, "include_temporal", bool, True)
-        deadline = _field(body, "deadline", float, 0.0)
-        if deadline < 0:
-            raise ValidationError(
-                f"deadline must be >= 0, got {deadline}", "deadline"
-            )
-        return cls(
-            model=model,
-            devices=devices,
-            batch=batch,
-            alpha=alpha,
-            beam=beam,
-            include_temporal=include_temporal,
-            deadline=deadline,
-        )
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model,
-            "devices": self.devices,
-            "batch": self.batch,
-            "alpha": self.alpha,
-            "beam": self.beam,
-            "include_temporal": self.include_temporal,
-            "deadline": self.deadline,
-        }
+        if values["batch"] == 0:
+            values["batch"] = max(8, min(devices, 32))
+        return cls(**values)
 
     def cache_key(self) -> str:
         """Content hash identifying this request's plan payload.
@@ -209,126 +256,131 @@ class SearchRequest:
 
 
 @dataclass(frozen=True)
-class SimulateRequest:
+class SimulateRequest(_Request):
     """One plan-replay request (``primepar simulate``, ``POST /v1/simulate``)."""
 
+    endpoint = "/v1/simulate"
+
     search: SearchRequest = field(default_factory=SearchRequest)
-    engine: str = "analytic"
-    layers: int = 0
+    engine: str = _arg(
+        "event",
+        "discrete-event replay or the analytic fast path",
+        choices=("analytic", "event"),
+    )
+    layers: int = _arg(
+        0, "layers to simulate (0 = the model's full depth)", lo=0
+    )
 
     @classmethod
     def from_json(cls, body: Any) -> "SimulateRequest":
-        search = SearchRequest.from_json(body)
-        body = _require_object(body)
-        engine = _field(body, "engine", str, "analytic")
-        if engine not in ("analytic", "event"):
-            raise ValidationError(
-                f"engine must be 'analytic' or 'event', got {engine!r}",
-                "engine",
-            )
-        layers = _field(body, "layers", int, 0)
-        if layers < 0:
-            raise ValidationError(f"layers must be >= 0, got {layers}", "layers")
-        return cls(search=search, engine=engine, layers=layers)
+        return cls(**_read(cls, body))
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            **self.search.to_json(),
-            "engine": self.engine,
-            "layers": self.layers,
-        }
+    @property
+    def n_layers(self) -> int:
+        """Layers replayed: ``layers``, or the model's full depth at 0."""
+        return self.layers or MODELS_BY_KEY[self.search.model].n_layers
+
+    def cache_key(self) -> str:
+        """Content hash of the replay (plan key, engine, depth)."""
+        return diskcache.content_key(
+            "simrequest", SCHEMA_VERSION, self.search.cache_key(),
+            self.engine, self.n_layers,
+        )
 
 
 @dataclass(frozen=True)
-class ExplainRequest:
+class ExplainRequest(_Request):
     """One cost-decomposition request (``primepar explain``, ``POST /v1/explain``)."""
 
+    endpoint = "/v1/explain"
+
     search: SearchRequest = field(default_factory=SearchRequest)
-    links: bool = False
+    links: bool = _arg(
+        False,
+        "add per-link byte attribution from a one-layer event-engine replay",
+    )
 
     @classmethod
     def from_json(cls, body: Any) -> "ExplainRequest":
-        search = SearchRequest.from_json(body)
-        body = _require_object(body)
-        links = _field(body, "links", bool, False)
-        return cls(search=search, links=links)
+        return cls(**_read(cls, body))
 
-    def to_json(self) -> Dict[str, Any]:
-        return {**self.search.to_json(), "links": self.links}
+    def cache_key(self) -> str:
+        """Content hash of the decomposition (plan key, links)."""
+        return diskcache.content_key(
+            "explainrequest", SCHEMA_VERSION, self.search.cache_key(),
+            self.links,
+        )
 
 
 @dataclass(frozen=True)
-class RobustnessRequest:
+class RobustnessRequest(_Request):
     """One robustness-scoring request (``primepar faults``, ``POST /v1/robustness``).
 
-    ``faults`` is either a compact spec string (``"straggler=0.2:1.8,..."``,
-    see :meth:`repro.sim.faults.FaultModel.from_spec`) or a JSON object of
-    :class:`~repro.sim.faults.FaultModel` fields.  Only its *shape* is
-    checked here; the fault layer performs semantic validation and its
-    errors are re-raised under the ``faults`` field path.
+    Only the *shape* of ``faults`` is checked here; :meth:`fault_model`
+    performs semantic validation, raising under the ``faults`` field path.
     """
 
+    endpoint = "/v1/robustness"
+
     search: SearchRequest = field(default_factory=SearchRequest)
-    faults: Any = ""
-    scenarios: int = 16
-    seed: int = 0
-    objective: str = "p99"
-    blend: float = 0.5
-    layers: int = 8
+    faults: FaultSpec = _arg(
+        "",
+        "fault model: a spec such as \"straggler=0.2:1.8,degrade=0.3:0.5,"
+        "flap=0.5:0.002:0.25,outage=0.05,ckpt=16,restart=30,replan=5\" or "
+        "a JSON object of FaultModel fields; empty = zero faults (the CLI "
+        "also reads @file.json)",
+    )
+    scenarios: int = _arg(
+        16, "Monte-Carlo fault scenarios per plan", lo=1, hi=1024
+    )
+    seed: int = _arg(
+        0,
+        "scenario sampling seed; the same seed and plan reproduce the "
+        "report bit-identically at any --jobs",
+        lo=0,
+    )
+    objective: str = _arg(
+        "p99", "plan-ranking objective", choices=OBJECTIVES
+    )
+    blend: float = _arg(
+        0.5, "nominal/p99 weight of the blend objective", lo=0, hi=1
+    )
+    layers: int = _arg(
+        8, "layers per robustness replay (0 = the model's full depth)", lo=0
+    )
 
     @classmethod
     def from_json(cls, body: Any) -> "RobustnessRequest":
-        search = SearchRequest.from_json(body)
-        body = _require_object(body)
-        faults = body.get("faults", "")
-        if not isinstance(faults, (str, Mapping)):
-            raise ValidationError(
-                "field 'faults' must be a spec string or a JSON object",
-                "faults",
-            )
-        scenarios = _field(body, "scenarios", int, 16)
-        if not 1 <= scenarios <= 1024:
-            raise ValidationError(
-                f"scenarios must be in [1, 1024], got {scenarios}", "scenarios"
-            )
-        seed = _field(body, "seed", int, 0)
-        if seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {seed}", "seed")
-        objective = _field(body, "objective", str, "p99")
-        if objective not in OBJECTIVES:
-            raise ValidationError(
-                f"objective must be one of {OBJECTIVES}, got {objective!r}",
-                "objective",
-            )
-        blend = _field(body, "blend", float, 0.5)
-        if not 0.0 <= blend <= 1.0:
-            raise ValidationError(
-                f"blend must be in [0, 1], got {blend}", "blend"
-            )
-        layers = _field(body, "layers", int, 8)
-        if layers < 0:
-            raise ValidationError(f"layers must be >= 0, got {layers}", "layers")
-        return cls(
-            search=search,
-            faults=dict(faults) if isinstance(faults, Mapping) else faults,
-            scenarios=scenarios,
-            seed=seed,
-            objective=objective,
-            blend=blend,
-            layers=layers,
-        )
+        values = _read(cls, body)
+        if isinstance(values["faults"], Mapping):
+            values["faults"] = dict(values["faults"])
+        return cls(**values)
 
-    def to_json(self) -> Dict[str, Any]:
-        faults = dict(self.faults) if isinstance(self.faults, Mapping) else self.faults
-        return {
-            **self.search.to_json(),
-            "faults": faults,
-            "scenarios": self.scenarios,
-            "seed": self.seed,
-            "objective": self.objective,
-            "blend": self.blend,
-            "layers": self.layers,
-        }
+    @property
+    def n_layers(self) -> int:
+        """Layers per replay: ``layers``, or the model's full depth at 0."""
+        return self.layers or MODELS_BY_KEY[self.search.model].n_layers
+
+    def fault_model(self):
+        """The :class:`~repro.sim.faults.FaultModel` that ``faults`` spells.
+
+        The one parser of ``faults`` for every surface.  A spec string is
+        never a path: ``@file.json`` is read by the CLI alone.
+        """
+        from .sim.faults import FaultModel
+
+        if isinstance(self.faults, str):
+            return FaultModel.from_spec(self.faults)
+        return FaultModel.from_json(self.faults)
+
+    def cache_key(self) -> str:
+        """Content hash of the sweep (plan key, canonical fault model,
+        scenarios, seed, depth)."""
+        return diskcache.content_key(
+            "robustness", SCHEMA_VERSION, self.search.cache_key(),
+            self.fault_model().canonical(), self.scenarios, self.seed,
+            self.n_layers,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -380,13 +432,3 @@ def plan_from_json(payload: Mapping[str, str], n_bits: int) -> Dict[str, Any]:
         else:
             plan[name] = PartitionSpec.from_string(text, n_bits)
     return plan
-
-
-def deprecated_alias(old: str, new: str) -> None:
-    """Emit the one-release deprecation warning for a legacy entry point."""
-    warnings.warn(
-        f"{old} is deprecated and will be removed in the next release; "
-        f"use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

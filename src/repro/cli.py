@@ -11,10 +11,11 @@ Installed as the ``primepar`` console script::
     primepar serve    --port 8780 --max-concurrent 2 --lru-size 256
     primepar report   metrics.json
 
-Requests are validated through the canonical :mod:`repro.api` dataclasses
-— the same schema the serving daemon and :class:`repro.serve.PlanClient`
-speak — so a bad ``--devices`` fails with the identical message in every
-front-end (exit code 2).
+Request flags are generated from the :mod:`repro.api` dataclass fields —
+the same schema the serving daemon and :class:`repro.serve.PlanClient`
+speak — so names, defaults, allowed values and help text match every
+front-end, and a bad ``--devices`` fails with the identical message
+(exit code 2).
 
 Global observability flags: ``--log-level``/``--log-json`` configure the
 structured logger (stderr; result tables stay on stdout), and ``search`` /
@@ -28,23 +29,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from . import (
     EventDrivenSimulator,
+    ExplainRequest,
     FabricProfiler,
     PartitionSpec,
     Planner3D,
     PrimeParOptimizer,
     RobustnessRequest,
     SearchRequest,
+    SimulateRequest,
     TrainingSimulator,
     ValidationError,
     build_block_graph,
     v100_cluster,
     verify_spec,
 )
-from .api import OBJECTIVES
+from .api import field_type, request_fields
 from .baselines.alpa import alpa_optimizer
 from .baselines.megatron import best_megatron_plan
 from .graph.models import MODELS_BY_KEY
@@ -60,28 +63,49 @@ from .reporting.tables import emit, format_table
 
 logger = get_logger("cli")
 
+#: Request fields a command leaves off its flags: ``deadline`` is the
+#: server's budget, and only ``search`` honours ``include_temporal``.
+_SKIP = ("deadline", "include_temporal")
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--model",
-        choices=sorted(MODELS_BY_KEY),
-        default="opt-175b",
-        help="benchmark model (default: opt-175b)",
-    )
-    parser.add_argument(
-        "--devices", type=int, default=16, help="cluster size (power of two)"
-    )
-    parser.add_argument(
-        "--batch", type=int, default=0, help="global batch (default: #devices)"
-    )
-    parser.add_argument(
-        "--alpha", type=float, default=2e-11,
-        help="Eq. 7 memory weight in s/byte (default 2e-11)",
-    )
-    parser.add_argument(
-        "--beam", type=int, default=0,
-        help="beam width for the search (0 = exact)",
-    )
+#: Every flat request field name a command's flags may set.
+_WIRE_FIELDS = frozenset(
+    f.name
+    for cls in (SimulateRequest, ExplainRequest, RobustnessRequest)
+    for f in request_fields(cls)
+)
+
+
+def _add_request_flags(parser, request_cls, skip=_SKIP, only=None) -> None:
+    """One flag per field of ``request_cls``, all spelled by :mod:`repro.api`.
+
+    Name, type, default, choices and help come from the field.  A boolean
+    that defaults on gets ``--no-<flag>``; one that defaults off gets
+    ``--<flag>``/``--no-<flag>``.
+    """
+    for f in request_fields(request_cls):
+        if f.name in skip or (only is not None and f.name not in only):
+            continue
+        flag = f.metadata.get("flag", f.name).replace("_", "-")
+        help_text = f.metadata["help"]
+        if f.type == "bool" and f.default:
+            parser.add_argument(
+                f"--no-{flag}", dest=f.name, action="store_false",
+                help=help_text,
+            )
+        elif f.type == "bool":
+            parser.add_argument(
+                f"--{flag}", dest=f.name, default=f.default,
+                action=argparse.BooleanOptionalAction, help=help_text,
+            )
+        else:
+            parser.add_argument(
+                f"--{flag}", dest=f.name, type=field_type(f),
+                default=f.default, choices=f.metadata.get("choices"),
+                help=help_text + " (default: %(default)r)",
+            )
+
+
+def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for the search (1 = serial, 0 = all cores)",
@@ -95,30 +119,65 @@ def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _request_for(args) -> SearchRequest:
-    """The common CLI knobs, validated through the canonical request type.
+def _read_fault_file(spec: str):
+    """``@file.json`` → the JSON fault model in that file; else ``spec``.
 
-    Raises :class:`repro.ValidationError` (handled in :func:`main` with
-    exit code 2) with the exact message the serving daemon would return.
+    Only the CLI reads files: the request types and the daemon take a
+    spec string or a JSON object, never a path.
     """
-    return SearchRequest.from_json(
-        {
-            "model": args.model,
-            "devices": args.devices,
-            "batch": args.batch,
-            "alpha": args.alpha,
-            "beam": getattr(args, "beam", 0),
-            "include_temporal": not getattr(args, "no_temporal", False),
-        }
-    )
+    spec = spec.strip()
+    if not spec.startswith("@"):
+        return spec
+    path = spec[1:]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise ValidationError(
+            f"cannot read fault spec file {path!r}: {exc}", "faults"
+        ) from exc
 
 
-def _setting(args):
-    request = _request_for(args)
+def request_body(args) -> Dict[str, Any]:
+    """The flat request body a command's flags spell.
+
+    Pass it to ``XRequest.from_json``: validation errors raise
+    :class:`repro.ValidationError` (exit code 2 in :func:`main`) with the
+    exact message the serving daemon would return.
+    """
+    body = {
+        name: getattr(args, name) for name in _WIRE_FIELDS if hasattr(args, name)
+    }
+    if "faults" in body:
+        body["faults"] = _read_fault_file(body["faults"])
+    return body
+
+
+def _setting(request: SearchRequest):
     model = MODELS_BY_KEY[request.model]
     profiler = FabricProfiler(v100_cluster(request.devices))
     graph = build_block_graph(model.block_shape(batch=request.batch))
-    return model, request.batch, profiler, graph
+    return model, profiler, graph
+
+
+def _optimizer(args, request: SearchRequest, profiler) -> PrimeParOptimizer:
+    return PrimeParOptimizer(
+        profiler,
+        alpha=request.alpha,
+        include_temporal=request.include_temporal,
+        beam=request.beam or None,
+        jobs=args.jobs,
+    )
+
+
+def _plan_for(args, request: SearchRequest, profiler, graph, model):
+    """The ``--plan`` to replay: Megatron's best or PrimePar's search."""
+    if args.plan == "megatron":
+        return best_megatron_plan(
+            TrainingSimulator(profiler), graph, request.batch, model.n_layers
+        ).plan
+    optimizer = _optimizer(args, request, profiler)
+    return optimizer.optimize(graph, n_layers=model.n_layers).plan
 
 
 def _write_metrics_if_requested(args) -> None:
@@ -129,19 +188,16 @@ def _write_metrics_if_requested(args) -> None:
 
 
 def cmd_search(args) -> int:
-    model, batch, profiler, graph = _setting(args)
+    request = SearchRequest.from_json(request_body(args))
+    model, profiler, graph = _setting(request)
+    batch = request.batch
     logger.info(
         "searching %s on %d devices (batch %d, beam %s, jobs %d)",
-        model.name, args.devices, batch, args.beam or "exact", args.jobs,
+        model.name, request.devices, batch, request.beam or "exact", args.jobs,
     )
-    optimizer = PrimeParOptimizer(
-        profiler,
-        alpha=args.alpha,
-        include_temporal=not args.no_temporal,
-        beam=args.beam or None,
-        jobs=args.jobs,
+    result = _optimizer(args, request, profiler).optimize(
+        graph, n_layers=model.n_layers
     )
-    result = optimizer.optimize(graph, n_layers=model.n_layers)
     for stage, seconds in sorted(result.stage_seconds.items()):
         logger.debug("search stage %s: %.3fs", stage, seconds)
     emit(f"search: {result.elapsed:.2f}s  layer cost {result.cost:.4f}")
@@ -173,18 +229,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    model, batch, profiler, graph = _setting(args)
+    request = SearchRequest.from_json(request_body(args))
+    model, profiler, graph = _setting(request)
+    batch = request.batch
     simulator = TrainingSimulator(profiler)
-    beam = args.beam or None
     logger.info(
-        "comparing baselines for %s on %d devices", model.name, args.devices
+        "comparing baselines for %s on %d devices", model.name, request.devices
     )
     megatron = best_megatron_plan(simulator, graph, batch, model.n_layers)
-    alpa = alpa_optimizer(profiler, beam=beam).optimize(graph)
+    alpa = alpa_optimizer(profiler, beam=request.beam or None).optimize(graph)
     alpa_report = simulator.run_model(graph, alpa.plan, batch, model.n_layers)
-    primepar = PrimeParOptimizer(
-        profiler, alpha=args.alpha, beam=beam, jobs=args.jobs
-    ).optimize(graph)
+    primepar = _optimizer(args, request, profiler).optimize(graph)
     pp_report = simulator.run_model(
         graph, primepar.plan, batch, model.n_layers
     )
@@ -207,7 +262,8 @@ def cmd_compare(args) -> int:
         format_table(
             ["system", "samples/s", "vs megatron", "GiB/dev", "collective ms"],
             rows,
-            title=f"{model.name} on {args.devices} simulated V100s, batch {batch}",
+            title=f"{model.name} on {request.devices} simulated V100s, "
+            f"batch {batch}",
         )
     )
     return 0
@@ -261,13 +317,13 @@ def _emit_utilization(report, n_layers: int) -> None:
         )
 
 
-def _emit_fault_replay(args, profiler, graph, plan, batch, n_layers, report):
+def _emit_fault_replay(replay, fault_model, scenario_index, profiler, graph,
+                       plan, batch, n_layers, report):
     """Replay one sampled fault scenario on top of a nominal simulation."""
-    from .sim.faults import FaultModel, simulate_scenario
+    from .sim.faults import simulate_scenario
 
-    fault_model = FaultModel.from_spec(args.faults)
     scenario = fault_model.sample(
-        profiler.topology, args.scenario, args.seed, horizon=report.latency
+        profiler.topology, scenario_index, replay.seed, horizon=report.latency
     )
     outcome = simulate_scenario(
         profiler, graph, plan, batch, n_layers, scenario,
@@ -285,7 +341,7 @@ def _emit_fault_replay(args, profiler, graph, plan, batch, n_layers, report):
         format_table(
             ["component", "ms"], rows,
             title=(
-                f"fault scenario {scenario.index} (seed {args.seed}): "
+                f"fault scenario {scenario.index} (seed {replay.seed}): "
                 f"{len(scenario.stragglers)} straggler(s), "
                 f"{len(scenario.degraded_links)} degraded link(s), "
                 f"{len(scenario.nic_flaps)} flap(s), "
@@ -296,27 +352,27 @@ def _emit_fault_replay(args, profiler, graph, plan, batch, n_layers, report):
 
 
 def cmd_simulate(args) -> int:
-    model, batch, profiler, graph = _setting(args)
-    if args.faults and args.engine != "event":
-        raise ValidationError(
-            "--faults requires the event engine (--engine event)", "engine"
-        )
-    if args.plan == "megatron":
-        plan = best_megatron_plan(
-            TrainingSimulator(profiler), graph, batch, model.n_layers
-        ).plan
-    else:
-        plan = PrimeParOptimizer(
-            profiler, alpha=args.alpha, beam=args.beam or None, jobs=args.jobs
-        ).optimize(graph, n_layers=model.n_layers).plan
-    if args.engine == "event":
+    body = request_body(args)
+    request = SimulateRequest.from_json(body)
+    search, engine, n_layers = request.search, request.engine, request.n_layers
+    replay = None
+    if args.faults:
+        if engine != "event":
+            raise ValidationError(
+                "--faults requires the event engine (--engine event)", "engine"
+            )
+        # The replay reads --faults and --seed as a robustness request.
+        replay = RobustnessRequest.from_json(body)
+        fault_model = replay.fault_model()
+    model, profiler, graph = _setting(search)
+    plan = _plan_for(args, search, profiler, graph, model)
+    if engine == "event":
         simulator = EventDrivenSimulator(profiler)
     else:
         simulator = TrainingSimulator(profiler)
-    n_layers = args.layers or model.n_layers
     logger.info(
         "simulating %s plan on the %s engine (%d devices, %d layers)",
-        args.plan, args.engine, args.devices, n_layers,
+        args.plan, engine, search.devices, n_layers,
     )
     if args.profile:
         import cProfile
@@ -324,17 +380,17 @@ def cmd_simulate(args) -> int:
         prof = cProfile.Profile()
         prof.enable()
         try:
-            report = simulator.run_model(graph, plan, batch, n_layers)
+            report = simulator.run_model(graph, plan, search.batch, n_layers)
         finally:
             prof.disable()
             prof.dump_stats(args.profile)
         logger.info("cProfile stats written to %s", args.profile)
         emit(f"cProfile stats written to {args.profile}")
     else:
-        report = simulator.run_model(graph, plan, batch, n_layers)
+        report = simulator.run_model(graph, plan, search.batch, n_layers)
     emit(
-        f"{args.engine} engine: {model.name}, {args.devices} devices, "
-        f"batch {batch}, {n_layers} layers",
+        f"{engine} engine: {model.name}, {search.devices} devices, "
+        f"batch {search.batch}, {n_layers} layers",
         f"iteration latency {report.latency * 1e3:.3f} ms, "
         f"{report.throughput:.2f} samples/s, "
         f"{report.peak_memory_bytes / 2**30:.2f} GiB/device",
@@ -345,9 +401,10 @@ def cmd_simulate(args) -> int:
     ]
     emit(format_table(["kernel kind", "total ms"], rows))
     _emit_utilization(report, n_layers)
-    if args.faults:
+    if replay is not None:
         _emit_fault_replay(
-            args, profiler, graph, plan, batch, n_layers, report
+            replay, fault_model, args.scenario, profiler, graph, plan,
+            search.batch, n_layers, report,
         )
     if args.trace:
         from .sim.trace import write_trace
@@ -362,16 +419,6 @@ def cmd_simulate(args) -> int:
         emit(f"trace written to {args.trace}")
     _write_metrics_if_requested(args)
     return 0
-
-
-def _explain_plan_for(args, profiler, graph, model, batch):
-    if args.plan == "megatron":
-        return best_megatron_plan(
-            TrainingSimulator(profiler), graph, batch, model.n_layers
-        ).plan
-    return PrimeParOptimizer(
-        profiler, alpha=args.alpha, beam=args.beam or None, jobs=args.jobs
-    ).optimize(graph, n_layers=model.n_layers).plan
 
 
 def _ms(seconds: float) -> str:
@@ -491,7 +538,9 @@ def emit_explanation(doc) -> None:
 def cmd_explain(args) -> int:
     from .core.explain import explain_pipeline, explain_plan
 
-    model, batch, profiler, graph = _setting(args)
+    request = ExplainRequest.from_json(request_body(args))
+    search = request.search
+    model, profiler, graph = _setting(search)
     if args.config3d:
         try:
             p, d, m = (int(x) for x in args.config3d.split(":"))
@@ -502,9 +551,9 @@ def cmd_explain(args) -> int:
 
         planner = Planner3D(
             model,
-            n_devices=args.devices,
-            global_batch=batch,
-            alpha=args.alpha,
+            n_devices=search.devices,
+            global_batch=search.batch,
+            alpha=search.alpha,
             jobs=args.jobs,
         )
         logger.info(
@@ -515,60 +564,44 @@ def cmd_explain(args) -> int:
         )
         doc = explain_pipeline(result)
     else:
-        plan = _explain_plan_for(args, profiler, graph, model, batch)
+        plan = _plan_for(args, search, profiler, graph, model)
         logger.info(
-            "explaining the %s plan on %d devices", args.plan, args.devices
+            "explaining the %s plan on %d devices", args.plan, search.devices
         )
         doc = explain_plan(
             profiler,
             graph,
             plan,
-            alpha=args.alpha,
-            include_links=not args.no_links,
-            global_batch=batch,
+            alpha=search.alpha,
+            include_links=request.links,
+            global_batch=search.batch,
         )
+    _write_metrics_if_requested(args)
     if args.json:
         emit(json.dumps(doc, indent=1, sort_keys=True))
         return 0
     emit_explanation(doc)
-    _write_metrics_if_requested(args)
     return 0
 
 
 def cmd_faults(args) -> int:
-    from .sim.faults import FaultModel, robust_search
+    from .sim.faults import robust_search
 
-    request = RobustnessRequest.from_json(
-        {
-            "model": args.model,
-            "devices": args.devices,
-            "batch": args.batch,
-            "alpha": args.alpha,
-            "beam": args.beam,
-            "faults": args.faults,
-            "scenarios": args.scenarios,
-            "seed": args.seed,
-            "objective": args.objective,
-            "blend": args.blend,
-            "layers": args.layers,
-        }
-    )
-    fault_model = FaultModel.from_spec(args.faults)
-    model = MODELS_BY_KEY[request.search.model]
-    batch = request.search.batch
-    profiler = FabricProfiler(v100_cluster(request.search.devices))
-    graph = build_block_graph(model.block_shape(batch=batch))
-    sim_layers = request.layers or model.n_layers
+    request = RobustnessRequest.from_json(request_body(args))
+    fault_model = request.fault_model()
+    search = request.search
+    model, profiler, graph = _setting(search)
+    sim_layers = request.n_layers
     logger.info(
         "robust search for %s on %d devices (%d scenarios, seed %d, "
         "objective %s)",
-        model.name, request.search.devices, request.scenarios, request.seed,
+        model.name, search.devices, request.scenarios, request.seed,
         request.objective,
     )
     result = robust_search(
         profiler,
         graph,
-        global_batch=batch,
+        global_batch=search.batch,
         n_layers=model.n_layers,
         fault_model=fault_model,
         objective=request.objective,
@@ -576,8 +609,8 @@ def cmd_faults(args) -> int:
         scenarios=request.scenarios,
         seed=request.seed,
         sim_layers=sim_layers,
-        alpha=request.search.alpha,
-        beam=request.search.beam or None,
+        alpha=search.alpha,
+        beam=search.beam or None,
         jobs=args.jobs,
     )
     _write_metrics_if_requested(args)
@@ -604,7 +637,7 @@ def cmd_faults(args) -> int:
             ],
             rows,
             title=(
-                f"{model.name} on {request.search.devices} devices, "
+                f"{model.name} on {search.devices} devices, "
                 f"{sim_layers} layers, {request.scenarios} scenarios "
                 f"(seed {request.seed})"
             ),
@@ -718,18 +751,18 @@ def cmd_cache(args) -> int:
 
 
 def cmd_sweep3d(args) -> int:
-    model = MODELS_BY_KEY[args.model]
-    batch = args.batch or args.devices
+    request = SearchRequest.from_json(request_body(args))
+    model = MODELS_BY_KEY[request.model]
     logger.info(
         "3D sweep of %s over %d devices (jobs %d)",
-        model.name, args.devices, args.jobs,
+        model.name, request.devices, args.jobs,
     )
     planner = Planner3D(
         model,
-        n_devices=args.devices,
-        global_batch=batch,
+        n_devices=request.devices,
+        global_batch=request.batch,
         microbatch=args.microbatch,
-        alpha=args.alpha,
+        alpha=request.alpha,
         jobs=args.jobs,
     )
     megatron = {str(r.config): r for r in planner.sweep("megatron")}
@@ -747,7 +780,7 @@ def cmd_sweep3d(args) -> int:
         format_table(
             ["(p,d,m)", "megatron", "primepar", "speedup"],
             rows,
-            title=f"{model.name}: 3D parallelism on {args.devices} devices",
+            title=f"{model.name}: 3D parallelism on {request.devices} devices",
         )
     )
     return 0
@@ -892,11 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     search = sub.add_parser("search", help="search a partition strategy")
-    _add_common(search)
-    search.add_argument(
-        "--no-temporal", action="store_true",
-        help="restrict to the conventional space (Alpa baseline)",
-    )
+    _add_request_flags(search, SearchRequest, skip=("deadline",))
+    _add_jobs(search)
     _add_metrics_out(search)
     search.set_defaults(func=cmd_search)
 
@@ -907,29 +937,25 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     compare = sub.add_parser("compare", help="compare against the baselines")
-    _add_common(compare)
+    _add_request_flags(compare, SearchRequest)
+    _add_jobs(compare)
     compare.set_defaults(func=cmd_compare)
 
     sweep = sub.add_parser("sweep3d", help="3D parallelism sweep (Fig. 10)")
-    _add_common(sweep)
+    _add_request_flags(sweep, SearchRequest)
+    _add_jobs(sweep)
     sweep.add_argument("--microbatch", type=int, default=4)
     sweep.set_defaults(func=cmd_sweep3d)
 
     simulate = sub.add_parser(
         "simulate", help="replay a plan on the analytic or event-driven engine"
     )
-    _add_common(simulate)
+    _add_request_flags(simulate, SimulateRequest)
+    _add_request_flags(simulate, RobustnessRequest, only=("faults", "seed"))
+    _add_jobs(simulate)
     simulate.add_argument(
         "--plan", choices=("primepar", "megatron"), default="primepar",
         help="partition plan to replay (default: primepar's search result)",
-    )
-    simulate.add_argument(
-        "--engine", choices=("analytic", "event"), default="event",
-        help="analytic fast path or discrete-event replay (default: event)",
-    )
-    simulate.add_argument(
-        "--layers", type=int, default=0,
-        help="layers to simulate (default: the model's full depth)",
     )
     simulate.add_argument(
         "--trace", default="",
@@ -942,18 +968,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(inspect with `python -m pstats PATH`)",
     )
     simulate.add_argument(
-        "--faults", default="", metavar="SPEC",
-        help="replay one sampled fault scenario on top of the nominal run "
-             '(e.g. "straggler=0.5:1.8,degrade=0.3:0.5"; @file.json loads '
-             "a fault model; requires --engine event)",
-    )
-    simulate.add_argument(
         "--scenario", type=int, default=0,
-        help="fault scenario index to sample (default 0)",
-    )
-    simulate.add_argument(
-        "--seed", type=int, default=0,
-        help="fault sampling seed (default 0)",
+        help="with --faults: replay this sampled scenario index on top of "
+             "the nominal run (event engine only; default 0)",
     )
     _add_metrics_out(simulate)
     simulate.set_defaults(func=cmd_simulate)
@@ -962,34 +979,8 @@ def build_parser() -> argparse.ArgumentParser:
         "faults",
         help="rank plans by tail latency under a seeded fault model",
     )
-    _add_common(faults)
-    faults.add_argument(
-        "--faults", default="", metavar="SPEC",
-        help='fault model, e.g. "straggler=0.2:1.8,degrade=0.3:0.5,'
-             'flap=0.5:0.002:0.25,outage=0.05,ckpt=16,restart=30,replan=5"; '
-             "@file.json loads a JSON fault model (default: zero faults)",
-    )
-    faults.add_argument(
-        "--scenarios", type=int, default=16,
-        help="Monte-Carlo fault scenarios per plan (default 16)",
-    )
-    faults.add_argument(
-        "--seed", type=int, default=0,
-        help="scenario sampling seed; same seed + plan reproduces the "
-             "report bit-identically at any --jobs (default 0)",
-    )
-    faults.add_argument(
-        "--objective", choices=OBJECTIVES, default="p99",
-        help="ranking objective (default p99)",
-    )
-    faults.add_argument(
-        "--blend", type=float, default=0.5,
-        help="nominal/p99 interpolation for --objective blend (default 0.5)",
-    )
-    faults.add_argument(
-        "--layers", type=int, default=8,
-        help="layers per robustness replay (default 8; 0 = full depth)",
-    )
+    _add_request_flags(faults, RobustnessRequest)
+    _add_jobs(faults)
     faults.add_argument(
         "--json", action="store_true",
         help="print the schema-stable robust-search JSON instead of tables",
@@ -1000,7 +991,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain = sub.add_parser(
         "explain", help="decompose a plan's predicted iteration cost"
     )
-    _add_common(explain)
+    _add_request_flags(explain, ExplainRequest)
+    _add_jobs(explain)
     explain.add_argument(
         "--plan", choices=("primepar", "megatron"), default="primepar",
         help="partition plan to explain (default: primepar's search result)",
@@ -1013,10 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--json", action="store_true",
         help="print the schema-stable explanation JSON instead of tables",
-    )
-    explain.add_argument(
-        "--no-links", action="store_true",
-        help="skip the event-engine replay for per-link byte attribution",
     )
     _add_metrics_out(explain)
     explain.set_defaults(func=cmd_explain)

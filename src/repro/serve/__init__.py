@@ -24,13 +24,12 @@ later; an always-on :class:`repro.obs.FlightRecorder` keeps the last N
 requests + process snapshots behind ``GET /debug/flightrecorder`` and
 SIGUSR1; ``POST /v1/explain`` serves bit-exact plan-cost decompositions.
 
-Unified request API (PR 9): request bodies are the versioned, frozen
-dataclasses of :mod:`repro.api` (``SearchRequest``, ``SimulateRequest``,
-``ExplainRequest``, ``RobustnessRequest``) — the CLI, this daemon and
-:class:`PlanClient` all validate and serialize through them.
-``SearchParams`` remains importable here as a deprecated alias of
-:class:`repro.api.SearchRequest` for one release. ``POST /v1/robustness``
-scores a searched plan's tail latency under a seeded fault model
+Unified request API: request bodies are the versioned, frozen dataclasses
+of :mod:`repro.api` (``SearchRequest``, ``SimulateRequest``,
+``ExplainRequest``, ``RobustnessRequest``), which also name each
+endpoint's path — the CLI, this daemon and :class:`PlanClient` all
+validate and serialize through them.  ``POST /v1/robustness`` scores a
+searched plan's tail latency under a seeded fault model
 (:mod:`repro.sim.faults`).
 """
 
@@ -47,7 +46,7 @@ from .client import (
     SimulateResponse,
 )
 from .server import TRACE_HEADER, PlanServer, ServeConfig
-from .service import PlanService, RequestError, SearchParams
+from .service import PlanService
 from .singleflight import SingleFlight
 from .store import PlanStore, default_store, reset_default_store
 
@@ -59,10 +58,8 @@ __all__ = [
     "PlanServer",
     "PlanService",
     "PlanStore",
-    "RequestError",
     "RobustnessRequest",
     "RobustnessResponse",
-    "SearchParams",
     "SearchRequest",
     "SearchResponse",
     "ServeConfig",

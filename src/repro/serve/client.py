@@ -210,6 +210,20 @@ class PlanClient:
         with self._request(method, path, body, trace_id) as response:
             return json.loads(response.read())
 
+    def _post(
+        self,
+        request: Any,
+        trace_id: Optional[str] = None,
+        debug_trace: bool = False,
+    ) -> Dict[str, Any]:
+        """``POST`` a :mod:`repro.api` request to its own endpoint."""
+        return self._json(
+            "POST",
+            self._with_debug(request.endpoint, debug_trace),
+            request.to_json(),
+            trace_id=trace_id,
+        )
+
     @staticmethod
     def _with_debug(path: str, debug_trace: bool) -> str:
         return path + "?debug=trace" if debug_trace else path
@@ -231,12 +245,7 @@ class PlanClient:
         debug_trace: bool = False,
     ) -> SearchResponse:
         return SearchResponse.from_json(
-            self._json(
-                "POST",
-                self._with_debug("/v1/search", debug_trace),
-                request.to_json(),
-                trace_id=trace_id,
-            )
+            self._post(request, trace_id, debug_trace)
         )
 
     def simulate(
@@ -244,16 +253,11 @@ class PlanClient:
         request: SimulateRequest,
         trace_id: Optional[str] = None,
     ) -> SimulateResponse:
-        return SimulateResponse.from_json(
-            self._json(
-                "POST", "/v1/simulate", request.to_json(), trace_id=trace_id
-            )
-        )
+        return SimulateResponse.from_json(self._post(request, trace_id))
 
     def explain(
         self,
-        request: SearchRequest,
-        links: bool = False,
+        request: ExplainRequest,
         trace_id: Optional[str] = None,
     ) -> Dict[str, Any]:
         """The plan's cost decomposition (``POST /v1/explain``), as a dict.
@@ -261,8 +265,7 @@ class PlanClient:
         The document's ``components``, folded in ``component_order``,
         sum bit-exactly to its ``total_cost``.
         """
-        body = ExplainRequest(search=request, links=links).to_json()
-        return self._json("POST", "/v1/explain", body, trace_id=trace_id)
+        return self._post(request, trace_id)
 
     def robustness(
         self,
@@ -271,11 +274,7 @@ class PlanClient:
     ) -> RobustnessResponse:
         """Score the searched plan under a fault model
         (``POST /v1/robustness``)."""
-        return RobustnessResponse.from_json(
-            self._json(
-                "POST", "/v1/robustness", request.to_json(), trace_id=trace_id
-            )
-        )
+        return RobustnessResponse.from_json(self._post(request, trace_id))
 
     def plan(
         self, key: str, debug_trace: bool = False

@@ -4,9 +4,9 @@
 ``ThreadingHTTPServer`` — one thread per connection, shared plan store,
 single-flight coalescing and admission control behind it.  Endpoints:
 
-* ``POST /v1/search``   — body: :class:`~repro.serve.service.SearchParams`
-  fields (+ optional ``deadline`` seconds); returns the plan payload with
-  ``key`` and ``source``.
+* ``POST /v1/search``   — body: :class:`~repro.api.SearchRequest` fields
+  (+ optional ``deadline`` seconds); returns the plan payload with ``key``
+  and ``source``.
 * ``POST /v1/simulate`` — search body + ``engine`` (``analytic``/``event``)
   and ``layers``; returns latency/throughput/memory/breakdown.
 * ``POST /v1/explain``  — search body + ``links`` flag; returns the plan's
@@ -62,6 +62,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from ..api import (
+    ExplainRequest,
+    RobustnessRequest,
+    SearchRequest,
+    SimulateRequest,
+    ValidationError,
+)
 from ..core.optimizer.deadline import SearchDeadlineExceeded
 from ..obs.flight import FlightRecorder
 from ..obs.logsetup import get_logger
@@ -76,7 +83,7 @@ from ..obs.reqtrace import (
     valid_trace_id,
 )
 from .admission import AdmissionController, AdmissionRejected
-from .service import PlanService, RequestError
+from .service import PlanService
 from .store import PlanStore, default_store
 
 logger = get_logger("serve.server")
@@ -88,6 +95,15 @@ MAX_BODY_BYTES = 1 << 20
 LATENCY_BUCKETS = (
     1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0, 30.0, 120.0,
 )
+
+#: ``POST`` routes: the :class:`PlanService` entry that validates and runs
+#: each request type's body.
+ROUTES = {
+    SearchRequest.endpoint: "search_from_request",
+    SimulateRequest.endpoint: "simulate_from_request",
+    ExplainRequest.endpoint: "explain_from_request",
+    RobustnessRequest.endpoint: "robustness_from_request",
+}
 
 #: The trace-id request header the daemon honours (case-insensitive).
 TRACE_HEADER = "X-PrimePar-Trace-Id"
@@ -449,16 +465,16 @@ def _make_handler(server: PlanServer):
         def _read_body(self) -> Dict[str, Any]:
             length = int(self.headers.get("Content-Length") or 0)
             if length > MAX_BODY_BYTES:
-                raise RequestError(
+                raise ValidationError(
                     f"request body too large ({length} > {MAX_BODY_BYTES})"
                 )
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 body = json.loads(raw or b"{}")
             except ValueError as exc:
-                raise RequestError(f"invalid JSON body: {exc}") from exc
+                raise ValidationError(f"invalid JSON body: {exc}") from exc
             if not isinstance(body, dict):
-                raise RequestError("request body must be a JSON object")
+                raise ValidationError("request body must be a JSON object")
             return body
 
         # -- dispatch --------------------------------------------------
@@ -588,9 +604,7 @@ def _make_handler(server: PlanServer):
                         payload = self._attach_debug_trace(payload, trace, 200)
                 self._send_json(200, payload)
                 return "/v1/plans", 200
-            if method == "POST" and path in (
-                "/v1/search", "/v1/simulate", "/v1/explain", "/v1/robustness"
-            ):
+            if method == "POST" and path in ROUTES:
                 return path, self._execute(path)
             self._send_json(
                 404, {"error": f"no route for {method} {self.path}"}
@@ -606,15 +620,8 @@ def _make_handler(server: PlanServer):
                 return 503
             try:
                 body = self._read_body()
-                if path == "/v1/search":
-                    payload = server.service.search_from_request(body)
-                elif path == "/v1/explain":
-                    payload = server.service.explain_from_request(body)
-                elif path == "/v1/robustness":
-                    payload = server.service.robustness_from_request(body)
-                else:
-                    payload = server.service.simulate_from_request(body)
-            except RequestError as exc:
+                payload = getattr(server.service, ROUTES[path])(body)
+            except ValidationError as exc:
                 self._send_json(400, {"error": str(exc)})
                 return 400
             except AdmissionRejected as exc:

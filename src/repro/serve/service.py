@@ -2,12 +2,11 @@
 
 :class:`PlanService` is the transport-free core of the daemon — the HTTP
 layer (:mod:`repro.serve.server`) and in-process tests drive the same
-object.  One search request flows through:
+object through one entry per endpoint, ``<endpoint>_from_request(body)``.
+One search request flows through:
 
 1. **validation** — :meth:`repro.api.SearchRequest.from_json` rejects
-   malformed bodies with :class:`repro.api.ValidationError` (HTTP 400;
-   ``RequestError`` is the same class, and ``SearchParams`` survives as a
-   deprecated alias of :class:`~repro.api.SearchRequest`);
+   malformed bodies with :class:`repro.api.ValidationError` (HTTP 400);
 2. **plan store** — the content-hashed key is answered from the in-memory
    LRU or the disk cache without any computation;
 3. **coalescing** — concurrent identical misses collapse onto one search
@@ -18,6 +17,10 @@ object.  One search request flows through:
    request's cooperative :class:`~repro.core.optimizer.deadline.Deadline`;
    the JSON-shaped payload is written through both store tiers.
 
+Simulate, explain and robustness requests resolve their plan through that
+same path, then run once per derived ``cache_key()`` under the same
+coalescing, admission and deadline (:meth:`PlanService._derived`).
+
 Payloads are plain dicts of spec strings and floats, so responses are
 bit-identical to a direct ``PrimeParOptimizer`` run of the same
 parameters: same plan strings (``str(spec)``), same float costs.
@@ -27,24 +30,19 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Union
 
-from .. import cache as diskcache
 from ..api import (
-    MAX_DEVICES,
     ExplainRequest,
     RobustnessRequest,
     SearchRequest,
     SimulateRequest,
-    ValidationError,
-    deprecated_alias,
     plan_from_json,
 )
 from ..cluster.profiler import FabricProfiler
 from ..cluster.topology import v100_cluster
 from ..core.optimizer.deadline import Deadline, SearchDeadlineExceeded
 from ..core.optimizer.strategy import PrimeParOptimizer
-from ..core.spec import PartitionSpec
 from ..graph.models import MODELS_BY_KEY
 from ..graph.transformer import build_block_graph
 from ..obs.logsetup import get_logger
@@ -56,33 +54,8 @@ from .store import PlanStore, default_store
 
 logger = get_logger("serve.service")
 
-#: Version stamp folded into every plan key; bump when the payload shape
-#: or anything upstream of it changes meaning.  Tracks
-#: :data:`repro.api.SCHEMA_VERSION` (the request schema is the payload
-#: schema's front door).
-SERVE_SCHEMA = 1
-
-#: A malformed request body (HTTP 400).  Kept as a name for back-compat;
-#: this *is* :class:`repro.api.ValidationError`, so handlers written
-#: against either name catch the same exceptions.
-RequestError = ValidationError
-
-
-class SearchParams(SearchRequest):
-    """Deprecated alias of :class:`repro.api.SearchRequest`.
-
-    Kept for one release so existing callers keep working; every use of
-    :meth:`from_request` warns.  New code should call
-    :meth:`repro.api.SearchRequest.from_json`.
-    """
-
-    @classmethod
-    def from_request(cls, body: Mapping[str, Any]) -> "SearchParams":
-        deprecated_alias(
-            "repro.serve.SearchParams.from_request",
-            "repro.api.SearchRequest.from_json",
-        )
-        return cls.from_json(body)
+#: A request whose answer is derived from a searched plan.
+DerivedRequest = Union[SimulateRequest, ExplainRequest, RobustnessRequest]
 
 
 def _resolve_deadline(
@@ -95,6 +68,14 @@ def _resolve_deadline(
     if default is not None:
         return min(requested, default)
     return requested
+
+
+def _setting(params: SearchRequest):
+    """The model, topology and block graph a search request names."""
+    model = MODELS_BY_KEY[params.model]
+    topology = v100_cluster(params.devices)
+    graph = build_block_graph(model.block_shape(batch=params.batch))
+    return model, topology, graph
 
 
 class PlanService:
@@ -120,10 +101,9 @@ class PlanService:
         self.admission = admission if admission is not None else AdmissionController()
         self.jobs = jobs
         self.default_deadline = default_deadline
-        self._searches = SingleFlight()
-        self._simulations = SingleFlight()
-        self._explains = SingleFlight()
-        self._robustness = SingleFlight()
+        # Keys are content hashes prefixed by kind, so one instance
+        # coalesces every endpoint without collisions.
+        self._flights = SingleFlight()
 
     # ------------------------------------------------------------------
     # search
@@ -165,7 +145,7 @@ class PlanService:
                 return payload
 
         try:
-            value, leader = self._searches.run(
+            value, leader = self._flights.run(
                 key, compute, timeout=deadline.remaining() if deadline else None
             )
         except FutureTimeoutError:
@@ -182,11 +162,9 @@ class PlanService:
     def _run_search(
         self, params: SearchRequest, deadline: Optional[Deadline]
     ) -> Dict[str, Any]:
-        model = MODELS_BY_KEY[params.model]
-        profiler = FabricProfiler(v100_cluster(params.devices))
-        graph = build_block_graph(model.block_shape(batch=params.batch))
+        model, topology, graph = _setting(params)
         optimizer = PrimeParOptimizer(
-            profiler,
+            FabricProfiler(topology),
             alpha=params.alpha,
             include_temporal=params.include_temporal,
             beam=params.beam or None,
@@ -243,283 +221,147 @@ class PlanService:
         return {**value, "key": key, "source": tier}
 
     # ------------------------------------------------------------------
-    # simulate
+    # requests derived from a searched plan
     # ------------------------------------------------------------------
+
+    def _derived(
+        self,
+        request: DerivedRequest,
+        counter_name: str,
+        run: Callable[..., Dict[str, Any]],
+    ) -> Dict[str, Any]:
+        """Answer ``request`` from the plan of ``request.search``.
+
+        The plan is resolved through :meth:`search` first (warming and
+        reusing the plan store).  ``run(profiler, graph, plan, payload)``
+        then executes under admission control, coalesced per
+        ``request.cache_key()``, which is computed first so a malformed
+        request fails before any search.  The response echoes the plan's
+        ``plan_key`` and ``plan_source``.
+        """
+        key = request.cache_key()
+        search = request.search
+        deadline_s = _resolve_deadline(search.deadline, self.default_deadline)
+        plan_payload = self.search(search, deadline_s)
+        deadline = Deadline(deadline_s) if deadline_s else None
+
+        def compute() -> Dict[str, Any]:
+            timeout = deadline.remaining() if deadline else None
+            with self.admission.admit(timeout=timeout):
+                counter(counter_name).inc()
+                _, topology, graph = _setting(search)
+                plan = plan_from_json(plan_payload["plan"], topology.n_bits)
+                return run(FabricProfiler(topology), graph, plan, plan_payload)
+
+        value, leader = self._flights.run(
+            key, compute, timeout=deadline.remaining() if deadline else None
+        )
+        return {
+            **value,
+            "plan_key": plan_payload["key"],
+            "plan_source": plan_payload["source"],
+            "source": "computed" if leader else "coalesced",
+        }
 
     def simulate_from_request(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        """Validate a raw ``/v1/simulate`` body and execute it."""
-        request = SimulateRequest.from_json(body)
-        return self.simulate(
-            request.search,
-            request.engine,
-            request.layers,
-            _resolve_deadline(request.search.deadline, self.default_deadline),
-        )
+        """Validate a raw ``/v1/simulate`` body and replay its plan.
 
-    def simulate(
-        self,
-        params: SearchRequest,
-        engine: str = "analytic",
-        layers: int = 0,
-        deadline_s: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Replay the plan for ``params`` on a simulator engine.
-
-        The plan is resolved through :meth:`search` first (so simulations
-        warm and reuse the plan store); the replay itself is coalesced
-        per ``(plan key, engine, layers)`` and admission-controlled like a
-        search.  Simulation reports are additionally disk-cached by
+        Simulation reports are additionally disk-cached by
         :mod:`repro.sim.simcache` underneath ``run_model``.
         """
-        plan_payload = self.search(params, deadline_s)
-        model = MODELS_BY_KEY[params.model]
-        n_layers = layers or model.n_layers
-        sim_key = diskcache.content_key(
-            "simrequest", SERVE_SCHEMA, plan_payload["key"], engine, n_layers
-        )
-        deadline = Deadline(deadline_s) if deadline_s else None
+        request = SimulateRequest.from_json(body)
 
-        def compute() -> Dict[str, Any]:
-            timeout = deadline.remaining() if deadline else None
-            with self.admission.admit(timeout=timeout):
-                counter("serve.simulations").inc()
-                return self._run_simulation(
-                    params, plan_payload, engine, n_layers
-                )
+        def run(profiler, graph, plan, payload) -> Dict[str, Any]:
+            from ..sim.engine import EventDrivenSimulator
+            from ..sim.executor import TrainingSimulator
 
-        value, leader = self._simulations.run(
-            sim_key, compute, timeout=deadline.remaining() if deadline else None
-        )
-        return {
-            **value,
-            "plan_key": plan_payload["key"],
-            "plan_source": plan_payload["source"],
-            "source": "computed" if leader else "coalesced",
-        }
+            search = request.search
+            simulator = (
+                EventDrivenSimulator(profiler)
+                if request.engine == "event"
+                else TrainingSimulator(profiler)
+            )
+            report = simulator.run_model(
+                graph, plan, search.batch, request.n_layers
+            )
+            return {
+                "model": search.model,
+                "devices": search.devices,
+                "batch": search.batch,
+                "engine": request.engine,
+                "layers": request.n_layers,
+                "latency": report.latency,
+                "throughput": report.throughput,
+                "peak_memory_bytes": report.peak_memory_bytes,
+                "breakdown": {
+                    kind: seconds
+                    for kind, seconds in sorted(report.breakdown.items())
+                },
+            }
 
-    # ------------------------------------------------------------------
-    # explain
-    # ------------------------------------------------------------------
+        return self._derived(request, "serve.simulations", run)
 
     def explain_from_request(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        """Validate a raw ``/v1/explain`` body and execute it."""
-        request = ExplainRequest.from_json(body)
-        return self.explain(
-            request.search,
-            request.links,
-            _resolve_deadline(request.search.deadline, self.default_deadline),
-        )
+        """Validate a raw ``/v1/explain`` body and decompose its plan's cost.
 
-    def explain(
-        self,
-        params: SearchRequest,
-        links: bool = False,
-        deadline_s: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Cost decomposition of the plan for ``params``.
-
-        The plan is resolved through :meth:`search` first (warming and
-        reusing the plan store); the decomposition itself is coalesced per
-        ``(plan key, links)`` and admission-controlled, since the
-        ``links`` variant replays a layer through the event engine.  The
-        document's ``components`` fold equals its ``total_cost``
-        bit-exactly (the plan re-priced through ``OverallCostModel``);
-        the search payload's ``cost`` is echoed as ``plan_cost`` — the
-        DP's own incremental fold, which may differ from re-pricing in
-        the last ulp.
+        The ``links`` variant replays a layer through the event engine.
+        The document's ``components`` fold equals its ``total_cost``
+        bit-exactly (the plan re-priced through ``OverallCostModel``); the
+        search payload's ``cost`` is echoed as ``plan_cost`` — the DP's
+        own incremental fold, which may differ from re-pricing in the
+        last ulp.
         """
-        plan_payload = self.search(params, deadline_s)
-        explain_key = diskcache.content_key(
-            "explainrequest", SERVE_SCHEMA, plan_payload["key"], links
-        )
-        deadline = Deadline(deadline_s) if deadline_s else None
+        request = ExplainRequest.from_json(body)
 
-        def compute() -> Dict[str, Any]:
-            timeout = deadline.remaining() if deadline else None
-            with self.admission.admit(timeout=timeout):
-                counter("serve.explains").inc()
-                return self._run_explain(params, plan_payload, links)
+        def run(profiler, graph, plan, payload) -> Dict[str, Any]:
+            from ..core.explain import explain_plan
 
-        value, leader = self._explains.run(
-            explain_key,
-            compute,
-            timeout=deadline.remaining() if deadline else None,
-        )
-        return {
-            **value,
-            "plan_key": plan_payload["key"],
-            "plan_source": plan_payload["source"],
-            "plan_cost": plan_payload["cost"],
-            "source": "computed" if leader else "coalesced",
-        }
+            doc = explain_plan(
+                profiler,
+                graph,
+                plan,
+                alpha=request.search.alpha,
+                include_links=request.links,
+                global_batch=request.search.batch,
+            )
+            return {**doc, "plan_cost": payload["cost"]}
 
-    # ------------------------------------------------------------------
-    # robustness
-    # ------------------------------------------------------------------
+        return self._derived(request, "serve.explains", run)
 
     def robustness_from_request(self, body: Mapping[str, Any]) -> Dict[str, Any]:
-        """Validate a raw ``/v1/robustness`` body and execute it."""
-        request = RobustnessRequest.from_json(body)
-        return self.robustness(
-            request,
-            _resolve_deadline(request.search.deadline, self.default_deadline),
-        )
+        """Validate a raw ``/v1/robustness`` body and score its plan.
 
-    def robustness(
-        self,
-        request: RobustnessRequest,
-        deadline_s: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Score the plan for ``request.search`` under a fault model.
-
-        The plan is resolved through :meth:`search` first (warming and
-        reusing the plan store); the Monte-Carlo evaluation itself is
-        coalesced per ``(plan key, fault model, scenarios, seed, layers)``
-        and admission-controlled like a search.  The returned ``report``
-        is a schema-versioned
-        :class:`~repro.sim.faults.RobustnessReport` document; same seed +
-        plan + fault spec reproduces it bit-identically regardless of the
-        service's ``jobs`` fan-out.
+        The returned ``report`` is a schema-versioned
+        :class:`~repro.sim.faults.RobustnessReport` document; the same seed,
+        plan and fault model reproduce it bit-identically regardless of
+        the service's ``jobs`` fan-out.
         """
-        from ..sim.faults import FaultModel
+        request = RobustnessRequest.from_json(body)
 
-        if isinstance(request.faults, str):
-            fault_model = FaultModel.from_spec(request.faults)
-        else:
-            fault_model = FaultModel.from_json(request.faults)
-        plan_payload = self.search(request.search, deadline_s)
-        model = MODELS_BY_KEY[request.search.model]
-        n_layers = request.layers or model.n_layers
-        rob_key = diskcache.content_key(
-            "robustness",
-            SERVE_SCHEMA,
-            plan_payload["key"],
-            fault_model.canonical(),
-            request.scenarios,
-            request.seed,
-            n_layers,
-        )
-        deadline = Deadline(deadline_s) if deadline_s else None
+        def run(profiler, graph, plan, payload) -> Dict[str, Any]:
+            from ..sim.faults import evaluate_robustness
 
-        def compute() -> Dict[str, Any]:
-            timeout = deadline.remaining() if deadline else None
-            with self.admission.admit(timeout=timeout):
-                counter("serve.robustness").inc()
-                return self._run_robustness(
-                    request, plan_payload, fault_model, n_layers
-                )
+            search = request.search
+            report = evaluate_robustness(
+                profiler,
+                graph,
+                plan,
+                search.batch,
+                request.n_layers,
+                request.fault_model(),
+                scenarios=request.scenarios,
+                seed=request.seed,
+                jobs=self.jobs,
+            )
+            return {
+                "model": search.model,
+                "devices": search.devices,
+                "batch": search.batch,
+                "layers": request.n_layers,
+                "objective": request.objective,
+                "blend": request.blend,
+                "score": report.score(request.objective, request.blend),
+                "report": report.to_json(),
+            }
 
-        value, leader = self._robustness.run(
-            rob_key, compute, timeout=deadline.remaining() if deadline else None
-        )
-        return {
-            **value,
-            "plan_key": plan_payload["key"],
-            "plan_source": plan_payload["source"],
-            "source": "computed" if leader else "coalesced",
-        }
-
-    def _run_robustness(
-        self,
-        request: RobustnessRequest,
-        plan_payload: Mapping[str, Any],
-        fault_model,
-        n_layers: int,
-    ) -> Dict[str, Any]:
-        from ..sim.faults import evaluate_robustness
-
-        search = request.search
-        topology = v100_cluster(search.devices)
-        profiler = FabricProfiler(topology)
-        model = MODELS_BY_KEY[search.model]
-        graph = build_block_graph(model.block_shape(batch=search.batch))
-        plan = plan_from_json(plan_payload["plan"], topology.n_bits)
-        report = evaluate_robustness(
-            profiler,
-            graph,
-            plan,
-            search.batch,
-            n_layers,
-            fault_model,
-            scenarios=request.scenarios,
-            seed=request.seed,
-            jobs=self.jobs,
-        )
-        return {
-            "model": search.model,
-            "devices": search.devices,
-            "batch": search.batch,
-            "layers": n_layers,
-            "objective": request.objective,
-            "blend": request.blend,
-            "score": report.score(request.objective, request.blend),
-            "report": report.to_json(),
-        }
-
-    def _run_explain(
-        self,
-        params: SearchRequest,
-        plan_payload: Mapping[str, Any],
-        links: bool,
-    ) -> Dict[str, Any]:
-        from ..core.explain import explain_plan
-
-        topology = v100_cluster(params.devices)
-        profiler = FabricProfiler(topology)
-        model = MODELS_BY_KEY[params.model]
-        graph = build_block_graph(model.block_shape(batch=params.batch))
-        plan = plan_from_json(plan_payload["plan"], topology.n_bits)
-        return explain_plan(
-            profiler,
-            graph,
-            plan,
-            alpha=params.alpha,
-            include_links=links,
-            global_batch=params.batch,
-        )
-
-    def _run_simulation(
-        self,
-        params: SearchParams,
-        plan_payload: Mapping[str, Any],
-        engine: str,
-        n_layers: int,
-    ) -> Dict[str, Any]:
-        from ..sim.engine import EventDrivenSimulator
-        from ..sim.executor import TrainingSimulator
-
-        topology = v100_cluster(params.devices)
-        profiler = FabricProfiler(topology)
-        model = MODELS_BY_KEY[params.model]
-        graph = build_block_graph(model.block_shape(batch=params.batch))
-        plan = {
-            name: _spec_from_string(text, topology.n_bits)
-            for name, text in plan_payload["plan"].items()
-        }
-        simulator = (
-            EventDrivenSimulator(profiler)
-            if engine == "event"
-            else TrainingSimulator(profiler)
-        )
-        report = simulator.run_model(graph, plan, params.batch, n_layers)
-        return {
-            "model": params.model,
-            "devices": params.devices,
-            "batch": params.batch,
-            "engine": engine,
-            "layers": n_layers,
-            "latency": report.latency,
-            "throughput": report.throughput,
-            "peak_memory_bytes": report.peak_memory_bytes,
-            "breakdown": {
-                kind: seconds
-                for kind, seconds in sorted(report.breakdown.items())
-            },
-        }
-
-
-def _spec_from_string(text: str, n_bits: int) -> PartitionSpec:
-    """Rehydrate a payload's spec string (``str(spec)`` round-trip)."""
-    if text == "(replicated)":
-        return PartitionSpec((), n_bits)
-    return PartitionSpec.from_string(text, n_bits)
+        return self._derived(request, "serve.robustness", run)

@@ -392,24 +392,10 @@ class FaultModel:
 
         ``"straggler=0.2:1.8,degrade=0.3:0.5,flap=0.5:0.002:0.25,
         outage=0.05,ckpt=16,restart=30,replan=5"`` — each clause is
-        ``name=rate[:severity[:extra]]``; ``@path.json`` loads a JSON fault
-        model from a file instead.  An empty string is the zero-fault model.
+        ``name=rate[:severity[:extra]]``.  An empty string is the
+        zero-fault model.  The text is never a path: ``primepar``'s
+        ``@file.json`` spelling is read by the CLI, not here.
         """
-        text = text.strip()
-        if text.startswith("@"):
-            try:
-                with open(text[1:], "r", encoding="utf-8") as handle:
-                    return cls.from_json(json.load(handle))
-            except OSError as exc:
-                raise ValidationError(
-                    f"cannot read fault spec file {text[1:]!r}: {exc}",
-                    "faults",
-                ) from exc
-            except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    f"fault spec file {text[1:]!r} is not valid JSON: {exc}",
-                    "faults",
-                ) from exc
         payload: Dict[str, Any] = {}
         clause_map = {
             "straggler": ("straggler_rate", "straggler_slowdown"),

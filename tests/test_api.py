@@ -167,26 +167,6 @@ class TestEnvelopes:
         assert plan_from_json(payload, 2) == plan
 
 
-class TestDeprecatedServeAlias:
-    def test_search_params_warns_and_delegates(self):
-        from repro.serve import RequestError, SearchParams
-
-        with pytest.warns(DeprecationWarning, match="SearchParams"):
-            params = SearchParams.from_request({"devices": 64})
-        assert params.batch == 32
-        assert params.cache_key() == SearchRequest.from_json(
-            {"devices": 64}
-        ).cache_key()
-        assert RequestError is ValidationError
-
-    def test_alias_raises_catchable_request_error(self):
-        from repro.serve import RequestError, SearchParams
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(RequestError, match="power of two"):
-                SearchParams.from_request({"devices": 3})
-
-
 class TestResultRoundTrips:
     """The four-way property: every report type survives the JSON wire."""
 

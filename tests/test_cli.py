@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.api import (
+    RobustnessRequest,
+    SearchRequest,
+    SimulateRequest,
+    ValidationError,
+)
+from repro.cli import build_parser, main, request_body
 
 
 class TestParser:
@@ -14,9 +20,11 @@ class TestParser:
 
     def test_search_defaults(self):
         args = build_parser().parse_args(["search"])
-        assert args.model == "opt-175b"
-        assert args.devices == 16
-        assert not args.no_temporal
+        assert args.model == "opt-6.7b"
+        assert args.devices == 8
+        assert args.batch == 0
+        assert args.include_temporal
+        assert SearchRequest.from_json(request_body(args)).batch == 8
 
     def test_verify_args(self):
         args = build_parser().parse_args(
@@ -34,6 +42,27 @@ class TestParser:
         assert args.engine == "event"
         assert args.plan == "primepar"
         assert args.trace == ""
+
+    def test_simulate_rejects_negative_layers(self):
+        args = build_parser().parse_args(["simulate", "--layers", "-3"])
+        with pytest.raises(ValidationError) as err:
+            SimulateRequest.from_json(request_body(args))
+        assert err.value.field == "layers"
+        assert main(["simulate", "--devices", "4", "--layers", "-3"]) == 2
+
+    def test_fault_file_is_read_by_the_cli(self, tmp_path):
+        path = tmp_path / "faults.json"
+        path.write_text(json.dumps({"straggler_rate": 0.5}))
+        args = build_parser().parse_args(["faults", "--faults", f"@{path}"])
+        request = RobustnessRequest.from_json(request_body(args))
+        assert request.faults == {"straggler_rate": 0.5}
+        assert request.fault_model().straggler_rate == 0.5
+        missing = build_parser().parse_args(
+            ["faults", "--faults", f"@{tmp_path / 'absent.json'}"]
+        )
+        with pytest.raises(ValidationError) as err:
+            request_body(missing)
+        assert err.value.field == "faults"
 
     def test_simulate_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
@@ -94,6 +123,22 @@ class TestCommands:
         doc = json.loads(trace_path.read_text())
         events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert events and all(e["dur"] > 0 for e in events)
+
+    def test_faults_reads_fault_file(self, capsys, tmp_path):
+        path = tmp_path / "faults.json"
+        path.write_text(
+            json.dumps({"straggler_rate": 1.0, "straggler_slowdown": 1.5})
+        )
+        code = main(
+            [
+                "faults", "--model", "opt-6.7b", "--devices", "4",
+                "--batch", "4", "--faults", f"@{path}", "--scenarios", "2",
+                "--layers", "1", "--json",
+            ]
+        )
+        assert code == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["candidates"]
 
     def test_simulate_analytic_megatron(self, capsys):
         code = main(

@@ -345,6 +345,23 @@ class TestLoweringTelemetry:
         lowers = [s for s in doc["spans"] if s["name"] == "sim.lower"]
         assert len(lowers) == len(plans)
 
+    def test_explain_json_still_writes_metrics(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+
+        monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path / "cache"))
+        path = tmp_path / "m.json"
+        with use_registry(MetricsRegistry()), use_collector(SpanCollector()):
+            code = main([
+                "explain", "--model", "opt-6.7b", "--devices", "4",
+                "--batch", "4", "--json", "--metrics-out", str(path),
+            ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "plan"
+        doc = json.loads(path.read_text())
+        assert any(s["path"] == "search" for s in doc["spans"])
+
 
 class TestDocumentAndLogging:
     def test_metrics_document_schema(self, tmp_path):

@@ -26,6 +26,7 @@ from repro.core.optimizer.deadline import Deadline, SearchDeadlineExceeded
 from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.graph.models import MODELS_BY_KEY
 from repro.graph.transformer import build_block_graph
+from repro.api import ExplainRequest, ValidationError
 from repro.obs.metrics import MetricsRegistry, counter, use_registry
 from repro.serve import (
     AdmissionController,
@@ -34,8 +35,6 @@ from repro.serve import (
     PlanServer,
     PlanService,
     PlanStore,
-    RequestError,
-    SearchParams,
     SearchRequest,
     ServeConfig,
     ServeError,
@@ -92,7 +91,7 @@ def _gate_search(service):
     return entered, release
 
 
-def _direct_payload(params: SearchParams):
+def _direct_payload(params: SearchRequest):
     """What a direct ``PrimeParOptimizer`` run of ``params`` produces."""
     model = MODELS_BY_KEY[params.model]
     profiler = FabricProfiler(v100_cluster(params.devices))
@@ -352,13 +351,15 @@ class TestAdmission:
 
 
 class TestSearchParams:
+    """Search-body validation, through ``SearchRequest.from_json``."""
+
     def test_defaults_and_batch_resolution(self):
-        params = SearchParams.from_request({})
+        params = SearchRequest.from_json({})
         assert params.model == MODEL
         assert params.devices == 8
         assert params.batch == 8  # max(8, min(8, 32))
-        assert SearchParams.from_request({"devices": 64}).batch == 32
-        assert SearchParams.from_request({"batch": 5}).batch == 5
+        assert SearchRequest.from_json({"devices": 64}).batch == 32
+        assert SearchRequest.from_json({"batch": 5}).batch == 5
 
     @pytest.mark.parametrize(
         "body",
@@ -377,13 +378,13 @@ class TestSearchParams:
         ],
     )
     def test_rejects_malformed_bodies(self, body):
-        with pytest.raises(RequestError):
-            SearchParams.from_request(body)
+        with pytest.raises(ValidationError):
+            SearchRequest.from_json(body)
 
     def test_cache_key_is_content_addressed(self):
-        a = SearchParams.from_request({"devices": 4})
-        b = SearchParams.from_request({"devices": 4})
-        c = SearchParams.from_request({"devices": 8})
+        a = SearchRequest.from_json({"devices": 4})
+        b = SearchRequest.from_json({"devices": 4})
+        c = SearchRequest.from_json({"devices": 8})
         assert a.cache_key() == b.cache_key()
         assert a.cache_key() != c.cache_key()
 
@@ -424,7 +425,7 @@ class TestPlanService:
     def test_search_matches_direct_optimizer_bit_for_bit(
         self, fresh_cache, registry
     ):
-        params = SearchParams.from_request({"devices": 2, "batch": 8})
+        params = SearchRequest.from_json({"devices": 2, "batch": 8})
         service = _service()
         payload = service.search(params)
         assert payload["source"] == "computed"
@@ -434,7 +435,7 @@ class TestPlanService:
         assert payload["n_layers"] == MODELS_BY_KEY[MODEL].n_layers
 
     def test_source_transitions_memory_then_disk(self, fresh_cache, registry):
-        params = SearchParams.from_request({"devices": 2, "batch": 8})
+        params = SearchRequest.from_json({"devices": 2, "batch": 8})
         service = _service()
         assert service.search(params)["source"] == "computed"
         assert service.search(params)["source"] == "memory"
@@ -443,7 +444,7 @@ class TestPlanService:
         assert counter("serve.searches").value == 1
 
     def test_plan_lookup(self, fresh_cache, registry):
-        params = SearchParams.from_request({"devices": 2, "batch": 8})
+        params = SearchRequest.from_json({"devices": 2, "batch": 8})
         service = _service()
         payload = service.search(params)
         found = service.plan(payload["key"])
@@ -484,7 +485,7 @@ class TestHTTPEndpoints:
         request = SearchRequest(model=MODEL, devices=2, batch=8)
         response = PlanClient(server.url).search(request)
         cost, plan = _direct_payload(
-            SearchParams.from_request(request.to_json())
+            SearchRequest.from_json(request.to_json())
         )
         assert response.cost == cost
         assert response.plan == plan
@@ -584,7 +585,7 @@ class TestServerBehavior:
         assert responses[0].plan == responses[1].plan
         assert responses[0].cost == responses[1].cost
         cost, plan = _direct_payload(
-            SearchParams.from_request(request.to_json())
+            SearchRequest.from_json(request.to_json())
         )
         assert responses[0].cost == cost
         assert responses[0].plan == plan
@@ -887,7 +888,9 @@ class TestTracingHTTP:
 class TestExplainHTTP:
     def test_explain_components_fold_bit_exactly(self, server):
         client = PlanClient(server.url)
-        request = SearchRequest(model=MODEL, devices=2, batch=8)
+        request = ExplainRequest(
+            search=SearchRequest(model=MODEL, devices=2, batch=8)
+        )
         doc = client.explain(request)
         assert doc["kind"] == "plan"
         assert _component_fold(doc) == doc["total_cost"]
@@ -906,7 +909,10 @@ class TestExplainHTTP:
     def test_explain_with_link_attribution(self, server):
         client = PlanClient(server.url)
         doc = client.explain(
-            SearchRequest(model=MODEL, devices=2, batch=8), links=True
+            ExplainRequest(
+                search=SearchRequest(model=MODEL, devices=2, batch=8),
+                links=True,
+            )
         )
         assert doc["links"]["engine"] == "event"
         assert isinstance(doc["links"]["link_bytes"], dict)
@@ -923,7 +929,9 @@ class TestExplainHTTP:
     def test_explain_is_traced(self, server):
         client = PlanClient(server.url)
         client.explain(
-            SearchRequest(model=MODEL, devices=2, batch=8),
+            ExplainRequest(
+                search=SearchRequest(model=MODEL, devices=2, batch=8)
+            ),
             trace_id="explain-trace-1",
         )
         stored = _wait_for(lambda: client.trace("explain-trace-1"))
@@ -948,7 +956,7 @@ class TestRobustnessHTTP:
         self, fresh_cache, registry
     ):
         service = _service()
-        payload = service.robustness(self._request())
+        payload = service.robustness_from_request(self._request().to_json())
         assert payload["source"] == "computed"
         assert payload["plan_source"] == "computed"
         assert payload["objective"] == "p99"
@@ -961,7 +969,7 @@ class TestRobustnessHTTP:
         # The plan itself came through the two-tier store: a repeat call
         # recomputes the Monte-Carlo sweep (no disk tier for robustness)
         # but finds the plan warm, and the result is bit-identical.
-        again = service.robustness(self._request())
+        again = service.robustness_from_request(self._request().to_json())
         assert again["plan_source"] == "memory"
         assert again["score"] == payload["score"]
         assert again["report"] == report
@@ -1001,6 +1009,24 @@ class TestRobustnessHTTP:
                 {**self._request().to_json(), "objective": "p42"},
             )
         assert objective_err.value.status == 400
+
+    def test_fault_file_path_is_not_read_over_http(
+        self, server, tmp_path
+    ):
+        """``@path`` is a CLI spelling: on the wire it is a bad spec string,
+        rejected without opening the file (no existence or key leaks)."""
+        path = tmp_path / "faults.json"
+        path.write_text(json.dumps({"straggler_rate": 0.5}))
+        body = {**self._request().to_json(), "faults": f"@{path}"}
+        with pytest.raises(ValidationError) as err:
+            server.service.robustness_from_request(body)
+        assert err.value.field == "faults"
+        assert "bad fault spec clause" in str(err.value)
+        with pytest.raises(ServeError) as http_err:
+            PlanClient(server.url)._json("POST", "/v1/robustness", body)
+        assert http_err.value.status == 400
+        assert "bad fault spec clause" in http_err.value.message
+        assert counter("serve.searches").value == 0
 
     def test_robustness_is_traced(self, server):
         client = PlanClient(server.url)
