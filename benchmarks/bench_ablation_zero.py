@@ -13,9 +13,9 @@ from __future__ import annotations
 from conftest import ALPHA, emit
 
 from repro import (
+    EventDrivenSimulator,
     FabricProfiler,
     PrimeParOptimizer,
-    TrainingSimulator,
     build_block_graph,
     v100_cluster,
 )
@@ -40,7 +40,7 @@ def _collect():
         )
     profiler = FabricProfiler(topology)
     result = PrimeParOptimizer(profiler, alpha=ALPHA).optimize(graph)
-    simulator = TrainingSimulator(profiler)
+    simulator = EventDrivenSimulator(profiler)
     primepar = simulator.run(graph, result.plan, batch)
     rows.append(
         [

@@ -20,10 +20,10 @@ import numpy as np
 from conftest import emit
 
 from repro import (
+    EventDrivenSimulator,
     FabricProfiler,
     PartitionSpec,
     PrimeParOptimizer,
-    TrainingSimulator,
     build_block_graph,
     torus_cluster,
     v100_cluster,
@@ -223,7 +223,7 @@ def test_ablation_topology(benchmark):
 
 def _alpha_rows():
     profiler = FabricProfiler(v100_cluster(8))
-    simulator = TrainingSimulator(profiler)
+    simulator = EventDrivenSimulator(profiler)
     graph = build_block_graph(OPT_175B.block_shape(batch=8))
     rows = []
     for alpha in (0.0, 1e-11, 1e-10, 1e-9):

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from conftest import default_batch, emit
 
-from repro import FabricProfiler, TrainingSimulator, build_block_graph, v100_cluster
+from repro import (
+    EventDrivenSimulator,
+    FabricProfiler,
+    build_block_graph,
+    v100_cluster,
+)
 from repro.baselines.ideal import ideal_peak_memory
 from repro.baselines.megatron import megatron_plan
 from repro.graph.models import BLOOM_176B, LLAMA2_70B, OPT_6_7B
@@ -22,7 +27,7 @@ def _fig2a_rows():
     rows = []
     topology = v100_cluster(16)
     profiler = FabricProfiler(topology)
-    simulator = TrainingSimulator(profiler)
+    simulator = EventDrivenSimulator(profiler)
     for model in (OPT_6_7B, LLAMA2_70B, BLOOM_176B):
         batch = 16
         graph = build_block_graph(model.block_shape(batch=batch))
@@ -41,7 +46,7 @@ def _fig2b_rows():
     for n_devices in (4, 8, 16, 32):
         topology = v100_cluster(n_devices)
         profiler = FabricProfiler(topology)
-        simulator = TrainingSimulator(profiler)
+        simulator = EventDrivenSimulator(profiler)
         graph = build_block_graph(model.block_shape(batch=batch))
         plan = megatron_plan(graph, topology.n_bits, dp_degree=1)
         report = simulator.run_model(graph, plan, batch, model.n_layers)

@@ -51,7 +51,6 @@ from repro import (
     EventDrivenSimulator,
     FabricProfiler,
     Planner3D,
-    TrainingSimulator,
     v100_cluster,
 )
 from repro.baselines.megatron import best_megatron_plan
@@ -161,7 +160,7 @@ def _measure_blocks(smoke: bool, workdir: str, rounds: int) -> List[Dict]:
         profiler = FabricProfiler(v100_cluster(n_devices))
         graph = build_mlp_graph(model.block_shape(batch=batch))
         plan = best_megatron_plan(
-            TrainingSimulator(profiler), graph, batch
+            EventDrivenSimulator(profiler, use_disk_cache=False), graph, batch
         ).plan
         entry = _three_regimes(
             profiler,
@@ -260,7 +259,9 @@ def _measure_model(smoke: bool, workdir: str, rounds: int) -> Dict:
     n_layers = 8 if smoke else model.n_layers
     profiler = FabricProfiler(v100_cluster(n_devices))
     graph = build_mlp_graph(model.block_shape(batch=batch))
-    plan = best_megatron_plan(TrainingSimulator(profiler), graph, batch).plan
+    plan = best_megatron_plan(
+        EventDrivenSimulator(profiler, use_disk_cache=False), graph, batch
+    ).plan
     entry = _three_regimes(
         profiler,
         lambda sim: sim.run_model(graph, plan, batch, n_layers),

@@ -24,9 +24,9 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 from repro import (
+    EventDrivenSimulator,
     FabricProfiler,
     PrimeParOptimizer,
-    TrainingSimulator,
     build_block_graph,
     v100_cluster,
 )
@@ -84,7 +84,7 @@ class ComparisonCache:
         if key in self._results:
             return self._results[key]
         profiler = self.profiler(n_devices)
-        simulator = TrainingSimulator(profiler)
+        simulator = EventDrivenSimulator(profiler)
         graph = build_block_graph(model.block_shape(batch=batch))
         beam = beam_for(n_devices)
         megatron = best_megatron_plan(

@@ -12,9 +12,9 @@ Run:  python examples/custom_cluster.py
 
 from repro import (
     ClusterTopology,
+    EventDrivenSimulator,
     FabricProfiler,
     PrimeParOptimizer,
-    TrainingSimulator,
     torus_cluster,
     v100_cluster,
 )
@@ -46,7 +46,7 @@ def main() -> None:
     for label, topology in fabrics:
         profiler = FabricProfiler(topology)
         result = PrimeParOptimizer(profiler, alpha=2e-11).optimize(graph)
-        report = TrainingSimulator(profiler).run(graph, result.plan, batch)
+        report = EventDrivenSimulator(profiler).run(graph, result.plan, batch)
         plan = {n.split(".")[-1]: str(s) for n, s in result.plan.items()}
         print(f"{label}")
         print(f"  plan: fc1={plan['fc1']}  act={plan['act']}  fc2={plan['fc2']}")

@@ -10,9 +10,9 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
+    EventDrivenSimulator,
     FabricProfiler,
     PrimeParOptimizer,
-    TrainingSimulator,
     build_block_graph,
     v100_cluster,
 )
@@ -24,7 +24,7 @@ def main() -> None:
     # 1. The simulated cluster: 4 nodes x 4 V100s, NVLink + InfiniBand.
     topology = v100_cluster(16)
     profiler = FabricProfiler(topology)
-    simulator = TrainingSimulator(profiler)
+    simulator = EventDrivenSimulator(profiler)
 
     # 2. The workload: one transformer block of OPT-175B, global batch 16.
     batch = 16

@@ -8,7 +8,7 @@ primitive's mathematical correctness end to end.
 Quickstart::
 
     from repro import (
-        FabricProfiler, PrimeParOptimizer, TrainingSimulator,
+        EventDrivenSimulator, FabricProfiler, PrimeParOptimizer,
         build_block_graph, v100_cluster,
     )
     from repro.graph.models import OPT_175B
@@ -18,7 +18,7 @@ Quickstart::
     profiler = FabricProfiler(topology)
     graph = build_block_graph(OPT_175B.block_shape(batch=16))
     result = PrimeParOptimizer(profiler).optimize(graph)
-    report = TrainingSimulator(profiler).run_model(
+    report = EventDrivenSimulator(profiler).run_model(
         graph, result.plan, global_batch=16, n_layers=OPT_175B.n_layers
     )
     emit(f"{report.throughput} samples/s")
@@ -52,7 +52,7 @@ from .graph.transformer import BlockShape, build_block_graph, build_mlp_graph
 from .parallel3d.planner import Config3D, Planner3D, enumerate_configs
 from .runtime.verify import VerificationReport, verify_spec
 from .sim.engine import EventDrivenSimulator
-from .sim.executor import IterationReport, TrainingSimulator
+from .sim.executor import IterationReport
 from .sim.faults import (
     FaultModel,
     RobustnessReport,
@@ -87,7 +87,6 @@ __all__ = [
     "SearchResult",
     "SimulateRequest",
     "TemporalPartition",
-    "TrainingSimulator",
     "ValidationError",
     "VerificationReport",
     "build_block_graph",

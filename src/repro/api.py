@@ -8,10 +8,11 @@ Every surface that accepts a planning request — the ``primepar`` CLI, the
   :class:`SimulateRequest`, :class:`ExplainRequest`,
   :class:`RobustnessRequest`).  Each field carries its name, type,
   default, allowed values and help text; ``from_json`` validates against
-  them, the CLI generates its flags from them (:func:`request_fields`),
-  and each type names its HTTP ``endpoint``.  Validation errors carry the
-  offending field path (:class:`ValidationError`, mapped to HTTP 400 by
-  the server and exit code 2 by the CLI).
+  them and rejects any key that is not one of them, the CLI generates its
+  flags from them (:func:`request_fields`), and each type names its HTTP
+  ``endpoint``.  Validation errors carry the offending field path
+  (:class:`ValidationError`, mapped to HTTP 400 by the server and exit
+  code 2 by the CLI).
 * **Result envelopes** — helpers (:func:`stamp`, :func:`check_schema`,
   :func:`plan_to_json`, :func:`plan_from_json`) used by the schema-versioned
   ``to_json``/``from_json`` pairs on :class:`~repro.IterationReport`,
@@ -154,16 +155,27 @@ def _require_object(body: Any) -> Mapping[str, Any]:
     return body
 
 
-def _read(cls, body: Any) -> Dict[str, Any]:
+def _values(cls, body: Mapping[str, Any]) -> Dict[str, Any]:
     """Every field of ``cls`` from a flat body; absent fields default."""
-    body = _require_object(body)
     return {
         f.name: (
-            SearchRequest.from_json(body) if f.name == "search"
-            else _value(body, f)
+            SearchRequest._canonical(_values(SearchRequest, body))
+            if f.name == "search" else _value(body, f)
         )
         for f in fields(cls)
     }
+
+
+def _read(cls, body: Any) -> Dict[str, Any]:
+    """:func:`_values` of a body holding no key ``cls`` does not declare."""
+    body = _require_object(body)
+    known = {f.name for f in request_fields(cls)}
+    for key in body:
+        if key not in known and key != "schema_version":
+            raise ValidationError(
+                f"unknown field {key!r} for {cls.__name__}", str(key)
+            )
+    return _values(cls, body)
 
 
 class _Request:
@@ -224,7 +236,15 @@ class SearchRequest(_Request):
             ValidationError: With the offending field path on any
                 malformed or out-of-range field.
         """
-        values = _read(cls, body)
+        return cls._canonical(_read(cls, body))
+
+    @classmethod
+    def _canonical(cls, values: Dict[str, Any]) -> "SearchRequest":
+        """The request ``values`` spell, with ``batch == 0`` resolved.
+
+        Raises:
+            ValidationError: If ``devices`` is not a power of two in range.
+        """
         devices = values["devices"]
         if not 2 <= devices <= MAX_DEVICES or devices & (devices - 1):
             raise ValidationError(
@@ -262,11 +282,6 @@ class SimulateRequest(_Request):
     endpoint = "/v1/simulate"
 
     search: SearchRequest = field(default_factory=SearchRequest)
-    engine: str = _arg(
-        "event",
-        "discrete-event replay or the analytic fast path",
-        choices=("analytic", "event"),
-    )
     layers: int = _arg(
         0, "layers to simulate (0 = the model's full depth)", lo=0
     )
@@ -281,10 +296,10 @@ class SimulateRequest(_Request):
         return self.layers or MODELS_BY_KEY[self.search.model].n_layers
 
     def cache_key(self) -> str:
-        """Content hash of the replay (plan key, engine, depth)."""
+        """Content hash of the replay (plan key, depth)."""
         return diskcache.content_key(
             "simrequest", SCHEMA_VERSION, self.search.cache_key(),
-            self.engine, self.n_layers,
+            self.n_layers,
         )
 
 

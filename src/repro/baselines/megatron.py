@@ -15,15 +15,17 @@ with the highest simulated throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..cluster.profiler import FabricProfiler
+from ..cluster.topology import ClusterTopology
 from ..core.dims import Dim
 from ..core.partitions import DimPartition, PartitionStep, Replicate
 from ..core.spec import PartitionSpec
 from ..graph.graph import ComputationGraph
 from ..graph.operators import OpKind, OperatorSpec
-from ..sim.executor import IterationReport, TrainingSimulator
+from ..sim.engine import EventDrivenSimulator
+from ..sim.executor import IterationReport
 
 
 def _suffix(name: str) -> str:
@@ -103,23 +105,29 @@ class MegatronResult:
     report: IterationReport
 
 
+def megatron_plans(
+    graph: ComputationGraph, topology: ClusterTopology, global_batch: int
+) -> Iterator[Tuple[int, Dict[str, PartitionSpec]]]:
+    """Every feasible ``(dp_degree, plan)``, data parallelism ascending."""
+    dp_degree = 1
+    while dp_degree <= min(global_batch, topology.n_devices):
+        try:
+            yield dp_degree, megatron_plan(graph, topology.n_bits, dp_degree)
+        except ValueError:
+            pass
+        dp_degree *= 2
+
+
 def best_megatron_plan(
-    simulator: TrainingSimulator,
+    simulator: EventDrivenSimulator,
     graph: ComputationGraph,
     global_batch: int,
     n_layers: int = 1,
 ) -> MegatronResult:
     """Enumerate data-parallel degrees and keep the fastest (paper Sec. 6.1)."""
     topology = simulator.profiler.topology
-    n_bits = topology.n_bits
     best: Optional[MegatronResult] = None
-    dp_degree = 1
-    while dp_degree <= min(global_batch, topology.n_devices):
-        try:
-            plan = megatron_plan(graph, n_bits, dp_degree)
-        except ValueError:
-            dp_degree *= 2
-            continue
+    for dp_degree, plan in megatron_plans(graph, topology, global_batch):
         report = simulator.run_model(graph, plan, global_batch, n_layers)
         if best is None or report.throughput > best.report.throughput:
             best = MegatronResult(
@@ -128,7 +136,6 @@ def best_megatron_plan(
                 plan=plan,
                 report=report,
             )
-        dp_degree *= 2
     if best is None:
         raise ValueError("no feasible Megatron configuration")
     return best

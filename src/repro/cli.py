@@ -6,7 +6,7 @@ Installed as the ``primepar`` console script::
     primepar verify   --spec N-P2x2 --bits 3
     primepar compare  --model bloom-176b --devices 16 --batch 16
     primepar sweep3d  --model llama2-70b --devices 32 --batch 32
-    primepar simulate --model opt-6.7b --devices 8 --engine event --trace out.json
+    primepar simulate --model opt-6.7b --devices 8 --trace out.json
     primepar faults   --model opt-175b --devices 32 --faults straggler=0.2:1.8
     primepar serve    --port 8780 --max-concurrent 2 --lru-size 256
     primepar report   metrics.json
@@ -41,7 +41,6 @@ from . import (
     RobustnessRequest,
     SearchRequest,
     SimulateRequest,
-    TrainingSimulator,
     ValidationError,
     build_block_graph,
     v100_cluster,
@@ -67,21 +66,17 @@ logger = get_logger("cli")
 #: server's budget, and only ``search`` honours ``include_temporal``.
 _SKIP = ("deadline", "include_temporal")
 
-#: Every flat request field name a command's flags may set.
-_WIRE_FIELDS = frozenset(
-    f.name
-    for cls in (SimulateRequest, ExplainRequest, RobustnessRequest)
-    for f in request_fields(cls)
-)
-
 
 def _add_request_flags(parser, request_cls, skip=_SKIP, only=None) -> None:
     """One flag per field of ``request_cls``, all spelled by :mod:`repro.api`.
 
     Name, type, default, choices and help come from the field.  A boolean
     that defaults on gets ``--no-<flag>``; one that defaults off gets
-    ``--<flag>``/``--no-<flag>``.
+    ``--<flag>``/``--no-<flag>``.  Without ``only``, ``request_cls`` becomes
+    the command's request type (see :func:`request_body`).
     """
+    if only is None:
+        parser.set_defaults(request_type=request_cls)
     for f in request_fields(request_cls):
         if f.name in skip or (only is not None and f.name not in only):
             continue
@@ -138,15 +133,18 @@ def _read_fault_file(spec: str):
         ) from exc
 
 
-def request_body(args) -> Dict[str, Any]:
-    """The flat request body a command's flags spell.
+def request_body(args, request_cls=None) -> Dict[str, Any]:
+    """The flat ``request_cls`` body a command's flags spell.
 
-    Pass it to ``XRequest.from_json``: validation errors raise
+    ``request_cls`` defaults to the command's request type.  Pass the body
+    to ``request_cls.from_json``: validation errors raise
     :class:`repro.ValidationError` (exit code 2 in :func:`main`) with the
     exact message the serving daemon would return.
     """
     body = {
-        name: getattr(args, name) for name in _WIRE_FIELDS if hasattr(args, name)
+        f.name: getattr(args, f.name)
+        for f in request_fields(request_cls or args.request_type)
+        if hasattr(args, f.name)
     }
     if "faults" in body:
         body["faults"] = _read_fault_file(body["faults"])
@@ -174,7 +172,8 @@ def _plan_for(args, request: SearchRequest, profiler, graph, model):
     """The ``--plan`` to replay: Megatron's best or PrimePar's search."""
     if args.plan == "megatron":
         return best_megatron_plan(
-            TrainingSimulator(profiler), graph, request.batch, model.n_layers
+            EventDrivenSimulator(profiler), graph, request.batch,
+            model.n_layers,
         ).plan
     optimizer = _optimizer(args, request, profiler)
     return optimizer.optimize(graph, n_layers=model.n_layers).plan
@@ -203,7 +202,7 @@ def cmd_search(args) -> int:
     emit(f"search: {result.elapsed:.2f}s  layer cost {result.cost:.4f}")
     rows = [[name, str(spec)] for name, spec in sorted(result.plan.items())]
     emit(format_table(["operator", "partition sequence P"], rows))
-    report = TrainingSimulator(profiler).run_model(
+    report = EventDrivenSimulator(profiler).run_model(
         graph, result.plan, batch, model.n_layers
     )
     emit(
@@ -232,7 +231,7 @@ def cmd_compare(args) -> int:
     request = SearchRequest.from_json(request_body(args))
     model, profiler, graph = _setting(request)
     batch = request.batch
-    simulator = TrainingSimulator(profiler)
+    simulator = EventDrivenSimulator(profiler)
     logger.info(
         "comparing baselines for %s on %d devices", model.name, request.devices
     )
@@ -352,27 +351,21 @@ def _emit_fault_replay(replay, fault_model, scenario_index, profiler, graph,
 
 
 def cmd_simulate(args) -> int:
-    body = request_body(args)
-    request = SimulateRequest.from_json(body)
-    search, engine, n_layers = request.search, request.engine, request.n_layers
+    request = SimulateRequest.from_json(request_body(args))
+    search, n_layers = request.search, request.n_layers
     replay = None
     if args.faults:
-        if engine != "event":
-            raise ValidationError(
-                "--faults requires the event engine (--engine event)", "engine"
-            )
         # The replay reads --faults and --seed as a robustness request.
-        replay = RobustnessRequest.from_json(body)
+        replay = RobustnessRequest.from_json(
+            request_body(args, RobustnessRequest)
+        )
         fault_model = replay.fault_model()
     model, profiler, graph = _setting(search)
     plan = _plan_for(args, search, profiler, graph, model)
-    if engine == "event":
-        simulator = EventDrivenSimulator(profiler)
-    else:
-        simulator = TrainingSimulator(profiler)
+    simulator = EventDrivenSimulator(profiler)
     logger.info(
-        "simulating %s plan on the %s engine (%d devices, %d layers)",
-        args.plan, engine, search.devices, n_layers,
+        "simulating %s plan on the event engine (%d devices, %d layers)",
+        args.plan, search.devices, n_layers,
     )
     if args.profile:
         import cProfile
@@ -389,7 +382,7 @@ def cmd_simulate(args) -> int:
     else:
         report = simulator.run_model(graph, plan, search.batch, n_layers)
     emit(
-        f"{engine} engine: {model.name}, {search.devices} devices, "
+        f"event engine: {model.name}, {search.devices} devices, "
         f"batch {search.batch}, {n_layers} layers",
         f"iteration latency {report.latency * 1e3:.3f} ms, "
         f"{report.throughput:.2f} samples/s, "
@@ -411,7 +404,7 @@ def cmd_simulate(args) -> int:
 
         write_trace(
             args.trace,
-            report.timeline,
+            report.full_timeline(),
             profiler.topology,
             spans=get_collector().export(),
         )
@@ -948,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep3d)
 
     simulate = sub.add_parser(
-        "simulate", help="replay a plan on the analytic or event-driven engine"
+        "simulate", help="replay a plan on the event-driven engine"
     )
     _add_request_flags(simulate, SimulateRequest)
     _add_request_flags(simulate, RobustnessRequest, only=("faults", "seed"))
@@ -970,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--scenario", type=int, default=0,
         help="with --faults: replay this sampled scenario index on top of "
-             "the nominal run (event engine only; default 0)",
+             "the nominal run (default 0)",
     )
     _add_metrics_out(simulate)
     simulate.set_defaults(func=cmd_simulate)

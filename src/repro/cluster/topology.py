@@ -140,7 +140,7 @@ class ClusterTopology:
         ``nics_per_node * inter_link.bandwidth`` each) — concurrent streams
         touching a node, in either direction, share that pool.  Intra-node
         and torus-neighbour paths are dedicated point-to-point links, the
-        same assumption the analytic model makes.
+        same assumption the Eq. 7 cost model makes.
         """
         link = self.link_between(rank_a, rank_b)
         if not self.torus and not self.same_node(rank_a, rank_b):

@@ -25,7 +25,7 @@ from ..graph.tensors import DTYPE_BYTES
 from ..graph.transformer import build_block_graph
 from ..obs.metrics import counter
 from ..obs.spans import span
-from ..sim.executor import TrainingSimulator
+from ..sim.engine import EventDrivenSimulator
 from .pipeline import (
     PipelinePlan,
     PipelineReport,
@@ -139,7 +139,7 @@ class Planner3D:
 
     def _plan_for(
         self, method: str, m: int, micro: int
-    ) -> Tuple[Dict[str, PartitionSpec], TrainingSimulator, object]:
+    ) -> Tuple[Dict[str, PartitionSpec], EventDrivenSimulator, object]:
         from ..baselines.megatron import megatron_plan  # local: avoid cycle
 
         key = (method, m, micro)
@@ -153,7 +153,7 @@ class Planner3D:
             return cached
         topology = self._stage_topology(m)
         profiler = FabricProfiler(topology)
-        simulator = TrainingSimulator(profiler)
+        simulator = EventDrivenSimulator(profiler)
         graph = build_block_graph(self.model.block_shape(batch=micro))
         if method == "megatron":
             plan = megatron_plan(graph, topology.n_bits, dp_degree=1)

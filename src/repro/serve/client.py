@@ -91,7 +91,6 @@ class SimulateResponse:
     source: str
     plan_key: str
     plan_source: str
-    engine: str
     layers: int
     latency: float
     throughput: float
@@ -104,7 +103,6 @@ class SimulateResponse:
             source=payload["source"],
             plan_key=payload["plan_key"],
             plan_source=payload["plan_source"],
-            engine=payload["engine"],
             layers=payload["layers"],
             latency=payload["latency"],
             throughput=payload["throughput"],

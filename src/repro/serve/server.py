@@ -6,9 +6,9 @@ single-flight coalescing and admission control behind it.  Endpoints:
 
 * ``POST /v1/search``   — body: :class:`~repro.api.SearchRequest` fields
   (+ optional ``deadline`` seconds); returns the plan payload with ``key``
-  and ``source``.
-* ``POST /v1/simulate`` — search body + ``engine`` (``analytic``/``event``)
-  and ``layers``; returns latency/throughput/memory/breakdown.
+  and ``source``.  A body key no request field declares is a 400.
+* ``POST /v1/simulate`` — search body + ``layers``; replays the plan on the
+  event engine and returns latency/throughput/memory/breakdown.
 * ``POST /v1/explain``  — search body + ``links`` flag; returns the plan's
   cost decomposition (:mod:`repro.core.explain`) whose component fold
   equals the stored cost bit-exactly.

@@ -273,22 +273,15 @@ class PlanService:
 
         def run(profiler, graph, plan, payload) -> Dict[str, Any]:
             from ..sim.engine import EventDrivenSimulator
-            from ..sim.executor import TrainingSimulator
 
             search = request.search
-            simulator = (
-                EventDrivenSimulator(profiler)
-                if request.engine == "event"
-                else TrainingSimulator(profiler)
-            )
-            report = simulator.run_model(
+            report = EventDrivenSimulator(profiler).run_model(
                 graph, plan, search.batch, request.n_layers
             )
             return {
                 "model": search.model,
                 "devices": search.devices,
                 "batch": search.batch,
-                "engine": request.engine,
                 "layers": request.n_layers,
                 "latency": report.latency,
                 "throughput": report.throughput,

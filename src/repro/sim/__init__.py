@@ -1,12 +1,9 @@
 """Execution simulation: kernel timelines, iteration reports, memory playback.
 
-Two engines produce :class:`~repro.sim.executor.IterationReport`:
-
-* :class:`~repro.sim.executor.TrainingSimulator` — the analytic fast path
-  (closed-form kernel costs on a serial SPMD stream);
-* :class:`~repro.sim.engine.EventDrivenSimulator` — a discrete-event replay
-  with per-device streams and fabric-link contention, exportable as a
-  Chrome trace via :mod:`repro.sim.trace`.
+One engine replays plans: :class:`~repro.sim.engine.EventDrivenSimulator`,
+a discrete-event replay with per-device streams and fabric-link contention.
+It produces an :class:`~repro.sim.executor.IterationReport`, whose timeline
+exports as a Chrome trace via :mod:`repro.sim.trace`.
 
 :mod:`repro.sim.faults` layers seeded fault injection on the event engine
 (:class:`FaultyKernelGraph`) and Monte-Carlo robustness scoring on top
@@ -22,7 +19,7 @@ from .engine import (
     SimulationEngine,
     StreamResource,
 )
-from .executor import IterationReport, TrainingSimulator
+from .executor import IterationReport
 from .faults import (
     DegradedLink,
     FaultModel,
@@ -60,7 +57,6 @@ __all__ = [
     "StreamResource",
     "Straggler",
     "Timeline",
-    "TrainingSimulator",
     "evaluate_robustness",
     "pipeline_robustness",
     "robust_search",

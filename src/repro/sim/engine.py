@@ -1,8 +1,7 @@
 """Discrete-event simulation engine with per-device streams and link contention.
 
-The analytic :class:`~repro.sim.executor.TrainingSimulator` replays plans on a
-single serial SPMD stream and prices each kernel in closed form.  This module
-provides the event-driven substrate underneath the same cost models:
+The repo's one plan simulator.  Kernels are priced by the paper's cost
+models (Eq. 7–9); this module replays them on the simulated cluster:
 
 * :class:`SimulationEngine` — an indexed event queue and a simulated clock;
 * :class:`StreamResource` — a serial FIFO execution stream (one per device
@@ -16,15 +15,16 @@ provides the event-driven substrate underneath the same cost models:
 * :class:`KernelGraph` — builds a kernel DAG and executes it to completion;
 * :class:`EventDrivenSimulator` — lowers a partition plan to a kernel DAG
   (per-device compute steps, overlapped ring sends on real link resources,
-  all-reduce/redistribution barrier kernels) and produces the same
-  :class:`~repro.sim.executor.IterationReport` as the analytic path.
+  all-reduce/redistribution barrier kernels) and produces an
+  :class:`~repro.sim.executor.IterationReport`.
 
 On contention-free fabrics (intra-node NVLink rings, torus neighbours, plans
-without the temporal primitive) the event-driven latency reproduces the
-analytic one exactly.  Where cross-node rings share a NIC the fluid model
-counts *both* directions against the pool — the analytic model prices only
-``max(out, in)`` — so genuinely contended plans come out strictly slower,
-which is the fidelity gap this engine exists to expose.
+without the temporal primitive) the replayed latency equals Eq. 10's
+predicted latency (``explain_plan(..., alpha=0)["total_cost"]``).  Where
+cross-node rings share a NIC the fluid model counts *both* directions
+against the pool — Eq. 7 prices only ``max(out, in)`` — so genuinely
+contended plans come out strictly slower, which is the fidelity gap this
+engine exists to expose.
 
 Performance model (everything below preserves emitted timestamps bit for
 bit; ``tests/test_golden_engine.py`` holds the engine to that against a
@@ -56,6 +56,8 @@ frozen copy of the original implementation):
   boundary is synchronising (every device stream ends exactly at the
   makespan, so no contention or slack crosses the boundary); otherwise it
   falls back to replaying the full layer stack through the event engine.
+  A spliced report keeps the one-layer timeline and tiles it only on
+  demand (:meth:`~repro.sim.executor.IterationReport.full_timeline`).
   Reports are additionally memoized on disk through :mod:`repro.sim.simcache`
   (the ``PRIMEPAR_CACHE*`` knobs apply), with cached hits re-emitting the
   telemetry of the run they replace.
@@ -596,7 +598,7 @@ class PlanLowering:
 
 
 class EventDrivenSimulator:
-    """Event-driven counterpart of :class:`TrainingSimulator`.
+    """Replays partition plans on the simulated cluster.
 
     Lowers a partition plan to a kernel DAG — per-device compute step
     kernels, ring sends on the topology's link resources, all-reduce and
@@ -729,9 +731,7 @@ class EventDrivenSimulator:
         global_batch: int,
     ) -> IterationReport:
         """Simulate one iteration of ``graph`` under ``plan`` event-driven."""
-        with span(
-            "sim.run", engine="event", devices=self.topology.n_devices
-        ):
+        with span("sim.run", devices=self.topology.n_devices):
             report, _ = self._single_layer(graph, plan, global_batch)
             return report
 
@@ -757,9 +757,7 @@ class EventDrivenSimulator:
         :meth:`lower`'s output for this ``(graph, plan)``; without one the
         plan is lowered on the first replay that misses the report cache.
         """
-        with span(
-            "sim.run", engine="event", devices=self.topology.n_devices
-        ):
+        with span("sim.run", devices=self.topology.n_devices):
             if force_replay and n_layers > 1:
                 counter("sim.splice", outcome="forced_replay").inc()
                 return self._full_replay(
@@ -786,7 +784,7 @@ class EventDrivenSimulator:
         if not self.use_disk_cache:
             return None
         return simcache.report_key(
-            "event", self.profiler, graph, plan, global_batch, n_layers,
+            self.profiler, graph, plan, global_batch, n_layers,
             self.memory,
         )
 
@@ -799,7 +797,7 @@ class EventDrivenSimulator:
     ) -> Tuple[IterationReport, bool]:
         key = self._cache_key(graph, plan, global_batch, 1)
         if key is not None:
-            entry = simcache.load(key, "event")
+            entry = simcache.load(key)
             if entry is not None:
                 report = entry["report"]
                 self._replay_telemetry(report, entry["stats"])
@@ -808,7 +806,7 @@ class EventDrivenSimulator:
             graph, lowering or self.lower(graph, plan), global_batch, 1
         )
         if key is not None:
-            simcache.store(key, "event", report, spliceable, stats)
+            simcache.store(key, report, spliceable, stats)
         return report, spliceable
 
     def _full_replay(
@@ -821,7 +819,7 @@ class EventDrivenSimulator:
     ) -> IterationReport:
         key = self._cache_key(graph, plan, global_batch, n_layers)
         if key is not None:
-            entry = simcache.load(key, "event")
+            entry = simcache.load(key)
             if entry is not None:
                 report = entry["report"]
                 self._replay_telemetry(report, entry["stats"])
@@ -830,18 +828,16 @@ class EventDrivenSimulator:
             graph, lowering or self.lower(graph, plan), global_batch, n_layers
         )
         if key is not None:
-            simcache.store(key, "event", report, False, stats)
+            simcache.store(key, report, False, stats)
         return report
 
     @staticmethod
     def _replay_telemetry(report: IterationReport, stats: Mapping) -> None:
         """Re-emit the metrics a cached run would have recorded live."""
-        counter("sim.kernels_executed", engine="event").inc(
-            stats.get("kernels", 0)
-        )
+        counter("sim.kernels_executed").inc(stats.get("kernels", 0))
         for name in PERF_STAT_KEYS:
             if name in stats:
-                counter(f"sim.{name}", engine="event").inc(stats[name])
+                counter(f"sim.{name}").inc(stats[name])
         gauge("sim.peak_memory_bytes").track_max(report.peak_memory_bytes)
         if report.utilization is not None:
             record_utilization_metrics(report.utilization)
@@ -904,13 +900,13 @@ class EventDrivenSimulator:
         spliceable = n_layers == 1 and self._spliceable(kg, latency)
         timeline = kg.timeline()
         peak = n_layers * lowering.plan_memory
-        counter("sim.kernels_executed", engine="event").inc(len(kg.kernels))
+        counter("sim.kernels_executed").inc(len(kg.kernels))
         stats: Dict[str, int] = {"kernels": len(kg.kernels)}
         perf = getattr(kg, "perf_stats", None)
         if perf is not None:
             stats.update(perf())
             for name in PERF_STAT_KEYS:
-                counter(f"sim.{name}", engine="event").inc(stats[name])
+                counter(f"sim.{name}").inc(stats[name])
         gauge("sim.peak_memory_bytes").track_max(peak)
         busy_getter = getattr(kg, "device_busy_seconds", None)
         report = IterationReport(
@@ -931,7 +927,6 @@ class EventDrivenSimulator:
                         for k, v in lowering.watermark_composition.items()
                     },
                 },
-                engine="event",
                 busy_seconds=busy_getter() if busy_getter else None,
             ),
         )
@@ -982,9 +977,9 @@ class EventDrivenSimulator:
     ) -> None:
         """A cluster-wide collective: barrier, then one kernel per rank.
 
-        The analytic cost models already price the collective's internal
-        rounds (including NIC sharing among its own concurrent groups), so
-        the event engine schedules it as a synchronising kernel of that
+        The cost models already price the collective's internal rounds
+        (including NIC sharing among its own concurrent groups), so the
+        event engine schedules it as a synchronising kernel of that
         duration on every device stream.
         """
         if duration <= 0:
@@ -1095,8 +1090,10 @@ class EventDrivenSimulator:
         The schedule is SPMD, so rank 0's stream sees every kernel kind;
         overlapped ring traffic is summed across all links, and any stream
         idle time (waiting on ring transfers that outlast their compute
-        step) surfaces as ``ring-exposed`` — the same decomposition the
-        analytic path reports.
+        step) surfaces as ``ring-exposed``.  ``ring-overlapped`` is the
+        sum of every rank's ring sends, not one SPMD stream's per-step ring
+        latency (that per-operator figure is ``explain_plan``'s
+        ``ring_latency``).
         """
         breakdown: Dict[str, float] = {}
         visible = 0.0

@@ -1,29 +1,18 @@
-"""Simulated execution of one training iteration under a partition plan.
+"""Iteration reports of simulated training runs and their utilisation.
 
-Replays the SPMD schedule on the simulated cluster: Forward in topological
-order (with inter-operator redistribution before each consumer), then
-Backward and Gradient in reverse order, emitting compute, overlapped-ring,
-all-reduce and redistribution kernels onto a timeline.  Produces the
-quantities the paper's evaluation reports: iteration latency, training
+:class:`~repro.sim.engine.EventDrivenSimulator` replays a partition plan on
+the simulated cluster and returns an :class:`IterationReport`: the
+quantities the paper's evaluation reports — iteration latency, training
 throughput, latency breakdown (Fig. 2a / Fig. 9) and per-device peak memory
-(Fig. 8).
+(Fig. 8) — plus the kernel timeline and a utilisation summary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple
 
-from ..cluster.profiler import FabricProfiler
 from ..obs.metrics import counter, gauge
-from ..core.dims import Phase
-from ..core.cost.communication import CommunicationCostModel
-from ..core.cost.compute import ComputeCostModel
-from ..core.cost.inter import InterOperatorCostModel
-from ..core.cost.memory import MemoryCostModel
-from ..core.spec import PartitionSpec
-from ..graph.graph import ComputationGraph
-from .memory_tracker import track_iteration
 from .timeline import Timeline
 
 
@@ -71,8 +60,7 @@ def record_utilization_metrics(util: Mapping[str, object]) -> None:
     stringified by the registry, so emitting from the payload's string
     keys lands on the same series).
     """
-    engine = util.get("engine", "analytic")
-    counter("sim.iterations", engine=engine).inc()
+    counter("sim.iterations").inc()
     for device, fraction in util.get("device_busy_fraction", {}).items():
         gauge("sim.device_busy_fraction", device=device).set(fraction)
     link_bytes = util.get("link_bytes", {})
@@ -86,7 +74,6 @@ def build_utilization(
     latency: float,
     link_stats: Optional[Mapping[str, Tuple[float, float]]] = None,
     memory_watermark: Optional[Mapping[str, object]] = None,
-    engine: str = "analytic",
     busy_seconds: Optional[Mapping[int, float]] = None,
 ) -> Dict[str, object]:
     """Assemble an :attr:`IterationReport.utilization` payload.
@@ -97,7 +84,6 @@ def build_utilization(
     """
     busy = device_busy_fractions(timeline, busy_seconds)
     util: Dict[str, object] = {
-        "engine": engine,
         "device_busy_fraction": {str(d): f for d, f in busy.items()},
     }
     if link_stats:
@@ -146,14 +132,16 @@ class IterationReport:
         throughput: Training throughput, samples/second.
         peak_memory_bytes: Per-device peak memory (paper's memory model).
         breakdown: Visible time per kernel kind plus overlapped-ring total.
-        timeline: Full kernel schedule (Fig. 9's timelines).  Covers all
-            ``layers_scaled`` layers — whole-model reports tile the
-            single-layer schedule per layer.
+        timeline: Kernel schedule (Fig. 9's timelines).  A spliced
+            whole-model report keeps only its one-layer schedule here;
+            :meth:`full_timeline` tiles it over every layer.
         layers_scaled: Number of identical layers this report covers.
         utilization: Cluster utilisation summary (per-device busy
             fractions, per-link bytes and utilisation, memory watermark)
             — see :func:`build_utilization`.  ``None`` for reports built
             before telemetry was wired in.
+        tiles: Copies of ``timeline`` laid end to end that make up the
+            iteration — ``layers_scaled`` for a spliced report, else 1.
     """
 
     latency: float
@@ -163,6 +151,11 @@ class IterationReport:
     timeline: Timeline
     layers_scaled: int = 1
     utilization: Optional[Dict[str, object]] = None
+    tiles: int = 1
+
+    def full_timeline(self) -> Timeline:
+        """The schedule of the whole iteration (``timeline`` tiled)."""
+        return replicate_timeline(self.timeline, self.tiles)
 
     @property
     def collective_latency(self) -> float:
@@ -175,8 +168,8 @@ class IterationReport:
         """Extrapolate a single-layer report to ``n_layers`` identical layers.
 
         Latency, breakdown and per-device memory scale linearly (the SPMD
-        plan repeats per layer); the timeline is tiled so downstream
-        consumers (Fig. 9 renderers, trace export) see the full iteration.
+        plan repeats per layer).  The one-layer timeline is kept as is and
+        tiled only on demand (:meth:`full_timeline`, e.g. for trace export).
         """
         if self.layers_scaled != 1:
             raise ValueError("report already covers multiple layers")
@@ -209,9 +202,10 @@ class IterationReport:
             throughput=samples_per_second(global_batch, latency),
             peak_memory_bytes=self.peak_memory_bytes * n_layers,
             breakdown={k: v * n_layers for k, v in self.breakdown.items()},
-            timeline=replicate_timeline(self.timeline, n_layers),
+            timeline=self.timeline,
             layers_scaled=n_layers,
             utilization=utilization,
+            tiles=n_layers,
         )
 
     def to_json(self) -> Dict[str, object]:
@@ -228,6 +222,7 @@ class IterationReport:
                 "timeline": self.timeline.to_json(),
                 "layers_scaled": self.layers_scaled,
                 "utilization": self.utilization,
+                "tiles": self.tiles,
             },
         )
 
@@ -245,151 +240,5 @@ class IterationReport:
             timeline=Timeline.from_json(payload["timeline"]),
             layers_scaled=int(payload.get("layers_scaled", 1)),
             utilization=dict(utilization) if utilization is not None else None,
+            tiles=int(payload.get("tiles", 1)),
         )
-
-
-class TrainingSimulator:
-    """Replays partition plans on the simulated cluster.
-
-    Args:
-        profiler: Fabric profiler providing the cluster and cost models.
-        memory_model: Memory cost model (paper defaults when omitted).
-        use_disk_cache: Memoize whole-model reports through
-            :mod:`repro.sim.simcache` (noise-free profilers only).
-    """
-
-    def __init__(
-        self,
-        profiler: FabricProfiler,
-        memory_model: Optional[MemoryCostModel] = None,
-        use_disk_cache: bool = True,
-    ) -> None:
-        self.profiler = profiler
-        self.compute = ComputeCostModel(profiler.topology.device)
-        self.communication = CommunicationCostModel(profiler)
-        self.inter = InterOperatorCostModel(profiler)
-        self.memory = memory_model or MemoryCostModel()
-        self.use_disk_cache = use_disk_cache
-
-    # ------------------------------------------------------------------
-    # single iteration
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        graph: ComputationGraph,
-        plan: Mapping[str, PartitionSpec],
-        global_batch: int,
-    ) -> IterationReport:
-        """Simulate one iteration of ``graph`` under ``plan``."""
-        timeline = Timeline()
-        edge_costs = {
-            edge.key(): self.inter.directional_costs(
-                edge,
-                graph.node(edge.src),
-                plan[edge.src],
-                graph.node(edge.dst),
-                plan[edge.dst],
-            )
-            for edge in graph.edges
-        }
-
-        # ---- Forward ---------------------------------------------------
-        for node in graph.nodes:
-            spec = plan[node.name]
-            for edge in graph.in_edges(node.name):
-                fwd, _ = edge_costs[edge.key()]
-                timeline.emit(node.name, "-", "redistribute", fwd)
-            self._run_phase(timeline, node, spec, Phase.FORWARD)
-
-        # ---- Backward + Gradient (reverse order) ------------------------
-        for node in reversed(graph.nodes):
-            spec = plan[node.name]
-            for edge in graph.out_edges(node.name):
-                _, bwd = edge_costs[edge.key()]
-                timeline.emit(node.name, "-", "redistribute", bwd)
-            self._run_phase(timeline, node, spec, Phase.BACKWARD)
-            self._run_phase(timeline, node, spec, Phase.GRADIENT)
-            extras = self.communication.layernorm_extras(node, spec)
-            timeline.emit(node.name, "G", "allreduce", extras)
-
-        peak = self.memory.plan_memory(
-            (node, plan[node.name]) for node in graph.nodes
-        )
-        breakdown = timeline.totals_by_kind()
-        breakdown["ring-overlapped"] = sum(
-            r.duration for r in timeline.records if r.overlapped
-        )
-        latency = timeline.clock
-        watermark = track_iteration(graph, plan, self.memory)
-        return IterationReport(
-            latency=latency,
-            throughput=samples_per_second(global_batch, latency),
-            peak_memory_bytes=peak,
-            breakdown=breakdown,
-            timeline=timeline,
-            utilization=build_utilization(
-                timeline,
-                latency,
-                memory_watermark={
-                    "peak_bytes": watermark.peak,
-                    "composition": watermark.composition_at_peak(),
-                },
-                engine="analytic",
-            ),
-        )
-
-    def _run_phase(
-        self, timeline: Timeline, node, spec: PartitionSpec, phase: Phase
-    ) -> None:
-        step_compute = self.compute.step_latency(node, spec, phase)
-        rings = self.communication.ring_phase_latencies(node, spec, phase)
-        if step_compute <= 0 and not any(r > 0 for r in rings):
-            return
-        for ring in rings:
-            timeline.emit_step(node.name, phase.value, step_compute, ring)
-        allreduce = self.communication.allreduce_latency(node, spec, phase)
-        timeline.emit(node.name, phase.value, "allreduce", allreduce)
-
-    # ------------------------------------------------------------------
-    # whole-model extrapolation
-    # ------------------------------------------------------------------
-
-    def run_model(
-        self,
-        graph: ComputationGraph,
-        plan: Mapping[str, PartitionSpec],
-        global_batch: int,
-        n_layers: int,
-    ) -> IterationReport:
-        """Scale a one-layer simulation to ``n_layers`` identical layers.
-
-        Transformer models stack identical blocks, so latency, breakdown
-        and memory scale linearly in the layer count (the SPMD plan
-        repeats per layer); the timeline is tiled to cover every layer.
-
-        The single-layer report is memoized on disk (see
-        :mod:`repro.sim.simcache`); a hit replays the metrics the
-        simulation would have recorded, then rescales as usual.
-        """
-        from . import simcache
-
-        key = (
-            simcache.report_key(
-                "analytic", self.profiler, graph, plan, global_batch, 1,
-                self.memory,
-            )
-            if self.use_disk_cache
-            else None
-        )
-        if key is not None:
-            entry = simcache.load(key, "analytic")
-            if entry is not None:
-                single = entry["report"]
-                if single.utilization is not None:
-                    record_utilization_metrics(single.utilization)
-                return single.scaled_to_layers(n_layers, global_batch)
-        single = self.run(graph, plan, global_batch)
-        if key is not None:
-            simcache.store(key, "analytic", single, True)
-        return single.scaled_to_layers(n_layers, global_batch)

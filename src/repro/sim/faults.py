@@ -1113,14 +1113,17 @@ def robust_search(
     """Rank a plan portfolio by tail latency under ``fault_model``.
 
     The portfolio holds the PrimePar optimum with the temporal primitive,
-    the conventional (spatial-only) optimum, and the best Megatron-style
-    baseline; identical plans are evaluated once.  ``sim_layers`` bounds
-    the robustness replays (default: ``n_layers``); the plan *search*
-    always runs at ``n_layers``.
+    the conventional (spatial-only) optimum, and the Megatron-style
+    baseline whose degree Eq. 10 prices fastest (for Megatron's
+    contention-free plans that is the engine's own ranking, and no
+    candidate is replayed just to be discarded); identical plans are
+    evaluated once.  ``sim_layers`` bounds the robustness replays
+    (default: ``n_layers``); the plan *search* always runs at
+    ``n_layers``.
     """
-    from ..baselines.megatron import best_megatron_plan
+    from ..baselines.megatron import megatron_plans
+    from ..core.cost.overall import OverallCostModel
     from ..core.optimizer.strategy import PrimeParOptimizer
-    from .executor import TrainingSimulator
 
     depth = sim_layers if sim_layers else n_layers
     with span("faults.robust_search", objective=objective):
@@ -1136,10 +1139,12 @@ def robust_search(
             result = optimizer.optimize(graph, n_layers=n_layers,
                                         deadline=deadline)
             portfolio.append((label, dict(result.plan)))
-        megatron = best_megatron_plan(
-            TrainingSimulator(profiler), graph, global_batch, n_layers
+        cost = OverallCostModel(profiler)
+        _, megatron = min(
+            megatron_plans(graph, profiler.topology, global_batch),
+            key=lambda entry: cost.plan_cost(graph, entry[1]).latency,
         )
-        portfolio.append(("megatron", dict(megatron.plan)))
+        portfolio.append(("megatron", megatron))
 
         candidates: List[RobustCandidate] = []
         seen: Dict[str, RobustnessReport] = {}

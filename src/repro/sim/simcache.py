@@ -24,7 +24,7 @@ from .. import cache as diskcache
 from ..obs.metrics import counter
 
 #: Bump when report layout or engine semantics change meaning.
-SIM_SCHEMA = 1
+SIM_SCHEMA = 2
 
 #: Cache kind for iteration reports (file prefix in the cache directory).
 KIND = "simreport"
@@ -38,7 +38,6 @@ def _plan_fingerprint(plan: Mapping[str, Any]) -> Tuple:
 
 
 def report_key(
-    engine: str,
     profiler,
     graph,
     plan: Mapping[str, Any],
@@ -53,7 +52,6 @@ def report_key(
         return diskcache.content_key(
             KIND,
             SIM_SCHEMA,
-            engine,
             tuple(graph.nodes),
             tuple(graph.edges),
             _plan_fingerprint(plan),
@@ -70,19 +68,16 @@ def report_key(
         return None
 
 
-def load(key: str, engine: str) -> Optional[Dict[str, Any]]:
+def load(key: str) -> Optional[Dict[str, Any]]:
     """Fetch a cached ``{"report", "spliceable", "stats"}`` entry."""
     entry = diskcache.load(KIND, key)
     hit = isinstance(entry, dict) and "report" in entry
-    counter(
-        "sim.report_cache", outcome="hit" if hit else "miss", engine=engine
-    ).inc()
+    counter("sim.report_cache", outcome="hit" if hit else "miss").inc()
     return entry if hit else None
 
 
 def store(
     key: str,
-    engine: str,
     report,
     spliceable: bool,
     stats: Optional[Dict[str, float]] = None,
@@ -93,4 +88,4 @@ def store(
         key,
         {"report": report, "spliceable": spliceable, "stats": dict(stats or {})},
     )
-    counter("sim.report_cache", outcome="store", engine=engine).inc()
+    counter("sim.report_cache", outcome="store").inc()

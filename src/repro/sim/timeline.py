@@ -8,7 +8,7 @@ from typing import Any, Dict, List, Mapping
 
 @dataclass(frozen=True)
 class KernelRecord:
-    """One kernel occurrence on the SPMD execution stream.
+    """One kernel occurrence on a device stream or fabric link.
 
     Attributes:
         op: Operator node name.
@@ -18,9 +18,8 @@ class KernelRecord:
         duration: Kernel latency, seconds.
         overlapped: Whether the kernel runs concurrently with compute
             (ring communication under double buffering).
-        device: Device rank the kernel executes on (0 for the serial SPMD
-            stream of the analytic simulator; per-rank in event-driven
-            timelines).
+        device: Device rank (pipeline stage in pipeline timelines) the
+            kernel executes on; a ring transfer carries its sending rank.
     """
 
     op: str
@@ -58,55 +57,10 @@ class KernelRecord:
 
 @dataclass
 class Timeline:
-    """An append-only kernel schedule with a serial stream clock."""
+    """A kernel schedule and its makespan (``clock``, seconds)."""
 
     records: List[KernelRecord] = field(default_factory=list)
     clock: float = 0.0
-
-    def emit(
-        self,
-        op: str,
-        phase: str,
-        kind: str,
-        duration: float,
-        overlapped: bool = False,
-    ) -> KernelRecord:
-        """Append a kernel; non-overlapped kernels advance the clock."""
-        record = KernelRecord(
-            op=op,
-            phase=phase,
-            kind=kind,
-            start=self.clock,
-            duration=duration,
-            overlapped=overlapped,
-        )
-        if duration > 0:
-            self.records.append(record)
-        if not overlapped:
-            self.clock += duration
-        return record
-
-    def emit_step(
-        self, op: str, phase: str, compute: float, ring: float
-    ) -> None:
-        """One temporal step: compute with ring overlapped (Eq. 7's max).
-
-        Ring traffic hides under the compute kernel; any excess beyond the
-        compute latency surfaces as exposed ``ring-exposed`` time.
-        """
-        self.emit(op, phase, "ring", ring, overlapped=True)
-        self.emit(op, phase, "compute", compute)
-        if ring > compute:
-            self.emit(op, phase, "ring-exposed", ring - compute)
-
-    def totals_by_kind(self) -> Dict[str, float]:
-        """Aggregate visible (non-overlapped) duration per kernel kind."""
-        totals: Dict[str, float] = {}
-        for record in self.records:
-            if record.overlapped:
-                continue
-            totals[record.kind] = totals.get(record.kind, 0.0) + record.duration
-        return totals
 
     def to_json(self) -> Dict[str, Any]:
         return {

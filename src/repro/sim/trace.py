@@ -1,11 +1,12 @@
 """Chrome/Perfetto trace export of simulated kernel timelines.
 
-Converts a :class:`~repro.sim.timeline.Timeline` (analytic or event-driven)
-into the Chrome trace-event JSON format, loadable in ``chrome://tracing`` or
-https://ui.perfetto.dev.  Each device gets two tracks: a compute track for
-stream kernels (compute, all-reduce, redistribution, pipeline stages) and a
-communication track for overlapped ring transfers, so the overlap the
-temporal primitive buys is visible as parallel slices.
+Converts a :class:`~repro.sim.timeline.Timeline` (a plan replay's or a
+pipeline schedule's) into the Chrome trace-event JSON format, loadable in
+``chrome://tracing`` or https://ui.perfetto.dev.  Each device gets two
+tracks: a compute track for stream kernels (compute, all-reduce,
+redistribution, pipeline stages) and a communication track for overlapped
+ring transfers, so the overlap the temporal primitive buys is visible as
+parallel slices.
 
 Layout:
 

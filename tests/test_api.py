@@ -83,8 +83,7 @@ class TestSearchRequest:
 class TestNestedRequests:
     def test_simulate_round_trip(self):
         request = SimulateRequest(
-            search=SearchRequest(devices=4, batch=8),
-            engine="event", layers=2,
+            search=SearchRequest(devices=4, batch=8), layers=2,
         )
         clone = SimulateRequest.from_json(
             json.loads(json.dumps(request.to_json()))
@@ -92,6 +91,7 @@ class TestNestedRequests:
         assert clone == request
 
     def test_simulate_engine_validated(self):
+        """The retired engine choice is an unknown field, not ignored."""
         with pytest.raises(ValidationError) as err:
             SimulateRequest.from_json({"engine": "quantum"})
         assert err.value.field == "engine"

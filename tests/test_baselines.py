@@ -9,7 +9,7 @@ from repro.core import analysis
 from repro.core.dims import Dim, Phase
 from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.core.partitions import Replicate
-from repro.sim.executor import TrainingSimulator
+from repro.sim.engine import EventDrivenSimulator
 
 
 class TestMegatronPlan:
@@ -83,7 +83,7 @@ class TestMegatronPlan:
 
 class TestBestMegatron:
     def test_enumeration_returns_best(self, profiler8, large_block):
-        simulator = TrainingSimulator(profiler8)
+        simulator = EventDrivenSimulator(profiler8)
         best = best_megatron_plan(simulator, large_block, global_batch=8)
         assert best.dp_degree * best.mp_degree == 8
         # Every other feasible degree is no faster.
@@ -107,7 +107,7 @@ class TestAlpa:
 
     def test_alpa_at_least_as_good_as_megatron(self, profiler8, large_block):
         """Alpa searches a superset of Megatron's manual plans."""
-        simulator = TrainingSimulator(profiler8)
+        simulator = EventDrivenSimulator(profiler8)
         meg = best_megatron_plan(simulator, large_block, global_batch=8)
         alpa = alpa_plan(profiler8, large_block)
         alpa_report = simulator.run_model(large_block, alpa.plan, 8, 1)
@@ -125,7 +125,7 @@ class TestIdealMemory:
 
     def test_ideal_below_any_real_plan(self, profiler8, large_block):
         """No replication means the ideal is a lower bound (Fig. 2b)."""
-        simulator = TrainingSimulator(profiler8)
+        simulator = EventDrivenSimulator(profiler8)
         plan = megatron_plan(large_block, 3, dp_degree=2)
         report = simulator.run(large_block, plan, 8)
         # The real plan double-buffers nothing here, but replicates LNs and

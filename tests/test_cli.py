@@ -39,7 +39,7 @@ class TestParser:
 
     def test_simulate_defaults(self):
         args = build_parser().parse_args(["simulate"])
-        assert args.engine == "event"
+        assert not hasattr(args, "engine")
         assert args.plan == "primepar"
         assert args.trace == ""
 
@@ -63,10 +63,6 @@ class TestParser:
         with pytest.raises(ValidationError) as err:
             request_body(missing)
         assert err.value.field == "faults"
-
-    def test_simulate_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "--engine", "psychic"])
 
 
 class TestCommands:
@@ -140,17 +136,16 @@ class TestCommands:
         result = json.loads(capsys.readouterr().out)
         assert result["candidates"]
 
-    def test_simulate_analytic_megatron(self, capsys):
+    def test_simulate_megatron(self, capsys):
         code = main(
             [
                 "simulate", "--model", "opt-6.7b", "--devices", "4",
-                "--batch", "8", "--layers", "1", "--engine", "analytic",
-                "--plan", "megatron",
+                "--batch", "8", "--layers", "1", "--plan", "megatron",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "analytic engine" in out
+        assert "event engine" in out
 
     def test_simulate_profile_writes_pstats(self, capsys, tmp_path):
         import pstats

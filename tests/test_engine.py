@@ -1,5 +1,5 @@
-"""Discrete-event engine: DES core, cross-validation against the analytic
-simulator, link contention, and event-driven pipeline schedules."""
+"""Discrete-event engine: DES core, cross-validation against Eq. 10's
+predicted latency, link contention, and event-driven pipeline schedules."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from repro.cluster.links import LinkSpec
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import torus_cluster, v100_cluster
 from repro.core.dims import Dim
+from repro.core.explain import explain_plan
 from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.core.spec import PartitionSpec
 from repro.graph.graph import ComputationGraph
@@ -23,7 +24,13 @@ from repro.sim.engine import (
     KernelGraph,
     SimulationEngine,
 )
-from repro.sim.executor import TrainingSimulator
+
+
+def predicted(profiler, graph, plan):
+    """Eq. 10's cost of ``plan`` at ``alpha = 0``: its predicted latency,
+    plus the per-device memory the Eq. 7 terms price."""
+    doc = explain_plan(profiler, graph, plan, alpha=0)
+    return doc["total_cost"], doc["memory_bytes"], doc["components"]
 
 
 class TestSimulationEngine:
@@ -123,32 +130,30 @@ class TestKernelGraph:
 
 
 class TestCrossValidation:
-    """Event-driven latency matches the analytic path on contention-free
-    configurations (ISSUE acceptance: within 1% on at least three)."""
+    """Event-driven latency matches Eq. 10's prediction on contention-free
+    configurations (within 1% on at least three)."""
 
     def _compare(self, profiler, graph, plan, batch):
-        analytic = TrainingSimulator(profiler).run(graph, plan, batch)
+        latency, memory, components = predicted(profiler, graph, plan)
         event = EventDrivenSimulator(profiler).run(graph, plan, batch)
-        assert event.latency == pytest.approx(analytic.latency, rel=0.01)
-        assert event.peak_memory_bytes == pytest.approx(
-            analytic.peak_memory_bytes
-        )
+        assert event.latency == pytest.approx(latency, rel=0.01)
+        assert event.peak_memory_bytes == pytest.approx(memory)
         visible = sum(
             v for k, v in event.breakdown.items() if k != "ring-overlapped"
         )
         assert visible == pytest.approx(event.latency, rel=1e-9)
-        return analytic, event
+        return components, event
 
     def test_megatron_plan_two_nodes(self, profiler8, large_block):
         plan = megatron_plan(large_block, 3, dp_degree=2)
-        analytic, event = self._compare(profiler8, large_block, plan, 8)
+        components, event = self._compare(profiler8, large_block, plan, 8)
         assert event.breakdown.get("allreduce", 0) == pytest.approx(
-            analytic.breakdown.get("allreduce", 0), rel=1e-9
+            components["allreduce"], rel=1e-9
         )
 
     def test_primepar_plan_single_node(self, profiler4, small_mlp):
         plan = PrimeParOptimizer(profiler4, alpha=2e-11).optimize(small_mlp).plan
-        analytic, event = self._compare(profiler4, small_mlp, plan, 8)
+        _, event = self._compare(profiler4, small_mlp, plan, 8)
         if any(spec.has_temporal for spec in plan.values()):
             assert event.breakdown.get("ring-overlapped", 0) > 0
 
@@ -177,20 +182,19 @@ class TestCrossValidation:
         self._compare(profiler, small_mlp, plan, 8)
 
     def test_run_model_scales_like_analytic(self, profiler8, large_block):
+        """Four layers take four times Eq. 10's one-layer prediction."""
         plan = megatron_plan(large_block, 3, dp_degree=2)
-        analytic = TrainingSimulator(profiler8).run_model(
-            large_block, plan, 8, n_layers=4
-        )
+        latency, _, _ = predicted(profiler8, large_block, plan)
         event = EventDrivenSimulator(profiler8).run_model(
             large_block, plan, 8, n_layers=4
         )
-        assert event.latency == pytest.approx(analytic.latency, rel=0.01)
+        assert event.latency == pytest.approx(4 * latency, rel=0.01)
         assert event.layers_scaled == 4
 
 
 class TestContention:
     """A cross-node ring sharing node NICs must come out strictly slower
-    event-driven than analytic — the engine's reason to exist."""
+    event-driven than Eq. 10 predicts — the engine's reason to exist."""
 
     @pytest.fixture(scope="class")
     def contended(self):
@@ -208,13 +212,13 @@ class TestContention:
         graph = ComputationGraph(nodes=[fc], edges=[])
         plan = {"fc": PartitionSpec.from_string("P2x2", 2)}
         profiler = FabricProfiler(v100_cluster(4, gpus_per_node=2))
-        analytic = TrainingSimulator(profiler).run(graph, plan, 2)
+        latency, _, _ = predicted(profiler, graph, plan)
         event = EventDrivenSimulator(profiler).run(graph, plan, 2)
-        return analytic, event
+        return latency, event
 
     def test_event_strictly_slower(self, contended):
-        analytic, event = contended
-        assert event.latency > analytic.latency * 1.05
+        latency, event = contended
+        assert event.latency > latency * 1.05
 
     def test_excess_shows_as_exposed_ring(self, contended):
         _, event = contended
@@ -222,12 +226,12 @@ class TestContention:
 
     def test_same_node_ring_stays_exact(self, small_mlp):
         # The identical plan inside one node (NVLink only) has no shared
-        # resource on any path and must match the analytic model.
+        # resource on any path and must match Eq. 10's prediction.
         profiler = FabricProfiler(v100_cluster(4))
         plan = PrimeParOptimizer(profiler, alpha=2e-11).optimize(small_mlp).plan
-        analytic = TrainingSimulator(profiler).run(small_mlp, plan, 8)
+        latency, _, _ = predicted(profiler, small_mlp, plan)
         event = EventDrivenSimulator(profiler).run(small_mlp, plan, 8)
-        assert event.latency == pytest.approx(analytic.latency, rel=1e-6)
+        assert event.latency == pytest.approx(latency, rel=1e-6)
 
 
 class TestEventPipeline:
@@ -302,12 +306,12 @@ class TestEventPipeline:
 
 
 class TestRandomizedCrossValidation:
-    """Seeded property test: event engine == analytic model, 50 random
+    """Seeded property test: event engine == Eq. 10, 50 random
     contention-free configurations.
 
     On a single node every transfer rides a dedicated NVLink path, so the
     fluid-contention machinery must be a no-op and the event-driven latency
-    must reproduce the analytic closed form to float precision.  The seed is
+    must reproduce Eq. 10's closed form to float precision.  The seed is
     fixed so failures replay exactly; each assertion carries its case index
     and generated plan for triage.
     """
@@ -345,19 +349,14 @@ class TestRandomizedCrossValidation:
 
         rng = random.Random(20260805)
         profiler = FabricProfiler(v100_cluster(4))
-        analytic_sim = TrainingSimulator(profiler, use_disk_cache=False)
         event_sim = EventDrivenSimulator(profiler, use_disk_cache=False)
         for case in range(50):
             graph, plan, batch, spec_text = self._random_case(rng)
-            analytic = analytic_sim.run(graph, plan, batch)
+            latency, memory, _ = predicted(profiler, graph, plan)
             event = event_sim.run(graph, plan, batch)
             context = (case, spec_text, batch)
-            assert event.latency == pytest.approx(
-                analytic.latency, rel=1e-6
-            ), context
-            assert event.peak_memory_bytes == analytic.peak_memory_bytes, (
-                context
-            )
+            assert event.latency == pytest.approx(latency, rel=1e-6), context
+            assert event.peak_memory_bytes == memory, context
 
     def test_random_configs_are_deterministic(self):
         """Replaying one random config twice yields identical timelines."""

@@ -31,7 +31,7 @@ from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.graph.models import MODELS_BY_KEY, OPT_175B
 from repro.graph.transformer import build_block_graph
 from repro.parallel3d.planner import Config3D, Planner3D
-from repro.sim.executor import TrainingSimulator
+from repro.sim.engine import EventDrivenSimulator
 
 ALPHA = 2e-11
 
@@ -66,7 +66,7 @@ class TestExplainPlan:
     def test_megatron_plan_components_sum_bit_exactly(self, setting8):
         profiler, graph, model = setting8
         plan = best_megatron_plan(
-            TrainingSimulator(profiler), graph, 8, model.n_layers
+            EventDrivenSimulator(profiler), graph, 8, model.n_layers
         ).plan
         doc = _assert_bit_exact(profiler, graph, plan, ALPHA)
         assert doc["schema"] == EXPLAIN_SCHEMA
@@ -87,7 +87,7 @@ class TestExplainPlan:
     def test_alpha_zero_drops_memory_component(self, setting8):
         profiler, graph, model = setting8
         plan = best_megatron_plan(
-            TrainingSimulator(profiler), graph, 8, model.n_layers
+            EventDrivenSimulator(profiler), graph, 8, model.n_layers
         ).plan
         doc = _assert_bit_exact(profiler, graph, plan, 0.0)
         assert doc["components"]["memory_weighted"] == 0.0
@@ -115,7 +115,7 @@ class TestExplainPlan:
     def test_document_is_json_serializable_and_ordered(self, setting8):
         profiler, graph, model = setting8
         plan = best_megatron_plan(
-            TrainingSimulator(profiler), graph, 8, model.n_layers
+            EventDrivenSimulator(profiler), graph, 8, model.n_layers
         ).plan
         doc = explain_plan(profiler, graph, plan, alpha=ALPHA)
         assert doc["component_order"] == list(COMPONENT_ORDER)

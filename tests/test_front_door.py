@@ -4,7 +4,8 @@ For each endpoint the same inputs are spelled three ways — ``primepar``
 flags through ``build_parser``, the flat HTTP body through
 ``XRequest.from_json``, and Python keyword arguments — and must give equal
 canonical requests with equal plan and derived cache keys.  With no flags
-at all, every command's request is the request an empty body makes.
+at all, every command's request is the request an empty body makes, and a
+body key no request field declares is rejected rather than ignored.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.api import (
     RobustnessRequest,
     SearchRequest,
     SimulateRequest,
+    ValidationError,
 )
 from repro.cli import build_parser, request_body
 from repro.serve.server import ROUTES
@@ -46,9 +48,9 @@ CASES = {
     ),
     "simulate": (
         SimulateRequest,
-        ["simulate", *SEARCH_ARGV, "--engine", "analytic", "--layers", "2"],
-        {**SEARCH_BODY, "engine": "analytic", "layers": 2},
-        SimulateRequest(search=SEARCH, engine="analytic", layers=2),
+        ["simulate", *SEARCH_ARGV, "--layers", "2"],
+        {**SEARCH_BODY, "layers": 2},
+        SimulateRequest(search=SEARCH, layers=2),
     ),
     "explain": (
         ExplainRequest,
@@ -109,3 +111,23 @@ def test_every_door_builds_the_same_request(endpoint):
 def test_parser_defaults_are_the_request_defaults(command, cls):
     args = build_parser().parse_args([command])
     assert cls.from_json(request_body(args)) == cls.from_json({})
+
+
+@pytest.mark.parametrize(
+    "cls, body, key",
+    [
+        (SearchRequest, {"devics": 64}, "devics"),
+        (SearchRequest, {**SEARCH_BODY, "layers": 2}, "layers"),
+        (SimulateRequest, {"faults": "outage=0.1"}, "faults"),
+        (ExplainRequest, {"links": True, "trace": 1}, "trace"),
+        (RobustnessRequest, {"scenario": 3}, "scenario"),
+    ],
+)
+def test_unknown_keys_are_rejected(cls, body, key):
+    """A key no field of the request (or its nested search) declares is a
+    validation error on that key — HTTP 400 — never silently ignored."""
+    with pytest.raises(ValidationError) as err:
+        cls.from_json(body)
+    assert err.value.field == key
+    assert repr(key) in str(err.value)
+

@@ -3,9 +3,9 @@
 import pytest
 
 from repro import (
+    EventDrivenSimulator,
     FabricProfiler,
     PrimeParOptimizer,
-    TrainingSimulator,
     build_block_graph,
     v100_cluster,
     verify_spec,
@@ -45,7 +45,7 @@ class TestHeadlineComparison:
     def setting16(self):
         topology = v100_cluster(16)
         profiler = FabricProfiler(topology)
-        simulator = TrainingSimulator(profiler)
+        simulator = EventDrivenSimulator(profiler)
         graph = build_block_graph(OPT_175B.block_shape(batch=16))
         return profiler, simulator, graph
 
@@ -86,7 +86,7 @@ class TestSmallModelParity:
     def test_7b_models_at_small_scale_are_close(self, profiler8):
         """~7B models gain little (paper: 1.16-1.20x at most)."""
         graph = build_block_graph(OPT_6_7B.block_shape(batch=8))
-        simulator = TrainingSimulator(profiler8)
+        simulator = EventDrivenSimulator(profiler8)
         megatron = best_megatron_plan(simulator, graph, global_batch=8)
         result = PrimeParOptimizer(profiler8, alpha=2e-11).optimize(graph)
         report = simulator.run_model(graph, result.plan, 8, 1)

@@ -468,7 +468,7 @@ class TestCli:
         code, out = self._run(
             [
                 "simulate", "--model", "opt-6.7b", "--devices", "4",
-                "--batch", "4", "--layers", "2", "--engine", "event",
+                "--batch", "4", "--layers", "2",
             ],
             capsys,
         )

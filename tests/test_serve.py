@@ -507,23 +507,21 @@ class TestHTTPEndpoints:
         response = client.simulate(
             SimulateRequest(
                 search=SearchRequest(model=MODEL, devices=2, batch=8),
-                engine="analytic",
                 layers=2,
             )
         )
-        assert response.engine == "analytic"
         assert response.layers == 2
         assert response.throughput > 0
         assert response.latency > 0
         assert response.breakdown
         assert response.plan_source in ("computed", "memory", "disk")
+        # A key no request field declares (here the retired engine choice)
+        # is a 400, not silently ignored.
+        stale = {**SimulateRequest().to_json(), "engine": "event"}
         with pytest.raises(ServeError) as err:
-            client.simulate(
-                SimulateRequest(
-                    search=SearchRequest(devices=2), engine="quantum"
-                )
-            )
+            client._json("POST", SimulateRequest.endpoint, stale)
         assert err.value.status == 400
+        assert "engine" in err.value.message
 
     def test_metrics_exposition_parses(self, server):
         client = PlanClient(server.url)

@@ -1,51 +1,14 @@
-"""Execution simulator: timelines, breakdowns, model scaling."""
+"""Plan replay on the event engine: reports, breakdowns, model scaling."""
 
 import pytest
 
 from repro.baselines.megatron import megatron_plan
 from repro.core.optimizer.strategy import PrimeParOptimizer
-from repro.sim.executor import TrainingSimulator
-from repro.sim.timeline import KernelRecord, Timeline
+from repro.sim.engine import EventDrivenSimulator
+from repro.sim.timeline import KernelRecord
 
 
 class TestTimeline:
-    def test_emit_advances_clock(self):
-        timeline = Timeline()
-        timeline.emit("op", "F", "compute", 0.5)
-        assert timeline.clock == 0.5
-        timeline.emit("op", "F", "allreduce", 0.25)
-        assert timeline.clock == 0.75
-
-    def test_overlapped_does_not_advance(self):
-        timeline = Timeline()
-        timeline.emit("op", "F", "ring", 0.3, overlapped=True)
-        assert timeline.clock == 0.0
-        assert timeline.records[0].overlapped
-
-    def test_zero_duration_not_recorded(self):
-        timeline = Timeline()
-        timeline.emit("op", "F", "allreduce", 0.0)
-        assert not timeline.records
-
-    def test_emit_step_exposes_excess_ring(self):
-        timeline = Timeline()
-        timeline.emit_step("op", "F", compute=0.2, ring=0.5)
-        assert timeline.clock == pytest.approx(0.5)
-        kinds = [r.kind for r in timeline.records]
-        assert "ring-exposed" in kinds
-
-    def test_emit_step_hides_small_ring(self):
-        timeline = Timeline()
-        timeline.emit_step("op", "F", compute=0.5, ring=0.2)
-        assert timeline.clock == pytest.approx(0.5)
-
-    def test_totals_by_kind_excludes_overlapped(self):
-        timeline = Timeline()
-        timeline.emit("a", "F", "compute", 1.0)
-        timeline.emit("a", "F", "ring", 5.0, overlapped=True)
-        totals = timeline.totals_by_kind()
-        assert totals == {"compute": 1.0}
-
     def test_record_end(self):
         record = KernelRecord("a", "F", "compute", start=1.0, duration=0.5)
         assert record.end == 1.5
@@ -54,7 +17,7 @@ class TestTimeline:
 class TestSimulator:
     @pytest.fixture(scope="class")
     def report8(self, profiler8, large_block):
-        simulator = TrainingSimulator(profiler8)
+        simulator = EventDrivenSimulator(profiler8)
         plan = megatron_plan(large_block, 3, dp_degree=2)
         return simulator.run(large_block, plan, global_batch=8)
 
@@ -72,17 +35,18 @@ class TestSimulator:
         assert report8.breakdown.get("allreduce", 0) > 0
 
     def test_timeline_is_ordered(self, report8):
-        clock = 0.0
+        clocks = {}
         for record in report8.timeline.records:
             if not record.overlapped:
+                clock = clocks.get(record.device, 0.0)
                 assert record.start >= clock - 1e-12
-                clock = record.end
+                clocks[record.device] = record.end
 
     def test_memory_positive(self, report8):
         assert report8.peak_memory_bytes > 0
 
     def test_run_model_scales_linearly(self, profiler8, large_block):
-        simulator = TrainingSimulator(profiler8)
+        simulator = EventDrivenSimulator(profiler8)
         plan = megatron_plan(large_block, 3, dp_degree=2)
         one = simulator.run_model(large_block, plan, 8, n_layers=1)
         four = simulator.run_model(large_block, plan, 8, n_layers=4)
@@ -93,7 +57,7 @@ class TestSimulator:
         assert four.throughput == pytest.approx(one.throughput / 4)
 
     def test_primepar_plan_has_overlapped_ring(self, profiler8, large_block):
-        simulator = TrainingSimulator(profiler8)
+        simulator = EventDrivenSimulator(profiler8)
         result = PrimeParOptimizer(profiler8, alpha=2e-11).optimize(large_block)
         report = simulator.run(large_block, result.plan, 8)
         if any(spec.has_temporal for spec in result.plan.values()):

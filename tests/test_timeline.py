@@ -6,76 +6,22 @@ from repro.sim.executor import replicate_timeline, samples_per_second
 from repro.sim.timeline import KernelRecord, Timeline
 
 
-class TestEmit:
-    def test_zero_duration_never_recorded(self):
-        timeline = Timeline()
-        timeline.emit("op", "F", "compute", 0.0)
-        timeline.emit("op", "F", "ring", 0.0, overlapped=True)
-        assert timeline.records == []
-        assert timeline.clock == 0.0
-
-    def test_negative_advance_impossible(self):
-        timeline = Timeline()
-        timeline.emit("op", "F", "compute", 0.25)
-        timeline.emit("op", "F", "allreduce", 0.0)
-        assert timeline.clock == pytest.approx(0.25)
-
-    def test_records_carry_device_default(self):
-        timeline = Timeline()
-        record = timeline.emit("op", "F", "compute", 0.1)
-        assert record.device == 0
+def _one_layer(*records: KernelRecord) -> Timeline:
+    """A timeline of ``records`` whose clock is the last record's end."""
+    return Timeline(
+        records=list(records), clock=max(r.end for r in records)
+    )
 
 
-class TestEmitStep:
-    def test_exposes_exactly_ring_minus_compute(self):
-        timeline = Timeline()
-        timeline.emit_step("op", "F", compute=0.2, ring=0.7)
-        exposed = [r for r in timeline.records if r.kind == "ring-exposed"]
-        assert len(exposed) == 1
-        assert exposed[0].duration == pytest.approx(0.7 - 0.2)
-        assert timeline.clock == pytest.approx(0.7)
-
-    def test_no_exposure_when_ring_hides(self):
-        timeline = Timeline()
-        timeline.emit_step("op", "F", compute=0.7, ring=0.2)
-        assert not any(r.kind == "ring-exposed" for r in timeline.records)
-        assert timeline.clock == pytest.approx(0.7)
-
-    def test_equal_ring_and_compute_has_no_exposure(self):
-        timeline = Timeline()
-        timeline.emit_step("op", "F", compute=0.5, ring=0.5)
-        assert not any(r.kind == "ring-exposed" for r in timeline.records)
-        assert timeline.clock == pytest.approx(0.5)
-
-    def test_ring_record_is_overlapped(self):
-        timeline = Timeline()
-        timeline.emit_step("op", "F", compute=0.5, ring=0.2)
-        rings = [r for r in timeline.records if r.kind == "ring"]
-        assert rings and all(r.overlapped for r in rings)
-
-
-class TestTotals:
-    def test_totals_exclude_overlapped(self):
-        timeline = Timeline()
-        timeline.emit("a", "F", "compute", 1.0)
-        timeline.emit("a", "F", "ring", 9.0, overlapped=True)
-        timeline.emit("a", "B", "compute", 0.5)
-        assert timeline.totals_by_kind() == {"compute": 1.5}
-
-    def test_totals_sum_to_clock(self):
-        timeline = Timeline()
-        timeline.emit_step("a", "F", compute=0.2, ring=0.9)
-        timeline.emit("a", "F", "allreduce", 0.3)
-        assert sum(timeline.totals_by_kind().values()) == pytest.approx(
-            timeline.clock
-        )
+COMPUTE = KernelRecord("a", "F", "compute", start=0.0, duration=0.25)
+RING = KernelRecord(
+    "a", "F", "ring", start=0.0, duration=0.1, overlapped=True
+)
 
 
 class TestReplication:
     def test_replicate_tiles_clock_and_records(self):
-        timeline = Timeline()
-        timeline.emit("a", "F", "compute", 0.25)
-        timeline.emit("a", "F", "ring", 0.1, overlapped=True)
+        timeline = _one_layer(COMPUTE, RING)
         tiled = replicate_timeline(timeline, 3)
         assert tiled.clock == pytest.approx(3 * 0.25)
         assert len(tiled.records) == 3 * len(timeline.records)
@@ -83,13 +29,11 @@ class TestReplication:
         assert starts == pytest.approx([0.0, 0.25, 0.5])
 
     def test_replicate_single_layer_is_identity(self):
-        timeline = Timeline()
-        timeline.emit("a", "F", "compute", 0.25)
+        timeline = _one_layer(COMPUTE)
         assert replicate_timeline(timeline, 1) is timeline
 
     def test_replicate_preserves_record_fields(self):
-        timeline = Timeline()
-        timeline.emit("a", "F", "ring", 0.1, overlapped=True)
+        timeline = _one_layer(RING)
         tiled = replicate_timeline(timeline, 2)
         assert all(r.overlapped for r in tiled.records)
         assert all(r.op == "a" for r in tiled.records)

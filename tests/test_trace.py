@@ -1,6 +1,7 @@
 """Chrome trace export: structural validation of the emitted JSON."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core.spec import PartitionSpec
 from repro.graph.graph import ComputationGraph
 from repro.graph.operators import OpKind, OperatorSpec
 from repro.sim.engine import EventDrivenSimulator
+from repro.sim.timeline import Timeline
 from repro.sim.trace import timeline_to_trace, write_trace
 
 
@@ -122,18 +124,35 @@ class TestWriteTrace:
         assert doc["traceEvents"]
         assert _complete_events(doc)
 
-    def test_analytic_timeline_exports_too(self, profiler8, large_block, tmp_path):
-        from repro.sim.executor import TrainingSimulator
 
+class TestSplicedTrace:
+    def test_exported_trace_tiles_the_layer_record_for_record(
+        self, profiler8, large_block
+    ):
+        """A spliced whole-model report keeps one layer and exports all of
+        them: the trace equals the layer tiled along the clock."""
         plan = megatron_plan(large_block, 3, dp_degree=2)
-        report = TrainingSimulator(profiler8).run(large_block, plan, 8)
-        path = tmp_path / "analytic.json"
-        write_trace(str(path), report.timeline, v100_cluster(8))
-        doc = json.loads(path.read_text())
-        events = _complete_events(doc)
-        assert events
-        # The analytic path is a single serial SPMD stream: device 0 only.
-        assert {e["tid"] for e in events} <= {0, 1}
+        sim = EventDrivenSimulator(profiler8, use_disk_cache=False)
+        layer = sim.run(large_block, plan, 8).timeline
+        whole = sim.run_model(large_block, plan, 8, n_layers=4)
+        assert whole.tiles == 4
+        assert whole.timeline.records == layer.records
+        span = layer.clock
+        tiled = Timeline(
+            records=[
+                replace(record, start=record.start + i * span)
+                for i in range(4)
+                for record in layer.records
+            ],
+            clock=4 * span,
+        )
+        exported = whole.full_timeline()
+        assert exported.records == tiled.records
+        assert exported.clock == tiled.clock
+        topology = v100_cluster(8)
+        assert timeline_to_trace(exported, topology) == timeline_to_trace(
+            tiled, topology
+        )
 
 
 class TestByteStability:
