@@ -4,7 +4,9 @@ Measures the PrimePar strategy search end to end at several cluster scales
 under four regimes — cold cache + serial, cold cache + ``--jobs`` workers,
 warm cache + serial, warm cache + workers — with the per-stage wall-clock
 breakdown (``candidates``, ``segment_dp``, ``merge``) reported by the
-optimizer, plus a serial-vs-parallel ``Planner3D`` sweep timing.  Every
+optimizer, the Bellman share of ``segment_dp`` (``bellman_seconds``: the
+stage minus its Eq. 8-9 edge pricing) and each segment's DP time and
+expanded states, plus a serial-vs-parallel ``Planner3D`` sweep timing.  Every
 regime must produce the identical plan and cost; the JSON records the check.
 
 Standalone::
@@ -63,16 +65,29 @@ def _one_search(model, n_devices: int, jobs: int, cache_dir: str) -> Dict:
     started = time.perf_counter()
     result = optimizer.optimize(graph, n_layers=model.n_layers)
     elapsed = time.perf_counter() - started
+    spans = result.telemetry["spans"]
+    edge_spans = [s for s in spans if s["name"] == "search.edge_cost"]
+    dp_edge_seconds = sum(
+        s["duration"] for s in edge_spans if "/search.segment_dp/" in s["path"]
+    )
     return {
         "elapsed_seconds": elapsed,
         "stages": dict(result.stage_seconds),
         # Eq. 8-9 edge pricing, summed over segment_dp and merge; what it
         # leaves of those stages is Bellman products.
-        "edge_pricing_seconds": sum(
-            s["duration"]
-            for s in result.telemetry["spans"]
-            if s["name"] == "search.edge_cost"
-        ),
+        "edge_pricing_seconds": sum(s["duration"] for s in edge_spans),
+        # segment_dp minus its own edge pricing: the Bellman products.
+        "bellman_seconds": result.stage_seconds["segment_dp"] - dp_edge_seconds,
+        "segments": [
+            {
+                "start": s["attrs"]["start"],
+                "nodes": s["attrs"]["nodes"],
+                "states": s["attrs"]["states"],
+                "seconds": s["duration"],
+            }
+            for s in spans
+            if s["name"] == "search.segment"
+        ],
         "cost": result.cost,
         "model_cost": result.model_cost,
         "fingerprint": _plan_fingerprint(result.plan),
@@ -210,6 +225,10 @@ def test_opt_speed_smoke(benchmark):
         for regime in REGIMES:
             stages = entry["runs"][regime]["stages"]
             assert set(stages) == {"candidates", "segment_dp", "merge"}
+            run = entry["runs"][regime]
+            assert 0.0 <= run["bellman_seconds"] <= stages["segment_dp"]
+            assert run["segments"]
+            assert all(seg["states"] >= 0 for seg in run["segments"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:

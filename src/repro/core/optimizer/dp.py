@@ -17,16 +17,12 @@ import numpy as np
 from ...graph.graph import ComputationGraph, Edge
 from ...obs.metrics import counter, histogram
 from ...obs.spans import span
-from ..cost.inter import InterOperatorCostModel
+from ..cost.inter import CHUNK_BYTES, InterOperatorCostModel
 from .candidates import CandidateSet
 from .segmenter import Segment
 
 #: Bucket bounds for the DP table-size histogram (cells per table).
 _TABLE_BUCKETS = (64, 256, 1024, 4096, 16384, 65536)
-
-#: Chunk width of the min-plus product — bounds peak memory of the
-#: (A x B x chunk) broadcast to a few MB.
-_MIN_PLUS_CHUNK = 128
 
 
 def min_plus(
@@ -34,7 +30,11 @@ def min_plus(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Tropical matrix product: ``out[a,c] = min_b left[a,b] + right[b,c]``.
 
-    Returns the result and the argmin over ``b`` (backpointers).
+    Returns the result and the argmin over ``b`` (backpointers).  The
+    ``(A x B x chunk)`` float64 broadcast takes as many output columns as
+    fit in :data:`~repro.core.cost.inter.CHUNK_BYTES` (at least one); every
+    column sees the same sums whatever the chunking, so argmin ties break
+    identically.
     """
     n_a, n_b = left.shape
     n_b2, n_c = right.shape
@@ -42,8 +42,9 @@ def min_plus(
         raise ValueError(f"shape mismatch {left.shape} x {right.shape}")
     out = np.empty((n_a, n_c))
     arg = np.empty((n_a, n_c), dtype=np.int32)
-    for lo in range(0, n_c, _MIN_PLUS_CHUNK):
-        hi = min(lo + _MIN_PLUS_CHUNK, n_c)
+    chunk = max(1, CHUNK_BYTES // (n_a * n_b * out.itemsize))
+    for lo in range(0, n_c, chunk):
+        hi = min(lo + chunk, n_c)
         stacked = left[:, :, None] + right[None, :, lo:hi]
         arg[:, lo:hi] = stacked.argmin(axis=1)
         out[:, lo:hi] = np.take_along_axis(
@@ -60,6 +61,7 @@ class SegmentTable:
     candidate class ``a`` and the end node class ``c`` — including both
     endpoint intra costs.  ``backpointers[j]`` maps node ``j``'s optimal
     predecessor class: ``arg[a, c]`` is the class of node ``j-1``.
+    ``states`` counts the DP states (table cells) its Bellman steps expanded.
     """
 
     start: str
@@ -67,6 +69,7 @@ class SegmentTable:
     node_names: Tuple[str, ...]
     cost: np.ndarray
     backpointers: Dict[str, np.ndarray] = field(default_factory=dict)
+    states: int = 0
 
     def extract(self, a: int, c: int, out: Dict[str, int]) -> None:
         """Fill ``out`` with the optimal class per node given endpoints."""
@@ -185,6 +188,7 @@ def solve_segment(
             edge_prev = np.zeros((len(candidates[previous]), len(node_set)))
         new_cost, arg = min_plus(table.cost, edge_prev)
         counter("dp.states_expanded").inc(new_cost.size)
+        table.states += new_cost.size
         new_cost += node_set.intra[None, :]
         if previous != start:
             edge_start = edge_cost_matrix(

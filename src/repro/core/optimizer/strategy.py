@@ -51,8 +51,11 @@ class SearchResult:
             histograms) and the timing spans it closed (``"spans"``).
             ``search.edge_cost`` spans time the Eq. 8-9 edge pricing inside
             ``search.segment_dp`` (and ``search.merge``); the rest of
-            ``segment_dp`` is the Bellman products.  Worker-process telemetry from ``jobs > 1`` fan-out is merged
-            in, so the values match the serial path.
+            ``segment_dp`` is the Bellman products.  One
+            ``search.segment`` span per segment carries its ``start``
+            node, ``nodes`` and expanded DP ``states``.  Worker-process
+            telemetry from ``jobs > 1`` fan-out is merged in, so the
+            values match the serial path.
     """
 
     plan: Dict[str, PartitionSpec]
@@ -299,12 +302,14 @@ class PrimeParOptimizer:
                 tables: List[Union[SegmentTable, MergeTable]] = []
                 for seg in segmentation.segments:
                     check_deadline(deadline, "segment_dp")
-                    tables.append(
-                        solve_segment(
+                    with span("search.segment", start=seg.node_names[0],
+                              nodes=len(seg.node_names)) as attrs:
+                        table = solve_segment(
                             graph, seg, candidates, self.inter_model,
                             edge_memo=self._edge_memo,
                         )
-                    )
+                        attrs["states"] = table.states
+                    tables.append(table)
             segments_done = time.perf_counter()
             with span("search.merge", segments=len(tables)):
                 # Cross-segment edges span exactly two adjacent segments

@@ -172,14 +172,18 @@ def use_collector(collector: SpanCollector):
 
 @contextmanager
 def span(name: str, **attrs: object):
-    """Time a code region as a nested span in the current collector."""
+    """Time a code region as a nested span in the current collector.
+
+    Yields the span's ``attrs`` dict, so the region can annotate the span
+    with what it learns (``with span("x") as attrs: attrs["n"] = ...``).
+    """
     collector = _current_collector
     stack = collector._stack()
     stack.append(name)
     path = "/".join(stack)
     start = collector.now()
     try:
-        yield
+        yield attrs
     finally:
         duration = collector.now() - start
         stack.pop()

@@ -1,6 +1,8 @@
 """Inter-operator redistribution cost (Eq. 8-9)."""
 
+import os
 import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import legacy_inter  # noqa: E402  (frozen per-rank model, lives next to this file)
+from repro.cluster.profiler import FabricProfiler
+from repro.cluster.topology import torus_cluster, v100_cluster
 from repro.core.cost.inter import InterOperatorCostModel
 from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.core.spec import PartitionSpec
@@ -178,8 +182,61 @@ def _frozen_boundaries(op, specs):
     return [legacy_inter.NodeBoundary(op, spec) for spec in specs]
 
 
+def _assert_edges_match_frozen(profiler, graph, candidates):
+    batched = InterOperatorCostModel(profiler)
+    frozen = legacy_inter.InterOperatorCostModel(profiler)
+    for edge in graph.edges:
+        src, dst = candidates[edge.src], candidates[edge.dst]
+        matrix = batched.cost_matrix(edge, src.op, src.specs, dst.op, dst.specs)
+        golden = frozen.cost_matrix(
+            edge,
+            src.op,
+            _frozen_boundaries(src.op, src.specs),
+            dst.op,
+            _frozen_boundaries(dst.op, dst.specs),
+        )
+        assert matrix.shape == golden.shape == (len(src), len(dst))
+        assert matrix.tobytes() == golden.tobytes(), edge.key()
+
+
+def _assert_single_specs_match_frozen(profiler, graph, candidates, per_side=4):
+    batched = InterOperatorCostModel(profiler)
+    frozen = legacy_inter.InterOperatorCostModel(profiler)
+    for edge in graph.edges:
+        src, dst = candidates[edge.src], candidates[edge.dst]
+        for prod_spec in src.specs[:per_side]:
+            for cons_spec in dst.specs[:per_side]:
+                args = (edge, src.op, prod_spec, dst.op, cons_spec)
+                expected = frozen.directional_costs(*args)
+                # The second call reads the boxes memoized by the first.
+                assert batched.directional_costs(*args) == expected
+                assert batched.directional_costs(*args) == expected
+                assert batched.cost(*args) == frozen.cost(*args)
+
+
+#: Node-block layouts for the same-node coverage max: one GPU per node
+#: (no peers), two, the whole cluster as one node, a 2D torus (one node),
+#: and 32 devices at the default 4 per node.
+NODE_BLOCK_CASES = {
+    "gpn1": ("opt-6.7b", lambda: v100_cluster(8, gpus_per_node=1), None, 16),
+    "gpn2": ("opt-6.7b", lambda: v100_cluster(8, gpus_per_node=2), None, 16),
+    "gpn8": ("opt-6.7b", lambda: v100_cluster(8, gpus_per_node=8), None, 16),
+    "torus2x4": ("opt-6.7b", lambda: torus_cluster(2, 4), None, 16),
+    "dev32-beam48": ("opt-175b", lambda: v100_cluster(32), 48, 32),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(NODE_BLOCK_CASES))
+def node_block_case(request):
+    model_key, topology, beam, batch = NODE_BLOCK_CASES[request.param]
+    profiler = FabricProfiler(topology())
+    graph = build_block_graph(MODELS_BY_KEY[model_key].block_shape(batch=batch))
+    candidates = PrimeParOptimizer(profiler, beam=beam).candidates_for(graph)
+    return profiler, graph, candidates
+
+
 class TestFrozenEquivalence:
-    """Batched decoding prices edges to the bytes of the frozen per-rank model."""
+    """Box-pair tables price edges to the bytes of the frozen per-rank model."""
 
     @pytest.mark.parametrize(
         "model_key,profiler_name,beam",
@@ -195,35 +252,55 @@ class TestFrozenEquivalence:
         profiler = request.getfixturevalue(profiler_name)
         graph = build_block_graph(MODELS_BY_KEY[model_key].block_shape(batch=16))
         candidates = PrimeParOptimizer(profiler, beam=beam).candidates_for(graph)
-        batched = InterOperatorCostModel(profiler)
-        frozen = legacy_inter.InterOperatorCostModel(profiler)
-        for edge in graph.edges:
-            src, dst = candidates[edge.src], candidates[edge.dst]
-            matrix = batched.cost_matrix(edge, src.op, src.specs, dst.op, dst.specs)
-            golden = frozen.cost_matrix(
-                edge,
-                src.op,
-                _frozen_boundaries(src.op, src.specs),
-                dst.op,
-                _frozen_boundaries(dst.op, dst.specs),
-            )
-            assert matrix.shape == golden.shape == (len(src), len(dst))
-            assert matrix.tobytes() == golden.tobytes(), edge.key()
+        _assert_edges_match_frozen(profiler, graph, candidates)
 
     def test_single_spec_paths_match_frozen(self, profiler8, large_block):
-        batched = InterOperatorCostModel(profiler8)
-        frozen = legacy_inter.InterOperatorCostModel(profiler8)
         candidates = PrimeParOptimizer(profiler8).candidates_for(large_block)
-        for edge in large_block.edges:
-            src, dst = candidates[edge.src], candidates[edge.dst]
-            for prod_spec in src.specs[:4]:
-                for cons_spec in dst.specs[:4]:
-                    args = (edge, src.op, prod_spec, dst.op, cons_spec)
-                    expected = frozen.directional_costs(*args)
-                    # The second call reads the boxes memoized by the first.
-                    assert batched.directional_costs(*args) == expected
-                    assert batched.directional_costs(*args) == expected
-                    assert batched.cost(*args) == frozen.cost(*args)
+        _assert_single_specs_match_frozen(profiler8, large_block, candidates)
+
+    def test_node_block_cost_matrices_match_frozen(self, node_block_case):
+        _assert_edges_match_frozen(*node_block_case)
+
+    def test_node_block_single_spec_paths_match_frozen(self, node_block_case):
+        _assert_single_specs_match_frozen(*node_block_case)
+
+
+_EDGE_DIGEST_SCRIPT = """
+import hashlib
+from repro.cluster.profiler import FabricProfiler
+from repro.cluster.topology import v100_cluster
+from repro.core.optimizer.strategy import PrimeParOptimizer
+from repro.graph.models import MODELS_BY_KEY
+from repro.graph.transformer import build_block_graph
+
+graph = build_block_graph(MODELS_BY_KEY["llama2-70b"].block_shape(batch=8))
+optimizer = PrimeParOptimizer(FabricProfiler(v100_cluster(8)))
+result = optimizer.optimize(graph)
+digest = hashlib.sha256(repr(result.cost).encode())
+for matrix in optimizer._edge_memo.values():
+    digest.update(matrix.tobytes())
+print(len(optimizer._edge_memo), digest.hexdigest())
+"""
+
+
+class TestHashSeedIndependence:
+    def test_edge_matrix_bytes_ignore_hash_seed(self):
+        """Coverage terms multiply in a fixed axis order, not set order."""
+        repo = Path(__file__).resolve().parent.parent
+        outputs = []
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PRIMEPAR_CACHE="off")
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", _EDGE_DIGEST_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.split())
+        assert int(outputs[0][0]) > 0
+        assert outputs[0] == outputs[1]
 
 
 class TestBoxMemo:

@@ -8,6 +8,7 @@ import pytest
 from repro.core.cost.overall import OverallCostModel
 from repro.core.optimizer.candidates import build_candidates, type_key
 from repro.core.optimizer.canonical import canonical_specs
+from repro.core.optimizer import dp
 from repro.core.optimizer.dp import min_plus, solve_segment
 from repro.core.optimizer.merge import merge_tables, stack_layers
 from repro.core.optimizer.segmenter import segment_graph
@@ -41,6 +42,19 @@ class TestMinPlus:
         out, _ = min_plus(left, right)
         expected = (left[:, :, None] + right[None, :, :]).min(axis=1)
         assert np.allclose(out, expected)
+
+    @pytest.mark.parametrize("columns", [1, 7])
+    def test_budget_chunks_match_one_chunk(self, columns, monkeypatch):
+        """A tiny byte budget chunks the columns without moving a bit."""
+        rng = np.random.default_rng(2)
+        # Small integers make many tied minima; argmin keeps the first.
+        left = rng.integers(0, 4, (9, 40)).astype(float)
+        right = rng.integers(0, 4, (40, 23)).astype(float)
+        whole_out, whole_arg = min_plus(left, right)
+        monkeypatch.setattr(dp, "CHUNK_BYTES", columns * left.size * 8)
+        out, arg = min_plus(left, right)
+        assert out.tobytes() == whole_out.tobytes()
+        assert arg.tobytes() == whole_arg.tobytes()
 
 
 class TestSegmenter:
