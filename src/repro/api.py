@@ -13,6 +13,8 @@ Every surface that accepts a planning request — the ``primepar`` CLI, the
   ``endpoint``.  Validation errors carry the offending field path
   (:class:`ValidationError`, mapped to HTTP 400 by the server and exit
   code 2 by the CLI).
+* **Daemon knobs** — :class:`ServeConfig`, whose fields generate the
+  ``primepar serve`` flags the same way.
 * **Result envelopes** — helpers (:func:`stamp`, :func:`check_schema`,
   :func:`plan_to_json`, :func:`plan_from_json`) used by the schema-versioned
   ``to_json``/``from_json`` pairs on :class:`~repro.IterationReport`,
@@ -39,6 +41,7 @@ __all__ = [
     "RobustnessRequest",
     "SCHEMA_VERSION",
     "SearchRequest",
+    "ServeConfig",
     "SimulateRequest",
     "ValidationError",
     "check_schema",
@@ -92,7 +95,7 @@ class ValidationError(Exception):
 
 
 def _arg(default: Any, help: str, **rules: Any) -> Any:
-    """A request field: its default, help text and validation ``rules``.
+    """A request or :class:`ServeConfig` field: default, help and ``rules``.
 
     Rules: ``choices`` (allowed values), ``lo``/``hi`` (inclusive bounds)
     and ``flag`` (the CLI flag stem when it differs from the field name).
@@ -396,6 +399,60 @@ class RobustnessRequest(_Request):
             self.fault_model().canonical(), self.scenarios, self.seed,
             self.n_layers,
         )
+
+
+# ----------------------------------------------------------------------
+# daemon knobs
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class ServeConfig:
+    """Knobs of one ``repro.serve`` daemon instance.
+
+    Every field but ``retry_after`` is a ``primepar serve`` flag, generated
+    from the field's name, type, default and help like the request flags.
+    """
+
+    host: str = _arg("127.0.0.1", "bind address")
+    port: int = _arg(8780, "TCP port; 0 picks an ephemeral one")
+    max_concurrent: int = _arg(
+        2, "searches/simulations allowed to run at once"
+    )
+    queue_depth: int = _arg(
+        8, "requests allowed to wait for a slot before 429"
+    )
+    lru_size: int = _arg(256, "in-memory plan store capacity in entries")
+    deadline: float = _arg(
+        120.0,
+        "default per-request budget in seconds; requests may tighten but "
+        "not extend it (0 = unbounded)",
+    )
+    jobs: int = _arg(
+        1, "worker processes each admitted search may use "
+        "(1 = serial, 0 = all cores)",
+    )
+    drain_timeout: float = _arg(
+        10.0, "seconds to wait for in-flight requests on shutdown"
+    )
+    retry_after: float = 1.0
+    trace_store_size: int = _arg(
+        256, "completed request traces kept for GET /v1/traces/<id>"
+    )
+    flight_size: int = _arg(256, "flight-recorder request-ring capacity")
+    flight_snapshot_interval: float = _arg(
+        30.0,
+        "seconds between flight-recorder process snapshots "
+        "(0 disables the sampler)",
+    )
+    slo_window: int = _arg(
+        256, "rolling-latency window in requests behind /healthz quantiles"
+    )
+    slo_p95_ms: float = _arg(
+        0.0,
+        "p95 latency target in ms for /v1/* traffic; /healthz reports "
+        "breach when exceeded (0 disables)",
+    )
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,7 @@ from . import (
     v100_cluster,
     verify_spec,
 )
-from .api import field_type, request_fields
+from .api import ServeConfig, field_type, request_fields
 from .baselines.alpa import alpa_optimizer
 from .baselines.megatron import best_megatron_plan
 from .graph.models import MODELS_BY_KEY
@@ -70,6 +70,7 @@ _SKIP = ("deadline", "include_temporal")
 def _add_request_flags(parser, request_cls, skip=_SKIP, only=None) -> None:
     """One flag per field of ``request_cls``, all spelled by :mod:`repro.api`.
 
+    ``request_cls`` is a request type or :class:`~repro.api.ServeConfig`.
     Name, type, default, choices and help come from the field.  A boolean
     that defaults on gets ``--no-<flag>``; one that defaults off gets
     ``--<flag>``/``--no-<flag>``.  Without ``only``, ``request_cls`` becomes
@@ -641,23 +642,9 @@ def cmd_faults(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .serve.server import PlanServer, ServeConfig
+    from .serve.server import PlanServer
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        max_concurrent=args.max_concurrent,
-        queue_depth=args.queue_depth,
-        lru_size=args.lru_size,
-        deadline=args.deadline,
-        jobs=args.jobs,
-        drain_timeout=args.drain_timeout,
-        trace_store_size=args.trace_store_size,
-        flight_size=args.flight_size,
-        flight_snapshot_interval=args.flight_snapshot_interval,
-        slo_window=args.slo_window,
-        slo_p95_ms=args.slo_p95_ms,
-    )
+    config = ServeConfig(**request_body(args))
     server = PlanServer(config).start()
     emit(f"serving on http://{server.host}:{server.port}")
     if args.port_file:
@@ -1005,66 +992,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the plan-serving HTTP daemon"
     )
-    serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    serve.add_argument(
-        "--port", type=int, default=8780,
-        help="TCP port; 0 picks an ephemeral one (default 8780)",
-    )
-    serve.add_argument(
-        "--max-concurrent", type=int, default=2,
-        help="searches/simulations allowed to run at once (default 2)",
-    )
-    serve.add_argument(
-        "--queue-depth", type=int, default=8,
-        help="requests allowed to wait for a slot before 429 (default 8)",
-    )
-    serve.add_argument(
-        "--lru-size", type=int, default=256,
-        help="in-memory plan store capacity in entries (default 256)",
-    )
-    serve.add_argument(
-        "--deadline", type=float, default=120.0,
-        help="default per-request budget in seconds; requests may tighten "
-             "but not extend it (0 = unbounded, default 120)",
-    )
-    serve.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes each admitted search may use "
-             "(1 = serial, 0 = all cores)",
-    )
-    serve.add_argument(
-        "--drain-timeout", type=float, default=10.0,
-        help="seconds to wait for in-flight requests on shutdown (default 10)",
-    )
+    _add_request_flags(serve, ServeConfig, skip=("retry_after",))
     serve.add_argument(
         "--port-file", default="", metavar="PATH",
         help="write the bound port here once listening (for scripts/CI)",
-    )
-    serve.add_argument(
-        "--trace-store-size", type=int, default=256,
-        help="completed request traces kept for GET /v1/traces/<id> "
-             "(default 256)",
-    )
-    serve.add_argument(
-        "--flight-size", type=int, default=256,
-        help="flight-recorder request-ring capacity (default 256)",
-    )
-    serve.add_argument(
-        "--flight-snapshot-interval", type=float, default=30.0,
-        help="seconds between flight-recorder process snapshots "
-             "(0 disables the sampler; default 30)",
-    )
-    serve.add_argument(
-        "--slo-window", type=int, default=256,
-        help="rolling-latency window in requests behind /healthz quantiles "
-             "(default 256)",
-    )
-    serve.add_argument(
-        "--slo-p95-ms", type=float, default=0.0,
-        help="p95 latency target in ms for /v1/* traffic; /healthz reports "
-             "breach when exceeded (0 disables, default 0)",
     )
     serve.set_defaults(func=cmd_serve)
 

@@ -146,36 +146,3 @@ def pattern_allgather_time(
     # Ring all-gather moves (g-1) * n_bytes per device in (g-1) rounds —
     # half the traffic of all-reduce over the same ring.
     return 0.5 * pattern_allreduce_time(topology, pattern, n_bytes)
-
-
-def pattern_reduce_scatter_time(
-    topology: ClusterTopology, pattern: GroupingPattern, n_bytes: float
-) -> float:
-    """Reduce-scatter of ``n_bytes`` per device within each group."""
-    return 0.5 * pattern_allreduce_time(topology, pattern, n_bytes)
-
-
-def redistribution_time(
-    topology: ClusterTopology, total_bytes: float, n_devices: int
-) -> float:
-    """Inter-operator redistribution latency (paper Sec. 4.2).
-
-    ``total_bytes`` is the Eq. 9 total traffic summed over devices.  The
-    traffic is spread across all devices' links; we charge the bytes to the
-    cluster's aggregate bisection-like bandwidth with the inter-node link as
-    the bottleneck class when the cluster spans nodes.
-    """
-    if total_bytes <= 0 or n_devices <= 1:
-        return 0.0
-    if topology.torus or topology.n_nodes == 1:
-        per_device_bw = topology.intra_link.bandwidth
-        latency = topology.intra_link.latency
-    else:
-        # Cross-node redistribution: each node's NIC carries its share.
-        per_device_bw = (
-            topology.inter_link.bandwidth
-            * topology.nics_per_node
-            / topology.gpus_per_node
-        )
-        latency = topology.inter_link.latency
-    return latency + (total_bytes / n_devices) / per_device_bw

@@ -10,9 +10,9 @@ links each group spans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..core.device import DeviceId, all_devices
+from ..core.device import all_devices
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,6 @@ def grouping_pattern(n_bits: int, indicator: Sequence[int]) -> GroupingPattern:
         buckets.setdefault(key, []).append(device.rank)
     groups = tuple(tuple(sorted(ranks)) for _, ranks in sorted(buckets.items()))
     return GroupingPattern(indicator=indicator, groups=groups)
-
-
-def groups_from_devices(members_lists: Iterable[Iterable[DeviceId]]) -> Tuple[Tuple[int, ...], ...]:
-    """Convert explicit device-id groups into rank groups."""
-    return tuple(
-        tuple(sorted(d.rank for d in members)) for members in members_lists
-    )
 
 
 def ring_order(group: Sequence[int]) -> List[int]:

@@ -151,27 +151,12 @@ class CommunicationCostModel:
             if entries
         }
 
-    def ring_step_latency(
-        self, op: OperatorSpec, spec: PartitionSpec, phase: Phase, step: int
-    ) -> float:
-        """``ring(n, P, t)``: point-to-point traffic overlapping step ``t``."""
-        if not spec.has_temporal:
-            return 0.0
-        schedule = self.ring_phase_transfers(op, spec, phase)
-        transfers = [
-            Transfer(src=src, dst=dst, n_bytes=n_bytes)
-            for _, src, dst, n_bytes in schedule.get(step, [])
-        ]
-        return concurrent_step_time(self.topology, transfers)
-
     def ring_phase_latencies(
         self, op: OperatorSpec, spec: PartitionSpec, phase: Phase
     ) -> List[float]:
         """Ring latency per temporal step of one phase.
 
-        The sized schedule is built once for the phase and priced per step
-        (``ring_step_latency`` rebuilds it per call — fine for single-step
-        queries, wasteful on this whole-phase hot path).
+        The sized schedule is built once for the phase and priced per step.
         """
         if not spec.has_temporal:
             return [0.0] * spec.total_steps

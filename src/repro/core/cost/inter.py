@@ -391,37 +391,30 @@ class InterOperatorCostModel:
             fwd_intra + bwd_intra, fwd_inter + bwd_inter, prod_specs[0].n_devices
         )
 
-    def cost(
+    def edge_costs(
         self,
         edge: Edge,
         prod_op: OperatorSpec,
         prod_spec: PartitionSpec,
         cons_op: OperatorSpec,
         cons_spec: PartitionSpec,
-    ) -> float:
-        """Scalar ``interC(n1, n2, P1, P2)``."""
-        matrix = self.cost_matrix(
-            edge, prod_op, [prod_spec], cons_op, [cons_spec], memo_axis_boxes
-        )
-        return float(matrix[0, 0])
+    ) -> Tuple[float, float, float]:
+        """Scalar ``(interC, forward, backward)`` of one edge.
 
-    def directional_costs(
-        self,
-        edge: Edge,
-        prod_op: OperatorSpec,
-        prod_spec: PartitionSpec,
-        cons_op: OperatorSpec,
-        cons_spec: PartitionSpec,
-    ) -> Tuple[float, float]:
-        """(forward, backward) redistribution latencies of one edge.
-
-        Uses the same fitted linear model per direction; the execution
-        simulator schedules the two directions at their actual points in
-        the training iteration.  The specs' decoded boxes are memoized on
-        their DSI evaluators, so replaying one plan decodes each spec once.
+        ``interC`` prices the summed traffic of both directions, exactly as
+        :meth:`cost_matrix` does; ``forward`` and ``backward`` price each
+        direction alone, for the engine to schedule at its actual point in
+        the iteration.  Each direction's traffic is computed once and the
+        three are priced in one elementwise :meth:`_predict`.  The specs'
+        decoded boxes are memoized on their DSI evaluators, so replaying
+        one plan decodes each spec once.
         """
         args = (edge, prod_op, [prod_spec], cons_op, [cons_spec], memo_axis_boxes)
-        n_dev = prod_spec.n_devices
-        fwd = float(self._predict(*self.forward_traffic_matrix(*args), n_dev)[0, 0])
-        bwd = float(self._predict(*self.backward_traffic_matrix(*args), n_dev)[0, 0])
-        return fwd, bwd
+        fwd_intra, fwd_inter = self.forward_traffic_matrix(*args)
+        bwd_intra, bwd_inter = self.backward_traffic_matrix(*args)
+        intra = np.concatenate([fwd_intra + bwd_intra, fwd_intra, bwd_intra], axis=1)
+        inter = np.concatenate([fwd_inter + bwd_inter, fwd_inter, bwd_inter], axis=1)
+        total, forward, backward = self._predict(
+            intra, inter, prod_spec.n_devices
+        )[0].tolist()
+        return total, forward, backward

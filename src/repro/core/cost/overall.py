@@ -1,31 +1,43 @@
 """Overall plan cost — paper Eq. 10.
 
 ``C = sum_i intraC(n_i, P_i) + sum_(i,j) interC(n_i, n_j, P_i, P_j)`` over
-a computation graph with one partition spec per node.
+a computation graph with one partition spec per node.  :class:`PlanCost` is
+the one price list of a plan: ``explain`` reads its tables from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Mapping, Tuple
 
 from ...cluster.profiler import FabricProfiler
-from ...graph.graph import ComputationGraph
+from ...graph.graph import ComputationGraph, Edge
 from ..spec import PartitionSpec
 from .inter import InterOperatorCostModel
-from .intra import IntraOperatorCostModel
+from .intra import IntraCost, IntraOperatorCostModel
 from .memory import MemoryCostModel
 
 
 @dataclass(frozen=True)
 class PlanCost:
-    """Decomposed cost of a full plan, per training iteration."""
+    """Decomposed cost of a full plan, per training iteration.
+
+    The totals are folded left to right from the price list beside them:
+    per-operator terms in graph order, then per-edge ``interC`` in edge
+    order (floating-point addition is not associative, so the order is
+    part of the contract).
+    """
 
     compute_latency: float
     ring_exposed: float
     allreduce_latency: float
     inter_latency: float
     memory_bytes: float
+    #: Each operator's :class:`IntraCost`, in ``graph.nodes`` order.
+    operators: Tuple[IntraCost, ...]
+    #: ``(edge, interC, forward, backward)`` per edge, in ``graph.edges``
+    #: order (:meth:`InterOperatorCostModel.edge_costs`).
+    edges: Tuple[Tuple[Edge, float, float, float], ...]
 
     @property
     def latency(self) -> float:
@@ -61,26 +73,34 @@ class OverallCostModel:
         self, graph: ComputationGraph, plan: Mapping[str, PartitionSpec]
     ) -> PlanCost:
         """Cost of ``plan`` (node name -> spec) over ``graph``."""
+        operators = tuple(
+            self.intra.cost(node, plan[node.name]) for node in graph.nodes
+        )
         compute = ring = allreduce = memory = 0.0
-        for node in graph.nodes:
-            cost = self.intra.cost(node, plan[node.name])
+        for cost in operators:
             compute += cost.compute_latency
             ring += cost.ring_exposed
             allreduce += cost.allreduce_latency
             memory += cost.memory_bytes
-        inter_total = 0.0
-        for edge in graph.edges:
-            inter_total += self.inter.cost(
+        edges = tuple(
+            (edge,) + self.inter.edge_costs(
                 edge,
                 graph.node(edge.src),
                 plan[edge.src],
                 graph.node(edge.dst),
                 plan[edge.dst],
             )
+            for edge in graph.edges
+        )
+        inter_total = 0.0
+        for _, cost, _, _ in edges:
+            inter_total += cost
         return PlanCost(
             compute_latency=compute,
             ring_exposed=ring,
             allreduce_latency=allreduce,
             inter_latency=inter_total,
             memory_bytes=memory,
+            operators=operators,
+            edges=edges,
         )

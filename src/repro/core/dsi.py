@@ -91,10 +91,6 @@ class DsiEvaluator:
         return 1 << self.n_bits
 
     @property
-    def temporal_partitions(self) -> Tuple[TemporalPartition, ...]:
-        return tuple(slot.step for slot in self._temporal_slots)
-
-    @property
     def has_temporal(self) -> bool:
         return bool(self._temporal_slots)
 

@@ -8,11 +8,12 @@ spatial-temporal vs. spatial-only analysis, reproducible on demand):
   per primitive sequence into compute / intra-operator communication
   (exposed ring) / all-reduce / inter-operator resharding / weighted
   memory, with optional per-link byte attribution replayed through the
-  event engine.  The top-level components, folded in
-  :data:`COMPONENT_ORDER`, reproduce the plan's
-  :meth:`~repro.core.cost.overall.PlanCost.objective` **bit-exactly**:
-  they are the very accumulators :class:`OverallCostModel` sums, re-added
-  in the same left-associative order.
+  event engine.  It is a view of
+  :meth:`~repro.core.cost.overall.OverallCostModel.plan_cost`'s price
+  list: the tables are its per-operator and per-edge entries, and the
+  top-level components are its totals, so folded in
+  :data:`COMPONENT_ORDER` they reproduce the plan's
+  :meth:`~repro.core.cost.overall.PlanCost.objective` **bit-exactly**.
 * :func:`explain_pipeline` — a 3D configuration's iteration latency split
   into stage work / exposed stage-boundary communication / data-parallel
   all-reduce / pipeline bubble; the bubble is the fold's exact residual,
@@ -98,19 +99,13 @@ def explain_plan(
     replays the plan through the event-driven engine for per-link byte
     attribution (``links``), pricing one layer.
     """
-    model = OverallCostModel(profiler, alpha=alpha, memory_model=memory_model)
+    priced = OverallCostModel(
+        profiler, alpha=alpha, memory_model=memory_model
+    ).plan_cost(graph, plan)
     per_layer: List[Dict[str, object]] = []
     by_spec: Dict[str, Dict[str, object]] = {}
-    # Mirror OverallCostModel.plan_cost's accumulation exactly: per-node
-    # terms added in graph.nodes order, per-edge terms in graph.edges order.
-    compute = ring = allreduce = memory = 0.0
-    for node in graph.nodes:
+    for node, cost in zip(graph.nodes, priced.operators):
         spec = plan[node.name]
-        cost = model.intra.cost(node, spec)
-        compute += cost.compute_latency
-        ring += cost.ring_exposed
-        allreduce += cost.allreduce_latency
-        memory += cost.memory_bytes
         entry = {
             "operator": node.name,
             "spec": str(spec),
@@ -138,33 +133,23 @@ def explain_plan(
         group["operators"].append(node.name)
         for key in ("compute", "intra_comm", "allreduce", "memory_weighted"):
             group[key] += entry[key]
-    per_edge: List[Dict[str, object]] = []
-    inter_total = 0.0
-    for edge in graph.edges:
-        prod_op, cons_op = graph.node(edge.src), graph.node(edge.dst)
-        cost = model.inter.cost(
-            edge, prod_op, plan[edge.src], cons_op, plan[edge.dst]
-        )
-        inter_total += cost
-        forward, backward = model.inter.directional_costs(
-            edge, prod_op, plan[edge.src], cons_op, plan[edge.dst]
-        )
-        per_edge.append(
-            {
-                "src": edge.src,
-                "dst": edge.dst,
-                "slot": edge.slot,
-                "cost": cost,
-                "forward": forward,
-                "backward": backward,
-            }
-        )
+    per_edge = [
+        {
+            "src": edge.src,
+            "dst": edge.dst,
+            "slot": edge.slot,
+            "cost": cost,
+            "forward": forward,
+            "backward": backward,
+        }
+        for edge, cost, forward, backward in priced.edges
+    ]
     components = {
-        "compute": compute,
-        "intra_comm": ring,
-        "allreduce": allreduce,
-        "inter_resharding": inter_total,
-        "memory_weighted": alpha * memory,
+        "compute": priced.compute_latency,
+        "intra_comm": priced.ring_exposed,
+        "allreduce": priced.allreduce_latency,
+        "inter_resharding": priced.inter_latency,
+        "memory_weighted": alpha * priced.memory_bytes,
         "pipeline_bubble": 0.0,
     }
     doc: Dict[str, object] = {
@@ -175,7 +160,7 @@ def explain_plan(
         "total_cost": component_sum(components),
         "components": components,
         "component_order": list(COMPONENT_ORDER),
-        "memory_bytes": memory,
+        "memory_bytes": priced.memory_bytes,
         "per_layer": per_layer,
         "per_edge": per_edge,
         "by_primitive": [by_spec[key] for key in sorted(by_spec)],

@@ -52,9 +52,6 @@ class CandidateSet:
     def __len__(self) -> int:
         return len(self.specs)
 
-    def index_of(self, spec: PartitionSpec) -> int:
-        return self.specs.index(spec)
-
     @property
     def cache_token(self) -> Tuple:
         """Hashable content identity: same token ⇒ same op type and specs.

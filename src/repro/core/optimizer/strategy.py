@@ -403,45 +403,3 @@ class PrimeParOptimizer:
                 "spans": collector.export(since=span_mark),
             },
         )
-
-    def optimize_robust(
-        self,
-        graph: ComputationGraph,
-        n_layers: int = 1,
-        *,
-        fault_model,
-        global_batch: int,
-        objective: str = "p99",
-        blend: float = 0.5,
-        scenarios: int = 16,
-        seed: int = 0,
-        sim_layers: Optional[int] = None,
-        deadline: Optional[Deadline] = None,
-    ):
-        """Tail-latency-aware search: rank a plan portfolio under faults.
-
-        Delegates to :func:`repro.sim.faults.robust_search` with this
-        optimizer's settings (alpha, beam, jobs); the portfolio holds the
-        temporal and conventional PrimePar optima plus the Megatron
-        baseline, each scored by ``objective`` (one of
-        :data:`repro.api.OBJECTIVES`) under ``fault_model``.  Returns a
-        :class:`repro.sim.faults.RobustSearchResult`.
-        """
-        from ...sim.faults import robust_search
-
-        return robust_search(
-            self.profiler,
-            graph,
-            global_batch=global_batch,
-            n_layers=n_layers,
-            fault_model=fault_model,
-            objective=objective,
-            blend=blend,
-            scenarios=scenarios,
-            seed=seed,
-            sim_layers=sim_layers,
-            alpha=self.intra_model.alpha,
-            beam=self.beam,
-            jobs=self.jobs,
-            deadline=deadline,
-        )

@@ -121,9 +121,6 @@ class OperatorSpec:
         axes = self.dim_axes.get(dim, ())
         return flat_size(axes, self.axis_sizes)
 
-    def dim_sizes(self) -> Dict[Dim, int]:
-        return {dim: self.dim_size(dim) for dim in ALL_DIMS}
-
     @property
     def present_dims(self) -> Tuple[Dim, ...]:
         return tuple(d for d in ALL_DIMS if self.dim_axes.get(d))

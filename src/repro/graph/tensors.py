@@ -29,9 +29,6 @@ class AxisInterval:
     def length(self) -> int:
         return max(self.stop - self.start, 0)
 
-    def intersect(self, other: "AxisInterval") -> "AxisInterval":
-        return AxisInterval(max(self.start, other.start), min(self.stop, other.stop))
-
 
 def flat_size(axes: Iterable[str], axis_sizes: Mapping[str, int]) -> int:
     """Product of axis sizes for a flattened canonical dimension."""
@@ -95,8 +92,3 @@ def slice_interval(total: int, n_slices: int, index: int) -> Tuple[int, int]:
 def tensor_elements(axes: Iterable[str], axis_sizes: Mapping[str, int]) -> int:
     """Total element count of a tensor spanning ``axes``."""
     return flat_size(axes, axis_sizes)
-
-
-def tensor_bytes(axes: Iterable[str], axis_sizes: Mapping[str, int]) -> int:
-    """Total byte size of a tensor spanning ``axes`` (fp16)."""
-    return tensor_elements(axes, axis_sizes) * DTYPE_BYTES

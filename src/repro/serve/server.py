@@ -57,7 +57,6 @@ import tempfile
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -66,6 +65,7 @@ from ..api import (
     ExplainRequest,
     RobustnessRequest,
     SearchRequest,
+    ServeConfig,
     SimulateRequest,
     ValidationError,
 )
@@ -127,31 +127,6 @@ METRIC_HELP = {
         "Rolling-window HTTP latency quantiles (ms) by endpoint.",
     "plan_store.lookups": "Plan-store lookups by tier (memory/disk/miss).",
 }
-
-
-@dataclass
-class ServeConfig:
-    """Knobs of one daemon instance (CLI flags map 1:1)."""
-
-    host: str = "127.0.0.1"
-    port: int = 8780
-    max_concurrent: int = 2
-    queue_depth: int = 8
-    lru_size: int = 256
-    deadline: float = 120.0
-    jobs: int = 1
-    drain_timeout: float = 10.0
-    retry_after: float = 1.0
-    #: Completed request traces retained for ``GET /v1/traces/<id>``.
-    trace_store_size: int = 256
-    #: Flight-recorder request-ring capacity.
-    flight_size: int = 256
-    #: Seconds between flight-recorder process snapshots (0 disables).
-    flight_snapshot_interval: float = 30.0
-    #: Rolling-latency window (requests) behind quantiles and SLO checks.
-    slo_window: int = 256
-    #: p95 latency target in ms for ``/v1/*`` traffic; 0 disables the check.
-    slo_p95_ms: float = 0.0
 
 
 class _PlanHTTPServer(ThreadingHTTPServer):

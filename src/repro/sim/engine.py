@@ -73,6 +73,7 @@ frozen copy of the original implementation):
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -178,11 +179,14 @@ class StreamResource:
 class _SharedLink:
     """A bandwidth-sharing fabric resource (e.g. one node's NIC pool)."""
 
-    __slots__ = ("key", "capacity", "flows", "bytes_total")
+    __slots__ = ("key", "capacity", "available", "flows", "bytes_total")
 
     def __init__(self, key: str, capacity: float) -> None:
         self.key = key
         self.capacity = capacity
+        #: Bandwidth the fair-share solve divides: ``capacity`` unless a
+        #: fault (see :class:`~repro.sim.faults.FaultyKernelGraph`) cuts it.
+        self.available = capacity
         #: Active flows keyed by flow id — insertion-ordered, so iteration
         #: is deterministic (activation order), unlike a set of objects.
         self.flows: Dict[int, "_Flow"] = {}
@@ -505,7 +509,9 @@ class KernelGraph:
         and its completion re-timed — the re-timed finish ``now + rem/rate``
         is what the original engine emitted even for flows whose rate did
         not change — but the fair-share minimisation itself runs only for
-        flows on links whose occupancy changed.
+        flows on links whose occupancy or available bandwidth changed.  A
+        flow whose link has no bandwidth left (a fault's zero rate) parks
+        its completion at ``inf`` until a later flush re-times it.
         """
         if not self._dirty:
             return False
@@ -526,12 +532,15 @@ class KernelGraph:
             if fid in affected:
                 rate = flow.peak_rate
                 for resource in flow.resources:
-                    rate = min(rate, resource.capacity / len(resource.flows))
+                    rate = min(rate, resource.available / len(resource.flows))
                 flow.rate = rate
                 self.rate_recomputes += 1
             else:
                 self.rate_reuses += 1
-            when = now + flow.remaining / flow.rate
+            try:
+                when = now + flow.remaining / flow.rate
+            except ZeroDivisionError:
+                when = math.inf
             if flow.slot is None:
                 flow.slot = engine.schedule(
                     when, lambda f=flow: self._flow_fired(f)
@@ -657,13 +666,13 @@ class EventDrivenSimulator:
         started = time.perf_counter()
         with span("sim.lower", ops=len(graph.nodes), edges=len(graph.edges)):
             edge_costs = {
-                edge.key(): self.inter.directional_costs(
+                edge.key(): self.inter.edge_costs(
                     edge,
                     graph.node(edge.src),
                     plan[edge.src],
                     graph.node(edge.dst),
                     plan[edge.dst],
-                )
+                )[1:]
                 for edge in graph.edges
             }
             # Priced in kernel-emission order: a noisy profiler fits its
@@ -732,7 +741,7 @@ class EventDrivenSimulator:
     ) -> IterationReport:
         """Simulate one iteration of ``graph`` under ``plan`` event-driven."""
         with span("sim.run", devices=self.topology.n_devices):
-            report, _ = self._single_layer(graph, plan, global_batch)
+            report, _ = self._replay(graph, plan, global_batch, 1)
             return report
 
     def run_model(
@@ -760,21 +769,20 @@ class EventDrivenSimulator:
         with span("sim.run", devices=self.topology.n_devices):
             if force_replay and n_layers > 1:
                 counter("sim.splice", outcome="forced_replay").inc()
-                return self._full_replay(
-                    graph, plan, global_batch, n_layers, lowering
+            else:
+                single, spliceable = self._replay(
+                    graph, plan, global_batch, 1, lowering
                 )
-            single, spliceable = self._single_layer(
-                graph, plan, global_batch, lowering
-            )
-            if n_layers <= 1:
-                return single
-            if spliceable:
-                counter("sim.splice", outcome="spliced").inc()
-                return single.scaled_to_layers(n_layers, global_batch)
-            counter("sim.splice", outcome="replayed").inc()
-            return self._full_replay(
+                if n_layers <= 1:
+                    return single
+                if spliceable:
+                    counter("sim.splice", outcome="spliced").inc()
+                    return single.scaled_to_layers(n_layers, global_batch)
+                counter("sim.splice", outcome="replayed").inc()
+            report, _ = self._replay(
                 graph, plan, global_batch, n_layers, lowering
             )
+            return report
 
     # ------------------------------------------------------------------
     # cached entry points
@@ -788,14 +796,20 @@ class EventDrivenSimulator:
             self.memory,
         )
 
-    def _single_layer(
+    def _replay(
         self,
         graph: ComputationGraph,
         plan: Mapping[str, PartitionSpec],
         global_batch: int,
+        n_layers: int,
         lowering: Optional[PlanLowering] = None,
     ) -> Tuple[IterationReport, bool]:
-        key = self._cache_key(graph, plan, global_batch, 1)
+        """``n_layers`` replayed through the engine, via the report cache.
+
+        Returns ``(report, spliceable)``; only a one-layer replay can be
+        spliceable.
+        """
+        key = self._cache_key(graph, plan, global_batch, n_layers)
         if key is not None:
             entry = simcache.load(key)
             if entry is not None:
@@ -803,33 +817,11 @@ class EventDrivenSimulator:
                 self._replay_telemetry(report, entry["stats"])
                 return report, entry["spliceable"]
         report, spliceable, stats = self._simulate(
-            graph, lowering or self.lower(graph, plan), global_batch, 1
+            graph, lowering or self.lower(graph, plan), global_batch, n_layers
         )
         if key is not None:
             simcache.store(key, report, spliceable, stats)
         return report, spliceable
-
-    def _full_replay(
-        self,
-        graph: ComputationGraph,
-        plan: Mapping[str, PartitionSpec],
-        global_batch: int,
-        n_layers: int,
-        lowering: Optional[PlanLowering] = None,
-    ) -> IterationReport:
-        key = self._cache_key(graph, plan, global_batch, n_layers)
-        if key is not None:
-            entry = simcache.load(key)
-            if entry is not None:
-                report = entry["report"]
-                self._replay_telemetry(report, entry["stats"])
-                return report
-        report, _, stats = self._simulate(
-            graph, lowering or self.lower(graph, plan), global_batch, n_layers
-        )
-        if key is not None:
-            simcache.store(key, report, False, stats)
-        return report
 
     @staticmethod
     def _replay_telemetry(report: IterationReport, stats: Mapping) -> None:

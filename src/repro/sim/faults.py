@@ -45,7 +45,6 @@ replay whenever a flap makes the schedule time-varying.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -579,10 +578,12 @@ class FaultyKernelGraph(KernelGraph):
     * Degraded links scale the capacity of the node's shared NIC pool and
       stretch bandwidth-bound collective kernels on the node's devices by
       ``1 / factor`` (see ``LINK_KINDS``).
-    * NIC flaps schedule capacity-change events: while active, the pool
-      runs at ``reroute_factor`` of (possibly already degraded) capacity;
-      at factor ``0`` in-flight flows stall (completion parked at ``inf``)
-      until the restore event re-times them.
+    * NIC flaps schedule capacity-change events: while active, the pool's
+      ``available`` bandwidth is ``reroute_factor`` of its (possibly
+      already degraded) capacity, and the base class's one fair-share
+      flush divides that; at factor ``0`` in-flight flows stall
+      (completion parked at ``inf``) until the restore event re-times
+      them.
 
     With an empty scenario every path below is a bit-exact pass-through of
     the base class — asserted against the frozen legacy engine by the
@@ -631,10 +632,19 @@ class FaultyKernelGraph(KernelGraph):
         return super().add(name, **kwargs)
 
     def _link(self, key: str, capacity: float) -> _SharedLink:
-        factor = self._degraded.get(key)
-        if factor is not None and key not in self._links:
-            capacity = capacity * factor
-        return super()._link(key, capacity)
+        link = self._links.get(key)
+        if link is None:
+            factor = self._degraded.get(key)
+            if factor is not None:
+                capacity = capacity * factor
+            link = super()._link(key, capacity)
+            self._apply_flaps(link)
+        return link
+
+    def _apply_flaps(self, link: _SharedLink) -> None:
+        """Cut ``link``'s available bandwidth to its worst active flap."""
+        active = self._flap_active.get(link.key)
+        link.available = link.capacity * min(active) if active else link.capacity
 
     # -- execution overrides -------------------------------------------
 
@@ -657,62 +667,9 @@ class FaultyKernelGraph(KernelGraph):
             active.remove(flap.reroute_factor)
         link = self._links.get(key)
         if link is not None:
+            self._apply_flaps(link)
             self._dirty_links[key] = link
             self._dirty = True
-
-    def _capacity(self, resource: _SharedLink) -> float:
-        active = self._flap_active.get(resource.key)
-        if not active:
-            return resource.capacity
-        return resource.capacity * min(active)
-
-    def _flush_contention(self) -> bool:
-        """The base flush, with flap-aware capacity and stall handling.
-
-        Identical to :meth:`KernelGraph._flush_contention` except that the
-        fair-share solve reads :meth:`_capacity` (so active flaps modulate
-        the pool) and a zero rate parks the completion at ``inf`` — always
-        superseded, because the flap's restore event is already scheduled
-        and re-times every affected flow.
-        """
-        if not self._dirty:
-            return False
-        self._dirty = False
-        now = self.engine.now
-        affected = self._pending_rates
-        for link in self._dirty_links.values():
-            for fid in link.flows:
-                affected[fid] = None
-        self._dirty_links = {}
-        self._pending_rates = {}
-        engine = self.engine
-        for fid, flow in self._active.items():
-            flow.remaining = max(
-                flow.remaining - flow.rate * (now - flow.last_update), 0.0
-            )
-            flow.last_update = now
-            if fid in affected:
-                rate = flow.peak_rate
-                for resource in flow.resources:
-                    rate = min(
-                        rate, self._capacity(resource) / len(resource.flows)
-                    )
-                flow.rate = rate
-                self.rate_recomputes += 1
-            else:
-                self.rate_reuses += 1
-            if flow.rate <= 0.0:
-                when = math.inf
-            else:
-                when = now + flow.remaining / flow.rate
-            if flow.slot is None:
-                flow.slot = engine.schedule(
-                    when, lambda f=flow: self._flow_fired(f)
-                )
-            else:
-                engine.reschedule(flow.slot, when)
-        self.flushes += 1
-        return True
 
 
 # ----------------------------------------------------------------------

@@ -71,7 +71,7 @@ class TestMegatronPlan:
         plan = megatron_plan(large_block, 3, dp_degree=2)
         inter = InterOperatorCostModel(profiler8)
         for edge in large_block.edges:
-            cost = inter.cost(
+            cost, _, _ = inter.edge_costs(
                 edge,
                 large_block.node(edge.src),
                 plan[edge.src],

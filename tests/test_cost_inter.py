@@ -40,7 +40,7 @@ class TestAlignedEdges:
         act_spec = PartitionSpec.from_string(
             "B-K-K", 3, legal_dims=act.legal_dims, allow_temporal=False
         )
-        assert inter8.cost(edge, fc1, fc1_spec, act, act_spec) == 0.0
+        assert inter8.edge_costs(edge, fc1, fc1_spec, act, act_spec)[0] == 0.0
 
     def test_megatron_column_to_activation_free(self, inter8, large_mlp):
         """fc1 column-parallel output lands exactly where act needs it."""
@@ -50,7 +50,7 @@ class TestAlignedEdges:
         act_spec = PartitionSpec.from_string(
             "B-K-K", 3, legal_dims=act.legal_dims, allow_temporal=False
         )
-        assert inter8.cost(edge, fc1, fc1_spec, act, act_spec) == 0.0
+        assert inter8.edge_costs(edge, fc1, fc1_spec, act, act_spec)[0] == 0.0
 
     def test_row_parallel_replicated_output_free_into_any_batch_split(
         self, inter8, large_mlp
@@ -62,7 +62,7 @@ class TestAlignedEdges:
             "B-K-K", 3, legal_dims=act.legal_dims, allow_temporal=False
         )
         fc2_spec = PartitionSpec.from_string("B-N-N", 3)
-        assert inter8.cost(edge, act, act_spec, fc2, fc2_spec) == 0.0
+        assert inter8.edge_costs(edge, act, act_spec, fc2, fc2_spec)[0] == 0.0
 
 
 class TestMisalignedEdges:
@@ -73,7 +73,7 @@ class TestMisalignedEdges:
         act_spec = PartitionSpec.from_string(
             "K-K-B", 3, legal_dims=act.legal_dims, allow_temporal=False
         )
-        assert inter8.cost(edge, fc1, fc1_spec, act, act_spec) > 0.0
+        assert inter8.edge_costs(edge, fc1, fc1_spec, act, act_spec)[0] > 0.0
 
     def test_intra_node_skew_cheaper_than_cross_node(self, inter8, large_mlp):
         """The Cannon skew entering a temporal region stays on NVLink."""
@@ -85,8 +85,8 @@ class TestMisalignedEdges:
         )
         temporal = PartitionSpec.from_string("N-P2x2", 3)  # skew differs intra-node
         shuffled = PartitionSpec.from_string("P2x2-N", 3)  # differs across nodes
-        cheap = inter8.cost(edge, act, act_spec, fc2, temporal)
-        costly = inter8.cost(edge, act, act_spec, fc2, shuffled)
+        cheap = inter8.edge_costs(edge, act, act_spec, fc2, temporal)[0]
+        costly = inter8.edge_costs(edge, act, act_spec, fc2, shuffled)[0]
         assert cheap < costly
 
     def test_traffic_split_reported(self, inter8, large_mlp):
@@ -119,7 +119,7 @@ class TestMatrixConsistency:
         for i, sa in enumerate(act_specs):
             for j, sf in enumerate(fc2_specs):
                 assert matrix[i, j] == pytest.approx(
-                    inter8.cost(edge, act, sa, fc2, sf)
+                    inter8.edge_costs(edge, act, sa, fc2, sf)[0]
                 )
 
     def test_directional_costs_sum_to_less_than_total(self, inter8, large_mlp):
@@ -129,11 +129,9 @@ class TestMatrixConsistency:
             "K-M-K", 3, legal_dims=act.legal_dims, allow_temporal=False
         )
         fc2_spec = PartitionSpec.from_string("K-B-B", 3)
-        fwd, bwd = inter8.directional_costs(edge, act, act_spec, fc2, fc2_spec)
+        total, fwd, bwd = inter8.edge_costs(edge, act, act_spec, fc2, fc2_spec)
         assert fwd >= 0 and bwd >= 0
-        assert fwd + bwd == pytest.approx(
-            inter8.cost(edge, act, act_spec, fc2, fc2_spec), rel=0.2
-        )
+        assert fwd + bwd == pytest.approx(total, rel=0.2)
 
 
 class TestQkvThirds:
@@ -148,7 +146,7 @@ class TestQkvThirds:
             "B[batch]-B[heads]-B[heads]", 3,
             legal_dims=scores.legal_dims, allow_temporal=False,
         )
-        assert inter.cost(edge, qkv, qkv_spec, scores, scores_spec) == 0.0
+        assert inter.edge_costs(edge, qkv, qkv_spec, scores, scores_spec)[0] == 0.0
 
     def test_batch_split_scores_from_head_split_qkv_costs(
         self, profiler8, large_block
@@ -162,7 +160,7 @@ class TestQkvThirds:
             "B[batch]-B[batch]-B[batch]", 3,
             legal_dims=scores.legal_dims, allow_temporal=False,
         )
-        assert inter.cost(edge, qkv, qkv_spec, scores, scores_spec) > 0.0
+        assert inter.edge_costs(edge, qkv, qkv_spec, scores, scores_spec)[0] > 0.0
 
     def test_w_slot_uses_key_third(self, profiler8, large_block):
         """K-tensor edge intersects only the middle qkv third."""
@@ -175,7 +173,7 @@ class TestQkvThirds:
             "B[batch]-B[heads]-B[heads]", 3,
             legal_dims=scores.legal_dims, allow_temporal=False,
         )
-        assert inter.cost(edge_w, qkv, qkv_spec, scores, scores_spec) == 0.0
+        assert inter.edge_costs(edge_w, qkv, qkv_spec, scores, scores_spec)[0] == 0.0
 
 
 def _frozen_boundaries(op, specs):
@@ -207,11 +205,10 @@ def _assert_single_specs_match_frozen(profiler, graph, candidates, per_side=4):
         for prod_spec in src.specs[:per_side]:
             for cons_spec in dst.specs[:per_side]:
                 args = (edge, src.op, prod_spec, dst.op, cons_spec)
-                expected = frozen.directional_costs(*args)
+                expected = (frozen.cost(*args),) + frozen.directional_costs(*args)
                 # The second call reads the boxes memoized by the first.
-                assert batched.directional_costs(*args) == expected
-                assert batched.directional_costs(*args) == expected
-                assert batched.cost(*args) == frozen.cost(*args)
+                assert batched.edge_costs(*args) == expected
+                assert batched.edge_costs(*args) == expected
 
 
 #: Node-block layouts for the same-node coverage max: one GPU per node
@@ -318,7 +315,7 @@ class TestBoxMemo:
             )
 
         act_spec, fc2_spec = specs()
-        inter8.directional_costs(edge, act, act_spec, fc2, fc2_spec)
+        inter8.edge_costs(edge, act, act_spec, fc2, fc2_spec)
         assert act_spec.evaluator.box_memo and fc2_spec.evaluator.box_memo
         # Twins priced by the frozen model touch the same DSI matrices and
         # never had a box memo.
@@ -353,4 +350,4 @@ class TestBoxMemo:
             (edge, qkv, shared, scores, scores_spec),
             (fc1_edge, fc1, shared, act, act_spec),
         ):
-            assert inter8.directional_costs(*args) == frozen.directional_costs(*args)
+            assert inter8.edge_costs(*args)[1:] == frozen.directional_costs(*args)

@@ -341,14 +341,14 @@ class TestPriceOnce:
     @staticmethod
     def _count_pricing(monkeypatch):
         calls = []
-        price = InterOperatorCostModel.directional_costs
+        price = InterOperatorCostModel.edge_costs
 
         def counted(self, edge, *args):
             calls.append(edge.key())
             return price(self, edge, *args)
 
         monkeypatch.setattr(
-            InterOperatorCostModel, "directional_costs", counted
+            InterOperatorCostModel, "edge_costs", counted
         )
         return calls
 

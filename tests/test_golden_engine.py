@@ -10,6 +10,7 @@ float-for-float — timestamps, throughput, peak memory, utilization — not
 merely to a tolerance.
 """
 
+import json
 import pickle
 import sys
 from pathlib import Path
@@ -18,19 +19,23 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import legacy_engine  # noqa: E402  (vendored baseline, lives next to this file)
+import legacy_faults  # noqa: E402  (vendored baseline, lives next to this file)
 from repro.baselines.megatron import megatron_plan
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import torus_cluster, v100_cluster
 from repro.core.dims import Dim
 from repro.core.spec import PartitionSpec
 from repro.graph.graph import ComputationGraph
+from repro.graph.models import OPT_6_7B
 from repro.graph.operators import OpKind, OperatorSpec
+from repro.graph.transformer import build_block_graph
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.parallel3d.pipeline import (
     PipelinePlan,
     PipelineSchedule,
     pipeline_iteration_events,
 )
+from repro.sim import faults
 from repro.sim.engine import EventDrivenSimulator
 
 
@@ -339,3 +344,88 @@ class TestOnlineStatsMatchScan:
         b = candidate.run(large_block, plan, 8).utilization
         assert a.get("link_bytes") == b.get("link_bytes")
         assert a.get("link_utilization") == b.get("link_utilization")
+
+
+#: Flap-heavy fault models: every node flaps about twice per iteration,
+#: stalling (reroute 0) or throttling (0.25) its NIC pool, on top of
+#: degraded links and stragglers.
+FLAP_MODELS = (
+    "straggler=0.3:1.6,degrade=0.5:0.5,flap=2:0.003:0",
+    "straggler=0.3:1.6,degrade=0.5:0.5,flap=2:0.003:0.25",
+)
+
+#: One OPT-6.7B layer on 4 devices with temporal (P2x2) linear operators;
+#: wider clusters add data-parallel bits in front.
+_TEMPORAL_PLAN = {
+    "input": "M-K", "L0.ln1": "M-K", "L0.qkv": "P2x2",
+    "L0.scores": "B[batch]-B[heads]", "L0.softmax": "B[batch]-B[heads]",
+    "L0.context": "B[batch]-B[heads]", "L0.out_proj": "P2x2",
+    "L0.add1": "M-K", "L0.ln2": "M-K", "L0.fc1": "P2x2", "L0.act": "M-K",
+    "L0.fc2": "P2x2", "L0.add2": "M-K",
+}
+
+
+class TestGoldenFaultedReplays:
+    """Flaps cut a link's ``available`` bandwidth under the base engine's
+    one fair-share flush; the frozen fault graph kept its own flush copy.
+    Both must yield the same robustness reports, byte for byte."""
+
+    @pytest.mark.parametrize("n_devices, gpus_per_node", [(4, 2), (8, 2), (16, 4)])
+    @pytest.mark.parametrize("spec", FLAP_MODELS)
+    def test_robustness_reports_match_frozen(
+        self, spec, n_devices, gpus_per_node, monkeypatch
+    ):
+        from repro.sim.faults import FaultModel, evaluate_robustness
+
+        monkeypatch.setenv("PRIMEPAR_CACHE", "off")
+        profiler = FabricProfiler(v100_cluster(n_devices, gpus_per_node))
+        n_bits = n_devices.bit_length() - 1
+        prefix = "B-" * (n_bits - 2)
+        plan = {
+            name: PartitionSpec.from_string(prefix + text, n_bits)
+            for name, text in _TEMPORAL_PLAN.items()
+        }
+        graph = build_block_graph(OPT_6_7B.block_shape(batch=16))
+        model = FaultModel.from_spec(spec)
+
+        def report():
+            return evaluate_robustness(
+                profiler, graph, plan, 16, 2, model, scenarios=4, seed=5
+            )
+
+        candidate = report()
+        monkeypatch.setattr(
+            faults, "FaultyKernelGraph", legacy_faults.FaultyKernelGraph
+        )
+        golden = report()
+        # The flaps must actually slow the replays down.
+        assert any(o.nic_flaps and o.link_delay > 0 for o in golden.outcomes)
+        assert json.dumps(candidate.to_json(), sort_keys=True) == json.dumps(
+            golden.to_json(), sort_keys=True
+        )
+
+    @pytest.mark.parametrize("factor", [0.0, 0.25])
+    def test_link_opened_mid_flap_matches_frozen(self, factor):
+        """A NIC pool first used while its flap is on starts throttled."""
+        from repro.sim.faults import FaultScenario, NicFlap
+
+        profiler, graph, plan, batch = contended_case()
+        nominal = EventDrivenSimulator(profiler, use_disk_cache=False).run(
+            graph, plan, batch
+        )
+        flaps = tuple(
+            NicFlap(node, 0.0, nominal.latency / 2, factor)
+            for node in range(profiler.topology.n_nodes)
+        )
+        scenario = FaultScenario(index=0, seed=0, nic_flaps=flaps)
+
+        def replay(graph_cls):
+            return EventDrivenSimulator(
+                profiler,
+                graph_factory=lambda: graph_cls(scenario, profiler.topology),
+                use_disk_cache=False,
+            ).run(graph, plan, batch)
+
+        golden = replay(legacy_faults.FaultyKernelGraph)
+        assert golden.latency > nominal.latency
+        assert_reports_identical(golden, replay(faults.FaultyKernelGraph))

@@ -1067,6 +1067,25 @@ class TestServeCLI:
         assert args.slo_window == 256
         assert args.slo_p95_ms == 0.0
 
+    def test_serve_flags_follow_config_fields(self):
+        from dataclasses import fields
+
+        from repro.cli import build_parser, request_body
+        from repro.serve.server import ServeConfig
+
+        args = build_parser().parse_args(["serve"])
+        for f in fields(ServeConfig):
+            if f.name == "retry_after":
+                assert not hasattr(args, f.name)
+            else:
+                assert getattr(args, f.name) == f.default, f.name
+        assert ServeConfig(**request_body(args)) == ServeConfig()
+        custom = build_parser().parse_args(
+            ["serve", "--port", "0", "--deadline", "5", "--slo-p95-ms", "50"]
+        )
+        config = ServeConfig(**request_body(custom))
+        assert (config.port, config.deadline, config.slo_p95_ms) == (0, 5.0, 50.0)
+
     def test_cache_stats_reports_memory_tier(
         self, fresh_cache, registry, capsys
     ):
