@@ -131,7 +131,6 @@ def _three_regimes(
     legacy = EventDrivenSimulator(
         profiler,
         graph_factory=OrderedLegacyKernelGraph,
-        use_disk_cache=False,
     )
     legacy_seconds, legacy_report = _best_of(lambda: run(legacy), rounds)
     os.environ["PRIMEPAR_CACHE_DIR"] = cache_dir

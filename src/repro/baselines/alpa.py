@@ -14,34 +14,17 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cluster.profiler import FabricProfiler
-from ..core.cost.memory import MemoryCostModel
 from ..core.optimizer.strategy import PrimeParOptimizer, SearchResult
 from ..graph.graph import ComputationGraph
 
 
 def alpa_optimizer(
-    profiler: FabricProfiler,
-    alpha: float = 0.0,
-    partition_batch: bool = True,
-    memory_model: Optional[MemoryCostModel] = None,
-    beam: Optional[int] = None,
+    profiler: FabricProfiler, beam: Optional[int] = None
 ) -> PrimeParOptimizer:
     """A conventional-space optimizer (the Alpa stand-in)."""
-    return PrimeParOptimizer(
-        profiler,
-        alpha=alpha,
-        include_temporal=False,
-        partition_batch=partition_batch,
-        memory_model=memory_model,
-        beam=beam,
-    )
+    return PrimeParOptimizer(profiler, include_temporal=False, beam=beam)
 
 
-def alpa_plan(
-    profiler: FabricProfiler,
-    graph: ComputationGraph,
-    alpha: float = 0.0,
-    beam: Optional[int] = None,
-) -> SearchResult:
+def alpa_plan(profiler: FabricProfiler, graph: ComputationGraph) -> SearchResult:
     """Search the conventional space for ``graph``'s optimal plan."""
-    return alpa_optimizer(profiler, alpha=alpha, beam=beam).optimize(graph)
+    return alpa_optimizer(profiler).optimize(graph)

@@ -539,8 +539,15 @@ def cmd_explain(args) -> int:
         try:
             p, d, m = (int(x) for x in args.config3d.split(":"))
         except ValueError:
-            logger.error("--config3d expects p:d:m, got %r", args.config3d)
-            return 2
+            raise ValidationError(
+                f"--config3d expects p:d:m, got {args.config3d!r}", "config3d"
+            ) from None
+        if min(p, d, m) < 1 or p * d * m != search.devices:
+            raise ValidationError(
+                f"(p={p}, d={d}, m={m}) covers {p * d * m} devices, "
+                f"cluster has {search.devices}",
+                "config3d",
+            )
         from .parallel3d.planner import Config3D
 
         planner = Planner3D(

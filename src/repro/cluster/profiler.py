@@ -3,9 +3,9 @@
 The paper obtains its cost-model coefficients by profiling real-system
 latencies at several tensor sizes and fitting linear functions.  Lacking the
 physical cluster, we profile the *simulated* fabric: the analytic collective
-models of :mod:`repro.cluster.collectives` stand in for measurements (with
-optional multiplicative noise emulating measurement jitter), and the same
-least-squares fit produces the coefficients the cost model consumes.
+models of :mod:`repro.cluster.collectives` stand in for measurements, and
+the same least-squares fit produces the coefficients the cost model
+consumes.
 
 This keeps the methodology — profile, regress, predict — intact, and makes
 the cost model independent of the collective implementation details.
@@ -24,10 +24,10 @@ from .collectives import (
     concurrent_step_time,
     pattern_allreduce_time,
 )
-from .groups import GroupingPattern, grouping_pattern
+from .groups import grouping_pattern
 from .topology import ClusterTopology
 
-#: Default payload sizes (bytes) swept during profiling.
+#: Payload sizes (bytes) swept per fit.
 DEFAULT_PROFILE_SIZES: Tuple[float, ...] = (
     1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24, 1 << 26,
 )
@@ -64,39 +64,17 @@ class FabricProfiler:
 
     Args:
         topology: The fabric under test.
-        noise: Relative std-dev of multiplicative measurement noise.
-        seed: RNG seed for reproducible "measurements".
-        sizes: Payload sizes swept per fit.
     """
 
-    def __init__(
-        self,
-        topology: ClusterTopology,
-        noise: float = 0.0,
-        seed: int = 0,
-        sizes: Sequence[float] = DEFAULT_PROFILE_SIZES,
-    ) -> None:
+    def __init__(self, topology: ClusterTopology) -> None:
         self.topology = topology
-        self.noise = noise
-        self.seed = seed
-        self.sizes = tuple(sizes)
-        self._rng = np.random.default_rng(seed)
         self._allreduce_models: Dict[Tuple[int, ...], LinearLatencyModel] = {}
-        self._ring_models: Dict[Tuple[int, ...], LinearLatencyModel] = {}
         self._redistribution_models: Dict[bool, LinearLatencyModel] = {}
 
     def _disk_key(self, kind: str, key) -> Optional[str]:
-        """Persistent-cache key for one fitted model, or ``None``.
-
-        Noisy fits depend on the RNG draw *order* (which models were fitted
-        before this one), so only noise-free fits are persisted.
-        """
-        if self.noise != 0.0:
-            return None
+        """Persistent-cache key for one fitted model, or ``None``."""
         try:
-            return diskcache.content_key(
-                f"profiler-{kind}", self.topology, self.sizes, key
-            )
+            return diskcache.content_key(f"profiler-{kind}", self.topology, key)
         except TypeError:
             return None
 
@@ -116,12 +94,9 @@ class FabricProfiler:
 
     def _measure(self, fn: Callable[[float], float]) -> LinearLatencyModel:
         latencies = []
-        for size in self.sizes:
-            value = fn(float(size))
-            if self.noise:
-                value *= float(self._rng.normal(1.0, self.noise))
-            latencies.append(max(value, 0.0))
-        return fit_linear(self.sizes, latencies)
+        for size in DEFAULT_PROFILE_SIZES:
+            latencies.append(max(fn(float(size)), 0.0))
+        return fit_linear(DEFAULT_PROFILE_SIZES, latencies)
 
     # ------------------------------------------------------------------
     # collective patterns
@@ -138,29 +113,6 @@ class FabricProfiler:
                 lambda size: pattern_allreduce_time(self.topology, pattern, size),
             )
         return self._allreduce_models[key]
-
-    def ring_step_model(self, indicator: Sequence[int]) -> LinearLatencyModel:
-        """Fitted model for one temporal ring step within each group.
-
-        Every device sends one block to its ring successor within its group,
-        all groups concurrently — the traffic shape of ``P_{2^k x 2^k}``.
-        """
-        key = tuple(sorted(indicator))
-        if key not in self._ring_models:
-            pattern = grouping_pattern(self.topology.n_bits, key)
-
-            def measure(size: float) -> float:
-                transfers = []
-                for group in pattern.groups:
-                    members = sorted(group)
-                    for i, src in enumerate(members):
-                        dst = members[(i + 1) % len(members)]
-                        if dst != src:
-                            transfers.append(Transfer(src=src, dst=dst, n_bytes=size))
-                return concurrent_step_time(self.topology, transfers)
-
-            self._ring_models[key] = self._fit("ring", key, measure)
-        return self._ring_models[key]
 
     def redistribution_model(self, intra_node: bool = False) -> LinearLatencyModel:
         """Fitted redistribution model per traffic class (Eq. 9 latency).

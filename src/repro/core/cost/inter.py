@@ -25,7 +25,7 @@ the same float ops as a per-rank evaluation, so the matrices are exact.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -50,9 +50,6 @@ GRAD_END = (Phase.GRADIENT, -1)
 #: in the allocator's heap: on a 2-vCPU x86-64 host, 256 KiB ran the exact
 #: 16-device OPT-175B DP and merge 1.5-1.8x faster than 1 MiB or 32 MiB.
 CHUNK_BYTES = 256 << 10
-
-#: ``(op, specs, point, dims) -> {axis: (n_specs, n_devices, 2) boxes}``.
-BoxDecoder = Callable[..., Dict[str, np.ndarray]]
 
 
 def axis_boxes(
@@ -111,17 +108,21 @@ def axis_boxes(
     return boxes
 
 
-def memo_axis_boxes(
+def decode_boxes(
     op: OperatorSpec,
     specs: Sequence[PartitionSpec],
     point: Tuple[Phase, int],
     dims: Sequence[Dim],
 ) -> Dict[str, np.ndarray]:
-    """:func:`axis_boxes` of a single spec, memoized on its DSI evaluator.
+    """:func:`axis_boxes`, memoized on the DSI evaluator of a single spec.
 
-    The key holds everything the decode reads from ``op`` (the dims' axes
-    and sizes), so one spec priced against several operators stays exact.
+    A candidate list is decoded in one batch.  A lone spec (a plan priced
+    edge by edge) keeps its boxes; the key holds everything the decode
+    reads from ``op`` (the dims' axes and sizes), so one spec priced
+    against several operators stays exact.
     """
+    if len(specs) != 1:
+        return axis_boxes(op, specs, point, dims)
     (spec,) = specs
     phase, t = point
     layout = tuple(
@@ -242,7 +243,6 @@ class InterOperatorCostModel:
         prod_specs: Sequence[PartitionSpec],
         cons_op: OperatorSpec,
         cons_specs: Sequence[PartitionSpec],
-        decode: BoxDecoder = axis_boxes,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Eq. 9 forward traffic in elements, shape (n_prod, n_cons).
 
@@ -250,9 +250,10 @@ class InterOperatorCostModel:
         versus bytes that must cross nodes.
         """
         slot = cons_op.slot(edge.slot)
-        cons_boxes = decode(cons_op, cons_specs, FWD_START, slot.fwd_dims)
+        cons_boxes = decode_boxes(cons_op, cons_specs, FWD_START, slot.fwd_dims)
         prod_boxes = _rename(
-            decode(prod_op, prod_specs, FWD_END, prod_op.output_dims), edge.axis_map
+            decode_boxes(prod_op, prod_specs, FWD_END, prod_op.output_dims),
+            edge.axis_map,
         )
         fixed = {edge.map_axis(a): iv for a, iv in edge.src_fixed.items()}
         n_dev = prod_specs[0].n_devices
@@ -294,7 +295,6 @@ class InterOperatorCostModel:
         prod_specs: Sequence[PartitionSpec],
         cons_op: OperatorSpec,
         cons_specs: Sequence[PartitionSpec],
-        decode: BoxDecoder = axis_boxes,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Gradient-direction traffic: consumer's slot-grad -> producer's dO.
 
@@ -302,9 +302,10 @@ class InterOperatorCostModel:
         """
         slot = cons_op.slot(edge.slot)
         grad_point = (slot.grad_phase, -1)
-        holder_boxes = decode(cons_op, cons_specs, grad_point, slot.fwd_dims)
+        holder_boxes = decode_boxes(cons_op, cons_specs, grad_point, slot.fwd_dims)
         needed_boxes = _rename(
-            decode(prod_op, prod_specs, BWD_START, prod_op.output_dims), edge.axis_map
+            decode_boxes(prod_op, prod_specs, BWD_START, prod_op.output_dims),
+            edge.axis_map,
         )
         fixed = {edge.map_axis(a): iv for a, iv in edge.src_fixed.items()}
         n_p = len(prod_specs)
@@ -381,10 +382,9 @@ class InterOperatorCostModel:
         prod_specs: Sequence[PartitionSpec],
         cons_op: OperatorSpec,
         cons_specs: Sequence[PartitionSpec],
-        decode: BoxDecoder = axis_boxes,
     ) -> np.ndarray:
         """``interC`` over all candidate pairs, shape (n_prod, n_cons)."""
-        args = (edge, prod_op, prod_specs, cons_op, cons_specs, decode)
+        args = (edge, prod_op, prod_specs, cons_op, cons_specs)
         fwd_intra, fwd_inter = self.forward_traffic_matrix(*args)
         bwd_intra, bwd_inter = self.backward_traffic_matrix(*args)
         return self._predict(
@@ -409,7 +409,7 @@ class InterOperatorCostModel:
         decoded boxes are memoized on their DSI evaluators, so replaying
         one plan decodes each spec once.
         """
-        args = (edge, prod_op, [prod_spec], cons_op, [cons_spec], memo_axis_boxes)
+        args = (edge, prod_op, [prod_spec], cons_op, [cons_spec])
         fwd_intra, fwd_inter = self.forward_traffic_matrix(*args)
         bwd_intra, bwd_inter = self.backward_traffic_matrix(*args)
         intra = np.concatenate([fwd_intra + bwd_intra, fwd_intra, bwd_intra], axis=1)

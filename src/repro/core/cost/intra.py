@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ...cluster.profiler import FabricProfiler
 from ...graph.operators import OperatorSpec
-from ..dims import ALL_PHASES, Phase
+from ..dims import ALL_PHASES
 from ..spec import PartitionSpec
 from .communication import CommunicationCostModel
 from .compute import ComputeCostModel
@@ -51,15 +51,10 @@ class IntraCost:
 class IntraOperatorCostModel:
     """Evaluates Eq. 7 for (operator, spec) pairs, with caching."""
 
-    def __init__(
-        self,
-        profiler: FabricProfiler,
-        alpha: float = 0.0,
-        memory_model: MemoryCostModel = None,
-    ) -> None:
+    def __init__(self, profiler: FabricProfiler, alpha: float = 0.0) -> None:
         self.compute = ComputeCostModel(profiler.topology.device)
         self.communication = CommunicationCostModel(profiler)
-        self.memory = memory_model or MemoryCostModel()
+        self.memory = MemoryCostModel()
         self.alpha = alpha
         self._cache: Dict[Tuple[str, Tuple, int], IntraCost] = {}
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from ...graph.operators import OpKind, OperatorSpec
-from ...graph.tensors import DTYPE_BYTES
 from ..dims import Dim, Phase
 from ..spec import PartitionSpec
 from .compute import block_bytes, block_elements
@@ -22,17 +21,12 @@ from .compute import block_bytes, block_elements
 class MemoryCostModel:
     """Per-device peak memory of a partitioned operator, in bytes."""
 
-    def __init__(self, optimizer_state_bytes_per_param: float = 0.0) -> None:
-        #: Extra bytes per parameter for optimizer state (0 reproduces the
-        #: paper's params+stash model; 12.0 models fp32 Adam + master copy).
-        self.optimizer_state_bytes_per_param = optimizer_state_bytes_per_param
-
     # ------------------------------------------------------------------
     # components
     # ------------------------------------------------------------------
 
     def parameter_bytes(self, op: OperatorSpec, spec: PartitionSpec) -> float:
-        """Local parameters + their gradients (+ optional optimizer state)."""
+        """Local parameters + their gradients."""
         if not op.has_parameters:
             return 0.0
         if op.kind is OpKind.LINEAR:
@@ -43,8 +37,7 @@ class MemoryCostModel:
             local_elements = op.parameter_elements() / max(
                 spec.slice_counts[Dim.K], 1
             )
-        per_param = 2 * op.weight_dtype_bytes + self.optimizer_state_bytes_per_param
-        return local_elements * per_param
+        return local_elements * (2 * op.weight_dtype_bytes)
 
     def stash_bytes(self, op: OperatorSpec, spec: PartitionSpec) -> float:
         """Forward tensors stashed for the Backward/Gradient phases."""

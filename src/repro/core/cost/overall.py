@@ -15,7 +15,6 @@ from ...graph.graph import ComputationGraph, Edge
 from ..spec import PartitionSpec
 from .inter import InterOperatorCostModel
 from .intra import IntraCost, IntraOperatorCostModel
-from .memory import MemoryCostModel
 
 
 @dataclass(frozen=True)
@@ -56,17 +55,10 @@ class PlanCost:
 class OverallCostModel:
     """Evaluates Eq. 10 for explicit plans."""
 
-    def __init__(
-        self,
-        profiler: FabricProfiler,
-        alpha: float = 0.0,
-        memory_model: MemoryCostModel = None,
-    ) -> None:
+    def __init__(self, profiler: FabricProfiler, alpha: float = 0.0) -> None:
         self.profiler = profiler
         self.alpha = alpha
-        self.intra = IntraOperatorCostModel(
-            profiler, alpha=alpha, memory_model=memory_model
-        )
+        self.intra = IntraOperatorCostModel(profiler, alpha=alpha)
         self.inter = InterOperatorCostModel(profiler)
 
     def plan_cost(

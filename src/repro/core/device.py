@@ -11,7 +11,7 @@ column coordinates of a logical ``2^k x 2^k`` square (paper Alg. 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -58,12 +58,6 @@ class DeviceId:
 def all_devices(n_bits: int) -> Tuple[DeviceId, ...]:
     """All ``2**n_bits`` device ids in rank order."""
     return tuple(DeviceId.from_rank(r, n_bits) for r in range(1 << n_bits))
-
-
-def iter_devices(n_bits: int) -> Iterator[DeviceId]:
-    """Iterate device ids in rank order without materialising the tuple."""
-    for rank in range(1 << n_bits):
-        yield DeviceId.from_rank(rank, n_bits)
 
 
 def square_coordinates(device: DeviceId, start_bit: int, k: int) -> Tuple[int, int]:

@@ -20,7 +20,7 @@ Conventions (matching Alg. 1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from .device import DeviceId, square_coordinates
@@ -249,7 +249,7 @@ class DsiEvaluator:
 
     @property
     def box_memo(self) -> Dict:
-        """Boundary boxes decoded by :func:`repro.core.cost.inter.memo_axis_boxes`.
+        """Boundary boxes decoded by :func:`repro.core.cost.inter.decode_boxes`.
 
         Never pickled, so cache entries and pool payloads keep their size.
         """

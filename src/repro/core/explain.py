@@ -27,11 +27,10 @@ to tables lives with the CLI.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from ..cluster.profiler import FabricProfiler
 from ..graph.graph import ComputationGraph
-from .cost.memory import MemoryCostModel
 from .cost.overall import OverallCostModel
 from .spec import PartitionSpec
 
@@ -87,7 +86,6 @@ def explain_plan(
     graph: ComputationGraph,
     plan: Mapping[str, PartitionSpec],
     alpha: float = 0.0,
-    memory_model: Optional[MemoryCostModel] = None,
     include_links: bool = False,
     global_batch: int = 1,
 ) -> Dict[str, object]:
@@ -99,9 +97,7 @@ def explain_plan(
     replays the plan through the event-driven engine for per-link byte
     attribution (``links``), pricing one layer.
     """
-    priced = OverallCostModel(
-        profiler, alpha=alpha, memory_model=memory_model
-    ).plan_cost(graph, plan)
+    priced = OverallCostModel(profiler, alpha=alpha).plan_cost(graph, plan)
     per_layer: List[Dict[str, object]] = []
     by_spec: Dict[str, Dict[str, object]] = {}
     for node, cost in zip(graph.nodes, priced.operators):

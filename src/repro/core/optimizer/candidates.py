@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -107,7 +107,6 @@ def build_candidates(
     include_temporal: bool = True,
     partition_batch: bool = True,
     collapse: bool = True,
-    extra_specs: Sequence[PartitionSpec] = (),
     beam: Optional[int] = None,
 ) -> CandidateSet:
     """Enumerate, cost and collapse one operator's partition space.
@@ -122,7 +121,6 @@ def build_candidates(
             parallelism mode of paper Sec. 6.4 where data parallelism is
             controlled externally.
         collapse: Collapse boundary-equivalence classes (exact reduction).
-        extra_specs: Hand-built specs to force into the set (baselines).
         beam: Keep only the ``beam`` cheapest classes by intra cost — an
             approximation used to bound search time on large clusters.
     """
@@ -139,7 +137,7 @@ def build_candidates(
         axis_capacities=op.axis_capacities(),
         include_replicate=not op.is_matmul_like,
     )
-    extras = list(extra_specs) + canonical_specs(
+    extras = canonical_specs(
         op,
         n_bits,
         include_temporal=include_temporal,

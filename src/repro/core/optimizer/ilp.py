@@ -45,8 +45,6 @@ class BranchAndBoundSolver:
         graph: The computation graph.
         candidates: Candidate set per node (as built by the optimizer).
         inter_model: Eq. 8-9 edge-cost evaluator.
-        node_order: Assignment order; defaults to topological order, which
-            resolves most edges early.
     """
 
     def __init__(
@@ -54,11 +52,10 @@ class BranchAndBoundSolver:
         graph: ComputationGraph,
         candidates: Mapping[str, CandidateSet],
         inter_model: InterOperatorCostModel,
-        node_order: Optional[List[str]] = None,
     ) -> None:
         self.graph = graph
         self.candidates = candidates
-        self.names = list(node_order or [n.name for n in graph.nodes])
+        self.names = [n.name for n in graph.nodes]
         position = {name: i for i, name in enumerate(self.names)}
         #: Edges grouped by the assignment depth at which they resolve.
         self._edges_at: Dict[int, List[Tuple[int, int, np.ndarray]]] = {}

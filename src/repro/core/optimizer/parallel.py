@@ -138,7 +138,7 @@ def build_candidates_task(
 ) -> CandidateSet:
     """Worker: build one operator type's candidate set.
 
-    Payload: ``(op, n_bits, profiler, alpha, memory_model, include_temporal,
+    Payload: ``(op, n_bits, profiler, alpha, include_temporal,
     partition_batch, beam)`` — the intra model is rebuilt in the worker so a
     fresh (empty) per-process cache never skews results.
     """
@@ -147,14 +147,11 @@ def build_candidates_task(
         n_bits,
         profiler,
         alpha,
-        memory_model,
         include_temporal,
         partition_batch,
         beam,
     ) = payload
-    intra_model = IntraOperatorCostModel(
-        profiler, alpha=alpha, memory_model=memory_model
-    )
+    intra_model = IntraOperatorCostModel(profiler, alpha=alpha)
     return build_candidates(
         op,
         n_bits,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from ...obs.metrics import delta_snapshots, get_registry
 from ...obs.spans import get_collector, span
 from ..cost.inter import InterOperatorCostModel
 from ..cost.intra import IntraOperatorCostModel
-from ..cost.memory import MemoryCostModel
 from ..spec import PartitionSpec
 from .candidates import CandidateSet, build_candidates, type_key
 from .deadline import Deadline, check_deadline
@@ -121,17 +120,12 @@ class PrimeParOptimizer:
             conventional space (the Alpa stand-in baseline).
         partition_batch: ``False`` removes batch partitioning — used when
             composing with externally-controlled data parallelism (Sec. 6.4).
-        memory_model: Custom memory model (e.g. with optimizer state).
         beam: Optional per-node candidate cap (cheapest classes by intra
             cost) bounding search time on large clusters; ``None`` searches
             the full space.
         jobs: Process-pool width for per-operator-type candidate builds
             (``1`` = serial, ``0`` = all cores).  Results are merged
             order-independently and are bit-identical to the serial path.
-        use_disk_cache: Persist candidate sets to the on-disk cache
-            (:mod:`repro.cache`) so repeated invocations start warm.  Only
-            active for noise-free profilers (noisy "measurements" depend on
-            RNG draw order and must not be reused across runs).
     """
 
     def __init__(
@@ -140,10 +134,8 @@ class PrimeParOptimizer:
         alpha: float = 0.0,
         include_temporal: bool = True,
         partition_batch: bool = True,
-        memory_model: Optional[MemoryCostModel] = None,
         beam: Optional[int] = None,
         jobs: int = 1,
-        use_disk_cache: bool = True,
     ) -> None:
         self.profiler = profiler
         self.include_temporal = include_temporal
@@ -151,10 +143,7 @@ class PrimeParOptimizer:
         #: Optional cap on candidate classes per node (approximate search).
         self.beam = beam
         self.jobs = resolve_jobs(jobs)
-        self.use_disk_cache = use_disk_cache
-        self.intra_model = IntraOperatorCostModel(
-            profiler, alpha=alpha, memory_model=memory_model
-        )
+        self.intra_model = IntraOperatorCostModel(profiler, alpha=alpha)
         self.inter_model = InterOperatorCostModel(profiler)
         self._candidate_cache: Dict[Tuple, CandidateSet] = {}
         #: Edge cost matrices memoized on (edge signature, candidate
@@ -166,23 +155,16 @@ class PrimeParOptimizer:
     # ------------------------------------------------------------------
 
     def _disk_key(self, node) -> Optional[str]:
-        """Content hash for one operator type's candidate set, or ``None``.
+        """Content hash for one operator type's candidate set.
 
-        ``None`` when persistence is off, the profiler is noisy (its fitted
-        models depend on RNG draw order), or some input cannot be encoded
-        canonically.
+        ``None`` when some input cannot be encoded canonically.
         """
-        if not self.use_disk_cache or self.profiler.noise != 0.0:
-            return None
-        memory = self.intra_model.memory
         try:
             return diskcache.content_key(
                 "candidates",
                 type_key(node),
                 self.profiler.topology,
-                tuple(self.profiler.sizes),
                 self.intra_model.alpha,
-                (type(memory).__qualname__, sorted(vars(memory).items())),
                 self.include_temporal,
                 self.partition_batch,
                 self.beam,
@@ -225,23 +207,20 @@ class PrimeParOptimizer:
             misses.append((key, node, disk_key))
         if misses:
             check_deadline(deadline, "candidates")
-            # Fan out only when fits cannot depend on RNG draw order.
-            jobs = self.jobs if self.profiler.noise == 0.0 else 1
-            if jobs > 1 and len(misses) > 1:
+            if self.jobs > 1 and len(misses) > 1:
                 payloads = [
                     (
                         node,
                         n_bits,
                         self.profiler,
                         self.intra_model.alpha,
-                        self.intra_model.memory,
                         self.include_temporal,
                         self.partition_batch,
                         self.beam,
                     )
                     for _, node, _ in misses
                 ]
-                built = parallel_map(build_candidates_task, payloads, jobs)
+                built = parallel_map(build_candidates_task, payloads, self.jobs)
             else:
                 built = []
                 for _, node, _ in misses:

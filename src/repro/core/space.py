@@ -13,7 +13,7 @@ partitionings such as Megatron's head-aligned attention split.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .dims import Dim
 from .partitions import DimPartition, PartitionStep, Replicate, TemporalPartition
@@ -24,7 +24,6 @@ def enumerate_sequences(
     n_bits: int,
     legal_dims: Sequence[Dim],
     include_temporal: bool = True,
-    max_temporal_k: Optional[int] = None,
     dim_limits: Optional[Mapping[Dim, int]] = None,
     axis_options: Optional[Mapping[Dim, Sequence[Optional[str]]]] = None,
     axis_capacities: Optional[Mapping[Tuple[Dim, Optional[str]], int]] = None,
@@ -36,7 +35,6 @@ def enumerate_sequences(
         n_bits: Device-id bits to consume.
         legal_dims: Dims the operator permits partitioning.
         include_temporal: Whether ``P_{2^k x 2^k}`` steps are allowed.
-        max_temporal_k: Cap on the primitive's ``k``.
         dim_limits: Per-dim cap on total slices (a dim cannot be split
             beyond its size); temporal contributions count against
             ``M``/``N``/``K``.
@@ -88,10 +86,7 @@ def enumerate_sequences(
         if include_replicate:
             yield from expand(prefix + (Replicate(),), remaining - 1)
         if include_temporal:
-            max_k = remaining // 2
-            if max_temporal_k is not None:
-                max_k = min(max_k, max_temporal_k)
-            for k in range(1, max_k + 1):
+            for k in range(1, remaining // 2 + 1):
                 step = TemporalPartition(k)
                 if all(
                     slices_of(prefix, d) * step.side <= limits.get(d, big)
@@ -107,7 +102,6 @@ def enumerate_specs(
     legal_dims: Sequence[Dim],
     allow_temporal: bool = True,
     include_temporal: bool = True,
-    max_temporal_k: Optional[int] = None,
     dim_limits: Optional[Mapping[Dim, int]] = None,
     axis_options: Optional[Mapping[Dim, Sequence[Optional[str]]]] = None,
     axis_capacities: Optional[Mapping[Tuple[Dim, Optional[str]], int]] = None,
@@ -124,7 +118,6 @@ def enumerate_specs(
         n_bits,
         legal_dims,
         include_temporal=temporal,
-        max_temporal_k=max_temporal_k,
         dim_limits=dim_limits,
         axis_options=axis_options,
         axis_capacities=axis_capacities,

@@ -87,8 +87,3 @@ def slice_interval(total: int, n_slices: int, index: int) -> Tuple[int, int]:
     start = index * base + min(index, extra)
     stop = start + base + (1 if index < extra else 0)
     return start, stop
-
-
-def tensor_elements(axes: Iterable[str], axis_sizes: Mapping[str, int]) -> int:
-    """Total element count of a tensor spanning ``axes``."""
-    return flat_size(axes, axis_sizes)

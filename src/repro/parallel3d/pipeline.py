@@ -183,7 +183,6 @@ def pipeline_iteration_events(
     boundary_bytes: float,
     link: LinkSpec,
     graph_factory=None,
-    use_disk_cache: bool = True,
 ) -> PipelineReport:
     """Event-driven replay of a pipeline schedule on the simulation engine.
 
@@ -208,7 +207,7 @@ def pipeline_iteration_events(
     hop = link.transfer_time(boundary_bytes) if p > 1 else 0.0
 
     key = None
-    if graph_factory is None and use_disk_cache:
+    if graph_factory is None:
         try:
             key = diskcache.content_key(
                 "pipesim", 1, plan, stage_forward, stage_backward,

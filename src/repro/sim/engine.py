@@ -81,7 +81,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cluster.profiler import FabricProfiler
 from ..cluster.topology import PathResources
-from ..core.dims import Phase
+from ..core.dims import ALL_PHASES, Phase
 from ..core.cost.communication import CommunicationCostModel
 from ..core.cost.compute import ComputeCostModel
 from ..core.cost.inter import InterOperatorCostModel
@@ -616,17 +616,17 @@ class EventDrivenSimulator:
 
     Args:
         profiler: Fabric profiler providing the cluster and cost models.
-        memory_model: Memory cost model (paper defaults when omitted).
         graph_factory: Constructor for the kernel-DAG executor; the golden
-            regression suite swaps in the frozen pre-optimisation engine.
+            regression suite swaps in the frozen pre-optimisation engine,
+            the fault layer a fault-injecting graph.
         use_disk_cache: Memoize :class:`IterationReport` results through
-            :mod:`repro.sim.simcache` (noise-free profilers only).
+            :mod:`repro.sim.simcache` (stock :class:`KernelGraph` only: a
+            custom graph's reports are not the stock ones).
     """
 
     def __init__(
         self,
         profiler: FabricProfiler,
-        memory_model: Optional[MemoryCostModel] = None,
         graph_factory: Callable[[], KernelGraph] = KernelGraph,
         use_disk_cache: bool = True,
     ) -> None:
@@ -635,7 +635,7 @@ class EventDrivenSimulator:
         self.compute = ComputeCostModel(profiler.topology.device)
         self.communication = CommunicationCostModel(profiler)
         self.inter = InterOperatorCostModel(profiler)
-        self.memory = memory_model or MemoryCostModel()
+        self.memory = MemoryCostModel()
         self.graph_factory = graph_factory
         self.use_disk_cache = use_disk_cache
         #: The last lowering built, as ``(graph, specs in node order,
@@ -675,24 +675,18 @@ class EventDrivenSimulator:
                 )[1:]
                 for edge in graph.edges
             }
-            # Priced in kernel-emission order: a noisy profiler fits its
-            # collective models lazily, so first-use order fixes its draws.
             phases: Dict[Tuple[str, Phase], PhaseLowering] = {}
             extras: Dict[str, float] = {}
             for node in graph.nodes:
-                phases[node.name, Phase.FORWARD] = self._price_phase(
-                    node, plan[node.name], Phase.FORWARD
-                )
-            for node in reversed(graph.nodes):
                 spec = plan[node.name]
-                for phase in (Phase.BACKWARD, Phase.GRADIENT):
+                for phase in ALL_PHASES:
                     phases[node.name, phase] = self._price_phase(
                         node, spec, phase
                     )
                 extras[node.name] = self.communication.layernorm_extras(
                     node, spec
                 )
-            watermark = track_iteration(graph, plan, self.memory)
+            watermark = track_iteration(graph, plan)
             lowering = PlanLowering(
                 edge_costs=edge_costs,
                 phases=phases,
@@ -789,11 +783,10 @@ class EventDrivenSimulator:
     # ------------------------------------------------------------------
 
     def _cache_key(self, graph, plan, global_batch, n_layers) -> Optional[str]:
-        if not self.use_disk_cache:
+        if not self.use_disk_cache or self.graph_factory is not KernelGraph:
             return None
         return simcache.report_key(
-            self.profiler, graph, plan, global_batch, n_layers,
-            self.memory,
+            self.profiler, graph, plan, global_batch, n_layers
         )
 
     def _replay(

@@ -824,7 +824,6 @@ def _faulted_latency(
     simulator = EventDrivenSimulator(
         profiler,
         graph_factory=lambda: FaultyKernelGraph(scenario, topology),
-        use_disk_cache=False,
     )
     report = simulator.run_model(
         graph, plan, global_batch, n_layers,
@@ -855,9 +854,7 @@ def simulate_scenario(
     plan is lowered once here and shared by this scenario's replays.
     """
     if lowering is None and scenario.has_engine_faults:
-        lowering = EventDrivenSimulator(
-            profiler, use_disk_cache=False
-        ).lower(graph, plan)
+        lowering = EventDrivenSimulator(profiler).lower(graph, plan)
     if scenario.has_compute_faults:
         compute_latency = _faulted_latency(
             profiler, graph, plan, global_batch, n_layers,

@@ -10,7 +10,7 @@ occurs and what it is made of.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping
 
 from ..core.cost.memory import MemoryCostModel
 from ..core.spec import PartitionSpec
@@ -56,7 +56,6 @@ class MemoryTimeline:
 def track_iteration(
     graph: ComputationGraph,
     plan: Mapping[str, PartitionSpec],
-    memory_model: MemoryCostModel = None,
 ) -> MemoryTimeline:
     """Play one iteration's allocations and releases.
 
@@ -65,7 +64,7 @@ def track_iteration(
     Forward and disappear as the reverse sweep finishes each operator's
     Gradient phase.
     """
-    memory_model = memory_model or MemoryCostModel()
+    memory_model = MemoryCostModel()
     timeline = MemoryTimeline()
     for node in graph.nodes:
         spec = plan[node.name]

@@ -11,9 +11,8 @@ so a cached report is indistinguishable from a fresh one.
 Entries carry the telemetry the simulation would have emitted (kernel
 counts, heap and rebalance tallies) so a cache hit replays the same counter
 increments and a warm run's metrics snapshot stays comparable to a cold
-one.  Keys are refused (``None``) for noisy profilers — their fitted models
-depend on RNG draw order — and for anything :func:`repro.cache.content_key`
-cannot canonically encode.
+one.  Keys are refused (``None``) for anything
+:func:`repro.cache.content_key` cannot canonically encode.
 """
 
 from __future__ import annotations
@@ -43,11 +42,8 @@ def report_key(
     plan: Mapping[str, Any],
     global_batch: int,
     n_layers: int,
-    memory_model,
 ) -> Optional[str]:
     """Content hash for one simulated iteration, or ``None`` if uncacheable."""
-    if profiler.noise != 0.0:
-        return None
     try:
         return diskcache.content_key(
             KIND,
@@ -58,11 +54,6 @@ def report_key(
             int(global_batch),
             int(n_layers),
             profiler.topology,
-            tuple(profiler.sizes),
-            (
-                type(memory_model).__qualname__,
-                sorted(vars(memory_model).items()),
-            ),
         )
     except TypeError:
         return None

@@ -50,6 +50,20 @@ class TestParser:
         assert err.value.field == "layers"
         assert main(["simulate", "--devices", "4", "--layers", "-3"]) == 2
 
+    def test_explain_rejects_config3d_device_mismatch(self, capsys):
+        assert main(["explain", "--devices", "8", "--config3d", "2:2:4"]) == 2
+        assert (
+            "invalid request: (p=2, d=2, m=4) covers 16 devices, cluster has 8"
+            in capsys.readouterr().err
+        )
+
+    def test_explain_rejects_malformed_config3d(self, capsys):
+        assert main(["explain", "--devices", "8", "--config3d", "2:x:4"]) == 2
+        assert (
+            "invalid request: --config3d expects p:d:m, got '2:x:4'"
+            in capsys.readouterr().err
+        )
+
     def test_fault_file_is_read_by_the_cli(self, tmp_path):
         path = tmp_path / "faults.json"
         path.write_text(json.dumps({"straggler_rate": 0.5}))

@@ -13,7 +13,7 @@ from repro.cluster.collectives import (
 from repro.cluster.groups import grouping_pattern, ring_order
 from repro.cluster.hardware import A100_SXM4_80GB, V100_SXM2_32GB
 from repro.cluster.links import INFINIBAND_100G, NVLINK_V100, LinkSpec, slowest
-from repro.cluster.profiler import FabricProfiler, fit_linear
+from repro.cluster.profiler import fit_linear
 from repro.cluster.topology import ClusterTopology, torus_cluster, v100_cluster
 
 
@@ -200,18 +200,6 @@ class TestProfiler:
         intra = profiler8.redistribution_model(intra_node=True)
         inter = profiler8.redistribution_model(intra_node=False)
         assert intra.predict(1 << 24) < inter.predict(1 << 24)
-
-    def test_ring_step_model(self, profiler8):
-        model = profiler8.ring_step_model((1, 2))
-        assert model.predict(1 << 24) > 0
-
-    def test_noise_does_not_break_fit(self, topo8):
-        noisy = FabricProfiler(topo8, noise=0.05, seed=42)
-        model = noisy.allreduce_model((1, 2))
-        clean = FabricProfiler(topo8).allreduce_model((1, 2))
-        assert model.predict(1 << 24) == pytest.approx(
-            clean.predict(1 << 24), rel=0.3
-        )
 
 
 class TestHardware:

@@ -176,12 +176,6 @@ class TestMemoryModel:
         )
         assert memory.stash_bytes(add, spec) == 0.0
 
-    def test_optimizer_state_surcharge(self, fc2):
-        plain = MemoryCostModel()
-        adam = MemoryCostModel(optimizer_state_bytes_per_param=12.0)
-        spec = PartitionSpec.from_string("N-N-N", 3)
-        assert adam.parameter_bytes(fc2, spec) > plain.parameter_bytes(fc2, spec)
-
     def test_plan_memory_sums(self, large_mlp, fc2):
         memory = MemoryCostModel()
         spec = PartitionSpec.from_string("N-N-N", 3)

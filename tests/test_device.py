@@ -6,7 +6,6 @@ from repro.core.device import (
     DeviceId,
     all_devices,
     device_from_square,
-    iter_devices,
     square_coordinates,
 )
 
@@ -62,9 +61,6 @@ class TestDeviceEnumeration:
     def test_all_devices_distinct(self):
         devices = all_devices(4)
         assert len(set(devices)) == 16
-
-    def test_iter_matches_all(self):
-        assert list(iter_devices(3)) == list(all_devices(3))
 
 
 class TestSquareCoordinates:

@@ -405,7 +405,6 @@ class TestZeroFaultGraphPassThrough:
             graph_factory=lambda: FaultyKernelGraph(
                 FaultScenario(index=0, seed=0), topology
             ),
-            use_disk_cache=False,
         )
         a = stock.run_model(graph, plan, 8, 4)
         b = faulty.run_model(graph, plan, 8, 4)
@@ -420,13 +419,26 @@ class TestZeroFaultGraphPassThrough:
         faulty = EventDrivenSimulator(
             profiler,
             graph_factory=lambda: FaultyKernelGraph(scenario, topology),
-            use_disk_cache=False,
         )
         stock = EventDrivenSimulator(profiler, use_disk_cache=False)
         assert (
             faulty.run_model(graph, plan, 8, 4).latency
             > stock.run_model(graph, plan, 8, 4).latency
         )
+
+    def test_custom_graph_bypasses_report_cache(self, setting):
+        """A stock report in the cache never answers a faulted replay."""
+        profiler, graph, plan = setting
+        topology = profiler.topology
+        scenario = FaultScenario(
+            index=0, seed=0, stragglers=(Straggler(device=0, slowdown=2.0),)
+        )
+        stock = EventDrivenSimulator(profiler).run_model(graph, plan, 8, 4)
+        faulty = EventDrivenSimulator(
+            profiler,
+            graph_factory=lambda: FaultyKernelGraph(scenario, topology),
+        ).run_model(graph, plan, 8, 4)
+        assert faulty.latency > stock.latency
 
     def test_degraded_link_scales_capacity(self, setting):
         profiler, _, _ = setting

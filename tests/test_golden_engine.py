@@ -102,7 +102,6 @@ def simulators(profiler):
     golden = EventDrivenSimulator(
         profiler,
         graph_factory=OrderedLegacyKernelGraph,
-        use_disk_cache=False,
     )
     candidate = EventDrivenSimulator(profiler, use_disk_cache=False)
     return golden, candidate
@@ -252,16 +251,16 @@ class TestGoldenPipeline:
     ]
 
     @pytest.mark.parametrize("schedule,p,m", CASES)
-    def test_pipeline_events_match_legacy(self, schedule, p, m):
+    def test_pipeline_events_match_legacy(self, schedule, p, m, monkeypatch):
         link = v100_cluster(8, gpus_per_node=2).inter_link
         plan = PipelinePlan(n_stages=p, n_microbatches=m, schedule=schedule)
         golden = pipeline_iteration_events(
             plan, 1e-3, 2e-3, 4e6, link,
             graph_factory=OrderedLegacyKernelGraph,
         )
-        candidate = pipeline_iteration_events(
-            plan, 1e-3, 2e-3, 4e6, link, use_disk_cache=False
-        )
+        with monkeypatch.context() as cold:
+            cold.setenv("PRIMEPAR_CACHE", "off")
+            candidate = pipeline_iteration_events(plan, 1e-3, 2e-3, 4e6, link)
         warm_seed = pipeline_iteration_events(plan, 1e-3, 2e-3, 4e6, link)
         warm = pipeline_iteration_events(plan, 1e-3, 2e-3, 4e6, link)
         for report in (candidate, warm_seed, warm):
@@ -289,7 +288,6 @@ class TestGoldenZeroFault:
         return EventDrivenSimulator(
             profiler,
             graph_factory=lambda: FaultyKernelGraph(scenario, topology),
-            use_disk_cache=False,
         )
 
     def test_zero_fault_megatron_matches_legacy(self, profiler8, large_block):
@@ -423,7 +421,6 @@ class TestGoldenFaultedReplays:
             return EventDrivenSimulator(
                 profiler,
                 graph_factory=lambda: graph_cls(scenario, profiler.topology),
-                use_disk_cache=False,
             ).run(graph, plan, batch)
 
         golden = replay(legacy_faults.FaultyKernelGraph)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.dims import ALL_DIMS, Dim
-from repro.core.partitions import DimPartition, Replicate, TemporalPartition
+from repro.core.partitions import Replicate
 from repro.core.space import enumerate_sequences, enumerate_specs, space_size
 
 
@@ -50,13 +50,6 @@ class TestConstraints:
     def test_dim_limits_apply_to_temporal(self):
         specs = enumerate_specs(2, ALL_DIMS, dim_limits={Dim.M: 1})
         assert all(not s.has_temporal for s in specs)
-
-    def test_max_temporal_k(self):
-        specs = enumerate_specs(4, ALL_DIMS, max_temporal_k=1)
-        for s in specs:
-            for step in s.steps:
-                if isinstance(step, TemporalPartition):
-                    assert step.k == 1
 
     def test_allow_temporal_false_removes_primitive(self):
         specs = enumerate_specs(2, ALL_DIMS, allow_temporal=False)

@@ -81,6 +81,8 @@ INVARIANTS: List[Tuple[str, str, Any]] = [
     ("BENCH_sim_speed.json", "block_replay[*].identical", True),
     ("BENCH_sim_speed.json", "contended_replay.identical", True),
     ("BENCH_sim_speed.json", "fig9_pipeline_replay.identical", True),
+    ("BENCH_sim_speed.json", "model_replay.identical", True),
+    ("BENCH_sim_speed.json", "sweep.identical", True),
     ("BENCH_robustness.json", "determinism.serial_equals_parallel", True),
     ("BENCH_robustness.json", "fault_classes[*].reports_identical", True),
     ("BENCH_opt_speed.json", "scales[*].identical", True),
