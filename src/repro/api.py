@@ -14,11 +14,8 @@ Every surface that accepts a planning request — the ``primepar`` CLI, the
   (:class:`ValidationError`, mapped to HTTP 400 by the server and exit
   code 2 by the CLI).
 * **Daemon knobs** — :class:`ServeConfig`, whose fields generate the
-  ``primepar serve`` flags the same way.
-* **Result envelopes** — helpers (:func:`stamp`, :func:`check_schema`,
-  :func:`plan_to_json`, :func:`plan_from_json`) used by the schema-versioned
-  ``to_json``/``from_json`` pairs on :class:`~repro.IterationReport`,
-  :class:`~repro.SearchResult`, ``PipelineReport`` and ``RobustnessReport``.
+  ``primepar serve`` flags the same way and are checked by the same rules
+  when it is built.
 
 Wire compatibility: field names, canonicalization (``batch == 0`` resolves
 to ``max(8, min(devices, 32))``) and the plan cache key are bit-identical
@@ -28,6 +25,7 @@ bench baselines remain valid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import Field, dataclass, field, fields
 from typing import Any, Dict, Mapping, Tuple, Union
 
@@ -44,7 +42,6 @@ __all__ = [
     "ServeConfig",
     "SimulateRequest",
     "ValidationError",
-    "check_schema",
     "field_type",
     "plan_from_json",
     "plan_to_json",
@@ -130,6 +127,8 @@ def _value(body: Mapping[str, Any], f: Field) -> Any:
         value = float(value)
     if not isinstance(value, kinds):
         raise ValidationError(f"field {name!r} must be {kind_name}", name)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"field {name!r} must be finite", name)
     choices = rules.get("choices")
     if choices is not None and value not in choices:
         raise ValidationError(
@@ -417,42 +416,56 @@ class ServeConfig:
     host: str = _arg("127.0.0.1", "bind address")
     port: int = _arg(8780, "TCP port; 0 picks an ephemeral one")
     max_concurrent: int = _arg(
-        2, "searches/simulations allowed to run at once"
+        2, "searches/simulations allowed to run at once", lo=1
     )
     queue_depth: int = _arg(
-        8, "requests allowed to wait for a slot before 429"
+        8, "requests allowed to wait for a slot before 429", lo=0
     )
-    lru_size: int = _arg(256, "in-memory plan store capacity in entries")
+    lru_size: int = _arg(
+        256, "in-memory plan store capacity in entries", lo=1
+    )
     deadline: float = _arg(
         120.0,
         "default per-request budget in seconds; requests may tighten but "
         "not extend it (0 = unbounded)",
+        lo=0,
     )
     jobs: int = _arg(
         1, "worker processes each admitted search may use "
         "(1 = serial, 0 = all cores)",
+        lo=0,
     )
     drain_timeout: float = _arg(
         10.0, "seconds to wait for in-flight requests on shutdown"
     )
     retry_after: float = 1.0
     trace_store_size: int = _arg(
-        256, "completed request traces kept for GET /v1/traces/<id>"
+        256, "completed request traces kept for GET /v1/traces/<id>", lo=1
     )
-    flight_size: int = _arg(256, "flight-recorder request-ring capacity")
+    flight_size: int = _arg(
+        256, "flight-recorder request-ring capacity", lo=1
+    )
     flight_snapshot_interval: float = _arg(
         30.0,
         "seconds between flight-recorder process snapshots "
         "(0 disables the sampler)",
     )
     slo_window: int = _arg(
-        256, "rolling-latency window in requests behind /healthz quantiles"
+        256,
+        "rolling-latency window in requests behind /healthz quantiles",
+        lo=1,
     )
     slo_p95_ms: float = _arg(
         0.0,
         "p95 latency target in ms for /v1/* traffic; /healthz reports "
         "breach when exceeded (0 disables)",
     )
+
+    def __post_init__(self) -> None:
+        """Check every flag field by the rules the request fields use."""
+        for f in fields(self):
+            if f.metadata:
+                _value(vars(self), f)
 
 
 # ----------------------------------------------------------------------
@@ -463,29 +476,6 @@ class ServeConfig:
 def stamp(kind: str, payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Wrap a result payload with its schema version and document kind."""
     return {"schema_version": SCHEMA_VERSION, "kind": kind, **payload}
-
-
-def check_schema(payload: Any, kind: str) -> Mapping[str, Any]:
-    """Validate a stamped result document before rehydration.
-
-    Tolerates unstamped payloads (pre-``repro.api`` documents carry no
-    ``schema_version``) but rejects version or kind mismatches.
-    """
-    if not isinstance(payload, Mapping):
-        raise ValidationError(f"{kind} document must be a JSON object")
-    version = payload.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported schema_version {version!r} for {kind}; this build "
-            f"speaks {SCHEMA_VERSION}",
-            "schema_version",
-        )
-    got = payload.get("kind", kind)
-    if got != kind:
-        raise ValidationError(
-            f"expected a {kind!r} document, got {got!r}", "kind"
-        )
-    return payload
 
 
 def plan_to_json(plan: Mapping[str, Any]) -> Dict[str, str]:

@@ -65,50 +65,6 @@ class SearchResult:
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     telemetry: Dict[str, object] = field(default_factory=dict)
 
-    def to_json(self) -> Dict[str, object]:
-        """Schema-versioned document form (see :mod:`repro.api`).
-
-        ``telemetry`` is a per-run observability snapshot, not part of the
-        search outcome, and is deliberately not serialized; round-trips
-        rehydrate it empty.
-        """
-        from ...api import plan_to_json, stamp
-
-        n_bits = max((spec.n_bits for spec in self.plan.values()), default=0)
-        return stamp(
-            "search_result",
-            {
-                "plan": plan_to_json(self.plan),
-                "n_bits": n_bits,
-                "cost": self.cost,
-                "elapsed": self.elapsed,
-                "candidate_sizes": {
-                    name: list(sizes)
-                    for name, sizes in sorted(self.candidate_sizes.items())
-                },
-                "model_cost": self.model_cost,
-                "stage_seconds": dict(sorted(self.stage_seconds.items())),
-            },
-        )
-
-    @classmethod
-    def from_json(cls, payload) -> "SearchResult":
-        from ...api import check_schema, plan_from_json
-
-        payload = check_schema(payload, "search_result")
-        model_cost = payload.get("model_cost")
-        return cls(
-            plan=plan_from_json(payload["plan"], int(payload["n_bits"])),
-            cost=float(payload["cost"]),
-            elapsed=float(payload["elapsed"]),
-            candidate_sizes={
-                name: tuple(sizes)
-                for name, sizes in payload.get("candidate_sizes", {}).items()
-            },
-            model_cost=float(model_cost) if model_cost is not None else None,
-            stage_seconds=dict(payload.get("stage_seconds", {})),
-        )
-
 
 class PrimeParOptimizer:
     """Segmented-DP optimizer over the (spatial-temporal) partition space.

@@ -80,40 +80,6 @@ class PipelineReport:
             return 0.0
         return self.bubble_latency / self.iteration_latency
 
-    def to_json(self) -> Dict[str, object]:
-        """Schema-versioned document form (see :mod:`repro.api`)."""
-        from ..api import stamp
-
-        return stamp(
-            "pipeline_report",
-            {
-                "iteration_latency": self.iteration_latency,
-                "bubble_latency": self.bubble_latency,
-                "communication_latency": self.communication_latency,
-                "stage_latency": self.stage_latency,
-                "timeline": (
-                    self.timeline.to_json()
-                    if self.timeline is not None else None
-                ),
-            },
-        )
-
-    @classmethod
-    def from_json(cls, payload) -> "PipelineReport":
-        from ..api import check_schema
-
-        payload = check_schema(payload, "pipeline_report")
-        timeline = payload.get("timeline")
-        return cls(
-            iteration_latency=float(payload["iteration_latency"]),
-            bubble_latency=float(payload["bubble_latency"]),
-            communication_latency=float(payload["communication_latency"]),
-            stage_latency=float(payload["stage_latency"]),
-            timeline=(
-                Timeline.from_json(timeline) if timeline is not None else None
-            ),
-        )
-
 
 def pipeline_iteration(
     plan: PipelinePlan,

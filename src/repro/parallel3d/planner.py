@@ -303,40 +303,6 @@ class Planner3D:
                     counter("sweep.configs", outcome="evaluated").inc()
         return results
 
-    def sweep_robust(
-        self,
-        method: str,
-        fault_model,
-        *,
-        objective: str = "p99",
-        blend: float = 0.5,
-        scenarios: int = 16,
-        seed: int = 0,
-        jobs: Optional[int] = None,
-    ):
-        """A :meth:`sweep` ranked by tail latency under ``fault_model``.
-
-        Each configuration's analytic decomposition is perturbed in closed
-        form by :func:`repro.sim.faults.pipeline_robustness` across the
-        seeded scenario draws, and the list is re-ranked by the robustness
-        score instead of nominal throughput.  Returns
-        ``[(Result3D, RobustnessReport, score), ...]`` sorted ascending by
-        score (best plan first); same determinism contract as the fault
-        layer.
-        """
-        from ..sim.faults import pipeline_robustness
-
-        cluster = v100_cluster(self.n_devices)
-        ranked = []
-        for result in self.sweep(method, jobs=jobs):
-            report = pipeline_robustness(
-                result, cluster, fault_model,
-                scenarios=scenarios, seed=seed,
-            )
-            ranked.append((result, report, report.score(objective, blend)))
-        ranked.sort(key=lambda item: (item[2], str(item[0].config)))
-        return ranked
-
 
 def _plan_task(payload: Tuple["Planner3D", Tuple[str, int, int]]) -> Tuple[str, object]:
     """Worker: one ``(method, m, micro)`` tensor-parallel plan search.

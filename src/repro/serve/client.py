@@ -115,10 +115,7 @@ class SimulateResponse:
 class RobustnessResponse:
     """A plan's Monte-Carlo robustness score (``POST /v1/robustness``).
 
-    ``report`` is the raw schema-versioned document;
-    :meth:`report_object` rehydrates it into a
-    :class:`~repro.sim.faults.RobustnessReport` on demand (the import is
-    deferred so the client stays dependency-light).
+    ``report`` is the schema-versioned ``RobustnessReport`` document.
     """
 
     source: str
@@ -148,11 +145,6 @@ class RobustnessResponse:
             score=payload["score"],
             report=dict(payload["report"]),
         )
-
-    def report_object(self):
-        from ..sim.faults import RobustnessReport
-
-        return RobustnessReport.from_json(self.report)
 
 
 class PlanClient:

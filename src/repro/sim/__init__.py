@@ -32,7 +32,6 @@ from .faults import (
     ScenarioOutcome,
     Straggler,
     evaluate_robustness,
-    pipeline_robustness,
     robust_search,
 )
 from .timeline import KernelRecord, Timeline
@@ -58,6 +57,5 @@ __all__ = [
     "Straggler",
     "Timeline",
     "evaluate_robustness",
-    "pipeline_robustness",
     "robust_search",
 ]

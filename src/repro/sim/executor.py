@@ -207,38 +207,3 @@ class IterationReport:
             utilization=utilization,
             tiles=n_layers,
         )
-
-    def to_json(self) -> Dict[str, object]:
-        """Schema-versioned document form (see :mod:`repro.api`)."""
-        from ..api import stamp
-
-        return stamp(
-            "iteration_report",
-            {
-                "latency": self.latency,
-                "throughput": self.throughput,
-                "peak_memory_bytes": self.peak_memory_bytes,
-                "breakdown": dict(sorted(self.breakdown.items())),
-                "timeline": self.timeline.to_json(),
-                "layers_scaled": self.layers_scaled,
-                "utilization": self.utilization,
-                "tiles": self.tiles,
-            },
-        )
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "IterationReport":
-        from ..api import check_schema
-
-        payload = check_schema(payload, "iteration_report")
-        utilization = payload.get("utilization")
-        return cls(
-            latency=float(payload["latency"]),
-            throughput=float(payload["throughput"]),
-            peak_memory_bytes=float(payload["peak_memory_bytes"]),
-            breakdown=dict(payload["breakdown"]),
-            timeline=Timeline.from_json(payload["timeline"]),
-            layers_scaled=int(payload.get("layers_scaled", 1)),
-            utilization=dict(utilization) if utilization is not None else None,
-            tiles=int(payload.get("tiles", 1)),
-        )

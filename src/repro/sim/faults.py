@@ -31,8 +31,7 @@ gracefully.  This module makes that question answerable:
 * **Tail-latency planning** — :func:`robust_search` scores a small plan
   portfolio (PrimePar with and without the temporal primitive, plus the
   Megatron baseline) under one fault model and ranks it by a tail
-  objective; :func:`pipeline_robustness` is the closed-form counterpart for
-  :class:`~repro.parallel3d.planner.Planner3D` results.
+  objective.
 
 Attribution is exact by construction: each scenario is simulated twice —
 compute faults only, then all engine faults — so ``latency ==
@@ -45,11 +44,12 @@ replay whenever a flap makes the schedule time-varying.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..api import OBJECTIVES, SCHEMA_VERSION, ValidationError, check_schema, stamp
+from ..api import OBJECTIVES, ValidationError, stamp
 from ..cluster.profiler import FabricProfiler
 from ..cluster.topology import ClusterTopology
 from ..core.optimizer.parallel import parallel_map
@@ -79,7 +79,6 @@ __all__ = [
     "ScenarioOutcome",
     "Straggler",
     "evaluate_robustness",
-    "pipeline_robustness",
     "robust_search",
     "scenario_seed",
     "simulate_scenario",
@@ -122,13 +121,6 @@ class Straggler:
     device: int
     slowdown: float
 
-    def to_json(self) -> Dict[str, Any]:
-        return {"device": self.device, "slowdown": self.slowdown}
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "Straggler":
-        return cls(int(payload["device"]), float(payload["slowdown"]))
-
 
 @dataclass(frozen=True)
 class DegradedLink:
@@ -136,13 +128,6 @@ class DegradedLink:
 
     node: int
     factor: float
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"node": self.node, "factor": self.factor}
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "DegradedLink":
-        return cls(int(payload["node"]), float(payload["factor"]))
 
 
 @dataclass(frozen=True)
@@ -160,23 +145,6 @@ class NicFlap:
     duration: float
     reroute_factor: float = 0.0
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "node": self.node,
-            "start": self.start,
-            "duration": self.duration,
-            "reroute_factor": self.reroute_factor,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "NicFlap":
-        return cls(
-            int(payload["node"]),
-            float(payload["start"]),
-            float(payload["duration"]),
-            float(payload.get("reroute_factor", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class NodeOutage:
@@ -191,21 +159,6 @@ class NodeOutage:
     node: int
     at_fraction: float
     lost_iterations: int
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "node": self.node,
-            "at_fraction": self.at_fraction,
-            "lost_iterations": self.lost_iterations,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "NodeOutage":
-        return cls(
-            int(payload["node"]),
-            float(payload["at_fraction"]),
-            int(payload["lost_iterations"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -277,35 +230,6 @@ class FaultScenario:
     def compute_only(self) -> "FaultScenario":
         """This scenario with only its compute faults (for attribution)."""
         return replace(self, degraded_links=(), nic_flaps=(), outage=None)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "stragglers": [s.to_json() for s in self.stragglers],
-            "degraded_links": [d.to_json() for d in self.degraded_links],
-            "nic_flaps": [f.to_json() for f in self.nic_flaps],
-            "outage": self.outage.to_json() if self.outage else None,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "FaultScenario":
-        outage = payload.get("outage")
-        return cls(
-            index=int(payload["index"]),
-            seed=int(payload["seed"]),
-            stragglers=tuple(
-                Straggler.from_json(s) for s in payload.get("stragglers", ())
-            ),
-            degraded_links=tuple(
-                DegradedLink.from_json(d)
-                for d in payload.get("degraded_links", ())
-            ),
-            nic_flaps=tuple(
-                NicFlap.from_json(f) for f in payload.get("nic_flaps", ())
-            ),
-            outage=NodeOutage.from_json(outage) if outage else None,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +359,14 @@ class FaultModel:
         return cls.from_json(payload)
 
     def validate(self) -> None:
+        for name in _MODEL_FIELDS + _RECOVERY_FIELDS:
+            value = getattr(
+                self.recovery if name in _RECOVERY_FIELDS else self, name
+            )
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"{name} must be finite, got {value}", f"faults.{name}"
+                )
         for name in ("straggler_rate", "degrade_rate", "outage_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -710,21 +642,6 @@ class ScenarioOutcome:
             "outage": self.outage,
         }
 
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "ScenarioOutcome":
-        return cls(
-            index=int(payload["index"]),
-            latency=float(payload["latency"]),
-            nominal_latency=float(payload["nominal_latency"]),
-            compute_delay=float(payload["compute_delay"]),
-            link_delay=float(payload["link_delay"]),
-            recovery_delay=float(payload["recovery_delay"]),
-            stragglers=int(payload.get("stragglers", 0)),
-            degraded_links=int(payload.get("degraded_links", 0)),
-            nic_flaps=int(payload.get("nic_flaps", 0)),
-            outage=bool(payload.get("outage", False)),
-        )
-
 
 @dataclass(frozen=True)
 class RobustnessReport:
@@ -785,28 +702,6 @@ class RobustnessReport:
                 "fault_model": self.fault_model.to_json(),
                 "outcomes": [o.to_json() for o in self.outcomes],
             },
-        )
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "RobustnessReport":
-        payload = check_schema(payload, "robustness_report")
-        return cls(
-            n_scenarios=int(payload["n_scenarios"]),
-            seed=int(payload["seed"]),
-            nominal_latency=float(payload["nominal_latency"]),
-            p50=float(payload["p50"]),
-            p95=float(payload["p95"]),
-            p99=float(payload["p99"]),
-            mean_latency=float(payload["mean_latency"]),
-            worst_latency=float(payload["worst_latency"]),
-            attribution=dict(payload["attribution"]),
-            expected_recovery_cost=float(payload["expected_recovery_cost"]),
-            outage_scenarios=int(payload["outage_scenarios"]),
-            fault_model=FaultModel.from_json(payload["fault_model"]),
-            outcomes=tuple(
-                ScenarioOutcome.from_json(o)
-                for o in payload.get("outcomes", ())
-            ),
         )
 
 
@@ -1125,59 +1020,3 @@ def robust_search(
             blend=blend,
             candidates=tuple(candidates),
         )
-
-
-def pipeline_robustness(
-    result,
-    topology: ClusterTopology,
-    fault_model: FaultModel,
-    *,
-    scenarios: int = 16,
-    seed: int = 0,
-) -> RobustnessReport:
-    """Closed-form robustness for a :class:`~repro.parallel3d.planner.Result3D`.
-
-    First-order perturbation of the analytic pipeline decomposition: the
-    pipeline is gated by its slowest stage, so compute scales by the worst
-    straggler slowdown; communication scales by the worst degraded-link
-    factor; each flap adds its un-rerouted stall serially; outages add the
-    checkpoint/restart recovery term.  Same determinism contract as
-    :func:`evaluate_robustness`.
-    """
-    nominal = result.iteration_latency
-    comm = result.pipeline.communication_latency + result.dp_allreduce_latency
-    compute = max(nominal - comm, 0.0)
-    recovery = fault_model.recovery
-    outcomes: List[ScenarioOutcome] = []
-    for scenario in fault_model.scenarios(topology, scenarios, seed, nominal):
-        worst_slow = max(
-            (s.slowdown for s in scenario.stragglers), default=1.0
-        )
-        link_factor = min(
-            (d.factor for d in scenario.degraded_links), default=1.0
-        )
-        stall = sum(
-            f.duration * (1.0 - f.reroute_factor) for f in scenario.nic_flaps
-        )
-        compute_latency = compute * worst_slow + comm
-        engine_latency = compute * worst_slow + comm / link_factor + stall
-        recovery_delay = 0.0
-        if scenario.outage is not None:
-            recovery_delay = (
-                scenario.outage.at_fraction * engine_latency
-                + scenario.outage.lost_iterations * nominal
-                + recovery.restart_seconds + recovery.replan_seconds
-            )
-        outcomes.append(ScenarioOutcome(
-            index=scenario.index,
-            latency=engine_latency + recovery_delay,
-            nominal_latency=nominal,
-            compute_delay=compute_latency - nominal,
-            link_delay=engine_latency - compute_latency,
-            recovery_delay=recovery_delay,
-            stragglers=len(scenario.stragglers),
-            degraded_links=len(scenario.degraded_links),
-            nic_flaps=len(scenario.nic_flaps),
-            outage=scenario.outage is not None,
-        ))
-    return build_report(outcomes, nominal, fault_model, seed)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -34,26 +34,6 @@ class KernelRecord:
     def end(self) -> float:
         return self.start + self.duration
 
-    def to_json(self) -> List[Any]:
-        """Compact positional encoding (one row per record)."""
-        return [
-            self.op, self.phase, self.kind, self.start, self.duration,
-            self.overlapped, self.device,
-        ]
-
-    @classmethod
-    def from_json(cls, row: List[Any]) -> "KernelRecord":
-        op, phase, kind, start, duration, overlapped, device = row
-        return cls(
-            op=op,
-            phase=phase,
-            kind=kind,
-            start=float(start),
-            duration=float(duration),
-            overlapped=bool(overlapped),
-            device=int(device),
-        )
-
 
 @dataclass
 class Timeline:
@@ -61,19 +41,3 @@ class Timeline:
 
     records: List[KernelRecord] = field(default_factory=list)
     clock: float = 0.0
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "clock": self.clock,
-            "records": [record.to_json() for record in self.records],
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "Timeline":
-        return cls(
-            records=[
-                KernelRecord.from_json(row)
-                for row in payload.get("records", ())
-            ],
-            clock=float(payload.get("clock", 0.0)),
-        )

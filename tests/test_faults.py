@@ -39,10 +39,8 @@ from repro.sim.faults import (
     FaultyKernelGraph,
     NicFlap,
     RecoveryModel,
-    RobustnessReport,
     Straggler,
     evaluate_robustness,
-    pipeline_robustness,
     robust_search,
     scenario_seed,
     simulate_scenario,
@@ -73,13 +71,12 @@ class TestScenarioSampling:
         a = MIXED.scenarios(profiler.topology, 8, seed=5, horizon=0.5)
         b = MIXED.scenarios(profiler.topology, 8, seed=5, horizon=0.5)
         assert a == b
-        assert [s.to_json() for s in a] == [s.to_json() for s in b]
 
     def test_different_seeds_differ(self, setting):
         profiler, _, _ = setting
         a = MIXED.scenarios(profiler.topology, 8, seed=5, horizon=0.5)
         b = MIXED.scenarios(profiler.topology, 8, seed=6, horizon=0.5)
-        assert [s.to_json() for s in a] != [s.to_json() for s in b]
+        assert a != b
 
     def test_zero_model_samples_nominal(self, setting):
         profiler, _, _ = setting
@@ -87,12 +84,6 @@ class TestScenarioSampling:
         assert model.is_zero
         for scenario in model.scenarios(profiler.topology, 4, 0, 0.5):
             assert scenario.is_nominal
-
-    def test_scenario_round_trip(self, setting):
-        profiler, _, _ = setting
-        for scenario in MIXED.scenarios(profiler.topology, 6, 1, 0.5):
-            payload = json.loads(json.dumps(scenario.to_json()))
-            assert FaultScenario.from_json(payload) == scenario
 
 
 class TestFaultModelSpec:
@@ -245,12 +236,16 @@ class TestDeterminism:
         }
 
     def test_report_round_trip(self, setting):
+        """The ``/v1/robustness`` report document survives the JSON wire."""
         profiler, graph, plan = setting
         report = evaluate_robustness(
             profiler, graph, plan, 8, 4, MIXED, scenarios=4, seed=1
         )
-        payload = json.loads(json.dumps(report.to_json()))
-        assert RobustnessReport.from_json(payload) == report
+        doc = report.to_json()
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["kind"] == "robustness_report"
+        assert doc["fault_model"] == MIXED.to_json()
+        assert [o["index"] for o in doc["outcomes"]] == [0, 1, 2, 3]
 
 
 def _report_bytes(report) -> str:
@@ -480,40 +475,3 @@ class TestRobustSearch:
         assert blended == pytest.approx(
             0.75 * report.nominal_latency + 0.25 * report.p99
         )
-
-
-class TestPipelineRobustness:
-    def test_closed_form_reports_deterministic(self):
-        from repro import Planner3D
-
-        planner = Planner3D(OPT_6_7B, n_devices=8, global_batch=8)
-        ranked = planner.sweep_robust(
-            "megatron", MIXED, objective="p99", scenarios=4, seed=0
-        )
-        assert ranked
-        scores = [score for _, _, score in ranked]
-        assert scores == sorted(scores)
-        again = planner.sweep_robust(
-            "megatron", MIXED, objective="p99", scenarios=4, seed=0
-        )
-        assert [
-            (str(r.config), report.to_json(), score)
-            for r, report, score in ranked
-        ] == [
-            (str(r.config), report.to_json(), score)
-            for r, report, score in again
-        ]
-
-    def test_pipeline_report_attribution_identity(self):
-        from repro import Planner3D
-
-        planner = Planner3D(OPT_6_7B, n_devices=8, global_batch=8)
-        result = planner.sweep("megatron")[0]
-        report = pipeline_robustness(
-            result, v100_cluster(8), MIXED, scenarios=8, seed=1
-        )
-        for outcome in report.outcomes:
-            assert outcome.latency == pytest.approx(
-                outcome.nominal_latency + outcome.compute_delay
-                + outcome.link_delay + outcome.recovery_delay
-            )

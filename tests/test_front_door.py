@@ -5,10 +5,13 @@ flags through ``build_parser``, the flat HTTP body through
 ``XRequest.from_json``, and Python keyword arguments — and must give equal
 canonical requests with equal plan and derived cache keys.  With no flags
 at all, every command's request is the request an empty body makes, and a
-body key no request field declares is rejected rather than ignored.
+body key no request field declares is rejected rather than ignored.  One
+request is also answered through two doors and the answers compared.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -131,3 +134,22 @@ def test_unknown_keys_are_rejected(cls, body, key):
     assert err.value.field == key
     assert repr(key) in str(err.value)
 
+
+
+def test_explain_cli_and_service_give_the_same_answer(capsys):
+    """Same request, same answer: ``primepar explain --json`` equals the
+    service's ``/v1/explain`` document less its provenance keys."""
+    from repro.cli import main
+    from repro.serve.service import PlanService
+    from repro.serve.store import PlanStore
+
+    argv = ["--model", "opt-6.7b", "--devices", "4", "--batch", "8"]
+    body = {"model": "opt-6.7b", "devices": 4, "batch": 8}
+    assert main(["explain", "--json", *argv]) == 0
+    from_cli = json.loads(capsys.readouterr().out)
+    served = PlanService(store=PlanStore(max_entries=4)).explain_from_request(
+        body
+    )
+    for key in ("plan_cost", "plan_key", "plan_source", "source"):
+        served.pop(key)
+    assert from_cli == json.loads(json.dumps(served))

@@ -497,6 +497,28 @@ class TestHTTPEndpoints:
         assert err.value.status == 400
         assert "power of two" in err.value.message
 
+    @pytest.mark.parametrize(
+        "path, body, field",
+        [
+            ("/v1/search", {"alpha": float("nan")}, "alpha"),
+            (
+                "/v1/robustness",
+                {"faults": {"straggler_rate": 1,
+                            "straggler_slowdown": float("nan")}},
+                "straggler_slowdown",
+            ),
+        ],
+    )
+    def test_non_finite_number_is_400(self, server, path, body, field):
+        """A NaN body is rejected before any search runs or is stored."""
+        base = {"model": MODEL, "devices": 2, "batch": 8}
+        with pytest.raises(ServeError) as err:
+            PlanClient(server.url)._json("POST", path, {**base, **body})
+        assert err.value.status == 400
+        assert field in err.value.message
+        assert counter("serve.searches").value == 0
+        assert server.service.store.stats()["entries"] == 0
+
     def test_unknown_route_is_404(self, server):
         with pytest.raises(ServeError) as err:
             PlanClient(server.url)._json("GET", "/v2/nope")
@@ -973,18 +995,17 @@ class TestRobustnessHTTP:
         assert again["report"] == report
 
     def test_http_round_trip_and_report_rehydration(self, server):
-        from repro.sim.faults import RobustnessReport
-
         client = PlanClient(server.url)
-        response = client.robustness(self._request())
+        request = self._request()
+        response = client.robustness(request)
         assert response.source == "computed"
         assert response.objective == "p99"
         assert response.devices == 2
         assert response.score == response.report["p99"]
-        rehydrated = response.report_object()
-        assert isinstance(rehydrated, RobustnessReport)
-        assert rehydrated.p99 == response.score
-        assert rehydrated.score("p99") == response.score
+        assert response.report["kind"] == "robustness_report"
+        assert response.report["n_scenarios"] == request.scenarios
+        assert response.report["fault_model"] == request.fault_model().to_json()
+        assert len(response.report["outcomes"]) == request.scenarios
 
     def test_blend_objective_interpolates(self, server):
         client = PlanClient(server.url)
@@ -1085,6 +1106,27 @@ class TestServeCLI:
         )
         config = ServeConfig(**request_body(custom))
         assert (config.port, config.deadline, config.slo_p95_ms) == (0, 5.0, 50.0)
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--deadline", "-1"], "deadline"),
+            (["--jobs", "-2"], "jobs"),
+            (["--lru-size", "0"], "lru_size"),
+        ],
+    )
+    def test_out_of_range_flag_exits_2_before_binding(
+        self, argv, field, capsys, monkeypatch
+    ):
+        from repro.cli import main
+
+        def refuse(self):
+            raise AssertionError("daemon bound despite an invalid flag")
+
+        monkeypatch.setattr(PlanServer, "start", refuse)
+        assert main(["serve", "--port", "0", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "invalid request:" in err and field in err
 
     def test_cache_stats_reports_memory_tier(
         self, fresh_cache, registry, capsys
