@@ -3,13 +3,19 @@
 Scores the PrimePar plan for one headline setting under four fault
 classes — compute-only (stragglers), link-only (degraded NIC pools),
 outage-only (checkpoint/restart recovery) and a mixed model — and records
-the Monte-Carlo percentiles and per-class attribution for each, plus the
-seconds spent lowering the plan (``lower_seconds``, the ``sim.lower``
-spans of the sweep).  Three structural checks ride along:
+the Monte-Carlo percentiles and per-class attribution for each, plus where
+the sweep's time went, from its spans: lowering the plan
+(``lower_seconds``, ``sim.lower``), building kernel DAGs
+(``build_seconds``, ``sim.build``) and executing them
+(``replay_seconds``, ``sim.execute``).  A splice census counts how often
+a faulted one-layer probe spliced (``splice_probes``, ``spliced``, from
+the ``faults.splice_probes`` counter).  Three structural checks ride
+along:
 
 * **reports_identical** (per class) — the sweep's report, whose replays
-  share one lowering, must equal byte for byte a re-run of the same
-  scenarios in which every replay lowers the plan itself;
+  share one lowering and re-time one kernel DAG per shape, must equal
+  byte for byte a re-run of the same scenarios in which every replay
+  lowers the plan and builds a fresh DAG through ``graph_factory``;
 
 * **determinism** — the mixed-class report must be bit-identical when the
   scenario fan-out runs serially and with ``--jobs`` workers (the seeded
@@ -55,8 +61,9 @@ from repro import (
     v100_cluster,
 )
 from repro.graph.models import OPT_6_7B, OPT_175B
+from repro.obs.metrics import get_registry
 from repro.obs.spans import get_collector
-from repro.sim import faults
+from repro.sim import EventDrivenSimulator, faults
 from repro.sim.faults import FaultModel, evaluate_robustness, robust_search
 
 #: The four fault classes scored against the same plan.
@@ -76,18 +83,34 @@ def _report_bytes(report) -> str:
 
 
 def _per_replay_lowering_report(*args, **kwargs):
-    """:func:`evaluate_robustness` with every fault replay lowering itself."""
-    shared = faults._faulted_latency
+    """:func:`evaluate_robustness` with every fault replay lowering the plan
+    and building a fresh kernel DAG itself, through ``graph_factory``."""
 
-    def lower_per_replay(*replay_args):
-        return shared(*replay_args[:6], lowering=None)
+    def fresh_dag(sweep, scenario, n_layers):
+        topology = sweep.simulator.topology
+        simulator = EventDrivenSimulator(
+            sweep.simulator.profiler,
+            graph_factory=lambda: faults.FaultyKernelGraph(scenario, topology),
+        )
+        lowering = simulator.lower(sweep.graph, sweep.plan)
+        return simulator.build(sweep.graph, lowering, n_layers)
 
-    with mock.patch.object(faults, "_faulted_latency", lower_per_replay):
+    with mock.patch.object(faults.FaultSweep, "_dag", fresh_dag):
         return evaluate_robustness(*args, **kwargs)
 
 
+def _probes(outcome: str) -> float:
+    """The ``faults.splice_probes`` count so far with ``outcome``."""
+    return sum(
+        e["value"] for e in get_registry().snapshot()["counters"]
+        if e["name"] == "faults.splice_probes"
+        and e["labels"].get("outcome") == outcome
+    )
+
+
 def _class_entry(
-    report, spec: str, seconds: float, lower_seconds: float, identical: bool
+    report, spec: str, seconds: float, span_seconds: Dict[str, float],
+    census: Dict[str, float], identical: bool,
 ) -> Dict:
     return {
         "spec": spec,
@@ -100,7 +123,11 @@ def _class_entry(
         "expected_recovery_cost": report.expected_recovery_cost,
         "outage_scenarios": report.outage_scenarios,
         "wall_seconds": seconds,
-        "lower_seconds": lower_seconds,
+        "lower_seconds": span_seconds["sim.lower"],
+        "build_seconds": span_seconds["sim.build"],
+        "replay_seconds": span_seconds["sim.execute"],
+        "splice_probes": census["spliced"] + census["replayed"],
+        "spliced": census["spliced"],
         "reports_identical": identical,
     }
 
@@ -141,21 +168,24 @@ def run_benchmark(
             fault_model = FaultModel.from_spec(spec)
             sweep = (profiler, graph, plan, batch, n_layers, fault_model)
             mark = get_collector().mark()
+            probes = {o: _probes(o) for o in ("spliced", "replayed")}
             started = time.perf_counter()
             report = evaluate_robustness(
                 *sweep, scenarios=scenarios, seed=seed, jobs=1
             )
             seconds = time.perf_counter() - started
-            lower_seconds = sum(
-                s["duration"] for s in get_collector().export(mark)
-                if s["name"] == "sim.lower"
-            )
+            census = {o: _probes(o) - n for o, n in probes.items()}
+            spans = get_collector().export(mark)
+            span_seconds = {
+                name: sum(s["duration"] for s in spans if s["name"] == name)
+                for name in ("sim.lower", "sim.build", "sim.execute")
+            }
             reports[label] = report
             reference = _per_replay_lowering_report(
                 *sweep, scenarios=scenarios, seed=seed, jobs=1
             )
             classes[label] = _class_entry(
-                report, spec, seconds, lower_seconds,
+                report, spec, seconds, span_seconds, census,
                 _report_bytes(report) == _report_bytes(reference),
             )
             nominal_latency = report.nominal_latency
@@ -248,9 +278,13 @@ def _report(payload: Dict) -> str:
             f"(compute {entry['attribution']['compute'] * 1e3:.2f} / "
             f"link {entry['attribution']['link'] * 1e3:.2f} / "
             f"recovery {entry['attribution']['recovery'] * 1e3:.2f}ms), "
-            f"{entry['wall_seconds']:.2f}s wall, "
+            f"{entry['wall_seconds']:.2f}s wall ("
             f"{entry['lower_seconds'] * 1e3:.1f}ms lowering, "
-            f"identical to per-replay lowering: {entry['reports_identical']}"
+            f"{entry['build_seconds']:.2f}s building, "
+            f"{entry['replay_seconds']:.2f}s replaying), "
+            f"{entry['spliced']:.0f}/{entry['splice_probes']:.0f} probes "
+            f"spliced, identical to from-scratch replays: "
+            f"{entry['reports_identical']}"
         )
     det = payload["determinism"]
     lines.append(

@@ -318,15 +318,15 @@ def _emit_utilization(report, n_layers: int) -> None:
 
 
 def _emit_fault_replay(replay, fault_model, scenario_index, profiler, graph,
-                       plan, batch, n_layers, report):
+                       plan, n_layers, report):
     """Replay one sampled fault scenario on top of a nominal simulation."""
-    from .sim.faults import simulate_scenario
+    from .sim.faults import FaultSweep, simulate_scenario
 
     scenario = fault_model.sample(
         profiler.topology, scenario_index, replay.seed, horizon=report.latency
     )
     outcome = simulate_scenario(
-        profiler, graph, plan, batch, n_layers, scenario,
+        FaultSweep(profiler, graph, plan, n_layers), scenario,
         fault_model.recovery, report.latency,
     )
     rows = [
@@ -398,7 +398,7 @@ def cmd_simulate(args) -> int:
     if replay is not None:
         _emit_fault_replay(
             replay, fault_model, args.scenario, profiler, graph, plan,
-            search.batch, n_layers, report,
+            n_layers, report,
         )
     if args.trace:
         from .sim.trace import write_trace

@@ -61,14 +61,17 @@ frozen copy of the original implementation):
   Reports are additionally memoized on disk through :mod:`repro.sim.simcache`
   (the ``PRIMEPAR_CACHE*`` knobs apply), with cached hits re-emitting the
   telemetry of the run they replace.
-* **Lower once, replay many.**  Every cost term a replay needs (Eq. 7 step
-  compute, sized ring transfers, all-reduce and layernorm extras, Eq. 8–9
-  redistribution, the memory terms) depends only on the graph, the plan
-  and the fabric, so :meth:`EventDrivenSimulator.lower` prices them once
-  into a picklable :class:`PlanLowering`.  Replays read only from it —
-  the fault layer shares one lowering across every scenario of a sweep,
-  since stragglers and degraded links act on kernel durations and link
-  capacities after pricing.
+* **Lower once, build once, re-time per scenario.**  Every cost term a
+  replay needs (Eq. 7 step compute, sized ring transfers, all-reduce and
+  layernorm extras, Eq. 8–9 redistribution, the memory terms) depends only
+  on the graph, the plan and the fabric, so :meth:`EventDrivenSimulator.lower`
+  prices them once into a picklable :class:`PlanLowering`, and
+  :meth:`EventDrivenSimulator.build` turns it into a kernel DAG whose
+  kernels keep their priced durations.  Faults change durations and link
+  capacities, not the DAG's shape: :meth:`KernelGraph.execute` resets the
+  run state and applies the graph's one duration rule
+  (:meth:`KernelGraph.run_duration`) as kernels start, so the fault layer
+  builds each DAG shape once per sweep and re-executes it per scenario.
 """
 
 from __future__ import annotations
@@ -77,7 +80,16 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from ..cluster.profiler import FabricProfiler
 from ..cluster.topology import PathResources
@@ -101,6 +113,8 @@ from .executor import (
 )
 from .memory_tracker import track_iteration
 from .timeline import KernelRecord, Timeline
+
+_R = TypeVar("_R")
 
 #: Perf-stat keys every optimised KernelGraph reports (see ``perf_stats``).
 PERF_STAT_KEYS = (
@@ -225,8 +239,9 @@ class SimKernel:
     """A dependency-driven task on the simulated cluster.
 
     A kernel starts once every dependency has finished and it is at the head
-    of each of its streams; it then either runs for a fixed ``duration`` or,
-    if it carries a ``transfer``, drains through the fabric's shared link
+    of each of its streams; it then either runs for its graph's
+    :meth:`~KernelGraph.run_duration` of the priced ``duration`` or, if it
+    carries a ``transfer``, drains through the fabric's shared link
     resources at whatever bandwidth contention leaves it.
     """
 
@@ -276,17 +291,26 @@ class SimKernel:
 
 
 class KernelGraph:
-    """Builds a kernel DAG over streams/links and executes it to completion."""
+    """Builds a kernel DAG over streams/links and executes it to completion.
+
+    The DAG (kernels, their deps and stream order) is built once; each
+    :meth:`execute` starts from a fresh run state, so a graph may be
+    executed again — e.g. after a fault graph is re-timed for another
+    scenario — and yields what a freshly built copy would.
+    """
 
     def __init__(self) -> None:
-        self.engine = SimulationEngine()
         self.kernels: List[SimKernel] = []
         self._streams: Dict[str, StreamResource] = {}
+        self._reset()
+
+    def _reset(self) -> None:
+        """Fresh run state: clock and queue, links, flows and counters."""
+        self.engine = SimulationEngine()
         self._links: Dict[str, _SharedLink] = {}
         #: Active flows in activation order (fid is monotonic).
         self._active: Dict[int, _Flow] = {}
         self._next_fid = 0
-        self._executed = False
         # Deferred-contention state: links whose flow set changed and flows
         # activated since the last flush.
         self._dirty = False
@@ -324,7 +348,7 @@ class KernelGraph:
         overlapped: bool = False,
         record: bool = True,
     ) -> SimKernel:
-        """Create a kernel, enqueue it on its streams, wire its deps."""
+        """Create a kernel on its streams (in submission order), with deps."""
         kernel = SimKernel(
             name,
             duration=duration,
@@ -338,8 +362,6 @@ class KernelGraph:
         )
         kernel.streams = list(streams)
         kernel.deps = list(deps)
-        for stream in kernel.streams:
-            stream.queue.append(kernel)
         self.kernels.append(kernel)
         return kernel
 
@@ -348,18 +370,30 @@ class KernelGraph:
     # ------------------------------------------------------------------
 
     def execute(self) -> float:
-        """Run every kernel; returns the makespan (last finish time).
+        """Run every kernel from a fresh run state; returns the makespan.
+
+        Resets the clock, event queue, links, flows and counters, every
+        kernel's start/finish/pending/successor state and the stream
+        FIFOs (refilled in submission order), so a re-execution equals the
+        first run of a freshly built graph.
 
         Raises:
             RuntimeError: If the DAG deadlocks (a dependency cycle, or
                 stream submission orders inconsistent with the deps).
         """
-        if self._executed:
-            raise RuntimeError("KernelGraph.execute() may only run once")
-        self._executed = True
+        self._reset()
         self.engine.set_batch_hook(self._flush_contention)
+        for stream in self._streams.values():
+            stream.queue.clear()
+            stream.busy = False
         for kernel in self.kernels:
+            kernel.started = kernel.finished = False
+            kernel.start_time = kernel.end_time = None
             kernel._pending = len(kernel.deps)
+            kernel._succs = []
+            for stream in kernel.streams:
+                stream.queue.append(kernel)
+        for kernel in self.kernels:
             for dep in kernel.deps:
                 dep._succs.append(kernel)
         for kernel in self.kernels:
@@ -424,6 +458,15 @@ class KernelGraph:
     # kernel lifecycle
     # ------------------------------------------------------------------
 
+    def run_duration(self, kernel: SimKernel) -> float:
+        """The duration rule: how long ``kernel`` runs in this execution.
+
+        The stock graph runs every kernel for its priced ``duration``; a
+        fault graph stretches it (see
+        :class:`~repro.sim.faults.FaultyKernelGraph`).
+        """
+        return kernel.duration
+
     def _maybe_start(self, kernel: SimKernel) -> None:
         if kernel.started or kernel._pending:
             return
@@ -438,7 +481,8 @@ class KernelGraph:
             self._start_transfer(kernel)
         else:
             self.engine.schedule(
-                self.engine.now + kernel.duration, lambda: self._finish(kernel)
+                self.engine.now + self.run_duration(kernel),
+                lambda: self._finish(kernel),
             )
 
     def _finish(self, kernel: SimKernel) -> None:
@@ -744,8 +788,6 @@ class EventDrivenSimulator:
         plan: Mapping[str, PartitionSpec],
         global_batch: int,
         n_layers: int,
-        force_replay: bool = False,
-        lowering: Optional[PlanLowering] = None,
     ) -> IterationReport:
         """Scale a one-layer event-driven simulation to ``n_layers`` layers.
 
@@ -753,30 +795,45 @@ class EventDrivenSimulator:
         when its boundary is verified synchronising — every device stream
         ends exactly at the makespan, so neither slack nor link contention
         can couple adjacent layers.  Otherwise the full layer stack is
-        replayed through the event engine.  ``force_replay`` skips the
-        splice check and replays the full stack unconditionally — the
-        fault layer needs this whenever time-varying faults (NIC flaps)
-        make the one-layer schedule non-representative.  ``lowering`` is
-        :meth:`lower`'s output for this ``(graph, plan)``; without one the
+        replayed through the event engine (see :meth:`run_layers`).  The
         plan is lowered on the first replay that misses the report cache.
+        """
+        return self.run_layers(
+            n_layers,
+            lambda layers: self._replay(graph, plan, global_batch, layers),
+            lambda single: single.scaled_to_layers(n_layers, global_batch),
+        )
+
+    def run_layers(
+        self,
+        n_layers: int,
+        replay: Callable[[int], Tuple[_R, bool]],
+        tile: Callable[[_R], _R],
+        force_replay: bool = False,
+    ) -> _R:
+        """The splice policy of :meth:`run_model`, over any replay result.
+
+        ``replay(k)`` replays ``k`` layers and returns ``(result,
+        spliceable)``; ``tile(result)`` scales a spliceable one-layer result
+        to ``n_layers``.  ``force_replay`` skips the one-layer probe and
+        replays the full stack — the fault layer needs this whenever
+        time-varying faults (NIC flaps) make the one-layer schedule
+        non-representative.  :meth:`run_model` replays into reports, the
+        fault layer into bare makespans: one policy, one ``sim.splice``
+        count.
         """
         with span("sim.run", devices=self.topology.n_devices):
             if force_replay and n_layers > 1:
                 counter("sim.splice", outcome="forced_replay").inc()
             else:
-                single, spliceable = self._replay(
-                    graph, plan, global_batch, 1, lowering
-                )
+                single, spliceable = replay(1)
                 if n_layers <= 1:
                     return single
                 if spliceable:
                     counter("sim.splice", outcome="spliced").inc()
-                    return single.scaled_to_layers(n_layers, global_batch)
+                    return tile(single)
                 counter("sim.splice", outcome="replayed").inc()
-            report, _ = self._replay(
-                graph, plan, global_batch, n_layers, lowering
-            )
-            return report
+            return replay(n_layers)[0]
 
     # ------------------------------------------------------------------
     # cached entry points
@@ -795,7 +852,6 @@ class EventDrivenSimulator:
         plan: Mapping[str, PartitionSpec],
         global_batch: int,
         n_layers: int,
-        lowering: Optional[PlanLowering] = None,
     ) -> Tuple[IterationReport, bool]:
         """``n_layers`` replayed through the engine, via the report cache.
 
@@ -810,7 +866,7 @@ class EventDrivenSimulator:
                 self._replay_telemetry(report, entry["stats"])
                 return report, entry["spliceable"]
         report, spliceable, stats = self._simulate(
-            graph, lowering or self.lower(graph, plan), global_batch, n_layers
+            graph, self.lower(graph, plan), global_batch, n_layers
         )
         if key is not None:
             simcache.store(key, report, spliceable, stats)
@@ -831,60 +887,79 @@ class EventDrivenSimulator:
     # simulation proper
     # ------------------------------------------------------------------
 
-    def _simulate(
+    def build(
         self,
         graph: ComputationGraph,
         lowering: PlanLowering,
-        global_batch: int,
         n_layers: int,
-    ) -> Tuple[IterationReport, bool, Dict[str, int]]:
-        kg = self.graph_factory()
-        n_devices = self.topology.n_devices
-        streams = [kg.stream(f"dev{r}") for r in range(n_devices)]
-        tails: Dict[int, List[SimKernel]] = {r: [] for r in range(n_devices)}
-        edge_costs = lowering.edge_costs
-        phases = lowering.phases
+    ) -> KernelGraph:
+        """``n_layers`` of ``graph``'s kernel DAG on a new ``graph_factory()``.
 
-        def tag(name: str, layer: int) -> str:
-            return name if n_layers == 1 else f"L{layer}.{name}"
+        Kernel durations and transfers are read from ``lowering`` (see
+        :meth:`lower`); the graph is ready to :meth:`execute`, as often as
+        its caller re-times it.
+        """
+        with span("sim.build", layers=n_layers):
+            kg = self.graph_factory()
+            n_devices = self.topology.n_devices
+            streams = [kg.stream(f"dev{r}") for r in range(n_devices)]
+            tails: Dict[int, List[SimKernel]] = {
+                r: [] for r in range(n_devices)
+            }
+            edge_costs = lowering.edge_costs
+            phases = lowering.phases
 
-        # ---- Forward ---------------------------------------------------
-        for layer in range(n_layers):
-            for node in graph.nodes:
-                for edge in graph.in_edges(node.name):
-                    fwd, _ = edge_costs[edge.key()]
-                    self._collective(
-                        kg, streams, tails, tag(node.name, layer), "-",
-                        "redistribute", fwd,
-                    )
-                self._lower_phase(
-                    kg, streams, tails, node.name, tag(node.name, layer),
-                    phases[node.name, Phase.FORWARD], Phase.FORWARD,
-                )
+            def tag(name: str, layer: int) -> str:
+                return name if n_layers == 1 else f"L{layer}.{name}"
 
-        # ---- Backward + Gradient (reverse order) ------------------------
-        for layer in reversed(range(n_layers)):
-            for node in reversed(graph.nodes):
-                for edge in graph.out_edges(node.name):
-                    _, bwd = edge_costs[edge.key()]
-                    self._collective(
-                        kg, streams, tails, tag(node.name, layer), "-",
-                        "redistribute", bwd,
-                    )
-                for phase in (Phase.BACKWARD, Phase.GRADIENT):
+            # ---- Forward -----------------------------------------------
+            for layer in range(n_layers):
+                for node in graph.nodes:
+                    for edge in graph.in_edges(node.name):
+                        fwd, _ = edge_costs[edge.key()]
+                        self._collective(
+                            kg, streams, tails, tag(node.name, layer), "-",
+                            "redistribute", fwd,
+                        )
                     self._lower_phase(
                         kg, streams, tails, node.name, tag(node.name, layer),
-                        phases[node.name, phase], phase,
+                        phases[node.name, Phase.FORWARD], Phase.FORWARD,
                     )
-                self._collective(
-                    kg, streams, tails, tag(node.name, layer), "G",
-                    "allreduce", lowering.layernorm_extras[node.name],
-                )
 
-        latency = kg.execute()
+            # ---- Backward + Gradient (reverse order) --------------------
+            for layer in reversed(range(n_layers)):
+                for node in reversed(graph.nodes):
+                    for edge in graph.out_edges(node.name):
+                        _, bwd = edge_costs[edge.key()]
+                        self._collective(
+                            kg, streams, tails, tag(node.name, layer), "-",
+                            "redistribute", bwd,
+                        )
+                    for phase in (Phase.BACKWARD, Phase.GRADIENT):
+                        self._lower_phase(
+                            kg, streams, tails, node.name,
+                            tag(node.name, layer), phases[node.name, phase],
+                            phase,
+                        )
+                    self._collective(
+                        kg, streams, tails, tag(node.name, layer), "G",
+                        "allreduce", lowering.layernorm_extras[node.name],
+                    )
+            return kg
+
+    def execute(
+        self, kg: KernelGraph, lowering: PlanLowering, n_layers: int
+    ) -> Tuple[float, bool, Dict[str, int]]:
+        """Execute ``kg`` (an ``n_layers`` :meth:`build` of ``lowering``).
+
+        Records the run's telemetry (``sim.kernels_executed``, the
+        ``PERF_STAT_KEYS`` counters, ``sim.peak_memory_bytes``) and returns
+        ``(makespan, spliceable, stats)``; only a one-layer run can be
+        spliceable.
+        """
+        with span("sim.execute", kernels=len(kg.kernels)):
+            latency = kg.execute()
         spliceable = n_layers == 1 and self._spliceable(kg, latency)
-        timeline = kg.timeline()
-        peak = n_layers * lowering.plan_memory
         counter("sim.kernels_executed").inc(len(kg.kernels))
         stats: Dict[str, int] = {"kernels": len(kg.kernels)}
         perf = getattr(kg, "perf_stats", None)
@@ -892,7 +967,22 @@ class EventDrivenSimulator:
             stats.update(perf())
             for name in PERF_STAT_KEYS:
                 counter(f"sim.{name}").inc(stats[name])
-        gauge("sim.peak_memory_bytes").track_max(peak)
+        gauge("sim.peak_memory_bytes").track_max(
+            n_layers * lowering.plan_memory
+        )
+        return latency, spliceable, stats
+
+    def _simulate(
+        self,
+        graph: ComputationGraph,
+        lowering: PlanLowering,
+        global_batch: int,
+        n_layers: int,
+    ) -> Tuple[IterationReport, bool, Dict[str, int]]:
+        kg = self.build(graph, lowering, n_layers)
+        latency, spliceable, stats = self.execute(kg, lowering, n_layers)
+        timeline = kg.timeline()
+        peak = n_layers * lowering.plan_memory
         busy_getter = getattr(kg, "device_busy_seconds", None)
         report = IterationReport(
             latency=latency,

@@ -20,11 +20,15 @@ gracefully.  This module makes that question answerable:
   :class:`~repro.sim.engine.KernelGraph`: stragglers stretch compute-kind
   kernel durations, degraded links scale shared NIC capacities, and flaps
   modulate effective link capacity over time (``reroute_factor == 0`` stalls
-  in-flight transfers until the link returns).  With an empty scenario every
-  override is a pass-through — the zero-fault path stays bit-identical to
-  the stock engine, and the golden suite holds it there.
+  in-flight transfers until the link returns).  Faults act when the graph
+  executes, not when it is built, so one built graph is re-timed per
+  scenario.  With an empty scenario every override is a pass-through — the
+  zero-fault path stays bit-identical to the stock engine, and the golden
+  suite holds it there.
 * **Scoring** — :func:`evaluate_robustness` replays a plan across the
-  sampled scenarios and folds the outcomes into a :class:`RobustnessReport`:
+  sampled scenarios — building each kernel-DAG shape once per sweep
+  (:class:`FaultSweep`) and re-timing it per scenario, with no per-replay
+  report — and folds the outcomes into a :class:`RobustnessReport`:
   p50/p95/p99 iteration latency (nearest-rank, via
   :mod:`repro.obs.quantiles`), slowdown attribution (compute vs. link vs.
   recovery), and expected recovery cost.
@@ -52,7 +56,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..api import OBJECTIVES, ValidationError, stamp
 from ..cluster.profiler import FabricProfiler
 from ..cluster.topology import ClusterTopology
-from ..core.optimizer.parallel import parallel_map
+from ..core.optimizer.parallel import parallel_map, resolve_jobs
 from ..core.spec import PartitionSpec
 from ..graph.graph import ComputationGraph
 from ..obs.metrics import counter
@@ -62,6 +66,7 @@ from .engine import (
     EventDrivenSimulator,
     KernelGraph,
     PlanLowering,
+    SimKernel,
     _SharedLink,
 )
 
@@ -69,6 +74,7 @@ __all__ = [
     "DegradedLink",
     "FaultModel",
     "FaultScenario",
+    "FaultSweep",
     "FaultyKernelGraph",
     "NicFlap",
     "NodeOutage",
@@ -506,6 +512,11 @@ class FaultModel:
 class FaultyKernelGraph(KernelGraph):
     """A :class:`KernelGraph` executing under one :class:`FaultScenario`.
 
+    Faults re-time the DAG without changing its shape, so one built graph
+    serves a whole sweep: :meth:`retime` swaps the scenario and the next
+    :meth:`execute` runs under it, exactly as a graph freshly built for
+    that scenario would.
+
     * Stragglers stretch compute-kind kernel durations on their device.
     * Degraded links scale the capacity of the node's shared NIC pool and
       stretch bandwidth-bound collective kernels on the node's devices by
@@ -517,6 +528,8 @@ class FaultyKernelGraph(KernelGraph):
       (completion parked at ``inf``) until the restore event re-times
       them.
 
+    Both stretches are the graph's duration rule (:meth:`run_duration`),
+    applied as each kernel starts; kernels keep their priced durations.
     With an empty scenario every path below is a bit-exact pass-through of
     the base class — asserted against the frozen legacy engine by the
     golden suite.
@@ -525,7 +538,14 @@ class FaultyKernelGraph(KernelGraph):
     def __init__(
         self, scenario: FaultScenario, topology: ClusterTopology
     ) -> None:
+        self._topology = topology
+        # Before the base constructor: its ``_reset`` schedules the flaps.
+        self.retime(scenario)
         super().__init__()
+
+    def retime(self, scenario: FaultScenario) -> None:
+        """Run the next :meth:`execute` under ``scenario``'s faults."""
+        topology = self._topology
         self.scenario = scenario
         self._slowdown = {s.device: s.slowdown for s in scenario.stragglers}
         self._degraded = {
@@ -540,28 +560,36 @@ class FaultyKernelGraph(KernelGraph):
                 factor = by_node.get(topology.node_of(device))
                 if factor is not None:
                     self._link_stretch[device] = 1.0 / factor
-        #: Active flap factors per link key (a list: flaps may overlap).
-        self._flap_active: Dict[str, List[float]] = {}
         self._flaps = [
             (f"nic:node{f.node}", f) for f in scenario.nic_flaps
         ]
 
-    # -- construction overrides ----------------------------------------
-
-    def add(self, name, **kwargs):
-        kind = kwargs.get("kind", "")
-        duration = kwargs.get("duration", 0.0)
+    def run_duration(self, kernel: SimKernel) -> float:
+        duration = kernel.duration
         if duration > 0:
-            device = kwargs.get("device", 0)
-            if kind in COMPUTE_KINDS:
-                slow = self._slowdown.get(device)
+            if kernel.kind in COMPUTE_KINDS:
+                slow = self._slowdown.get(kernel.device)
                 if slow is not None:
-                    kwargs = {**kwargs, "duration": duration * slow}
-            elif kind in LINK_KINDS:
-                stretch = self._link_stretch.get(device)
+                    return duration * slow
+            elif kernel.kind in LINK_KINDS:
+                stretch = self._link_stretch.get(kernel.device)
                 if stretch is not None:
-                    kwargs = {**kwargs, "duration": duration * stretch}
-        return super().add(name, **kwargs)
+                    return duration * stretch
+        return duration
+
+    def _reset(self) -> None:
+        """The base run state, plus this scenario's flap edges."""
+        super()._reset()
+        #: Active flap factors per link key (a list: flaps may overlap).
+        self._flap_active: Dict[str, List[float]] = {}
+        for key, flap in self._flaps:
+            self.engine.schedule(
+                flap.start, lambda k=key, f=flap: self._flap_edge(k, f, True)
+            )
+            self.engine.schedule(
+                flap.start + flap.duration,
+                lambda k=key, f=flap: self._flap_edge(k, f, False),
+            )
 
     def _link(self, key: str, capacity: float) -> _SharedLink:
         link = self._links.get(key)
@@ -577,19 +605,6 @@ class FaultyKernelGraph(KernelGraph):
         """Cut ``link``'s available bandwidth to its worst active flap."""
         active = self._flap_active.get(link.key)
         link.available = link.capacity * min(active) if active else link.capacity
-
-    # -- execution overrides -------------------------------------------
-
-    def execute(self) -> float:
-        for key, flap in self._flaps:
-            self.engine.schedule(
-                flap.start, lambda k=key, f=flap: self._flap_edge(k, f, True)
-            )
-            self.engine.schedule(
-                flap.start + flap.duration,
-                lambda k=key, f=flap: self._flap_edge(k, f, False),
-            )
-        return super().execute()
 
     def _flap_edge(self, key: str, flap: NicFlap, starting: bool) -> None:
         active = self._flap_active.setdefault(key, [])
@@ -705,63 +720,110 @@ class RobustnessReport:
         )
 
 
-def _faulted_latency(
-    profiler: FabricProfiler,
-    graph: ComputationGraph,
-    plan: Mapping[str, PartitionSpec],
-    global_batch: int,
-    n_layers: int,
-    scenario: FaultScenario,
-    lowering: Optional[PlanLowering] = None,
-) -> float:
-    """One event-driven replay of ``plan`` under ``scenario``'s engine faults."""
-    topology = profiler.topology
-    simulator = EventDrivenSimulator(
-        profiler,
-        graph_factory=lambda: FaultyKernelGraph(scenario, topology),
-    )
-    report = simulator.run_model(
-        graph, plan, global_batch, n_layers,
-        force_replay=bool(scenario.nic_flaps),
-        lowering=lowering,
-    )
-    return report.latency
+#: The empty scenario a :class:`FaultSweep`'s templates are built under.
+_NOMINAL = FaultScenario(index=0, seed=0)
+
+
+class FaultSweep:
+    """The faulted replays of one robustness sweep over one plan.
+
+    Faults change kernel durations and link capacities, not the kernel
+    DAG's shape, so each shape — the one-layer splice probe and the
+    ``n_layers`` stack — is built once, on its first replay, and re-timed
+    per scenario (:meth:`FaultyKernelGraph.retime`) before each execution.
+    A replay returns only the makespan; it builds no timeline, breakdown,
+    utilization or report.
+
+    A sweep owns mutable DAG templates: keep one per thread of work (the
+    server runs requests on threads, ``jobs`` workers build their own).
+    ``lowering`` is :meth:`EventDrivenSimulator.lower` of ``plan``;
+    without one the plan is lowered on the first replay.
+    """
+
+    def __init__(
+        self,
+        profiler: FabricProfiler,
+        graph: ComputationGraph,
+        plan: Mapping[str, PartitionSpec],
+        n_layers: int,
+        lowering: Optional[PlanLowering] = None,
+    ) -> None:
+        topology = profiler.topology
+        self.simulator = EventDrivenSimulator(
+            profiler,
+            graph_factory=lambda: FaultyKernelGraph(_NOMINAL, topology),
+        )
+        self.graph = graph
+        self.plan = plan
+        self.n_layers = n_layers
+        self._lowering = lowering
+        #: Built kernel DAGs by layer count.
+        self._templates: Dict[int, FaultyKernelGraph] = {}
+
+    @property
+    def lowering(self) -> PlanLowering:
+        """The plan's :class:`PlanLowering`, priced on first use."""
+        if self._lowering is None:
+            self._lowering = self.simulator.lower(self.graph, self.plan)
+        return self._lowering
+
+    def latency(self, scenario: FaultScenario) -> float:
+        """The iteration makespan under ``scenario``'s engine faults.
+
+        Follows :meth:`EventDrivenSimulator.run_layers`'s splice policy; a
+        flap makes the schedule time-varying and forces the full stack.
+        """
+        n_layers = self.n_layers
+        return self.simulator.run_layers(
+            n_layers,
+            lambda layers: self._replay(scenario, layers),
+            lambda single: single * n_layers,
+            force_replay=bool(scenario.nic_flaps),
+        )
+
+    def _replay(
+        self, scenario: FaultScenario, n_layers: int
+    ) -> Tuple[float, bool]:
+        kg = self._dag(scenario, n_layers)
+        latency, spliceable, _ = self.simulator.execute(
+            kg, self.lowering, n_layers
+        )
+        if n_layers < self.n_layers:
+            counter(
+                "faults.splice_probes",
+                outcome="spliced" if spliceable else "replayed",
+            ).inc()
+        return latency, spliceable
+
+    def _dag(self, scenario: FaultScenario, n_layers: int) -> KernelGraph:
+        """The ``n_layers`` kernel DAG, timed for ``scenario``."""
+        kg = self._templates.get(n_layers)
+        if kg is None:
+            kg = self.simulator.build(self.graph, self.lowering, n_layers)
+            self._templates[n_layers] = kg
+        kg.retime(scenario)
+        return kg
 
 
 def simulate_scenario(
-    profiler: FabricProfiler,
-    graph: ComputationGraph,
-    plan: Mapping[str, PartitionSpec],
-    global_batch: int,
-    n_layers: int,
+    sweep: FaultSweep,
     scenario: FaultScenario,
     recovery: RecoveryModel,
     nominal_latency: float,
-    lowering: Optional[PlanLowering] = None,
 ) -> ScenarioOutcome:
     """Simulate one scenario and decompose its slowdown by fault class.
 
     The scenario is replayed twice when it mixes fault classes — compute
     faults only, then all engine faults — so the compute/link split is
     exact; pure-compute or pure-link scenarios need one replay, and
-    nominal scenarios none.  Every replay reads ``lowering``
-    (:meth:`EventDrivenSimulator.lower` of ``plan``); without one, the
-    plan is lowered once here and shared by this scenario's replays.
+    nominal scenarios none.  Every replay runs on ``sweep``'s DAGs.
     """
-    if lowering is None and scenario.has_engine_faults:
-        lowering = EventDrivenSimulator(profiler).lower(graph, plan)
     if scenario.has_compute_faults:
-        compute_latency = _faulted_latency(
-            profiler, graph, plan, global_batch, n_layers,
-            scenario.compute_only(), lowering,
-        )
+        compute_latency = sweep.latency(scenario.compute_only())
     else:
         compute_latency = nominal_latency
     if scenario.has_link_faults:
-        engine_latency = _faulted_latency(
-            profiler, graph, plan, global_batch, n_layers,
-            scenario.engine_only(), lowering,
-        )
+        engine_latency = sweep.latency(scenario.engine_only())
     else:
         engine_latency = compute_latency
     recovery_delay = 0.0
@@ -786,9 +848,16 @@ def simulate_scenario(
     )
 
 
-def _scenario_task(payload) -> ScenarioOutcome:
-    """Module-level (picklable) worker for :func:`parallel_map` fan-out."""
-    return simulate_scenario(*payload)
+def _sweep_task(payload) -> List[ScenarioOutcome]:
+    """Module-level (picklable) worker: one sweep over a run of scenarios."""
+    profiler, graph, plan, n_layers, lowering, scenarios, recovery, nominal = (
+        payload
+    )
+    sweep = FaultSweep(profiler, graph, plan, n_layers, lowering)
+    return [
+        simulate_scenario(sweep, scenario, recovery, nominal)
+        for scenario in scenarios
+    ]
 
 
 def build_report(
@@ -841,10 +910,12 @@ def evaluate_robustness(
     are nearest-rank — so the report is bit-identical serial or under any
     ``jobs`` fan-out.
 
-    The plan is lowered once, on the first scenario the engine must
-    replay, and every replay reads that lowering (shipped to workers in
-    the task payload).  Nominal and outage-only sweeps replay nothing and
-    lower nothing beyond what the nominal replay itself needs.
+    The plan is lowered once if any scenario needs the engine, and every
+    replay reads that lowering (shipped to workers in the task payload).
+    The faulted scenarios are split into one contiguous run per worker,
+    each replayed by its own :class:`FaultSweep`, so each worker builds
+    each kernel-DAG shape once.  Nominal and outage-only sweeps replay
+    nothing and lower nothing beyond what the nominal replay itself needs.
     """
     if scenarios < 1:
         raise ValidationError(
@@ -860,10 +931,8 @@ def evaluate_robustness(
         drawn = fault_model.scenarios(
             profiler.topology, scenarios, seed, nominal.latency
         )
-        lowering: Optional[PlanLowering] = None
-        payloads = []
         outcomes: List[Optional[ScenarioOutcome]] = []
-        order: List[int] = []
+        faulted: List[FaultScenario] = []
         for scenario in drawn:
             if scenario.is_nominal:
                 counter("faults.scenarios", kind="nominal").inc()
@@ -878,18 +947,31 @@ def evaluate_robustness(
             else:
                 counter("faults.scenarios", kind="faulted").inc()
                 outcomes.append(None)
-                order.append(len(outcomes) - 1)
-                if lowering is None and scenario.has_engine_faults:
-                    lowering = simulator.lower(graph, plan)
-                payloads.append((
-                    profiler, graph, plan, global_batch, n_layers, scenario,
-                    fault_model.recovery, nominal.latency, lowering,
-                ))
-        if payloads:
-            for position, outcome in zip(
-                order, parallel_map(_scenario_task, payloads, jobs)
-            ):
-                outcomes[position] = outcome
+                faulted.append(scenario)
+        if faulted:
+            lowering = (
+                simulator.lower(graph, plan)
+                if any(s.has_engine_faults for s in faulted) else None
+            )
+            runs = min(resolve_jobs(jobs), len(faulted))
+            payloads = [
+                (
+                    profiler, graph, plan, n_layers, lowering,
+                    faulted[i * len(faulted) // runs:
+                            (i + 1) * len(faulted) // runs],
+                    fault_model.recovery, nominal.latency,
+                )
+                for i in range(runs)
+            ]
+            replayed = iter([
+                outcome
+                for run in parallel_map(_sweep_task, payloads, jobs)
+                for outcome in run
+            ])
+            outcomes = [
+                next(replayed) if outcome is None else outcome
+                for outcome in outcomes
+            ]
         return build_report(outcomes, nominal.latency, fault_model, seed)
 
 

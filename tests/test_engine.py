@@ -119,6 +119,32 @@ class TestKernelGraph:
             2 * (solo_time - path02.latency) + path02.latency
         )
 
+    def test_re_execution_repeats_the_first_run(self):
+        """``execute`` resets the run state: a second run (after a
+        deadlock, too) equals the first, clock to counters."""
+        topo = v100_cluster(4, gpus_per_node=2)
+        kg = KernelGraph()
+        s0, s1 = kg.stream("dev0"), kg.stream("dev1")
+        a = kg.add("a", streams=[s0], duration=1e-3)
+        t1 = kg.add("t1", deps=[a], transfer=(1e9, topo.path_resources(0, 2)))
+        kg.add("t2", deps=[a], transfer=(1e9, topo.path_resources(1, 3)))
+        kg.add("b", streams=[s0, s1], deps=[t1], duration=2e-3)
+
+        def run():
+            return (
+                kg.execute(), kg.timeline(), kg.link_stats(),
+                kg.device_busy_seconds(), kg.perf_stats(),
+            )
+
+        first = run()
+        assert run() == first
+        loop = kg.add("c", streams=[s1], duration=1.0)
+        loop.add_dep(loop)
+        with pytest.raises(RuntimeError, match="deadlock"):
+            kg.execute()
+        kg.kernels.remove(loop)
+        assert run() == first
+
     def test_dedicated_paths_do_not_contend(self):
         topo = v100_cluster(4)  # single node -> NVLink, no shared NICs
         n_bytes = 1e9

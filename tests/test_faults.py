@@ -12,8 +12,9 @@ The contracts under test:
 * **Zero faults** — the empty scenario is a pass-through of the stock
   engine (the frozen-legacy half of this lives in
   ``test_golden_engine.py``).
-* **Lower once** — a sweep prices the plan once and shares the lowering
-  with every replay, byte-identically to replays that lower themselves.
+* **Lower once, build once** — a sweep prices the plan once, builds each
+  kernel-DAG shape once and re-times it per scenario, byte-identically to
+  replays that lower the plan and build a fresh DAG themselves.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.sim.faults import (
     DegradedLink,
     FaultModel,
     FaultScenario,
+    FaultSweep,
     FaultyKernelGraph,
     NicFlap,
     RecoveryModel,
@@ -122,12 +124,12 @@ class TestAttribution:
         profiler, graph, plan = setting
         nominal = EventDrivenSimulator(profiler, use_disk_cache=False)
         nominal_latency = nominal.run_model(graph, plan, 8, 4).latency
+        sweep = FaultSweep(profiler, graph, plan, 4)
         for scenario in MIXED.scenarios(
             profiler.topology, 8, seed=2, horizon=nominal_latency
         ):
             outcome = simulate_scenario(
-                profiler, graph, plan, 8, 4, scenario,
-                MIXED.recovery, nominal_latency,
+                sweep, scenario, MIXED.recovery, nominal_latency,
             )
             assert outcome.latency == (
                 outcome.nominal_latency + outcome.compute_delay
@@ -151,12 +153,12 @@ class TestLinkSlowdownsNeverHelp:
             profiler, use_disk_cache=False
         ).run_model(graph, plan, 8, 4).latency
         link_only = FaultModel.from_spec("degrade=1.0:0.4")
+        sweep = FaultSweep(profiler, graph, plan, 4)
         for scenario in link_only.scenarios(
             profiler.topology, 4, seed=seed, horizon=nominal
         ):
             outcome = simulate_scenario(
-                profiler, graph, plan, 8, 4, scenario,
-                link_only.recovery, nominal,
+                sweep, scenario, link_only.recovery, nominal,
             )
             assert outcome.latency >= nominal
             if scenario.degraded_links:
@@ -198,7 +200,7 @@ class TestLinkSlowdownsNeverHelp:
                                duration=nominal, reroute_factor=0.0),),
         )
         outcome = simulate_scenario(
-            profiler, graph, plan, 2, 1, scenario,
+            FaultSweep(profiler, graph, plan, 1), scenario,
             RecoveryModel(), nominal,
         )
         assert outcome.latency > nominal
@@ -253,17 +255,24 @@ def _report_bytes(report) -> str:
 
 
 def _per_replay_lowering(monkeypatch):
-    """Make every fault replay lower the plan itself (the reference path)."""
-    shared = faults._faulted_latency
+    """Make every fault replay lower the plan and build its kernel DAG
+    itself, through ``graph_factory`` (the from-scratch reference path)."""
 
-    def lower_per_replay(*args):
-        return shared(*args[:6], lowering=None)
+    def fresh_dag(sweep, scenario, n_layers):
+        topology = sweep.simulator.topology
+        simulator = EventDrivenSimulator(
+            sweep.simulator.profiler,
+            graph_factory=lambda: faults.FaultyKernelGraph(scenario, topology),
+        )
+        lowering = simulator.lower(sweep.graph, sweep.plan)
+        return simulator.build(sweep.graph, lowering, n_layers)
 
-    monkeypatch.setattr(faults, "_faulted_latency", lower_per_replay)
+    monkeypatch.setattr(faults.FaultSweep, "_dag", fresh_dag)
 
 
 class TestSharedLowering:
-    """One lowering per sweep must not change a single bit of any report."""
+    """One lowering and one kernel DAG per shape per sweep must not change
+    a single bit of any report."""
 
     #: Flap rate 1.0 gives every node one flap per scenario, so every
     #: mixed replay takes the forced full-stack path.
@@ -308,15 +317,34 @@ class TestSharedLowering:
             s for s in drawn if s.has_compute_faults and s.has_link_faults
         )
         shared = simulate_scenario(
-            profiler, graph, plan, 8, 4, scenario, model.recovery,
+            FaultSweep(profiler, graph, plan, 4), scenario, model.recovery,
             nominal.latency,
         )
         _per_replay_lowering(monkeypatch)
         reference = simulate_scenario(
-            profiler, graph, plan, 8, 4, scenario, model.recovery,
+            FaultSweep(profiler, graph, plan, 4), scenario, model.recovery,
             nominal.latency,
         )
         assert shared == reference
+
+    def test_sweep_builds_each_dag_shape_once(self, setting):
+        """The probe and the full stack are built once each, then re-timed."""
+        from repro.obs.spans import SpanCollector, use_collector
+
+        profiler, graph, plan = setting
+        EventDrivenSimulator(profiler).run_model(graph, plan, 8, 4)  # warm
+        model = FaultModel.from_spec(self.SPECS["mixed_flaps"])
+        with use_collector(SpanCollector()) as collector:
+            evaluate_robustness(
+                profiler, graph, plan, 8, 4, model, scenarios=6, seed=4,
+            )
+            spans = collector.export()
+        builds = [
+            s["attrs"]["layers"] for s in spans if s["name"] == "sim.build"
+        ]
+        executions = [s for s in spans if s["name"] == "sim.execute"]
+        assert sorted(builds) == [1, 4]
+        assert len(executions) > len(builds)
 
     def test_lowering_pickles(self, setting):
         profiler, graph, plan = setting
@@ -325,9 +353,12 @@ class TestSharedLowering:
         assert isinstance(clone, PlanLowering)
         assert clone == lowering
         simulator = EventDrivenSimulator(profiler, use_disk_cache=False)
-        assert simulator.run_model(
-            graph, plan, 8, 4, lowering=clone
-        ) == simulator.run_model(graph, plan, 8, 4)
+
+        def replay(priced):
+            kg = simulator.build(graph, priced, 4)
+            return simulator.execute(kg, priced, 4), kg.timeline()
+
+        assert replay(clone) == replay(lowering)
 
 
 class TestPriceOnce:

@@ -363,10 +363,33 @@ _TEMPORAL_PLAN = {
 }
 
 
+def _fresh_legacy_dag_per_replay(monkeypatch):
+    """Replay every fault scenario on a frozen fault graph built for it.
+
+    The frozen graph stretches durations as kernels are added and runs
+    once, so each replay builds its own through ``graph_factory``.
+    """
+
+    def fresh_dag(sweep, scenario, n_layers):
+        topology = sweep.simulator.topology
+        simulator = EventDrivenSimulator(
+            sweep.simulator.profiler,
+            graph_factory=lambda: legacy_faults.FaultyKernelGraph(
+                scenario, topology
+            ),
+        )
+        return simulator.build(sweep.graph, sweep.lowering, n_layers)
+
+    monkeypatch.setattr(faults.FaultSweep, "_dag", fresh_dag)
+
+
 class TestGoldenFaultedReplays:
     """Flaps cut a link's ``available`` bandwidth under the base engine's
-    one fair-share flush; the frozen fault graph kept its own flush copy.
-    Both must yield the same robustness reports, byte for byte."""
+    one fair-share flush, and faults stretch durations by one rule as
+    kernels start on a DAG built once per sweep; the frozen fault graph
+    kept its own flush copy and stretched kernels as it built a fresh DAG
+    per replay.  Both must yield the same robustness reports, byte for
+    byte."""
 
     @pytest.mark.parametrize("n_devices, gpus_per_node", [(4, 2), (8, 2), (16, 4)])
     @pytest.mark.parametrize("spec", FLAP_MODELS)
@@ -392,9 +415,7 @@ class TestGoldenFaultedReplays:
             )
 
         candidate = report()
-        monkeypatch.setattr(
-            faults, "FaultyKernelGraph", legacy_faults.FaultyKernelGraph
-        )
+        _fresh_legacy_dag_per_replay(monkeypatch)
         golden = report()
         # The flaps must actually slow the replays down.
         assert any(o.nic_flaps and o.link_delay > 0 for o in golden.outcomes)
@@ -426,3 +447,79 @@ class TestGoldenFaultedReplays:
         golden = replay(legacy_faults.FaultyKernelGraph)
         assert golden.latency > nominal.latency
         assert_reports_identical(golden, replay(faults.FaultyKernelGraph))
+
+
+class TestRetimedTemplate:
+    """One built fault graph, re-timed per scenario, equals a graph freshly
+    built for each scenario through ``graph_factory`` — makespan, kernel
+    records, link bytes, busy seconds and engine counters, byte for byte —
+    whatever scenario it ran before."""
+
+    @staticmethod
+    def _run(kg):
+        makespan = kg.execute()
+        return pickle.dumps((
+            makespan, kg.timeline(), kg.link_stats(),
+            kg.device_busy_seconds(), kg.perf_stats(),
+        ))
+
+    #: Two GPUs per node, so the temporal rings cross NICs and flaps bite.
+    @pytest.mark.parametrize(
+        "n_devices, gpus_per_node", [(4, 2), (8, 2), (16, 2)]
+    )
+    def test_interleaved_scenarios_match_fresh_builds(
+        self, n_devices, gpus_per_node
+    ):
+        from repro.sim.faults import (
+            DegradedLink,
+            FaultScenario,
+            FaultyKernelGraph,
+            NicFlap,
+            Straggler,
+        )
+
+        profiler = FabricProfiler(v100_cluster(n_devices, gpus_per_node))
+        topology = profiler.topology
+        n_bits = n_devices.bit_length() - 1
+        prefix = "B-" * (n_bits - 2)
+        plan = {
+            name: PartitionSpec.from_string(prefix + text, n_bits)
+            for name, text in _TEMPORAL_PLAN.items()
+        }
+        graph = build_block_graph(OPT_6_7B.block_shape(batch=16))
+        empty = FaultScenario(index=0, seed=0)
+        simulator = EventDrivenSimulator(
+            profiler, graph_factory=lambda: FaultyKernelGraph(empty, topology)
+        )
+        lowering = simulator.lower(graph, plan)
+
+        for n_layers in (1, 2):
+            template = simulator.build(graph, lowering, n_layers)
+            nominal = template.execute()
+
+            def flap(factor):
+                return (NicFlap(0, 0.2 * nominal, 0.3 * nominal, factor),)
+
+            sequence = [
+                empty,
+                FaultScenario(0, 0, stragglers=(Straggler(1, 1.7),)),
+                FaultScenario(0, 0, degraded_links=(DegradedLink(0, 0.5),)),
+                FaultScenario(0, 0, nic_flaps=flap(0.0)),
+                FaultScenario(0, 0, nic_flaps=flap(0.25)),
+                empty,
+            ]
+            latencies = []
+            for scenario in sequence:
+                template.retime(scenario)
+                retimed = self._run(template)
+                fresh = EventDrivenSimulator(
+                    profiler,
+                    graph_factory=lambda: FaultyKernelGraph(
+                        scenario, topology
+                    ),
+                ).build(graph, lowering, n_layers)
+                assert retimed == self._run(fresh), scenario
+                latencies.append(pickle.loads(retimed)[0])
+            # Every fault bites, and the last empty run is the first one.
+            assert all(latency > nominal for latency in latencies[1:5])
+            assert latencies[0] == latencies[-1] == nominal

@@ -994,6 +994,44 @@ class TestRobustnessHTTP:
         assert again["score"] == payload["score"]
         assert again["report"] == report
 
+    def test_concurrent_requests_match_serial(self, fresh_cache, registry):
+        """Each request replays on its own kernel DAGs: threads (more than
+        cores) scoring different seeds at once return what serial calls
+        return."""
+        service = _service(admission=AdmissionController(max_concurrent=3))
+        bodies = [
+            self._request(
+                devices=4, faults="straggler=0.5:1.7,flap=1.0:0.002:0.25",
+                seed=seed,
+            ).to_json()
+            for seed in (1, 2, 3)
+        ]
+        serial = [service.robustness_from_request(b)["report"] for b in bodies]
+        assert len({json.dumps(r, sort_keys=True) for r in serial}) == 3
+        start = threading.Barrier(len(bodies))
+        concurrent = [None] * len(bodies)
+
+        def score(i):
+            start.wait(timeout=60)
+            payload = service.robustness_from_request(bodies[i])
+            concurrent[i] = payload["report"]
+
+        threads = [
+            threading.Thread(target=score, args=(i,))
+            for i in range(len(bodies))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the replays finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert concurrent == serial
+
     def test_http_round_trip_and_report_rehydration(self, server):
         client = PlanClient(server.url)
         request = self._request()

@@ -61,10 +61,13 @@ THRESHOLDS: List[Tuple[str, str, str, float]] = [
      "higher_worse", 0.02),
     ("BENCH_robustness.json", "fault_classes.compute.p99",
      "higher_worse", 0.02),
-    # Sweep wall time, bound by lowering plus event replay.
+    # Sweep wall time, bound by event replay (each DAG shape is built once
+    # per sweep).  Mixed is the slowest class.
     ("BENCH_robustness.json", "fault_classes.compute.wall_seconds",
      "higher_worse", 0.50),
     ("BENCH_robustness.json", "fault_classes.link.wall_seconds",
+     "higher_worse", 0.50),
+    ("BENCH_robustness.json", "fault_classes.mixed.wall_seconds",
      "higher_worse", 0.50),
     # One entry per scale (4/8/16/32 devices).  Warm searches are bound by
     # the segment DP, cold ones by the candidate builds.
