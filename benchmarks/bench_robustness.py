@@ -7,9 +7,14 @@ the Monte-Carlo percentiles and per-class attribution for each, plus where
 the sweep's time went, from its spans: lowering the plan
 (``lower_seconds``, ``sim.lower``), building kernel DAGs
 (``build_seconds``, ``sim.build``) and executing them
-(``replay_seconds``, ``sim.execute``).  A splice census counts how often
-a faulted one-layer probe spliced (``splice_probes``, ``spliced``, from
-the ``faults.splice_probes`` counter).  Three structural checks ride
+(``replay_seconds``, ``sim.execute``), with the kernels those replays
+executed (``kernels_executed``, from the same spans, so
+``replay_seconds / kernels_executed`` is the engine's cost per kernel)
+and the contention flushes the engine counted (``contention_flushes``,
+the ``sim.contention_flushes`` counter, which a nominal replay served
+from the report cache re-emits).  A splice census counts how often a faulted
+one-layer probe spliced (``splice_probes``, ``spliced``, from the
+``faults.splice_probes`` counter).  Three structural checks ride
 along:
 
 * **reports_identical** (per class) — the sweep's report, whose replays
@@ -99,17 +104,26 @@ def _per_replay_lowering_report(*args, **kwargs):
         return evaluate_robustness(*args, **kwargs)
 
 
-def _probes(outcome: str) -> float:
-    """The ``faults.splice_probes`` count so far with ``outcome``."""
+def _counted(name: str, **labels: str) -> float:
+    """The counter ``name``'s total so far over series matching ``labels``."""
     return sum(
         e["value"] for e in get_registry().snapshot()["counters"]
-        if e["name"] == "faults.splice_probes"
-        and e["labels"].get("outcome") == outcome
+        if e["name"] == name
+        and all(e["labels"].get(k) == v for k, v in labels.items())
     )
 
 
+def _census() -> Dict[str, float]:
+    """The sweep counters a class entry reports, as totals so far."""
+    return {
+        "spliced": _counted("faults.splice_probes", outcome="spliced"),
+        "replayed": _counted("faults.splice_probes", outcome="replayed"),
+        "flushes": _counted("sim.contention_flushes"),
+    }
+
+
 def _class_entry(
-    report, spec: str, seconds: float, span_seconds: Dict[str, float],
+    report, spec: str, seconds: float, span_totals: Dict[str, float],
     census: Dict[str, float], identical: bool,
 ) -> Dict:
     return {
@@ -123,9 +137,11 @@ def _class_entry(
         "expected_recovery_cost": report.expected_recovery_cost,
         "outage_scenarios": report.outage_scenarios,
         "wall_seconds": seconds,
-        "lower_seconds": span_seconds["sim.lower"],
-        "build_seconds": span_seconds["sim.build"],
-        "replay_seconds": span_seconds["sim.execute"],
+        "lower_seconds": span_totals["sim.lower"],
+        "build_seconds": span_totals["sim.build"],
+        "replay_seconds": span_totals["sim.execute"],
+        "kernels_executed": span_totals["kernels"],
+        "contention_flushes": census["flushes"],
         "splice_probes": census["spliced"] + census["replayed"],
         "spliced": census["spliced"],
         "reports_identical": identical,
@@ -168,24 +184,28 @@ def run_benchmark(
             fault_model = FaultModel.from_spec(spec)
             sweep = (profiler, graph, plan, batch, n_layers, fault_model)
             mark = get_collector().mark()
-            probes = {o: _probes(o) for o in ("spliced", "replayed")}
+            before = _census()
             started = time.perf_counter()
             report = evaluate_robustness(
                 *sweep, scenarios=scenarios, seed=seed, jobs=1
             )
             seconds = time.perf_counter() - started
-            census = {o: _probes(o) - n for o, n in probes.items()}
+            census = {k: v - before[k] for k, v in _census().items()}
             spans = get_collector().export(mark)
-            span_seconds = {
+            span_totals = {
                 name: sum(s["duration"] for s in spans if s["name"] == name)
                 for name in ("sim.lower", "sim.build", "sim.execute")
             }
+            span_totals["kernels"] = sum(
+                s["attrs"]["kernels"] for s in spans
+                if s["name"] == "sim.execute"
+            )
             reports[label] = report
             reference = _per_replay_lowering_report(
                 *sweep, scenarios=scenarios, seed=seed, jobs=1
             )
             classes[label] = _class_entry(
-                report, spec, seconds, span_seconds, census,
+                report, spec, seconds, span_totals, census,
                 _report_bytes(report) == _report_bytes(reference),
             )
             nominal_latency = report.nominal_latency
@@ -281,7 +301,8 @@ def _report(payload: Dict) -> str:
             f"{entry['wall_seconds']:.2f}s wall ("
             f"{entry['lower_seconds'] * 1e3:.1f}ms lowering, "
             f"{entry['build_seconds']:.2f}s building, "
-            f"{entry['replay_seconds']:.2f}s replaying), "
+            f"{entry['replay_seconds']:.2f}s replaying "
+            f"{entry['kernels_executed']:.0f} kernels), "
             f"{entry['spliced']:.0f}/{entry['splice_probes']:.0f} probes "
             f"spliced, identical to from-scratch replays: "
             f"{entry['reports_identical']}"

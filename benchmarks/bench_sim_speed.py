@@ -19,6 +19,13 @@ Scenarios:
   report cache; dominated by timeline replication, recorded for honesty).
 * ``sweep`` — event-engine ``Planner3D`` sweep, serial vs ``--jobs``
   workers vs warm cache.
+* ``faulted_execute`` — the cold engine alone: ``BENCH_robustness``'s
+  32-device, 8-layer OPT-175B kernel DAG under its compute- and
+  link-class scenarios, each executed on the frozen fault graph
+  (``tests/legacy_faults.py``, one fresh build per scenario) and on one
+  build of the live fault graph re-timed per scenario.  Only
+  ``execute`` is timed; it records microseconds per kernel, the engine
+  counters of the live runs and whether every makespan is identical.
 
 Standalone::
 
@@ -45,12 +52,15 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 sys.path.insert(0, str(Path(__file__).parent))
 
 import legacy_engine
-from conftest import ALPHA, RESULTS_DIR, jobs_for
+import legacy_faults
+from conftest import ALPHA, RESULTS_DIR, beam_for, jobs_for
 
 from repro import (
     EventDrivenSimulator,
     FabricProfiler,
     Planner3D,
+    PrimeParOptimizer,
+    build_block_graph,
     v100_cluster,
 )
 from repro.baselines.megatron import best_megatron_plan
@@ -61,6 +71,7 @@ from repro.graph.models import OPT_6_7B, OPT_175B
 from repro.graph.operators import OpKind, OperatorSpec
 from repro.graph.transformer import build_mlp_graph
 from repro.parallel3d.pipeline import PipelinePlan, pipeline_iteration_events
+from repro.sim.faults import FaultModel, FaultScenario, FaultyKernelGraph
 
 REGIMES = ("legacy", "cold", "warm")
 
@@ -273,6 +284,96 @@ def _measure_model(smoke: bool, workdir: str, rounds: int) -> Dict:
     return entry
 
 
+#: ``BENCH_robustness``'s fault classes that the engine replays alone.
+FAULTED_CLASSES = {
+    "compute": "straggler=0.6:1.8",
+    "link": "degrade=0.6:0.5",
+}
+
+
+def _measure_faulted_execute(smoke: bool, workdir: str) -> Dict:
+    """Cold ``execute`` of one fault-sweep DAG: frozen vs live fault graph."""
+    model = OPT_6_7B if smoke else OPT_175B
+    n_devices, gpus_per_node = (4, 2) if smoke else (32, 4)
+    batch = 8 if smoke else 32
+    n_layers = 4 if smoke else 8
+    scenarios = 2 if smoke else 4
+    os.environ["PRIMEPAR_CACHE_DIR"] = os.path.join(workdir, "faulted")
+    profiler = FabricProfiler(
+        v100_cluster(n_devices, gpus_per_node=gpus_per_node)
+    )
+    topology = profiler.topology
+    graph = build_block_graph(model.block_shape(batch=batch))
+    plan = PrimeParOptimizer(
+        profiler, alpha=ALPHA, beam=beam_for(n_devices)
+    ).optimize(graph, n_layers=model.n_layers).plan
+    live = EventDrivenSimulator(
+        profiler,
+        graph_factory=lambda: FaultyKernelGraph(
+            FaultScenario(index=0, seed=0), topology
+        ),
+    )
+    lowering = live.lower(graph, plan)
+    template = live.build(graph, lowering, n_layers)
+    nominal = template.execute()
+    n_kernels = len(template.kernels)
+
+    def timed_execute(kg) -> Tuple[float, float]:
+        started = time.perf_counter()
+        makespan = kg.execute()
+        return time.perf_counter() - started, makespan
+
+    classes = {}
+    for label, spec in FAULTED_CLASSES.items():
+        drawn = FaultModel.from_spec(spec).scenarios(
+            topology, scenarios, 0, nominal
+        )
+        entry = {
+            "spec": spec,
+            "scenarios": len(drawn),
+            "legacy_seconds": 0.0,
+            "seconds": 0.0,
+            "contention_flushes": 0,
+            "queue_pushes": 0,
+            "identical": True,
+        }
+        for scenario in drawn:
+            frozen = EventDrivenSimulator(
+                profiler,
+                graph_factory=lambda: legacy_faults.FaultyKernelGraph(
+                    scenario, topology
+                ),
+            ).build(graph, lowering, n_layers)
+            legacy_seconds, legacy_makespan = timed_execute(frozen)
+            del frozen
+            template.retime(scenario)
+            seconds, makespan = timed_execute(template)
+            stats = template.perf_stats()
+            entry["legacy_seconds"] += legacy_seconds
+            entry["seconds"] += seconds
+            entry["contention_flushes"] += stats["contention_flushes"]
+            entry["queue_pushes"] += stats["queue_pushes"]
+            entry["identical"] &= makespan == legacy_makespan
+        executed = n_kernels * len(drawn)
+        entry["legacy_us_per_kernel"] = entry["legacy_seconds"] / executed * 1e6
+        entry["us_per_kernel"] = entry["seconds"] / executed * 1e6
+        classes[label] = entry
+    legacy_seconds = sum(e["legacy_seconds"] for e in classes.values())
+    seconds = sum(e["seconds"] for e in classes.values())
+    executed = n_kernels * sum(e["scenarios"] for e in classes.values())
+    return {
+        "model": model.name,
+        "devices": n_devices,
+        "layers": n_layers,
+        "kernels": n_kernels,
+        "classes": classes,
+        "legacy_us_per_kernel": legacy_seconds / executed * 1e6,
+        "us_per_kernel": seconds / executed * 1e6,
+        "speedup": legacy_seconds / seconds,
+        "identical": all(e["identical"] for e in classes.values()),
+    }
+
+
 def _sweep_fingerprint(results) -> List[Tuple[str, float, float]]:
     return [
         (str(r.config), r.throughput, r.iteration_latency) for r in results
@@ -335,6 +436,7 @@ def run_benchmark(
             "fig9_pipeline_replay": _measure_pipeline(smoke, workdir, rounds),
             "model_replay": _measure_model(smoke, workdir, rounds),
             "sweep": _measure_sweep(smoke, jobs, workdir),
+            "faulted_execute": _measure_faulted_execute(smoke, workdir),
         }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -395,6 +497,15 @@ def _report(payload: Dict) -> str:
         f"warm {sweep['warm_seconds']:.2f}s"
         f"  [identical={sweep['identical']}]"
     )
+    faulted = payload["faulted_execute"]
+    lines.append(
+        f"  faulted execute ({faulted['devices']} devices, "
+        f"{faulted['layers']} layers, {faulted['kernels']} kernels): "
+        f"legacy {faulted['legacy_us_per_kernel']:.2f} us/kernel, "
+        f"live {faulted['us_per_kernel']:.2f} us/kernel "
+        f"({faulted['speedup']:.2f}x)"
+        f"  [identical={faulted['identical']}]"
+    )
     return "\n".join(lines)
 
 
@@ -411,6 +522,7 @@ def test_sim_speed_smoke(benchmark):
     assert payload["fig9_pipeline_replay"]["identical"]
     assert payload["model_replay"]["identical"]
     assert payload["sweep"]["identical"]
+    assert payload["faulted_execute"]["identical"]
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -155,9 +155,14 @@ def pipeline_iteration_events(
     Builds the schedule's kernel DAG — forward/backward micro-batch kernels
     on one stream per stage, activation/gradient sends between neighbouring
     stages — and measures the iteration latency as the DAG's makespan
-    instead of trusting the closed form.  For uniform stage times both
-    schedules reproduce ``(m + p - 1)(t_f + t_b) + 2 (p - 1) hop`` exactly;
-    the event path additionally yields a per-stage :class:`Timeline`.
+    instead of trusting the closed form.  For uniform stage times GPipe
+    reproduces ``(m + p - 1)(t_f + t_b) + 2 (p - 1) hop`` to float
+    rounding, and so does 1F1B when ``hop`` is zero.  With a nonzero hop
+    1F1B runs longer than the closed form: its interleaved boundary sends
+    stall stages the closed form assumes busy (+4% to +13% for
+    ``t_f = 1 ms``, ``t_b = 2 ms``, 4 MB hops over 12.5 GB/s and
+    ``m = 2p``, ``p = 2 … 32``).  The event path additionally yields a
+    per-stage :class:`Timeline`.
 
     The replay is a pure function of its arguments, so the report is
     memoized through :mod:`repro.cache` (``PRIMEPAR_CACHE*`` knobs apply);

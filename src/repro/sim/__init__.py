@@ -16,7 +16,6 @@ from .engine import (
     KernelGraph,
     PlanLowering,
     SimKernel,
-    SimulationEngine,
     StreamResource,
 )
 from .executor import IterationReport
@@ -52,7 +51,6 @@ __all__ = [
     "RobustnessReport",
     "ScenarioOutcome",
     "SimKernel",
-    "SimulationEngine",
     "StreamResource",
     "Straggler",
     "Timeline",

@@ -3,7 +3,6 @@
 The repo's one plan simulator.  Kernels are priced by the paper's cost
 models (Eq. 7–9); this module replays them on the simulated cluster:
 
-* :class:`SimulationEngine` — an indexed event queue and a simulated clock;
 * :class:`StreamResource` — a serial FIFO execution stream (one per device
   compute stream, one per pipeline stage);
 * shared fabric links (node NIC pools from
@@ -12,7 +11,8 @@ models (Eq. 7–9); this module replays them on the simulated cluster:
   NIC pool, in either direction, divide its capacity;
 * :class:`SimKernel` — a dependency-driven task occupying streams and/or
   carrying a point-to-point transfer;
-* :class:`KernelGraph` — builds a kernel DAG and executes it to completion;
+* :class:`KernelGraph` — builds a kernel DAG and executes it to completion
+  in one discrete-event loop with a simulated clock;
 * :class:`EventDrivenSimulator` — lowers a partition plan to a kernel DAG
   (per-device compute steps, overlapped ring sends on real link resources,
   all-reduce/redistribution barrier kernels) and produces an
@@ -41,15 +41,28 @@ frozen copy of the original implementation):
   recomputed only for flows touching a dirty link; unaffected flows keep
   their rate, which a global recompute would reproduce bit-identically
   anyway (it is a pure function of unchanged link occupancy).
-* **Indexed event queue.**  Completion re-timing goes through
-  :class:`~repro.sim.eventq.IndexedEventQueue` — a lazy-deletion heap with
-  one live entry per flow — instead of per-flow generation counters
-  filtering an ever-growing heap.
+* **A compiled DAG and one flat event loop.**  :meth:`KernelGraph.execute`
+  compiles the DAG once (again only after an ``add``) into integer
+  tables: per kernel a count of what it waits for (its dependencies plus
+  its predecessor on each stream, so a stream FIFO is just more edges)
+  and the kernels its finish wakes, in the order the original engine
+  tried them.  A re-execution copies the counts and runs one loop over a
+  single ``(when, seq, code)`` heap that carries every event type —
+  kernel finishes, flow activations and completions, and the graph's own
+  timed events (a fault graph's NIC flaps) — with no callback per event.
+  A flow's completion is the only event ever re-timed, and a flow keeps
+  only its earliest entry in the heap: a re-timing to a later time leaves
+  that entry to surface first and re-queues it at the live time then, and
+  only a re-timing to an earlier time pushes.  Pop order is still exactly
+  the order of the live ``(when, seq)`` keys, while a contention flush
+  pushes far fewer entries; ``queue_pushes`` and ``queue_stale_drops``
+  keep counting what the closure engine's queue did (one push per
+  re-timing, one stale drop per superseded one).
 * **Determinism.**  Equal-timestamp events fire in submission order
-  (monotonic sequence numbers); flows are iterated in activation order
-  (insertion-ordered dicts keyed by a monotonic flow id), never in set
-  order.  Traces for a fixed scenario are byte-stable across runs and
-  Python versions.
+  (``seq`` is one monotonic counter; a re-timing draws a fresh value, so
+  it orders as a new submission); flows are iterated in activation order
+  (insertion-ordered dicts), never in set order.  Traces for a fixed
+  scenario are byte-stable across runs and Python versions.
 * **Verified layer splicing and report memoization.**
   :meth:`EventDrivenSimulator.run_model` simulates one transformer layer
   and splices it ``n_layers`` times only after verifying the layer
@@ -68,17 +81,17 @@ frozen copy of the original implementation):
   prices them once into a picklable :class:`PlanLowering`, and
   :meth:`EventDrivenSimulator.build` turns it into a kernel DAG whose
   kernels keep their priced durations.  Faults change durations and link
-  capacities, not the DAG's shape: :meth:`KernelGraph.execute` resets the
-  run state and applies the graph's one duration rule
-  (:meth:`KernelGraph.run_duration`) as kernels start, so the fault layer
-  builds each DAG shape once per sweep and re-executes it per scenario.
+  capacities, not the DAG's shape: each :meth:`KernelGraph.execute` takes
+  its kernel durations from the graph's one duration rule
+  (:meth:`KernelGraph.run_durations`), so the fault layer builds each DAG
+  shape once per sweep and re-executes it per scenario.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -104,7 +117,6 @@ from ..obs.metrics import counter, gauge
 from ..obs.reqtrace import trace_event
 from ..obs.spans import span
 from . import simcache
-from .eventq import IndexedEventQueue
 from .executor import (
     IterationReport,
     build_utilization,
@@ -126,68 +138,19 @@ PERF_STAT_KEYS = (
 )
 
 
-class SimulationEngine:
-    """A deterministic discrete-event loop: indexed event queue + clock.
-
-    Determinism contract: events with equal timestamps run in submission
-    order (ties broken by a monotonic sequence number, never by object
-    identity), so a fixed scenario yields byte-identical traces across
-    runs and Python versions.
-
-    A *batch hook* may be installed with :meth:`set_batch_hook`; the run
-    loop invokes it whenever the clock is about to advance past the
-    current timestamp (or the queue drains).  The hook returns ``True``
-    if it scheduled new work, in which case the queue is re-examined at
-    the current time before the clock moves.  :class:`KernelGraph` uses
-    this to flush deferred link-contention updates once per distinct
-    timestamp.
-    """
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.queue = IndexedEventQueue()
-        self._batch_hook: Optional[Callable[[], bool]] = None
-
-    def set_batch_hook(self, hook: Optional[Callable[[], bool]]) -> None:
-        """Install ``hook`` to run before each clock advance (see class doc)."""
-        self._batch_hook = hook
-
-    def schedule(self, when: float, callback: Callable[[], None]) -> int:
-        """Run ``callback`` at simulated time ``when`` (clamped to now)."""
-        return self.queue.schedule(max(when, self.now), callback)
-
-    def reschedule(self, slot: int, when: float) -> None:
-        """Re-time a pending event (clamped to now); see the queue's doc."""
-        self.queue.reschedule(slot, max(when, self.now))
-
-    def run(self) -> None:
-        """Drain the event queue, advancing the clock monotonically."""
-        queue = self.queue
-        while True:
-            when = queue.peek_time()
-            if when is None or when > self.now:
-                if self._batch_hook is not None and self._batch_hook():
-                    continue
-                if when is None:
-                    break
-            when, callback = queue.pop()
-            self.now = when
-            callback()
-
-
 class StreamResource:
     """A serial FIFO execution stream (device compute stream, pipeline stage).
 
-    Kernels run in submission order; the stream is busy while one executes.
+    Kernels on a stream run one at a time, in submission order.
     """
+
+    __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.queue: deque = deque()
-        self.busy = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StreamResource({self.name!r}, depth={len(self.queue)})"
+        return f"StreamResource({self.name!r})"
 
 
 class _SharedLink:
@@ -201,8 +164,8 @@ class _SharedLink:
         #: Bandwidth the fair-share solve divides: ``capacity`` unless a
         #: fault (see :class:`~repro.sim.faults.FaultyKernelGraph`) cuts it.
         self.available = capacity
-        #: Active flows keyed by flow id — insertion-ordered, so iteration
-        #: is deterministic (activation order), unlike a set of objects.
+        #: Active flows keyed by kernel index — insertion-ordered, so
+        #: iteration is deterministic (activation order).
         self.flows: Dict[int, "_Flow"] = {}
         #: Bytes of every transfer routed through this resource.
         self.bytes_total = 0.0
@@ -212,27 +175,28 @@ class _Flow:
     """One in-flight transfer draining through shared link resources."""
 
     __slots__ = (
-        "fid", "kernel", "remaining", "rate", "peak_rate", "resources",
-        "last_update", "slot",
+        "remaining", "rate", "peak_rate", "resources", "last_update",
+        "seq", "due", "queued_seq", "queued_when",
     )
 
     def __init__(
         self,
-        fid: int,
-        kernel: "SimKernel",
         n_bytes: float,
         peak_rate: float,
         resources: Sequence[_SharedLink],
     ) -> None:
-        self.fid = fid
-        self.kernel = kernel
         self.remaining = n_bytes
         self.peak_rate = peak_rate
         self.resources = tuple(resources)
         self.rate = 0.0
         self.last_update = 0.0
-        #: Live completion-event slot in the indexed queue, or ``None``.
-        self.slot: Optional[int] = None
+        #: The live completion ``(due, seq)``; ``seq`` is ``-1`` if none.
+        self.due = 0.0
+        self.seq = -1
+        #: The flow's earliest entry in the heap (``-1``: none).  It is
+        #: never later than ``(due, seq)``; see :meth:`KernelGraph.execute`.
+        self.queued_seq = -1
+        self.queued_when = 0.0
 
 
 class SimKernel:
@@ -240,15 +204,15 @@ class SimKernel:
 
     A kernel starts once every dependency has finished and it is at the head
     of each of its streams; it then either runs for its graph's
-    :meth:`~KernelGraph.run_duration` of the priced ``duration`` or, if it
-    carries a ``transfer``, drains through the fabric's shared link
-    resources at whatever bandwidth contention leaves it.
+    :meth:`~KernelGraph.run_durations` entry or, if it carries a
+    ``transfer``, drains through the fabric's shared link resources at
+    whatever bandwidth contention leaves it.  ``start_time`` and
+    ``end_time`` hold the last execution's times (``None`` if it never ran).
     """
 
     __slots__ = (
         "name", "kind", "op", "phase", "device", "duration", "overlapped",
-        "record", "transfer", "deps", "streams", "started", "finished",
-        "start_time", "end_time", "_succs", "_pending",
+        "record", "transfer", "deps", "streams", "start_time", "end_time",
     )
 
     def __init__(
@@ -275,53 +239,142 @@ class SimKernel:
         self.transfer = transfer
         self.deps: List[SimKernel] = []
         self.streams: List[StreamResource] = []
-        self.started = False
-        self.finished = False
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
-        self._succs: List[SimKernel] = []
-        self._pending = 0
 
     def add_dep(self, other: "SimKernel") -> None:
-        """Require ``other`` to finish before this kernel may start."""
+        """Require ``other`` to finish before this kernel may start.
+
+        Dependencies are read when the graph compiles (the first
+        :meth:`KernelGraph.execute` after an ``add``), so add them before
+        that.
+        """
         self.deps.append(other)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimKernel({self.name!r})"
 
 
+class _CompiledDag:
+    """A kernel DAG as integer tables (see :meth:`KernelGraph._compile`).
+
+    Kernels are numbered by submission order.  ``waits[i]`` counts what
+    kernel ``i`` waits for: its dependencies plus its predecessor on each
+    of its streams.  ``wakes[i]`` lists, *reversed*, the kernels whose
+    count ``i``'s finish decrements — the next kernel on each of its
+    streams, then its dependants — and ``roots`` lists, reversed, the
+    kernels that wait for nothing.  Both are reversed so they go straight
+    onto the loop's LIFO stack and pop in the original engine's order.
+    """
+
+    __slots__ = (
+        "n", "waits", "wakes", "roots", "durations", "transfers",
+        "busy_device", "_kernels", "_by_kind",
+    )
+
+    def __init__(self, kernels: Sequence[SimKernel]) -> None:
+        self._kernels = kernels
+        self._by_kind: Optional[Dict[Tuple[str, int], List[int]]] = None
+        n = self.n = len(kernels)
+        index = {kernel: i for i, kernel in enumerate(kernels)}
+        waits = [len(kernel.deps) for kernel in kernels]
+        succs: Dict[int, List[int]] = {}
+        # The next kernel on each stream: of a one-stream kernel, and of a
+        # multi-stream kernel (in its stream order).
+        stream_next: List[Optional[int]] = [None] * n
+        multi_next: Dict[int, List[Optional[int]]] = {}
+        tails: Dict[StreamResource, int] = {}
+        for i, kernel in enumerate(kernels):
+            for dep in kernel.deps:
+                # A dependency outside the graph never finishes: kernel i
+                # keeps waiting and the run reports the deadlock.
+                j = index.get(dep)
+                if j is not None:
+                    if j in succs:
+                        succs[j].append(i)
+                    else:
+                        succs[j] = [i]
+            for stream in kernel.streams:
+                prev = tails.get(stream)
+                tails[stream] = i
+                if prev is not None:
+                    waits[i] += 1
+                    streams = kernels[prev].streams
+                    if len(streams) == 1:
+                        stream_next[prev] = i
+                    else:
+                        if prev not in multi_next:
+                            multi_next[prev] = [None] * len(streams)
+                        multi_next[prev][streams.index(stream)] = i
+        self.waits = waits
+        wakes = [() if j is None else (j,) for j in stream_next]
+        for i in {**multi_next, **succs}:
+            woken = (
+                [j for j in multi_next[i] if j is not None]
+                if i in multi_next else list(wakes[i])
+            )
+            woken += succs.get(i, ())
+            woken.reverse()
+            wakes[i] = tuple(woken)
+        self.wakes: List[Tuple[int, ...]] = wakes
+        self.roots = [i for i in reversed(range(n)) if not waits[i]]
+        # Clamped at zero (``max(d, 0.0)``), as the clock never runs
+        # backwards.
+        self.durations = [
+            0.0 if kernel.duration < 0.0 else kernel.duration
+            for kernel in kernels
+        ]
+        self.transfers: List[
+            Optional[Tuple[float, float, float, Tuple[Tuple[str, float], ...]]]
+        ] = [
+            None if kernel.transfer is None else (
+                kernel.transfer[0],
+                max(kernel.transfer[1].latency, 0.0),
+                kernel.transfer[1].stream_bandwidth,
+                kernel.transfer[1].shared,
+            )
+            for kernel in kernels
+        ]
+        #: Device whose busy time a kernel's run adds to, or ``None``.
+        self.busy_device = [
+            kernel.device if kernel.record and not kernel.overlapped else None
+            for kernel in kernels
+        ]
+
+    def by_kind(self) -> Dict[Tuple[str, int], List[int]]:
+        """The kernels with a positive duration that occupy streams (no
+        transfer), by ``(kind, device)``: what a duration rule stretching
+        one kind of kernel on one device touches.  Built on first use."""
+        if self._by_kind is None:
+            self._by_kind = {}
+            for i, kernel in enumerate(self._kernels):
+                if kernel.transfer is None and kernel.duration > 0:
+                    key = (kernel.kind, kernel.device)
+                    if key in self._by_kind:
+                        self._by_kind[key].append(i)
+                    else:
+                        self._by_kind[key] = [i]
+        return self._by_kind
+
+
 class KernelGraph:
     """Builds a kernel DAG over streams/links and executes it to completion.
 
-    The DAG (kernels, their deps and stream order) is built once; each
-    :meth:`execute` starts from a fresh run state, so a graph may be
-    executed again — e.g. after a fault graph is re-timed for another
-    scenario — and yields what a freshly built copy would.
+    The DAG (kernels, their deps and stream order) is built once and
+    compiled on its first :meth:`execute`; each execution starts from a
+    fresh run state, so a graph may be executed again — e.g. after a
+    fault graph is re-timed for another scenario — and yields what a
+    freshly built copy would.
     """
 
     def __init__(self) -> None:
         self.kernels: List[SimKernel] = []
         self._streams: Dict[str, StreamResource] = {}
-        self._reset()
-
-    def _reset(self) -> None:
-        """Fresh run state: clock and queue, links, flows and counters."""
-        self.engine = SimulationEngine()
+        self._dag: Optional[_CompiledDag] = None
+        # The last execution's links, per-device busy seconds and counters.
         self._links: Dict[str, _SharedLink] = {}
-        #: Active flows in activation order (fid is monotonic).
-        self._active: Dict[int, _Flow] = {}
-        self._next_fid = 0
-        # Deferred-contention state: links whose flow set changed and flows
-        # activated since the last flush.
-        self._dirty = False
-        self._dirty_links: Dict[str, _SharedLink] = {}
-        self._pending_rates: Dict[int, None] = {}
-        # Online accumulators (replace post-hoc timeline scans).
         self._busy: Dict[int, float] = {}
-        # Perf telemetry.
-        self.flushes = 0
-        self.rate_recomputes = 0
-        self.rate_reuses = 0
+        self._perf: Dict[str, int] = dict.fromkeys(PERF_STAT_KEYS, 0)
 
     # ------------------------------------------------------------------
     # construction
@@ -363,49 +416,272 @@ class KernelGraph:
         kernel.streams = list(streams)
         kernel.deps = list(deps)
         self.kernels.append(kernel)
+        self._dag = None
         return kernel
+
+    def _compile(self) -> _CompiledDag:
+        """The DAG's integer tables, rebuilt after an ``add`` (or after
+        kernels were removed from :attr:`kernels`)."""
+        dag = self._dag
+        if dag is None or dag.n != len(self.kernels):
+            dag = self._dag = _CompiledDag(self.kernels)
+        return dag
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
 
+    def run_durations(self) -> List[float]:
+        """The duration rule: how long each kernel runs this execution.
+
+        Indexed like :attr:`kernels` (transfers' entries are unused).  The
+        stock graph runs every kernel for its priced ``duration``; a fault
+        graph stretches some (see
+        :class:`~repro.sim.faults.FaultyKernelGraph`).  The list is only
+        read.
+        """
+        return self._compile().durations
+
+    def _timed_events(self) -> List[float]:
+        """Reset the graph's own timed events; returns their times.
+
+        The loop fires event ``i`` at ``times[i]`` through
+        :meth:`_fire_timed`, ordered before any kernel event of the same
+        timestamp.  The stock graph has none.
+        """
+        return []
+
+    def _fire_timed(self, index: int) -> Optional[_SharedLink]:
+        """Fire timed event ``index``; returns the link whose available
+        bandwidth it changed (``None`` if that link is not open yet)."""
+        raise IndexError(index)
+
+    def _link(self, key: str, capacity: float) -> _SharedLink:
+        """The shared link ``key``, opened on its first transfer of a run."""
+        link = self._links.get(key)
+        if link is None:
+            link = self._links[key] = _SharedLink(key, capacity)
+        return link
+
     def execute(self) -> float:
         """Run every kernel from a fresh run state; returns the makespan.
 
-        Resets the clock, event queue, links, flows and counters, every
-        kernel's start/finish/pending/successor state and the stream
-        FIFOs (refilled in submission order), so a re-execution equals the
-        first run of a freshly built graph.
+        Resets the clock, event heap, links, flows and counters and every
+        kernel's start and end times, so a re-execution equals the first
+        run of a freshly built graph.
 
         Raises:
             RuntimeError: If the DAG deadlocks (a dependency cycle, or
                 stream submission orders inconsistent with the deps).
         """
-        self._reset()
-        self.engine.set_batch_hook(self._flush_contention)
-        for stream in self._streams.values():
-            stream.queue.clear()
-            stream.busy = False
-        for kernel in self.kernels:
-            kernel.started = kernel.finished = False
-            kernel.start_time = kernel.end_time = None
-            kernel._pending = len(kernel.deps)
-            kernel._succs = []
-            for stream in kernel.streams:
-                stream.queue.append(kernel)
-        for kernel in self.kernels:
-            for dep in kernel.deps:
-                dep._succs.append(kernel)
-        for kernel in self.kernels:
-            self._maybe_start(kernel)
-        self.engine.run()
-        stuck = [k.name for k in self.kernels if not k.finished]
-        if stuck:
+        dag = self._compile()
+        n = dag.n
+        flow_code = n          # [n, 2n): a flow's completion
+        activate_code = 2 * n  # [2n, 3n): a flow joins the fabric
+        timed_code = 3 * n     # [3n, ...): the graph's own timed events
+        durations = self.run_durations()
+        wakes = dag.wakes
+        transfers = dag.transfers
+        busy_device = dag.busy_device
+        waits = list(dag.waits)
+        self._links = links = {}
+        self._busy = busy = {}
+        open_link = self._link
+        start: List[Optional[float]] = [None] * n
+        end: List[Optional[float]] = [None] * n
+        flows: List[Optional[_Flow]] = [None] * n
+        # Active flows in activation order.
+        active: Dict[int, _Flow] = {}
+        # Deferred-contention state: links whose flow set or bandwidth
+        # changed and flows activated since the last flush.
+        dirty = force_flush = False
+        dirty_links: Dict[str, _SharedLink] = {}
+        pending_rates: Dict[int, _Flow] = {}
+        flushes = recomputes = reuses = live = 0
+        heappush, heappop = heapq.heappush, heapq.heappop
+        heap: List[Tuple[float, int, int]] = []
+        seq = 0
+        for i, when in enumerate(self._timed_events()):
+            seq += 1
+            heappush(heap, (max(when, 0.0), seq, timed_code + i))
+        now = 0.0
+        finished = 0
+        # ``done`` finishes at ``now``; ``ready`` (a LIFO stack) holds the
+        # kernels to try starting, so zero-byte transfers that finish as
+        # they start cascade depth-first, in the original engine's order.
+        done = -1
+        ready = list(dag.roots)
+        while True:
+            # ---- finish ``done``, start every kernel it (or a root) frees
+            while True:
+                if done >= 0:
+                    end[done] = now
+                    finished += 1
+                    device = busy_device[done]
+                    if device is not None:
+                        elapsed = now - start[done]
+                        if elapsed > 0:
+                            busy[device] = busy.get(device, 0.0) + elapsed
+                    woken = wakes[done]
+                    for i in woken:
+                        waits[i] -= 1
+                    ready.extend(woken)
+                    done = -1
+                if not ready:
+                    break
+                i = ready.pop()
+                if waits[i]:
+                    continue  # still waiting, or already started
+                waits[i] = -1  # started
+                start[i] = now
+                transfer = transfers[i]
+                if transfer is None:
+                    seq += 1
+                    heappush(heap, (now + durations[i], seq, i))
+                    continue
+                n_bytes, latency, peak_rate, shared = transfer
+                if n_bytes <= 0:
+                    done = i
+                    continue
+                resources = []
+                for key, capacity in shared:
+                    link = links.get(key)
+                    if link is None:
+                        link = open_link(key, capacity)
+                    link.bytes_total += n_bytes
+                    resources.append(link)
+                flows[i] = _Flow(n_bytes, peak_rate, resources)
+                # The per-message latency is a serial prelude before bytes
+                # flow.
+                seq += 1
+                heappush(heap, (now + latency, seq, activate_code + i))
+            # ---- advance to the next event that finishes a kernel
+            while True:
+                if dirty and (force_flush or not heap or heap[0][0] > now):
+                    # One fair-share solve for every occupancy change at
+                    # ``now`` (see the module doc): advance every active
+                    # flow, re-solve the rates of flows on changed links,
+                    # re-time every completion.  A flow with no bandwidth
+                    # left (a fault's zero rate) parks at ``inf`` until a
+                    # later flush re-times it.
+                    dirty = force_flush = False
+                    affected = pending_rates
+                    for link in dirty_links.values():
+                        affected.update(link.flows)
+                    dirty_links = {}
+                    pending_rates = {}
+                    # The two ``if``s below are ``max(remaining, 0.0)`` and
+                    # ``min(rate, share)`` without the calls, bit for bit.
+                    for f, flow in active.items():
+                        remaining = flow.remaining - flow.rate * (
+                            now - flow.last_update
+                        )
+                        if remaining < 0.0:
+                            remaining = 0.0
+                        flow.remaining = remaining
+                        flow.last_update = now
+                        if f in affected:
+                            rate = flow.peak_rate
+                            for link in flow.resources:
+                                share = link.available / len(link.flows)
+                                if share < rate:
+                                    rate = share
+                            flow.rate = rate
+                            recomputes += 1
+                        else:
+                            rate = flow.rate
+                            reuses += 1
+                        try:
+                            when = now + remaining / rate
+                        except ZeroDivisionError:
+                            when = math.inf
+                        seq += 1
+                        flow.seq = seq
+                        flow.due = when
+                        # Push only if the flow's queued entry would
+                        # surface too late (see the module doc).
+                        if flow.queued_seq < 0 or when < flow.queued_when:
+                            flow.queued_seq = seq
+                            flow.queued_when = when
+                            heappush(heap, (when, seq, flow_code + f))
+                    flushes += 1
+                    continue
+                if not heap:
+                    break
+                when, key_seq, code = heappop(heap)
+                if code < flow_code:
+                    live += 1
+                    now = when
+                    done = code
+                    break
+                if code < activate_code:
+                    f = code - flow_code
+                    flow = flows[f]
+                    if flow.seq != key_seq:
+                        # Superseded by a later re-timing.  The flow's
+                        # earliest entry moves to its live key instead.
+                        if key_seq == flow.queued_seq and flow.seq >= 0:
+                            flow.queued_seq = flow.seq
+                            flow.queued_when = flow.due
+                            heappush(heap, (flow.due, flow.seq, code))
+                        continue
+                    live += 1
+                    now = when
+                    flow.seq = flow.queued_seq = -1
+                    if dirty:
+                        # Occupancy changed at this timestamp after the
+                        # completion was timed: the original engine's
+                        # intervening rebalance would have superseded it.
+                        # Flush instead; it re-times this flow too.
+                        force_flush = True
+                        continue
+                    del active[f]
+                    for link in flow.resources:
+                        del link.flows[f]
+                        dirty_links[link.key] = link
+                    dirty = True
+                    done = f
+                    break
+                live += 1
+                now = when
+                if code < timed_code:
+                    # Join the fabric: update occupancy now, defer the
+                    # rate solve to the flush.
+                    f = code - activate_code
+                    flow = flows[f]
+                    flow.last_update = now
+                    active[f] = flow
+                    for link in flow.resources:
+                        link.flows[f] = flow
+                        dirty_links[link.key] = link
+                    pending_rates[f] = flow
+                    dirty = True
+                else:
+                    link = self._fire_timed(code - timed_code)
+                    if link is not None:
+                        dirty_links[link.key] = link
+                        dirty = True
+            if done < 0:
+                break
+        self._perf = {
+            "contention_flushes": flushes,
+            "rate_recomputes": recomputes,
+            "rate_reuses": reuses,
+            "queue_pushes": seq,
+            # Every entry the closure engine pushed left its heap either
+            # live or as a stale drop.
+            "queue_stale_drops": seq - live,
+        }
+        for kernel, started, ended in zip(self.kernels, start, end):
+            kernel.start_time = started
+            kernel.end_time = ended
+        if finished < n:
+            stuck = [k.name for k in self.kernels if k.end_time is None]
             raise RuntimeError(
                 f"kernel DAG deadlocked; {len(stuck)} kernels never ran "
                 f"(first: {stuck[:5]})"
             )
-        return max((k.end_time for k in self.kernels), default=0.0)
+        return max(end, default=0.0)
 
     def timeline(self) -> Timeline:
         """The executed schedule as a :class:`Timeline` (per-device records)."""
@@ -420,10 +696,14 @@ class KernelGraph:
                 device=k.device,
             )
             for k in self.kernels
-            if k.record and k.finished and k.end_time > k.start_time
+            if k.record and k.end_time is not None
+            and k.end_time > k.start_time
         ]
         records.sort(key=lambda r: (r.start, r.device, r.kind))
-        makespan = max((k.end_time for k in self.kernels if k.finished), default=0.0)
+        makespan = max(
+            (k.end_time for k in self.kernels if k.end_time is not None),
+            default=0.0,
+        )
         return Timeline(records=records, clock=makespan)
 
     def link_stats(self) -> Dict[str, Tuple[float, float]]:
@@ -446,172 +726,7 @@ class KernelGraph:
 
     def perf_stats(self) -> Dict[str, int]:
         """Engine work counters for this execution (see ``PERF_STAT_KEYS``)."""
-        return {
-            "contention_flushes": self.flushes,
-            "rate_recomputes": self.rate_recomputes,
-            "rate_reuses": self.rate_reuses,
-            "queue_pushes": self.engine.queue.pushes,
-            "queue_stale_drops": self.engine.queue.stale_drops,
-        }
-
-    # ------------------------------------------------------------------
-    # kernel lifecycle
-    # ------------------------------------------------------------------
-
-    def run_duration(self, kernel: SimKernel) -> float:
-        """The duration rule: how long ``kernel`` runs in this execution.
-
-        The stock graph runs every kernel for its priced ``duration``; a
-        fault graph stretches it (see
-        :class:`~repro.sim.faults.FaultyKernelGraph`).
-        """
-        return kernel.duration
-
-    def _maybe_start(self, kernel: SimKernel) -> None:
-        if kernel.started or kernel._pending:
-            return
-        for stream in kernel.streams:
-            if stream.busy or not stream.queue or stream.queue[0] is not kernel:
-                return
-        kernel.started = True
-        kernel.start_time = self.engine.now
-        for stream in kernel.streams:
-            stream.busy = True
-        if kernel.transfer is not None:
-            self._start_transfer(kernel)
-        else:
-            self.engine.schedule(
-                self.engine.now + self.run_duration(kernel),
-                lambda: self._finish(kernel),
-            )
-
-    def _finish(self, kernel: SimKernel) -> None:
-        kernel.finished = True
-        kernel.end_time = self.engine.now
-        if kernel.record and not kernel.overlapped:
-            elapsed = kernel.end_time - kernel.start_time
-            if elapsed > 0:
-                device = kernel.device
-                self._busy[device] = self._busy.get(device, 0.0) + elapsed
-        candidates: List[SimKernel] = []
-        for stream in kernel.streams:
-            stream.busy = False
-            head = stream.queue.popleft()
-            assert head is kernel, "stream FIFO corrupted"
-            if stream.queue:
-                candidates.append(stream.queue[0])
-        for succ in kernel._succs:
-            succ._pending -= 1
-            candidates.append(succ)
-        for candidate in candidates:
-            self._maybe_start(candidate)
-
-    # ------------------------------------------------------------------
-    # fluid transfers over shared links
-    # ------------------------------------------------------------------
-
-    def _link(self, key: str, capacity: float) -> _SharedLink:
-        if key not in self._links:
-            self._links[key] = _SharedLink(key, capacity)
-        return self._links[key]
-
-    def _start_transfer(self, kernel: SimKernel) -> None:
-        n_bytes, path = kernel.transfer
-        if n_bytes <= 0:
-            self._finish(kernel)
-            return
-        resources = [self._link(key, cap) for key, cap in path.shared]
-        for resource in resources:
-            resource.bytes_total += n_bytes
-        fid = self._next_fid
-        self._next_fid += 1
-        flow = _Flow(fid, kernel, n_bytes, path.stream_bandwidth, resources)
-        # The per-message latency is a serial prelude before bytes flow.
-        self.engine.schedule(
-            self.engine.now + path.latency, lambda: self._activate(flow)
-        )
-
-    def _activate(self, flow: _Flow) -> None:
-        """Join the fabric: update occupancy now, defer the rate solve."""
-        flow.last_update = self.engine.now
-        self._active[flow.fid] = flow
-        for resource in flow.resources:
-            resource.flows[flow.fid] = flow
-            self._dirty_links[resource.key] = resource
-        self._pending_rates[flow.fid] = None
-        self._dirty = True
-
-    def _flush_contention(self) -> bool:
-        """Apply deferred occupancy changes: one fair-share solve per batch.
-
-        Equivalent, bit for bit, to the cascade of global rebalances the
-        original engine ran within one timestamp: same-timestamp rebalances
-        are idempotent after the last one (zero-dt advances are exact
-        no-ops, rates are pure functions of final occupancy, and the last
-        completion reschedule wins), so a single flush at the batch
-        boundary reproduces the final state.  Every active flow is advanced
-        and its completion re-timed — the re-timed finish ``now + rem/rate``
-        is what the original engine emitted even for flows whose rate did
-        not change — but the fair-share minimisation itself runs only for
-        flows on links whose occupancy or available bandwidth changed.  A
-        flow whose link has no bandwidth left (a fault's zero rate) parks
-        its completion at ``inf`` until a later flush re-times it.
-        """
-        if not self._dirty:
-            return False
-        self._dirty = False
-        now = self.engine.now
-        affected = self._pending_rates
-        for link in self._dirty_links.values():
-            for fid in link.flows:
-                affected[fid] = None
-        self._dirty_links = {}
-        self._pending_rates = {}
-        engine = self.engine
-        for fid, flow in self._active.items():
-            flow.remaining = max(
-                flow.remaining - flow.rate * (now - flow.last_update), 0.0
-            )
-            flow.last_update = now
-            if fid in affected:
-                rate = flow.peak_rate
-                for resource in flow.resources:
-                    rate = min(rate, resource.available / len(resource.flows))
-                flow.rate = rate
-                self.rate_recomputes += 1
-            else:
-                self.rate_reuses += 1
-            try:
-                when = now + flow.remaining / flow.rate
-            except ZeroDivisionError:
-                when = math.inf
-            if flow.slot is None:
-                flow.slot = engine.schedule(
-                    when, lambda f=flow: self._flow_fired(f)
-                )
-            else:
-                engine.reschedule(flow.slot, when)
-        self.flushes += 1
-        return True
-
-    def _flow_fired(self, flow: _Flow) -> None:
-        flow.slot = None
-        if self._dirty:
-            # Occupancy changed at this timestamp after the completion was
-            # timed: the original engine's intervening rebalance would have
-            # superseded this event.  Flush instead — it re-times this flow
-            # (and everyone else) at the recomputed finish.
-            self._flush_contention()
-            return
-        self._flow_done(flow)
-
-    def _flow_done(self, flow: _Flow) -> None:
-        del self._active[flow.fid]
-        for resource in flow.resources:
-            del resource.flows[flow.fid]
-            self._dirty_links[resource.key] = resource
-        self._dirty = True
-        self._finish(flow.kernel)
+        return dict(self._perf)
 
 
 @dataclass(frozen=True)

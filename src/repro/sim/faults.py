@@ -66,7 +66,6 @@ from .engine import (
     EventDrivenSimulator,
     KernelGraph,
     PlanLowering,
-    SimKernel,
     _SharedLink,
 )
 
@@ -521,27 +520,26 @@ class FaultyKernelGraph(KernelGraph):
     * Degraded links scale the capacity of the node's shared NIC pool and
       stretch bandwidth-bound collective kernels on the node's devices by
       ``1 / factor`` (see ``LINK_KINDS``).
-    * NIC flaps schedule capacity-change events: while active, the pool's
-      ``available`` bandwidth is ``reroute_factor`` of its (possibly
+    * NIC flaps are the graph's timed events: while one is active, the
+      pool's ``available`` bandwidth is ``reroute_factor`` of its (possibly
       already degraded) capacity, and the base class's one fair-share
       flush divides that; at factor ``0`` in-flight flows stall
       (completion parked at ``inf``) until the restore event re-times
       them.
 
-    Both stretches are the graph's duration rule (:meth:`run_duration`),
-    applied as each kernel starts; kernels keep their priced durations.
-    With an empty scenario every path below is a bit-exact pass-through of
-    the base class — asserted against the frozen legacy engine by the
-    golden suite.
+    Both stretches are the graph's duration rule (:meth:`run_durations`),
+    applied per execution; kernels keep their priced durations.  With an
+    empty scenario every path below is a bit-exact pass-through of the
+    base class — asserted against the frozen legacy engine by the golden
+    suite.
     """
 
     def __init__(
         self, scenario: FaultScenario, topology: ClusterTopology
     ) -> None:
-        self._topology = topology
-        # Before the base constructor: its ``_reset`` schedules the flaps.
-        self.retime(scenario)
         super().__init__()
+        self._topology = topology
+        self.retime(scenario)
 
     def retime(self, scenario: FaultScenario) -> None:
         """Run the next :meth:`execute` under ``scenario``'s faults."""
@@ -563,33 +561,46 @@ class FaultyKernelGraph(KernelGraph):
         self._flaps = [
             (f"nic:node{f.node}", f) for f in scenario.nic_flaps
         ]
-
-    def run_duration(self, kernel: SimKernel) -> float:
-        duration = kernel.duration
-        if duration > 0:
-            if kernel.kind in COMPUTE_KINDS:
-                slow = self._slowdown.get(kernel.device)
-                if slow is not None:
-                    return duration * slow
-            elif kernel.kind in LINK_KINDS:
-                stretch = self._link_stretch.get(kernel.device)
-                if stretch is not None:
-                    return duration * stretch
-        return duration
-
-    def _reset(self) -> None:
-        """The base run state, plus this scenario's flap edges."""
-        super()._reset()
         #: Active flap factors per link key (a list: flaps may overlap).
         self._flap_active: Dict[str, List[float]] = {}
-        for key, flap in self._flaps:
-            self.engine.schedule(
-                flap.start, lambda k=key, f=flap: self._flap_edge(k, f, True)
-            )
-            self.engine.schedule(
-                flap.start + flap.duration,
-                lambda k=key, f=flap: self._flap_edge(k, f, False),
-            )
+
+    def run_durations(self) -> List[float]:
+        durations = super().run_durations()
+        if not (self._slowdown or self._link_stretch):
+            return durations
+        durations = list(durations)
+        kernels = self.kernels
+        by_kind = self._compile().by_kind()
+        for kinds, stretches in (
+            (COMPUTE_KINDS, self._slowdown),
+            (LINK_KINDS, self._link_stretch),
+        ):
+            for device, stretch in stretches.items():
+                for kind in kinds:
+                    for i in by_kind.get((kind, device), ()):
+                        durations[i] = kernels[i].duration * stretch
+        return durations
+
+    def _timed_events(self) -> List[float]:
+        """Each flap's start and end edge, in scenario order."""
+        self._flap_active = {}
+        return [
+            edge
+            for _, flap in self._flaps
+            for edge in (flap.start, flap.start + flap.duration)
+        ]
+
+    def _fire_timed(self, index: int) -> Optional[_SharedLink]:
+        key, flap = self._flaps[index // 2]
+        active = self._flap_active.setdefault(key, [])
+        if index % 2 == 0:
+            active.append(flap.reroute_factor)
+        else:
+            active.remove(flap.reroute_factor)
+        link = self._links.get(key)
+        if link is not None:
+            self._apply_flaps(link)
+        return link
 
     def _link(self, key: str, capacity: float) -> _SharedLink:
         link = self._links.get(key)
@@ -605,18 +616,6 @@ class FaultyKernelGraph(KernelGraph):
         """Cut ``link``'s available bandwidth to its worst active flap."""
         active = self._flap_active.get(link.key)
         link.available = link.capacity * min(active) if active else link.capacity
-
-    def _flap_edge(self, key: str, flap: NicFlap, starting: bool) -> None:
-        active = self._flap_active.setdefault(key, [])
-        if starting:
-            active.append(flap.reroute_factor)
-        else:
-            active.remove(flap.reroute_factor)
-        link = self._links.get(key)
-        if link is not None:
-            self._apply_flaps(link)
-            self._dirty_links[key] = link
-            self._dirty = True
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Discrete-event engine: DES core, cross-validation against Eq. 10's
+"""Discrete-event engine: event loop, cross-validation against Eq. 10's
 predicted latency, link contention, and event-driven pipeline schedules."""
 
 import pytest
@@ -19,11 +19,7 @@ from repro.parallel3d.pipeline import (
     pipeline_iteration,
     pipeline_iteration_events,
 )
-from repro.sim.engine import (
-    EventDrivenSimulator,
-    KernelGraph,
-    SimulationEngine,
-)
+from repro.sim.engine import EventDrivenSimulator, KernelGraph
 
 
 def predicted(profiler, graph, plan):
@@ -33,30 +29,77 @@ def predicted(profiler, graph, plan):
     return doc["total_cost"], doc["memory_bytes"], doc["components"]
 
 
+class _TimedGraph(KernelGraph):
+    """A stock graph with timed events at ``times``; records firing order."""
+
+    def __init__(self, times):
+        super().__init__()
+        self.times = list(times)
+        self.fired = []
+
+    def _timed_events(self):
+        self.fired = []
+        return self.times
+
+    def _fire_timed(self, index):
+        self.fired.append(index)
+        return None
+
+
 class TestSimulationEngine:
+    """The event loop's clock contract (``KernelGraph.execute``): events
+    fire in time order, equal timestamps in submission order, and nothing
+    is scheduled before the current time."""
+
     def test_events_fire_in_time_order(self):
-        engine = SimulationEngine()
-        fired = []
-        engine.schedule(2.0, lambda: fired.append("late"))
-        engine.schedule(1.0, lambda: fired.append("early"))
-        engine.run()
-        assert fired == ["early", "late"]
-        assert engine.now == pytest.approx(2.0)
+        kg = _TimedGraph([2.0, 1.0])
+        late = kg.add("late", streams=[kg.stream("dev0")], duration=2.0)
+        early = kg.add("early", streams=[kg.stream("dev1")], duration=1.0)
+        assert kg.execute() == 2.0
+        assert kg.fired == [1, 0]
+        assert (early.end_time, late.end_time) == (1.0, 2.0)
 
     def test_ties_fire_in_submission_order(self):
-        engine = SimulationEngine()
-        fired = []
-        engine.schedule(1.0, lambda: fired.append("a"))
-        engine.schedule(1.0, lambda: fired.append("b"))
-        engine.run()
-        assert fired == ["a", "b"]
+        kg = _TimedGraph([1.0, 1.0, 0.5, 1.0])
+        kg.execute()
+        assert kg.fired == [2, 0, 1, 3]
 
     def test_past_events_clamp_to_now(self):
-        engine = SimulationEngine()
-        times = []
-        engine.schedule(5.0, lambda: engine.schedule(1.0, lambda: times.append(engine.now)))
-        engine.run()
-        assert times == [pytest.approx(5.0)]
+        kg = _TimedGraph([-1.0])
+        s = kg.stream("dev0")
+        a = kg.add("a", streams=[s], duration=5.0)
+        back = kg.add("back", streams=[s], duration=-1.0)
+        after = kg.add("after", streams=[s], duration=0.0)
+        assert kg.execute() == 5.0
+        assert kg.fired == [0]
+        assert back.start_time == back.end_time == after.start_time == 5.0
+        assert a.end_time == 5.0
+
+    def test_perf_stats_pinned(self):
+        """Engine telemetry keeps its meaning: one contended two-node DAG
+        yields exactly the counts (and times) the closure-based engine
+        reported for it."""
+        topo = v100_cluster(4, gpus_per_node=2)
+        kg = KernelGraph()
+        s0, s1 = kg.stream("dev0"), kg.stream("dev1")
+        a = kg.add("a", streams=[s0], duration=1e-3)
+        t1 = kg.add("t1", deps=[a], transfer=(1e9, topo.path_resources(0, 2)))
+        kg.add("t2", deps=[a], transfer=(5e8, topo.path_resources(1, 3)))
+        kg.add("t3", deps=[a], transfer=(4e9, topo.path_resources(0, 1)))
+        kg.add("b", streams=[s0, s1], deps=[t1], duration=2e-3)
+        assert kg.execute() == 0.123008
+        assert kg.perf_stats() == {
+            "contention_flushes": 5,
+            "rate_recomputes": 4,
+            "rate_reuses": 3,
+            "queue_pushes": 12,
+            "queue_stale_drops": 4,
+        }
+        assert [k.end_time for k in kg.kernels] == [
+            0.001, 0.121008, 0.08100800000000001, 0.027669666666666665,
+            0.123008,
+        ]
+        assert kg.device_busy_seconds() == {0: 0.22968566666666668}
 
 
 class TestKernelGraph:
@@ -144,6 +187,61 @@ class TestKernelGraph:
             kg.execute()
         kg.kernels.remove(loop)
         assert run() == first
+
+    def test_add_after_execute_recompiles(self):
+        """Kernels added after a run join the next one, which equals a
+        fresh build of the grown DAG."""
+        topo = v100_cluster(4, gpus_per_node=2)
+
+        def base(kg):
+            a = kg.add("a", streams=[kg.stream("dev0")], duration=1e-3)
+            t1 = kg.add(
+                "t1", deps=[a], transfer=(1e9, topo.path_resources(0, 2))
+            )
+            return a, t1
+
+        def grow(kg, a, t1):
+            s0, s1 = kg.stream("dev0"), kg.stream("dev1")
+            t2 = kg.add(
+                "t2", deps=[a], transfer=(1e9, topo.path_resources(1, 3))
+            )
+            kg.add("b", streams=[s0, s1], deps=[t1, t2], duration=2e-3)
+            kg.add("c", streams=[s1], duration=1e-3)
+
+        def run(kg):
+            return (
+                kg.execute(), kg.timeline(), kg.link_stats(),
+                kg.device_busy_seconds(), kg.perf_stats(),
+            )
+
+        kg = KernelGraph()
+        first = base(kg)
+        small = run(kg)
+        grow(kg, *first)
+        fresh = KernelGraph()
+        grow(fresh, *base(fresh))
+        grown = run(kg)
+        assert grown == run(fresh)
+        assert grown[0] > small[0]
+        assert grown[4]["contention_flushes"] > small[4]["contention_flushes"]
+
+    def test_deadlock_after_compilation_names_first_stuck(self):
+        """A compiled DAG that deadlocks raises on every run, naming the
+        first kernels (in submission order) that never ran."""
+        kg = KernelGraph()
+        s = kg.stream("dev0")
+        kg.add("ok", streams=[kg.stream("dev1")], duration=1.0)
+        a = kg.add("a", streams=[s], duration=1.0)
+        b = kg.add("b", streams=[s], duration=1.0)
+        kg.add("c", deps=[b], duration=1.0)
+        a.add_dep(b)
+        for _ in range(2):
+            with pytest.raises(
+                RuntimeError, match=r"3 kernels never ran \(first: \['a', 'b', 'c'\]\)"
+            ):
+                kg.execute()
+            assert kg.kernels[0].end_time == 1.0
+            assert a.end_time is None
 
     def test_dedicated_paths_do_not_contend(self):
         topo = v100_cluster(4)  # single node -> NVLink, no shared NICs
@@ -299,6 +397,33 @@ class TestEventPipeline:
         event = pipeline_iteration_events(plan, 1e-3, 2e-3, 4e6, link)
         assert event.iteration_latency >= closed.iteration_latency - 1e-12
 
+    @pytest.mark.parametrize("boundary_bytes", [0.0, 4e6])
+    @pytest.mark.parametrize("p", [2, 4, 8, 16, 32])
+    def test_closed_form_relation_per_schedule(self, p, boundary_bytes):
+        """GPipe's replay equals ``(m+p-1)(t_f+t_b) + 2(p-1) hop``; 1F1B's
+        never undercuts it and runs strictly longer once hops cost time
+        (its interleaved sends stall stages the closed form overlaps)."""
+        link = LinkSpec(name="ib", bandwidth=12.5e9, latency=0.0)
+        latencies = {}
+        for schedule in PipelineSchedule:
+            plan = PipelinePlan(
+                n_stages=p, n_microbatches=2 * p, schedule=schedule
+            )
+            closed = pipeline_iteration(
+                plan, 1e-3, 2e-3, boundary_bytes, link
+            ).iteration_latency
+            event = pipeline_iteration_events(
+                plan, 1e-3, 2e-3, boundary_bytes, link
+            ).iteration_latency
+            latencies[schedule] = (closed, event)
+        closed, event = latencies[PipelineSchedule.GPIPE]
+        assert event == pytest.approx(closed, rel=1e-12, abs=0)
+        closed, event = latencies[PipelineSchedule.ONE_F_ONE_B]
+        if boundary_bytes:
+            assert event > closed * 1.01
+        else:
+            assert event == pytest.approx(closed, rel=1e-12, abs=0)
+
     def test_event_timeline_has_one_track_per_stage(self):
         plan = PipelinePlan(n_stages=3, n_microbatches=4)
         event = pipeline_iteration_events(plan, 1e-3, 1e-3, 0.0, self.LINK)
@@ -399,50 +524,3 @@ class TestRandomizedCrossValidation:
         )
         assert first.timeline.records == second.timeline.records
         assert first.latency == second.latency
-
-
-class TestIndexedEventQueue:
-    """Tie-break contract of the indexed queue: equal timestamps fire in
-    submission order, and a reschedule re-enters that order as a fresh
-    submission (last-reschedule-wins)."""
-
-    def test_reschedule_orders_as_fresh_submission(self):
-        from repro.sim.eventq import IndexedEventQueue
-
-        q = IndexedEventQueue()
-        fired = []
-        a = q.schedule(1.0, lambda: fired.append("a"))
-        q.schedule(1.0, lambda: fired.append("b"))
-        # Rescheduling "a" to the same instant moves it after "b": the
-        # reschedule is a fresh submission in tie-break order.
-        q.reschedule(a, 1.0)
-        while len(q):
-            _, callback = q.pop()
-            callback()
-        assert fired == ["b", "a"]
-
-    def test_cancel_and_slot_reuse(self):
-        from repro.sim.eventq import IndexedEventQueue
-
-        q = IndexedEventQueue()
-        fired = []
-        slot = q.schedule(1.0, lambda: fired.append("dead"))
-        q.cancel(slot)
-        q.schedule(2.0, lambda: fired.append("live"))
-        assert q.peek_time() == 2.0
-        while len(q):
-            _, callback = q.pop()
-            callback()
-        assert fired == ["live"]
-
-    def test_stale_drop_counters(self):
-        from repro.sim.eventq import IndexedEventQueue
-
-        q = IndexedEventQueue()
-        slot = q.schedule(5.0, lambda: None)
-        q.reschedule(slot, 3.0)
-        assert q.pushes == 2
-        q.pop()
-        assert len(q) == 0
-        assert q.peek_time() is None
-        assert q.stale_drops == 1

@@ -53,6 +53,9 @@ THRESHOLDS: List[Tuple[str, str, str, float]] = [
      "lower_worse", 0.50),
     ("BENCH_sim_speed.json", "fig9_pipeline_replay.speedup_warm",
      "lower_worse", 0.50),
+    # The cold engine alone: live fault-graph execute vs the frozen one.
+    ("BENCH_sim_speed.json", "faulted_execute.speedup",
+     "lower_worse", 0.50),
     # The robustness metrics are deterministic simulation outputs (seeded
     # scenarios, nearest-rank percentiles) — any drift is a model change,
     # so the tolerance is tight rather than a noise allowance.
@@ -86,6 +89,7 @@ INVARIANTS: List[Tuple[str, str, Any]] = [
     ("BENCH_sim_speed.json", "fig9_pipeline_replay.identical", True),
     ("BENCH_sim_speed.json", "model_replay.identical", True),
     ("BENCH_sim_speed.json", "sweep.identical", True),
+    ("BENCH_sim_speed.json", "faulted_execute.identical", True),
     ("BENCH_robustness.json", "determinism.serial_equals_parallel", True),
     ("BENCH_robustness.json", "fault_classes[*].reports_identical", True),
     ("BENCH_opt_speed.json", "scales[*].identical", True),
