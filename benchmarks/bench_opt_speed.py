@@ -3,8 +3,9 @@
 Measures the PrimePar strategy search end to end at several cluster scales
 under four regimes — cold cache + serial, cold cache + ``--jobs`` workers,
 warm cache + serial, warm cache + workers — with the per-stage wall-clock
-breakdown (``candidates``, ``segment_dp``, ``merge``) reported by the
-optimizer, the Bellman share of ``segment_dp`` (``bellman_seconds``: the
+breakdown (``candidates``, ``segment_dp``, ``merge``, and ``classify``:
+the boundary-class share of ``candidates``) reported by the optimizer, the
+Bellman share of ``segment_dp`` (``bellman_seconds``: the
 stage minus its Eq. 8-9 edge pricing) and each segment's DP time and
 expanded states, plus a serial-vs-parallel ``Planner3D`` sweep timing.  Every
 regime must produce the identical plan and cost; the JSON records the check.
@@ -224,7 +225,11 @@ def test_opt_speed_smoke(benchmark):
     for entry in payload["scales"]:
         for regime in REGIMES:
             stages = entry["runs"][regime]["stages"]
-            assert set(stages) == {"candidates", "segment_dp", "merge"}
+            assert set(stages) == {
+                "candidates", "classify", "segment_dp", "merge"
+            }
+            if regime.endswith("serial"):
+                assert 0.0 <= stages["classify"] <= stages["candidates"]
             run = entry["runs"][regime]
             assert 0.0 <= run["bellman_seconds"] <= stages["segment_dp"]
             assert run["segments"]

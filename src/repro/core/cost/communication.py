@@ -14,14 +14,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Tuple
 
+import numpy as np
+
 from ...cluster.collectives import Transfer, concurrent_step_time
-from ...cluster.profiler import FabricProfiler
+from ...cluster.profiler import FabricProfiler, LinearLatencyModel
 from ...graph.operators import OpKind, OperatorSpec
 from ...graph.tensors import DTYPE_BYTES
 from .. import analysis
-from ..dims import Dim, Phase, PhaseSignature
+from ..dims import ALL_DIMS, Dim, Phase, PhaseSignature
 from ..spec import PartitionSpec
-from .compute import block_bytes
+from ..steps import StepTable
+from .compute import block_bytes, block_bytes_batch
 
 #: Structural ring-schedule cache: (steps, n_bits, phase, batched) ->
 #: step -> list of (tensor name, src rank, dst rank).
@@ -69,6 +72,44 @@ class CommunicationCostModel:
             return 0.0
         payload = block_bytes(op, spec, signature.output.dims)
         return self.profiler.allreduce_model(indicator).predict(payload)
+
+    def allreduce_latency_batch(
+        self, op: OperatorSpec, table: StepTable, phase: Phase
+    ) -> List[float]:
+        """:meth:`allreduce_latency` of every spec of a spatial step table.
+
+        The specs must be purely spatial: then a dim's DSI depends on the
+        bits its dim partitions spend, in every phase, so the group
+        indicator is a bit mask.  Each entry is the float the per-spec
+        method returns: the same indicator, payload and ``predict`` call.
+        """
+        signature = op.signatures()[phase]
+        if not signature.reduce_dims:
+            return [0.0] * table.n_specs
+        bits = table.partition_bits()
+
+        def union(dims) -> np.ndarray:
+            columns = [ALL_DIMS.index(dim) for dim in dims]
+            return np.bitwise_or.reduce(bits[:, columns], axis=1)
+
+        output = union(signature.output.dims)
+        indicators = union(signature.reduce_dims) & ~output
+        payloads = block_bytes_batch(
+            op, table.slice_counts.astype(float), signature.output.dims
+        )
+        models: Dict[int, LinearLatencyModel] = {}
+        latencies = []
+        for mask, payload in zip(indicators.tolist(), payloads.tolist()):
+            if not mask:
+                latencies.append(0.0)
+                continue
+            model = models.get(mask)
+            if model is None:
+                model = models[mask] = self.profiler.allreduce_model(
+                    tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
+                )
+            latencies.append(model.predict(payload))
+        return latencies
 
     def layernorm_extras(self, op: OperatorSpec, spec: PartitionSpec) -> float:
         """Normalisation's expectation and gamma/beta-gradient all-reduces.

@@ -16,6 +16,7 @@ from ...cluster.profiler import FabricProfiler
 from ...graph.operators import OperatorSpec
 from ..dims import ALL_PHASES
 from ..spec import PartitionSpec
+from ..steps import StepTable
 from .communication import CommunicationCostModel
 from .compute import ComputeCostModel
 from .memory import MemoryCostModel
@@ -94,8 +95,9 @@ class IntraOperatorCostModel:
         """``intraC(n, P)`` over a whole candidate list.
 
         Purely spatial specs (the bulk of any candidate space) share one
-        vectorized compute-latency evaluation per phase; temporal specs
-        need their per-step ring schedules and go through the scalar path.
+        vectorized compute-latency evaluation and one step-table all-reduce
+        pricing per phase; temporal specs need their per-step ring
+        schedules and go through the scalar path.
         Every entry is bit-identical to ``cost(op, specs[i])``.
         """
         results: List[IntraCost] = [
@@ -108,8 +110,15 @@ class IntraOperatorCostModel:
         ]
         if spatial:
             batch = [specs[i] for i in spatial]
+            table = StepTable(batch)
             step_compute = {
                 phase: self.compute.step_latency_batch(op, batch, phase)
+                for phase in ALL_PHASES
+            }
+            allreduce = {
+                phase: self.communication.allreduce_latency_batch(
+                    op, table, phase
+                )
                 for phase in ALL_PHASES
             }
             for j, i in enumerate(spatial):
@@ -118,9 +127,7 @@ class IntraOperatorCostModel:
                 allreduce_total = 0.0
                 for phase in ALL_PHASES:
                     compute_total += float(step_compute[phase][j])
-                    allreduce_total += self.communication.allreduce_latency(
-                        op, spec, phase
-                    )
+                    allreduce_total += allreduce[phase][j]
                 allreduce_total += self.communication.layernorm_extras(op, spec)
                 result = IntraCost(
                     compute_latency=compute_total,

@@ -186,8 +186,10 @@ class DsiEvaluator:
         """All devices' DSIs at once: ``(n_devices, 4)`` int array.
 
         Vectorised equivalent of :meth:`dsi` over the whole cluster; column
-        order follows :data:`~repro.core.dims.ALL_DIMS`.  This is the hot
-        path of boundary-layout evaluation during optimisation.
+        order follows :data:`~repro.core.dims.ALL_DIMS`.  Results are cached
+        per ``(phase, t mod total_steps)``; candidate builds seed the cache
+        at the boundary points from their bulk pass
+        (:func:`~repro.core.optimizer.candidates.boundary_classes`).
         """
         import numpy as np
 

@@ -100,12 +100,3 @@ def axis_intervals(
         start, stop = slice_interval(size, axis_factor[axis], axis_index[axis])
         intervals[axis] = AxisInterval(start, stop)
     return intervals
-
-
-def grid_signature(op: OperatorSpec, spec: PartitionSpec) -> Tuple:
-    """Hashable description of all dims' grid events (for class keys)."""
-    return tuple(
-        (dim.value, tuple(grid_events(op, spec, dim)))
-        for dim in Dim
-        if op.dim_axes.get(dim)
-    )

@@ -44,7 +44,10 @@ class SearchResult:
         candidate_sizes: Per-node (raw space size, collapsed class count).
         model_cost: Cost after layer stacking (when requested).
         stage_seconds: Wall-clock per pipeline stage (``candidates``,
-            ``segment_dp``, ``merge``).
+            ``segment_dp``, ``merge``), plus ``classify``: the part of
+            ``candidates`` spent on boundary classes (its
+            ``candidates.classify`` spans, summed over builds, pool
+            workers' included; 0 when every set came from a cache).
         telemetry: Per-search snapshot from :mod:`repro.obs` — the metric
             delta this search produced (``"metrics"``: counters, gauges,
             histograms) and the timing spans it closed (``"spans"``).
@@ -317,6 +320,7 @@ class PrimeParOptimizer:
                     stacked = stack_layers(merged, boundary_intra, n_layers)
                     model_cost = float(stacked.cost.min())
         finished = time.perf_counter()
+        spans = collector.export(since=span_mark)
         return SearchResult(
             plan=plan,
             cost=float(layer_cost[a, c]),
@@ -328,6 +332,10 @@ class PrimeParOptimizer:
             model_cost=model_cost,
             stage_seconds={
                 "candidates": candidates_done - started,
+                "classify": sum(
+                    s["duration"] for s in spans
+                    if s["name"] == "candidates.classify"
+                ),
                 "segment_dp": segments_done - candidates_done,
                 "merge": finished - segments_done,
             },
@@ -335,6 +343,6 @@ class PrimeParOptimizer:
                 "metrics": delta_snapshots(
                     metrics_before, registry.snapshot()
                 ),
-                "spans": collector.export(since=span_mark),
+                "spans": spans,
             },
         )

@@ -59,3 +59,25 @@ def test_fanned_out_threshold_compares_each_scale(tmp_path, capsys):
     assert len(failures) == 1
     last = len(baseline["scales"]) - 1
     assert f"warm_serial.elapsed_seconds[{last}]" in failures[0]
+
+
+def test_smoke_bounds_catch_a_cold_search_blow_up(tmp_path, capsys):
+    """A smoke run whose cold serial search exceeds its absolute bound
+    fails, even with every warm search in bounds."""
+    for path in bench_compare.DEFAULT_BASELINE_DIR.glob("BENCH_*.json"):
+        (tmp_path / path.name).write_text(path.read_text())
+    doc = json.loads((tmp_path / "BENCH_opt_speed.json").read_text())
+    for entry in doc["scales"]:
+        for run in entry["runs"].values():
+            run["elapsed_seconds"] = 1.0
+    doc["scales"][0]["runs"]["cold_serial"]["elapsed_seconds"] = 11.0
+    (tmp_path / "BENCH_opt_speed.json").write_text(json.dumps(doc))
+    assert _run("--smoke", "--current-dir", tmp_path) == 1
+    failures = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  FAIL")
+    ]
+    assert failures == [
+        "  FAIL current BENCH_opt_speed.json:"
+        "scales[*].runs.cold_serial.elapsed_seconds = 11 < 10"
+    ]

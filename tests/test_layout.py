@@ -1,11 +1,16 @@
 """Grid layouts: axis-targeted slicing of flattened dimensions."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from legacy_candidates import grid_signature  # noqa: E402  (the scalar oracle's)
 from repro.core.cost.inter import axis_boxes
 from repro.core.dims import ALL_DIMS, Dim
-from repro.core.layout import axis_intervals, default_axis, grid_events, grid_signature
+from repro.core.layout import axis_intervals, default_axis, grid_events
 from repro.core.optimizer.candidates import (
     _BOUNDARY_POINTS,
     operator_dim_limits,

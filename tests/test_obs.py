@@ -258,6 +258,28 @@ class TestCrossProcessDeterminism:
         assert sum(s["duration"] for s in in_dp) <= segment_dp["duration"]
         assert counters[("dp.edge_pairs_priced", None)] >= len(pricing)
 
+    def test_classify_split_out_of_candidates(self, tmp_path, monkeypatch):
+        """One classify span per build splits class ids out of candidates;
+        a warm search builds nothing and reports 0."""
+        cold, _, _ = self._search(1, tmp_path / "t", monkeypatch)
+        builds = sum(
+            entry["value"]
+            for entry in cold.telemetry["metrics"]["counters"]
+            if entry["name"] == "candidates.builds"
+        )
+        spans = cold.telemetry["spans"]
+        classify = [s for s in spans if s["name"] == "candidates.classify"]
+        assert len(classify) == builds > 0
+        assert all(
+            s["path"] == "search/search.candidates/candidates.classify"
+            for s in classify
+        )
+        seconds = cold.stage_seconds["classify"]
+        assert seconds == sum(s["duration"] for s in classify)
+        assert 0.0 < seconds < cold.stage_seconds["candidates"]
+        warm, _, _ = self._search(1, tmp_path / "t", monkeypatch)
+        assert warm.stage_seconds["classify"] == 0.0
+
 
 class TestTraceSpans:
     def test_trace_carries_optimizer_span_track(self, profiler4, small_block):

@@ -1,6 +1,7 @@
 """Segmented dynamic programming: Eq. 11-14, optimality and extraction."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,13 +85,33 @@ class TestSegmenter:
 
 
 class TestCandidates:
-    def test_collapse_keeps_cheapest(self, profiler4, small_mlp):
+    def test_collapse_keeps_cheapest(self, profiler4, small_block):
+        """The collapse prunes canonical extras that respell an enumerated
+        spec's axes: ``B`` (default axis, resolving to ``batch``) for
+        ``B[batch]``.  Their costs tie, so the first-listed enumerated
+        spelling stays; made strictly cheaper, the extra stays instead."""
         intra = IntraOperatorCostModel(profiler4)
-        fc1 = small_mlp.node("fc1")
-        collapsed = build_candidates(fc1, 2, intra, collapse=True)
-        raw = build_candidates(fc1, 2, intra, collapse=False)
-        assert len(collapsed) <= len(raw)
-        assert collapsed.raw_size == raw.raw_size
+        scores = small_block.node("L0.scores")
+        candidates = build_candidates(scores, 2, intra)
+        kept = {str(spec) for spec in candidates.specs}
+        assert (candidates.raw_size, len(candidates)) == (18, 16)
+        assert {"B[batch]-B[batch]", "B[batch]-B[heads]"} <= kept
+        assert not {"B-B", "B-B[heads]"} & kept
+
+        class ExtrasCheaper:
+            def cost_batch(self, op, specs):
+                costs = intra.cost_batch(op, specs)
+                return [
+                    replace(cost, compute_latency=cost.compute_latency / 2)
+                    if str(spec) in ("B-B", "B-B[heads]") else cost
+                    for spec, cost in zip(specs, costs)
+                ]
+
+        rebuilt = build_candidates(scores, 2, ExtrasCheaper())
+        swapped = {str(spec) for spec in rebuilt.specs}
+        assert swapped == (kept - {"B[batch]-B[batch]", "B[batch]-B[heads]"}) | {
+            "B-B", "B-B[heads]"
+        }
 
     def test_beam_keeps_canonical(self, profiler8, small_mlp):
         intra = IntraOperatorCostModel(profiler8)

@@ -105,6 +105,8 @@ SMOKE_BOUNDS: List[Tuple[str, str, str, float]] = [
     ("BENCH_robustness.json", "nominal_latency", ">", 0.0),
     ("BENCH_opt_speed.json", "scales[*].runs.warm_serial.elapsed_seconds",
      "<", 10.0),
+    ("BENCH_opt_speed.json", "scales[*].runs.cold_serial.elapsed_seconds",
+     "<", 10.0),
 ]
 
 
