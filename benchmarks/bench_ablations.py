@@ -100,8 +100,7 @@ def _optimality_rows():
                 names.index(edge.src),
                 names.index(edge.dst),
                 optimizer.inter_model.cost_matrix(
-                    edge, src_set.op, src_set.specs,
-                    dst_set.op, dst_set.specs,
+                    edge, src_set.tables, dst_set.tables
                 ),
             )
         )

@@ -11,16 +11,21 @@ same-node peer, e.g. the Cannon-style skew entering a temporal region) and a
 cross-node class, each priced by its own profiled model.
 
 The matrix API evaluates a whole (producer-candidates x consumer-candidates)
-cost table at once — the hot path of the DP.  Every candidate's boundary
-boxes are decoded in one batched integer pass (:func:`axis_boxes`).  Each
-side then numbers its distinct joint boxes (:func:`_box_ids`: a few hundred,
-since an axis holds at most ``2 * n_devices - 1`` dyadic slices), and the
-per-axis coverage fractions are multiplied once per *box pair* into a small
-table, in a fixed axis order.  A rank's own coverage is a gather from that
-table.  Its best same-node coverage is a gather from the per-node-block max
-of the table's rows (:func:`_shortfall`): the XOR peers of a rank are
-exactly its aligned block of ``gpus_per_node`` ranks.  Every element takes
-the same float ops as a per-rank evaluation, so the matrices are exact.
+cost table at once — the hot path of the DP.  A slice's interval depends on
+its spec, dim and index only, never on the boundary point, so each side's
+:class:`SliceTables` maps ``(spec, slice index)`` to the interval on every
+axis, built once per dim (:func:`slice_tables`) and kept for as long as the
+spec list: a candidate set owns one for the whole search.  Decoding the
+boundary boxes of every spec and rank at a point is then one gather per
+axis, indexed by the stacked DSI matrices.  Each side then numbers its
+distinct joint boxes (:func:`_box_ids`: a few hundred, since an axis holds
+at most ``2 * n_devices - 1`` dyadic slices), and the per-axis coverage
+fractions are multiplied once per *box pair* into a small table, in a fixed
+axis order.  A rank's own coverage is a gather from that table.  Its best
+same-node coverage is a gather from the per-node-block max of the table's
+rows (:func:`_shortfall`): the XOR peers of a rank are exactly its aligned
+block of ``gpus_per_node`` ranks.  Every element takes the same float ops
+as a per-rank evaluation, so the matrices are exact.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ from typing import Dict, Mapping, Sequence, Tuple
 import numpy as np
 
 from ...cluster.profiler import FabricProfiler
-from ...graph.graph import Edge
+from ...graph.graph import ComputationGraph, Edge
 from ...graph.operators import OperatorSpec
 from ...graph.tensors import DTYPE_BYTES
+from ...obs.metrics import counter
 from ..dims import ALL_DIMS, Dim, Phase
 from ..layout import grid_events
 from ..spec import PartitionSpec
@@ -52,89 +58,111 @@ GRAD_END = (Phase.GRADIENT, -1)
 CHUNK_BYTES = 256 << 10
 
 
-def axis_boxes(
-    op: OperatorSpec,
-    specs: Sequence[PartitionSpec],
-    point: Tuple[Phase, int],
-    dims: Sequence[Dim],
+def slice_tables(
+    op: OperatorSpec, specs: Sequence[PartitionSpec], dim: Dim
 ) -> Dict[str, np.ndarray]:
-    """Boundary layouts of ``specs`` at ``point``, decoded in one batch.
+    """Every slice of ``dim`` under each of ``specs``, as axis intervals.
 
-    Returns, for each logical axis spanned by ``dims``, an
-    ``(n_specs, n_devices, 2)`` integer array of half-open intervals in
-    absolute axis units — rank by rank what
-    :func:`~repro.core.layout.axis_intervals` gives.  A dim's slice index
-    is a mixed-radix number whose digits are the spec's grid events (most
-    significant first); the digits of every spec and rank are peeled off
-    together with integer ops (specs with fewer events are padded with
-    radix-1 digits, which are always 0), folded into per-axis indices, and
-    spread by :func:`~repro.graph.tensors.slice_interval`'s formula.
+    Returns, for each logical axis of ``dim``, an ``(n_specs, n_slices,
+    2)`` integer array: row ``[s, i]`` is the half-open interval, in
+    absolute axis units, of slice ``i`` under spec ``s`` — what
+    :func:`~repro.core.layout.axis_intervals` gives.  ``n_slices`` is the
+    largest slice count of ``dim`` among the specs; a spec's rows past its
+    own count are never read.  A slice index is a mixed-radix number whose
+    digits are the spec's grid events (most significant first); the digits
+    of every spec and index are peeled off together with integer ops
+    (specs with fewer events are padded with radix-1 digits, which are
+    always 0), folded into per-axis indices, and spread by
+    :func:`~repro.graph.tensors.slice_interval`'s formula.
     """
-    phase, t = point
+    axes = tuple(op.dim_axes[dim])
     n_specs = len(specs)
-    matrices = np.stack([spec.evaluator.dsi_matrix(phase, t) for spec in specs])
-    boxes: Dict[str, np.ndarray] = {}
-    for dim in dims:
-        axes = tuple(op.dim_axes.get(dim, ()))
-        if not axes:
-            continue
-        events = [grid_events(op, spec, dim) for spec in specs]
-        width = max(len(spec_events) for spec_events in events)
-        factors = np.ones((n_specs, width), dtype=np.int64)
-        owner = np.full((n_specs, width), -1)
-        for s, spec_events in enumerate(events):
-            for j, (axis, factor) in enumerate(spec_events):
-                factors[s, j] = factor
-                owner[s, j] = axes.index(axis)
-        # hits[a, s, j]: event j of spec s splits axis a.
-        hits = owner == np.arange(len(axes))[:, None, None]
-        axis_factors = np.where(hits, factors, 1)
-        remainder = matrices[:, :, ALL_DIMS.index(dim)]
-        total = factors.prod(axis=1)[:, None]
-        index = np.zeros((len(axes),) + remainder.shape, dtype=np.int64)
-        for j in range(width):
-            total = total // factors[:, j, None]
-            digit = remainder // total
-            remainder = remainder % total
-            index = index * axis_factors[:, :, j, None] + hits[:, :, j, None] * digit
-        counts = axis_factors.prod(axis=2)[:, :, None]
-        sizes = np.array([op.axis_sizes[axis] for axis in axes])[:, None, None]
-        base = sizes // counts
-        extra = sizes % counts
-        start = index * base + np.minimum(index, extra)
-        stop = start + base + (index < extra)
-        for a, axis in enumerate(axes):
-            boxes[axis] = np.stack([start[a], stop[a]], axis=-1)
-    return boxes
+    events = [grid_events(op, spec, dim) for spec in specs]
+    width = max(len(spec_events) for spec_events in events)
+    factors = np.ones((n_specs, width), dtype=np.int64)
+    owner = np.full((n_specs, width), -1)
+    for s, spec_events in enumerate(events):
+        for j, (axis, factor) in enumerate(spec_events):
+            factors[s, j] = factor
+            owner[s, j] = axes.index(axis)
+    # hits[a, s, j]: event j of spec s splits axis a.
+    hits = owner == np.arange(len(axes))[:, None, None]
+    axis_factors = np.where(hits, factors, 1)
+    total = factors.prod(axis=1)[:, None]
+    n_slices = int(total.max())
+    remainder = np.arange(n_slices)
+    index = np.zeros((len(axes), n_specs, n_slices), dtype=np.int64)
+    for j in range(width):
+        total = total // factors[:, j, None]
+        digit = remainder // total
+        remainder = remainder % total
+        index = index * axis_factors[:, :, j, None] + hits[:, :, j, None] * digit
+    counts = axis_factors.prod(axis=2)[:, :, None]
+    sizes = np.array([op.axis_sizes[axis] for axis in axes])[:, None, None]
+    base = sizes // counts
+    extra = sizes % counts
+    start = index * base + np.minimum(index, extra)
+    stop = start + base + (index < extra)
+    return {
+        axis: np.stack([start[a], stop[a]], axis=-1) for a, axis in enumerate(axes)
+    }
 
 
-def decode_boxes(
-    op: OperatorSpec,
-    specs: Sequence[PartitionSpec],
-    point: Tuple[Phase, int],
-    dims: Sequence[Dim],
-) -> Dict[str, np.ndarray]:
-    """:func:`axis_boxes`, memoized on the DSI evaluator of a single spec.
+class SliceTables:
+    """Boundary-box decoder of one operator's spec list.
 
-    A candidate list is decoded in one batch.  A lone spec (a plan priced
-    edge by edge) keeps its boxes; the key holds everything the decode
-    reads from ``op`` (the dims' axes and sizes), so one spec priced
-    against several operators stays exact.
+    Holds one :func:`slice_tables` per dim, built on first use and reused
+    by every later decode; ``inter.decode_tables{outcome=build|reuse}``
+    counts the two, once per decoded dim.  A candidate set owns one for
+    the whole search (:attr:`~repro.core.optimizer.candidates.CandidateSet.
+    tables`, never pickled); a priced plan gets a one-spec decoder per node
+    (:meth:`InterOperatorCostModel.plan_edge_costs`).
     """
-    if len(specs) != 1:
-        return axis_boxes(op, specs, point, dims)
-    (spec,) = specs
-    phase, t = point
-    layout = tuple(
-        (dim, tuple((axis, op.axis_sizes[axis]) for axis in op.dim_axes.get(dim, ())))
-        for dim in dims
-    )
-    key = (phase, t % spec.total_steps, layout)
-    memo = spec.evaluator.box_memo
-    boxes = memo.get(key)
-    if boxes is None:
-        boxes = memo[key] = axis_boxes(op, specs, point, dims)
-    return boxes
+
+    def __init__(self, op: OperatorSpec, specs: Sequence[PartitionSpec]) -> None:
+        self.op = op
+        self.specs = specs
+        self._tables: Dict[Dim, Dict[str, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    @property
+    def n_devices(self) -> int:
+        return self.specs[0].n_devices
+
+    def boxes(
+        self, point: Tuple[Phase, int], dims: Sequence[Dim]
+    ) -> Dict[str, np.ndarray]:
+        """Boundary layouts of the specs at ``point``.
+
+        Returns, for each logical axis spanned by ``dims``, an
+        ``(n_specs, n_devices, 2)`` integer array of half-open intervals:
+        rank by rank what :func:`~repro.core.layout.axis_intervals` gives
+        for the rank's DSI.  Each axis is one gather from its table, by
+        spec and by the rank's DSI (read from the ``dsi_matrix`` caches,
+        which candidate builds seed at every boundary point).
+        """
+        phase, t = point
+        matrices = np.stack(
+            [spec.evaluator.dsi_matrix(phase, t) for spec in self.specs]
+        )
+        rows = np.arange(len(self.specs))[:, None]
+        boxes: Dict[str, np.ndarray] = {}
+        for dim in dims:
+            if not self.op.dim_axes.get(dim):
+                continue
+            tables = self._tables.get(dim)
+            counter(
+                "inter.decode_tables",
+                outcome="build" if tables is None else "reuse",
+            ).inc()
+            if tables is None:
+                tables = self._tables[dim] = slice_tables(self.op, self.specs, dim)
+            column = matrices[:, :, ALL_DIMS.index(dim)]
+            for axis, table in tables.items():
+                boxes[axis] = table[rows, column]
+        return boxes
 
 
 def _rename(boxes: Mapping[str, np.ndarray], axis_map: Mapping[str, str]) -> Dict[str, np.ndarray]:
@@ -214,14 +242,14 @@ def _shortfall(
     own = table[held[:, None, :], need[None, :, :]]
     node = best.reshape(n_h, -1)[:, need + blocks]
     # v·(1 − node) and v·(node − own), computed in place so the tail
-    # allocates no more (n_held, n_need, n_devices) arrays.
+    # allocates no more (n_held, n_need, n_devices) arrays.  Neither needs
+    # a clip at 0: a rank is in its own node block, so node >= own, and a
+    # coverage is a product of overlap / length <= 1 factors, so node <= 1.
     intra = np.subtract(node, own, out=own)
     intra *= v
     inter = np.subtract(1.0, node, out=node)
     inter *= v
-    inter_elems = np.clip(inter, 0.0, None, out=inter).sum(axis=2)
-    intra_elems = np.clip(intra, 0.0, None, out=intra).sum(axis=2)
-    return intra_elems, inter_elems
+    return intra.sum(axis=2), inter.sum(axis=2)
 
 
 class InterOperatorCostModel:
@@ -237,28 +265,20 @@ class InterOperatorCostModel:
     # ------------------------------------------------------------------
 
     def forward_traffic_matrix(
-        self,
-        edge: Edge,
-        prod_op: OperatorSpec,
-        prod_specs: Sequence[PartitionSpec],
-        cons_op: OperatorSpec,
-        cons_specs: Sequence[PartitionSpec],
+        self, edge: Edge, prod: SliceTables, cons: SliceTables
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Eq. 9 forward traffic in elements, shape (n_prod, n_cons).
 
         Returns ``(intra, inter)``: bytes fetchable from a same-node peer
         versus bytes that must cross nodes.
         """
-        slot = cons_op.slot(edge.slot)
-        cons_boxes = decode_boxes(cons_op, cons_specs, FWD_START, slot.fwd_dims)
-        prod_boxes = _rename(
-            decode_boxes(prod_op, prod_specs, FWD_END, prod_op.output_dims),
-            edge.axis_map,
-        )
+        slot = cons.op.slot(edge.slot)
+        cons_boxes = cons.boxes(FWD_START, slot.fwd_dims)
+        prod_boxes = _rename(prod.boxes(FWD_END, prod.op.output_dims), edge.axis_map)
         fixed = {edge.map_axis(a): iv for a, iv in edge.src_fixed.items()}
-        n_dev = prod_specs[0].n_devices
-        n_p = len(prod_specs)
-        n_c = len(cons_specs)
+        n_dev = prod.n_devices
+        n_p = len(prod)
+        n_c = len(cons)
         v = np.ones((n_c, n_dev))
         for box in cons_boxes.values():
             v *= (box[..., 1] - box[..., 0]).astype(float)
@@ -281,7 +301,7 @@ class InterOperatorCostModel:
             if interval is not None:
                 window = np.array([interval.start, interval.stop])
             else:
-                size = prod_op.axis_sizes.get(axis, 1)
+                size = prod.op.axis_sizes.get(axis, 1)
                 window = np.array([0, size])
             width = float(max(window[1] - window[0], 1))
             table *= (_overlap(p_box[axis], window) / width)[:, None]
@@ -289,28 +309,21 @@ class InterOperatorCostModel:
         return _shortfall(table, pid, cid, v, self.profiler.topology.gpus_per_node)
 
     def backward_traffic_matrix(
-        self,
-        edge: Edge,
-        prod_op: OperatorSpec,
-        prod_specs: Sequence[PartitionSpec],
-        cons_op: OperatorSpec,
-        cons_specs: Sequence[PartitionSpec],
+        self, edge: Edge, prod: SliceTables, cons: SliceTables
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Gradient-direction traffic: consumer's slot-grad -> producer's dO.
 
         Returns ``(intra, inter)`` element matrices like the forward case.
         """
-        slot = cons_op.slot(edge.slot)
-        grad_point = (slot.grad_phase, -1)
-        holder_boxes = decode_boxes(cons_op, cons_specs, grad_point, slot.fwd_dims)
+        slot = cons.op.slot(edge.slot)
+        holder_boxes = cons.boxes((slot.grad_phase, -1), slot.fwd_dims)
         needed_boxes = _rename(
-            decode_boxes(prod_op, prod_specs, BWD_START, prod_op.output_dims),
-            edge.axis_map,
+            prod.boxes(BWD_START, prod.op.output_dims), edge.axis_map
         )
         fixed = {edge.map_axis(a): iv for a, iv in edge.src_fixed.items()}
-        n_p = len(prod_specs)
-        n_c = len(cons_specs)
-        n_dev = prod_specs[0].n_devices
+        n_p = len(prod)
+        n_c = len(cons)
+        n_dev = prod.n_devices
         # This edge supplies only the src_fixed window of the producer's
         # gradient (the Q/K/V third); restrict the demand accordingly.
         v = np.ones((n_p, n_dev))
@@ -376,45 +389,48 @@ class InterOperatorCostModel:
         return latency
 
     def cost_matrix(
-        self,
-        edge: Edge,
-        prod_op: OperatorSpec,
-        prod_specs: Sequence[PartitionSpec],
-        cons_op: OperatorSpec,
-        cons_specs: Sequence[PartitionSpec],
+        self, edge: Edge, prod: SliceTables, cons: SliceTables
     ) -> np.ndarray:
         """``interC`` over all candidate pairs, shape (n_prod, n_cons)."""
-        args = (edge, prod_op, prod_specs, cons_op, cons_specs)
-        fwd_intra, fwd_inter = self.forward_traffic_matrix(*args)
-        bwd_intra, bwd_inter = self.backward_traffic_matrix(*args)
+        fwd_intra, fwd_inter = self.forward_traffic_matrix(edge, prod, cons)
+        bwd_intra, bwd_inter = self.backward_traffic_matrix(edge, prod, cons)
         return self._predict(
-            fwd_intra + bwd_intra, fwd_inter + bwd_inter, prod_specs[0].n_devices
+            fwd_intra + bwd_intra, fwd_inter + bwd_inter, prod.n_devices
         )
 
     def edge_costs(
-        self,
-        edge: Edge,
-        prod_op: OperatorSpec,
-        prod_spec: PartitionSpec,
-        cons_op: OperatorSpec,
-        cons_spec: PartitionSpec,
+        self, edge: Edge, prod: SliceTables, cons: SliceTables
     ) -> Tuple[float, float, float]:
         """Scalar ``(interC, forward, backward)`` of one edge.
 
-        ``interC`` prices the summed traffic of both directions, exactly as
-        :meth:`cost_matrix` does; ``forward`` and ``backward`` price each
-        direction alone, for the engine to schedule at its actual point in
-        the iteration.  Each direction's traffic is computed once and the
-        three are priced in one elementwise :meth:`_predict`.  The specs'
-        decoded boxes are memoized on their DSI evaluators, so replaying
-        one plan decodes each spec once.
+        ``prod`` and ``cons`` decode one spec each.  ``interC`` prices the
+        summed traffic of both directions, exactly as :meth:`cost_matrix`
+        does; ``forward`` and ``backward`` price each direction alone, for
+        the engine to schedule at its actual point in the iteration.  Each
+        direction's traffic is computed once and the three are priced in
+        one elementwise :meth:`_predict`.
         """
-        args = (edge, prod_op, [prod_spec], cons_op, [cons_spec])
-        fwd_intra, fwd_inter = self.forward_traffic_matrix(*args)
-        bwd_intra, bwd_inter = self.backward_traffic_matrix(*args)
+        fwd_intra, fwd_inter = self.forward_traffic_matrix(edge, prod, cons)
+        bwd_intra, bwd_inter = self.backward_traffic_matrix(edge, prod, cons)
         intra = np.concatenate([fwd_intra + bwd_intra, fwd_intra, bwd_intra], axis=1)
         inter = np.concatenate([fwd_inter + bwd_inter, fwd_inter, bwd_inter], axis=1)
         total, forward, backward = self._predict(
-            intra, inter, prod_spec.n_devices
+            intra, inter, prod.n_devices
         )[0].tolist()
         return total, forward, backward
+
+    def plan_edge_costs(
+        self, graph: ComputationGraph, plan: Mapping[str, PartitionSpec]
+    ) -> Tuple[Tuple[Edge, float, float, float], ...]:
+        """``(edge,) + edge_costs`` of every edge, in ``graph.edges`` order.
+
+        Each node's spec gets one :class:`SliceTables`, shared by all of
+        the node's edges and dropped on return.
+        """
+        tables = {
+            node.name: SliceTables(node, [plan[node.name]]) for node in graph.nodes
+        }
+        return tuple(
+            (edge,) + self.edge_costs(edge, tables[edge.src], tables[edge.dst])
+            for edge in graph.edges
+        )

@@ -35,7 +35,7 @@ class PlanCost:
     #: Each operator's :class:`IntraCost`, in ``graph.nodes`` order.
     operators: Tuple[IntraCost, ...]
     #: ``(edge, interC, forward, backward)`` per edge, in ``graph.edges``
-    #: order (:meth:`InterOperatorCostModel.edge_costs`).
+    #: order (:meth:`InterOperatorCostModel.plan_edge_costs`).
     edges: Tuple[Tuple[Edge, float, float, float], ...]
 
     @property
@@ -74,16 +74,7 @@ class OverallCostModel:
             ring += cost.ring_exposed
             allreduce += cost.allreduce_latency
             memory += cost.memory_bytes
-        edges = tuple(
-            (edge,) + self.inter.edge_costs(
-                edge,
-                graph.node(edge.src),
-                plan[edge.src],
-                graph.node(edge.dst),
-                plan[edge.dst],
-            )
-            for edge in graph.edges
-        )
+        edges = self.inter.plan_edge_costs(graph, plan)
         inter_total = 0.0
         for _, cost, _, _ in edges:
             inter_total += cost

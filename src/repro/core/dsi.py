@@ -249,22 +249,6 @@ class DsiEvaluator:
         cache[key] = matrix
         return matrix
 
-    @property
-    def box_memo(self) -> Dict:
-        """Boundary boxes decoded by :func:`repro.core.cost.inter.decode_boxes`.
-
-        Never pickled, so cache entries and pool payloads keep their size.
-        """
-        memo = self.__dict__.get("_box_memo")
-        if memo is None:
-            memo = self._box_memo = {}
-        return memo
-
-    def __getstate__(self) -> Dict:
-        state = dict(self.__dict__)
-        state.pop("_box_memo", None)
-        return state
-
     # ------------------------------------------------------------------
     # symbolic dependency analysis (for group indicators, paper Sec. 4.1)
     # ------------------------------------------------------------------

@@ -24,7 +24,14 @@ from ..spec import PartitionSpec
 from ..space import enumerate_specs
 from ..steps import MNK, TEMPORAL, StepTable
 from .. import cost as _cost  # noqa: F401  (re-export convenience)
-from ..cost.inter import BWD_END, BWD_START, FWD_END, FWD_START, GRAD_END
+from ..cost.inter import (
+    BWD_END,
+    BWD_START,
+    FWD_END,
+    FWD_START,
+    GRAD_END,
+    SliceTables,
+)
 from ..cost.intra import IntraOperatorCostModel
 from .canonical import canonical_specs
 
@@ -42,6 +49,10 @@ class CandidateSet:
             cheapest of its class under the intra-operator cost.
         intra: Eq. 7 totals per representative, shape ``(P,)``.
         raw_size: Size of the un-collapsed space (paper's ``P``).
+
+    Derived state (:attr:`tables`, :attr:`cache_token`) is built on first
+    use and never pickled, so a priced set pickles to the bytes of a fresh
+    one.
     """
 
     op: OperatorSpec
@@ -51,6 +62,20 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.specs)
+
+    def __getstate__(self) -> Dict:
+        state = dict(self.__dict__)
+        state.pop("_tables", None)
+        state.pop("_cache_token", None)
+        return state
+
+    @property
+    def tables(self) -> SliceTables:
+        """The specs' boundary-box decoder, shared by every edge priced."""
+        tables = self.__dict__.get("_tables")
+        if tables is None:
+            tables = self.__dict__["_tables"] = SliceTables(self.op, self.specs)
+        return tables
 
     @property
     def cache_token(self) -> Tuple:

@@ -141,11 +141,7 @@ def edge_cost_matrix(
         if matrix is None:
             with span("search.edge_cost", src=src, dst=dst, slot=edge.slot):
                 matrix = inter_model.cost_matrix(
-                    edge,
-                    src_set.op,
-                    src_set.specs,
-                    dst_set.op,
-                    dst_set.specs,
+                    edge, src_set.tables, dst_set.tables
                 )
             counter("dp.edge_pairs_priced").inc(matrix.size)
             if memo is not None:

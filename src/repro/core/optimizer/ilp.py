@@ -62,9 +62,7 @@ class BranchAndBoundSolver:
         for edge in graph.edges:
             src_set = candidates[edge.src]
             dst_set = candidates[edge.dst]
-            matrix = inter_model.cost_matrix(
-                edge, src_set.op, src_set.specs, dst_set.op, dst_set.specs
-            )
+            matrix = inter_model.cost_matrix(edge, src_set.tables, dst_set.tables)
             src_i, dst_i = position[edge.src], position[edge.dst]
             self._edges_at.setdefault(max(src_i, dst_i), []).append(
                 (src_i, dst_i, matrix)

@@ -825,14 +825,10 @@ class EventDrivenSimulator:
         started = time.perf_counter()
         with span("sim.lower", ops=len(graph.nodes), edges=len(graph.edges)):
             edge_costs = {
-                edge.key(): self.inter.edge_costs(
-                    edge,
-                    graph.node(edge.src),
-                    plan[edge.src],
-                    graph.node(edge.dst),
-                    plan[edge.dst],
-                )[1:]
-                for edge in graph.edges
+                edge.key(): (forward, backward)
+                for edge, _, forward, backward in self.inter.plan_edge_costs(
+                    graph, plan
+                )
             }
             phases: Dict[Tuple[str, Phase], PhaseLowering] = {}
             extras: Dict[str, float] = {}

@@ -70,14 +70,7 @@ class TestMegatronPlan:
 
         plan = megatron_plan(large_block, 3, dp_degree=2)
         inter = InterOperatorCostModel(profiler8)
-        for edge in large_block.edges:
-            cost, _, _ = inter.edge_costs(
-                edge,
-                large_block.node(edge.src),
-                plan[edge.src],
-                large_block.node(edge.dst),
-                plan[edge.dst],
-            )
+        for edge, cost, _, _ in inter.plan_edge_costs(large_block, plan):
             assert cost == pytest.approx(0.0), edge.key()
 
 

@@ -84,7 +84,7 @@ class TestTrafficGroundTruth:
 
     def test_matches_cost_model_exactly(self, profiler8):
         """The Eq. 9 estimate equals ground truth on aligned grids."""
-        from repro.core.cost.inter import InterOperatorCostModel
+        from repro.core.cost.inter import InterOperatorCostModel, SliceTables
         from repro.graph.transformer import BlockShape, build_mlp_graph
 
         shape = BlockShape(
@@ -102,7 +102,7 @@ class TestTrafficGroundTruth:
             )
             fc2_spec = PartitionSpec.from_string(fc2_text, 3)
             intra, inter_elems = inter.forward_traffic_matrix(
-                edge, act, [act_spec], fc2, [fc2_spec],
+                edge, SliceTables(act, [act_spec]), SliceTables(fc2, [fc2_spec])
             )
             predicted = float(intra[0, 0] + inter_elems[0, 0])
             truth = measured_redistribution(

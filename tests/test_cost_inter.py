@@ -13,12 +13,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import legacy_inter  # noqa: E402  (frozen per-rank model, lives next to this file)
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import torus_cluster, v100_cluster
-from repro.core.cost.inter import InterOperatorCostModel
+from repro.core.cost import inter as inter_module
+from repro.core.cost.inter import InterOperatorCostModel, SliceTables
 from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.core.spec import PartitionSpec
 from repro.graph.graph import Edge
 from repro.graph.models import MODELS_BY_KEY
 from repro.graph.transformer import build_block_graph
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.sim.engine import EventDrivenSimulator
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +35,13 @@ def _edge(graph, src, dst, slot="I"):
     )
 
 
+def _price(model, edge, prod_op, prod_spec, cons_op, cons_spec):
+    """``edge_costs`` of one spec per side, each with its own decoder."""
+    return model.edge_costs(
+        edge, SliceTables(prod_op, [prod_spec]), SliceTables(cons_op, [cons_spec])
+    )
+
+
 class TestAlignedEdges:
     def test_identical_pointwise_layout_is_free(self, inter8, large_mlp):
         fc1, act = large_mlp.node("fc1"), large_mlp.node("act")
@@ -40,7 +50,7 @@ class TestAlignedEdges:
         act_spec = PartitionSpec.from_string(
             "B-K-K", 3, legal_dims=act.legal_dims, allow_temporal=False
         )
-        assert inter8.edge_costs(edge, fc1, fc1_spec, act, act_spec)[0] == 0.0
+        assert _price(inter8, edge, fc1, fc1_spec, act, act_spec)[0] == 0.0
 
     def test_megatron_column_to_activation_free(self, inter8, large_mlp):
         """fc1 column-parallel output lands exactly where act needs it."""
@@ -50,7 +60,7 @@ class TestAlignedEdges:
         act_spec = PartitionSpec.from_string(
             "B-K-K", 3, legal_dims=act.legal_dims, allow_temporal=False
         )
-        assert inter8.edge_costs(edge, fc1, fc1_spec, act, act_spec)[0] == 0.0
+        assert _price(inter8, edge, fc1, fc1_spec, act, act_spec)[0] == 0.0
 
     def test_row_parallel_replicated_output_free_into_any_batch_split(
         self, inter8, large_mlp
@@ -62,7 +72,7 @@ class TestAlignedEdges:
             "B-K-K", 3, legal_dims=act.legal_dims, allow_temporal=False
         )
         fc2_spec = PartitionSpec.from_string("B-N-N", 3)
-        assert inter8.edge_costs(edge, act, act_spec, fc2, fc2_spec)[0] == 0.0
+        assert _price(inter8, edge, act, act_spec, fc2, fc2_spec)[0] == 0.0
 
 
 class TestMisalignedEdges:
@@ -73,7 +83,7 @@ class TestMisalignedEdges:
         act_spec = PartitionSpec.from_string(
             "K-K-B", 3, legal_dims=act.legal_dims, allow_temporal=False
         )
-        assert inter8.edge_costs(edge, fc1, fc1_spec, act, act_spec)[0] > 0.0
+        assert _price(inter8, edge, fc1, fc1_spec, act, act_spec)[0] > 0.0
 
     def test_intra_node_skew_cheaper_than_cross_node(self, inter8, large_mlp):
         """The Cannon skew entering a temporal region stays on NVLink."""
@@ -85,8 +95,8 @@ class TestMisalignedEdges:
         )
         temporal = PartitionSpec.from_string("N-P2x2", 3)  # skew differs intra-node
         shuffled = PartitionSpec.from_string("P2x2-N", 3)  # differs across nodes
-        cheap = inter8.edge_costs(edge, act, act_spec, fc2, temporal)[0]
-        costly = inter8.edge_costs(edge, act, act_spec, fc2, shuffled)[0]
+        cheap = _price(inter8, edge, act, act_spec, fc2, temporal)[0]
+        costly = _price(inter8, edge, act, act_spec, fc2, shuffled)[0]
         assert cheap < costly
 
     def test_traffic_split_reported(self, inter8, large_mlp):
@@ -97,7 +107,7 @@ class TestMisalignedEdges:
         )
         fc2_spec = PartitionSpec.from_string("N-P2x2", 3)
         intra, inter = inter8.forward_traffic_matrix(
-            edge, act, [act_spec], fc2, [fc2_spec]
+            edge, SliceTables(act, [act_spec]), SliceTables(fc2, [fc2_spec])
         )
         assert intra[0, 0] > 0
         assert inter[0, 0] == 0.0
@@ -115,11 +125,13 @@ class TestMatrixConsistency:
         fc2_specs = [
             PartitionSpec.from_string(s, 3) for s in ("B-N-N", "N-P2x2", "K-B-B")
         ]
-        matrix = inter8.cost_matrix(edge, act, act_specs, fc2, fc2_specs)
+        matrix = inter8.cost_matrix(
+            edge, SliceTables(act, act_specs), SliceTables(fc2, fc2_specs)
+        )
         for i, sa in enumerate(act_specs):
             for j, sf in enumerate(fc2_specs):
                 assert matrix[i, j] == pytest.approx(
-                    inter8.edge_costs(edge, act, sa, fc2, sf)[0]
+                    _price(inter8, edge, act, sa, fc2, sf)[0]
                 )
 
     def test_directional_costs_sum_to_less_than_total(self, inter8, large_mlp):
@@ -129,7 +141,7 @@ class TestMatrixConsistency:
             "K-M-K", 3, legal_dims=act.legal_dims, allow_temporal=False
         )
         fc2_spec = PartitionSpec.from_string("K-B-B", 3)
-        total, fwd, bwd = inter8.edge_costs(edge, act, act_spec, fc2, fc2_spec)
+        total, fwd, bwd = _price(inter8, edge, act, act_spec, fc2, fc2_spec)
         assert fwd >= 0 and bwd >= 0
         assert fwd + bwd == pytest.approx(total, rel=0.2)
 
@@ -146,7 +158,7 @@ class TestQkvThirds:
             "B[batch]-B[heads]-B[heads]", 3,
             legal_dims=scores.legal_dims, allow_temporal=False,
         )
-        assert inter.edge_costs(edge, qkv, qkv_spec, scores, scores_spec)[0] == 0.0
+        assert _price(inter, edge, qkv, qkv_spec, scores, scores_spec)[0] == 0.0
 
     def test_batch_split_scores_from_head_split_qkv_costs(
         self, profiler8, large_block
@@ -160,7 +172,7 @@ class TestQkvThirds:
             "B[batch]-B[batch]-B[batch]", 3,
             legal_dims=scores.legal_dims, allow_temporal=False,
         )
-        assert inter.edge_costs(edge, qkv, qkv_spec, scores, scores_spec)[0] > 0.0
+        assert _price(inter, edge, qkv, qkv_spec, scores, scores_spec)[0] > 0.0
 
     def test_w_slot_uses_key_third(self, profiler8, large_block):
         """K-tensor edge intersects only the middle qkv third."""
@@ -173,7 +185,7 @@ class TestQkvThirds:
             "B[batch]-B[heads]-B[heads]", 3,
             legal_dims=scores.legal_dims, allow_temporal=False,
         )
-        assert inter.edge_costs(edge_w, qkv, qkv_spec, scores, scores_spec)[0] == 0.0
+        assert _price(inter, edge_w, qkv, qkv_spec, scores, scores_spec)[0] == 0.0
 
 
 def _frozen_boundaries(op, specs):
@@ -185,7 +197,7 @@ def _assert_edges_match_frozen(profiler, graph, candidates):
     frozen = legacy_inter.InterOperatorCostModel(profiler)
     for edge in graph.edges:
         src, dst = candidates[edge.src], candidates[edge.dst]
-        matrix = batched.cost_matrix(edge, src.op, src.specs, dst.op, dst.specs)
+        matrix = batched.cost_matrix(edge, src.tables, dst.tables)
         golden = frozen.cost_matrix(
             edge,
             src.op,
@@ -206,9 +218,11 @@ def _assert_single_specs_match_frozen(profiler, graph, candidates, per_side=4):
             for cons_spec in dst.specs[:per_side]:
                 args = (edge, src.op, prod_spec, dst.op, cons_spec)
                 expected = (frozen.cost(*args),) + frozen.directional_costs(*args)
-                # The second call reads the boxes memoized by the first.
-                assert batched.edge_costs(*args) == expected
-                assert batched.edge_costs(*args) == expected
+                prod = SliceTables(src.op, [prod_spec])
+                cons = SliceTables(dst.op, [cons_spec])
+                # The repeat call reuses the decoders' tables.
+                assert batched.edge_costs(edge, prod, cons) == expected
+                assert batched.edge_costs(edge, prod, cons) == expected
 
 
 #: Node-block layouts for the same-node coverage max: one GPU per node
@@ -269,6 +283,8 @@ from repro.cluster.topology import v100_cluster
 from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.graph.models import MODELS_BY_KEY
 from repro.graph.transformer import build_block_graph
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.sim.engine import EventDrivenSimulator
 
 graph = build_block_graph(MODELS_BY_KEY["llama2-70b"].block_shape(batch=8))
 optimizer = PrimeParOptimizer(FabricProfiler(v100_cluster(8)))
@@ -300,9 +316,9 @@ class TestHashSeedIndependence:
         assert outputs[0] == outputs[1]
 
 
-class TestBoxMemo:
-    def test_memo_is_not_pickled(self, inter8, large_mlp):
-        """A priced plan spec pickles to the bytes it had without the memo."""
+class TestSliceTables:
+    def test_priced_plan_spec_pickles_unchanged(self, inter8, large_mlp):
+        """Pricing a plan spec leaves no decoder on it to pickle."""
         act, fc2 = large_mlp.node("act"), large_mlp.node("fc2")
         edge = _edge(large_mlp, "act", "fc2")
 
@@ -315,22 +331,18 @@ class TestBoxMemo:
             )
 
         act_spec, fc2_spec = specs()
-        inter8.edge_costs(edge, act, act_spec, fc2, fc2_spec)
-        assert act_spec.evaluator.box_memo and fc2_spec.evaluator.box_memo
-        # Twins priced by the frozen model touch the same DSI matrices and
-        # never had a box memo.
+        _price(inter8, edge, act, act_spec, fc2, fc2_spec)
+        # Twins priced by the frozen model touch the same DSI matrices.
         act_twin, fc2_twin = specs()
         legacy_inter.InterOperatorCostModel(inter8.profiler).directional_costs(
             edge, act, act_twin, fc2, fc2_twin
         )
         for spec, twin in ((act_spec, act_twin), (fc2_spec, fc2_twin)):
             data = pickle.dumps(spec, pickle.HIGHEST_PROTOCOL)
-            assert len(data) == len(pickle.dumps(twin, pickle.HIGHEST_PROTOCOL))
             assert data == pickle.dumps(twin, pickle.HIGHEST_PROTOCOL)
-            clone = pickle.loads(data)
-            assert clone == spec and not clone.evaluator.box_memo
+            assert pickle.loads(data) == spec
 
-    def test_memo_keyed_by_operator_layout(self, inter8, large_block):
+    def test_one_spec_priced_against_two_operators(self, inter8, large_block):
         """One spec priced against two operators decodes each one's axes."""
         frozen = legacy_inter.InterOperatorCostModel(inter8.profiler)
         qkv = large_block.node("L0.qkv")
@@ -350,4 +362,107 @@ class TestBoxMemo:
             (edge, qkv, shared, scores, scores_spec),
             (fc1_edge, fc1, shared, act, act_spec),
         ):
-            assert inter8.edge_costs(*args)[1:] == frozen.directional_costs(*args)
+            assert _price(inter8, *args)[1:] == frozen.directional_costs(*args)
+
+    def test_priced_candidate_sets_pickle_unchanged(self, profiler8, large_block):
+        """A search's priced sets pickle to their unpriced bytes, no tables."""
+        optimizer = PrimeParOptimizer(profiler8, beam=16)
+        sets = list(
+            {id(s): s for s in optimizer.candidates_for(large_block).values()}.values()
+        )
+        before = [pickle.dumps(s, pickle.HIGHEST_PROTOCOL) for s in sets]
+        optimizer.optimize(large_block)
+        for candidate_set, unpriced in zip(sets, before):
+            assert "_tables" in candidate_set.__dict__
+            data = pickle.dumps(candidate_set, pickle.HIGHEST_PROTOCOL)
+            assert data == unpriced
+            assert b"SliceTables" not in data
+            clone = pickle.loads(data)
+            assert clone.specs == candidate_set.specs
+            assert "_tables" not in clone.__dict__
+
+    def test_pool_payloads_carry_no_tables(self, profiler8, large_block):
+        """Fault-sweep payloads ship a lowered plan without decoders."""
+        optimizer = PrimeParOptimizer(profiler8, beam=16)
+        plan = optimizer.optimize(large_block).plan
+        simulator = EventDrivenSimulator(profiler8)
+        lowering = simulator.lower(large_block, plan)
+        payload = (profiler8, large_block, plan, 1, lowering)
+        assert b"SliceTables" not in pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        for candidate_set in optimizer.candidates_for(large_block).values():
+            data = pickle.dumps(candidate_set, pickle.HIGHEST_PROTOCOL)
+            assert b"SliceTables" not in data
+
+
+class TestDecodeTableCounts:
+    def test_one_build_per_set_and_dim(self, profiler16):
+        """A warm 16-device beam-48 OPT-175B search builds each table once."""
+        graph = build_block_graph(MODELS_BY_KEY["opt-175b"].block_shape(batch=16))
+        PrimeParOptimizer(profiler16, beam=48).optimize(graph)  # warms the cache
+        decodes = []
+        boxes = SliceTables.boxes
+
+        def counted(self, point, dims):
+            decodes.extend(
+                (id(self), dim) for dim in dims if self.op.dim_axes.get(dim)
+            )
+            return boxes(self, point, dims)
+
+        registry = MetricsRegistry()
+        optimizer = PrimeParOptimizer(profiler16, beam=48)
+        with use_registry(registry), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SliceTables, "boxes", counted)
+            optimizer.optimize(graph)
+        counts = {
+            entry["labels"]["outcome"]: entry["value"]
+            for entry in registry.snapshot()["counters"]
+            if entry["name"] == "inter.decode_tables"
+        }
+        assert counts == {
+            "build": len(set(decodes)),
+            "reuse": len(decodes) - len(set(decodes)),
+        }
+        # 56 decodes of 10 candidate sets over 18 (set, dims) keys touch
+        # 36 (set, dim) pairs.
+        assert counts["build"] == 36
+        owners = {id(s.tables) for s in optimizer.candidates_for(graph).values()}
+        assert {owner for owner, _ in decodes} <= owners
+
+
+class TestShortfallPremises:
+    """``_shortfall`` needs no clip: node >= own and coverage <= 1."""
+
+    def test_premises_hold_on_equivalence_fixtures(self, node_block_case):
+        profiler, graph, candidates = node_block_case
+        calls = []
+        shortfall = inter_module._shortfall
+
+        def recorded(table, held, need, v, gpus_per_node):
+            result = shortfall(table, held, need, v, gpus_per_node)
+            calls.append((table, held, need, v, gpus_per_node, result))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inter_module, "_shortfall", recorded)
+            _assert_edges_match_frozen(profiler, graph, candidates)
+        assert calls
+        for table, held, need, v, gpus_per_node, (intra, inter) in calls:
+            # Coverage is a product of overlap / length factors.
+            assert table.min() >= 0.0 and table.max() <= 1.0
+            own = table[held[:, None, :], need[None, :, :]]
+            # A rank's node coverage, as the max over its XOR peers.
+            n_dev = held.shape[1]
+            gpn = min(gpus_per_node, n_dev)
+            node = np.max(
+                [
+                    table[held[:, None, np.arange(n_dev) ^ m], need[None, :, :]]
+                    for m in range(gpn)
+                ],
+                axis=0,
+            )
+            assert (node >= own).all()
+            # So the clipped tail the premises retired prices the same bytes.
+            clipped_intra = np.clip((node - own) * v, 0.0, None).sum(axis=2)
+            clipped_inter = np.clip((1.0 - node) * v, 0.0, None).sum(axis=2)
+            assert clipped_intra.tobytes() == intra.tobytes()
+            assert clipped_inter.tobytes() == inter.tobytes()

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from legacy_candidates import grid_signature  # noqa: E402  (the scalar oracle's)
-from repro.core.cost.inter import axis_boxes
+from repro.core.cost.inter import SliceTables
 from repro.core.dims import ALL_DIMS, Dim
 from repro.core.layout import axis_intervals, default_axis, grid_events
 from repro.core.optimizer.candidates import (
@@ -163,31 +163,50 @@ def _enumerated_specs(op, n_bits):
 
 
 class TestBatchedAxisBoxes:
-    @pytest.mark.parametrize("n_devices", [4, 8, 16, 32])
-    @pytest.mark.parametrize("model_key", ["opt-175b", "llama2-70b"])
+    @pytest.mark.parametrize("n_devices", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("model_key", sorted(MODELS_BY_KEY))
     def test_matches_axis_intervals_rank_by_rank(self, model_key, n_devices):
         n_bits = n_devices.bit_length() - 1
         for op in _operator_types(model_key):
             specs = _enumerated_specs(op, n_bits)
             dims = [dim for dim in ALL_DIMS if op.dim_axes.get(dim)]
-            # axis_intervals depends on (spec, dim, slice index) only, so it
-            # is tabulated once per spec and axis over every slice index and
-            # looked up by each rank's DSI at each boundary point.
+            # axis_intervals depends on the spec only through the dim's grid
+            # events, so it is tabulated once per distinct event list and
+            # axis over every slice index, and looked up by each rank's DSI
+            # at each boundary point.
+            oracle = {}
             tables = []
             for spec in specs:
                 table = {}
                 for dim in dims:
-                    rows = [
-                        axis_intervals(op, spec, dim, index)
-                        for index in range(spec.slice_counts[dim])
-                    ]
-                    for axis in op.dim_axes[dim]:
-                        table[dim, axis] = np.array(
-                            [(row[axis].start, row[axis].stop) for row in rows]
-                        )
+                    key = (dim, tuple(grid_events(op, spec, dim)))
+                    if key not in oracle:
+                        rows = [
+                            axis_intervals(op, spec, dim, index)
+                            for index in range(spec.slice_counts[dim])
+                        ]
+                        oracle[key] = {
+                            axis: np.array(
+                                [(row[axis].start, row[axis].stop) for row in rows]
+                            )
+                            for axis in op.dim_axes[dim]
+                        }
+                    for axis, rows in oracle[key].items():
+                        table[dim, axis] = rows
                 tables.append(table)
+            # The boundary points, the slots' gradient holder points among
+            # them, decoded for the whole list and, on a sample of about 16
+            # specs, for each spec alone.
+            holders = {(slot.grad_phase, -1) for slot in op.slots_with_aux()}
+            assert holders <= set(_BOUNDARY_POINTS)
+            decoder = SliceTables(op, specs)
+            sample = range(0, len(specs), max(1, len(specs) // 16))
+            lone = {i: SliceTables(op, [specs[i]]) for i in sample}
             for point in _BOUNDARY_POINTS:
-                boxes = axis_boxes(op, specs, point, ALL_DIMS)
+                boxes = decoder.boxes(point, ALL_DIMS)
+                lone_boxes = {
+                    i: single.boxes(point, ALL_DIMS) for i, single in lone.items()
+                }
                 matrices = [spec.evaluator.dsi_matrix(*point) for spec in specs]
                 for dim in dims:
                     column = ALL_DIMS.index(dim)
@@ -196,7 +215,10 @@ class TestBatchedAxisBoxes:
                             table[dim, axis][matrix[:, column]]
                             for matrix, table in zip(matrices, tables)
                         ])
+                        context = (op.name, n_devices, point, axis)
                         assert boxes[axis].dtype == np.int64
-                        assert np.array_equal(boxes[axis], expected), (
-                            op.name, n_devices, point, axis
-                        )
+                        assert np.array_equal(boxes[axis], expected), context
+                        for i, single in lone_boxes.items():
+                            assert np.array_equal(
+                                single[axis], expected[i : i + 1]
+                            ), context + (str(specs[i]),)

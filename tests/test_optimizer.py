@@ -151,9 +151,7 @@ class TestOptimalityAgainstExhaustive:
         edge_matrices = []
         for edge in small_mlp.edges:
             src_set, dst_set = candidates[edge.src], candidates[edge.dst]
-            matrix = inter.cost_matrix(
-                edge, src_set.op, src_set.specs, dst_set.op, dst_set.specs
-            )
+            matrix = inter.cost_matrix(edge, src_set.tables, dst_set.tables)
             edge_matrices.append(
                 (names.index(edge.src), names.index(edge.dst), matrix)
             )
