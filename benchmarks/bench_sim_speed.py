@@ -389,7 +389,7 @@ def _measure_sweep(smoke: bool, jobs: int, workdir: str) -> Dict:
         os.environ["PRIMEPAR_CACHE_DIR"] = cache_dir
         planner = Planner3D(
             model, n_devices=n_devices, global_batch=n_devices,
-            alpha=ALPHA, pipeline_engine="event", jobs=n_jobs,
+            alpha=ALPHA, jobs=n_jobs,
         )
         started = time.perf_counter()
         results = planner.sweep("primepar")

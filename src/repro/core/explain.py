@@ -190,9 +190,8 @@ def explain_pipeline(result) -> Dict[str, object]:
 
     ``total_cost`` is the configuration's iteration latency; the pipeline
     bubble is reported as the component fold's exact residual, so
-    :func:`component_sum` reproduces it bit-exactly under both pipeline
-    engines (the event engine's makespan already *defines* the bubble as
-    a residual).
+    :func:`component_sum` reproduces it bit-exactly (the pipeline replay's
+    makespan already *defines* the bubble as a residual).
     """
     pipe = result.pipeline
     total = result.iteration_latency

@@ -2,16 +2,17 @@
 
 Pipeline parallelism splits the layer stack into ``p`` stages executed over
 micro-batches; periodic flushes leave bubbles of idle time (paper Sec. 1).
-The models here compute iteration latency from per-micro-batch stage times,
-the bubble overhead and the point-to-point activation traffic between
-stages — the quantities needed to compose 3D parallelism (paper Sec. 6.4).
+:func:`pipeline_iteration_events` prices one iteration by replaying the
+schedule — per-micro-batch stage kernels and the point-to-point activation
+traffic between stages — on the discrete-event engine, the quantity needed
+to compose 3D parallelism (paper Sec. 6.4).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..cluster.links import LinkSpec
 from ..sim.timeline import Timeline
@@ -31,9 +32,11 @@ class PipelinePlan:
     Attributes:
         n_stages: Pipeline depth ``p``.
         n_microbatches: Micro-batches per iteration (flush granularity).
-        schedule: Micro-batch schedule; both share the same critical path
-            length, but 1F1B bounds in-flight activations by ``p`` instead
-            of the micro-batch count (memory).
+        schedule: Micro-batch schedule.  GPipe keeps all ``m`` micro-batches'
+            activations live on the first stage, 1F1B at most ``p``.  With
+            free stage-to-stage sends both take ``(m + p - 1)(t_f + t_b)``;
+            once sends take time 1F1B runs longer than GPipe, because its
+            interleaved sends stall stages between forward and backward.
     """
 
     n_stages: int
@@ -46,76 +49,25 @@ class PipelinePlan:
         if self.n_microbatches < 1:
             raise ValueError("need at least one micro-batch")
 
-    @property
-    def bubble_fraction(self) -> float:
-        """Idle fraction of the steady-state pipeline, ``(p-1)/(m+p-1)``."""
-        p, m = self.n_stages, self.n_microbatches
-        return (p - 1) / (m + p - 1)
-
-    def in_flight_microbatches(self) -> int:
-        """Micro-batches whose activations are live on the first stage."""
-        if self.schedule is PipelineSchedule.GPIPE:
-            return self.n_microbatches
-        return min(self.n_stages, self.n_microbatches)
-
 
 @dataclass(frozen=True)
 class PipelineReport:
     """Latency accounting of one pipelined training iteration.
 
-    ``timeline`` is populated by the event-driven path
-    (:func:`pipeline_iteration_events`) with one track per stage; the
-    closed-form path leaves it ``None``.
+    ``timeline`` holds the replay's kernels, one track per stage.
     """
 
     iteration_latency: float
     bubble_latency: float
     communication_latency: float
     stage_latency: float
-    timeline: Optional[Timeline] = None
+    timeline: Timeline
 
     @property
     def bubble_fraction(self) -> float:
         if self.iteration_latency <= 0:
             return 0.0
         return self.bubble_latency / self.iteration_latency
-
-
-def pipeline_iteration(
-    plan: PipelinePlan,
-    stage_forward: float,
-    stage_backward: float,
-    boundary_bytes: float,
-    link: LinkSpec,
-) -> PipelineReport:
-    """Iteration latency of a ``p``-stage pipeline.
-
-    Args:
-        plan: Pipeline configuration.
-        stage_forward: One micro-batch's forward latency on one stage.
-        stage_backward: One micro-batch's backward+gradient latency.
-        boundary_bytes: Activation bytes crossing one stage boundary per
-            micro-batch (same volume returns as gradients).
-        link: The link class carrying stage-to-stage traffic.
-
-    The critical path of both schedules is ``(m + p - 1)`` slots of
-    ``(t_f + t_b)`` (Huang et al.; Narayanan et al.): ``m`` slots of work
-    plus ``p - 1`` slots of fill/drain bubble.  Stage-boundary transfers
-    overlap with compute except on the fill/drain ramps, where one transfer
-    per stage boundary is exposed.
-    """
-    p, m = plan.n_stages, plan.n_microbatches
-    slot = stage_forward + stage_backward
-    work = m * slot
-    bubble = (p - 1) * slot
-    hop = link.transfer_time(boundary_bytes) if p > 1 else 0.0
-    exposed_comm = 2 * (p - 1) * hop
-    return PipelineReport(
-        iteration_latency=work + bubble + exposed_comm,
-        bubble_latency=bubble,
-        communication_latency=exposed_comm,
-        stage_latency=slot,
-    )
 
 
 def _stage_order(
@@ -154,15 +106,13 @@ def pipeline_iteration_events(
 
     Builds the schedule's kernel DAG — forward/backward micro-batch kernels
     on one stream per stage, activation/gradient sends between neighbouring
-    stages — and measures the iteration latency as the DAG's makespan
-    instead of trusting the closed form.  For uniform stage times GPipe
-    reproduces ``(m + p - 1)(t_f + t_b) + 2 (p - 1) hop`` to float
-    rounding, and so does 1F1B when ``hop`` is zero.  With a nonzero hop
-    1F1B runs longer than the closed form: its interleaved boundary sends
-    stall stages the closed form assumes busy (+4% to +13% for
-    ``t_f = 1 ms``, ``t_b = 2 ms``, 4 MB hops over 12.5 GB/s and
-    ``m = 2p``, ``p = 2 … 32``).  The event path additionally yields a
-    per-stage :class:`Timeline`.
+    stages — and measures the iteration latency as the DAG's makespan.
+    GPipe's makespan is ``(m + p - 1)(t_f + t_b) + 2 (p - 1) hop`` to
+    float rounding, and so is 1F1B's when ``hop`` is zero.  With a nonzero
+    hop 1F1B runs longer than that: its interleaved boundary sends stall
+    stages between forward and backward (+4% to +13% for ``t_f = 1 ms``,
+    ``t_b = 2 ms``, 4 MB hops over 12.5 GB/s and ``m = 2p``,
+    ``p = 2 … 32``).  The report carries a per-stage :class:`Timeline`.
 
     The replay is a pure function of its arguments, so the report is
     memoized through :mod:`repro.cache` (``PRIMEPAR_CACHE*`` knobs apply);

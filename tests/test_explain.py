@@ -135,11 +135,8 @@ class TestExplainPlan:
 
 
 class TestExplainPipeline:
-    @pytest.mark.parametrize("engine", ["analytic", "event"])
-    def test_pipeline_components_sum_bit_exactly(self, engine):
-        planner = Planner3D(
-            OPT_175B, n_devices=16, global_batch=32, pipeline_engine=engine
-        )
+    def test_pipeline_components_sum_bit_exactly(self):
+        planner = Planner3D(OPT_175B, n_devices=16, global_batch=32)
         result = planner.simulate(
             Config3D(pipeline=4, data=2, model=2), "primepar"
         )
