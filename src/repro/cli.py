@@ -560,9 +560,12 @@ def cmd_explain(args) -> int:
         logger.info(
             "explaining %s under (p=%d, d=%d, m=%d)", args.plan, p, d, m
         )
-        result = planner.simulate(
-            Config3D(pipeline=p, data=d, model=m), args.plan
-        )
+        try:
+            result = planner.simulate(
+                Config3D(pipeline=p, data=d, model=m), args.plan
+            )
+        except ValueError as exc:
+            raise ValidationError(str(exc), "config3d") from None
         doc = explain_pipeline(result)
     else:
         plan = _plan_for(args, search, profiler, graph, model)

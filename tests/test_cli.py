@@ -64,6 +64,14 @@ class TestParser:
             in capsys.readouterr().err
         )
 
+    def test_explain_rejects_config3d_batch_split(self, capsys):
+        argv = ["explain", "--devices", "8", "--batch", "12"]
+        assert main(argv + ["--config3d", "1:8:1"]) == 2
+        assert (
+            "invalid request: (p=1, d=8, m=1): global batch 12 does not split"
+            in capsys.readouterr().err
+        )
+
     def test_fault_file_is_read_by_the_cli(self, tmp_path):
         path = tmp_path / "faults.json"
         path.write_text(json.dumps({"straggler_rate": 0.5}))
