@@ -4,7 +4,9 @@
   (``sum_t max(compute, ring)``); serializing instead quantifies what
   double buffering buys the temporal primitive.
 * **optimality** — segmented DP vs exhaustive search: same optimum,
-  orders-of-magnitude less time (paper Sec. 5.2-5.3); plus beam-width
+  orders-of-magnitude less time (paper Sec. 5.2-5.3); the exact DP vs an
+  Alpa-style MILP (HiGHS, ``tests/milp_oracle.py``) on the OPT-175B block
+  at 4/8/16 GPUs, measuring Sec. 5's "ILP scales poorly"; plus beam-width
   quality/time trade-off.
 * **topology** — the primitive's ring traffic on a 2D torus vs the
   switch-based V100 cluster (paper Sec. 7 discussion).
@@ -14,9 +16,12 @@
 from __future__ import annotations
 
 import itertools
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 from conftest import emit
 
 from repro import (
@@ -33,6 +38,9 @@ from repro.core.dims import ALL_PHASES
 from repro.graph.models import OPT_175B, OPT_6_7B
 from repro.graph.transformer import build_mlp_graph
 from repro.reporting.tables import format_table
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
+from milp_oracle import solve_milp  # noqa: E402  (test-side MILP oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +125,40 @@ def _optimality_rows():
     return result.cost, best, dp_time, exhaustive_time
 
 
+#: GPU counts of the exact-DP vs MILP comparison on the OPT-175B block.
+MILP_SCALES = (4, 8, 16)
+
+
+def _milp_rows():
+    """Exact DP vs the MILP oracle over the same candidates and edges.
+
+    The DP time is its whole search (candidates, edge pricing, Bellman
+    products, merge); the MILP reuses the DP's priced edge matrices, so
+    its time is model build plus HiGHS solve.
+    """
+    graph = build_block_graph(OPT_175B.block_shape(batch=8))
+    rows = []
+    for n_devices in MILP_SCALES:
+        optimizer = PrimeParOptimizer(FabricProfiler(v100_cluster(n_devices)))
+        started = time.perf_counter()
+        dp = optimizer.optimize(graph)
+        dp_time = time.perf_counter() - started
+        milp = solve_milp(
+            graph,
+            optimizer.candidates_for(graph),
+            optimizer.inter_model,
+            memo=optimizer._edge_memo,
+        )
+        rows.append((n_devices, dp.cost, dp_time, milp))
+    return rows
+
+
 def test_ablation_optimality(benchmark):
+    pytest.importorskip("scipy", reason="the MILP rows need scipy (HiGHS)")
     dp_cost, brute_cost, dp_time, brute_time = benchmark.pedantic(
         _optimality_rows, rounds=1, iterations=1
     )
+    milp_rows = _milp_rows()
     emit(
         "ablation_optimality",
         format_table(
@@ -132,8 +170,28 @@ def test_ablation_optimality(benchmark):
             title="Ablation: DP optimality vs exhaustive (MLP, 4 GPUs)",
         ),
     )
+    emit(
+        "ablation_optimality_milp",
+        format_table(
+            ["GPUs", "DP cost", "MILP cost", "MILP vars", "DP s", "MILP s"],
+            [
+                [
+                    str(n_devices),
+                    f"{cost:.9f}",
+                    f"{milp.cost:.9f}",
+                    str(milp.n_variables),
+                    f"{seconds:.2f}",
+                    f"{milp.elapsed:.2f}",
+                ]
+                for n_devices, cost, seconds, milp in milp_rows
+            ],
+            title="Ablation: exact DP vs MILP (OPT-175B block, batch 8)",
+        ),
+    )
     assert dp_cost == np.float64(brute_cost) or abs(dp_cost - brute_cost) < 1e-12
     assert dp_time < brute_time
+    for _, cost, _, milp in milp_rows:
+        assert milp.cost == pytest.approx(cost, rel=1e-9)
 
 
 def test_ablation_beam_quality(benchmark):

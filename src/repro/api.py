@@ -1,7 +1,7 @@
 """``repro.api`` — the one front door for requests and results.
 
 Every surface that accepts a planning request — the ``primepar`` CLI, the
-``repro.serve`` HTTP daemon, and the typed :class:`~repro.serve.client.PlanClient`
+``repro.serve`` HTTP daemon, and the stdlib :class:`~repro.serve.client.PlanClient`
 — builds it from this module, the only place a request field is declared:
 
 * **Request types** — frozen dataclasses (:class:`SearchRequest`,

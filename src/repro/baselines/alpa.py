@@ -14,8 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cluster.profiler import FabricProfiler
-from ..core.optimizer.strategy import PrimeParOptimizer, SearchResult
-from ..graph.graph import ComputationGraph
+from ..core.optimizer.strategy import PrimeParOptimizer
 
 
 def alpa_optimizer(
@@ -23,8 +22,3 @@ def alpa_optimizer(
 ) -> PrimeParOptimizer:
     """A conventional-space optimizer (the Alpa stand-in)."""
     return PrimeParOptimizer(profiler, include_temporal=False, beam=beam)
-
-
-def alpa_plan(profiler: FabricProfiler, graph: ComputationGraph) -> SearchResult:
-    """Search the conventional space for ``graph``'s optimal plan."""
-    return alpa_optimizer(profiler).optimize(graph)

@@ -1,4 +1,4 @@
-"""Command-line interface: search, verify, compare, sweep and report.
+"""Command-line interface: search, verify, compare, sweep, serve and report.
 
 Installed as the ``primepar`` console script::
 
@@ -7,15 +7,18 @@ Installed as the ``primepar`` console script::
     primepar compare  --model bloom-176b --devices 16 --batch 16
     primepar sweep3d  --model llama2-70b --devices 32 --batch 32
     primepar simulate --model opt-6.7b --devices 8 --trace out.json
+    primepar explain  --model opt-6.7b --devices 8 --links
     primepar faults   --model opt-175b --devices 32 --faults straggler=0.2:1.8
     primepar serve    --port 8780 --max-concurrent 2 --lru-size 256
+    primepar cache    --stats
     primepar report   metrics.json
 
 Request flags are generated from the :mod:`repro.api` dataclass fields —
 the same schema the serving daemon and :class:`repro.serve.PlanClient`
 speak — so names, defaults, allowed values and help text match every
 front-end, and a bad ``--devices`` fails with the identical message
-(exit code 2).
+(exit code 2).  ``verify`` reports a malformed ``--spec`` or a ``--bits``
+the spec does not consume the same way.
 
 Global observability flags: ``--log-level``/``--log-json`` configure the
 structured logger (stderr; result tables stay on stdout), and ``search`` /
@@ -43,6 +46,7 @@ from . import (
     SimulateRequest,
     ValidationError,
     build_block_graph,
+    parse_sequence,
     v100_cluster,
     verify_spec,
 )
@@ -215,7 +219,14 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = PartitionSpec.from_string(args.spec, args.bits)
+    try:
+        steps = parse_sequence(args.spec.replace("-", " "))
+    except ValueError as exc:
+        raise ValidationError(str(exc), "spec") from None
+    try:
+        spec = PartitionSpec(steps, args.bits)
+    except ValueError as exc:
+        raise ValidationError(str(exc), "bits") from None
     report = verify_spec(spec, seed=args.seed)
     emit(
         f"spec: {report.spec} over {2 ** args.bits} devices",

@@ -137,12 +137,3 @@ def pattern_allreduce_time(
         others = groups[:i] + groups[i + 1 :]
         worst = max(worst, ring_allreduce_time(topology, group, n_bytes, others))
     return worst
-
-
-def pattern_allgather_time(
-    topology: ClusterTopology, pattern: GroupingPattern, n_bytes: float
-) -> float:
-    """All-gather of ``n_bytes`` shards per device within each group."""
-    # Ring all-gather moves (g-1) * n_bytes per device in (g-1) rounds —
-    # half the traffic of all-reduce over the same ring.
-    return 0.5 * pattern_allreduce_time(topology, pattern, n_bytes)

@@ -32,9 +32,6 @@ class GroupingPattern:
     def group_size(self) -> int:
         return len(self.groups[0]) if self.groups else 1
 
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
 
 
 def grouping_pattern(n_bits: int, indicator: Sequence[int]) -> GroupingPattern:

@@ -40,10 +40,3 @@ INFINIBAND_100G = LinkSpec(name="infiniband", bandwidth=100e9 / 8, latency=8e-6)
 
 #: TPU-v4-like torus link (per-direction ICI bandwidth).
 TORUS_ICI = LinkSpec(name="torus-ici", bandwidth=50e9, latency=2e-6)
-
-
-def slowest(*links: LinkSpec) -> LinkSpec:
-    """The bottleneck link among ``links`` (lowest bandwidth)."""
-    if not links:
-        raise ValueError("need at least one link")
-    return min(links, key=lambda l: l.bandwidth)

@@ -128,14 +128,6 @@ def replication_groups(
     return [tuple(v) for _, v in sorted(by_dsi.items()) if len(v) > 1]
 
 
-def replication_factor(spec: PartitionSpec, phase: Phase, tensor: TensorRole) -> int:
-    """How many devices hold each distinct block of ``tensor`` (step 0)."""
-    distinct: Set[Tuple[int, ...]] = set()
-    for device in all_devices(spec.n_bits):
-        distinct.add(spec.evaluator.tensor_dsi(device, phase, 0, tensor.dims))
-    return spec.n_devices // len(distinct)
-
-
 def _nearest_holder(holders: List[DeviceId], dst: DeviceId) -> DeviceId:
     """The holder sharing the longest device-id prefix with ``dst``.
 
@@ -233,21 +225,6 @@ def transfers_by_step(
     for transfer in ring_transfers(spec, signature):
         grouped[transfer.step].append(transfer)
     return grouped
-
-
-def is_ring_pattern(transfers: Sequence[RingTransfer]) -> bool:
-    """Check a set of same-step same-tensor transfers forms disjoint rings.
-
-    In a ring each participating device sends exactly one block and receives
-    exactly one block (paper Table 1: neighbour-to-neighbour rings).
-    """
-    sends: Dict[DeviceId, int] = {}
-    recvs: Dict[DeviceId, int] = {}
-    for tr in transfers:
-        sends[tr.src] = sends.get(tr.src, 0) + 1
-        recvs[tr.dst] = recvs.get(tr.dst, 0) + 1
-    participants = set(sends) | set(recvs)
-    return all(sends.get(d, 0) == 1 and recvs.get(d, 0) == 1 for d in participants)
 
 
 def epilogue_transfers(

@@ -129,7 +129,3 @@ class ComputeCostModel:
         return self.device.kernel_launch_overhead + np.maximum(
             compute_time, memory_time
         )
-
-    def phase_latency(self, op: OperatorSpec, spec: PartitionSpec, phase: Phase) -> float:
-        """Total compute latency of a phase: ``sum_t compute(n, P, t)``."""
-        return spec.total_steps * self.step_latency(op, spec, phase)

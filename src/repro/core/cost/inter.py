@@ -65,15 +65,16 @@ def slice_tables(
 
     Returns, for each logical axis of ``dim``, an ``(n_specs, n_slices,
     2)`` integer array: row ``[s, i]`` is the half-open interval, in
-    absolute axis units, of slice ``i`` under spec ``s`` — what
-    :func:`~repro.core.layout.axis_intervals` gives.  ``n_slices`` is the
+    absolute axis units, of slice ``i`` under spec ``s`` (the tests check
+    it against a scalar per-slice oracle).  ``n_slices`` is the
     largest slice count of ``dim`` among the specs; a spec's rows past its
     own count are never read.  A slice index is a mixed-radix number whose
     digits are the spec's grid events (most significant first); the digits
     of every spec and index are peeled off together with integer ops
     (specs with fewer events are padded with radix-1 digits, which are
-    always 0), folded into per-axis indices, and spread by
-    :func:`~repro.graph.tensors.slice_interval`'s formula.
+    always 0), folded into per-axis indices, and spread evenly: slice
+    ``j`` of ``n`` over ``size`` starts at ``j * (size // n) + min(j,
+    size % n)``.
     """
     axes = tuple(op.dim_axes[dim])
     n_specs = len(specs)
@@ -138,10 +139,10 @@ class SliceTables:
 
         Returns, for each logical axis spanned by ``dims``, an
         ``(n_specs, n_devices, 2)`` integer array of half-open intervals:
-        rank by rank what :func:`~repro.core.layout.axis_intervals` gives
-        for the rank's DSI.  Each axis is one gather from its table, by
-        spec and by the rank's DSI (read from the ``dsi_matrix`` caches,
-        which candidate builds seed at every boundary point).
+        rank by rank the slice at the rank's DSI.  Each axis is one gather
+        from its table, by spec and by the rank's DSI (read from the
+        ``dsi_matrix`` caches, which candidate builds seed at every
+        boundary point).
         """
         phase, t = point
         matrices = np.stack(

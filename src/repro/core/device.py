@@ -87,21 +87,3 @@ def square_coordinates(device: DeviceId, start_bit: int, k: int) -> Tuple[int, i
         row = (row << 1) | device.bit(start_bit + 2 * j)
         col = (col << 1) | device.bit(start_bit + 2 * j + 1)
     return row, col
-
-
-def device_from_square(
-    row: int, col: int, k: int, prefix: Tuple[int, ...] = (), suffix: Tuple[int, ...] = ()
-) -> DeviceId:
-    """Inverse of :func:`square_coordinates` for a single primitive.
-
-    Builds a device id whose primitive bits encode ``(row, col)`` within the
-    ``2^k x 2^k`` square, surrounded by fixed ``prefix``/``suffix`` bits.
-    """
-    side = 1 << k
-    if not (0 <= row < side and 0 <= col < side):
-        raise ValueError(f"({row}, {col}) outside {side}x{side} square")
-    interleaved = []
-    for j in range(k):
-        interleaved.append((row >> (k - 1 - j)) & 1)
-        interleaved.append((col >> (k - 1 - j)) & 1)
-    return DeviceId(prefix + tuple(interleaved) + suffix)

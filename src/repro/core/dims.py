@@ -70,10 +70,6 @@ class TensorRole:
     dims: Tuple[Dim, ...]
     is_output: bool = False
 
-    @property
-    def dim_set(self) -> FrozenSet[Dim]:
-        return frozenset(self.dims)
-
 
 @dataclass(frozen=True)
 class PhaseSignature:

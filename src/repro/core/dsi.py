@@ -276,14 +276,6 @@ class DsiEvaluator:
                 bit += step.bits_consumed
         return deps
 
-    def bit_dependencies(self, phase: Phase, dim: Dim) -> Tuple[int, ...]:
-        """Device-id bit positions that influence ``I_dim^phase`` (sorted).
-
-        The union of these over a tensor's dims is the complement basis of
-        the all-reduce *group indicator* (paper Sec. 4.1, Fig. 5).
-        """
-        return tuple(sorted(self._bit_deps[(phase, dim)]))
-
     def group_indicator(self, phase: Phase, dims: Sequence[Dim]) -> Tuple[int, ...]:
         """Bit positions jointly influencing the DSIs of ``dims`` in ``phase``."""
         positions: Set[int] = set()

@@ -12,10 +12,9 @@ batch data parallelism on the same flattened dimension.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from ..graph.operators import OperatorSpec
-from ..graph.tensors import AxisInterval, slice_interval
 from .dims import Dim
 from .partitions import DimPartition, TemporalPartition
 from .spec import PartitionSpec
@@ -30,8 +29,8 @@ def default_axis(
     """The first axis (major to minor) that can absorb ``multiplier`` splits.
 
     Falls back to the axis with the largest remaining capacity when none
-    fits exactly — slices then become uneven, which
-    :func:`~repro.graph.tensors.slice_interval` spreads as evenly as it can.
+    fits exactly — slices then become uneven, and their boundaries are
+    spread as evenly as possible.
     """
     for axis in axes:
         if factors[axis] * multiplier <= axis_sizes[axis]:
@@ -72,31 +71,3 @@ def grid_events(
             record(default_axis(axes, op.axis_sizes, factors, step.side), step.side)
     return events
 
-
-def axis_intervals(
-    op: OperatorSpec,
-    spec: PartitionSpec,
-    dim: Dim,
-    slice_index: int,
-) -> Dict[str, AxisInterval]:
-    """Exact per-axis intervals of slice ``slice_index`` of ``dim``."""
-    axes = tuple(op.dim_axes.get(dim, ()))
-    events = grid_events(op, spec, dim)
-    axis_factor = {axis: 1 for axis in axes}
-    axis_index = {axis: 0 for axis in axes}
-    remainder = slice_index
-    total = 1
-    for _, factor in events:
-        total *= factor
-    for axis, factor in events:
-        total //= factor
-        digit = remainder // total
-        remainder %= total
-        axis_index[axis] = axis_index[axis] * factor + digit
-        axis_factor[axis] *= factor
-    intervals: Dict[str, AxisInterval] = {}
-    for axis in axes:
-        size = op.axis_sizes[axis]
-        start, stop = slice_interval(size, axis_factor[axis], axis_index[axis])
-        intervals[axis] = AxisInterval(start, stop)
-    return intervals

@@ -1,4 +1,4 @@
-"""Segmented dynamic programming (paper Sec. 5) and reference solvers."""
+"""Segmented dynamic programming (paper Sec. 5)."""
 
 from .deadline import Deadline, SearchDeadlineExceeded, check_deadline
 

@@ -130,16 +130,3 @@ def enumerate_specs(
         )
     return specs
 
-
-def space_size(n_bits: int, n_legal_dims: int, include_temporal: bool = True) -> int:
-    """Closed-form count of sequences (no limits, single-axis dims)."""
-    counts = [1] + [0] * n_bits
-    for used in range(1, n_bits + 1):
-        total = n_legal_dims * counts[used - 1]
-        if include_temporal:
-            k = 1
-            while 2 * k <= used:
-                total += counts[used - 2 * k]
-                k += 1
-        counts[used] = total
-    return counts[n_bits]

@@ -92,36 +92,6 @@ class PartitionSpec:
     def slice_counts(self) -> Mapping[Dim, int]:
         return self.evaluator.slice_counts()
 
-    def dim_partition_count(self, dim: Dim) -> int:
-        """How many :class:`DimPartition` steps target ``dim``."""
-        return sum(
-            1
-            for s in self.steps
-            if isinstance(s, DimPartition) and s.dim is dim
-        )
-
-    def spatial_degree(self, dim: Dim) -> int:
-        """Spatial split factor of ``dim`` (ignores temporal splitting).
-
-        Equals the number of distinct DSI values ``dim`` takes across devices
-        at a fixed temporal step, i.e. ``2 ** |bit deps|`` contributed by
-        spatial structure.  For ``B`` this equals the data-parallel degree.
-        """
-        degree = 1
-        for step in self.steps:
-            if isinstance(step, DimPartition) and step.dim is dim:
-                degree *= 2
-            elif isinstance(step, TemporalPartition) and dim in (Dim.M, Dim.K):
-                degree *= step.side
-        return degree
-
-    def local_fraction(self, dims: Sequence[Dim]) -> float:
-        """Fraction of a tensor with ``dims`` held by one device at one step."""
-        fraction = 1.0
-        for dim in dims:
-            fraction /= self.slice_counts[dim]
-        return fraction
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PartitionSpec)

@@ -95,12 +95,6 @@ class ComputationGraph:
     def out_edges(self, name: str) -> List[Edge]:
         return [e for e in self.edges if e.src == name]
 
-    def predecessors(self, name: str) -> List[str]:
-        return [e.src for e in self.in_edges(name)]
-
-    def successors(self, name: str) -> List[str]:
-        return [e.dst for e in self.out_edges(name)]
-
     # ------------------------------------------------------------------
     # structure analysis for segmented DP (paper Sec. 5.1)
     # ------------------------------------------------------------------

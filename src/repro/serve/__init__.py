@@ -14,8 +14,10 @@
   transport-free request brain and the HTTP front-end with graceful
   SIGTERM/SIGINT drain.
 
-:mod:`repro.serve.client` is the typed stdlib client used by the tests and
-``benchmarks/bench_serve.py``.
+:mod:`repro.serve.client` is the stdlib client used by the tests and
+``benchmarks/bench_serve.py``: ``PlanClient.post`` sends any request type
+to its endpoint; ``search``, ``plan``, ``trace``, ``healthz`` and
+``metrics`` cover the rest.
 
 Observability (PR 8): every request carries a trace id through the whole
 causal path (store tier, queue wait, coalescing, optimizer spans) —
@@ -38,12 +40,10 @@ from .client import (
     ExplainRequest,
     PlanClient,
     RobustnessRequest,
-    RobustnessResponse,
     SearchRequest,
     SearchResponse,
     ServeError,
     SimulateRequest,
-    SimulateResponse,
 )
 from .server import TRACE_HEADER, PlanServer, ServeConfig
 from .service import PlanService
@@ -59,13 +59,11 @@ __all__ = [
     "PlanService",
     "PlanStore",
     "RobustnessRequest",
-    "RobustnessResponse",
     "SearchRequest",
     "SearchResponse",
     "ServeConfig",
     "ServeError",
     "SimulateRequest",
-    "SimulateResponse",
     "SingleFlight",
     "TRACE_HEADER",
     "default_store",

@@ -1,21 +1,26 @@
-"""Typed stdlib client for the plan-serving daemon.
+"""Stdlib client for the plan-serving daemon.
 
 Thin ``urllib.request`` wrapper used by the test suite and the closed-loop
-load benchmark — no third-party HTTP stack.  Server-side rejections
-(400/404/429/503) surface as :class:`ServeError` carrying the HTTP status,
-the server's error message, and the parsed ``Retry-After`` hint.
+load benchmark — no third-party HTTP stack.  One generic call,
+:meth:`PlanClient.post`, sends any :mod:`repro.api` request to its own
+endpoint and returns the response document as a dict; :meth:`~PlanClient.search`
+additionally types the plan payload as a :class:`SearchResponse`.
+Server-side rejections (400/404/429/503) surface as :class:`ServeError`
+carrying the HTTP status, the server's error message, and the parsed
+``Retry-After`` hint.
 
 ::
 
     client = PlanClient("http://127.0.0.1:8780")
     response = client.search(SearchRequest(model="opt-6.7b", devices=8))
     assert response.source in ("computed", "memory", "disk", "coalesced")
+    doc = client.post(ExplainRequest(search=SearchRequest(devices=8)))
 
-Tracing: every call may pin its own id via ``trace_id`` (sent as
-``X-PrimePar-Trace-Id``); ``debug_trace=True`` appends ``?debug=trace`` so
-the response carries its full request record under ``"trace"``
-(:attr:`SearchResponse.trace`), and :meth:`PlanClient.trace` fetches a
-completed record by id later.
+Tracing: ``post`` and ``search`` may pin their own id via ``trace_id``
+(sent as ``X-PrimePar-Trace-Id``); ``debug_trace=True`` appends
+``?debug=trace`` so the response carries its full request record under
+``"trace"``, and :meth:`PlanClient.trace` fetches a completed record by id
+later.
 """
 
 from __future__ import annotations
@@ -84,69 +89,6 @@ class SearchResponse:
         )
 
 
-@dataclass
-class SimulateResponse:
-    """One simulated training iteration of the searched plan."""
-
-    source: str
-    plan_key: str
-    plan_source: str
-    layers: int
-    latency: float
-    throughput: float
-    peak_memory_bytes: float
-    breakdown: Dict[str, float]
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "SimulateResponse":
-        return cls(
-            source=payload["source"],
-            plan_key=payload["plan_key"],
-            plan_source=payload["plan_source"],
-            layers=payload["layers"],
-            latency=payload["latency"],
-            throughput=payload["throughput"],
-            peak_memory_bytes=payload["peak_memory_bytes"],
-            breakdown=dict(payload["breakdown"]),
-        )
-
-
-@dataclass
-class RobustnessResponse:
-    """A plan's Monte-Carlo robustness score (``POST /v1/robustness``).
-
-    ``report`` is the schema-versioned ``RobustnessReport`` document.
-    """
-
-    source: str
-    plan_key: str
-    plan_source: str
-    model: str
-    devices: int
-    batch: int
-    layers: int
-    objective: str
-    blend: float
-    score: float
-    report: Dict[str, Any]
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "RobustnessResponse":
-        return cls(
-            source=payload["source"],
-            plan_key=payload["plan_key"],
-            plan_source=payload["plan_source"],
-            model=payload["model"],
-            devices=payload["devices"],
-            batch=payload["batch"],
-            layers=payload["layers"],
-            objective=payload["objective"],
-            blend=payload["blend"],
-            score=payload["score"],
-            report=dict(payload["report"]),
-        )
-
-
 class PlanClient:
     """HTTP client for one daemon instance."""
 
@@ -200,13 +142,17 @@ class PlanClient:
         with self._request(method, path, body, trace_id) as response:
             return json.loads(response.read())
 
-    def _post(
+    def post(
         self,
         request: Any,
         trace_id: Optional[str] = None,
         debug_trace: bool = False,
     ) -> Dict[str, Any]:
-        """``POST`` a :mod:`repro.api` request to its own endpoint."""
+        """``POST`` a :mod:`repro.api` request to its own endpoint.
+
+        Returns the response document as a dict; HTTP errors raise
+        :class:`ServeError`.
+        """
         return self._json(
             "POST",
             self._with_debug(request.endpoint, debug_trace),
@@ -235,36 +181,8 @@ class PlanClient:
         debug_trace: bool = False,
     ) -> SearchResponse:
         return SearchResponse.from_json(
-            self._post(request, trace_id, debug_trace)
+            self.post(request, trace_id, debug_trace)
         )
-
-    def simulate(
-        self,
-        request: SimulateRequest,
-        trace_id: Optional[str] = None,
-    ) -> SimulateResponse:
-        return SimulateResponse.from_json(self._post(request, trace_id))
-
-    def explain(
-        self,
-        request: ExplainRequest,
-        trace_id: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """The plan's cost decomposition (``POST /v1/explain``), as a dict.
-
-        The document's ``components``, folded in ``component_order``,
-        sum bit-exactly to its ``total_cost``.
-        """
-        return self._post(request, trace_id)
-
-    def robustness(
-        self,
-        request: RobustnessRequest,
-        trace_id: Optional[str] = None,
-    ) -> RobustnessResponse:
-        """Score the searched plan under a fault model
-        (``POST /v1/robustness``)."""
-        return RobustnessResponse.from_json(self._post(request, trace_id))
 
     def plan(
         self, key: str, debug_trace: bool = False
@@ -289,7 +207,3 @@ class PlanClient:
             if exc.status == 404:
                 return None
             raise
-
-    def flightrecorder(self) -> Dict[str, Any]:
-        """The daemon's flight-recorder dump (``GET /debug/flightrecorder``)."""
-        return self._json("GET", "/debug/flightrecorder")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..obs.metrics import counter
 from ..obs.reqtrace import current_trace, trace_event
@@ -35,11 +35,6 @@ class SingleFlight:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}
-
-    def inflight_keys(self) -> List[str]:
-        """Keys with a computation currently in flight (introspection)."""
-        with self._lock:
-            return sorted(self._inflight)
 
     def run(
         self,

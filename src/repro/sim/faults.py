@@ -428,14 +428,6 @@ class FaultModel:
         """A stable string form for cache keys and determinism checks."""
         return json.dumps(self.to_json(), sort_keys=True)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(
-            getattr(self, name) == 0.0
-            for name in ("straggler_rate", "degrade_rate", "flap_rate",
-                         "outage_rate")
-        )
-
     # -- sampling -------------------------------------------------------
 
     def sample(

@@ -1,10 +1,11 @@
-"""Numerical execution of a partitioned MLP block (fc1 -> act -> fc2).
+"""Numerical execution of a partitioned MLP block (test oracle).
 
-Extends the single-operator virtual-cluster execution to a chain of
-operators with *different* partition specs, measuring the actual
-inter-operator redistribution traffic (the elements each device must fetch
-because its fc1 output does not cover its fc2 input — paper Eq. 9) and
-verifying it against the cost model's prediction, element for element.
+Runs fc1 -> act -> fc2 on the numpy virtual cluster: the single-operator
+execution extended to a chain of operators with *different* partition
+specs.  It measures the actual inter-operator redistribution traffic (the
+elements each device must fetch because its fc1 output does not cover its
+fc2 input — paper Eq. 9), which the tests check against the cost model's
+prediction, element for element.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from ..core.device import all_devices
-from ..core.dims import Dim, Phase
-from ..core.spec import PartitionSpec
-from .linear_exec import LinearShape, PartitionedLinear, _axis_slice
+from repro.core.device import all_devices
+from repro.core.dims import Dim, Phase
+from repro.core.spec import PartitionSpec
+from repro.runtime.linear_exec import LinearShape, PartitionedLinear, _axis_slice
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 This module vendors ``repro.core.cost.inter`` as it was before boundary
 boxes were decoded in bulk: ``NodeBoundary.axis_boxes`` walks the ranks
-one at a time through the scalar ``layout.axis_intervals``.  The
+one at a time through the scalar ``axis_intervals`` (``tests/oracles.py``).  The
 equivalence suite (``tests/test_cost_inter.py``) proves the batched model
 prices every edge matrix to the same bytes.  Do not edit except to
 re-freeze against a new baseline.
@@ -14,12 +14,12 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from oracles import axis_intervals  # scalar oracle, lives next to this file
 from repro.cluster.profiler import FabricProfiler
 from repro.graph.graph import Edge
 from repro.graph.operators import OperatorSpec
 from repro.graph.tensors import DTYPE_BYTES
 from repro.core.dims import ALL_DIMS, Dim, Phase
-from repro.core.layout import axis_intervals
 from repro.core.spec import PartitionSpec
 
 #: Boundary points: (phase, temporal step index; -1 means the final step).

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.alpa import alpa_optimizer, alpa_plan
+from repro.baselines.alpa import alpa_optimizer
 from repro.baselines.ideal import global_footprint_bytes, ideal_peak_memory
 from repro.baselines.megatron import best_megatron_plan, megatron_plan
 from repro.core import analysis
@@ -90,7 +90,7 @@ class TestBestMegatron:
 
 class TestAlpa:
     def test_alpa_excludes_temporal(self, profiler4, small_block):
-        result = alpa_plan(profiler4, small_block)
+        result = alpa_optimizer(profiler4).optimize(small_block)
         assert all(not spec.has_temporal for spec in result.plan.values())
 
     def test_alpa_optimizer_flag(self, profiler4):
@@ -102,7 +102,7 @@ class TestAlpa:
         """Alpa searches a superset of Megatron's manual plans."""
         simulator = EventDrivenSimulator(profiler8)
         meg = best_megatron_plan(simulator, large_block, global_batch=8)
-        alpa = alpa_plan(profiler8, large_block)
+        alpa = alpa_optimizer(profiler8).optimize(large_block)
         alpa_report = simulator.run_model(large_block, alpa.plan, 8, 1)
         assert alpa_report.throughput >= meg.report.throughput * 0.999
 

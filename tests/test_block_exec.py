@@ -1,16 +1,20 @@
 """Block-level numerical execution and Eq. 9 traffic ground truth."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core.dims import Dim
-from repro.core.spec import PartitionSpec
-from repro.runtime.block_exec import (
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from block_exec import (  # noqa: E402  (test-side oracle)
     MlpShape,
     PartitionedMlp,
     measured_redistribution,
     reference_mlp_forward,
 )
+from repro.core.dims import Dim
+from repro.core.spec import PartitionSpec
 
 SHAPE = MlpShape(batch=4, seq=8, hidden=8, ffn=16)
 

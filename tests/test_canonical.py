@@ -61,7 +61,7 @@ class TestCanonicalSpecs:
     def test_partition_batch_false_removes_dp(self, large_block):
         fc2 = large_block.node("L0.fc2")
         for spec in canonical_specs(fc2, 3, partition_batch=False):
-            assert spec.dim_partition_count(Dim.B) == 0
+            assert spec.slice_counts[Dim.B] == 1
 
     def test_include_temporal_false(self, large_block):
         fc2 = large_block.node("L0.fc2")

@@ -10,7 +10,7 @@ from repro.api import (
     SimulateRequest,
     ValidationError,
 )
-from repro.cli import build_parser, main, request_body
+from repro.cli import build_parser, cmd_verify, main, request_body
 
 
 class TestParser:
@@ -71,6 +71,25 @@ class TestParser:
             "invalid request: (p=1, d=8, m=1): global batch 12 does not split"
             in capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "spec, bits, field, message",
+        [
+            ("N-P2x2", "4", "bits", "sequence consumes 3 bits but cluster has 4"),
+            ("N-P2x2", "0", "bits", "sequence consumes 3 bits but cluster has 0"),
+            ("bogus", "2", "spec", "unrecognised partition step token: 'bogus'"),
+        ],
+    )
+    def test_verify_rejects_bad_spec_or_bits(
+        self, capsys, spec, bits, field, message
+    ):
+        argv = ["verify", "--spec", spec, "--bits", bits]
+        with pytest.raises(ValidationError) as err:
+            cmd_verify(build_parser().parse_args(argv))
+        assert err.value.field == field
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"invalid request: {message}" in capsys.readouterr().err
 
     def test_fault_file_is_read_by_the_cli(self, tmp_path):
         path = tmp_path / "faults.json"

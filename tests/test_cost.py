@@ -39,11 +39,16 @@ class TestComputeModel:
         a = model.step_latency(fc2, spec, Phase.FORWARD)
         assert a > 0
 
-    def test_phase_latency_scales_with_steps(self, topo8, fc2):
-        model = ComputeCostModel(topo8.device)
+    def test_phase_latency_scales_with_steps(self, profiler8, fc2):
+        """Eq. 7 charges a phase's step latency once per temporal step."""
+        intra = IntraOperatorCostModel(profiler8)
         temporal = PartitionSpec.from_string("N-P2x2", 3)
-        assert model.phase_latency(fc2, temporal, Phase.FORWARD) == pytest.approx(
-            2 * model.step_latency(fc2, temporal, Phase.FORWARD)
+        assert temporal.total_steps == 2
+        assert intra.cost(fc2, temporal).compute_latency == pytest.approx(
+            sum(
+                2 * intra.compute.step_latency(fc2, temporal, phase)
+                for phase in ALL_PHASES
+            )
         )
 
     def test_equal_flops_across_specs(self, topo8, fc2):
@@ -51,8 +56,8 @@ class TestComputeModel:
         model = ComputeCostModel(topo8.device)
         a = PartitionSpec.from_string("B-N-K", 3)
         b = PartitionSpec.from_string("N-P2x2", 3)
-        la = model.phase_latency(fc2, a, Phase.FORWARD)
-        lb = model.phase_latency(fc2, b, Phase.FORWARD)
+        la = a.total_steps * model.step_latency(fc2, a, Phase.FORWARD)
+        lb = b.total_steps * model.step_latency(fc2, b, Phase.FORWARD)
         assert la == pytest.approx(lb, rel=0.1)
 
     def test_pointwise_zero_gradient(self, topo8, act):
@@ -66,7 +71,7 @@ class TestComputeModel:
         model = ComputeCostModel(topo8.device)
         split = PartitionSpec.from_string("N-N-N", 3)
         repl = PartitionSpec.from_string("R-R-N", 3)
-        assert model.phase_latency(fc2, repl, Phase.FORWARD) > model.phase_latency(
+        assert model.step_latency(fc2, repl, Phase.FORWARD) > model.step_latency(
             fc2, split, Phase.FORWARD
         )
 

@@ -5,7 +5,6 @@ import pytest
 from repro.core.device import (
     DeviceId,
     all_devices,
-    device_from_square,
     square_coordinates,
 )
 
@@ -85,20 +84,19 @@ class TestSquareCoordinates:
             square_coordinates(DeviceId((0, 1)), 1, 1)
 
     def test_round_trip_with_device_from_square(self):
+        def device_from_square(row, col, k):
+            """Alg. 1's interleave: row bit j at 2j, column bit j at 2j+1."""
+            bits = []
+            for j in reversed(range(k)):
+                bits += [(row >> j) & 1, (col >> j) & 1]
+            return DeviceId(tuple(bits))
+
         for k in (1, 2):
             side = 1 << k
             for row in range(side):
                 for col in range(side):
                     device = device_from_square(row, col, k)
                     assert square_coordinates(device, 0, k) == (row, col)
-
-    def test_device_from_square_prefix_suffix(self):
-        device = device_from_square(1, 0, 1, prefix=(1,), suffix=(0,))
-        assert device.bits == (1, 1, 0, 0)
-
-    def test_device_from_square_range_check(self):
-        with pytest.raises(ValueError):
-            device_from_square(2, 0, 1)
 
     def test_coordinates_cover_square(self):
         seen = {

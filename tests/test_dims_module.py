@@ -49,7 +49,7 @@ class TestLinearSignatures:
 
     def test_tensor_dim_set(self):
         w = LINEAR_SIGNATURES[Phase.FORWARD].inputs[1]
-        assert w.dim_set == frozenset({Dim.N, Dim.K})
+        assert w.dims == (Dim.N, Dim.K)
         assert not w.is_output
 
 

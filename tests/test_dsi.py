@@ -154,21 +154,21 @@ class TestMatrixAgreement:
 class TestBitDependencies:
     def test_dim_partition_dependency(self):
         ev = evaluator("B-N", 2)
-        assert ev.bit_dependencies(Phase.FORWARD, Dim.B) == (0,)
-        assert ev.bit_dependencies(Phase.FORWARD, Dim.N) == (1,)
-        assert ev.bit_dependencies(Phase.FORWARD, Dim.M) == ()
+        assert ev.group_indicator(Phase.FORWARD, (Dim.B,)) == (0,)
+        assert ev.group_indicator(Phase.FORWARD, (Dim.N,)) == (1,)
+        assert ev.group_indicator(Phase.FORWARD, (Dim.M,)) == ()
 
     def test_temporal_dependencies(self):
         ev = evaluator("P2x2", 2)
-        assert ev.bit_dependencies(Phase.FORWARD, Dim.M) == (0,)
-        assert ev.bit_dependencies(Phase.FORWARD, Dim.K) == (1,)
-        assert ev.bit_dependencies(Phase.FORWARD, Dim.N) == (0, 1)
+        assert ev.group_indicator(Phase.FORWARD, (Dim.M,)) == (0,)
+        assert ev.group_indicator(Phase.FORWARD, (Dim.K,)) == (1,)
+        assert ev.group_indicator(Phase.FORWARD, (Dim.N,)) == (0, 1)
 
     def test_replicate_has_no_dependencies(self):
         ev = evaluator("R-N", 2)
-        assert ev.bit_dependencies(Phase.FORWARD, Dim.N) == (1,)
+        assert ev.group_indicator(Phase.FORWARD, (Dim.N,)) == (1,)
         for dim in ALL_DIMS:
-            assert 0 not in ev.bit_dependencies(Phase.FORWARD, dim)
+            assert 0 not in ev.group_indicator(Phase.FORWARD, (dim,))
 
     def test_group_indicator_union(self):
         ev = evaluator("N-P2x2", 3)

@@ -83,7 +83,6 @@ class TestScenarioSampling:
     def test_zero_model_samples_nominal(self, setting):
         profiler, _, _ = setting
         model = FaultModel.from_spec("")
-        assert model.is_zero
         for scenario in model.scenarios(profiler.topology, 4, 0, 0.5):
             assert scenario.is_nominal
 

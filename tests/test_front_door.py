@@ -5,8 +5,9 @@ flags through ``build_parser``, the flat HTTP body through
 ``XRequest.from_json``, and Python keyword arguments — and must give equal
 canonical requests with equal plan and derived cache keys.  With no flags
 at all, every command's request is the request an empty body makes, and a
-body key no request field declares is rejected rather than ignored.  One
-request is also answered through two doors and the answers compared.
+body key no request field declares is rejected rather than ignored.  The
+same request is also answered through two doors — the CLI or HTTP, and the
+in-process ``PlanService`` — and the answers compared.
 """
 
 from __future__ import annotations
@@ -153,3 +154,55 @@ def test_explain_cli_and_service_give_the_same_answer(capsys):
     for key in ("plan_cost", "plan_key", "plan_source", "source"):
         served.pop(key)
     assert from_cli == json.loads(json.dumps(served))
+
+
+ANSWER_CASES = {
+    "simulate": SimulateRequest(
+        search=SearchRequest(model="opt-6.7b", devices=2, batch=8), layers=2
+    ),
+    "explain": ExplainRequest(
+        search=SearchRequest(model="opt-6.7b", devices=2, batch=8), links=True
+    ),
+    "robustness": RobustnessRequest(
+        search=SearchRequest(model="opt-6.7b", devices=2, batch=8),
+        faults=FAULTS, scenarios=4, seed=3, layers=2,
+    ),
+}
+
+#: Keys that describe how an answer travelled, not what it says.
+TRANSPORT_KEYS = ("source", "plan_source", "trace")
+
+
+@pytest.fixture(scope="module")
+def served():
+    """An in-process daemon on an ephemeral port, with its own store."""
+    from repro.serve.server import PlanServer, ServeConfig
+    from repro.serve.service import PlanService
+    from repro.serve.store import PlanStore
+
+    server = PlanServer(
+        ServeConfig(port=0), service=PlanService(store=PlanStore(max_entries=8))
+    ).start()
+    yield server
+    server.shutdown()
+
+
+@pytest.mark.parametrize("endpoint", sorted(ANSWER_CASES))
+def test_http_and_service_give_the_same_answer(served, endpoint):
+    """Same request, same answer: ``PlanClient.post`` over HTTP equals the
+    in-process ``PlanService`` call once transport fields are dropped."""
+    from repro.serve.client import PlanClient
+    from repro.serve.service import PlanService
+    from repro.serve.store import PlanStore
+
+    request = ANSWER_CASES[endpoint]
+    over_http = PlanClient(served.url).post(request, debug_trace=True)
+    assert "trace" in over_http
+    service = PlanService(store=PlanStore(max_entries=4))
+    in_process = getattr(service, f"{endpoint}_from_request")(
+        request.to_json()
+    )
+    for doc in (over_http, in_process):
+        for key in TRANSPORT_KEYS:
+            doc.pop(key, None)
+    assert over_http == json.loads(json.dumps(in_process))

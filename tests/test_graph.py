@@ -53,8 +53,8 @@ class TestGraphValidation:
         g = ComputationGraph([_op("a"), _op("b")], [Edge("a", "b")])
         assert g.node("a").name == "a"
         assert g.index("b") == 1
-        assert g.predecessors("b") == ["a"]
-        assert g.successors("a") == ["b"]
+        assert [e.src for e in g.in_edges("b")] == ["a"]
+        assert [e.dst for e in g.out_edges("a")] == ["b"]
         assert len(g) == 2
 
 

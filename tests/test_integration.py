@@ -10,7 +10,7 @@ from repro import (
     v100_cluster,
     verify_spec,
 )
-from repro.baselines.alpa import alpa_plan
+from repro.baselines.alpa import alpa_optimizer
 from repro.baselines.megatron import best_megatron_plan
 from repro.core.spec import PartitionSpec
 from repro.graph.models import OPT_175B, OPT_6_7B
@@ -66,7 +66,7 @@ class TestHeadlineComparison:
         """Paper Sec. 6.1: the two conventional baselines perform closely."""
         profiler, simulator, graph = setting16
         megatron = best_megatron_plan(simulator, graph, global_batch=16)
-        alpa = alpa_plan(profiler, graph)
+        alpa = alpa_optimizer(profiler).optimize(graph)
         report = simulator.run_model(graph, alpa.plan, 16, 1)
         ratio = report.throughput / megatron.report.throughput
         assert 0.9 <= ratio <= 1.35

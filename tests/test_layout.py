@@ -8,9 +8,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from legacy_candidates import grid_signature  # noqa: E402  (the scalar oracle's)
+from oracles import axis_intervals  # noqa: E402  (scalar per-slice oracle)
 from repro.core.cost.inter import SliceTables
 from repro.core.dims import ALL_DIMS, Dim
-from repro.core.layout import axis_intervals, default_axis, grid_events
+from repro.core.layout import default_axis, grid_events
 from repro.core.optimizer.candidates import (
     _BOUNDARY_POINTS,
     operator_dim_limits,

@@ -132,7 +132,7 @@ class TestCandidates:
         candidates = build_candidates(fc1, 2, intra, partition_batch=False)
         from repro.core.dims import Dim
         for spec in candidates.specs:
-            assert spec.dim_partition_count(Dim.B) == 0
+            assert spec.slice_counts[Dim.B] == 1
 
 
 class TestOptimalityAgainstExhaustive:

@@ -1,7 +1,12 @@
 """The spatial-temporal primitive: Eq. 4-6, Table 1 and Features 1-3."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from oracles import is_ring_pattern  # noqa: E402  (ring-shape oracle)
 from repro.core import analysis
 from repro.core.dims import Dim, LINEAR_SIGNATURES, Phase
 from repro.core.device import all_devices, square_coordinates
@@ -130,4 +135,4 @@ class TestRingShape:
             for tr in analysis.ring_transfers(spec, signature):
                 by_key.setdefault((tr.tensor, tr.step), []).append(tr)
             for key, transfers in by_key.items():
-                assert analysis.is_ring_pattern(transfers), key
+                assert is_ring_pattern(transfers), key

@@ -1,15 +1,19 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from oracles import slice_interval  # noqa: E402  (the SliceTables spread)
 from repro.core import analysis
 from repro.core.device import DeviceId, all_devices
 from repro.core.dims import ALL_DIMS, ALL_PHASES, Dim, LINEAR_SIGNATURES, Phase
 from repro.core.optimizer.dp import min_plus
 from repro.core.partitions import DimPartition, Replicate, TemporalPartition
 from repro.core.spec import PartitionSpec
-from repro.graph.tensors import decompose_interval, slice_interval
 from repro.runtime.verify import verify_spec
 
 # ---------------------------------------------------------------------------
@@ -135,29 +139,6 @@ class TestSliceInterval:
             for i in range(n_slices)
         ]
         assert max(sizes) - min(sizes) <= 1
-
-
-class TestDecomposeInterval:
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_hull_contains_interval(self, data):
-        sizes = {
-            "a": data.draw(st.integers(1, 8)),
-            "b": data.draw(st.integers(1, 8)),
-            "c": data.draw(st.integers(1, 8)),
-        }
-        total = sizes["a"] * sizes["b"] * sizes["c"]
-        start = data.draw(st.integers(0, total - 1))
-        stop = data.draw(st.integers(start + 1, total))
-        boxes = decompose_interval(("a", "b", "c"), sizes, start, stop)
-        # Every flat element of [start, stop) lies inside the box hull.
-        for flat in range(start, stop):
-            a = flat // (sizes["b"] * sizes["c"])
-            b = (flat // sizes["c"]) % sizes["b"]
-            c = flat % sizes["c"]
-            assert boxes["a"].start <= a < boxes["a"].stop
-            assert boxes["b"].start <= b < boxes["b"].stop
-            assert boxes["c"].start <= c < boxes["c"].stop
 
 
 class TestMinPlusProperties:

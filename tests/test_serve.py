@@ -1,7 +1,7 @@
 """The plan-serving subsystem: store, coalescing, admission, HTTP contract.
 
 Server tests drive a real in-process ``PlanServer`` bound to an ephemeral
-port through the typed ``PlanClient`` — the same stack ``primepar serve``
+port through the stdlib ``PlanClient`` — the same stack ``primepar serve``
 runs — with a fresh metrics registry and cache directory per test so
 hit/miss/coalescing counters are exact.
 """
@@ -224,7 +224,8 @@ class TestSingleFlight:
         ]
         values = [value for value, _ in results]
         assert all(value is values[0] for value in values)  # same object
-        assert flight.inflight_keys() == []
+        # No leaked flight: the key is free, so the next call leads afresh.
+        assert flight.run("k", lambda: "fresh") == ("fresh", True)
 
     def test_leader_exception_reaches_followers_and_releases_key(
         self, registry
@@ -526,17 +527,17 @@ class TestHTTPEndpoints:
 
     def test_simulate_contract(self, server):
         client = PlanClient(server.url)
-        response = client.simulate(
+        response = client.post(
             SimulateRequest(
                 search=SearchRequest(model=MODEL, devices=2, batch=8),
                 layers=2,
             )
         )
-        assert response.layers == 2
-        assert response.throughput > 0
-        assert response.latency > 0
-        assert response.breakdown
-        assert response.plan_source in ("computed", "memory", "disk")
+        assert response["layers"] == 2
+        assert response["throughput"] > 0
+        assert response["latency"] > 0
+        assert response["breakdown"]
+        assert response["plan_source"] in ("computed", "memory", "disk")
         # A key no request field declares (here the retired engine choice)
         # is a 400, not silently ignored.
         stale = {**SimulateRequest().to_json(), "engine": "event"}
@@ -878,7 +879,7 @@ class TestTracingHTTP:
             trace_id="flight-req-1",
         )
         dump = _wait_for(
-            lambda: (d := client.flightrecorder())
+            lambda: (d := client._json("GET", "/debug/flightrecorder"))
             and any(
                 r["trace_id"] == "flight-req-1" for r in d["requests"]
             )
@@ -911,7 +912,7 @@ class TestExplainHTTP:
         request = ExplainRequest(
             search=SearchRequest(model=MODEL, devices=2, batch=8)
         )
-        doc = client.explain(request)
+        doc = client.post(request)
         assert doc["kind"] == "plan"
         assert _component_fold(doc) == doc["total_cost"]
         assert doc["plan_source"] in ("computed", "memory", "disk")
@@ -921,14 +922,14 @@ class TestExplainHTTP:
         assert doc["plan_cost"] == pytest.approx(doc["total_cost"], rel=1e-12)
         # Second call: the plan itself is served from the LRU now, and
         # the recomputed decomposition is bit-identical.
-        again = client.explain(request)
+        again = client.post(request)
         assert again["plan_source"] == "memory"
         assert again["total_cost"] == doc["total_cost"]
         assert again["components"] == doc["components"]
 
     def test_explain_with_link_attribution(self, server):
         client = PlanClient(server.url)
-        doc = client.explain(
+        doc = client.post(
             ExplainRequest(
                 search=SearchRequest(model=MODEL, devices=2, batch=8),
                 links=True,
@@ -948,7 +949,7 @@ class TestExplainHTTP:
 
     def test_explain_is_traced(self, server):
         client = PlanClient(server.url)
-        client.explain(
+        client.post(
             ExplainRequest(
                 search=SearchRequest(model=MODEL, devices=2, batch=8)
             ),
@@ -1035,30 +1036,29 @@ class TestRobustnessHTTP:
     def test_http_round_trip_and_report_rehydration(self, server):
         client = PlanClient(server.url)
         request = self._request()
-        response = client.robustness(request)
-        assert response.source == "computed"
-        assert response.objective == "p99"
-        assert response.devices == 2
-        assert response.score == response.report["p99"]
-        assert response.report["kind"] == "robustness_report"
-        assert response.report["n_scenarios"] == request.scenarios
-        assert response.report["fault_model"] == request.fault_model().to_json()
-        assert len(response.report["outcomes"]) == request.scenarios
+        response = client.post(request)
+        report = response["report"]
+        assert response["source"] == "computed"
+        assert response["objective"] == "p99"
+        assert response["devices"] == 2
+        assert response["score"] == report["p99"]
+        assert report["kind"] == "robustness_report"
+        assert report["n_scenarios"] == request.scenarios
+        assert report["fault_model"] == request.fault_model().to_json()
+        assert len(report["outcomes"]) == request.scenarios
 
     def test_blend_objective_interpolates(self, server):
         client = PlanClient(server.url)
-        p99 = client.robustness(self._request(objective="p99"))
-        nominal = client.robustness(self._request(objective="nominal"))
-        blended = client.robustness(
-            self._request(objective="blend", blend=0.5)
-        )
-        expected = 0.5 * nominal.score + 0.5 * p99.score
-        assert blended.score == pytest.approx(expected, rel=1e-12)
+        p99 = client.post(self._request(objective="p99"))
+        nominal = client.post(self._request(objective="nominal"))
+        blended = client.post(self._request(objective="blend", blend=0.5))
+        expected = 0.5 * nominal["score"] + 0.5 * p99["score"]
+        assert blended["score"] == pytest.approx(expected, rel=1e-12)
 
     def test_malformed_fault_spec_is_400(self, server):
         client = PlanClient(server.url)
         with pytest.raises(ServeError) as err:
-            client.robustness(self._request(faults="gremlins=3"))
+            client.post(self._request(faults="gremlins=3"))
         assert err.value.status == 400
         with pytest.raises(ServeError) as objective_err:
             client._json(
@@ -1087,7 +1087,7 @@ class TestRobustnessHTTP:
 
     def test_robustness_is_traced(self, server):
         client = PlanClient(server.url)
-        client.robustness(self._request(), trace_id="robust-trace-1")
+        client.post(self._request(), trace_id="robust-trace-1")
         stored = _wait_for(lambda: client.trace("robust-trace-1"))
         assert stored["endpoint"] == "/v1/robustness"
         assert stored["status"] == 200

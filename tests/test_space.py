@@ -1,10 +1,15 @@
 """Partition-space enumeration."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from oracles import space_size  # noqa: E402  (closed-form count oracle)
 from repro.core.dims import ALL_DIMS, Dim
 from repro.core.partitions import Replicate
-from repro.core.space import enumerate_sequences, enumerate_specs, space_size
+from repro.core.space import enumerate_sequences, enumerate_specs
 
 
 class TestCounts:

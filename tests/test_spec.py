@@ -35,24 +35,6 @@ class TestStructure:
         assert PartitionSpec.from_string("N-P2x2", 3).total_steps == 2
         assert PartitionSpec.from_string("P4x4", 4).total_steps == 4
 
-    def test_dim_partition_count(self):
-        spec = PartitionSpec.from_string("B-B-N", 3)
-        assert spec.dim_partition_count(Dim.B) == 2
-        assert spec.dim_partition_count(Dim.N) == 1
-        assert spec.dim_partition_count(Dim.K) == 0
-
-    def test_spatial_degree(self):
-        spec = PartitionSpec.from_string("B-P2x2", 3)
-        assert spec.spatial_degree(Dim.B) == 2
-        assert spec.spatial_degree(Dim.M) == 2  # the primitive's rows
-        assert spec.spatial_degree(Dim.K) == 2  # the primitive's columns
-
-    def test_local_fraction(self):
-        spec = PartitionSpec.from_string("N-P2x2", 3)
-        # N: 2 spatial x 2 temporal = 4 slices; M: 2; K: 2.
-        assert spec.local_fraction((Dim.N,)) == pytest.approx(0.25)
-        assert spec.local_fraction((Dim.M, Dim.K)) == pytest.approx(0.25)
-
 
 class TestIdentity:
     def test_equality_and_hash(self):
