@@ -36,6 +36,7 @@ __all__ = [
     "ExplainRequest",
     "MAX_DEVICES",
     "OBJECTIVES",
+    "PLANS",
     "RobustnessRequest",
     "SCHEMA_VERSION",
     "SearchRequest",
@@ -58,6 +59,10 @@ MAX_DEVICES = 4096
 
 #: Plan-scoring objectives understood by the robustness layer.
 OBJECTIVES = ("nominal", "p50", "p95", "p99", "blend")
+
+#: Plans a derived request can replay: PrimePar's searched plan, or the
+#: Megatron data-parallel degree with the highest simulated throughput.
+PLANS = ("primepar", "megatron")
 
 #: A fault model on the wire: a compact spec string or a JSON object.
 FaultSpec = Union[str, Mapping[str, Any]]
@@ -98,6 +103,16 @@ def _arg(default: Any, help: str, **rules: Any) -> Any:
     and ``flag`` (the CLI flag stem when it differs from the field name).
     """
     return field(default=default, metadata={"help": help, **rules})
+
+
+def _plan_arg() -> Any:
+    """The ``plan`` field of a request answered from a plan."""
+    return _arg(
+        "primepar",
+        "partition plan: primepar's search result, or megatron's "
+        "best data-parallel degree",
+        choices=PLANS,
+    )
 
 
 def request_fields(cls) -> Tuple[Field, ...]:
@@ -284,6 +299,7 @@ class SimulateRequest(_Request):
     endpoint = "/v1/simulate"
 
     search: SearchRequest = field(default_factory=SearchRequest)
+    plan: str = _plan_arg()
     layers: int = _arg(
         0, "layers to simulate (0 = the model's full depth)", lo=0
     )
@@ -298,9 +314,9 @@ class SimulateRequest(_Request):
         return self.layers or MODELS_BY_KEY[self.search.model].n_layers
 
     def cache_key(self) -> str:
-        """Content hash of the replay (plan key, depth)."""
+        """Content hash of the replay (plan key, plan choice, depth)."""
         return diskcache.content_key(
-            "simrequest", SCHEMA_VERSION, self.search.cache_key(),
+            "simrequest", SCHEMA_VERSION, self.search.cache_key(), self.plan,
             self.n_layers,
         )
 
@@ -312,6 +328,7 @@ class ExplainRequest(_Request):
     endpoint = "/v1/explain"
 
     search: SearchRequest = field(default_factory=SearchRequest)
+    plan: str = _plan_arg()
     links: bool = _arg(
         False,
         "add per-link byte attribution from a one-layer event-engine replay",
@@ -322,10 +339,10 @@ class ExplainRequest(_Request):
         return cls(**_read(cls, body))
 
     def cache_key(self) -> str:
-        """Content hash of the decomposition (plan key, links)."""
+        """Content hash of the decomposition (plan key, plan choice, links)."""
         return diskcache.content_key(
             "explainrequest", SCHEMA_VERSION, self.search.cache_key(),
-            self.links,
+            self.plan, self.links,
         )
 
 
@@ -340,6 +357,7 @@ class RobustnessRequest(_Request):
     endpoint = "/v1/robustness"
 
     search: SearchRequest = field(default_factory=SearchRequest)
+    plan: str = _plan_arg()
     faults: FaultSpec = _arg(
         "",
         "fault model: a spec such as \"straggler=0.2:1.8,degrade=0.3:0.5,"
@@ -357,7 +375,7 @@ class RobustnessRequest(_Request):
         lo=0,
     )
     objective: str = _arg(
-        "p99", "plan-ranking objective", choices=OBJECTIVES
+        "p99", "plan-scoring objective", choices=OBJECTIVES
     )
     blend: float = _arg(
         0.5, "nominal/p99 weight of the blend objective", lo=0, hi=1
@@ -391,10 +409,10 @@ class RobustnessRequest(_Request):
         return FaultModel.from_json(self.faults)
 
     def cache_key(self) -> str:
-        """Content hash of the sweep (plan key, canonical fault model,
-        scenarios, seed, depth)."""
+        """Content hash of the sweep (plan key, plan choice, canonical
+        fault model, scenarios, seed, depth)."""
         return diskcache.content_key(
-            "robustness", SCHEMA_VERSION, self.search.cache_key(),
+            "robustness", SCHEMA_VERSION, self.search.cache_key(), self.plan,
             self.fault_model().canonical(), self.scenarios, self.seed,
             self.n_layers,
         )

@@ -20,6 +20,13 @@ front-end, and a bad ``--devices`` fails with the identical message
 (exit code 2).  ``verify`` reports a malformed ``--spec`` or a ``--bits``
 the spec does not consume the same way.
 
+``search``, ``simulate``, ``explain`` and ``faults`` answer through an
+in-process :class:`repro.serve.PlanService` with a fresh in-memory plan
+store (the disk tier is shared as usual) and only render its payloads,
+so a command gives the same answer as the daemon's endpoint.  They import
+:mod:`repro.serve` when they run, so ``verify``, ``report`` and ``cache``
+never load it.
+
 Global observability flags: ``--log-level``/``--log-json`` configure the
 structured logger (stderr; result tables stay on stdout), and ``search`` /
 ``simulate`` accept ``--metrics-out PATH`` to dump the telemetry registry
@@ -45,12 +52,10 @@ from . import (
     SearchRequest,
     SimulateRequest,
     ValidationError,
-    build_block_graph,
     parse_sequence,
-    v100_cluster,
     verify_spec,
 )
-from .api import ServeConfig, field_type, request_fields
+from .api import ServeConfig, field_type, plan_from_json, request_fields
 from .baselines.alpa import alpa_optimizer
 from .baselines.megatron import best_megatron_plan
 from .graph.models import MODELS_BY_KEY
@@ -71,19 +76,18 @@ logger = get_logger("cli")
 _SKIP = ("deadline", "include_temporal")
 
 
-def _add_request_flags(parser, request_cls, skip=_SKIP, only=None) -> None:
+def _add_request_flags(parser, request_cls, skip=_SKIP) -> None:
     """One flag per field of ``request_cls``, all spelled by :mod:`repro.api`.
 
-    ``request_cls`` is a request type or :class:`~repro.api.ServeConfig`.
+    ``request_cls`` is a request type or :class:`~repro.api.ServeConfig`,
+    and becomes the command's request type (see :func:`request_body`).
     Name, type, default, choices and help come from the field.  A boolean
     that defaults on gets ``--no-<flag>``; one that defaults off gets
-    ``--<flag>``/``--no-<flag>``.  Without ``only``, ``request_cls`` becomes
-    the command's request type (see :func:`request_body`).
+    ``--<flag>``/``--no-<flag>``.
     """
-    if only is None:
-        parser.set_defaults(request_type=request_cls)
+    parser.set_defaults(request_type=request_cls)
     for f in request_fields(request_cls):
-        if f.name in skip or (only is not None and f.name not in only):
+        if f.name in skip:
             continue
         flag = f.metadata.get("flag", f.name).replace("_", "-")
         help_text = f.metadata["help"]
@@ -138,17 +142,17 @@ def _read_fault_file(spec: str):
         ) from exc
 
 
-def request_body(args, request_cls=None) -> Dict[str, Any]:
-    """The flat ``request_cls`` body a command's flags spell.
+def request_body(args) -> Dict[str, Any]:
+    """The flat body of the command's request type that its flags spell.
 
-    ``request_cls`` defaults to the command's request type.  Pass the body
-    to ``request_cls.from_json``: validation errors raise
+    Pass the body to the request type's ``from_json`` (or a
+    :class:`~repro.serve.PlanService` entry): validation errors raise
     :class:`repro.ValidationError` (exit code 2 in :func:`main`) with the
     exact message the serving daemon would return.
     """
     body = {
         f.name: getattr(args, f.name)
-        for f in request_fields(request_cls or args.request_type)
+        for f in request_fields(args.request_type)
         if hasattr(args, f.name)
     }
     if "faults" in body:
@@ -156,32 +160,23 @@ def request_body(args, request_cls=None) -> Dict[str, Any]:
     return body
 
 
-def _setting(request: SearchRequest):
-    model = MODELS_BY_KEY[request.model]
-    profiler = FabricProfiler(v100_cluster(request.devices))
-    graph = build_block_graph(model.block_shape(batch=request.batch))
-    return model, profiler, graph
+def _service(args):
+    """An in-process :class:`~repro.serve.PlanService` for one command.
+
+    Its in-memory plan store starts empty, as in a new process; the disk
+    tier is shared as usual.
+    """
+    from .serve.service import PlanService
+    from .serve.store import PlanStore
+
+    return PlanService(store=PlanStore(), jobs=args.jobs)
 
 
-def _optimizer(args, request: SearchRequest, profiler) -> PrimeParOptimizer:
-    return PrimeParOptimizer(
-        profiler,
-        alpha=request.alpha,
-        include_temporal=request.include_temporal,
-        beam=request.beam or None,
-        jobs=args.jobs,
-    )
+def _answer(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A service payload less the keys that say how it travelled."""
+    from .serve.service import TRANSPORT_KEYS
 
-
-def _plan_for(args, request: SearchRequest, profiler, graph, model):
-    """The ``--plan`` to replay: Megatron's best or PrimePar's search."""
-    if args.plan == "megatron":
-        return best_megatron_plan(
-            EventDrivenSimulator(profiler), graph, request.batch,
-            model.n_layers,
-        ).plan
-    optimizer = _optimizer(args, request, profiler)
-    return optimizer.optimize(graph, n_layers=model.n_layers).plan
+    return {k: v for k, v in payload.items() if k not in TRANSPORT_KEYS}
 
 
 def _write_metrics_if_requested(args) -> None:
@@ -191,28 +186,24 @@ def _write_metrics_if_requested(args) -> None:
         logger.info("telemetry metrics written to %s", path)
 
 
-def cmd_search(args) -> int:
-    request = SearchRequest.from_json(request_body(args))
-    model, profiler, graph = _setting(request)
-    batch = request.batch
-    logger.info(
-        "searching %s on %d devices (batch %d, beam %s, jobs %d)",
-        model.name, request.devices, batch, request.beam or "exact", args.jobs,
-    )
-    result = _optimizer(args, request, profiler).optimize(
-        graph, n_layers=model.n_layers
-    )
-    for stage, seconds in sorted(result.stage_seconds.items()):
-        logger.debug("search stage %s: %.3fs", stage, seconds)
-    emit(f"search: {result.elapsed:.2f}s  layer cost {result.cost:.4f}")
-    rows = [[name, str(spec)] for name, spec in sorted(result.plan.items())]
-    emit(format_table(["operator", "partition sequence P"], rows))
-    report = EventDrivenSimulator(profiler).run_model(
-        graph, result.plan, batch, model.n_layers
-    )
+def render_search(found: Dict[str, Any], simulated: Dict[str, Any]) -> None:
+    """``primepar search``: a search payload and its full-depth replay."""
     emit(
-        f"\nsimulated: {report.throughput:.2f} samples/s, "
-        f"{report.peak_memory_bytes / 2**30:.2f} GiB/device"
+        f"search: {found['elapsed']:.2f}s  layer cost {found['cost']:.4f}  "
+        f"(plan {found['source']})"
+    )
+    rows = [[name, spec] for name, spec in found["plan"].items()]
+    emit(format_table(["operator", "partition sequence P"], rows))
+    emit(
+        f"\nsimulated: {simulated['throughput']:.2f} samples/s, "
+        f"{simulated['peak_memory_bytes'] / 2**30:.2f} GiB/device"
+    )
+
+
+def cmd_search(args) -> int:
+    service, body = _service(args), request_body(args)
+    render_search(
+        service.search_from_request(body), service.simulate_from_request(body)
     )
     _write_metrics_if_requested(args)
     return 0
@@ -240,8 +231,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .serve.service import _setting
+
     request = SearchRequest.from_json(request_body(args))
-    model, profiler, graph = _setting(request)
+    model, topology, graph = _setting(request)
+    profiler = FabricProfiler(topology)
     batch = request.batch
     simulator = EventDrivenSimulator(profiler)
     logger.info(
@@ -250,7 +244,13 @@ def cmd_compare(args) -> int:
     megatron = best_megatron_plan(simulator, graph, batch, model.n_layers)
     alpa = alpa_optimizer(profiler, beam=request.beam or None).optimize(graph)
     alpa_report = simulator.run_model(graph, alpa.plan, batch, model.n_layers)
-    primepar = _optimizer(args, request, profiler).optimize(graph)
+    primepar = PrimeParOptimizer(
+        profiler,
+        alpha=request.alpha,
+        include_temporal=request.include_temporal,
+        beam=request.beam or None,
+        jobs=args.jobs,
+    ).optimize(graph)
     pp_report = simulator.run_model(
         graph, primepar.plan, batch, model.n_layers
     )
@@ -280,9 +280,9 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _emit_utilization(report, n_layers: int) -> None:
-    """The post-run utilization summary of ``primepar simulate``."""
-    util = report.utilization or {}
+def _emit_utilization(payload: Dict[str, Any]) -> None:
+    """The utilization summary of a simulate payload."""
+    util = payload["utilization"] or {}
     busy = util.get("device_busy_fraction", {})
     if busy:
         rows = [
@@ -321,107 +321,75 @@ def _emit_utilization(report, n_layers: int) -> None:
         )
         emit(
             f"\npeak memory per device: "
-            f"{report.peak_memory_bytes / 2**30:.2f} GiB static model, "
+            f"{payload['peak_memory_bytes'] / 2**30:.2f} GiB static model, "
             f"{watermark.get('peak_bytes', 0.0) / 2**30:.2f} GiB tracked "
-            f"watermark over {n_layers} layers"
+            f"watermark over {payload['layers']} layers"
             + (f" ({composition})" if composition else "")
         )
 
 
-def _emit_fault_replay(replay, fault_model, scenario_index, profiler, graph,
-                       plan, n_layers, report):
-    """Replay one sampled fault scenario on top of a nominal simulation."""
-    from .sim.faults import FaultSweep, simulate_scenario
-
-    scenario = fault_model.sample(
-        profiler.topology, scenario_index, replay.seed, horizon=report.latency
-    )
-    outcome = simulate_scenario(
-        FaultSweep(profiler, graph, plan, n_layers), scenario,
-        fault_model.recovery, report.latency,
+def render_simulate(payload: Dict[str, Any]) -> None:
+    """``primepar simulate``: a simulate payload as tables."""
+    emit(
+        f"event engine: {MODELS_BY_KEY[payload['model']].name}, "
+        f"{payload['devices']} devices, batch {payload['batch']}, "
+        f"{payload['layers']} layers",
+        f"iteration latency {payload['latency'] * 1e3:.3f} ms, "
+        f"{payload['throughput']:.2f} samples/s, "
+        f"{payload['peak_memory_bytes'] / 2**30:.2f} GiB/device",
     )
     rows = [
-        ["nominal", f"{outcome.nominal_latency * 1e3:.3f}"],
-        ["compute delay", f"{outcome.compute_delay * 1e3:.3f}"],
-        ["link delay", f"{outcome.link_delay * 1e3:.3f}"],
-        ["recovery delay", f"{outcome.recovery_delay * 1e3:.3f}"],
-        ["faulted", f"{outcome.latency * 1e3:.3f}"],
+        [kind, f"{seconds * 1e3:.3f}"]
+        for kind, seconds in payload["breakdown"].items()
     ]
-    emit(
-        "",
-        format_table(
-            ["component", "ms"], rows,
-            title=(
-                f"fault scenario {scenario.index} (seed {replay.seed}): "
-                f"{len(scenario.stragglers)} straggler(s), "
-                f"{len(scenario.degraded_links)} degraded link(s), "
-                f"{len(scenario.nic_flaps)} flap(s), "
-                f"outage={'yes' if scenario.outage else 'no'}"
-            ),
-        ),
+    emit(format_table(["kernel kind", "total ms"], rows))
+    _emit_utilization(payload)
+
+
+def _write_trace(path: str, payload: Dict[str, Any]) -> None:
+    """Replay a simulate payload's plan once more for its full timeline.
+
+    The replay is a report-cache hit, whose clock is the payload's
+    ``latency``.
+    """
+    from .serve.service import _setting
+    from .sim.trace import write_trace
+
+    _, topology, graph = _setting(
+        SearchRequest(
+            model=payload["model"], devices=payload["devices"],
+            batch=payload["batch"],
+        )
     )
+    report = EventDrivenSimulator(FabricProfiler(topology)).run_model(
+        graph, plan_from_json(payload["plan"], topology.n_bits),
+        payload["batch"], payload["layers"],
+    )
+    write_trace(
+        path, report.full_timeline(), topology,
+        spans=get_collector().export(),
+    )
+    logger.info("trace written to %s", path)
+    emit(f"trace written to {path}")
 
 
 def cmd_simulate(args) -> int:
-    request = SimulateRequest.from_json(request_body(args))
-    search, n_layers = request.search, request.n_layers
-    replay = None
-    if args.faults:
-        # The replay reads --faults and --seed as a robustness request.
-        replay = RobustnessRequest.from_json(
-            request_body(args, RobustnessRequest)
-        )
-        fault_model = replay.fault_model()
-    model, profiler, graph = _setting(search)
-    plan = _plan_for(args, search, profiler, graph, model)
-    simulator = EventDrivenSimulator(profiler)
-    logger.info(
-        "simulating %s plan on the event engine (%d devices, %d layers)",
-        args.plan, search.devices, n_layers,
-    )
+    service, body = _service(args), request_body(args)
     if args.profile:
         import cProfile
 
         prof = cProfile.Profile()
-        prof.enable()
         try:
-            report = simulator.run_model(graph, plan, search.batch, n_layers)
+            payload = prof.runcall(service.simulate_from_request, body)
         finally:
-            prof.disable()
             prof.dump_stats(args.profile)
         logger.info("cProfile stats written to %s", args.profile)
         emit(f"cProfile stats written to {args.profile}")
     else:
-        report = simulator.run_model(graph, plan, search.batch, n_layers)
-    emit(
-        f"event engine: {model.name}, {search.devices} devices, "
-        f"batch {search.batch}, {n_layers} layers",
-        f"iteration latency {report.latency * 1e3:.3f} ms, "
-        f"{report.throughput:.2f} samples/s, "
-        f"{report.peak_memory_bytes / 2**30:.2f} GiB/device",
-    )
-    rows = [
-        [kind, f"{seconds * 1e3:.3f}"]
-        for kind, seconds in sorted(report.breakdown.items())
-    ]
-    emit(format_table(["kernel kind", "total ms"], rows))
-    _emit_utilization(report, n_layers)
-    if replay is not None:
-        _emit_fault_replay(
-            replay, fault_model, args.scenario, profiler, graph, plan,
-            n_layers, report,
-        )
+        payload = service.simulate_from_request(body)
+    render_simulate(payload)
     if args.trace:
-        from .sim.trace import write_trace
-
-        write_trace(
-            args.trace,
-            report.full_timeline(),
-            profiler.topology,
-            spans=get_collector().export(),
-        )
-        logger.info("trace written to %s", args.trace)
-        emit(f"trace written to {args.trace}")
+        _write_trace(args.trace, payload)
     _write_metrics_if_requested(args)
     return 0
 
@@ -541,12 +509,12 @@ def emit_explanation(doc) -> None:
 
 
 def cmd_explain(args) -> int:
-    from .core.explain import explain_pipeline, explain_plan
-
-    request = ExplainRequest.from_json(request_body(args))
-    search = request.search
-    model, profiler, graph = _setting(search)
+    body = request_body(args)
     if args.config3d:
+        from .core.explain import explain_pipeline
+
+        request = ExplainRequest.from_json(body)
+        search = request.search
         try:
             p, d, m = (int(x) for x in args.config3d.split(":"))
         except ValueError:
@@ -562,35 +530,24 @@ def cmd_explain(args) -> int:
         from .parallel3d.planner import Config3D
 
         planner = Planner3D(
-            model,
+            MODELS_BY_KEY[search.model],
             n_devices=search.devices,
             global_batch=search.batch,
             alpha=search.alpha,
             jobs=args.jobs,
         )
         logger.info(
-            "explaining %s under (p=%d, d=%d, m=%d)", args.plan, p, d, m
+            "explaining %s under (p=%d, d=%d, m=%d)", request.plan, p, d, m
         )
         try:
             result = planner.simulate(
-                Config3D(pipeline=p, data=d, model=m), args.plan
+                Config3D(pipeline=p, data=d, model=m), request.plan
             )
         except ValueError as exc:
             raise ValidationError(str(exc), "config3d") from None
         doc = explain_pipeline(result)
     else:
-        plan = _plan_for(args, search, profiler, graph, model)
-        logger.info(
-            "explaining the %s plan on %d devices", args.plan, search.devices
-        )
-        doc = explain_plan(
-            profiler,
-            graph,
-            plan,
-            alpha=search.alpha,
-            include_links=request.links,
-            global_batch=search.batch,
-        )
+        doc = _answer(_service(args).explain_from_request(body))
     _write_metrics_if_requested(args)
     if args.json:
         emit(json.dumps(doc, indent=1, sort_keys=True))
@@ -599,66 +556,45 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def cmd_faults(args) -> int:
-    from .sim.faults import robust_search
-
-    request = RobustnessRequest.from_json(request_body(args))
-    fault_model = request.fault_model()
-    search = request.search
-    model, profiler, graph = _setting(search)
-    sim_layers = request.n_layers
-    logger.info(
-        "robust search for %s on %d devices (%d scenarios, seed %d, "
-        "objective %s)",
-        model.name, search.devices, request.scenarios, request.seed,
-        request.objective,
-    )
-    result = robust_search(
-        profiler,
-        graph,
-        global_batch=search.batch,
-        n_layers=model.n_layers,
-        fault_model=fault_model,
-        objective=request.objective,
-        blend=request.blend,
-        scenarios=request.scenarios,
-        seed=request.seed,
-        sim_layers=sim_layers,
-        alpha=search.alpha,
-        beam=search.beam or None,
-        jobs=args.jobs,
-    )
-    _write_metrics_if_requested(args)
-    if args.json:
-        emit(json.dumps(result.to_json(), indent=1, sort_keys=True))
-        return 0
-    rows = [
-        [
-            candidate.label,
-            f"{candidate.report.nominal_latency * 1e3:.3f}",
-            f"{candidate.report.p50 * 1e3:.3f}",
-            f"{candidate.report.p95 * 1e3:.3f}",
-            f"{candidate.report.p99 * 1e3:.3f}",
-            f"{candidate.report.expected_recovery_cost * 1e3:.3f}",
-            f"{candidate.score * 1e3:.3f}",
-        ]
-        for candidate in result.candidates
-    ]
+def render_robustness(payload: Dict[str, Any], plan: str) -> None:
+    """``primepar faults``: a robustness payload as tables."""
+    report = payload["report"]
+    tails = ("nominal_latency", "p50", "p95", "p99", "expected_recovery_cost")
     emit(
         format_table(
             [
                 "plan", "nominal ms", "p50 ms", "p95 ms", "p99 ms",
-                "E[recovery] ms", f"{request.objective} score ms",
+                "E[recovery] ms", f"{payload['objective']} score ms",
             ],
-            rows,
+            [[plan, *(_ms(report[k]) for k in tails), _ms(payload["score"])]],
             title=(
-                f"{model.name} on {search.devices} devices, "
-                f"{sim_layers} layers, {request.scenarios} scenarios "
-                f"(seed {request.seed})"
+                f"{MODELS_BY_KEY[payload['model']].name} on "
+                f"{payload['devices']} devices, {payload['layers']} layers, "
+                f"{report['n_scenarios']} scenarios (seed {report['seed']})"
             ),
         )
     )
-    emit(f"\nbest plan under {request.objective}: {result.best.label}")
+    delays = ("latency", "compute_delay", "link_delay", "recovery_delay")
+    faults = ("stragglers", "degraded_links", "nic_flaps", "outage")
+    rows = [
+        [
+            str(o["index"]),
+            *(_ms(o[k]) for k in delays),
+            *(str(o[k]) for k in faults),
+        ]
+        for o in report["outcomes"]
+    ]
+    headers = ["scenario", *(k.replace("_", " ") for k in delays + faults)]
+    emit("", format_table(headers, rows, title="per scenario (ms)"))
+
+
+def cmd_faults(args) -> int:
+    payload = _answer(_service(args).robustness_from_request(request_body(args)))
+    _write_metrics_if_requested(args)
+    if args.json:
+        emit(json.dumps(payload, indent=1, sort_keys=True))
+        return 0
+    render_robustness(payload, args.plan)
     return 0
 
 
@@ -728,24 +664,6 @@ def cmd_cache(args) -> int:
             format_table(
                 ["counter", "kind", "value"], rows,
                 title="this-process cache traffic",
-            )
-        )
-        from .serve.store import default_store
-
-        lru = default_store().stats()
-        emit(
-            format_table(
-                ["hits", "misses", "evictions", "entries", "bytes"],
-                [
-                    [
-                        str(lru["hits"]),
-                        str(lru["misses"]),
-                        str(lru["evictions"]),
-                        f"{lru['entries']}/{lru['max_entries']}",
-                        str(lru["bytes"]),
-                    ]
-                ],
-                title="in-memory plan store (this process)",
             )
         )
     return 0
@@ -952,12 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="replay a plan on the event-driven engine"
     )
     _add_request_flags(simulate, SimulateRequest)
-    _add_request_flags(simulate, RobustnessRequest, only=("faults", "seed"))
     _add_jobs(simulate)
-    simulate.add_argument(
-        "--plan", choices=("primepar", "megatron"), default="primepar",
-        help="partition plan to replay (default: primepar's search result)",
-    )
     simulate.add_argument(
         "--trace", default="",
         help="write a Chrome/Perfetto trace JSON of the timeline here "
@@ -965,26 +878,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--profile", default="", metavar="PATH",
-        help="profile the simulation with cProfile and dump pstats here "
-             "(inspect with `python -m pstats PATH`)",
-    )
-    simulate.add_argument(
-        "--scenario", type=int, default=0,
-        help="with --faults: replay this sampled scenario index on top of "
-             "the nominal run (default 0)",
+        help="profile the request (plan lookup or search, then the "
+             "replay) with cProfile and dump pstats here (inspect with "
+             "`python -m pstats PATH`)",
     )
     _add_metrics_out(simulate)
     simulate.set_defaults(func=cmd_simulate)
 
     faults = sub.add_parser(
         "faults",
-        help="rank plans by tail latency under a seeded fault model",
+        help="score a plan's tail latency under a seeded fault model",
     )
     _add_request_flags(faults, RobustnessRequest)
     _add_jobs(faults)
     faults.add_argument(
         "--json", action="store_true",
-        help="print the schema-stable robust-search JSON instead of tables",
+        help="print the /v1/robustness answer as JSON instead of tables",
     )
     _add_metrics_out(faults)
     faults.set_defaults(func=cmd_faults)
@@ -994,10 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_request_flags(explain, ExplainRequest)
     _add_jobs(explain)
-    explain.add_argument(
-        "--plan", choices=("primepar", "megatron"), default="primepar",
-        help="partition plan to explain (default: primepar's search result)",
-    )
     explain.add_argument(
         "--config3d", default="", metavar="P:D:M",
         help="explain a 3D configuration's iteration latency (pipeline "

@@ -8,7 +8,8 @@ single-flight coalescing and admission control behind it.  Endpoints:
   (+ optional ``deadline`` seconds); returns the plan payload with ``key``
   and ``source``.  A body key no request field declares is a 400.
 * ``POST /v1/simulate`` — search body + ``layers``; replays the plan on the
-  event engine and returns latency/throughput/memory/breakdown.
+  event engine and returns latency/throughput/memory/breakdown, the
+  utilization summary and the replayed plan.
 * ``POST /v1/explain``  — search body + ``links`` flag; returns the plan's
   cost decomposition (:mod:`repro.core.explain`) whose component fold
   equals the stored cost bit-exactly.
@@ -16,6 +17,9 @@ single-flight coalescing and admission control behind it.  Endpoints:
   spec string or JSON object), ``scenarios``, ``seed`` and an
   ``objective``; returns the plan's Monte-Carlo
   :class:`~repro.sim.faults.RobustnessReport` with tail percentiles.
+
+The three derived endpoints also take ``plan`` (``primepar``, the
+searched plan, or ``megatron``).
 * ``GET /v1/plans/<key>`` — a previously computed payload by content hash
   (404 on miss).
 * ``GET /v1/traces/<id>`` — the completed request record for a trace id

@@ -17,13 +17,17 @@ One search request flows through:
    request's cooperative :class:`~repro.core.optimizer.deadline.Deadline`;
    the JSON-shaped payload is written through both store tiers.
 
-Simulate, explain and robustness requests resolve their plan through that
-same path, then run once per derived ``cache_key()`` under the same
-coalescing, admission and deadline (:meth:`PlanService._derived`).
+Simulate, explain and robustness requests name their plan (``plan``):
+PrimePar's, resolved through that same search path, or Megatron's best
+data-parallel degree.  They then run once per derived ``cache_key()``
+under the same coalescing and admission, and one deadline covers the
+plan search and the derived run (:meth:`PlanService._derived`).
 
-Payloads are plain dicts of spec strings and floats, so responses are
-bit-identical to a direct ``PrimeParOptimizer`` run of the same
-parameters: same plan strings (``str(spec)``), same float costs.
+This is the one answer path: the HTTP daemon and the ``primepar search``,
+``simulate``, ``explain`` and ``faults`` commands all render these
+payloads.  Payloads are plain dicts of spec strings and floats, so
+responses are bit-identical to a direct ``PrimeParOptimizer`` run of the
+same parameters: same plan strings (``str(spec)``), same float costs.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from ..api import (
     SearchRequest,
     SimulateRequest,
     plan_from_json,
+    plan_to_json,
 )
 from ..cluster.profiler import FabricProfiler
 from ..cluster.topology import v100_cluster
@@ -54,20 +59,22 @@ from .store import PlanStore, default_store
 
 logger = get_logger("serve.service")
 
-#: A request whose answer is derived from a searched plan.
+#: A request whose answer is derived from a plan it names.
 DerivedRequest = Union[SimulateRequest, ExplainRequest, RobustnessRequest]
+
+#: Keys that describe how an answer travelled, not what it says.
+TRANSPORT_KEYS = ("source", "plan_source", "trace")
 
 
 def _resolve_deadline(
     requested: float, default: Optional[float]
-) -> Optional[float]:
+) -> Optional[Deadline]:
     """Per-request deadline: the request's ``deadline`` capped by the
     server default (a request may tighten the budget, never extend it)."""
-    if requested == 0:
-        return default
-    if default is not None:
-        return min(requested, default)
-    return requested
+    if requested and default is not None:
+        requested = min(requested, default)
+    seconds = requested or default
+    return Deadline(seconds) if seconds else None
 
 
 def _setting(params: SearchRequest):
@@ -117,13 +124,14 @@ class PlanService:
         )
 
     def search(
-        self, params: SearchRequest, deadline_s: Optional[float] = None
+        self, params: SearchRequest, deadline: Optional[Deadline] = None
     ) -> Dict[str, Any]:
         """The plan payload for ``params`` — cached, coalesced or computed.
 
         The returned dict always carries ``key`` (the content hash, usable
         with ``GET /v1/plans/<key>``) and ``source`` — one of ``memory``,
-        ``disk``, ``computed``, ``coalesced``.
+        ``disk``, ``computed``, ``coalesced``.  ``deadline`` is the
+        request's running budget (``None`` = unbounded).
         """
         key = params.cache_key()
         trace = current_trace()
@@ -134,7 +142,6 @@ class PlanService:
             if trace is not None:
                 trace.outcome = tier
             return {**value, "key": key, "source": tier}
-        deadline = Deadline(deadline_s) if deadline_s else None
 
         def compute() -> Dict[str, Any]:
             timeout = deadline.remaining() if deadline else None
@@ -230,48 +237,69 @@ class PlanService:
         counter_name: str,
         run: Callable[..., Dict[str, Any]],
     ) -> Dict[str, Any]:
-        """Answer ``request`` from the plan of ``request.search``.
+        """Answer ``request`` from the plan it names.
 
-        The plan is resolved through :meth:`search` first (warming and
-        reusing the plan store).  ``run(profiler, graph, plan, payload)``
-        then executes under admission control, coalesced per
+        ``plan`` ``"primepar"`` resolves the searched plan through
+        :meth:`search` first (warming and reusing the plan store);
+        ``"megatron"`` picks Megatron's best data-parallel degree over the
+        model's depth under admission.  ``run(profiler, graph, plan,
+        searched)`` then executes under admission control, coalesced per
         ``request.cache_key()``, which is computed first so a malformed
-        request fails before any search.  The response echoes the plan's
-        ``plan_key`` and ``plan_source``.
+        request fails before any search; ``searched`` is the search
+        payload, or ``None`` for the Megatron plan.  One deadline covers
+        the search and the run.  The response echoes the searched plan's
+        ``plan_key`` and ``plan_source``; a Megatron answer carries
+        ``plan_source: "megatron"`` and no ``plan_key``.
         """
         key = request.cache_key()
         search = request.search
-        deadline_s = _resolve_deadline(search.deadline, self.default_deadline)
-        plan_payload = self.search(search, deadline_s)
-        deadline = Deadline(deadline_s) if deadline_s else None
+        deadline = _resolve_deadline(search.deadline, self.default_deadline)
+        searched = (
+            self.search(search, deadline) if request.plan == "primepar" else None
+        )
 
         def compute() -> Dict[str, Any]:
             timeout = deadline.remaining() if deadline else None
             with self.admission.admit(timeout=timeout):
                 counter(counter_name).inc()
-                _, topology, graph = _setting(search)
-                plan = plan_from_json(plan_payload["plan"], topology.n_bits)
-                return run(FabricProfiler(topology), graph, plan, plan_payload)
+                model, topology, graph = _setting(search)
+                profiler = FabricProfiler(topology)
+                if searched is None:
+                    from ..baselines.megatron import best_megatron_plan
+                    from ..sim.engine import EventDrivenSimulator
+
+                    plan = best_megatron_plan(
+                        EventDrivenSimulator(profiler), graph, search.batch,
+                        model.n_layers,
+                    ).plan
+                else:
+                    plan = plan_from_json(searched["plan"], topology.n_bits)
+                return run(profiler, graph, plan, searched)
 
         value, leader = self._flights.run(
             key, compute, timeout=deadline.remaining() if deadline else None
         )
+        provenance = (
+            {"plan_source": "megatron"}
+            if searched is None
+            else {"plan_key": searched["key"], "plan_source": searched["source"]}
+        )
         return {
             **value,
-            "plan_key": plan_payload["key"],
-            "plan_source": plan_payload["source"],
+            **provenance,
             "source": "computed" if leader else "coalesced",
         }
 
     def simulate_from_request(self, body: Mapping[str, Any]) -> Dict[str, Any]:
         """Validate a raw ``/v1/simulate`` body and replay its plan.
 
-        Simulation reports are additionally disk-cached by
+        The answer carries the report's numbers, its JSON-shaped
+        ``utilization`` and the ``plan`` it replayed.  Simulation reports are additionally disk-cached by
         :mod:`repro.sim.simcache` underneath ``run_model``.
         """
         request = SimulateRequest.from_json(body)
 
-        def run(profiler, graph, plan, payload) -> Dict[str, Any]:
+        def run(profiler, graph, plan, searched) -> Dict[str, Any]:
             from ..sim.engine import EventDrivenSimulator
 
             search = request.search
@@ -290,6 +318,8 @@ class PlanService:
                     kind: seconds
                     for kind, seconds in sorted(report.breakdown.items())
                 },
+                "utilization": report.utilization,
+                "plan": plan_to_json(plan),
             }
 
         return self._derived(request, "serve.simulations", run)
@@ -302,11 +332,11 @@ class PlanService:
         bit-exactly (the plan re-priced through ``OverallCostModel``); the
         search payload's ``cost`` is echoed as ``plan_cost`` — the DP's
         own incremental fold, which may differ from re-pricing in the
-        last ulp.
+        last ulp (the Megatron plan has no search cost to echo).
         """
         request = ExplainRequest.from_json(body)
 
-        def run(profiler, graph, plan, payload) -> Dict[str, Any]:
+        def run(profiler, graph, plan, searched) -> Dict[str, Any]:
             from ..core.explain import explain_plan
 
             doc = explain_plan(
@@ -317,7 +347,9 @@ class PlanService:
                 include_links=request.links,
                 global_batch=request.search.batch,
             )
-            return {**doc, "plan_cost": payload["cost"]}
+            if searched is None:
+                return doc
+            return {**doc, "plan_cost": searched["cost"]}
 
         return self._derived(request, "serve.explains", run)
 
@@ -331,7 +363,7 @@ class PlanService:
         """
         request = RobustnessRequest.from_json(body)
 
-        def run(profiler, graph, plan, payload) -> Dict[str, Any]:
+        def run(profiler, graph, plan, searched) -> Dict[str, Any]:
             from ..sim.faults import evaluate_robustness
 
             search = request.search

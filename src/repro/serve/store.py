@@ -11,9 +11,9 @@ counters), then :mod:`repro.cache` disk entries of kind ``"plan"``
 (``cache.*`` counters, as everywhere else), with disk hits promoted into
 memory.  :meth:`PlanStore.put` writes through to both tiers.
 
-:func:`default_store` holds the process-wide instance shared by the CLI
-(``primepar cache --stats`` reports its traffic) and by any server started
-without an explicit store.
+:func:`default_store` holds the process-wide instance shared by any
+server or :class:`~repro.serve.service.PlanService` built without an
+explicit store.
 """
 
 from __future__ import annotations

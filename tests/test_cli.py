@@ -174,8 +174,9 @@ class TestCommands:
             ]
         )
         assert code == 0
-        result = json.loads(capsys.readouterr().out)
-        assert result["candidates"]
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["fault_model"]["straggler_rate"] == 1.0
+        assert report["n_scenarios"] == len(report["outcomes"]) == 2
 
     def test_simulate_megatron(self, capsys):
         code = main(

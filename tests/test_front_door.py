@@ -7,7 +7,8 @@ canonical requests with equal plan and derived cache keys.  With no flags
 at all, every command's request is the request an empty body makes, and a
 body key no request field declares is rejected rather than ignored.  The
 same request is also answered through two doors — the CLI or HTTP, and the
-in-process ``PlanService`` — and the answers compared.
+in-process ``PlanService`` — and the answers compared, for the searched
+plan and for the Megatron plan a request can name instead.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.api import (
 )
 from repro.cli import build_parser, request_body
 from repro.serve.server import ROUTES
+from repro.serve.service import TRANSPORT_KEYS
 
 SEARCH_ARGV = [
     "--model", "llama2-7b", "--devices", "4", "--batch", "16",
@@ -52,15 +54,15 @@ CASES = {
     ),
     "simulate": (
         SimulateRequest,
-        ["simulate", *SEARCH_ARGV, "--layers", "2"],
-        {**SEARCH_BODY, "layers": 2},
+        ["simulate", *SEARCH_ARGV, "--layers", "2", "--plan", "primepar"],
+        {**SEARCH_BODY, "layers": 2, "plan": "primepar"},
         SimulateRequest(search=SEARCH, layers=2),
     ),
     "explain": (
         ExplainRequest,
-        ["explain", *SEARCH_ARGV, "--links"],
-        {**SEARCH_BODY, "links": True},
-        ExplainRequest(search=SEARCH, links=True),
+        ["explain", *SEARCH_ARGV, "--links", "--plan", "megatron"],
+        {**SEARCH_BODY, "links": True, "plan": "megatron"},
+        ExplainRequest(search=SEARCH, links=True, plan="megatron"),
     ),
     "robustness": (
         RobustnessRequest,
@@ -136,29 +138,13 @@ def test_unknown_keys_are_rejected(cls, body, key):
     assert repr(key) in str(err.value)
 
 
-
-def test_explain_cli_and_service_give_the_same_answer(capsys):
-    """Same request, same answer: ``primepar explain --json`` equals the
-    service's ``/v1/explain`` document less its provenance keys."""
-    from repro.cli import main
-    from repro.serve.service import PlanService
-    from repro.serve.store import PlanStore
-
-    argv = ["--model", "opt-6.7b", "--devices", "4", "--batch", "8"]
-    body = {"model": "opt-6.7b", "devices": 4, "batch": 8}
-    assert main(["explain", "--json", *argv]) == 0
-    from_cli = json.loads(capsys.readouterr().out)
-    served = PlanService(store=PlanStore(max_entries=4)).explain_from_request(
-        body
-    )
-    for key in ("plan_cost", "plan_key", "plan_source", "source"):
-        served.pop(key)
-    assert from_cli == json.loads(json.dumps(served))
-
-
 ANSWER_CASES = {
     "simulate": SimulateRequest(
         search=SearchRequest(model="opt-6.7b", devices=2, batch=8), layers=2
+    ),
+    "simulate-megatron": SimulateRequest(
+        search=SearchRequest(model="opt-6.7b", devices=2, batch=8), layers=2,
+        plan="megatron",
     ),
     "explain": ExplainRequest(
         search=SearchRequest(model="opt-6.7b", devices=2, batch=8), links=True
@@ -169,8 +155,19 @@ ANSWER_CASES = {
     ),
 }
 
-#: Keys that describe how an answer travelled, not what it says.
-TRANSPORT_KEYS = ("source", "plan_source", "trace")
+
+def _service():
+    """A fresh in-process service over the session's disk tier."""
+    from repro.serve.service import PlanService
+    from repro.serve.store import PlanStore
+
+    return PlanService(store=PlanStore(max_entries=4))
+
+
+def _served_answer(request):
+    """The in-process service's answer to ``request``, less transport keys."""
+    answer = getattr(_service(), ROUTES[request.endpoint])(request.to_json())
+    return {k: v for k, v in answer.items() if k not in TRANSPORT_KEYS}
 
 
 @pytest.fixture(scope="module")
@@ -192,17 +189,107 @@ def test_http_and_service_give_the_same_answer(served, endpoint):
     """Same request, same answer: ``PlanClient.post`` over HTTP equals the
     in-process ``PlanService`` call once transport fields are dropped."""
     from repro.serve.client import PlanClient
-    from repro.serve.service import PlanService
-    from repro.serve.store import PlanStore
 
     request = ANSWER_CASES[endpoint]
     over_http = PlanClient(served.url).post(request, debug_trace=True)
     assert "trace" in over_http
-    service = PlanService(store=PlanStore(max_entries=4))
-    in_process = getattr(service, f"{endpoint}_from_request")(
-        request.to_json()
+    for key in TRANSPORT_KEYS:
+        over_http.pop(key)
+    assert over_http == json.loads(json.dumps(_served_answer(request)))
+
+
+SMALL_ARGV = ["--model", "opt-6.7b", "--devices", "4", "--batch", "8"]
+SMALL = SearchRequest(model="opt-6.7b", devices=4, batch=8)
+FAULTS_ARGV = ["--faults", FAULTS, "--scenarios", "2", "--layers", "2"]
+
+#: case -> (CLI argv, the request it spells)
+CLI_CASES = {
+    "search": (["search", *SMALL_ARGV], SMALL),
+    "simulate": (
+        ["simulate", *SMALL_ARGV, "--layers", "2"],
+        SimulateRequest(search=SMALL, layers=2),
+    ),
+    "simulate-megatron": (
+        ["simulate", *SMALL_ARGV, "--layers", "2", "--plan", "megatron"],
+        SimulateRequest(search=SMALL, layers=2, plan="megatron"),
+    ),
+    "explain": (["explain", *SMALL_ARGV], ExplainRequest(search=SMALL)),
+    "explain-megatron": (
+        ["explain", *SMALL_ARGV, "--plan", "megatron"],
+        ExplainRequest(search=SMALL, plan="megatron"),
+    ),
+    "faults": (
+        ["faults", *SMALL_ARGV, *FAULTS_ARGV],
+        RobustnessRequest(search=SMALL, faults=FAULTS, scenarios=2, layers=2),
+    ),
+    "faults-megatron": (
+        ["faults", *SMALL_ARGV, *FAULTS_ARGV, "--plan", "megatron"],
+        RobustnessRequest(
+            search=SMALL, faults=FAULTS, scenarios=2, layers=2,
+            plan="megatron",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", ["explain", "explain-megatron", "faults", "faults-megatron"]
+)
+def test_cli_json_and_service_give_the_same_answer(capsys, case):
+    """Same request, same answer: ``primepar explain|faults --json`` equals
+    the service's document less its transport keys."""
+    from repro.cli import main
+
+    argv, request = CLI_CASES[case]
+    assert main([*argv, "--json"]) == 0
+    from_cli = json.loads(capsys.readouterr().out)
+    assert from_cli == json.loads(json.dumps(_served_answer(request)))
+
+
+@pytest.mark.parametrize("case", ["search", "simulate", "simulate-megatron"])
+def test_cli_renders_the_service_answer(capsys, case):
+    """``primepar search|simulate`` print exactly their renderer applied
+    to the in-process service's payloads.
+
+    A first service call warms the shared disk tier, so the command and
+    the fresh service after it both read the plan from disk.
+    """
+    from repro.cli import main, render_search, render_simulate
+
+    argv, request = CLI_CASES[case]
+    body = request.to_json()
+    getattr(_service(), ROUTES[request.endpoint])(body)
+    assert main(argv) == 0
+    from_cli = capsys.readouterr().out
+    service = _service()
+    if case == "search":
+        render_search(
+            service.search_from_request(body),
+            service.simulate_from_request(body),
+        )
+    else:
+        render_simulate(service.simulate_from_request(body))
+    assert from_cli == capsys.readouterr().out
+
+
+def test_cli_import_loads_no_serve_module():
+    """``import repro.cli`` leaves ``repro.serve`` to the commands that
+    answer through it, so ``verify``, ``report`` and ``cache`` never pay
+    for it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.serve')))"
     )
-    for doc in (over_http, in_process):
-        for key in TRANSPORT_KEYS:
-            doc.pop(key, None)
-    assert over_http == json.loads(json.dumps(in_process))
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=env,
+    ).stdout
+    assert out.strip() == "[]"

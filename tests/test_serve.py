@@ -452,6 +452,48 @@ class TestPlanService:
         assert found["plan"] == payload["plan"]
         assert service.plan("no-such-key") is None
 
+    def test_derived_request_keeps_one_deadline(self, fresh_cache, registry):
+        """A derived request's plan search spends its budget: the admission
+        after the search gets what is left, not a fresh budget."""
+        service = _service()
+        real_search, real_admit = service._run_search, service.admission.admit
+        timeouts = []
+
+        def slow_search(params, deadline):
+            time.sleep(0.3)
+            return real_search(params, deadline)
+
+        def admit(timeout=None):
+            timeouts.append(timeout)
+            return real_admit(timeout=timeout)
+
+        service._run_search = slow_search
+        service.admission.admit = admit
+        service.simulate_from_request(
+            {"devices": 2, "batch": 8, "layers": 1, "deadline": 2.0}
+        )
+        search_timeout, derived_timeout = timeouts
+        assert search_timeout <= 2.0
+        assert derived_timeout <= 2.0 - 0.3 + 1e-3
+
+    def test_megatron_plan_needs_no_search(self, fresh_cache, registry):
+        from repro.baselines.megatron import best_megatron_plan
+        from repro.sim.engine import EventDrivenSimulator
+
+        body = {"devices": 2, "batch": 8, "layers": 1, "plan": "megatron"}
+        payload = _service().simulate_from_request(body)
+        assert payload["plan_source"] == "megatron"
+        assert "plan_key" not in payload
+        assert counter("serve.searches").value == 0
+        model = MODELS_BY_KEY[MODEL]
+        best = best_megatron_plan(
+            EventDrivenSimulator(FabricProfiler(v100_cluster(2))),
+            build_block_graph(model.block_shape(batch=8)), 8, model.n_layers,
+        )
+        assert payload["plan"] == {
+            name: str(spec) for name, spec in sorted(best.plan.items())
+        }
+
 
 # ----------------------------------------------------------------------
 # HTTP endpoint contracts (typed client against an in-process server)
@@ -1165,24 +1207,6 @@ class TestServeCLI:
         assert main(["serve", "--port", "0", *argv]) == 2
         err = capsys.readouterr().err
         assert "invalid request:" in err and field in err
-
-    def test_cache_stats_reports_memory_tier(
-        self, fresh_cache, registry, capsys
-    ):
-        from repro.cli import main
-        from repro.serve.store import default_store, reset_default_store
-
-        reset_default_store()
-        try:
-            store = default_store(4)
-            key = diskcache.content_key("plan", "cli-smoke")
-            store.put(key, {"plan": {}, "cost": 1.0})
-            store.get(key)
-            assert main(["cache", "--stats"]) == 0
-            out = capsys.readouterr().out
-            assert "in-memory plan store (this process)" in out
-        finally:
-            reset_default_store()
 
     def test_report_renders_cache_tiers(self, tmp_path, capsys):
         from repro.cli import main
