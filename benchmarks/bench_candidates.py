@@ -1,4 +1,4 @@
-"""Bulk boundary classes vs the frozen per-spec collapse, at full scale.
+"""Twin-check candidate builds vs the frozen per-spec collapse, at full scale.
 
 The bench-tier half of ``tests/test_candidates_bulk.py``: the same
 build-equivalence checks (kept specs, byte-identical
@@ -9,7 +9,8 @@ beam ``None`` and 48), and on OPT-175B at 32 devices with beam 48; and
 ``cost_batch``'s step-table all-reduce pricing against the per-spec
 ``cost`` on every spatial spec of the six models at 16 devices and of
 OPT-175B at 32.
-Takes a few minutes::
+Takes a few minutes; ``-k opt_175b_32`` runs the 32-device check alone
+(CI's bench-smoke job does)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_candidates.py
 """

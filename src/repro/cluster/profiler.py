@@ -14,6 +14,7 @@ the cost model independent of the collective implementation details.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,6 +114,19 @@ class FabricProfiler:
                 lambda size: pattern_allreduce_time(self.topology, pattern, size),
             )
         return self._allreduce_models[key]
+
+    def fit_allreduce_models(self) -> None:
+        """Fit the all-reduce model of every group indicator now.
+
+        An indicator is a set of device-id bits, so there are only
+        ``2^n_bits - 1`` of them.  Fitted before a process-pool fan-out,
+        they travel to the workers with the pickled profiler, instead of
+        concurrent workers each missing, fitting and storing the same one.
+        """
+        bits = range(self.topology.n_bits)
+        for size in range(1, len(bits) + 1):
+            for indicator in combinations(bits, size):
+                self.allreduce_model(indicator)
 
     def redistribution_model(self, intra_node: bool = False) -> LinearLatencyModel:
         """Fitted redistribution model per traffic class (Eq. 9 latency).

@@ -189,7 +189,7 @@ class DsiEvaluator:
         order follows :data:`~repro.core.dims.ALL_DIMS`.  Results are cached
         per ``(phase, t mod total_steps)``; candidate builds seed the cache
         at the boundary points from their bulk pass
-        (:func:`~repro.core.optimizer.candidates.boundary_classes`).
+        (:func:`~repro.core.optimizer.candidates.boundary_matrices`).
         """
         import numpy as np
 

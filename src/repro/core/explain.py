@@ -16,9 +16,9 @@ spatial-temporal vs. spatial-only analysis, reproducible on demand):
   :meth:`~repro.core.cost.overall.PlanCost.objective` **bit-exactly**.
 * :func:`explain_pipeline` — a 3D configuration's iteration latency split
   into stage work / exposed stage-boundary communication / data-parallel
-  all-reduce / pipeline bubble; the bubble is the fold's exact residual,
-  so the same bit-exact component-sum contract holds for both the
-  closed-form and the event-driven pipeline engines.
+  all-reduce / pipeline bubble; the bubble is the fold's exact residual
+  against the event-driven 1F1B replay's iteration latency, so the same
+  bit-exact component-sum contract holds.
 
 Both return schema-stable JSON-ready dicts (``EXPLAIN_SCHEMA``); rendering
 to tables lives with the CLI.

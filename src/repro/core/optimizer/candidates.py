@@ -1,12 +1,12 @@
 """Per-operator candidate sets for the optimization algorithm.
 
-A node's raw partition space (paper Sec. 3) may contain many sequences that
-are *boundary-equivalent*: they induce identical tensor layouts at every
-point an edge can observe (Forward/Backward first and last steps, Gradient
-last step).  Inter-operator costs depend only on those boundary layouts
-(Eq. 8-9), so collapsing each equivalence class to its cheapest member is an
-exact reduction of the DP state space — the search stays optimal while the
-``O(P^3)`` Bellman products shrink substantially.
+A node's candidates are its enumerated partition space (paper Sec. 3) plus
+the canonical baseline sequences (:mod:`.canonical`).  A canonical extra
+that only respells an enumerated spec's grid axis (same steps, same grid
+events on every dim) is that spec's *twin*: identical at every point an
+edge can observe, so it is dropped in the twin's favour.  The enumerator
+itself never yields two boundary-equivalent specs (EXPERIMENTS, "Collapse
+census"), and were it to, a duplicate state would only enlarge the DP.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from ...graph.operators import OperatorSpec
 from ...obs.metrics import counter
 from ...obs.spans import span
 from ..dims import ALL_DIMS, Dim
+from ..layout import grid_events
+from ..partitions import DimPartition
 from ..spec import PartitionSpec
 from ..space import enumerate_specs
 from ..steps import MNK, TEMPORAL, StepTable
@@ -41,14 +43,15 @@ _BOUNDARY_POINTS = (FWD_START, FWD_END, BWD_START, BWD_END, GRAD_END)
 
 @dataclass
 class CandidateSet:
-    """Collapsed candidate partition states of one operator.
+    """Candidate partition states of one operator.
 
     Attributes:
         op: The operator.
-        specs: One representative spec per boundary-equivalence class, the
-            cheapest of its class under the intra-operator cost.
-        intra: Eq. 7 totals per representative, shape ``(P,)``.
-        raw_size: Size of the un-collapsed space (paper's ``P``).
+        specs: The enumerated specs, then the canonical extras that are not
+            an earlier spec's twin (all of them, or a beam of them).
+        intra: Eq. 7 totals per spec, shape ``(P,)``.
+        raw_size: Enumerated specs plus every canonical extra not equal to
+            one, twins included (paper's ``P``).
 
     Derived state (:attr:`tables`, :attr:`cache_token`) is built on first
     use and never pickled, so a priced set pickles to the bytes of a fresh
@@ -96,14 +99,8 @@ class CandidateSet:
         return token
 
 
-def boundary_classes(
-    op: OperatorSpec, specs: Sequence[PartitionSpec]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Boundary-equivalence class ids of a whole spec list, in one pass.
-
-    Two specs share a class exactly when they agree on slice counts, on
-    every dim's grid events (:func:`~repro.core.layout.grid_events`) and
-    on the DSI matrices at all :data:`_BOUNDARY_POINTS`.
+def boundary_matrices(specs: Sequence[PartitionSpec]) -> np.ndarray:
+    """Boundary DSI matrices of a whole spec list, in one pass.
 
     The specs are read once into a :class:`~repro.core.steps.StepTable`.
     A DSI value is a mixed-radix number (Alg. 1's ``I <- s*I + digit``),
@@ -111,24 +108,20 @@ def boundary_classes(
     ``digits[p]`` holds digit vectors over ranks (one per device-id bit,
     and one per primitive placement and dim of ``M``/``N``/``K`` at point
     ``p``), ``weights[s]`` the place value spec ``s`` gives each of them.
-    Default grid axes are resolved slot by slot for all specs at once, and
-    the ids come from one ``np.unique`` over the stacked rows.
 
     Returns:
-        ``(ids, matrices)``: class ids, shape ``(n_specs,)``, and the
-        boundary DSI matrices, shape ``(n_specs, len(_BOUNDARY_POINTS),
-        n_devices, len(ALL_DIMS))``, in the smallest unsigned dtype that
-        holds ``2^n_bits``; ``matrices[i, p]`` equals
+        Shape ``(n_specs, len(_BOUNDARY_POINTS), n_devices,
+        len(ALL_DIMS))``, in the smallest unsigned dtype that holds
+        ``2^n_bits``; ``matrices[i, p]`` equals
         ``specs[i].evaluator.dsi_matrix(*_BOUNDARY_POINTS[p])``.
     """
     table = StepTable(specs)
     n_bits = table.n_bits
-    n_specs = table.n_specs
     code, start, k = table.code, table.start, table.k
     temporal = code == TEMPORAL
     place = table.place_values()
-    # Every value below (DSIs, digits, place values, slice counts, grid
-    # factors) is at most 2^n_bits, so all of it fits a compact dtype.
+    # Every value below (DSIs, digits, place values) is at most 2^n_bits,
+    # so all of it fits a compact dtype.
     dtype = np.min_scalar_type(1 << n_bits)
 
     # Digit columns: the device-id bits, then M/N/K per placement.
@@ -141,7 +134,8 @@ def boundary_classes(
     for i, (bit, kk) in enumerate(placements):
         column_of[bit, kk] = n_bits + 3 * i
     weights = np.zeros(
-        (n_specs, n_bits + 3 * len(placements), len(ALL_DIMS)), dtype=dtype
+        (table.n_specs, n_bits + 3 * len(placements), len(ALL_DIMS)),
+        dtype=dtype,
     )
     s_dim, j_dim = np.nonzero((code >= 0) & ~temporal)
     d_dim = code[s_dim, j_dim]
@@ -152,17 +146,7 @@ def boundary_classes(
         weights[s_tmp, column + offset, dim] = place[s_tmp, j_tmp, dim]
     digits = _digit_table(n_bits, placements).astype(dtype)
     # Digit sums never exceed the final DSI, so the product cannot wrap.
-    matrices = np.matmul(digits.transpose(0, 2, 1), weights[:, None])
-
-    parts = [table.slice_counts]
-    for dim in Dim:
-        if op.dim_axes.get(dim):
-            parts.extend(_grid_events(op, dim, table))
-    parts.append(matrices.reshape(n_specs, -1))
-    rows = np.concatenate([part.astype(dtype) for part in parts], axis=1)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))
-    _, ids = np.unique(keys.ravel(), return_inverse=True)
-    return ids.ravel(), matrices
+    return np.matmul(digits.transpose(0, 2, 1), weights[:, None])
 
 
 def _digit_table(
@@ -200,57 +184,57 @@ def _digit_table(
     return table
 
 
-def _grid_events(
-    op: OperatorSpec, dim: Dim, table: StepTable
-) -> List[np.ndarray]:
-    """``dim``'s grid events for every spec, as ``[axis + 1, factor]`` rows.
-
-    Resolves :func:`~repro.core.layout.default_axis` slot by slot for all
-    specs at once, then moves each spec's events to the front in step
-    order (zero padding), so equal rows mean equal event lists.
-    """
-    axes = tuple(op.dim_axes[dim])
-    column = ALL_DIMS.index(dim)
-    touches = table.code == column
-    if column in MNK:
-        touches |= table.code == TEMPORAL
-    # Explicit axes as positions in ``axes``: -2 marks a foreign axis, and
-    # the trailing -1 is what a default axis (index -1) looks up.
-    position = np.array(
-        [axes.index(name) if name in axes else -2 for name in table.axis_names]
-        + [-1],
-        dtype=np.int64,
+def _spelling(spec: PartitionSpec) -> Tuple:
+    """``spec``'s steps with every dim partition's explicit axis dropped."""
+    return tuple(
+        step.dim if isinstance(step, DimPartition) else step
+        for step in spec.steps
     )
-    explicit = np.where(touches, position[table.axis], -1)
-    foreign = np.nonzero(explicit == -2)
-    if len(foreign[0]):
-        name = table.axis_names[table.axis[foreign][0]]
-        raise ValueError(
-            f"axis {name!r} not part of {op.name}'s {dim.value} (axes: {axes})"
-        )
-    sizes = np.array([op.axis_sizes[name] for name in axes], dtype=np.int64)
-    radix = table.radix[:, :, column]
-    factors = np.ones((table.n_specs, len(axes)), dtype=np.int64)
-    chosen = np.zeros(touches.shape, dtype=np.int64)
-    for j in range(touches.shape[1]):
-        hit = np.nonzero(touches[:, j])[0]
-        if not len(hit):
-            continue
-        multiplier = radix[hit, j]
-        fits = factors[hit] * multiplier[:, None] <= sizes
-        default = np.where(
-            fits.any(axis=1),
-            fits.argmax(axis=1),
-            (sizes / factors[hit]).argmax(axis=1),
-        )
-        pick = np.where(explicit[hit, j] >= 0, explicit[hit, j], default)
-        factors[hit, pick] *= multiplier
-        chosen[hit, j] = pick + 1
-    order = np.argsort(~touches, axis=1, kind="stable")
-    return [
-        np.take_along_axis(chosen, order, axis=1),
-        np.take_along_axis(np.where(touches, radix, 0), order, axis=1),
-    ]
+
+
+def _same_grid(op: OperatorSpec, a: PartitionSpec, b: PartitionSpec) -> bool:
+    """Whether ``a`` and ``b`` have equal grid events on every dim."""
+    return all(
+        grid_events(op, a, dim) == grid_events(op, b, dim)
+        for dim in op.dim_axes
+    )
+
+
+def inject_canonical(
+    op: OperatorSpec,
+    specs: List[PartitionSpec],
+    extras: Sequence[PartitionSpec],
+) -> Tuple[List[int], int]:
+    """Append the ``extras`` to ``specs`` that no earlier spec stands for.
+
+    An extra equal to an earlier spec, or its *twin* (the same steps up to
+    axis spelling, and equal :func:`~repro.core.layout.grid_events` on
+    every dim, hence the same boundary layouts and intra cost), is not
+    appended; the earlier spec is protected in its place.
+
+    Returns:
+        ``(protected, twins)``: per extra, the index of the spec standing
+        for it, and how many extras were twins.
+    """
+    by_spelling: Dict[Tuple, List[int]] = {}
+    for i, spec in enumerate(specs):
+        by_spelling.setdefault(_spelling(spec), []).append(i)
+    protected = []
+    twins = 0
+    for extra in extras:
+        same = by_spelling.setdefault(_spelling(extra), [])
+        match = next((i for i in same if specs[i] == extra), None)
+        if match is None:
+            match = next(
+                (i for i in same if _same_grid(op, specs[i], extra)), None
+            )
+            twins += match is not None
+        if match is None:
+            match = len(specs)
+            specs.append(extra)
+            same.append(match)
+        protected.append(match)
+    return protected, twins
 
 
 def operator_dim_limits(op: OperatorSpec) -> Dict[Dim, int]:
@@ -266,12 +250,11 @@ def build_candidates(
     partition_batch: bool = True,
     beam: Optional[int] = None,
 ) -> CandidateSet:
-    """Enumerate, cost and collapse one operator's partition space.
+    """Enumerate and cost one operator's partition space.
 
-    Each boundary-equivalence class keeps its cheapest member (the first
-    one on a cost tie).  The kept specs' DSI-matrix caches come seeded
-    with their boundary matrices, so edge pricing reads them instead of
-    recomputing.
+    Canonical extras join through :func:`inject_canonical`.  The kept
+    specs' DSI-matrix caches come seeded with their boundary matrices, so
+    edge pricing reads them instead of recomputing.
 
     Args:
         op: The operator node.
@@ -282,8 +265,9 @@ def build_candidates(
         partition_batch: When False, the batch dim is excluded — the 3D
             parallelism mode of paper Sec. 6.4 where data parallelism is
             controlled externally.
-        beam: Keep only the ``beam`` cheapest classes by intra cost — an
-            approximation used to bound search time on large clusters.
+        beam: Keep only the ``beam`` cheapest specs by intra cost (first
+            listed on a tie), plus the canonical ones — an approximation
+            used to bound search time on large clusters.
     """
     legal = list(op.legal_dims)
     if not partition_batch and Dim.B in legal:
@@ -304,43 +288,30 @@ def build_candidates(
         include_temporal=include_temporal,
         partition_batch=partition_batch,
     )
-    protected = []
-    for extra in extras:
-        if extra not in specs:
-            specs.append(extra)
-        protected.append(specs.index(extra))
+    protected, twins = inject_canonical(op, specs, extras)
     if not specs:
         raise ValueError(
             f"operator {op.name} admits no partitioning over {n_bits} bits"
         )
-    raw_size = len(specs)
+    raw_size = len(specs) + twins
     costs = np.array([c.total for c in intra_model.cost_batch(op, specs)])
     with span("candidates.classify", op=op.name, specs=raw_size):
-        ids, matrices = boundary_classes(op, specs)
-        # Per class id, its cheapest member: lexsort is stable, so the
-        # first index wins a cost tie.
-        by_class = np.lexsort((costs, ids))
-        best = by_class[np.unique(ids[by_class], return_index=True)[1]]
-        order = np.sort(best)
-        n_classes = len(order)
-        if beam is not None and len(order) > beam:
-            by_cost = order[np.argsort(costs[order], kind="stable")]
-            keep = set(by_cost[:beam].tolist())
+        order = np.arange(len(specs))
+        if beam is not None and len(specs) > beam:
+            keep = set(np.argsort(costs, kind="stable")[:beam].tolist())
             # Canonical baseline specs survive the beam so the search is
             # never worse than the best Megatron configuration.
-            keep.update(best[ids[protected]].tolist())
+            keep.update(protected)
             order = np.array(sorted(keep))
         kept = [specs[i] for i in order]
-        for i, spec in zip(order, kept):
-            _seed_matrix_cache(spec, matrices[i])
+        for spec, matrices in zip(kept, boundary_matrices(kept)):
+            _seed_matrix_cache(spec, matrices)
     op_label = op.kind.name.lower()
     counter("candidates.builds", op=op_label).inc()
     counter("candidates.raw", op=op_label).inc(raw_size)
     counter("candidates.kept", op=op_label).inc(len(order))
-    counter("candidates.pruned_equivalent", op=op_label).inc(
-        raw_size - n_classes
-    )
-    counter("candidates.beam_evicted", op=op_label).inc(n_classes - len(order))
+    counter("candidates.pruned_equivalent", op=op_label).inc(twins)
+    counter("candidates.beam_evicted", op=op_label).inc(len(specs) - len(order))
     return CandidateSet(
         op=op,
         specs=kept,

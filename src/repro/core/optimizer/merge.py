@@ -3,8 +3,8 @@
 Two tables sharing a boundary node merge by a min-plus product over the
 boundary's candidate classes, subtracting the boundary node's intra cost
 (counted by both tables) and adding any cross-edge costs that neither table
-contains (Eq. 13's ``e_{0,7}``).  Stacked identical transformer layers merge
-by recursive doubling — ``log2(#layers)`` merges (paper Sec. 5.1).
+contains (Eq. 13's ``e_{0,7}``).  Stacked identical transformer layers are
+priced by folding a cost vector through the layer table once per layer.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ def merge_tables(
     right: Union[SegmentTable, MergeTable],
     boundary_intra: np.ndarray,
     cross_edge_cost: Optional[np.ndarray] = None,
-    check_names: bool = True,
 ) -> MergeTable:
     """Eq. 13/14: merge two tables sharing a boundary node.
 
@@ -62,11 +61,8 @@ def merge_tables(
             in both tables, subtracted once.
         cross_edge_cost: Matrix over (left.start, right.end) classes of
             edges contained in neither table (Eq. 13's ``e_{0,7}``).
-        check_names: Require matching boundary node names.  Layer stacking
-            merges copies of the same table whose endpoint *types* match but
-            names differ; such tables are used for cost and timing only.
     """
-    if check_names and left.end != right.start:
+    if left.end != right.start:
         raise ValueError(
             f"tables do not share a boundary: {left.end!r} vs {right.start!r}"
         )
@@ -80,29 +76,24 @@ def merge_tables(
 
 
 def stack_layers(
-    layer_table: Union[SegmentTable, MergeTable],
-    boundary_intra: np.ndarray,
-    n_layers: int,
-) -> Union[SegmentTable, MergeTable]:
-    """Recursive-doubling stack of identical layer tables (paper Sec. 5.1).
+    layer_cost: np.ndarray, boundary_intra: np.ndarray, n_layers: int
+) -> float:
+    """Optimal cost of ``n_layers`` identical layers in a chain.
 
-    The boundary node (a layer's final residual add) is shared between
-    consecutive layers; ``log2``-many merges cover any layer count via the
-    binary decomposition of ``n_layers``.
+    Consecutive layers share a boundary node (a layer's final residual
+    add), whose classes index both axes of ``layer_cost``.  ``w[c]``, the
+    cheapest stack so far ending in class ``c``, starts as the best single
+    layer and grows one layer at a time by ``w <- min_b w[b] + M[b, :] -
+    intra[b]``.  The paper (Sec. 5.1) squares the table by recursive
+    doubling instead; the fold is the same min-plus product associated
+    from the left, ``O(L P^2)`` against ``O(log L P^3)``, and only the
+    scalar is needed since the plan comes from the one-layer table.
     """
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
-    result = None
-    power = layer_table
-    remaining = n_layers
-    while remaining:
-        if remaining & 1:
-            result = (
-                power
-                if result is None
-                else merge_tables(result, power, boundary_intra, check_names=False)
-            )
-        remaining >>= 1
-        if remaining:
-            power = merge_tables(power, power, boundary_intra, check_names=False)
-    return result
+    row = layer_cost.min(axis=0, keepdims=True)
+    if n_layers > 1:
+        adjusted = layer_cost - boundary_intra[:, None]
+        for _ in range(n_layers - 1):
+            row, _ = min_plus(row, adjusted)
+    return float(row.min())

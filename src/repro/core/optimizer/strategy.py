@@ -1,9 +1,9 @@
 """End-to-end partition strategy search (paper Sec. 5).
 
-Pipeline: enumerate & collapse candidates per operator, solve each DP-safe
-segment (Eq. 11-12), merge segments adding cross-segment edge costs
-(Eq. 13-14), stack identical layers by recursive doubling, and extract the
-optimal per-operator partition specs via backpointers.
+Pipeline: enumerate candidates per operator, solve each DP-safe segment
+(Eq. 11-12), merge segments adding cross-segment edge costs (Eq. 13-14),
+extract the optimal per-operator partition specs via backpointers, and
+price the stack of identical layers by a min-plus fold.
 
 The conventional-space search (``include_temporal=False``) doubles as the
 Alpa baseline: it finds the optimal plan within the spatial-only space.
@@ -41,11 +41,11 @@ class SearchResult:
         plan: Per-node optimal partition spec (one graph instance).
         cost: The Eq. 10 optimum found.
         elapsed: Wall-clock search time in seconds.
-        candidate_sizes: Per-node (raw space size, collapsed class count).
+        candidate_sizes: Per-node (raw space size, kept candidate count).
         model_cost: Cost after layer stacking (when requested).
         stage_seconds: Wall-clock per pipeline stage (``candidates``,
             ``segment_dp``, ``merge``), plus ``classify``: the part of
-            ``candidates`` spent on boundary classes (its
+            ``candidates`` spent on boundary matrices and selection (its
             ``candidates.classify`` spans, summed over builds, pool
             workers' included; 0 when every set came from a cache).
         telemetry: Per-search snapshot from :mod:`repro.obs` — the metric
@@ -166,6 +166,9 @@ class PrimeParOptimizer:
             misses.append((key, node, disk_key))
         if misses:
             check_deadline(deadline, "candidates")
+            # Serial or fanned out, a build fits no profiler model itself,
+            # so both paths count the same profiler cache misses.
+            self.profiler.fit_allreduce_models()
             if self.jobs > 1 and len(misses) > 1:
                 payloads = [
                     (
@@ -214,8 +217,8 @@ class PrimeParOptimizer:
     ) -> SearchResult:
         """Find the optimal plan for ``graph`` (one layer stack instance).
 
-        ``n_layers > 1`` additionally stacks the (single-layer) table by
-        recursive doubling to produce the whole-model optimum cost.  The
+        ``n_layers > 1`` additionally folds the (single-layer) table over
+        the layer stack to produce the whole-model optimum cost.  The
         extracted plan is the steady-state layer plan.
 
         ``deadline`` makes the search cancellable: it is checked
@@ -316,9 +319,9 @@ class PrimeParOptimizer:
                 }
                 model_cost = None
                 if n_layers > 1:
-                    boundary_intra = candidates[merged.end].intra
-                    stacked = stack_layers(merged, boundary_intra, n_layers)
-                    model_cost = float(stacked.cost.min())
+                    model_cost = stack_layers(
+                        layer_cost, candidates[merged.end].intra, n_layers
+                    )
         finished = time.perf_counter()
         spans = collector.export(since=span_mark)
         return SearchResult(

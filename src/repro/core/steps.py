@@ -1,6 +1,6 @@
 """Stacked integer step tables: a whole spec list read at once.
 
-Bulk passes over a candidate list (boundary classes, all-reduce pricing)
+Bulk passes over a candidate list (boundary matrices, all-reduce pricing)
 read every spec's partition sequence once into integer arrays, then work
 on those with numpy instead of walking :class:`PartitionStep` objects spec
 by spec.
@@ -8,7 +8,7 @@ by spec.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,9 +36,6 @@ class StepTable:
         code: Step code (see :data:`TEMPORAL`).
         start: First device-id bit the step consumes.
         k: The primitive's ``k``; 0 for other steps.
-        axis: Explicit target axis of a dim partition, as an index into
-            ``axis_names``; -1 for the operator's default axis.
-        axis_names: The distinct explicit axis names, in first-use order.
         radix: ``[spec, slot, dim]`` factor the step splits each dim by:
             2 for a dim partition, ``2^k`` on ``M``/``N``/``K`` for the
             primitive, 1 otherwise.  Slice indices are mixed-radix numbers
@@ -52,16 +49,12 @@ class StepTable:
         code = np.full((n_specs, n_slots), -1, dtype=np.int64)
         start = np.zeros((n_specs, n_slots), dtype=np.int64)
         k = np.zeros((n_specs, n_slots), dtype=np.int64)
-        axis = np.full((n_specs, n_slots), -1, dtype=np.int64)
-        names: Dict[str, int] = {}
         for s, spec in enumerate(specs):
             bit = 0
             for j, step in enumerate(spec.steps):
                 start[s, j] = bit
                 if isinstance(step, DimPartition):
                     code[s, j] = ALL_DIMS.index(step.dim)
-                    if step.axis is not None:
-                        axis[s, j] = names.setdefault(step.axis, len(names))
                 elif isinstance(step, TemporalPartition):
                     code[s, j] = TEMPORAL
                     k[s, j] = step.k
@@ -69,8 +62,6 @@ class StepTable:
         self.code = code
         self.start = start
         self.k = k
-        self.axis = axis
-        self.axis_names: List[str] = list(names)
         radix = np.ones((n_specs, n_slots, len(ALL_DIMS)), dtype=np.int64)
         radix[code[..., None] == np.arange(len(ALL_DIMS))] = 2
         temporal = code == TEMPORAL

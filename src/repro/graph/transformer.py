@@ -181,8 +181,8 @@ def build_block_graph(shape: BlockShape, n_layers: int = 1) -> ComputationGraph:
     """
     axes = shape.axis_sizes()
     # The anchor stands for the previous layer's residual add (paper Fig. 6
-    # n0); sharing add2's operator type lets identical layer tables merge by
-    # recursive doubling (endpoint candidate spaces must match).
+    # n0); sharing add2's operator type lets the layer table chain into
+    # itself when layers are stacked (endpoint candidate spaces must match).
     anchor = OperatorSpec(
         name="input",
         kind=OpKind.ELEMENTWISE,

@@ -5,8 +5,8 @@ boundary classes were computed in bulk: ``boundary_class_key`` walks each
 spec's DSI matrices with the scalar ``DsiEvaluator.dsi_matrix`` and packs
 them, the slice counts and the grid signature into bytes, and
 ``build_candidates`` keeps each key's cheapest spec in a dict.  The
-equivalence suite (``tests/test_candidates_bulk.py``) proves the bulk pass
-gives the same classes, the same kept specs and byte-identical pickles.
+equivalence suite (``tests/test_candidates_bulk.py``) proves the twin-check
+build keeps the same specs as this collapse, with byte-identical pickles.
 Do not edit except to re-freeze against a new baseline.
 """
 

@@ -9,17 +9,23 @@ package computes in bulk or never spells out:
 * :func:`space_size` — the closed-form count of the partition space that
   ``repro.core.space.enumerate_specs`` materialises;
 * :func:`is_ring_pattern` — the ring shape of the primitive's transfers
-  (paper Table 1).
+  (paper Table 1);
+* :func:`stack_layers_doubling` — the paper's recursive-doubling layer
+  stack (Sec. 5.1), which ``repro.core.optimizer.merge.stack_layers``
+  replaces by a min-plus vector fold.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.analysis import RingTransfer
 from repro.core.device import DeviceId
 from repro.core.dims import Dim
 from repro.core.layout import grid_events
+from repro.core.optimizer.dp import min_plus
 from repro.core.spec import PartitionSpec
 from repro.graph.operators import OperatorSpec
 from repro.graph.tensors import AxisInterval
@@ -94,3 +100,31 @@ def is_ring_pattern(transfers: Sequence[RingTransfer]) -> bool:
         recvs[tr.dst] = recvs.get(tr.dst, 0) + 1
     participants = set(sends) | set(recvs)
     return all(sends.get(d, 0) == 1 and recvs.get(d, 0) == 1 for d in participants)
+
+
+def stack_layers_doubling(
+    layer_cost: np.ndarray, boundary_intra: np.ndarray, n_layers: int
+) -> float:
+    """Optimal cost of ``n_layers`` stacked layers by recursive doubling.
+
+    Squares the ``P x P`` layer table ``log2(n_layers)`` times and merges
+    the powers of the binary decomposition of ``n_layers`` (paper Sec. 5.1),
+    each merge an Eq. 14 min-plus product that subtracts the shared
+    boundary node's intra cost once.
+    """
+    if n_layers < 1:
+        raise ValueError("n_layers must be >= 1")
+
+    def merge(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return min_plus(left, right - boundary_intra[:, None])[0]
+
+    result: Optional[np.ndarray] = None
+    power = layer_cost
+    remaining = n_layers
+    while remaining:
+        if remaining & 1:
+            result = power if result is None else merge(result, power)
+        remaining >>= 1
+        if remaining:
+            power = merge(power, power)
+    return float(result.min())

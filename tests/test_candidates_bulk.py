@@ -1,12 +1,14 @@
 """Bulk step-table passes against their per-spec references.
 
-Boundary classes:
+Candidate builds:
 ``tests/legacy_candidates.py`` keeps the per-spec ``boundary_class_key``
-and the dict-based build.  Over every operator type of the six models,
-with and without the temporal primitive and batch splitting, and with and
-without a beam, the bulk build must give the same class partition, keep
-the same specs, pickle to the same bytes and bump the same
-``candidates.*`` counters.
+and the dict-based collapse it fed.  Over every operator type of the six
+models, with and without the temporal primitive and batch splitting, and
+with and without a beam, the twin-check build must keep the same specs as
+the collapse, pickle to the same bytes and bump the same ``candidates.*``
+counters.  The oracle's keys also show the enumerator class-injective
+(every enumerated spec is alone in its class), and the bulk boundary
+matrices must equal the scalar ``dsi_matrix`` of every enumerated spec.
 
 Here the grid runs under a cheap stand-in cost whose many ties exercise
 the first-index tie rule: all six models at 2 and 4 devices, LLaMA2-70B
@@ -38,11 +40,13 @@ from repro.cluster.topology import v100_cluster
 from repro.core.cost.intra import IntraCost, IntraOperatorCostModel
 from repro.core.optimizer.candidates import (
     _BOUNDARY_POINTS,
-    boundary_classes,
+    boundary_matrices,
     build_candidates,
+    inject_canonical,
     operator_dim_limits,
     type_key,
 )
+from repro.core.layout import grid_events
 from repro.core.partitions import DimPartition, Replicate
 from repro.core.space import enumerate_specs
 from repro.core.spec import PartitionSpec
@@ -63,7 +67,9 @@ def operator_types(model_key: str, n_devices: int):
 class TieCost:
     """Stand-in Eq. 7 model: a cheap cost with many exact ties.
 
-    Depends only on the spec's steps, so both builds see the same costs.
+    Depends only on the spec's steps, so both builds see the same costs,
+    and, like Eq. 7 (slice counts and DSIs, never a grid axis), not on how
+    a step spells its axis.
     """
 
     def cost_batch(self, op, specs: Sequence[PartitionSpec]) -> List[IntraCost]:
@@ -89,7 +95,7 @@ def _step_code(step) -> int:
     if isinstance(step, Replicate):
         return 1
     if isinstance(step, DimPartition):
-        return 2 + "BMNK".index(step.dim.value) + (step.axis is not None)
+        return 2 + "BMNK".index(step.dim.value)
     return 7 * step.k
 
 
@@ -147,15 +153,12 @@ def assert_grid(op, n_bits, intra, beams=(None, 48)):
                     classes = len(cset)
 
 
-def assert_same_partition(op, specs):
-    """Bulk ids partition ``specs`` exactly as the oracle's keys do."""
-    ids, matrices = boundary_classes(op, specs)
+def assert_injective_with_matrices(op, specs):
+    """The oracle puts each spec in its own class, and the bulk boundary
+    matrices equal every spec's scalar ``dsi_matrix``."""
+    matrices = boundary_matrices(specs)
     keys = [legacy.boundary_class_key(op, spec) for spec in specs]
-    first_of: Dict[bytes, int] = {}
-    for i, key in enumerate(keys):
-        j = first_of.setdefault(key, i)
-        assert ids[i] == ids[j], (op.name, str(specs[i]), str(specs[j]))
-    assert len(np.unique(ids)) == len(first_of), op.name
+    assert len(set(keys)) == len(keys), op.name
     for i, spec in enumerate(specs):
         for p, point in enumerate(_BOUNDARY_POINTS):
             assert np.array_equal(
@@ -198,10 +201,10 @@ def enumerated_specs(op, n_bits: int, include_temporal: bool = True):
 
 @pytest.mark.parametrize("n_devices", [4, 16])
 def test_partition_and_matrices_match_oracle(n_devices):
-    """Every enumerated spec, kept or not: ids and all boundary matrices."""
+    """Every enumerated spec: its own oracle class, all boundary matrices."""
     n_bits = n_devices.bit_length() - 1
     for op in operator_types("opt-175b", n_devices):
-        assert_same_partition(op, enumerated_specs(op, n_bits))
+        assert_injective_with_matrices(op, enumerated_specs(op, n_bits))
 
 
 def assert_spatial_costs_match_scalar(model_key, n_devices):
@@ -224,24 +227,67 @@ def test_spatial_cost_batch_matches_scalar(model_key, n_devices):
 
 
 def test_axis_choice_splits_classes():
-    """Same DSIs, different grid axes: ``B[batch]-B[heads]`` vs the swap."""
+    """Same DSIs, different grid axes: ``B[batch]-B[heads]`` vs the swap
+    are two oracle classes, and neither is the other's twin."""
     scores = operator_types("opt-6.7b", 4)[3]
     assert scores.name.endswith("scores")
     specs = [
         PartitionSpec.from_string("B[batch]-B[heads]", 2),
         PartitionSpec.from_string("B[heads]-B[batch]", 2),
     ]
-    ids, _ = boundary_classes(scores, specs)
-    assert ids[0] != ids[1]
-    assert_same_partition(scores, specs)
+    matrices = boundary_matrices(specs)
+    assert np.array_equal(matrices[0], matrices[1])
+    assert_injective_with_matrices(scores, specs)
+    assert inject_canonical(scores, specs[:1], specs[1:]) == ([1], 0)
+
+
+@pytest.mark.parametrize(
+    "model_key, suffix, extra, twin",
+    [
+        ("opt-6.7b", "qkv", "K[heads]-K[heads]", "K-K"),
+        ("opt-6.7b", "scores", "B-B[heads]", "B[batch]-B[heads]"),
+    ],
+)
+def test_twin_extra_yields_to_enumerated_spelling(model_key, suffix, extra, twin):
+    """A canonical extra that respells an enumerated spec's axis is not
+    appended: the enumerated spelling is protected in its place."""
+    op = next(
+        op for op in operator_types(model_key, 4) if op.name.endswith(suffix)
+    )
+    specs = enumerated_specs(op, 2)
+    extra_spec = PartitionSpec.from_string(extra, 2)
+    assert extra_spec not in specs
+    enumerated = list(specs)
+    protected, twins = inject_canonical(op, specs, [extra_spec])
+    assert specs == enumerated and twins == 1
+    assert str(specs[protected[0]]) == twin
+    assert legacy.boundary_class_key(op, extra_spec) == legacy.boundary_class_key(
+        op, specs[protected[0]]
+    )
+
+
+def test_non_twin_extra_appended():
+    """Same steps up to axis spelling, but another grid: appended."""
+    scores = operator_types("opt-6.7b", 4)[3]
+    specs = [PartitionSpec.from_string("B[batch]-B[heads]", 2)]
+    same = PartitionSpec.from_string("B[batch]-B[heads]", 2)
+    twin = PartitionSpec.from_string("B-B[heads]", 2)
+    other = PartitionSpec.from_string("B[heads]-B", 2)
+    protected, twins = inject_canonical(scores, specs, [same, twin, other])
+    assert (protected, twins) == ([0, 0, 1], 1)
+    assert specs[1] is other
 
 
 def test_unknown_explicit_axis_rejected():
     fc1 = operator_types("opt-6.7b", 4)[-3]
     assert fc1.name.endswith("fc1")
-    spec = PartitionSpec((DimPartition(fc1.legal_dims[0], axis="nope"),), 1)
+    dim = fc1.legal_dims[0]
+    spec = PartitionSpec((DimPartition(dim, axis="nope"),), 1)
+    twin = PartitionSpec((DimPartition(dim),), 1)
     with pytest.raises(ValueError, match="not part of"):
-        boundary_classes(fc1, [spec])
+        grid_events(fc1, spec, dim)
+    with pytest.raises(ValueError, match="not part of"):
+        inject_canonical(fc1, [twin], [spec])
     with pytest.raises(ValueError, match="not part of"):
         legacy.grid_signature(fc1, spec)
 

@@ -259,8 +259,9 @@ class TestCrossProcessDeterminism:
         assert counters[("dp.edge_pairs_priced", None)] >= len(pricing)
 
     def test_classify_split_out_of_candidates(self, tmp_path, monkeypatch):
-        """One classify span per build splits class ids out of candidates;
-        a warm search builds nothing and reports 0."""
+        """One classify span per build splits the boundary matrices and
+        selection out of candidates; a warm search builds nothing and
+        reports 0."""
         cold, _, _ = self._search(1, tmp_path / "t", monkeypatch)
         builds = sum(
             entry["value"]

@@ -1,11 +1,14 @@
 """Segmented dynamic programming: Eq. 11-14, optimality and extraction."""
 
 import itertools
-from dataclasses import replace
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from oracles import stack_layers_doubling  # noqa: E402  (paper Sec. 5.1 stack)
 from repro.core.cost.overall import OverallCostModel
 from repro.core.optimizer.candidates import build_candidates, type_key
 from repro.core.optimizer.canonical import canonical_specs
@@ -13,10 +16,13 @@ from repro.core.optimizer import dp
 from repro.core.optimizer.dp import min_plus, solve_segment
 from repro.core.optimizer.merge import merge_tables, stack_layers
 from repro.core.optimizer.segmenter import segment_graph
+from repro.core.optimizer import strategy
 from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.core.cost.intra import IntraOperatorCostModel
 from repro.core.cost.inter import InterOperatorCostModel
-from repro.graph.models import OPT_6_7B
+from repro.cluster.profiler import FabricProfiler
+from repro.cluster.topology import v100_cluster
+from repro.graph.models import MODELS_BY_KEY, OPT_6_7B
 from repro.graph.transformer import build_block_graph
 
 
@@ -85,11 +91,11 @@ class TestSegmenter:
 
 
 class TestCandidates:
-    def test_collapse_keeps_cheapest(self, profiler4, small_block):
-        """The collapse prunes canonical extras that respell an enumerated
-        spec's axes: ``B`` (default axis, resolving to ``batch``) for
-        ``B[batch]``.  Their costs tie, so the first-listed enumerated
-        spelling stays; made strictly cheaper, the extra stays instead."""
+    def test_twin_extras_dropped(self, profiler4, small_block):
+        """Canonical extras that respell an enumerated spec's axis are
+        twins: ``B`` (default axis, resolving to ``batch``) for
+        ``B[batch]``.  They count in ``raw_size`` but are not kept; the
+        enumerated spelling stands for them."""
         intra = IntraOperatorCostModel(profiler4)
         scores = small_block.node("L0.scores")
         candidates = build_candidates(scores, 2, intra)
@@ -97,21 +103,6 @@ class TestCandidates:
         assert (candidates.raw_size, len(candidates)) == (18, 16)
         assert {"B[batch]-B[batch]", "B[batch]-B[heads]"} <= kept
         assert not {"B-B", "B-B[heads]"} & kept
-
-        class ExtrasCheaper:
-            def cost_batch(self, op, specs):
-                costs = intra.cost_batch(op, specs)
-                return [
-                    replace(cost, compute_latency=cost.compute_latency / 2)
-                    if str(spec) in ("B-B", "B-B[heads]") else cost
-                    for spec, cost in zip(specs, costs)
-                ]
-
-        rebuilt = build_candidates(scores, 2, ExtrasCheaper())
-        swapped = {str(spec) for spec in rebuilt.specs}
-        assert swapped == (kept - {"B[batch]-B[batch]", "B[batch]-B[heads]"}) | {
-            "B-B", "B-B[heads]"
-        }
 
     def test_beam_keeps_canonical(self, profiler8, small_mlp):
         intra = IntraOperatorCostModel(profiler8)
@@ -226,8 +217,38 @@ class TestLayerStacking:
         table = solve_segment(
             small_mlp, segmentation.segments[0], candidates, optimizer.inter_model
         )
-        stacked = stack_layers(table, candidates[table.end].intra, 1)
-        assert stacked is table
+        cost = stack_layers(table.cost, candidates[table.end].intra, 1)
+        assert cost == table.cost.min()
+
+    @pytest.mark.parametrize("n_devices", [4, 8])
+    @pytest.mark.parametrize("model_key", sorted(MODELS_BY_KEY))
+    def test_fold_matches_recursive_doubling(
+        self, model_key, n_devices, monkeypatch
+    ):
+        """The fold's ``model_cost`` equals the paper's recursive doubling
+        to 1e-12 relative at 2, 3 and full depth, on the layer table and
+        boundary intra costs the search hands it."""
+        seen = []
+
+        def recording(layer_cost, boundary_intra, n_layers):
+            seen.append((layer_cost, boundary_intra))
+            return stack_layers(layer_cost, boundary_intra, n_layers)
+
+        monkeypatch.setattr(strategy, "stack_layers", recording)
+        model = MODELS_BY_KEY[model_key]
+        graph = build_block_graph(model.block_shape(batch=max(8, n_devices)))
+        optimizer = PrimeParOptimizer(
+            FabricProfiler(v100_cluster(n_devices)), alpha=2e-11
+        )
+        result = optimizer.optimize(graph, n_layers=model.n_layers)
+        [(layer_cost, intra)] = seen
+        assert result.model_cost == stack_layers(
+            layer_cost, intra, model.n_layers
+        )
+        for depth in (2, 3, model.n_layers):
+            fold = stack_layers(layer_cost, intra, depth)
+            doubling = stack_layers_doubling(layer_cost, intra, depth)
+            assert fold == pytest.approx(doubling, rel=1e-12, abs=0), depth
 
     def test_merge_requires_matching_boundary(self, profiler4, small_mlp):
         optimizer = PrimeParOptimizer(profiler4)

@@ -80,7 +80,7 @@ def test_search_equivalence_8_devices(tmp_path, monkeypatch):
         assert other.model_cost == reference.model_cost
         assert _fingerprint(other.plan) == _fingerprint(reference.plan)
     # The warm run actually hit the disk cache (candidates were persisted):
-    # it built no candidate set, so no class ids were computed either.
+    # it built no candidate set, so no boundary matrices were computed either.
     assert diskcache.entry_count() > 0
     warm_counters = {e["name"] for e in warm.telemetry["metrics"]["counters"]}
     assert "cache.hits" in warm_counters
