@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import ALPHA, RESULTS_DIR, beam_for, jobs_for
+from conftest import ALPHA, RESULTS_DIR, beam_for, jobs_for, span_root
 
 from repro import (
     FabricProfiler,
@@ -256,10 +256,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also dump the telemetry registry (metrics + spans) as JSON",
     )
     args = parser.parse_args(argv)
-    payload = run_benchmark(
-        smoke=args.smoke, jobs=args.jobs or None, out=args.out or None,
-        metrics_out=args.metrics_out or None,
-    )
+    with span_root(args.metrics_out):
+        payload = run_benchmark(
+            smoke=args.smoke, jobs=args.jobs or None, out=args.out or None,
+            metrics_out=args.metrics_out or None,
+        )
     print(_report(payload))
     out = args.out or str(RESULTS_DIR / "BENCH_opt_speed.json")
     print(f"written to {out}")

@@ -57,7 +57,7 @@ from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import ALPHA, RESULTS_DIR, beam_for, jobs_for
+from conftest import ALPHA, RESULTS_DIR, beam_for, jobs_for, span_root
 
 from repro import (
     FabricProfiler,
@@ -66,8 +66,7 @@ from repro import (
     v100_cluster,
 )
 from repro.graph.models import OPT_6_7B, OPT_175B
-from repro.obs.metrics import get_registry
-from repro.obs.spans import get_collector
+from repro.obs import MetricsRegistry, telemetry_scope
 from repro.sim import EventDrivenSimulator, faults
 from repro.sim.faults import FaultModel, evaluate_robustness, robust_search
 
@@ -104,21 +103,21 @@ def _per_replay_lowering_report(*args, **kwargs):
         return evaluate_robustness(*args, **kwargs)
 
 
-def _counted(name: str, **labels: str) -> float:
-    """The counter ``name``'s total so far over series matching ``labels``."""
-    return sum(
-        e["value"] for e in get_registry().snapshot()["counters"]
-        if e["name"] == name
-        and all(e["labels"].get(k) == v for k, v in labels.items())
-    )
+def _census(registry: MetricsRegistry) -> Dict[str, float]:
+    """The sweep counters a class entry reports, from its own registry."""
+    counters = registry.snapshot()["counters"]
 
+    def counted(name: str, **labels: str) -> float:
+        return sum(
+            e["value"] for e in counters
+            if e["name"] == name
+            and all(e["labels"].get(k) == v for k, v in labels.items())
+        )
 
-def _census() -> Dict[str, float]:
-    """The sweep counters a class entry reports, as totals so far."""
     return {
-        "spliced": _counted("faults.splice_probes", outcome="spliced"),
-        "replayed": _counted("faults.splice_probes", outcome="replayed"),
-        "flushes": _counted("sim.contention_flushes"),
+        "spliced": counted("faults.splice_probes", outcome="spliced"),
+        "replayed": counted("faults.splice_probes", outcome="replayed"),
+        "flushes": counted("sim.contention_flushes"),
     }
 
 
@@ -183,15 +182,16 @@ def run_benchmark(
         for label, spec in FAULT_CLASSES.items():
             fault_model = FaultModel.from_spec(spec)
             sweep = (profiler, graph, plan, batch, n_layers, fault_model)
-            mark = get_collector().mark()
-            before = _census()
-            started = time.perf_counter()
-            report = evaluate_robustness(
-                *sweep, scenarios=scenarios, seed=seed, jobs=1
-            )
-            seconds = time.perf_counter() - started
-            census = {k: v - before[k] for k, v in _census().items()}
-            spans = get_collector().export(mark)
+            # One scope per class: its own spans and counters, merged
+            # into the run's (for --metrics-out) when the class is done.
+            with telemetry_scope() as scope:
+                started = time.perf_counter()
+                report = evaluate_robustness(
+                    *sweep, scenarios=scenarios, seed=seed, jobs=1
+                )
+                seconds = time.perf_counter() - started
+            census = _census(scope.registry)
+            spans = scope.collector.export()
             span_totals = {
                 name: sum(s["duration"] for s in spans if s["name"] == name)
                 for name in ("sim.lower", "sim.build", "sim.execute")
@@ -355,10 +355,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also dump the telemetry registry (metrics + spans) as JSON",
     )
     args = parser.parse_args(argv)
-    payload = run_benchmark(
-        smoke=args.smoke, jobs=args.jobs or None, out=args.out or None,
-        metrics_out=args.metrics_out or None,
-    )
+    with span_root(args.metrics_out):
+        payload = run_benchmark(
+            smoke=args.smoke, jobs=args.jobs or None, out=args.out or None,
+            metrics_out=args.metrics_out or None,
+        )
     print(_report(payload))
     out = args.out or str(RESULTS_DIR / "BENCH_robustness.json")
     print(f"written to {out}")

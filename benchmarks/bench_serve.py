@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import RESULTS_DIR
+from conftest import RESULTS_DIR, span_root
 
 from repro.obs.metrics import MetricsRegistry, counter, use_registry
 from repro.serve import (
@@ -323,10 +323,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also dump the telemetry registry (metrics + spans) as JSON",
     )
     args = parser.parse_args(argv)
-    payload = run_benchmark(
-        smoke=args.smoke, jobs=args.jobs or None, out=args.out or None,
-        metrics_out=args.metrics_out or None,
-    )
+    with span_root(args.metrics_out):
+        payload = run_benchmark(
+            smoke=args.smoke, jobs=args.jobs or None, out=args.out or None,
+            metrics_out=args.metrics_out or None,
+        )
     print(_report(payload))
     out = args.out or str(RESULTS_DIR / "BENCH_serve.json")
     print(f"written to {out}")

@@ -53,7 +53,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import legacy_engine
 import legacy_faults
-from conftest import ALPHA, RESULTS_DIR, beam_for, jobs_for
+from conftest import ALPHA, RESULTS_DIR, beam_for, jobs_for, span_root
 
 from repro import (
     EventDrivenSimulator,
@@ -545,10 +545,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also dump the telemetry registry (metrics + spans) as JSON",
     )
     args = parser.parse_args(argv)
-    payload = run_benchmark(
-        smoke=args.smoke, jobs=args.jobs or None, out=args.out or None,
-        metrics_out=args.metrics_out or None,
-    )
+    with span_root(args.metrics_out):
+        payload = run_benchmark(
+            smoke=args.smoke, jobs=args.jobs or None, out=args.out or None,
+            metrics_out=args.metrics_out or None,
+        )
     print(_report(payload))
     out = args.out or str(RESULTS_DIR / "BENCH_sim_speed.json")
     print(f"written to {out}")

@@ -16,6 +16,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from repro import (
 )
 from repro.baselines.alpa import alpa_optimizer
 from repro.baselines.megatron import best_megatron_plan
+from repro.obs import SpanCollector, use_collector
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -54,6 +56,14 @@ def beam_for(n_devices: int) -> Optional[int]:
 def jobs_for() -> int:
     """Search process-pool width (``REPRO_BENCH_JOBS``, default serial)."""
     return int(os.environ.get("REPRO_BENCH_JOBS", "1"))
+
+
+def span_root(metrics_out: Optional[str]):
+    """A root span collector when ``--metrics-out`` will write spans (a
+    process keeps none by default)."""
+    if metrics_out:
+        return use_collector(SpanCollector())
+    return contextlib.nullcontext()
 
 
 def emit(name: str, text: str) -> None:

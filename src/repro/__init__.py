@@ -23,7 +23,7 @@ Quickstart::
     )
     emit(f"{report.throughput} samples/s")
 
-``result.telemetry`` carries the search's metric deltas and timing spans;
+``result.telemetry`` carries the search's own metrics and timing spans;
 see :mod:`repro.obs` (``configure_logging``, ``get_registry``, ``span``)
 for the telemetry layer behind them.
 """

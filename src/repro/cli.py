@@ -28,10 +28,11 @@ so a command gives the same answer as the daemon's endpoint.  They import
 never load it.
 
 Global observability flags: ``--log-level``/``--log-json`` configure the
-structured logger (stderr; result tables stay on stdout), and ``search`` /
-``simulate`` accept ``--metrics-out PATH`` to dump the telemetry registry
-(counters, gauges, histograms, spans) as schema-stable JSON that
-``primepar report`` renders.
+structured logger (stderr; result tables stay on stdout), and ``search``,
+``simulate``, ``explain`` and ``faults`` accept ``--metrics-out PATH`` to
+dump the telemetry registry (counters, gauges, histograms, spans) as
+schema-stable JSON that ``primepar report`` renders; only then, or for
+``simulate --trace``, does a command run under a root span collector.
 """
 
 from __future__ import annotations
@@ -60,9 +61,11 @@ from .baselines.alpa import alpa_optimizer
 from .baselines.megatron import best_megatron_plan
 from .graph.models import MODELS_BY_KEY
 from .obs import (
+    SpanCollector,
     configure_logging,
     get_collector,
     get_logger,
+    use_collector,
     write_metrics,
 )
 from .obs.logsetup import LEVELS
@@ -179,13 +182,6 @@ def _answer(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {k: v for k, v in payload.items() if k not in TRANSPORT_KEYS}
 
 
-def _write_metrics_if_requested(args) -> None:
-    path = getattr(args, "metrics_out", "")
-    if path:
-        write_metrics(path)
-        logger.info("telemetry metrics written to %s", path)
-
-
 def render_search(found: Dict[str, Any], simulated: Dict[str, Any]) -> None:
     """``primepar search``: a search payload and its full-depth replay."""
     emit(
@@ -205,7 +201,6 @@ def cmd_search(args) -> int:
     render_search(
         service.search_from_request(body), service.simulate_from_request(body)
     )
-    _write_metrics_if_requested(args)
     return 0
 
 
@@ -390,7 +385,6 @@ def cmd_simulate(args) -> int:
     render_simulate(payload)
     if args.trace:
         _write_trace(args.trace, payload)
-    _write_metrics_if_requested(args)
     return 0
 
 
@@ -548,7 +542,6 @@ def cmd_explain(args) -> int:
         doc = explain_pipeline(result)
     else:
         doc = _answer(_service(args).explain_from_request(body))
-    _write_metrics_if_requested(args)
     if args.json:
         emit(json.dumps(doc, indent=1, sort_keys=True))
         return 0
@@ -590,7 +583,6 @@ def render_robustness(payload: Dict[str, Any], plan: str) -> None:
 
 def cmd_faults(args) -> int:
     payload = _answer(_service(args).robustness_from_request(request_body(args)))
-    _write_metrics_if_requested(args)
     if args.json:
         emit(json.dumps(payload, indent=1, sort_keys=True))
         return 0
@@ -643,27 +635,6 @@ def cmd_cache(args) -> int:
         emit(
             format_table(
                 ["kind", "entries", "MiB"], rows, title="entries by kind"
-            )
-        )
-        from .obs import get_registry
-
-        counters = [
-            entry
-            for entry in get_registry().snapshot()["counters"]
-            if entry["name"].startswith("cache.")
-        ]
-        rows = [
-            [
-                entry["name"],
-                entry["labels"].get("kind", "-"),
-                str(int(entry["value"])),
-            ]
-            for entry in counters
-        ]
-        emit(
-            format_table(
-                ["counter", "kind", "value"], rows,
-                title="this-process cache traffic",
             )
         )
     return 0
@@ -933,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument(
         "--stats", action="store_true",
-        help="per-kind entry counts/sizes and this-process hit/miss counters",
+        help="also list entry counts and sizes per kind",
     )
     cache.set_defaults(func=cmd_cache)
 
@@ -952,8 +923,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(level=args.log_level, json_mode=args.log_json)
+    metrics_out = getattr(args, "metrics_out", "")
+    keep_spans = metrics_out or getattr(args, "trace", "")
     try:
-        return args.func(args)
+        with use_collector(SpanCollector() if keep_spans else get_collector()):
+            code = args.func(args)
+            if metrics_out:
+                write_metrics(metrics_out)
+                logger.info("telemetry metrics written to %s", metrics_out)
+            return code
     except ValidationError as exc:
         logger.error("invalid request: %s", exc)
         return 2

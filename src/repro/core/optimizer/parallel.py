@@ -26,8 +26,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ...obs.logsetup import get_logger
-from ...obs.metrics import MetricsRegistry, get_registry, use_registry
-from ...obs.spans import SpanCollector, get_collector, span, use_collector
+from ...obs.metrics import MetricsRegistry, Scope, current_scope, get_registry
+from ...obs.spans import get_collector, span, telemetry_scope
 from ..cost.intra import IntraOperatorCostModel
 from .candidates import CandidateSet, build_candidates
 
@@ -51,20 +51,23 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def _telemetry_task(
     payload: Tuple[Callable[[_T], _R], _T],
 ) -> Tuple[_R, Dict[str, object], List[Dict[str, object]]]:
-    """Worker shim: run one task under fresh telemetry state.
+    """Worker shim: run one task in its own telemetry scope.
 
-    A fresh registry/collector (rather than whatever the fork inherited)
-    captures exactly what this task did; the parent merges the snapshot
-    back in submission order, so counter and histogram values come out
-    identical to the serial path no matter which worker finishes first.
+    The scope captures exactly what this task did; the parent merges its
+    snapshot back in submission order, so counter and histogram values
+    come out identical to the serial path no matter which worker finishes
+    first.
     """
     fn, item = payload
-    registry = MetricsRegistry()
-    collector = SpanCollector()
-    with use_registry(registry), use_collector(collector):
-        with span(getattr(fn, "__name__", "task")):
-            result = fn(item)
-    return result, registry.snapshot(), collector.export()
+    with telemetry_scope() as scope, span(getattr(fn, "__name__", "task")):
+        result = fn(item)
+    return result, scope.registry.snapshot(), scope.collector.export()
+
+
+def _fresh_root_scope() -> None:
+    """Pool initializer: a forked worker's own root scope, not a copy of
+    the forking thread's, whose locks another thread may hold."""
+    current_scope.set(Scope(MetricsRegistry()))
 
 
 def parallel_map(
@@ -83,10 +86,12 @@ def parallel_map(
         return [fn(item) for item in items]
     registry = get_registry()
     collector = get_collector()
-    base = collector.now()
+    base = collector.now() if collector is not None else 0.0
     results: List[_R] = []
     with span("parallel_map", tasks=len(items), jobs=jobs):
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(items)))
+        pool = ProcessPoolExecutor(
+            max_workers=min(jobs, len(items)), initializer=_fresh_root_scope
+        )
         try:
             outcomes = list(
                 pool.map(_telemetry_task, [(fn, item) for item in items])
@@ -97,7 +102,8 @@ def parallel_map(
         pool.shutdown()
         for index, (result, snapshot, spans) in enumerate(outcomes):
             registry.merge_snapshot(snapshot)
-            collector.merge(spans, at=base, proc=f"worker{index}")
+            if collector is not None:
+                collector.merge(spans, at=base, proc=f"worker{index}")
             results.append(result)
     return results
 

@@ -20,8 +20,7 @@ import numpy as np
 from ... import cache as diskcache
 from ...cluster.profiler import FabricProfiler
 from ...graph.graph import ComputationGraph
-from ...obs.metrics import delta_snapshots, get_registry
-from ...obs.spans import get_collector, span
+from ...obs.spans import span, telemetry_scope
 from ..cost.inter import InterOperatorCostModel
 from ..cost.intra import IntraOperatorCostModel
 from ..spec import PartitionSpec
@@ -48,9 +47,10 @@ class SearchResult:
             ``candidates`` spent on boundary matrices and selection (its
             ``candidates.classify`` spans, summed over builds, pool
             workers' included; 0 when every set came from a cache).
-        telemetry: Per-search snapshot from :mod:`repro.obs` — the metric
-            delta this search produced (``"metrics"``: counters, gauges,
-            histograms) and the timing spans it closed (``"spans"``).
+        telemetry: The search's own :func:`repro.obs.telemetry_scope`,
+            never a concurrent search's: the metrics it recorded
+            (``"metrics"``: counters, gauges, histograms) and the timing
+            spans it closed (``"spans"``).
             ``search.edge_cost`` spans time the Eq. 8-9 edge pricing inside
             ``search.segment_dp`` (and ``search.merge``); the rest of
             ``segment_dp`` is the Bellman products.  One
@@ -227,13 +227,11 @@ class PrimeParOptimizer:
         :class:`~repro.core.optimizer.deadline.SearchDeadlineExceeded`
         instead of returning.  A completed search is never affected.
         """
-        registry = get_registry()
-        collector = get_collector()
-        metrics_before = registry.snapshot()
-        span_mark = collector.mark()
         started = time.perf_counter()
-        with span("search", nodes=len(graph.nodes), n_layers=n_layers,
-                  jobs=self.jobs):
+        with telemetry_scope() as scope, span(
+            "search", nodes=len(graph.nodes), n_layers=n_layers,
+            jobs=self.jobs,
+        ):
             check_deadline(deadline, "start")
             with span("search.candidates"):
                 candidates = self.candidates_for(graph, deadline=deadline)
@@ -323,7 +321,7 @@ class PrimeParOptimizer:
                         layer_cost, candidates[merged.end].intra, n_layers
                     )
         finished = time.perf_counter()
-        spans = collector.export(since=span_mark)
+        spans = scope.collector.export()
         return SearchResult(
             plan=plan,
             cost=float(layer_cost[a, c]),
@@ -342,10 +340,5 @@ class PrimeParOptimizer:
                 "segment_dp": segments_done - candidates_done,
                 "merge": finished - segments_done,
             },
-            telemetry={
-                "metrics": delta_snapshots(
-                    metrics_before, registry.snapshot()
-                ),
-                "spans": spans,
-            },
+            telemetry={"metrics": scope.registry.snapshot(), "spans": spans},
         )

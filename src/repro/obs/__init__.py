@@ -3,11 +3,10 @@
 ``repro.obs`` is the dependency-free observability layer under every other
 subsystem (it imports nothing from the rest of the package):
 
-* :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry` of
-  counters, gauges and histograms with labels, exportable as schema-stable
-  JSON and Prometheus text format.  Instrumented code reaches the *current*
-  registry through :func:`counter`/:func:`gauge`/:func:`histogram`, so
-  worker processes can swap in a fresh one and ship their delta back.
+* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
+  gauges and histograms with labels, exportable as schema-stable JSON and
+  Prometheus text format.  Instrumented code reaches the *current*
+  registry through :func:`counter`/:func:`gauge`/:func:`histogram`.
 * :mod:`repro.obs.spans` — :func:`span`, a context manager producing nested
   wall-clock timing spans into a thread-safe :class:`SpanCollector`;
   :meth:`SpanCollector.merge` re-bases spans exported by child processes so
@@ -16,6 +15,13 @@ subsystem (it imports nothing from the rest of the package):
 * :mod:`repro.obs.logsetup` — :func:`configure_logging`, structured (plain
   or JSON-lines) logging for the ``repro`` logger tree, honouring the
   ``PRIMEPAR_LOG_LEVEL`` / ``PRIMEPAR_LOG_JSON`` environment knobs.
+
+Where telemetry goes is one ``contextvars`` value: the current registry
+(the process one by default), span collector and request trace (none by
+default).  :func:`use_registry`, :func:`use_collector` and
+:func:`use_trace` replace one for a ``with`` block in the calling context
+only; :func:`telemetry_scope` gives a search or pool task its own
+registry and collector, merged into the enclosing scope when it ends.
 
 :func:`metrics_document` bundles the registry snapshot with every collected
 span — the payload behind ``primepar ... --metrics-out`` and the
@@ -49,7 +55,14 @@ from .reqtrace import (
     use_trace,
     valid_trace_id,
 )
-from .spans import Span, SpanCollector, get_collector, span, use_collector
+from .spans import (
+    Span,
+    SpanCollector,
+    get_collector,
+    span,
+    telemetry_scope,
+    use_collector,
+)
 
 #: Schema version of the ``--metrics-out`` / ``primepar report`` document.
 METRICS_SCHEMA = 1
@@ -80,6 +93,7 @@ __all__ = [
     "process_rss_bytes",
     "quantile_label",
     "span",
+    "telemetry_scope",
     "trace_event",
     "use_collector",
     "use_registry",
@@ -98,7 +112,7 @@ def metrics_document(
     collector = collector if collector is not None else get_collector()
     document = {"schema": METRICS_SCHEMA}
     document.update(registry.snapshot())
-    document["spans"] = collector.export()
+    document["spans"] = collector.export() if collector is not None else []
     return document
 
 

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms with labels.
+"""Metrics registry: counters, gauges, histograms with labels.
 
 The registry is intentionally small and dependency-free.  Three metric
 kinds, Prometheus-compatible semantics:
@@ -12,15 +12,15 @@ A metric is identified by ``(name, labels)``; metrics sharing a name form a
 *family* and must agree on their kind.  Instrumented code never holds a
 registry reference — it calls the module-level :func:`counter`,
 :func:`gauge` and :func:`histogram` helpers, which resolve the *current*
-registry at call time.  :func:`use_registry` swaps the current registry for
-a ``with`` block, which is how worker processes record into a fresh
-registry whose snapshot is merged back into the parent deterministically
+registry at call time: a field of the calling context's :class:`Scope`
+(see :mod:`repro.obs`), the process registry by default.
+:func:`repro.obs.spans.telemetry_scope` gives a unit of work a fresh
+registry whose snapshot merges into the enclosing one when it ends
 (counters and histograms are additive, so merge order cannot change their
-values; gauges are last-write-wins in submission order).
+values; gauges are last-write-wins in merge order).
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain sorted dicts —
-schema-stable JSON — and :func:`delta_snapshots` subtracts two of them to
-express "what one search did" (:class:`repro.SearchResult.telemetry`).
+schema-stable JSON — and :func:`delta_snapshots` subtracts two of them.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
+from collections import namedtuple
+from contextvars import ContextVar
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 #: Default histogram upper bounds, tuned for seconds-scale durations but
@@ -412,54 +414,65 @@ def delta_snapshots(
 
 
 # ----------------------------------------------------------------------
-# current registry
+# the telemetry scope
 # ----------------------------------------------------------------------
 
-_default_registry = MetricsRegistry()
-_current_registry = _default_registry
-_swap_lock = threading.Lock()
+#: Where a context records telemetry: a registry, a
+#: :class:`~repro.obs.spans.SpanCollector` and a
+#: :class:`~repro.obs.reqtrace.RequestTrace` (``None``: none of either),
+#: and the ``/``-joined path of the spans open in the collector.
+Scope = namedtuple(
+    "Scope", "registry collector trace path", defaults=(None, None, "")
+)
+
+#: The calling context's scope.  A context that never set one (a new
+#: thread, a fresh process) records into the process registry only.
+current_scope: ContextVar[Scope] = ContextVar(
+    "repro_obs_scope", default=Scope(MetricsRegistry())
+)
+
+
+@contextmanager
+def rescoped(**fields: object) -> Iterator[None]:
+    """Replace fields of the calling context's scope for a ``with`` block."""
+    token = current_scope.set(current_scope.get()._replace(**fields))
+    try:
+        yield
+    finally:
+        current_scope.reset(token)
 
 
 def get_registry() -> MetricsRegistry:
-    """The registry instrumented code is currently recording into."""
-    return _current_registry
+    """The registry instrumented code in this context records into."""
+    return current_scope.get().registry
 
 
 @contextmanager
 def use_registry(registry: MetricsRegistry):
-    """Swap the current registry for the duration of a ``with`` block.
-
-    Process-wide, not thread-local: intended for worker-process entry
-    points and test isolation, both of which own the whole interpreter.
-    """
-    global _current_registry
-    with _swap_lock:
-        previous = _current_registry
-        _current_registry = registry
-    try:
+    """Record into ``registry`` in this context for a ``with`` block."""
+    with rescoped(registry=registry):
         yield registry
-    finally:
-        with _swap_lock:
-            _current_registry = previous
 
 
 def counter(name: str, **labels: object) -> Counter:
     """A counter in the current registry (creates it on first use)."""
-    return _current_registry.counter(name, **labels)
+    return current_scope.get().registry.counter(name, **labels)
 
 
 def gauge(name: str, **labels: object) -> Gauge:
     """A gauge in the current registry (creates it on first use)."""
-    return _current_registry.gauge(name, **labels)
+    return current_scope.get().registry.gauge(name, **labels)
 
 
 def histogram(
     name: str, buckets: Optional[Sequence[float]] = None, **labels: object
 ) -> Histogram:
     """A histogram in the current registry (creates it on first use)."""
-    return _current_registry.histogram(name, buckets=buckets, **labels)
+    return current_scope.get().registry.histogram(
+        name, buckets=buckets, **labels
+    )
 
 
 def describe(name: str, text: str) -> None:
     """Attach ``# HELP`` text to a family in the current registry."""
-    _current_registry.describe(name, text)
+    current_scope.get().registry.describe(name, text)

@@ -9,18 +9,16 @@ latency.  This module adds the request dimension:
 * :func:`new_trace_id` mints ids; callers may supply their own (e.g. the
   serving daemon honours an ``X-PrimePar-Trace-Id`` header).
 * :class:`RequestTrace` accumulates a request's causal events — plan-store
-  tier, admission wait, coalescing leader, optimizer spans — against a
-  monotonic clock anchored at the request's start.
-* :func:`use_trace` installs a trace as the *current* one for the calling
-  thread; instrumented code anywhere below calls :func:`trace_event`
-  (a cheap no-op when no trace is active), so deep layers need no
-  trace-id plumbing in their signatures.
+  tier, admission wait, coalescing leader — and, in its own
+  :class:`~repro.obs.spans.SpanCollector`, its spans, against a monotonic
+  clock anchored at the request's start.
+* :func:`use_trace` installs a trace and its collector in the calling
+  context's :class:`~repro.obs.metrics.Scope`; instrumented code anywhere
+  below calls :func:`trace_event` (a cheap no-op when no trace is active)
+  and :func:`~repro.obs.spans.span`, so deep layers need no trace-id
+  plumbing in their signatures.
 * :class:`TraceStore` retains the last N completed records for retrieval
   by id (``GET /v1/traces/<id>``).
-
-The current trace is *thread-local* — each serving thread owns exactly one
-request at a time — unlike the process-wide registry/collector swaps, which
-exist for worker processes.
 """
 
 from __future__ import annotations
@@ -32,6 +30,9 @@ import uuid
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
+
+from .metrics import current_scope
+from .spans import SpanCollector, collecting
 
 #: Accepted shape of a client-supplied trace id (defensive: ids are echoed
 #: into logs, JSON payloads and Prometheus-adjacent surfaces).
@@ -61,9 +62,10 @@ class RequestTrace:
         self.trace_id = trace_id
         self.endpoint = endpoint
         self.started_unix = time.time()
-        self._clock0 = time.perf_counter()
+        #: The request's spans; its epoch is the request's start, and its
+        #: ``now()`` the request's clock.
+        self.collector = SpanCollector()
         self.events: List[Dict[str, Any]] = []
-        self.spans: List[Dict[str, Any]] = []
         #: Request params content hash, once known.
         self.key: Optional[str] = None
         #: Terminal outcome: a plan source (``memory``/``disk``/``computed``
@@ -73,20 +75,11 @@ class RequestTrace:
         self.duration_ms: Optional[float] = None
         self._lock = threading.Lock()
 
-    def now(self) -> float:
-        """Seconds since this request started."""
-        return time.perf_counter() - self._clock0
-
     def event(self, name: str, **attrs: Any) -> None:
         """Append one causal event at the current offset."""
-        entry = {"name": name, "t": self.now(), "attrs": attrs}
+        entry = {"name": name, "t": self.collector.now(), "attrs": attrs}
         with self._lock:
             self.events.append(entry)
-
-    def attach_spans(self, spans: List[Dict[str, Any]]) -> None:
-        """Adopt an optimizer/simulator span export into this trace."""
-        with self._lock:
-            self.spans.extend(spans)
 
     def finish(self, status: int, outcome: Optional[str] = None) -> None:
         """Freeze terminal fields (idempotent on ``duration_ms``)."""
@@ -95,7 +88,7 @@ class RequestTrace:
             if outcome is not None:
                 self.outcome = outcome
             if self.duration_ms is None:
-                self.duration_ms = self.now() * 1e3
+                self.duration_ms = self.collector.now() * 1e3
 
     def to_dict(self) -> Dict[str, Any]:
         """Schema-stable JSON shape of the record."""
@@ -109,7 +102,7 @@ class RequestTrace:
                 "outcome": self.outcome,
                 "key": self.key,
                 "events": [dict(e) for e in self.events],
-                "spans": [dict(s) for s in self.spans],
+                "spans": self.collector.export(),
             }
 
 
@@ -147,30 +140,25 @@ class TraceStore:
 
 
 # ----------------------------------------------------------------------
-# current trace (thread-local)
+# current trace
 # ----------------------------------------------------------------------
-
-_local = threading.local()
 
 
 def current_trace() -> Optional[RequestTrace]:
-    """The calling thread's active trace, or ``None``."""
-    return getattr(_local, "trace", None)
+    """The calling context's active trace, or ``None``."""
+    return current_scope.get().trace
 
 
 @contextmanager
 def use_trace(trace: RequestTrace):
-    """Install ``trace`` as the calling thread's current trace."""
-    previous = getattr(_local, "trace", None)
-    _local.trace = trace
-    try:
+    """Install ``trace`` and its span collector in this context; its spans
+    also merge into the enclosing collector, if any, when the block ends."""
+    with collecting(trace.collector, trace=trace):
         yield trace
-    finally:
-        _local.trace = previous
 
 
 def trace_event(name: str, **attrs: Any) -> None:
     """Record an event on the current trace; no-op outside any request."""
-    trace = getattr(_local, "trace", None)
+    trace = current_scope.get().trace
     if trace is not None:
         trace.event(name, **attrs)

@@ -7,14 +7,19 @@
 
 Completed spans land in the current :class:`SpanCollector` with their full
 nesting path (``"search/search.candidates"``), a start offset relative to
-the collector's epoch, and a duration.  Nesting is tracked per thread, so
-concurrent threads each build their own stack while sharing one collector.
+the collector's epoch, and a duration.  The open span path is part of the
+calling context, so concurrent threads nest independently while sharing
+one collector.
 
-Cross-process merge: a worker runs under a fresh collector
-(:func:`use_collector`), exports its spans, and the parent calls
+The current collector is a field of the calling context's
+:class:`~repro.obs.metrics.Scope`; there is none by default, and then
+:func:`span` keeps nothing.  :func:`collecting` installs one and merges
+its spans upward when the block ends; :func:`telemetry_scope` does so
+with a fresh registry too, for one unit of work.  A pool worker runs its
+task in one and ships the export back; the parent calls
 :meth:`SpanCollector.merge` with the wall-clock offset where the fan-out
-began — the child spans are re-based to that offset and re-rooted under the
-parent's active span path, so one timeline shows the whole tree.  Span
+began — the child spans are re-based to that offset and re-rooted under
+the parent's open span path, so one timeline shows the whole tree.  Span
 *timings* naturally differ run to run; the deterministic part of telemetry
 lives in :mod:`repro.obs.metrics`.
 """
@@ -24,8 +29,10 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+
+from .metrics import MetricsRegistry, Scope, current_scope, rescoped
 
 
 @dataclass(frozen=True)
@@ -48,39 +55,18 @@ class Span:
     attrs: Dict[str, object] = field(default_factory=dict)
     proc: str = "main"
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "path": self.path,
-            "start": self.start,
-            "duration": self.duration,
-            "attrs": dict(self.attrs),
-            "proc": self.proc,
-        }
-
 
 class SpanCollector:
-    """Accumulates completed spans; thread-safe, per-thread nesting stacks."""
+    """Accumulates completed spans; thread-safe."""
 
     def __init__(self) -> None:
         self.epoch = time.perf_counter()
         self._lock = threading.Lock()
         self._spans: List[Span] = []
-        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-
-    def _stack(self) -> List[str]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def active_path(self) -> str:
-        """The current thread's open span path (``""`` outside any span)."""
-        return "/".join(self._stack())
 
     def now(self) -> float:
         """Seconds since this collector's epoch."""
@@ -94,36 +80,30 @@ class SpanCollector:
     # reading / merging
     # ------------------------------------------------------------------
 
-    def mark(self) -> int:
-        """An opaque position; pass to :meth:`export` for "spans since"."""
+    def export(self) -> List[Dict[str, object]]:
+        """Completed spans as dicts sorted by start."""
         with self._lock:
-            return len(self._spans)
-
-    def export(self, since: int = 0) -> List[Dict[str, object]]:
-        """Completed spans (optionally after ``since``) as sorted dicts."""
-        with self._lock:
-            spans = self._spans[since:]
+            spans = list(self._spans)
         return [
-            s.to_dict() for s in sorted(spans, key=lambda s: (s.start, s.path))
+            asdict(s) for s in sorted(spans, key=lambda s: (s.start, s.path))
         ]
 
     def merge(
         self,
         exported: Sequence[Mapping[str, object]],
-        at: Optional[float] = None,
+        at: float,
         proc: str = "worker",
     ) -> None:
         """Fold spans exported by a child collector into this one.
 
         Child spans are shifted so their earliest start lands at ``at``
-        (default: now) and re-rooted under the calling thread's active
-        span path; their relative nesting is preserved.
+        and re-rooted under the calling context's open span path; their
+        relative nesting is preserved.
         """
         if not exported:
             return
-        base = self.now() if at is None else at
         earliest = min(s["start"] for s in exported)
-        root = self.active_path()
+        root = current_scope.get().path
         for entry in exported:
             path = entry["path"]
             # "main" in a child export means "the child's own process" —
@@ -134,7 +114,7 @@ class SpanCollector:
                 Span(
                     name=entry["name"],
                     path=f"{root}/{path}" if root else path,
-                    start=base + (entry["start"] - earliest),
+                    start=at + (entry["start"] - earliest),
                     duration=entry["duration"],
                     attrs=dict(entry.get("attrs", {})),
                     proc=proc if child_proc == "main" else child_proc,
@@ -146,28 +126,49 @@ class SpanCollector:
 # current collector
 # ----------------------------------------------------------------------
 
-_default_collector = SpanCollector()
-_current_collector = _default_collector
-_swap_lock = threading.Lock()
 
-
-def get_collector() -> SpanCollector:
-    """The collector :func:`span` is currently recording into."""
-    return _current_collector
+def get_collector() -> Optional[SpanCollector]:
+    """The collector :func:`span` records into here (``None``: none)."""
+    return current_scope.get().collector
 
 
 @contextmanager
-def use_collector(collector: SpanCollector):
-    """Swap the current collector for a ``with`` block (workers, tests)."""
-    global _current_collector
-    with _swap_lock:
-        previous = _current_collector
-        _current_collector = collector
-    try:
+def use_collector(collector: Optional[SpanCollector]):
+    """Record spans into ``collector`` in this context for a ``with`` block."""
+    with rescoped(collector=collector, path=""):
         yield collector
+
+
+@contextmanager
+def collecting(collector: SpanCollector, **fields: object) -> Iterator[None]:
+    """Record spans into ``collector`` (and set other scope ``fields``) for
+    a ``with`` block, then, even if it raised, merge them into the
+    enclosing collector, if any, under its open span, timing kept."""
+    outer = current_scope.get().collector
+    try:
+        with rescoped(collector=collector, path="", **fields):
+            yield
     finally:
-        with _swap_lock:
-            _current_collector = previous
+        spans = collector.export()
+        if outer is not None and spans:
+            outer.merge(
+                spans,
+                at=spans[0]["start"] + collector.epoch - outer.epoch,
+                proc="main",
+            )
+
+
+@contextmanager
+def telemetry_scope() -> Iterator[Scope]:
+    """Record a unit of work into its own registry and collector, both
+    merged into the enclosing scope when it ends; yields its scope."""
+    outer = current_scope.get().registry
+    registry = MetricsRegistry()
+    try:
+        with collecting(SpanCollector(), registry=registry):
+            yield current_scope.get()
+    finally:
+        outer.merge_snapshot(registry.snapshot())
 
 
 @contextmanager
@@ -176,18 +177,20 @@ def span(name: str, **attrs: object):
 
     Yields the span's ``attrs`` dict, so the region can annotate the span
     with what it learns (``with span("x") as attrs: attrs["n"] = ...``).
+    Without a current collector nothing is timed or kept.
     """
-    collector = _current_collector
-    stack = collector._stack()
-    stack.append(name)
-    path = "/".join(stack)
+    scope = current_scope.get()
+    collector = scope.collector
+    if collector is None:
+        yield attrs
+        return
+    path = f"{scope.path}/{name}" if scope.path else name
     start = collector.now()
     try:
-        yield attrs
+        with rescoped(path=path):
+            yield attrs
     finally:
-        duration = collector.now() - start
-        stack.pop()
         collector.append(
-            Span(name=name, path=path, start=start, duration=duration,
-                 attrs=attrs)
+            Span(name=name, path=path, start=start,
+                 duration=collector.now() - start, attrs=attrs)
         )

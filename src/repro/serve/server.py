@@ -33,11 +33,15 @@ searched plan, or ``megatron``).
 
 **Tracing.** Every request gets a trace id — the client's
 ``X-PrimePar-Trace-Id`` header when well-formed, a fresh uuid otherwise —
-installed thread-locally for the request's whole causal path (plan-store
-tiers, admission wait, coalescing, optimizer spans).  Appending
+whose record and span collector are the handler's telemetry scope for the
+request's whole causal path (plan-store tiers, admission wait, coalescing,
+its own search and replay spans, never a concurrent request's).  Appending
 ``?debug=trace`` to any ``/v1/*`` call inlines the full record into the
 response under ``"trace"``; completed ``/v1/*`` records stay retrievable
-from ``GET /v1/traces/<id>`` until the store wraps.
+from ``GET /v1/traces/<id>`` until the store wraps.  Handler threads start
+from the context that started the server, so for ``primepar serve`` their
+metrics, searches' included, land in the process registry ``/metrics``
+exports.
 
 Overload surfaces as HTTP 429 (queue full) or 503 (slot/deadline timeout),
 both with a ``Retry-After`` header.  Shutdown is graceful: SIGTERM/SIGINT
@@ -54,6 +58,7 @@ gauges (``serve.latency_ms``) land in the metrics registry.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import signal
@@ -137,6 +142,14 @@ class _PlanHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
+    #: The context (telemetry scope) of the thread that started serving.
+    context: contextvars.Context
+
+    def process_request_thread(self, request, client_address) -> None:
+        self.context.copy().run(
+            super().process_request_thread, request, client_address
+        )
+
 
 class PlanServer:
     """Lifecycle owner: bind, serve in a thread, drain, close.
@@ -199,6 +212,7 @@ class PlanServer:
         self._httpd = _PlanHTTPServer(
             (self.config.host, self.config.port), handler
         )
+        self._httpd.context = contextvars.copy_context()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -474,11 +488,6 @@ def _make_handler(server: PlanServer):
             endpoint = self.path.split("?", 1)[0].rstrip("/") or "/"
             return RequestTrace(trace_id, endpoint=endpoint)
 
-        def _debug_trace_requested(self) -> bool:
-            """Whether the request URL carries ``?debug=trace``."""
-            query = parse_qs(urlsplit(self.path).query)
-            return "trace" in query.get("debug", [])
-
         def _dispatch(self, method: str) -> None:
             endpoint, status = self.path, 500
             started = time.perf_counter()
@@ -524,11 +533,14 @@ def _make_handler(server: PlanServer):
                     },
                 )
 
-        def _attach_debug_trace(
-            self, payload: Dict[str, Any], trace: RequestTrace, status: int
-        ) -> Dict[str, Any]:
-            """Inline the request's own record under ``"trace"``."""
-            trace.finish(status)
+        def _with_debug_trace(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+            """``payload``, plus the request's own record under ``"trace"``
+            when the URL carries ``?debug=trace``."""
+            query = parse_qs(urlsplit(self.path).query)
+            if "trace" not in query.get("debug", []):
+                return payload
+            trace = current_trace()
+            trace.finish(200)
             return {**payload, "trace": trace.to_dict()}
 
         def _route(self, method: str) -> Tuple[str, int]:
@@ -577,11 +589,7 @@ def _make_handler(server: PlanServer):
                 if payload is None:
                     self._send_json(404, {"error": f"no plan for key {key!r}"})
                     return "/v1/plans", 404
-                if self._debug_trace_requested():
-                    trace = current_trace()
-                    if trace is not None:
-                        payload = self._attach_debug_trace(payload, trace, 200)
-                self._send_json(200, payload)
+                self._send_json(200, self._with_debug_trace(payload))
                 return "/v1/plans", 200
             if method == "POST" and path in ROUTES:
                 return path, self._execute(path)
@@ -621,11 +629,7 @@ def _make_handler(server: PlanServer):
                     retry_after=server.config.retry_after,
                 )
                 return 503
-            if self._debug_trace_requested():
-                trace = current_trace()
-                if trace is not None:
-                    payload = self._attach_debug_trace(payload, trace, 200)
-            self._send_json(200, payload)
+            self._send_json(200, self._with_debug_trace(payload))
             return 200
 
     return Handler

@@ -185,9 +185,6 @@ class PlanService:
         except SearchDeadlineExceeded:
             counter("serve.rejected", reason="deadline").inc()
             raise
-        trace = current_trace()
-        if trace is not None and result.telemetry:
-            trace.attach_spans(result.telemetry.get("spans") or [])
         logger.info(
             "search %s x%d batch %d: cost %.6g in %.2fs",
             params.model, params.devices, params.batch, result.cost,

@@ -37,6 +37,7 @@ from repro.obs.reqtrace import (
     use_trace,
     valid_trace_id,
 )
+from repro.obs.spans import get_collector, span
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +95,9 @@ class TestRequestTrace:
         trace = RequestTrace("t3", "/v1/plans")
         trace.key = "abc123"
         trace.event("e")
-        trace.attach_spans([{"name": "search", "path": "search"}])
+        with use_trace(trace):
+            with span("search"):
+                pass
         trace.finish(200, outcome="computed")
         record = trace.to_dict()
         assert set(record) == {
@@ -103,32 +106,42 @@ class TestRequestTrace:
         }
         assert record["key"] == "abc123"
         assert record["spans"][0]["name"] == "search"
+        # Span starts and event offsets share the request's clock.
+        assert record["spans"][0]["start"] >= record["events"][0]["t"]
         # Deep-ish copies: mutating the record must not touch the trace.
         record["events"][0]["name"] = "mutated"
         assert trace.events[0]["name"] == "e"
 
     def test_use_trace_installs_and_restores(self):
-        assert current_trace() is None
+        assert current_trace() is None and get_collector() is None
         trace_event("dropped")  # no-op outside any request
         outer = RequestTrace("outer", "/a")
         inner = RequestTrace("inner", "/b")
         with use_trace(outer):
             assert current_trace() is outer
+            assert get_collector() is outer.collector
             trace_event("on-outer", n=1)
             with use_trace(inner):
                 assert current_trace() is inner
+                assert get_collector() is inner.collector
                 trace_event("on-inner")
+                with span("inner-work"):
+                    pass
             assert current_trace() is outer
-        assert current_trace() is None
+            assert get_collector() is outer.collector
+        assert current_trace() is None and get_collector() is None
         assert [e["name"] for e in outer.events] == ["on-outer"]
         assert [e["name"] for e in inner.events] == ["on-inner"]
+        assert [s["name"] for s in inner.to_dict()["spans"]] == ["inner-work"]
+        # A trace's spans also land in the enclosing collector.
+        assert [s["path"] for s in outer.to_dict()["spans"]] == ["inner-work"]
 
     def test_use_trace_restores_after_exception(self):
         trace = RequestTrace("t", "/a")
         with pytest.raises(RuntimeError):
             with use_trace(trace):
                 raise RuntimeError("boom")
-        assert current_trace() is None
+        assert current_trace() is None and get_collector() is None
 
 
 class TestTraceStore:

@@ -1,7 +1,12 @@
 """Telemetry layer: registry semantics, spans, cross-process merge, CLI."""
 
+import collections
+import contextvars
+import gc
 import json
 import logging
+import sys
+import threading
 
 import pytest
 
@@ -12,10 +17,17 @@ from repro.obs import metrics_document, write_metrics
 from repro.obs.logsetup import configure_logging
 from repro.obs.metrics import (
     MetricsRegistry,
+    counter,
     delta_snapshots,
     use_registry,
 )
-from repro.obs.spans import SpanCollector, span, use_collector
+from repro.obs.spans import (
+    SpanCollector,
+    get_collector,
+    span,
+    telemetry_scope,
+    use_collector,
+)
 from repro.sim.trace import SPAN_PID, timeline_to_trace
 
 
@@ -155,16 +167,84 @@ class TestSpans:
         assert outer["attrs"] == {"n": 1}
         assert outer["duration"] >= inner["duration"]
 
-    def test_mark_and_export_since(self):
-        collector = SpanCollector()
-        with use_collector(collector):
-            with span("first"):
+    def test_span_without_collector_keeps_nothing(self):
+        assert get_collector() is None
+        with span("untimed", n=1) as attrs:
+            attrs["m"] = 2
+        assert attrs == {"n": 1, "m": 2}
+
+    def test_telemetry_scope_keeps_its_own_work_and_merges_up(self):
+        registry, collector = MetricsRegistry(), SpanCollector()
+        with use_registry(registry), use_collector(collector):
+            with span("before"):
                 pass
-            mark = collector.mark()
-            with span("second"):
-                pass
-        since = collector.export(since=mark)
-        assert [s["name"] for s in since] == ["second"]
+            with span("enclosing"):
+                with telemetry_scope() as scope:
+                    assert get_collector() is scope.collector
+                    counter("inside").inc(2)
+                    with span("work"):
+                        pass
+        # The scope holds only its own work ...
+        assert [s["path"] for s in scope.collector.export()] == ["work"]
+        assert scope.registry.snapshot()["counters"] == [
+            {"name": "inside", "labels": {}, "value": 2.0},
+        ]
+        # ... and merged it upward, re-rooted, with its timing kept.
+        before, enclosing, work = collector.export()
+        assert [s["path"] for s in (before, enclosing, work)] == [
+            "before", "enclosing", "enclosing/work",
+        ]
+        assert work["proc"] == "main"
+        assert enclosing["start"] <= work["start"] + 1e-6
+        assert work["start"] + work["duration"] <= (
+            enclosing["start"] + enclosing["duration"] + 1e-6
+        )
+        assert registry.counter("inside").value == 2
+
+    def test_scopes_on_many_threads_keep_their_own_counts(self):
+        registry, seen = MetricsRegistry(), {}
+
+        def work(i):
+            with telemetry_scope() as scope:
+                for _ in range(200):
+                    counter("work", who=i).inc()
+                    counter("shared").inc()
+            seen[i] = scope.registry.snapshot()["counters"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use_registry(registry):
+                threads = [
+                    threading.Thread(
+                        target=contextvars.copy_context().run, args=(work, i)
+                    )
+                    for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for i in range(8):
+            assert seen[i] == [
+                {"name": "shared", "labels": {}, "value": 200.0},
+                {"name": "work", "labels": {"who": str(i)}, "value": 200.0},
+            ]
+        assert registry.counter("shared").value == 8 * 200
+
+    def test_telemetry_scope_merges_when_the_work_raises(self):
+        registry, collector = MetricsRegistry(), SpanCollector()
+        with use_registry(registry), use_collector(collector):
+            with pytest.raises(RuntimeError):
+                with telemetry_scope():
+                    counter("cancelled").inc()
+                    with span("partial"):
+                        raise RuntimeError("deadline")
+        assert registry.counter("cancelled").value == 1
+        assert [s["path"] for s in collector.export()] == ["partial"]
 
     def test_merge_rebases_and_reroots(self):
         parent, child = SpanCollector(), SpanCollector()
@@ -280,6 +360,104 @@ class TestCrossProcessDeterminism:
         assert 0.0 < seconds < cold.stage_seconds["candidates"]
         warm, _, _ = self._search(1, tmp_path / "t", monkeypatch)
         assert warm.stage_seconds["classify"] == 0.0
+
+
+def _barrier_at_candidates(monkeypatch, parties):
+    """Make ``parties`` concurrent searches overlap: each waits for the
+    others once it is inside its ``search`` span."""
+    barrier = threading.Barrier(parties, timeout=60.0)
+    original = PrimeParOptimizer.candidates_for
+
+    def candidates_for(self, *args, **kwargs):
+        barrier.wait()
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PrimeParOptimizer, "candidates_for", candidates_for)
+
+
+class TestScopedTelemetry:
+    """Each search's telemetry is its own, whatever runs beside it."""
+
+    SEARCHES = (("opt-6.7b", 4), ("llama2-70b", 8))
+
+    @staticmethod
+    def _search(model_key, devices):
+        from repro import FabricProfiler, v100_cluster
+        from repro.graph.models import MODELS_BY_KEY
+
+        model = MODELS_BY_KEY[model_key]
+        graph = build_block_graph(model.block_shape(batch=devices))
+        optimizer = PrimeParOptimizer(FabricProfiler(v100_cluster(devices)))
+        return optimizer.optimize(graph, n_layers=model.n_layers)
+
+    @staticmethod
+    def _telemetry(result):
+        metrics = result.telemetry["metrics"]
+        counters = sorted(
+            (e["name"], sorted(e["labels"].items()), e["value"])
+            for e in metrics["counters"] if e["value"]
+        )
+        histograms = sorted(
+            (e["name"], sorted(e["labels"].items()), e["bucket_counts"])
+            for e in metrics["histograms"] if e["count"]
+        )
+        spans = collections.Counter(
+            (s["name"], s["path"]) for s in result.telemetry["spans"]
+        )
+        return counters, histograms, spans
+
+    def test_concurrent_searches_match_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path / "cache"))
+        for key, devices in self.SEARCHES:  # warm the disk cache
+            self._search(key, devices)
+        serial = {key: self._search(key, devices)
+                  for key, devices in self.SEARCHES}
+        _barrier_at_candidates(monkeypatch, len(self.SEARCHES))
+        concurrent = {}
+
+        def run(key, devices):
+            concurrent[key] = self._search(key, devices)
+
+        threads = [
+            threading.Thread(target=run, args=search)
+            for search in self.SEARCHES
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+            assert not thread.is_alive()
+        for key, _ in self.SEARCHES:
+            roots = [
+                s for s in concurrent[key].telemetry["spans"]
+                if s["path"] == "search"
+            ]
+            assert len(roots) == 1, key
+            assert self._telemetry(concurrent[key]) == self._telemetry(
+                serial[key]
+            ), key
+
+    def test_searches_without_a_collector_keep_no_spans(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.api import SearchRequest
+        from repro.obs import Span
+        from repro.serve import PlanService, PlanStore
+
+        def held_spans():
+            gc.collect()
+            return sum(isinstance(o, Span) for o in gc.get_objects())
+
+        monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path / "cache"))
+        request = SearchRequest(model="opt-6.7b", devices=2, batch=8)
+        PlanService(store=PlanStore(use_disk=False)).search(request)
+        before = held_spans()
+        for _ in range(50):
+            payload = PlanService(store=PlanStore(use_disk=False)).search(
+                request
+            )
+            assert payload["source"] == "computed"
+        assert held_spans() == before
 
 
 class TestTraceSpans:
@@ -483,6 +661,8 @@ class TestCli:
         assert code == 0
         assert "entries by kind" in out.out
         assert "candidates" in out.out
+        # No table of this process's (always empty) cache traffic.
+        assert "traffic" not in out.out
 
     def test_simulate_utilization_summary(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path / "cache"))

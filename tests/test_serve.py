@@ -8,6 +8,7 @@ hit/miss/coalescing counters are exact.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import subprocess
 import sys
@@ -54,9 +55,16 @@ def fresh_cache(tmp_path, monkeypatch):
 
 @pytest.fixture()
 def registry():
-    """A fresh process-wide metrics registry (server threads record here)."""
+    """A fresh metrics registry for the test's scope (a server started in
+    it records here too)."""
     with use_registry(MetricsRegistry()) as fresh:
         yield fresh
+
+
+def _scoped_thread(target) -> threading.Thread:
+    """A thread that records telemetry into the calling test's scope (a
+    new thread otherwise starts from the process scope)."""
+    return threading.Thread(target=contextvars.copy_context().run, args=(target,))
 
 
 def _service(**kwargs) -> PlanService:
@@ -204,10 +212,10 @@ class TestSingleFlight:
         def run():
             results.append(flight.run("k", compute, timeout=30.0))
 
-        leader = threading.Thread(target=run)
+        leader = _scoped_thread(run)
         leader.start()
         assert entered.wait(timeout=30.0)
-        followers = [threading.Thread(target=run) for _ in range(3)]
+        followers = [_scoped_thread(run) for _ in range(3)]
         for t in followers:
             t.start()
         deadline = time.monotonic() + 30.0
@@ -246,10 +254,10 @@ class TestSingleFlight:
             except ValueError as exc:
                 errors.append(str(exc))
 
-        leader = threading.Thread(target=run)
+        leader = _scoped_thread(run)
         leader.start()
         assert entered.wait(timeout=30.0)
-        follower = threading.Thread(target=run)
+        follower = _scoped_thread(run)
         follower.start()
         deadline = time.monotonic() + 30.0
         while counter("serve.coalesced").value < 1:
@@ -875,6 +883,53 @@ class TestTracingHTTP:
         assert leader_record["outcome"] == "computed"
         follower_record = _wait_for(lambda: client.trace("follower-1"))
         assert follower_record["outcome"] == "coalesced"
+
+    def test_concurrent_requests_trace_only_their_own_search(
+        self, server, monkeypatch
+    ):
+        """Two overlapping searches: each trace has one ``search`` root."""
+        barrier = threading.Barrier(2, timeout=60.0)
+        original = PrimeParOptimizer.candidates_for
+
+        def candidates_for(self, *args, **kwargs):
+            barrier.wait()  # both searches are inside their search span
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            PrimeParOptimizer, "candidates_for", candidates_for
+        )
+        client = PlanClient(server.url)
+        traces = {}
+
+        def call(devices):
+            traces[devices] = client.search(
+                SearchRequest(model=MODEL, devices=devices, batch=8),
+                debug_trace=True,
+            ).trace
+
+        threads = [threading.Thread(target=call, args=(d,)) for d in (2, 4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+            assert not thread.is_alive()
+        assert sorted(traces) == [2, 4]
+        for trace in traces.values():
+            assert trace["outcome"] == "computed"
+            roots = [s for s in trace["spans"] if s["path"] == "search"]
+            assert len(roots) == 1
+
+    def test_derived_request_trace_carries_its_replay_spans(self, server):
+        response = PlanClient(server.url).post(
+            SimulateRequest(
+                search=SearchRequest(model=MODEL, devices=2, batch=8),
+                layers=2,
+            ),
+            debug_trace=True,
+        )
+        paths = {s["path"] for s in response["trace"]["spans"]}
+        assert "search" in paths
+        assert any(p.startswith("sim.") for p in paths)
 
     def test_queue_wait_histogram_and_tiered_lookups_exposed(self, server):
         client = PlanClient(server.url)
