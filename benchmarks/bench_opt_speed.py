@@ -7,7 +7,9 @@ breakdown (``candidates``, ``segment_dp``, ``merge``, and ``classify``:
 the boundary-class share of ``candidates``) reported by the optimizer, the
 Bellman share of ``segment_dp`` (``bellman_seconds``: the
 stage minus its Eq. 8-9 edge pricing) and each segment's DP time and
-expanded states, plus a serial-vs-parallel ``Planner3D`` sweep timing.  Every
+expanded states, plus a serial-vs-parallel ``Planner3D`` sweep timing.  Each
+scale also records ``cache_bytes``, the size of the disk cache the
+cold-serial search leaves (its candidate sets and profiler fits).  Every
 regime must produce the identical plan and cost; the JSON records the check.
 
 Standalone::
@@ -35,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import ALPHA, RESULTS_DIR, beam_for, jobs_for, span_root
 
+from repro import cache as diskcache
 from repro import (
     FabricProfiler,
     Planner3D,
@@ -99,12 +102,13 @@ def _measure_scale(model, n_devices: int, jobs: int, workdir: str) -> Dict:
     """The four regimes at one scale; warm runs reuse the cold-serial dir."""
     cold_serial_dir = os.path.join(workdir, f"cold-serial-{n_devices}")
     cold_parallel_dir = os.path.join(workdir, f"cold-parallel-{n_devices}")
-    runs = {
-        "cold_serial": _one_search(model, n_devices, 1, cold_serial_dir),
+    runs = {"cold_serial": _one_search(model, n_devices, 1, cold_serial_dir)}
+    cache_bytes = diskcache.total_bytes()
+    runs.update({
         "cold_parallel": _one_search(model, n_devices, jobs, cold_parallel_dir),
         "warm_serial": _one_search(model, n_devices, 1, cold_serial_dir),
         "warm_parallel": _one_search(model, n_devices, jobs, cold_serial_dir),
-    }
+    })
     reference = runs["cold_serial"]
     identical = all(
         runs[r]["cost"] == reference["cost"]
@@ -114,7 +118,12 @@ def _measure_scale(model, n_devices: int, jobs: int, workdir: str) -> Dict:
     )
     for run in runs.values():
         del run["fingerprint"]
-    return {"devices": n_devices, "runs": runs, "identical": identical}
+    return {
+        "devices": n_devices,
+        "runs": runs,
+        "cache_bytes": cache_bytes,
+        "identical": identical,
+    }
 
 
 def _measure_sweep(model, n_devices: int, jobs: int, workdir: str) -> Dict:
@@ -200,7 +209,8 @@ def _report(payload: Dict) -> str:
             f"  {entry['devices']:>2} devices: cold serial {cold:.2f}s, "
             f"cold x{payload['jobs']} {runs['cold_parallel']['elapsed_seconds']:.2f}s, "
             f"warm serial {runs['warm_serial']['elapsed_seconds']:.2f}s, "
-            f"warm x{payload['jobs']} {runs['warm_parallel']['elapsed_seconds']:.2f}s"
+            f"warm x{payload['jobs']} {runs['warm_parallel']['elapsed_seconds']:.2f}s, "
+            f"cache {entry['cache_bytes'] / 1e6:.2f} MB"
             f"  [identical={entry['identical']}]"
         )
     sweep = payload["sweep"]
@@ -223,6 +233,7 @@ def test_opt_speed_smoke(benchmark):
     assert all(entry["identical"] for entry in payload["scales"])
     assert payload["sweep"]["identical"]
     for entry in payload["scales"]:
+        assert entry["cache_bytes"] > 0
         for regime in REGIMES:
             stages = entry["runs"][regime]["stages"]
             assert set(stages) == {

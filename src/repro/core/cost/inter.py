@@ -30,7 +30,7 @@ as a per-rank evaluation, so the matrices are exact.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,13 +42,13 @@ from ...obs.metrics import counter
 from ..dims import ALL_DIMS, Dim, Phase
 from ..layout import grid_events
 from ..spec import PartitionSpec
-
-#: Boundary points: (phase, temporal step index; -1 means the final step).
-FWD_START = (Phase.FORWARD, 0)
-FWD_END = (Phase.FORWARD, -1)
-BWD_START = (Phase.BACKWARD, 0)
-BWD_END = (Phase.BACKWARD, -1)
-GRAD_END = (Phase.GRADIENT, -1)
+from ..steps import (
+    BOUNDARY_POINTS,
+    BWD_START,
+    FWD_END,
+    FWD_START,
+    boundary_matrices,
+)
 
 #: Byte budget of one chunk's float64 temporary in batched products (the
 #: node-block coverage gather here, the min-plus broadcast in the DP); a
@@ -114,15 +114,24 @@ class SliceTables:
 
     Holds one :func:`slice_tables` per dim, built on first use and reused
     by every later decode; ``inter.decode_tables{outcome=build|reuse}``
-    counts the two, once per decoded dim.  A candidate set owns one for
-    the whole search (:attr:`~repro.core.optimizer.candidates.CandidateSet.
-    tables`, never pickled); a priced plan gets a one-spec decoder per node
-    (:meth:`InterOperatorCostModel.plan_edge_costs`).
+    counts the two, once per decoded dim.  ``boundary`` is the specs'
+    stacked :func:`~repro.core.steps.boundary_matrices`, computed here
+    when not given.  A candidate set owns one decoder for the whole
+    search, over its own boundary array (:attr:`~repro.core.optimizer.
+    candidates.CandidateSet.tables`, never pickled); a priced plan gets a
+    one-spec decoder per node, each over its row of one boundary pass for
+    the plan (:meth:`InterOperatorCostModel.plan_edge_costs`).
     """
 
-    def __init__(self, op: OperatorSpec, specs: Sequence[PartitionSpec]) -> None:
+    def __init__(
+        self,
+        op: OperatorSpec,
+        specs: Sequence[PartitionSpec],
+        boundary: Optional[np.ndarray] = None,
+    ) -> None:
         self.op = op
         self.specs = specs
+        self.boundary = boundary_matrices(specs) if boundary is None else boundary
         self._tables: Dict[Dim, Dict[str, np.ndarray]] = {}
 
     def __len__(self) -> int:
@@ -140,14 +149,10 @@ class SliceTables:
         Returns, for each logical axis spanned by ``dims``, an
         ``(n_specs, n_devices, 2)`` integer array of half-open intervals:
         rank by rank the slice at the rank's DSI.  Each axis is one gather
-        from its table, by spec and by the rank's DSI (read from the
-        ``dsi_matrix`` caches, which candidate builds seed at every
-        boundary point).
+        from its table, by spec and by the rank's DSI (a slice of the
+        boundary array at ``point``, one of :data:`BOUNDARY_POINTS`).
         """
-        phase, t = point
-        matrices = np.stack(
-            [spec.evaluator.dsi_matrix(phase, t) for spec in self.specs]
-        )
+        matrices = self.boundary[:, BOUNDARY_POINTS.index(point)]
         rows = np.arange(len(self.specs))[:, None]
         boxes: Dict[str, np.ndarray] = {}
         for dim in dims:
@@ -426,10 +431,14 @@ class InterOperatorCostModel:
         """``(edge,) + edge_costs`` of every edge, in ``graph.edges`` order.
 
         Each node's spec gets one :class:`SliceTables`, shared by all of
-        the node's edges and dropped on return.
+        the node's edges and dropped on return; one
+        :func:`~repro.core.steps.boundary_matrices` pass serves them all.
         """
+        specs = [plan[node.name] for node in graph.nodes]
+        boundary = boundary_matrices(specs)
         tables = {
-            node.name: SliceTables(node, [plan[node.name]]) for node in graph.nodes
+            node.name: SliceTables(node, specs[i : i + 1], boundary[i : i + 1])
+            for i, node in enumerate(graph.nodes)
         }
         return tuple(
             (edge,) + self.edge_costs(edge, tables[edge.src], tables[edge.dst])

@@ -39,6 +39,15 @@ class DsiResult:
         return self.values[dim]
 
 
+def check_bits(steps: Sequence[PartitionStep], n_bits: int) -> None:
+    """Raise ``ValueError`` unless ``steps`` consume exactly ``n_bits`` bits."""
+    consumed = sum(step.bits_consumed for step in steps)
+    if consumed != n_bits:
+        raise ValueError(
+            f"sequence consumes {consumed} bits but cluster has {n_bits}"
+        )
+
+
 @dataclass
 class _TemporalSlot:
     """Bookkeeping for one temporal primitive within a sequence."""
@@ -63,11 +72,7 @@ class DsiEvaluator:
     def __init__(self, steps: Sequence[PartitionStep], n_bits: int) -> None:
         self.steps: Tuple[PartitionStep, ...] = tuple(steps)
         self.n_bits = n_bits
-        consumed = sum(s.bits_consumed for s in self.steps)
-        if consumed != n_bits:
-            raise ValueError(
-                f"sequence consumes {consumed} bits but cluster has {n_bits}"
-            )
+        check_bits(self.steps, n_bits)
         self._temporal_slots: List[_TemporalSlot] = []
         bit = 0
         for step in self.steps:
@@ -181,73 +186,6 @@ class DsiEvaluator:
         """DSI tuple of a tensor (one entry per tensor dim) at ``(device, t)``."""
         result = self.dsi(device, phase, t)
         return tuple(result[d] for d in dims)
-
-    def dsi_matrix(self, phase: Phase, t: int = 0):
-        """All devices' DSIs at once: ``(n_devices, 4)`` int array.
-
-        Vectorised equivalent of :meth:`dsi` over the whole cluster; column
-        order follows :data:`~repro.core.dims.ALL_DIMS`.  Results are cached
-        per ``(phase, t mod total_steps)``; candidate builds seed the cache
-        at the boundary points from their bulk pass
-        (:func:`~repro.core.optimizer.candidates.boundary_matrices`).
-        """
-        import numpy as np
-
-        cache = getattr(self, "_matrix_cache", None)
-        if cache is None:
-            cache = self._matrix_cache = {}
-        t_norm = t % self.total_steps
-        key = (phase, t_norm)
-        if key in cache:
-            return cache[key]
-        n_dev = self.n_devices
-        ranks = np.arange(n_dev, dtype=np.int64)
-        bits = (ranks[:, None] >> (self.n_bits - 1 - np.arange(self.n_bits))) & 1
-        t_indices = self.decompose_step(t_norm)
-        values = {dim: np.zeros(n_dev, dtype=np.int64) for dim in ALL_DIMS}
-        bit = 0
-        temporal_pos = 0
-        for step in self.steps:
-            if isinstance(step, Replicate):
-                bit += 1
-            elif isinstance(step, DimPartition):
-                values[step.dim] = 2 * values[step.dim] + bits[:, bit]
-                bit += 1
-            else:
-                side = step.side
-                k = step.k
-                row = np.zeros(n_dev, dtype=np.int64)
-                col = np.zeros(n_dev, dtype=np.int64)
-                for j in range(k):
-                    row = (row << 1) | bits[:, bit + 2 * j]
-                    col = (col << 1) | bits[:, bit + 2 * j + 1]
-                t_local = t_indices[temporal_pos]
-                last = 1 if t_local == side - 1 else 0
-                if phase is Phase.FORWARD:
-                    contrib = {
-                        Dim.M: row % side,
-                        Dim.N: (row + col + t_local) % side,
-                        Dim.K: col % side,
-                    }
-                elif phase is Phase.BACKWARD:
-                    contrib = {
-                        Dim.M: row % side,
-                        Dim.N: (row + col - 1) % side,
-                        Dim.K: (col + t_local) % side,
-                    }
-                else:
-                    contrib = {
-                        Dim.M: (row + t_local) % side,
-                        Dim.N: (row + col - 1 + last) % side,
-                        Dim.K: (col - 1 + last) % side,
-                    }
-                for dim, value in contrib.items():
-                    values[dim] = side * values[dim] + value
-                bit += step.bits_consumed
-                temporal_pos += 1
-        matrix = np.stack([values[dim] for dim in ALL_DIMS], axis=1)
-        cache[key] = matrix
-        return matrix
 
     # ------------------------------------------------------------------
     # symbolic dependency analysis (for group indicators, paper Sec. 4.1)

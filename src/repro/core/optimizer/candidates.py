@@ -11,6 +11,7 @@ census"), and were it to, a duplicate state would only enlarge the DP.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,26 +20,16 @@ import numpy as np
 from ...graph.operators import OperatorSpec
 from ...obs.metrics import counter
 from ...obs.spans import span
-from ..dims import ALL_DIMS, Dim
+from ..dims import Dim
 from ..layout import grid_events
 from ..partitions import DimPartition
 from ..spec import PartitionSpec
 from ..space import enumerate_specs
-from ..steps import MNK, TEMPORAL, StepTable
+from ..steps import boundary_matrices
 from .. import cost as _cost  # noqa: F401  (re-export convenience)
-from ..cost.inter import (
-    BWD_END,
-    BWD_START,
-    FWD_END,
-    FWD_START,
-    GRAD_END,
-    SliceTables,
-)
+from ..cost.inter import SliceTables
 from ..cost.intra import IntraOperatorCostModel
 from .canonical import canonical_specs
-
-#: Boundary points that determine every edge-observable layout.
-_BOUNDARY_POINTS = (FWD_START, FWD_END, BWD_START, BWD_END, GRAD_END)
 
 
 @dataclass
@@ -50,6 +41,8 @@ class CandidateSet:
         specs: The enumerated specs, then the canonical extras that are not
             an earlier spec's twin (all of them, or a beam of them).
         intra: Eq. 7 totals per spec, shape ``(P,)``.
+        boundary: The specs' :func:`~repro.core.steps.boundary_matrices`,
+            shape ``(P, 5, n_devices, 4)`` in a compact unsigned dtype.
         raw_size: Enumerated specs plus every canonical extra not equal to
             one, twins included (paper's ``P``).
 
@@ -61,6 +54,7 @@ class CandidateSet:
     op: OperatorSpec
     specs: List[PartitionSpec]
     intra: np.ndarray
+    boundary: np.ndarray
     raw_size: int
 
     def __len__(self) -> int:
@@ -77,111 +71,31 @@ class CandidateSet:
         """The specs' boundary-box decoder, shared by every edge priced."""
         tables = self.__dict__.get("_tables")
         if tables is None:
-            tables = self.__dict__["_tables"] = SliceTables(self.op, self.specs)
+            tables = self.__dict__["_tables"] = SliceTables(
+                self.op, self.specs, self.boundary
+            )
         return tables
 
     @property
-    def cache_token(self) -> Tuple:
-        """Hashable content identity: same token ⇒ same op type and specs.
+    def cache_token(self) -> str:
+        """Content identity: same token ⇒ same op type and specs.
 
         Memoization key material for edge cost matrices — two candidate
         sets with equal tokens produce identical inter-cost matrices for a
-        structurally identical edge.
+        structurally identical edge.  A digest of the type key, bit width
+        and spellings (which round-trip through ``from_string``), so the
+        memo hashes it once, not every spec's steps per lookup.
         """
         token = self.__dict__.get("_cache_token")
         if token is None:
-            token = (
+            text = repr((
                 type_key(self.op),
                 self.specs[0].n_bits if self.specs else 0,
-                tuple(spec.steps for spec in self.specs),
-            )
+                [str(spec) for spec in self.specs],
+            ))
+            token = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
             self.__dict__["_cache_token"] = token
         return token
-
-
-def boundary_matrices(specs: Sequence[PartitionSpec]) -> np.ndarray:
-    """Boundary DSI matrices of a whole spec list, in one pass.
-
-    The specs are read once into a :class:`~repro.core.steps.StepTable`.
-    A DSI value is a mixed-radix number (Alg. 1's ``I <- s*I + digit``),
-    so every boundary matrix is one product ``digits[p].T @ weights[s]``:
-    ``digits[p]`` holds digit vectors over ranks (one per device-id bit,
-    and one per primitive placement and dim of ``M``/``N``/``K`` at point
-    ``p``), ``weights[s]`` the place value spec ``s`` gives each of them.
-
-    Returns:
-        Shape ``(n_specs, len(_BOUNDARY_POINTS), n_devices,
-        len(ALL_DIMS))``, in the smallest unsigned dtype that holds
-        ``2^n_bits``; ``matrices[i, p]`` equals
-        ``specs[i].evaluator.dsi_matrix(*_BOUNDARY_POINTS[p])``.
-    """
-    table = StepTable(specs)
-    n_bits = table.n_bits
-    code, start, k = table.code, table.start, table.k
-    temporal = code == TEMPORAL
-    place = table.place_values()
-    # Every value below (DSIs, digits, place values) is at most 2^n_bits,
-    # so all of it fits a compact dtype.
-    dtype = np.min_scalar_type(1 << n_bits)
-
-    # Digit columns: the device-id bits, then M/N/K per placement.
-    placements = [
-        (bit, kk)
-        for kk in range(1, n_bits // 2 + 1)
-        for bit in range(n_bits - 2 * kk + 1)
-    ]
-    column_of = np.zeros((max(n_bits, 1), n_bits // 2 + 1), dtype=np.int64)
-    for i, (bit, kk) in enumerate(placements):
-        column_of[bit, kk] = n_bits + 3 * i
-    weights = np.zeros(
-        (table.n_specs, n_bits + 3 * len(placements), len(ALL_DIMS)),
-        dtype=dtype,
-    )
-    s_dim, j_dim = np.nonzero((code >= 0) & ~temporal)
-    d_dim = code[s_dim, j_dim]
-    weights[s_dim, start[s_dim, j_dim], d_dim] = place[s_dim, j_dim, d_dim]
-    s_tmp, j_tmp = np.nonzero(temporal)
-    column = column_of[start[s_tmp, j_tmp], k[s_tmp, j_tmp]]
-    for offset, dim in enumerate(MNK):
-        weights[s_tmp, column + offset, dim] = place[s_tmp, j_tmp, dim]
-    digits = _digit_table(n_bits, placements).astype(dtype)
-    # Digit sums never exceed the final DSI, so the product cannot wrap.
-    return np.matmul(digits.transpose(0, 2, 1), weights[:, None])
-
-
-def _digit_table(
-    n_bits: int, placements: Sequence[Tuple[int, int]]
-) -> np.ndarray:
-    """Digit vectors, ``(len(_BOUNDARY_POINTS), columns, n_devices)``.
-
-    Columns ``0..n_bits-1`` are the device-id bits (bit 0 the most
-    significant).  Each primitive placement ``(start bit, k)`` adds three,
-    its ``M``, ``N``, ``K`` digits at each point (paper Eq. 4-6 with every
-    primitive at ``t = 0`` at a start point, at ``t = 2^k - 1`` at an end).
-    """
-    ranks = np.arange(1 << n_bits, dtype=np.int64)
-    bits = (ranks >> (n_bits - 1 - np.arange(n_bits))[:, None]) & 1
-    table = np.empty(
-        (len(_BOUNDARY_POINTS), n_bits + 3 * len(placements), len(ranks)),
-        dtype=np.int64,
-    )
-    table[:, :n_bits] = bits
-    for i, (bit, kk) in enumerate(placements):
-        side = 1 << kk
-        last = side - 1
-        row = np.zeros_like(ranks)
-        col = np.zeros_like(ranks)
-        for j in range(kk):
-            row = (row << 1) | bits[bit + 2 * j]
-            col = (col << 1) | bits[bit + 2 * j + 1]
-        table[:, n_bits + 3 * i:n_bits + 3 * i + 3] = [
-            (row, (row + col) % side, col),  # FWD_START
-            (row, (row + col + last) % side, col),  # FWD_END
-            (row, (row + col - 1) % side, col),  # BWD_START
-            (row, (row + col - 1) % side, (col + last) % side),  # BWD_END
-            ((row + last) % side, (row + col) % side, col),  # GRAD_END
-        ]
-    return table
 
 
 def _spelling(spec: PartitionSpec) -> Tuple:
@@ -253,8 +167,8 @@ def build_candidates(
     """Enumerate and cost one operator's partition space.
 
     Canonical extras join through :func:`inject_canonical`.  The kept
-    specs' DSI-matrix caches come seeded with their boundary matrices, so
-    edge pricing reads them instead of recomputing.
+    specs' boundary matrices are computed in one bulk pass and kept with
+    the set, so edge pricing slices them instead of recomputing.
 
     Args:
         op: The operator node.
@@ -304,8 +218,7 @@ def build_candidates(
             keep.update(protected)
             order = np.array(sorted(keep))
         kept = [specs[i] for i in order]
-        for spec, matrices in zip(kept, boundary_matrices(kept)):
-            _seed_matrix_cache(spec, matrices)
+        boundary = boundary_matrices(kept)
     op_label = op.kind.name.lower()
     counter("candidates.builds", op=op_label).inc()
     counter("candidates.raw", op=op_label).inc(raw_size)
@@ -316,25 +229,9 @@ def build_candidates(
         op=op,
         specs=kept,
         intra=costs[order],
+        boundary=boundary,
         raw_size=raw_size,
     )
-
-
-def _seed_matrix_cache(spec: PartitionSpec, matrices: np.ndarray) -> None:
-    """Store ``spec``'s boundary matrices in its ``dsi_matrix`` cache.
-
-    Keys, insertion order and one array per key are exactly what calling
-    ``dsi_matrix`` at each boundary point in turn leaves, so a pickled
-    candidate set is byte-identical to one whose caches filled lazily.
-    The slice counts are read for the same reason: they are pickled too.
-    """
-    spec.slice_counts
-    evaluator = spec.evaluator
-    cache = evaluator.__dict__.setdefault("_matrix_cache", {})
-    for (phase, t), matrix in zip(_BOUNDARY_POINTS, matrices):
-        key = (phase, t % evaluator.total_steps)
-        if key not in cache:
-            cache[key] = matrix.astype(np.int64)
 
 
 def type_key(op: OperatorSpec) -> Tuple:

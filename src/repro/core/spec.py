@@ -1,17 +1,18 @@
 """Partition specifications: a sequence of basic partitions bound to a cluster.
 
 A :class:`PartitionSpec` is the unit the optimizer searches over — one per
-operator.  It owns a :class:`~repro.core.dsi.DsiEvaluator` and offers layout
-queries used by the cost model and the execution simulator.
+operator.  It owns a :class:`~repro.core.dsi.DsiEvaluator`, built on first
+use, and offers layout queries used by the cost model and the execution
+simulator.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .dims import ALL_DIMS, Dim, Phase
-from .dsi import DsiEvaluator
+from .dsi import DsiEvaluator, check_bits
 from .partitions import (
     DimPartition,
     PartitionStep,
@@ -54,7 +55,17 @@ class PartitionSpec:
                 )
             if isinstance(step, TemporalPartition) and not allow_temporal:
                 raise ValueError("temporal primitive not supported by operator")
-        self.evaluator = DsiEvaluator(self.steps, n_bits)
+        check_bits(self.steps, n_bits)
+
+    @cached_property
+    def evaluator(self) -> DsiEvaluator:
+        """The sequence's Alg. 1 evaluator, built on first use."""
+        return DsiEvaluator(self.steps, self.n_bits)
+
+    def __getstate__(self) -> Dict:
+        """A spec pickles as its steps and bit width; derived state
+        (:attr:`evaluator`, :attr:`slice_counts`) is rebuilt on use."""
+        return {"steps": self.steps, "n_bits": self.n_bits}
 
     # ------------------------------------------------------------------
     # constructors

@@ -2,12 +2,14 @@
 
 This module vendors ``repro.core.optimizer.candidates`` as it was before
 boundary classes were computed in bulk: ``boundary_class_key`` walks each
-spec's DSI matrices with the scalar ``DsiEvaluator.dsi_matrix`` and packs
-them, the slice counts and the grid signature into bytes, and
-``build_candidates`` keeps each key's cheapest spec in a dict.  The
-equivalence suite (``tests/test_candidates_bulk.py``) proves the twin-check
-build keeps the same specs as this collapse, with byte-identical pickles.
-Do not edit except to re-freeze against a new baseline.
+spec's DSI matrices with the scalar ``dsi_matrix`` oracle
+(``tests/oracles.py``) and packs them, the slice counts and the grid
+signature into bytes, and ``build_candidates`` keeps each key's cheapest
+spec in a dict, then stacks the kept specs' scalar matrices into the set's
+``boundary`` array.  The equivalence suite (``tests/test_candidates_bulk.py``)
+proves the twin-check build keeps the same specs as this collapse, with
+byte-identical pickles.  Do not edit except to re-freeze against a new
+baseline.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cost.inter import BWD_END, BWD_START, FWD_END, FWD_START, GRAD_END
+from oracles import dsi_matrix  # scalar oracle, lives next to this file
 from repro.core.cost.intra import IntraOperatorCostModel
 from repro.core.dims import ALL_DIMS, Dim
 from repro.core.optimizer.candidates import CandidateSet, operator_dim_limits
@@ -25,12 +27,9 @@ from repro.core.optimizer.canonical import canonical_specs
 from repro.core.partitions import DimPartition, TemporalPartition
 from repro.core.space import enumerate_specs
 from repro.core.spec import PartitionSpec
+from repro.core.steps import BOUNDARY_POINTS
 from repro.graph.operators import OperatorSpec
 from repro.obs.metrics import counter
-
-#: Boundary points that determine every edge-observable layout.
-BOUNDARY_POINTS = (FWD_START, FWD_END, BWD_START, BWD_END, GRAD_END)
-
 
 def default_axis(
     axes: Sequence[str],
@@ -87,8 +86,8 @@ def grid_signature(op: OperatorSpec, spec: PartitionSpec) -> Tuple:
 def boundary_class_key(op: OperatorSpec, spec: PartitionSpec) -> bytes:
     """Hashable key of a spec's edge-observable boundary layouts.
 
-    Reads (and fills) ``spec``'s own ``dsi_matrix`` cache, as the build
-    did: pass specs that no bulk build has seeded.
+    The DSI matrices come from the scalar ``dsi_matrix`` oracle, point by
+    point.
     """
     counts = spec.slice_counts
     parts = [struct.pack(f"<{len(ALL_DIMS)}q", *(counts[d] for d in ALL_DIMS))]
@@ -103,7 +102,7 @@ def boundary_class_key(op: OperatorSpec, spec: PartitionSpec) -> bytes:
             grid += struct.pack("<q", factor)
     parts.append(bytes(grid))
     for phase, t in BOUNDARY_POINTS:
-        parts.append(spec.evaluator.dsi_matrix(phase, t).tobytes())
+        parts.append(dsi_matrix(spec.evaluator, phase, t).tobytes())
     return b"|".join(parts)
 
 
@@ -169,9 +168,14 @@ def build_candidates(
     )
     counter("candidates.beam_evicted", op=op_label).inc(n_classes - len(order))
     kept = [specs[i] for i in order]
+    boundary = np.stack([
+        [dsi_matrix(spec.evaluator, phase, t) for phase, t in BOUNDARY_POINTS]
+        for spec in kept
+    ]).astype(np.min_scalar_type(1 << n_bits))
     return CandidateSet(
         op=op,
         specs=kept,
         intra=costs[order],
+        boundary=boundary,
         raw_size=raw_size,
     )

@@ -14,7 +14,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from oracles import axis_intervals  # scalar oracle, lives next to this file
+from oracles import axis_intervals, dsi_matrix  # scalar oracles, next to this file
 from repro.cluster.profiler import FabricProfiler
 from repro.graph.graph import Edge
 from repro.graph.operators import OperatorSpec
@@ -54,7 +54,7 @@ class NodeBoundary:
         phase, t = point
         t = t % self.spec.total_steps
         n_dev = self.spec.n_devices
-        matrix = self.spec.evaluator.dsi_matrix(phase, t)
+        matrix = dsi_matrix(self.spec.evaluator, phase, t)
         boxes: Dict[str, np.ndarray] = {}
         for dim in dims:
             axes = tuple(self.op.dim_axes[dim])

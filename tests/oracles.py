@@ -12,7 +12,10 @@ package computes in bulk or never spells out:
   (paper Table 1);
 * :func:`stack_layers_doubling` — the paper's recursive-doubling layer
   stack (Sec. 5.1), which ``repro.core.optimizer.merge.stack_layers``
-  replaces by a min-plus vector fold.
+  replaces by a min-plus vector fold;
+* :func:`dsi_matrix` — one spec's DSIs on every rank at one ``(phase,
+  t)``, which ``repro.core.steps.boundary_matrices`` computes for a whole
+  spec list at every boundary point.
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ import numpy as np
 
 from repro.core.analysis import RingTransfer
 from repro.core.device import DeviceId
-from repro.core.dims import Dim
+from repro.core.dims import ALL_DIMS, Dim, Phase
+from repro.core.dsi import DsiEvaluator
 from repro.core.layout import grid_events
 from repro.core.optimizer.dp import min_plus
+from repro.core.partitions import DimPartition, Replicate
 from repro.core.spec import PartitionSpec
 from repro.graph.operators import OperatorSpec
 from repro.graph.tensors import AxisInterval
@@ -128,3 +133,57 @@ def stack_layers_doubling(
         if remaining:
             power = merge(power, power)
     return float(result.min())
+
+
+def dsi_matrix(evaluator: DsiEvaluator, phase: Phase, t: int = 0) -> np.ndarray:
+    """All devices' DSIs at once: ``(n_devices, 4)`` int64 array.
+
+    Vectorised over ranks, but spec by spec and point by point:
+    ``evaluator.dsi`` for every device, columns in ``ALL_DIMS`` order.
+    """
+    n_dev = evaluator.n_devices
+    n_bits = evaluator.n_bits
+    ranks = np.arange(n_dev, dtype=np.int64)
+    bits = (ranks[:, None] >> (n_bits - 1 - np.arange(n_bits))) & 1
+    t_indices = evaluator.decompose_step(t)
+    values = {dim: np.zeros(n_dev, dtype=np.int64) for dim in ALL_DIMS}
+    bit = 0
+    temporal_pos = 0
+    for step in evaluator.steps:
+        if isinstance(step, Replicate):
+            bit += 1
+        elif isinstance(step, DimPartition):
+            values[step.dim] = 2 * values[step.dim] + bits[:, bit]
+            bit += 1
+        else:
+            side = step.side
+            row = np.zeros(n_dev, dtype=np.int64)
+            col = np.zeros(n_dev, dtype=np.int64)
+            for j in range(step.k):
+                row = (row << 1) | bits[:, bit + 2 * j]
+                col = (col << 1) | bits[:, bit + 2 * j + 1]
+            t_local = t_indices[temporal_pos]
+            last = 1 if t_local == side - 1 else 0
+            if phase is Phase.FORWARD:
+                contrib = {
+                    Dim.M: row % side,
+                    Dim.N: (row + col + t_local) % side,
+                    Dim.K: col % side,
+                }
+            elif phase is Phase.BACKWARD:
+                contrib = {
+                    Dim.M: row % side,
+                    Dim.N: (row + col - 1) % side,
+                    Dim.K: (col + t_local) % side,
+                }
+            else:
+                contrib = {
+                    Dim.M: (row + t_local) % side,
+                    Dim.N: (row + col - 1 + last) % side,
+                    Dim.K: (col - 1 + last) % side,
+                }
+            for dim, value in contrib.items():
+                values[dim] = side * values[dim] + value
+            bit += step.bits_consumed
+            temporal_pos += 1
+    return np.stack([values[dim] for dim in ALL_DIMS], axis=1)

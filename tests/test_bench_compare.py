@@ -45,6 +45,7 @@ def test_fanned_out_threshold_compares_each_scale(tmp_path, capsys):
     )
     current = copy.deepcopy(baseline)
     current["scales"][-1]["runs"]["warm_serial"]["elapsed_seconds"] *= 2.0
+    current["scales"][0]["cache_bytes"] *= 2
     base_dir, cur_dir = tmp_path / "base", tmp_path / "cur"
     for directory, doc in ((base_dir, baseline), (cur_dir, current)):
         directory.mkdir()
@@ -56,9 +57,10 @@ def test_fanned_out_threshold_compares_each_scale(tmp_path, capsys):
         line for line in capsys.readouterr().out.splitlines()
         if line.startswith("  FAIL")
     ]
-    assert len(failures) == 1
+    assert len(failures) == 2
     last = len(baseline["scales"]) - 1
     assert f"warm_serial.elapsed_seconds[{last}]" in failures[0]
+    assert "scales[*].cache_bytes[0]" in failures[1]
 
 
 def test_smoke_bounds_catch_a_cold_search_blow_up(tmp_path, capsys):

@@ -8,7 +8,8 @@ with and without a beam, the twin-check build must keep the same specs as
 the collapse, pickle to the same bytes and bump the same ``candidates.*``
 counters.  The oracle's keys also show the enumerator class-injective
 (every enumerated spec is alone in its class), and the bulk boundary
-matrices must equal the scalar ``dsi_matrix`` of every enumerated spec.
+matrices must equal the scalar ``dsi_matrix`` oracle (``tests/oracles.py``)
+of every enumerated spec.
 
 Here the grid runs under a cheap stand-in cost whose many ties exercise
 the first-index tie rule: all six models at 2 and 4 devices, LLaMA2-70B
@@ -35,12 +36,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import legacy_candidates as legacy  # noqa: E402  (frozen per-spec collapse)
+from oracles import dsi_matrix  # noqa: E402  (scalar boundary-matrix oracle)
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
 from repro.core.cost.intra import IntraCost, IntraOperatorCostModel
 from repro.core.optimizer.candidates import (
-    _BOUNDARY_POINTS,
-    boundary_matrices,
     build_candidates,
     inject_canonical,
     operator_dim_limits,
@@ -50,6 +50,7 @@ from repro.core.layout import grid_events
 from repro.core.partitions import DimPartition, Replicate
 from repro.core.space import enumerate_specs
 from repro.core.spec import PartitionSpec
+from repro.core.steps import BOUNDARY_POINTS, boundary_matrices
 from repro.graph.models import MODELS_BY_KEY
 from repro.graph.transformer import build_block_graph
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -160,9 +161,9 @@ def assert_injective_with_matrices(op, specs):
     keys = [legacy.boundary_class_key(op, spec) for spec in specs]
     assert len(set(keys)) == len(keys), op.name
     for i, spec in enumerate(specs):
-        for p, point in enumerate(_BOUNDARY_POINTS):
+        for p, point in enumerate(BOUNDARY_POINTS):
             assert np.array_equal(
-                matrices[i, p], spec.evaluator.dsi_matrix(*point)
+                matrices[i, p], dsi_matrix(spec.evaluator, *point)
             ), (op.name, str(spec), point)
 
 
@@ -292,19 +293,19 @@ def test_unknown_explicit_axis_rejected():
         legacy.grid_signature(fc1, spec)
 
 
-def test_seeded_caches_are_distinct_arrays():
-    """One owned array per key, in ``dsi_matrix``'s own key order."""
+def test_boundary_array_matches_oracle():
+    """A build keeps its specs' boundary matrices as one compact,
+    contiguous array, each ``[spec, point]`` the scalar oracle's."""
     op = operator_types("opt-6.7b", 8)[-3]
     profiler = FabricProfiler(v100_cluster(8))
     cset = build_candidates(op, 3, IntraOperatorCostModel(profiler), beam=48)
     temporal = [spec for spec in cset.specs if spec.has_temporal]
     assert temporal and len(temporal) < len(cset.specs)
-    for spec in cset.specs:
-        cache = spec.evaluator._matrix_cache
-        last = spec.total_steps - 1
-        expected = [(phase, t % spec.total_steps) for phase, t in _BOUNDARY_POINTS]
-        assert list(cache) == list(dict.fromkeys(expected))
-        assert len(cache) == (5 if last else 3)
-        arrays = list(cache.values())
-        assert all(a.base is None and a.flags.c_contiguous for a in arrays)
-        assert len({id(a) for a in arrays}) == len(arrays)
+    boundary = cset.boundary
+    assert boundary.shape == (len(cset), len(BOUNDARY_POINTS), 8, 4)
+    assert boundary.dtype == np.uint8 and boundary.flags.c_contiguous
+    for i, spec in enumerate(cset.specs):
+        for p, point in enumerate(BOUNDARY_POINTS):
+            assert np.array_equal(
+                boundary[i, p], dsi_matrix(spec.evaluator, *point)
+            ), (str(spec), point)

@@ -8,17 +8,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from legacy_candidates import grid_signature  # noqa: E402  (the scalar oracle's)
-from oracles import axis_intervals  # noqa: E402  (scalar per-slice oracle)
+from oracles import axis_intervals, dsi_matrix  # noqa: E402  (scalar oracles)
 from repro.core.cost.inter import SliceTables
 from repro.core.dims import ALL_DIMS, Dim
 from repro.core.layout import default_axis, grid_events
-from repro.core.optimizer.candidates import (
-    _BOUNDARY_POINTS,
-    operator_dim_limits,
-    type_key,
-)
+from repro.core.optimizer.candidates import operator_dim_limits, type_key
 from repro.core.space import enumerate_specs
 from repro.core.spec import PartitionSpec
+from repro.core.steps import BOUNDARY_POINTS
 from repro.graph.models import MODELS_BY_KEY, OPT_6_7B
 from repro.graph.transformer import build_block_graph
 
@@ -199,16 +196,16 @@ class TestBatchedAxisBoxes:
             # them, decoded for the whole list and, on a sample of about 16
             # specs, for each spec alone.
             holders = {(slot.grad_phase, -1) for slot in op.slots_with_aux()}
-            assert holders <= set(_BOUNDARY_POINTS)
+            assert holders <= set(BOUNDARY_POINTS)
             decoder = SliceTables(op, specs)
             sample = range(0, len(specs), max(1, len(specs) // 16))
             lone = {i: SliceTables(op, [specs[i]]) for i in sample}
-            for point in _BOUNDARY_POINTS:
+            for point in BOUNDARY_POINTS:
                 boxes = decoder.boxes(point, ALL_DIMS)
                 lone_boxes = {
                     i: single.boxes(point, ALL_DIMS) for i, single in lone.items()
                 }
-                matrices = [spec.evaluator.dsi_matrix(*point) for spec in specs]
+                matrices = [dsi_matrix(spec.evaluator, *point) for spec in specs]
                 for dim in dims:
                     column = ALL_DIMS.index(dim)
                     for axis in op.dim_axes[dim]:

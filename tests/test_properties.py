@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import slice_interval  # noqa: E402  (the SliceTables spread)
+from oracles import dsi_matrix, slice_interval  # noqa: E402  (scalar references)
 from repro.core import analysis
 from repro.core.device import DeviceId, all_devices
 from repro.core.dims import ALL_DIMS, ALL_PHASES, Dim, LINEAR_SIGNATURES, Phase
@@ -68,7 +68,7 @@ class TestDsiInvariants:
     def test_dsi_within_slice_range(self, spec):
         for phase in ALL_PHASES:
             for t in range(spec.total_steps):
-                matrix = spec.evaluator.dsi_matrix(phase, t)
+                matrix = dsi_matrix(spec.evaluator, phase, t)
                 for i, dim in enumerate(ALL_DIMS):
                     assert matrix[:, i].min() >= 0
                     assert matrix[:, i].max() < spec.slice_counts[dim]

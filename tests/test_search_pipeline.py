@@ -24,6 +24,7 @@ from repro import (
 )
 from repro import cache as diskcache
 from repro.core.cost.intra import IntraOperatorCostModel
+from repro.core.dsi import DsiEvaluator
 from repro.core.optimizer.candidates import build_candidates
 from repro.core.optimizer.parallel import parallel_map, resolve_jobs
 from repro.graph.models import OPT_6_7B
@@ -99,6 +100,63 @@ def test_search_equivalence_16_devices_beam(tmp_path, monkeypatch):
         assert other.cost == reference.cost
         assert other.model_cost == reference.model_cost
         assert _fingerprint(other.plan) == _fingerprint(reference.plan)
+
+
+def _bits(result):
+    """A search result's plan and the exact bits of its costs."""
+    return (
+        _fingerprint(result.plan),
+        result.cost.hex(),
+        None if result.model_cost is None else result.model_cost.hex(),
+    )
+
+
+@pytest.mark.parametrize("n_devices, beam", [(8, None), (16, 32)])
+def test_warm_search_builds_no_evaluator(tmp_path, monkeypatch, n_devices, beam):
+    """A warm search reads candidate sets pickled as steps and boundary
+    arrays: same plan and cost bits as the cold search that wrote them,
+    and no spec ever builds its ``DsiEvaluator``."""
+    monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
+    cold = _search(n_devices, beam=beam)
+    built = []
+    init = DsiEvaluator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DsiEvaluator, "__init__", counting)
+    warm = _search(n_devices, beam=beam)
+    warm_counters = {e["name"] for e in warm.telemetry["metrics"]["counters"]}
+    assert "candidates.builds" not in warm_counters
+    assert _bits(warm) == _bits(cold)
+    assert built == []
+
+
+def test_old_schema_candidates_rebuilt(tmp_path, monkeypatch):
+    """A candidate entry written under schema 2 is discarded as stale and
+    rebuilt, and the search's answer does not move."""
+    monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
+    cold = _search(8, n_layers=1)
+    paths = sorted(tmp_path.glob("candidates-*.pkl"))
+    assert paths
+    for path in paths:
+        entry = pickle.loads(path.read_bytes())
+        path.write_bytes(pickle.dumps({"version": 2, "value": entry["value"]}))
+    again = _search(8, n_layers=1)
+    counters = {
+        (e["name"], tuple(sorted(e["labels"].items()))): e["value"]
+        for e in again.telemetry["metrics"]["counters"]
+    }
+    stale = (("cause", "stale"), ("kind", "candidates"))
+    assert counters[("cache.discards", stale)] == len(paths)
+    assert sum(
+        value for (name, _), value in counters.items()
+        if name == "candidates.builds"
+    ) == len(paths)
+    assert _bits(again) == _bits(cold)
+    for path in paths:
+        assert pickle.loads(path.read_bytes())["version"] == diskcache.CACHE_VERSION
 
 
 def test_repeat_search_uses_edge_memo(tmp_path, monkeypatch):

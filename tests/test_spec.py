@@ -1,8 +1,11 @@
 """PartitionSpec construction, legality and layout queries."""
 
+import pickle
+
 import pytest
 
-from repro.core.dims import Dim
+from repro.core.device import all_devices
+from repro.core.dims import ALL_PHASES, Dim
 from repro.core.partitions import DimPartition, TemporalPartition
 from repro.core.spec import PartitionSpec
 
@@ -19,6 +22,15 @@ class TestLegality:
     def test_bit_budget(self):
         with pytest.raises(ValueError):
             PartitionSpec.from_string("B", 2)
+
+    def test_bit_budget_checked_at_construction(self):
+        """The evaluator is built lazily; the bit count is not."""
+        for steps, n_bits in (
+            ((DimPartition(Dim.B),), 2),
+            ((TemporalPartition(1),), 3),
+        ):
+            with pytest.raises(ValueError, match="consumes"):
+                PartitionSpec(steps, n_bits)
 
     def test_replicated_spec_zero_bits(self):
         spec = PartitionSpec.replicated(0)
@@ -53,3 +65,28 @@ class TestIdentity:
 
     def test_not_equal_to_other_types(self):
         assert PartitionSpec.from_string("B", 1) != "B"
+
+
+class TestPickle:
+    def test_state_is_steps_and_bits(self):
+        spec = PartitionSpec.from_string("B-N-P2x2", 4)
+        spec.evaluator, spec.slice_counts  # derived state, never pickled
+        assert spec.__getstate__() == {"steps": spec.steps, "n_bits": 4}
+
+    @pytest.mark.parametrize(
+        "text, n_bits", [("B-N", 2), ("N-P2x2", 3), ("R-P2x2", 3), ("B[heads]-K", 2)]
+    )
+    def test_round_trip(self, text, n_bits):
+        spec = PartitionSpec.from_string(text, n_bits)
+        spec.evaluator
+        again = pickle.loads(pickle.dumps(spec, pickle.HIGHEST_PROTOCOL))
+        assert "evaluator" not in again.__dict__
+        assert again == spec and hash(again) == hash(spec)
+        assert str(again) == str(spec)
+        assert again.slice_counts == spec.slice_counts
+        for phase in ALL_PHASES:
+            for t in range(spec.total_steps):
+                for device in all_devices(n_bits):
+                    assert again.evaluator.dsi(device, phase, t) == spec.evaluator.dsi(
+                        device, phase, t
+                    )

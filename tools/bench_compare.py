@@ -78,6 +78,9 @@ THRESHOLDS: List[Tuple[str, str, str, float]] = [
      "higher_worse", 0.50),
     ("BENCH_opt_speed.json", "scales[*].runs.cold_serial.elapsed_seconds",
      "higher_worse", 0.50),
+    # Disk bytes a cold-serial search leaves: deterministic pickles, so the
+    # allowance is for a schema change, not noise.
+    ("BENCH_opt_speed.json", "scales[*].cache_bytes", "higher_worse", 0.10),
 ]
 
 #: Exact invariants that must hold in *every* run (full or baseline).
@@ -107,6 +110,7 @@ SMOKE_BOUNDS: List[Tuple[str, str, str, float]] = [
      "<", 10.0),
     ("BENCH_opt_speed.json", "scales[*].runs.cold_serial.elapsed_seconds",
      "<", 10.0),
+    ("BENCH_opt_speed.json", "scales[*].cache_bytes", ">", 0.0),
 ]
 
 
