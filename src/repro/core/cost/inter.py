@@ -11,21 +11,23 @@ same-node peer, e.g. the Cannon-style skew entering a temporal region) and a
 cross-node class, each priced by its own profiled model.
 
 The matrix API evaluates a whole (producer-candidates x consumer-candidates)
-cost table at once — the hot path of the DP.  A slice's interval depends on
-its spec, dim and index only, never on the boundary point, so each side's
-:class:`SliceTables` maps ``(spec, slice index)`` to the interval on every
-axis, built once per dim (:func:`slice_tables`) and kept for as long as the
-spec list: a candidate set owns one for the whole search.  Decoding the
-boundary boxes of every spec and rank at a point is then one gather per
-axis, indexed by the stacked DSI matrices.  Each side then numbers its
-distinct joint boxes (:func:`_box_ids`: a few hundred, since an axis holds
-at most ``2 * n_devices - 1`` dyadic slices), and the per-axis coverage
-fractions are multiplied once per *box pair* into a small table, in a fixed
-axis order.  A rank's own coverage is a gather from that table.  Its best
-same-node coverage is a gather from the per-node-block max of the table's
-rows (:func:`_shortfall`): the XOR peers of a rank are exactly its aligned
-block of ``gpus_per_node`` ranks.  Every element takes the same float ops
-as a per-rank evaluation, so the matrices are exact.
+cost table at once — the hot path of the DP.  Every per-axis slice count is
+a power of two, so ``count + index`` is a *heap id* naming one per-axis
+interval whatever the spec.  Each side's :class:`SliceTables` maps ``(spec,
+slice index)`` to heap ids, per dim (:func:`slice_ids`), for as long as the
+spec list lives: a candidate set owns one for the whole search.  Decoding
+every spec and rank at a boundary point is one gather per axis by the
+stacked DSI matrices; one ``np.unique`` over the mixed-radix combination of
+the per-axis heap ids numbers each side's joint boxes (:func:`_joint_ids`).
+``overlap / length`` is tabulated once per axis over the two sides' heap
+ids, and the box-pair coverage table is the product of gathers from those
+factor tables in a fixed axis order (:func:`_coverage`): every element
+takes the same float ops as a per-rank evaluation.  Eq. 9 is then summed
+over whole node blocks (:func:`_shortfall`), which reorders the per-rank
+sums without moving a bit: both sides split an axis into power-of-two
+parts, so each rank's ``v·own`` and ``v·node`` term is an integer element
+count below 2^53 (``tests/test_cost_inter.py`` asserts it for every edge
+of the six models), and integer sums below 2^53 are exact in any order.
 """
 
 from __future__ import annotations
@@ -52,29 +54,31 @@ from ..steps import (
 
 #: Byte budget of one chunk's float64 temporary in batched products (the
 #: node-block coverage gather here, the min-plus broadcast in the DP); a
-#: chunk holds at least one row or column.  Small chunks stay in cache and
-#: in the allocator's heap: on a 2-vCPU x86-64 host, 256 KiB ran the exact
-#: 16-device OPT-175B DP and merge 1.5-1.8x faster than 1 MiB or 32 MiB.
+#: chunk holds at least one node block or column.  Small chunks stay in
+#: cache and in the allocator's heap: on a 2-vCPU x86-64 host, 256 KiB ran
+#: the exact 16-device OPT-175B DP and merge 1.5-1.8x faster than 1 MiB or
+#: 32 MiB.
 CHUNK_BYTES = 256 << 10
 
+#: Per-axis ``(ids, intervals)`` pairs: heap ids and each heap id's interval.
+Decoded = Dict[str, Tuple[np.ndarray, np.ndarray]]
 
-def slice_tables(
-    op: OperatorSpec, specs: Sequence[PartitionSpec], dim: Dim
-) -> Dict[str, np.ndarray]:
-    """Every slice of ``dim`` under each of ``specs``, as axis intervals.
 
-    Returns, for each logical axis of ``dim``, an ``(n_specs, n_slices,
-    2)`` integer array: row ``[s, i]`` is the half-open interval, in
-    absolute axis units, of slice ``i`` under spec ``s`` (the tests check
-    it against a scalar per-slice oracle).  ``n_slices`` is the
-    largest slice count of ``dim`` among the specs; a spec's rows past its
-    own count are never read.  A slice index is a mixed-radix number whose
-    digits are the spec's grid events (most significant first); the digits
-    of every spec and index are peeled off together with integer ops
-    (specs with fewer events are padded with radix-1 digits, which are
-    always 0), folded into per-axis indices, and spread evenly: slice
-    ``j`` of ``n`` over ``size`` starts at ``j * (size // n) + min(j,
-    size % n)``.
+def slice_ids(op: OperatorSpec, specs: Sequence[PartitionSpec], dim: Dim) -> Decoded:
+    """Every slice of ``dim`` under each of ``specs``, as per-axis heap ids.
+
+    Returns, for each logical axis of ``dim``, ``(ids, intervals)``:
+    ``ids[s, i]`` is the heap id ``count + index`` of slice ``i`` under
+    spec ``s`` (the spec splits the axis into ``count`` parts, the slice
+    is part ``index``), and ``intervals[h]`` is heap id ``h``'s half-open
+    interval in absolute axis units (row 0 is the whole axis).  A spec's
+    ids past its own slice count are never read.  A slice index is a
+    mixed-radix number whose digits are the spec's grid events (most
+    significant first), peeled off for every spec and index together
+    (fewer events pad with radix-1 digits) and folded into per-axis
+    indices.  Part ``j`` of ``n`` over ``size`` starts at ``j * (size //
+    n) + min(j, size % n)``, so a heap id names one interval whatever the
+    spec only if every count is a power of two; ``ValueError`` otherwise.
     """
     axes = tuple(op.dim_axes[dim])
     n_specs = len(specs)
@@ -98,22 +102,30 @@ def slice_tables(
         digit = remainder // total
         remainder = remainder % total
         index = index * axis_factors[:, :, j, None] + hits[:, :, j, None] * digit
-    counts = axis_factors.prod(axis=2)[:, :, None]
-    sizes = np.array([op.axis_sizes[axis] for axis in axes])[:, None, None]
-    base = sizes // counts
-    extra = sizes % counts
-    start = index * base + np.minimum(index, extra)
-    stop = start + base + (index < extra)
-    return {
-        axis: np.stack([start[a], stop[a]], axis=-1) for a, axis in enumerate(axes)
-    }
+    counts = axis_factors.prod(axis=2)
+    uneven = counts & (counts - 1)
+    if uneven.any():
+        a, s = np.argwhere(uneven)[0]
+        raise ValueError(
+            f"{op.name}: {dim.value} splits axis {axes[a]!r} into "
+            f"{counts[a, s]} slices under {specs[s]}, not a power of two"
+        )
+    ids = counts[:, :, None] + index
+    heap = np.maximum(np.arange(2 * int(counts.max())), 1)
+    # Heap id h is part h - n of n, n the largest power of two <= h.
+    n = 1 << (np.frexp(heap)[1].astype(np.int64) - 1)
+    j = heap - n
+    base, extra = np.divmod(np.array([op.axis_sizes[a] for a in axes])[:, None], n)
+    start = j * base + np.minimum(j, extra)
+    intervals = np.stack([start, start + base + (j < extra)], axis=-1)
+    return {axis: (ids[a], intervals[a]) for a, axis in enumerate(axes)}
 
 
 class SliceTables:
-    """Boundary-box decoder of one operator's spec list.
+    """Per-axis slice-id decoder of one operator's spec list.
 
-    Holds one :func:`slice_tables` per dim, built on first use and reused
-    by every later decode; ``inter.decode_tables{outcome=build|reuse}``
+    Holds one :func:`slice_ids` per dim, built on first use and reused by
+    every later decode; ``inter.decode_tables{outcome=build|reuse}``
     counts the two, once per decoded dim.  ``boundary`` is the specs'
     stacked :func:`~repro.core.steps.boundary_matrices`, computed here
     when not given.  A candidate set owns one decoder for the whole
@@ -132,7 +144,7 @@ class SliceTables:
         self.op = op
         self.specs = specs
         self.boundary = boundary_matrices(specs) if boundary is None else boundary
-        self._tables: Dict[Dim, Dict[str, np.ndarray]] = {}
+        self._ids: Dict[Dim, Decoded] = {}
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -141,38 +153,34 @@ class SliceTables:
     def n_devices(self) -> int:
         return self.specs[0].n_devices
 
-    def boxes(
-        self, point: Tuple[Phase, int], dims: Sequence[Dim]
-    ) -> Dict[str, np.ndarray]:
-        """Boundary layouts of the specs at ``point``.
+    def axis_ids(self, point: Tuple[Phase, int], dims: Sequence[Dim]) -> Decoded:
+        """Boundary layouts of the specs at ``point``, as heap ids.
 
-        Returns, for each logical axis spanned by ``dims``, an
-        ``(n_specs, n_devices, 2)`` integer array of half-open intervals:
-        rank by rank the slice at the rank's DSI.  Each axis is one gather
-        from its table, by spec and by the rank's DSI (a slice of the
+        Returns, for each logical axis spanned by ``dims``, ``(ids,
+        intervals)``: ``ids`` is the ``(n_specs, n_devices)`` heap id of
+        the slice each rank holds, one gather from the dim's
+        :func:`slice_ids` by spec and by the rank's DSI (a slice of the
         boundary array at ``point``, one of :data:`BOUNDARY_POINTS`).
         """
         matrices = self.boundary[:, BOUNDARY_POINTS.index(point)]
         rows = np.arange(len(self.specs))[:, None]
-        boxes: Dict[str, np.ndarray] = {}
+        decoded: Decoded = {}
         for dim in dims:
             if not self.op.dim_axes.get(dim):
                 continue
-            tables = self._tables.get(dim)
-            counter(
-                "inter.decode_tables",
-                outcome="build" if tables is None else "reuse",
-            ).inc()
+            tables = self._ids.get(dim)
+            outcome = "build" if tables is None else "reuse"
+            counter("inter.decode_tables", outcome=outcome).inc()
             if tables is None:
-                tables = self._tables[dim] = slice_tables(self.op, self.specs, dim)
+                tables = self._ids[dim] = slice_ids(self.op, self.specs, dim)
             column = matrices[:, :, ALL_DIMS.index(dim)]
-            for axis, table in tables.items():
-                boxes[axis] = table[rows, column]
-        return boxes
+            for axis, (ids, intervals) in tables.items():
+                decoded[axis] = (ids[rows, column], intervals)
+        return decoded
 
 
-def _rename(boxes: Mapping[str, np.ndarray], axis_map: Mapping[str, str]) -> Dict[str, np.ndarray]:
-    return {axis_map.get(axis, axis): box for axis, box in boxes.items()}
+def _rename(decoded: Decoded, axis_map: Mapping[str, str]) -> Decoded:
+    return {axis_map.get(axis, axis): pair for axis, pair in decoded.items()}
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,33 +191,55 @@ def _overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(hi, 0, out=hi)
 
 
-def _box_ids(
-    boxes: Mapping[str, np.ndarray], axes: Sequence[str], shape: Tuple[int, int]
+def _length(intervals: np.ndarray) -> np.ndarray:
+    return (intervals[:, 1] - intervals[:, 0]).astype(float)
+
+
+def _joint_ids(
+    decoded: Decoded, axes: Sequence[str], shape: Tuple[int, int]
 ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
     """Joint box ids of every (spec, rank) over ``axes``.
 
-    Returns ``(ids, intervals)``: ``ids`` has ``shape`` and numbers the
-    distinct joint boxes densely; ``intervals[axis]`` is the
-    ``(n_boxes, 2)`` interval of each joint box on ``axis``.  Each
-    interval is keyed ``start * (max_stop + 1) + stop``, and one lexsort
-    over the per-axis keys groups equal boxes.
+    Returns ``(ids, heaps)``: ``ids`` has ``shape`` and numbers the
+    distinct joint boxes densely; ``heaps[axis]`` is the heap id of each
+    joint box on ``axis``.  The per-axis heap ids are read as the digits
+    of one mixed-radix key (radix: the axis's heap-id count), and one
+    ``np.unique`` over the keys groups equal boxes.
     """
-    n = shape[0] * shape[1]
-    # Row 0 is a constant key, so there is one even without axes.
-    keys = np.zeros((len(axes) + 1, n), dtype=np.int64)
-    for row, axis in zip(keys[1:], axes):
-        box = boxes[axis].reshape(-1, 2)
-        np.multiply(box[:, 0], int(box[:, 1].max()) + 1, out=row)
-        row += box[:, 1]
-    order = np.lexsort(keys)
-    ordered = keys[:, order]
-    fresh = np.ones(n, dtype=bool)
-    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=fresh[1:])
-    ids = np.empty(n, dtype=np.intp)
-    ids[order] = np.cumsum(fresh) - 1
-    first = order[fresh]
-    intervals = {axis: boxes[axis].reshape(-1, 2)[first] for axis in axes}
-    return ids.reshape(shape), intervals
+    keys = np.zeros(shape, dtype=np.int64)
+    for axis in axes:
+        ids, intervals = decoded[axis]
+        keys *= len(intervals)
+        keys += ids
+    boxes, joint = np.unique(keys.ravel(), return_inverse=True)
+    heaps: Dict[str, np.ndarray] = {}
+    for axis in reversed(axes):
+        boxes, heaps[axis] = np.divmod(boxes, len(decoded[axis][1]))
+    return joint.reshape(shape), heaps
+
+
+def _coverage(
+    held_ids: Decoded, held_axes: Sequence[str], held_shape: Tuple[int, int],
+    need_ids: Decoded, need_axes: Sequence[str], need_shape: Tuple[int, int],
+) -> Tuple[np.ndarray, Dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """``(held, held_heaps, need, table)``: joint boxes and their coverage.
+
+    ``held`` / ``need`` are the sides' :func:`_joint_ids` over
+    ``held_axes`` / ``need_axes``; ``table[i, j]`` is the share of needed
+    box ``j`` that held box ``i`` covers.  Per axis of ``need_axes``, in
+    order, ``overlap / length`` is tabulated over the two sides' heap ids
+    (at most ``(2 * n_devices)**2`` entries) and gathered into the table.
+    """
+    held, held_heaps = _joint_ids(held_ids, held_axes, held_shape)
+    need, need_heaps = _joint_ids(need_ids, need_axes, need_shape)
+    table = np.ones((held.max() + 1, need.max() + 1))
+    for axis in need_axes:
+        held_iv, need_iv = held_ids[axis][1], need_ids[axis][1]
+        factor = _overlap(held_iv[:, None], need_iv) / np.maximum(
+            _length(need_iv), 1e-12
+        )
+        table *= factor[held_heaps[axis]][:, need_heaps[axis]]
+    return held, held_heaps, need, table
 
 
 def _shortfall(
@@ -224,38 +254,36 @@ def _shortfall(
     ``table[i, j]`` is the share of needed box ``j`` that held box ``i``
     covers, ``held`` / ``need`` give every (spec, rank) its box id, and
     ``v`` is the needed volume per (spec, rank).  Rank ``d`` covers
-    ``table[held[h, d], need[n, d]]`` itself; its node covers the max of
-    that over the XOR peers ``{d ^ m : m < gpn}``, where ``gpn`` is
-    ``gpus_per_node`` capped at ``n_devices``.  ``n_devices`` is a power of
-    two and ``gpn`` divides it, so those peers are exactly the aligned
-    block ``d // gpn``: one per-block max of the held rows serves every
-    needed box.  It is gathered one block slot at a time, in chunks of
-    held specs sized by :data:`CHUNK_BYTES`.
+    ``own = table[held[h, d], need[n, d]]``; its node covers ``node``,
+    the max of that over the XOR peers ``{d ^ m : m < gpn}`` (``gpn`` is
+    ``gpus_per_node`` capped at ``n_devices``), which are exactly its
+    aligned block, as ``n_devices`` is a power of two that ``gpn``
+    divides.  Whole node blocks at a time, as many as fit
+    :data:`CHUNK_BYTES` (at least one), the held rows are gathered once
+    as ``(n_held, ranks, n_cols)`` and maxed over each block's slots, and
+    one ``einsum`` each sums ``v·own`` and ``v·node`` over the ranks.  Then
+    ``intra = Σ v·node − Σ v·own`` and ``inter = Σ v − Σ v·node``, exact
+    as every term is an integer below 2^53.  No clip at 0 is needed: a
+    rank is in its own block, so node >= own, and node <= 1.
     """
     n_h, n_dev = held.shape
     gpn = min(gpus_per_node, n_dev)
-    n_blocks = n_dev // gpn
     n_cols = table.shape[1]
-    best = np.empty((n_h, n_blocks, n_cols))
-    rows = max(1, CHUNK_BYTES // (n_blocks * n_cols * best.itemsize))
-    for lo in range(0, n_h, rows):
-        members = held[lo : lo + rows].reshape(-1, n_blocks, gpn)
-        out = best[lo : lo + rows]
-        out[...] = table[members[:, :, 0]]
-        for slot in range(1, gpn):
-            np.maximum(out, table[members[:, :, slot]], out=out)
-    blocks = np.arange(n_dev) // gpn * n_cols
-    own = table[held[:, None, :], need[None, :, :]]
-    node = best.reshape(n_h, -1)[:, need + blocks]
-    # v·(1 − node) and v·(node − own), computed in place so the tail
-    # allocates no more (n_held, n_need, n_devices) arrays.  Neither needs
-    # a clip at 0: a rank is in its own node block, so node >= own, and a
-    # coverage is a product of overlap / length <= 1 factors, so node <= 1.
+    widest = n_h * gpn * max(n_cols, len(need)) * table.itemsize
+    step = gpn * max(1, CHUNK_BYTES // widest)
+    own = np.zeros((n_h, len(need)))
+    node = np.zeros((n_h, len(need)))
+    for lo in range(0, n_dev, step):
+        ranks = np.arange(min(step, n_dev - lo))[:, None]
+        rows = table[held[:, lo : lo + step]]
+        best = rows.reshape(n_h, -1, gpn, n_cols).max(axis=2)
+        cols = need[:, lo : lo + step].T
+        weight = v[:, lo : lo + step].T
+        own += np.einsum("hrn,rn->hn", rows[:, ranks, cols], weight)
+        node += np.einsum("hrn,rn->hn", best[:, ranks // gpn, cols], weight)
     intra = np.subtract(node, own, out=own)
-    intra *= v
-    inter = np.subtract(1.0, node, out=node)
-    inter *= v
-    return intra.sum(axis=2), inter.sum(axis=2)
+    inter = np.subtract(v.sum(axis=1), node, out=node)
+    return intra, inter
 
 
 class InterOperatorCostModel:
@@ -279,38 +307,31 @@ class InterOperatorCostModel:
         versus bytes that must cross nodes.
         """
         slot = cons.op.slot(edge.slot)
-        cons_boxes = cons.boxes(FWD_START, slot.fwd_dims)
-        prod_boxes = _rename(prod.boxes(FWD_END, prod.op.output_dims), edge.axis_map)
+        cons_ids = cons.axis_ids(FWD_START, slot.fwd_dims)
+        prod_ids = _rename(prod.axis_ids(FWD_END, prod.op.output_dims), edge.axis_map)
         fixed = {edge.map_axis(a): iv for a, iv in edge.src_fixed.items()}
         n_dev = prod.n_devices
-        n_p = len(prod)
-        n_c = len(cons)
-        v = np.ones((n_c, n_dev))
-        for box in cons_boxes.values():
-            v *= (box[..., 1] - box[..., 0]).astype(float)
+        v = np.ones((len(cons), n_dev))
+        for ids, intervals in cons_ids.values():
+            v *= _length(intervals)[ids]
         # Coverage terms, in a fixed order: axes both sides hold (consumer
         # decode order), then producer-only axes.  Consumer-only axes
         # contribute nothing: the producer implicitly spans them.
-        shared = [axis for axis in cons_boxes if axis in prod_boxes]
-        prod_only = [axis for axis in prod_boxes if axis not in cons_boxes]
-        pid, p_box = _box_ids(prod_boxes, shared + prod_only, (n_p, n_dev))
-        cid, c_box = _box_ids(cons_boxes, shared, (n_c, n_dev))
-        # table[i, j]: the share of consumer box j that producer box i holds.
-        table = np.ones((pid.max() + 1, cid.max() + 1))
-        for axis in shared:
-            length = np.maximum(
-                (c_box[axis][:, 1] - c_box[axis][:, 0]).astype(float), 1e-12
-            )
-            table *= _overlap(p_box[axis][:, None], c_box[axis]) / length
+        shared = [axis for axis in cons_ids if axis in prod_ids]
+        prod_only = [axis for axis in prod_ids if axis not in cons_ids]
+        pid, p_heaps, cid, table = _coverage(
+            prod_ids, shared + prod_only, (len(prod), n_dev),
+            cons_ids, shared, (len(cons), n_dev),
+        )
         for axis in prod_only:
             interval = fixed.get(axis)
-            if interval is not None:
-                window = np.array([interval.start, interval.stop])
-            else:
-                size = prod.op.axis_sizes.get(axis, 1)
-                window = np.array([0, size])
+            window = np.array(
+                [0, prod.op.axis_sizes.get(axis, 1)] if interval is None
+                else [interval.start, interval.stop]
+            )
             width = float(max(window[1] - window[0], 1))
-            table *= (_overlap(p_box[axis], window) / width)[:, None]
+            factor = _overlap(prod_ids[axis][1], window) / width
+            table *= factor[p_heaps[axis]][:, None]
         # A consumer rank may read any same-node producer rank.
         return _shortfall(table, pid, cid, v, self.profiler.topology.gpus_per_node)
 
@@ -322,37 +343,29 @@ class InterOperatorCostModel:
         Returns ``(intra, inter)`` element matrices like the forward case.
         """
         slot = cons.op.slot(edge.slot)
-        holder_boxes = cons.boxes((slot.grad_phase, -1), slot.fwd_dims)
-        needed_boxes = _rename(
-            prod.boxes(BWD_START, prod.op.output_dims), edge.axis_map
+        holder_ids = cons.axis_ids((slot.grad_phase, -1), slot.fwd_dims)
+        needed_ids = _rename(
+            prod.axis_ids(BWD_START, prod.op.output_dims), edge.axis_map
         )
         fixed = {edge.map_axis(a): iv for a, iv in edge.src_fixed.items()}
-        n_p = len(prod)
-        n_c = len(cons)
         n_dev = prod.n_devices
         # This edge supplies only the src_fixed window of the producer's
         # gradient (the Q/K/V third); restrict the demand accordingly.
-        v = np.ones((n_p, n_dev))
-        restricted: Dict[str, np.ndarray] = {}
-        for axis, box in needed_boxes.items():
+        v = np.ones((len(prod), n_dev))
+        restricted: Decoded = {}
+        for axis, (ids, intervals) in needed_ids.items():
             interval = fixed.get(axis)
             if interval is not None:
-                window = np.array([interval.start, interval.stop])
-                lo = np.maximum(box[..., 0], window[0])
-                hi = np.minimum(box[..., 1], window[1])
-                box = np.stack([lo, np.maximum(hi, lo)], axis=-1)
-            restricted[axis] = box
-            v *= (box[..., 1] - box[..., 0]).astype(float)
-        terms = [axis for axis in restricted if axis in holder_boxes]
-        nid, n_box = _box_ids(restricted, terms, (n_p, n_dev))
-        hid, h_box = _box_ids(holder_boxes, terms, (n_c, n_dev))
-        # table[i, j]: the share of needed box j that holder box i holds.
-        table = np.ones((hid.max() + 1, nid.max() + 1))
-        for axis in terms:
-            length = np.maximum(
-                (n_box[axis][:, 1] - n_box[axis][:, 0]).astype(float), 1e-12
-            )
-            table *= _overlap(h_box[axis][:, None], n_box[axis]) / length
+                lo = np.maximum(intervals[:, 0], interval.start)
+                hi = np.minimum(intervals[:, 1], interval.stop)
+                intervals = np.stack([lo, np.maximum(hi, lo)], axis=-1)
+            restricted[axis] = (ids, intervals)
+            v *= _length(intervals)[ids]
+        terms = [axis for axis in restricted if axis in holder_ids]
+        hid, _, nid, table = _coverage(
+            holder_ids, terms, (len(cons), n_dev),
+            restricted, terms, (len(prod), n_dev),
+        )
         # A producer rank may read any same-node consumer rank.
         intra_elems, inter_elems = _shortfall(
             table, hid, nid, v, self.profiler.topology.gpus_per_node
@@ -371,27 +384,14 @@ class InterOperatorCostModel:
         The fitted models take per-device payloads; Eq. 9's totals spread
         evenly over the devices' links in an SPMD redistribution.
         """
-        intra_bytes = intra_elems * DTYPE_BYTES / n_dev
-        inter_bytes = inter_elems * DTYPE_BYTES / n_dev
-        latency = np.zeros_like(intra_bytes)
-        mask = intra_bytes > 0
-        latency += np.where(
-            mask,
-            np.maximum(
-                self.intra_model.base + intra_bytes * self.intra_model.per_byte,
-                0.0,
-            ),
-            0.0,
-        )
-        mask = inter_bytes > 0
-        latency += np.where(
-            mask,
-            np.maximum(
-                self.inter_model.base + inter_bytes * self.inter_model.per_byte,
-                0.0,
-            ),
-            0.0,
-        )
+        latency = np.zeros(intra_elems.shape)
+        for elems, model in (
+            (intra_elems, self.intra_model), (inter_elems, self.inter_model)
+        ):
+            payload = elems * DTYPE_BYTES / n_dev
+            latency += np.where(
+                payload > 0, np.maximum(model.base + payload * model.per_byte, 0.0), 0.0
+            )
         return latency
 
     def cost_matrix(

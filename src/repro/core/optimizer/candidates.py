@@ -68,7 +68,7 @@ class CandidateSet:
 
     @property
     def tables(self) -> SliceTables:
-        """The specs' boundary-box decoder, shared by every edge priced."""
+        """The specs' slice-id decoder, shared by every edge priced."""
         tables = self.__dict__.get("_tables")
         if tables is None:
             tables = self.__dict__["_tables"] = SliceTables(

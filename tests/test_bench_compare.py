@@ -46,6 +46,7 @@ def test_fanned_out_threshold_compares_each_scale(tmp_path, capsys):
     current = copy.deepcopy(baseline)
     current["scales"][-1]["runs"]["warm_serial"]["elapsed_seconds"] *= 2.0
     current["scales"][0]["cache_bytes"] *= 2
+    current["scales"][1]["runs"]["warm_serial"]["edge_pricing_seconds"] *= 2.0
     base_dir, cur_dir = tmp_path / "base", tmp_path / "cur"
     for directory, doc in ((base_dir, baseline), (cur_dir, current)):
         directory.mkdir()
@@ -57,10 +58,33 @@ def test_fanned_out_threshold_compares_each_scale(tmp_path, capsys):
         line for line in capsys.readouterr().out.splitlines()
         if line.startswith("  FAIL")
     ]
-    assert len(failures) == 2
+    assert len(failures) == 3
     last = len(baseline["scales"]) - 1
     assert f"warm_serial.elapsed_seconds[{last}]" in failures[0]
-    assert "scales[*].cache_bytes[0]" in failures[1]
+    assert "warm_serial.edge_pricing_seconds[1]" in failures[1]
+    assert "scales[*].cache_bytes[0]" in failures[2]
+
+
+def test_smoke_requires_edge_pricing_seconds(tmp_path, capsys):
+    """A smoke run whose warm serial search lacks its edge-pricing time
+    fails, even with every search in its time bounds."""
+    for path in bench_compare.DEFAULT_BASELINE_DIR.glob("BENCH_*.json"):
+        (tmp_path / path.name).write_text(path.read_text())
+    doc = json.loads((tmp_path / "BENCH_opt_speed.json").read_text())
+    for entry in doc["scales"]:
+        for run in entry["runs"].values():
+            run["elapsed_seconds"] = 1.0
+    del doc["scales"][0]["runs"]["warm_serial"]["edge_pricing_seconds"]
+    (tmp_path / "BENCH_opt_speed.json").write_text(json.dumps(doc))
+    assert _run("--smoke", "--current-dir", tmp_path) == 1
+    failures = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  FAIL")
+    ]
+    assert failures == [
+        "  FAIL current BENCH_opt_speed.json:"
+        "scales[*].runs.warm_serial.edge_pricing_seconds: missing"
+    ]
 
 
 def test_smoke_bounds_catch_a_cold_search_blow_up(tmp_path, capsys):

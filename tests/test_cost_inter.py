@@ -11,10 +11,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import legacy_inter  # noqa: E402  (frozen per-rank model, lives next to this file)
+from oracles import axis_intervals  # noqa: E402  (scalar oracle)
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import torus_cluster, v100_cluster
 from repro.core.cost import inter as inter_module
-from repro.core.cost.inter import InterOperatorCostModel, SliceTables
+from repro.core.cost.inter import InterOperatorCostModel, SliceTables, slice_ids
+from repro.core.dims import ALL_DIMS, Dim
 from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.core.spec import PartitionSpec
 from repro.graph.graph import Edge
@@ -246,24 +248,31 @@ def node_block_case(request):
     return profiler, graph, candidates
 
 
-class TestFrozenEquivalence:
-    """Box-pair tables price edges to the bytes of the frozen per-rank model."""
+#: Whole-search fixtures of the frozen-model equivalence suite.
+EQUIVALENCE_CASES = [
+    ("opt-175b", "profiler4", None),
+    ("llama2-70b", "profiler8", None),
+    ("opt-175b", "profiler16", 48),
+]
 
-    @pytest.mark.parametrize(
-        "model_key,profiler_name,beam",
-        [
-            ("opt-175b", "profiler4", None),
-            ("llama2-70b", "profiler8", None),
-            ("opt-175b", "profiler16", 48),
-        ],
-    )
+
+def _equivalence_case(request, model_key, profiler_name, beam):
+    profiler = request.getfixturevalue(profiler_name)
+    graph = build_block_graph(MODELS_BY_KEY[model_key].block_shape(batch=16))
+    candidates = PrimeParOptimizer(profiler, beam=beam).candidates_for(graph)
+    return profiler, graph, candidates
+
+
+class TestFrozenEquivalence:
+    """Slice-id coverage tables price edges to the frozen per-rank bytes."""
+
+    @pytest.mark.parametrize("model_key,profiler_name,beam", EQUIVALENCE_CASES)
     def test_cost_matrix_bytes_match_frozen(
         self, request, model_key, profiler_name, beam
     ):
-        profiler = request.getfixturevalue(profiler_name)
-        graph = build_block_graph(MODELS_BY_KEY[model_key].block_shape(batch=16))
-        candidates = PrimeParOptimizer(profiler, beam=beam).candidates_for(graph)
-        _assert_edges_match_frozen(profiler, graph, candidates)
+        _assert_edges_match_frozen(
+            *_equivalence_case(request, model_key, profiler_name, beam)
+        )
 
     def test_single_spec_paths_match_frozen(self, profiler8, large_block):
         candidates = PrimeParOptimizer(profiler8).candidates_for(large_block)
@@ -274,6 +283,61 @@ class TestFrozenEquivalence:
 
     def test_node_block_single_spec_paths_match_frozen(self, node_block_case):
         _assert_single_specs_match_frozen(*node_block_case)
+
+
+def _assert_slice_ids_match_oracle(candidates):
+    """``intervals[ids]`` equals ``axis_intervals`` for every spec and slice."""
+    for candidate_set in {id(s): s for s in candidates.values()}.values():
+        op = candidate_set.op
+        for dim in ALL_DIMS:
+            if not op.dim_axes.get(dim):
+                continue
+            tables = slice_ids(op, candidate_set.specs, dim)
+            assert list(tables) == list(op.dim_axes[dim])
+            for s, spec in enumerate(candidate_set.specs):
+                for index in range(spec.slice_counts[dim]):
+                    expected = axis_intervals(op, spec, dim, index)
+                    for axis, (ids, intervals) in tables.items():
+                        start, stop = intervals[ids[s, index]]
+                        assert (start, stop) == (
+                            expected[axis].start, expected[axis].stop
+                        ), (op.name, str(spec), dim, index, axis)
+
+
+class TestSliceIds:
+    """Per-axis heap ids name the oracle's slice intervals."""
+
+    @pytest.mark.parametrize("model_key,profiler_name,beam", EQUIVALENCE_CASES)
+    def test_intervals_match_axis_intervals(
+        self, request, model_key, profiler_name, beam
+    ):
+        _, _, candidates = _equivalence_case(request, model_key, profiler_name, beam)
+        _assert_slice_ids_match_oracle(candidates)
+
+    def test_node_block_intervals_match_axis_intervals(self, node_block_case):
+        _assert_slice_ids_match_oracle(node_block_case[2])
+
+    def test_heap_ids_are_dense_per_count(self, large_mlp):
+        """Heap id ``count + index``: one id per (count, index) pair."""
+        fc1 = large_mlp.node("fc1")
+        specs = [PartitionSpec.from_string(s, 3) for s in ("B-K-K", "K-K-K", "B-B-B")]
+        ids, intervals = slice_ids(fc1, specs, Dim.K)[fc1.dim_axes[Dim.K][0]]
+        assert ids[0, :4].tolist() == [4, 5, 6, 7]
+        assert ids[1, :8].tolist() == list(range(8, 16))
+        assert ids[2, 0] == 1
+        assert len(intervals) == 16
+        size = fc1.axis_sizes[fc1.dim_axes[Dim.K][0]]
+        assert intervals[1].tolist() == [0, size]
+        assert intervals[8:16, 1].tolist() == [size * (i + 1) // 8 for i in range(8)]
+
+    def test_count_not_power_of_two_rejected(self, large_mlp):
+        fc1 = large_mlp.node("fc1")
+        spec = PartitionSpec.from_string("B-K-K", 3)
+        axis = fc1.dim_axes[Dim.K][0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inter_module, "grid_events", lambda op, spec, dim: [(axis, 3)])
+            with pytest.raises(ValueError, match=r"^fc1: K splits axis .* into 3 "):
+                slice_ids(fc1, [spec], Dim.K)
 
 
 _EDGE_DIGEST_SCRIPT = """
@@ -400,18 +464,18 @@ class TestDecodeTableCounts:
         graph = build_block_graph(MODELS_BY_KEY["opt-175b"].block_shape(batch=16))
         PrimeParOptimizer(profiler16, beam=48).optimize(graph)  # warms the cache
         decodes = []
-        boxes = SliceTables.boxes
+        axis_ids = SliceTables.axis_ids
 
         def counted(self, point, dims):
             decodes.extend(
                 (id(self), dim) for dim in dims if self.op.dim_axes.get(dim)
             )
-            return boxes(self, point, dims)
+            return axis_ids(self, point, dims)
 
         registry = MetricsRegistry()
         optimizer = PrimeParOptimizer(profiler16, beam=48)
         with use_registry(registry), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(SliceTables, "boxes", counted)
+            patch.setattr(SliceTables, "axis_ids", counted)
             optimizer.optimize(graph)
         counts = {
             entry["labels"]["outcome"]: entry["value"]
@@ -429,40 +493,114 @@ class TestDecodeTableCounts:
         assert {owner for owner, _ in decodes} <= owners
 
 
+def _recorded_shortfalls(patch):
+    """Patch ``_shortfall`` to record its inputs; returns the record list."""
+    calls = []
+    shortfall = inter_module._shortfall
+
+    def recorded(table, held, need, v, gpus_per_node):
+        result = shortfall(table, held, need, v, gpus_per_node)
+        calls.append((table, held, need, v, gpus_per_node, result))
+        return result
+
+    patch.setattr(inter_module, "_shortfall", recorded)
+    return calls
+
+
+def _rank_terms(table, held, need, v, gpus_per_node):
+    """Per rank ``d``: ``(v·own, v·node)``, each ``(n_held, n_need)``.
+
+    ``node`` is the max of the coverage over the XOR peers ``{d ^ m : m <
+    gpn}``, the per-rank statement of the kernel's node-block max.
+    """
+    n_dev = held.shape[1]
+    gpn = min(gpus_per_node, n_dev)
+    for d in range(n_dev):
+        cols = need[:, d]
+        own = table[held[:, d]][:, cols]
+        node = np.max([table[held[:, d ^ m]][:, cols] for m in range(gpn)], axis=0)
+        yield d, own, node, v[:, d]
+
+
 class TestShortfallPremises:
-    """``_shortfall`` needs no clip: node >= own and coverage <= 1."""
+    """``_shortfall`` needs no clip and its sums are exact."""
 
     def test_premises_hold_on_equivalence_fixtures(self, node_block_case):
         profiler, graph, candidates = node_block_case
-        calls = []
-        shortfall = inter_module._shortfall
-
-        def recorded(table, held, need, v, gpus_per_node):
-            result = shortfall(table, held, need, v, gpus_per_node)
-            calls.append((table, held, need, v, gpus_per_node, result))
-            return result
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(inter_module, "_shortfall", recorded)
+            calls = _recorded_shortfalls(patch)
             _assert_edges_match_frozen(profiler, graph, candidates)
         assert calls
         for table, held, need, v, gpus_per_node, (intra, inter) in calls:
             # Coverage is a product of overlap / length factors.
             assert table.min() >= 0.0 and table.max() <= 1.0
-            own = table[held[:, None, :], need[None, :, :]]
-            # A rank's node coverage, as the max over its XOR peers.
-            n_dev = held.shape[1]
-            gpn = min(gpus_per_node, n_dev)
-            node = np.max(
-                [
-                    table[held[:, None, np.arange(n_dev) ^ m], need[None, :, :]]
-                    for m in range(gpn)
-                ],
-                axis=0,
-            )
-            assert (node >= own).all()
-            # So the clipped tail the premises retired prices the same bytes.
-            clipped_intra = np.clip((node - own) * v, 0.0, None).sum(axis=2)
-            clipped_inter = np.clip((1.0 - node) * v, 0.0, None).sum(axis=2)
+            clipped_intra = np.zeros_like(intra)
+            clipped_inter = np.zeros_like(inter)
+            for _, own, node, weight in _rank_terms(
+                table, held, need, v, gpus_per_node
+            ):
+                # A rank lies in its own node block.
+                assert (node >= own).all()
+                for term in (own * weight, node * weight):
+                    assert (term == np.floor(term)).all()
+                clipped_intra += np.clip((node - own) * weight, 0.0, None)
+                clipped_inter += np.clip((1.0 - node) * weight, 0.0, None)
+            # So the clipped per-rank tail prices the same bytes.
             assert clipped_intra.tobytes() == intra.tobytes()
             assert clipped_inter.tobytes() == inter.tobytes()
+
+
+#: Every model at 4 and 8 devices (exact) and 16 devices (beam 48).
+EXACTNESS_SCALES = ((4, None), (8, None), (16, 48))
+
+
+class TestExactnessPremise:
+    """Eq. 9's per-rank terms are exact integers, so sums ignore order.
+
+    ``_shortfall`` sums ``v·own`` and ``v·node`` over whole node blocks
+    and subtracts the totals; that is byte-identical to summing ``v·(node
+    − own)`` rank by rank only because every term and partial sum is an
+    integer element count below 2^53.
+    """
+
+    @pytest.mark.parametrize("n_devices,beam", EXACTNESS_SCALES)
+    @pytest.mark.parametrize("model_key", sorted(MODELS_BY_KEY))
+    def test_terms_are_integers_below_2_53(self, model_key, n_devices, beam):
+        profiler = FabricProfiler(v100_cluster(n_devices))
+        graph = build_block_graph(MODELS_BY_KEY[model_key].block_shape(batch=16))
+        candidates = PrimeParOptimizer(profiler, beam=beam).candidates_for(graph)
+        model = InterOperatorCostModel(profiler)
+        limit = 2.0**53
+        for edge in graph.edges:
+            src, dst = candidates[edge.src], candidates[edge.dst]
+            for direction in ("forward", "backward"):
+                price = getattr(model, f"{direction}_traffic_matrix")
+                with pytest.MonkeyPatch.context() as patch:
+                    calls = _recorded_shortfalls(patch)
+                    price(edge, src.tables, dst.tables)
+                (table, held, need, v, gpus_per_node, _), = calls
+                where = f"{model_key}@{n_devices} {edge.key()} {direction}"
+                gpn = min(gpus_per_node, held.shape[1])
+                sums = {"own": 0.0, "node": 0.0}
+                block = {"own": 0.0, "node": 0.0}
+                for d, own, node, weight in _rank_terms(
+                    table, held, need, v, gpus_per_node
+                ):
+                    for name, coverage in (("own", own), ("node", node)):
+                        term = coverage * weight
+                        block[name] = block[name] + term
+                        for what, value in (("term", term), ("block", block[name])):
+                            assert (value == np.floor(value)).all(), (
+                                f"{where}: v·{name} {what} at rank {d} "
+                                "is not an integer"
+                            )
+                            assert value.max() < limit, (
+                                f"{where}: v·{name} {what} at rank {d} "
+                                "reaches 2^53"
+                            )
+                    if d % gpn == gpn - 1:
+                        for name in sums:
+                            sums[name] = sums[name] + block[name]
+                            block[name] = 0.0
+                            assert sums[name].max() < limit, where
+                assert v.sum(axis=1).max() < limit, where

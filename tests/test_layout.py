@@ -160,6 +160,15 @@ def _enumerated_specs(op, n_bits):
     )
 
 
+def _boxes(decoded):
+    """Per-axis ``(n_specs, n_devices, 2)`` intervals of decoded heap ids."""
+    boxes = {}
+    for axis, (ids, intervals) in decoded.items():
+        assert ids.dtype == np.int64 and intervals.dtype == np.int64
+        boxes[axis] = intervals[ids]
+    return boxes
+
+
 class TestBatchedAxisBoxes:
     @pytest.mark.parametrize("n_devices", [2, 4, 8, 16, 32])
     @pytest.mark.parametrize("model_key", sorted(MODELS_BY_KEY))
@@ -201,9 +210,10 @@ class TestBatchedAxisBoxes:
             sample = range(0, len(specs), max(1, len(specs) // 16))
             lone = {i: SliceTables(op, [specs[i]]) for i in sample}
             for point in BOUNDARY_POINTS:
-                boxes = decoder.boxes(point, ALL_DIMS)
+                boxes = _boxes(decoder.axis_ids(point, ALL_DIMS))
                 lone_boxes = {
-                    i: single.boxes(point, ALL_DIMS) for i, single in lone.items()
+                    i: _boxes(single.axis_ids(point, ALL_DIMS))
+                    for i, single in lone.items()
                 }
                 matrices = [dsi_matrix(spec.evaluator, *point) for spec in specs]
                 for dim in dims:
@@ -214,7 +224,6 @@ class TestBatchedAxisBoxes:
                             for matrix, table in zip(matrices, tables)
                         ])
                         context = (op.name, n_devices, point, axis)
-                        assert boxes[axis].dtype == np.int64
                         assert np.array_equal(boxes[axis], expected), context
                         for i, single in lone_boxes.items():
                             assert np.array_equal(

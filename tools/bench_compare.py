@@ -78,6 +78,10 @@ THRESHOLDS: List[Tuple[str, str, str, float]] = [
      "higher_worse", 0.50),
     ("BENCH_opt_speed.json", "scales[*].runs.cold_serial.elapsed_seconds",
      "higher_worse", 0.50),
+    # Eq. 8-9 edge pricing of the warm serial search, on its own, so a
+    # pricing regression cannot hide behind a faster Bellman pass.
+    ("BENCH_opt_speed.json", "scales[*].runs.warm_serial.edge_pricing_seconds",
+     "higher_worse", 0.50),
     # Disk bytes a cold-serial search leaves: deterministic pickles, so the
     # allowance is for a schema change, not noise.
     ("BENCH_opt_speed.json", "scales[*].cache_bytes", "higher_worse", 0.10),
@@ -110,6 +114,8 @@ SMOKE_BOUNDS: List[Tuple[str, str, str, float]] = [
      "<", 10.0),
     ("BENCH_opt_speed.json", "scales[*].runs.cold_serial.elapsed_seconds",
      "<", 10.0),
+    ("BENCH_opt_speed.json", "scales[*].runs.warm_serial.edge_pricing_seconds",
+     ">", 0.0),
     ("BENCH_opt_speed.json", "scales[*].cache_bytes", ">", 0.0),
 ]
 
