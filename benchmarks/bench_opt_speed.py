@@ -7,7 +7,7 @@ breakdown (``candidates``, ``segment_dp``, ``merge``, and ``classify``:
 the boundary-class share of ``candidates``) reported by the optimizer, the
 Bellman share of ``segment_dp`` (``bellman_seconds``: the
 stage minus its Eq. 8-9 edge pricing) and each segment's DP time and
-expanded states, plus a serial-vs-parallel ``Planner3D`` sweep timing.  Each
+expanded states, plus a cold and a warm serial ``Planner3D`` sweep.  Each
 scale also records ``cache_bytes``, the size of the disk cache the
 cold-serial search leaves (its candidate sets and profiler fits).  Every
 regime must produce the identical plan and cost; the JSON records the check.
@@ -126,34 +126,28 @@ def _measure_scale(model, n_devices: int, jobs: int, workdir: str) -> Dict:
     }
 
 
-def _measure_sweep(model, n_devices: int, jobs: int, workdir: str) -> Dict:
-    """Serial vs. parallel 3D sweep (both against cold caches)."""
-    os.environ["PRIMEPAR_CACHE_DIR"] = os.path.join(workdir, "sweep-serial")
-    started = time.perf_counter()
-    serial = Planner3D(
-        model, n_devices=n_devices, global_batch=n_devices, alpha=ALPHA
-    ).sweep("primepar")
-    serial_seconds = time.perf_counter() - started
-    os.environ["PRIMEPAR_CACHE_DIR"] = os.path.join(workdir, "sweep-parallel")
-    started = time.perf_counter()
-    parallel = Planner3D(
-        model, n_devices=n_devices, global_batch=n_devices, alpha=ALPHA,
-        jobs=jobs,
-    ).sweep("primepar")
-    parallel_seconds = time.perf_counter() - started
-    identical = [
-        (str(r.config), r.throughput, _plan_fingerprint(r.plan))
-        for r in serial
-    ] == [
-        (str(r.config), r.throughput, _plan_fingerprint(r.plan))
-        for r in parallel
-    ]
+def _measure_sweep(model, n_devices: int, workdir: str) -> Dict:
+    """A cold, then a warm 3D sweep over one cache directory."""
+    os.environ["PRIMEPAR_CACHE_DIR"] = os.path.join(workdir, "sweep")
+
+    def sweep() -> Tuple[float, List]:
+        started = time.perf_counter()
+        results = Planner3D(
+            model, n_devices=n_devices, global_batch=n_devices, alpha=ALPHA
+        ).sweep("primepar")
+        return time.perf_counter() - started, [
+            (str(r.config), r.throughput, _plan_fingerprint(r.plan))
+            for r in results
+        ]
+
+    cold_seconds, cold = sweep()
+    warm_seconds, warm = sweep()
     return {
         "devices": n_devices,
-        "configs": len(serial),
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "identical": identical,
+        "configs": len(cold),
+        "cold_seconds": cold_seconds,
+        "warm_seconds": warm_seconds,
+        "identical": warm == cold,
     }
 
 
@@ -177,7 +171,7 @@ def run_benchmark(
             "scales": [
                 _measure_scale(model, n, jobs, workdir) for n in scales
             ],
-            "sweep": _measure_sweep(model, sweep_devices, jobs, workdir),
+            "sweep": _measure_sweep(model, sweep_devices, workdir),
         }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -216,8 +210,8 @@ def _report(payload: Dict) -> str:
     sweep = payload["sweep"]
     lines.append(
         f"  sweep ({sweep['devices']} devices, {sweep['configs']} configs): "
-        f"serial {sweep['serial_seconds']:.2f}s, "
-        f"parallel {sweep['parallel_seconds']:.2f}s"
+        f"cold {sweep['cold_seconds']:.2f}s, "
+        f"warm {sweep['warm_seconds']:.2f}s"
         f"  [identical={sweep['identical']}]"
     )
     return "\n".join(lines)

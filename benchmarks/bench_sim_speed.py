@@ -4,7 +4,7 @@ Replays the event-driven scenarios behind Figs. 7-10 under three regimes —
 the frozen pre-optimisation engine (vendored in ``tests/legacy_engine.py``),
 the optimised engine against a cold report cache, and the optimised engine
 against a warm cache (the steady state when figures are regenerated) — plus
-a serial-vs-parallel event-engine 3D sweep.  Every regime must produce the
+a cold and a warm event-engine 3D sweep.  Every regime must produce the
 identical report; the JSON records the check and the speedups.
 
 Scenarios:
@@ -17,8 +17,7 @@ Scenarios:
   engine with an unchanged report).
 * ``model_replay`` — full-depth ``run_model`` (splice verification +
   report cache; dominated by timeline replication, recorded for honesty).
-* ``sweep`` — event-engine ``Planner3D`` sweep, serial vs ``--jobs``
-  workers vs warm cache.
+* ``sweep`` — event-engine ``Planner3D`` sweep, cold then warm cache.
 * ``faulted_execute`` — the cold engine alone: ``BENCH_robustness``'s
   32-device, 8-layer OPT-175B kernel DAG under its compute- and
   link-class scenarios, each executed on the frozen fault graph
@@ -29,7 +28,7 @@ Scenarios:
 
 Standalone::
 
-    PYTHONPATH=src python benchmarks/bench_sim_speed.py --jobs 4
+    PYTHONPATH=src python benchmarks/bench_sim_speed.py
     PYTHONPATH=src python benchmarks/bench_sim_speed.py --smoke   # CI-sized
 
 or as a pytest benchmark (``pytest benchmarks/bench_sim_speed.py``, runs the
@@ -53,7 +52,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import legacy_engine
 import legacy_faults
-from conftest import ALPHA, RESULTS_DIR, beam_for, jobs_for, span_root
+from conftest import ALPHA, RESULTS_DIR, beam_for, span_root
 
 from repro import (
     EventDrivenSimulator,
@@ -169,8 +168,9 @@ def _measure_blocks(smoke: bool, workdir: str, rounds: int) -> List[Dict]:
     for n_devices, batch in cases:
         profiler = FabricProfiler(v100_cluster(n_devices))
         graph = build_mlp_graph(model.block_shape(batch=batch))
+        os.environ["PRIMEPAR_CACHE_DIR"] = os.path.join(workdir, "plan-choice")
         plan = best_megatron_plan(
-            EventDrivenSimulator(profiler, use_disk_cache=False), graph, batch
+            EventDrivenSimulator(profiler), graph, batch
         ).plan
         entry = _three_regimes(
             profiler,
@@ -269,8 +269,9 @@ def _measure_model(smoke: bool, workdir: str, rounds: int) -> Dict:
     n_layers = 8 if smoke else model.n_layers
     profiler = FabricProfiler(v100_cluster(n_devices))
     graph = build_mlp_graph(model.block_shape(batch=batch))
+    os.environ["PRIMEPAR_CACHE_DIR"] = os.path.join(workdir, "plan-choice")
     plan = best_megatron_plan(
-        EventDrivenSimulator(profiler, use_disk_cache=False), graph, batch
+        EventDrivenSimulator(profiler), graph, batch
     ).plan
     entry = _three_regimes(
         profiler,
@@ -380,62 +381,48 @@ def _sweep_fingerprint(results) -> List[Tuple[str, float, float]]:
     ]
 
 
-def _measure_sweep(smoke: bool, jobs: int, workdir: str) -> Dict:
-    """Event-engine 3D sweep: serial vs workers vs warm cache."""
+def _measure_sweep(smoke: bool, workdir: str) -> Dict:
+    """Event-engine 3D sweep: a cold, then a warm sweep over one cache."""
     model = OPT_6_7B
     n_devices = 8 if smoke else 16
+    os.environ["PRIMEPAR_CACHE_DIR"] = os.path.join(workdir, "sweep")
 
-    def sweep(n_jobs: int, cache_dir: str):
-        os.environ["PRIMEPAR_CACHE_DIR"] = cache_dir
+    def sweep():
         planner = Planner3D(
-            model, n_devices=n_devices, global_batch=n_devices,
-            alpha=ALPHA, jobs=n_jobs,
+            model, n_devices=n_devices, global_batch=n_devices, alpha=ALPHA,
         )
         started = time.perf_counter()
         results = planner.sweep("primepar")
         return time.perf_counter() - started, results
 
-    serial_dir = os.path.join(workdir, "sweep-serial")
-    serial_seconds, serial = sweep(1, serial_dir)
-    parallel_seconds, parallel = sweep(
-        jobs, os.path.join(workdir, "sweep-parallel")
-    )
-    warm_seconds, warm = sweep(1, serial_dir)
-    reference = _sweep_fingerprint(serial)
+    cold_seconds, cold = sweep()
+    warm_seconds, warm = sweep()
     return {
         "devices": n_devices,
-        "configs": len(serial),
-        "jobs": jobs,
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
+        "configs": len(cold),
+        "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
-        "identical": (
-            _sweep_fingerprint(parallel) == reference
-            and _sweep_fingerprint(warm) == reference
-        ),
+        "identical": _sweep_fingerprint(warm) == _sweep_fingerprint(cold),
     }
 
 
 def run_benchmark(
     smoke: bool = False,
-    jobs: Optional[int] = None,
     out: Optional[str] = None,
     metrics_out: Optional[str] = None,
 ) -> Dict:
-    jobs = jobs if jobs is not None else (jobs_for() if jobs_for() > 1 else 4)
     rounds = 1 if smoke else 3
     saved_env = os.environ.get("PRIMEPAR_CACHE_DIR")
     workdir = tempfile.mkdtemp(prefix="primepar-simbench-")
     try:
         payload = {
             "smoke": smoke,
-            "jobs": jobs,
             "rounds": rounds,
             "block_replay": _measure_blocks(smoke, workdir, rounds),
             "contended_replay": _measure_contended(smoke, workdir, rounds),
             "fig9_pipeline_replay": _measure_pipeline(smoke, workdir, rounds),
             "model_replay": _measure_model(smoke, workdir, rounds),
-            "sweep": _measure_sweep(smoke, jobs, workdir),
+            "sweep": _measure_sweep(smoke, workdir),
             "faulted_execute": _measure_faulted_execute(smoke, workdir),
         }
     finally:
@@ -469,7 +456,7 @@ def _fmt(entry: Dict, label: str) -> str:
 
 def _report(payload: Dict) -> str:
     lines = [
-        f"jobs {payload['jobs']}, best of {payload['rounds']}"
+        f"best of {payload['rounds']}"
         + (" (smoke)" if payload["smoke"] else "")
     ]
     for entry in payload["block_replay"]:
@@ -492,8 +479,7 @@ def _report(payload: Dict) -> str:
     sweep = payload["sweep"]
     lines.append(
         f"  sweep ({sweep['devices']} devices, {sweep['configs']} configs): "
-        f"serial {sweep['serial_seconds']:.2f}s, "
-        f"x{sweep['jobs']} {sweep['parallel_seconds']:.2f}s, "
+        f"cold {sweep['cold_seconds']:.2f}s, "
         f"warm {sweep['warm_seconds']:.2f}s"
         f"  [identical={sweep['identical']}]"
     )
@@ -532,11 +518,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="CI-sized run: OPT-6.7B scenarios at 4-8 devices",
     )
     parser.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes for the parallel sweep "
-             "(default: REPRO_BENCH_JOBS or 4)",
-    )
-    parser.add_argument(
         "--out", default="",
         help="output JSON path (default benchmarks/results/BENCH_sim_speed.json)",
     )
@@ -547,7 +528,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     with span_root(args.metrics_out):
         payload = run_benchmark(
-            smoke=args.smoke, jobs=args.jobs or None, out=args.out or None,
+            smoke=args.smoke, out=args.out or None,
             metrics_out=args.metrics_out or None,
         )
     print(_report(payload))

@@ -3,10 +3,11 @@
 Repeated benchmark and CLI invocations redo identical work: candidate-set
 enumeration + intra costing per operator type, the profiler's
 least-squares model fits, and simulation replays (``simreport`` entries
-via :mod:`repro.sim.simcache`, ``pipesim`` entries for event-driven
-pipeline schedules).  All are pure functions of their inputs, so the
-results are stored on disk keyed by a content hash of everything that can
-influence them (model shape, topology, alpha, beam, schema version, ...).
+for iteration reports, ``pipesim`` entries for event-driven pipeline
+schedules).  All are pure functions of their inputs, so the results are
+stored on disk keyed by a content hash of everything that can influence
+them (model shape, topology, alpha, beam, schema version, ...).
+:func:`memoize` is the one path that wraps such a computation.
 
 Keys are built by :func:`content_key` from a *canonical* byte encoding of
 plain Python values (numbers, strings, tuples, dicts, enums, dataclasses) —
@@ -40,11 +41,13 @@ import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
 from .obs.metrics import counter, gauge
 
 logger = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 #: Bump whenever the content of any cached artefact changes meaning
 #: (cost-model changes, CandidateSet layout changes, ...).  Old entries are
@@ -124,12 +127,45 @@ def _canonical(value: Any, out: list) -> None:
 def content_key(kind: str, *parts: Any) -> str:
     """Stable hex digest identifying one cached artefact.
 
-    Raises ``TypeError`` when a part cannot be canonically encoded; callers
-    should then skip the disk cache for that artefact.
+    Raises ``TypeError`` when a part cannot be canonically encoded;
+    :func:`memo_key` turns that into "do not cache".
     """
     encoded: list = []
     _canonical((CACHE_VERSION, kind) + parts, encoded)
     return hashlib.sha256(b"".join(encoded)).hexdigest()
+
+
+def memo_key(*key_parts: Any) -> Optional[str]:
+    """:func:`content_key` of ``key_parts``, or ``None`` when a part cannot
+    be canonically encoded (the artefact is then computed uncached)."""
+    try:
+        return content_key(*key_parts)
+    except TypeError:
+        return None
+
+
+def memoize(
+    kind: str,
+    key_parts: Tuple[Any, ...],
+    compute: Callable[[], _T],
+    expect: type,
+) -> Tuple[_T, bool]:
+    """``compute()`` memoized on disk; returns ``(value, hit)``.
+
+    The entry is stored as a ``kind`` file under :func:`memo_key` of
+    ``key_parts``, whose first part names the key (it may differ from the
+    file ``kind``).  A loaded value that is not an ``expect`` instance
+    counts as a miss.
+    """
+    key = memo_key(*key_parts)
+    if key is not None:
+        value = load(kind, key)
+        if isinstance(value, expect):
+            return value, True
+    value = compute()
+    if key is not None:
+        store(kind, key, value)
+    return value, False
 
 
 def _entry_path(kind: str, key: str) -> Path:

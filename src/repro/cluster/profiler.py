@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -72,25 +72,16 @@ class FabricProfiler:
         self._allreduce_models: Dict[Tuple[int, ...], LinearLatencyModel] = {}
         self._redistribution_models: Dict[bool, LinearLatencyModel] = {}
 
-    def _disk_key(self, kind: str, key) -> Optional[str]:
-        """Persistent-cache key for one fitted model, or ``None``."""
-        try:
-            return diskcache.content_key(f"profiler-{kind}", self.topology, key)
-        except TypeError:
-            return None
-
     def _fit(
         self, kind: str, key, fn: Callable[[float], float]
     ) -> LinearLatencyModel:
         """Fit one model, going through the persistent cache when possible."""
-        disk_key = self._disk_key(kind, key)
-        if disk_key is not None:
-            cached = diskcache.load("profiler", disk_key)
-            if isinstance(cached, LinearLatencyModel):
-                return cached
-        model = self._measure(fn)
-        if disk_key is not None:
-            diskcache.store("profiler", disk_key, model)
+        model, _ = diskcache.memoize(
+            "profiler",
+            (f"profiler-{kind}", self.topology, key),
+            lambda: self._measure(fn),
+            LinearLatencyModel,
+        )
         return model
 
     def _measure(self, fn: Callable[[float], float]) -> LinearLatencyModel:

@@ -26,7 +26,6 @@ from ..partitions import DimPartition
 from ..spec import PartitionSpec
 from ..space import enumerate_specs
 from ..steps import boundary_matrices
-from .. import cost as _cost  # noqa: F401  (re-export convenience)
 from ..cost.inter import SliceTables
 from ..cost.intra import IntraOperatorCostModel
 from .canonical import canonical_specs

@@ -1,11 +1,11 @@
 """Process-pool fan-out for the strategy-search pipeline.
 
-Candidate-set builds (one per operator type) and ``(p, d, m)`` sweep
-configurations are independent, CPU-bound, pure functions — exactly the
-shape a ``ProcessPoolExecutor`` parallelizes well under the GIL.  Results
-are merged in *submission order* (``executor.map``), so the outcome is
-deterministic and bit-identical to the serial path regardless of which
-worker finishes first.
+Candidate-set builds (one per operator type), a 3D sweep's plan searches
+and fault scenarios are independent, CPU-bound, pure functions — exactly
+the shape a ``ProcessPoolExecutor`` parallelizes well under the GIL.
+Results are merged in *submission order* (``executor.map``), so the
+outcome is deterministic and bit-identical to the serial path regardless
+of which worker finishes first.
 
 Workers must receive picklable payloads; everything in the search stack
 (operators, specs, profilers, fitted models) is plain dataclasses/numpy and

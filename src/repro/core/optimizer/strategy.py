@@ -114,22 +114,16 @@ class PrimeParOptimizer:
     # ------------------------------------------------------------------
 
     def _disk_key(self, node) -> Optional[str]:
-        """Content hash for one operator type's candidate set.
-
-        ``None`` when some input cannot be encoded canonically.
-        """
-        try:
-            return diskcache.content_key(
-                "candidates",
-                type_key(node),
-                self.profiler.topology,
-                self.intra_model.alpha,
-                self.include_temporal,
-                self.partition_batch,
-                self.beam,
-            )
-        except TypeError:
-            return None
+        """Content hash for one operator type's candidate set, or ``None``."""
+        return diskcache.memo_key(
+            "candidates",
+            type_key(node),
+            self.profiler.topology,
+            self.intra_model.alpha,
+            self.include_temporal,
+            self.partition_batch,
+            self.beam,
+        )
 
     def candidates_for(
         self,

@@ -115,85 +115,77 @@ def pipeline_iteration_events(
     ``p = 2 … 32``).  The report carries a per-stage :class:`Timeline`.
 
     The replay is a pure function of its arguments, so the report is
-    memoized through :mod:`repro.cache` (``PRIMEPAR_CACHE*`` knobs apply);
-    a pickled report round-trips bit-exactly.  ``graph_factory`` swaps in
-    an alternative kernel-DAG executor (the golden regression suite passes
-    the frozen pre-optimisation engine) and disables memoization.
+    memoized through :func:`repro.cache.memoize` (``PRIMEPAR_CACHE*``
+    knobs apply); a pickled report round-trips bit-exactly.
+    ``graph_factory`` swaps in an alternative kernel-DAG executor (the
+    golden regression suite passes the frozen pre-optimisation engine) and
+    disables memoization.
     """
     from ..sim.engine import KernelGraph  # local: keep import DAG shallow
     from .. import cache as diskcache
-    from ..obs.metrics import counter
 
     p, m = plan.n_stages, plan.n_microbatches
     hop = link.transfer_time(boundary_bytes) if p > 1 else 0.0
 
-    key = None
-    if graph_factory is None:
-        try:
-            key = diskcache.content_key(
-                "pipesim", 1, plan, stage_forward, stage_backward,
-                boundary_bytes, link,
-            )
-        except TypeError:
-            key = None
-    if key is not None:
-        cached = diskcache.load("pipesim", key)
-        if isinstance(cached, PipelineReport):
-            counter("sim.pipe_cache", outcome="hit").inc()
-            return cached
-        counter("sim.pipe_cache", outcome="miss").inc()
+    def replay(kg) -> PipelineReport:
+        streams = [kg.stream(f"stage{s}") for s in range(p)]
+        work: Dict[Tuple[str, int, int], object] = {}
+        # Pass 1: enqueue stage kernels in schedule order (stream order is
+        # submission order, so this pins each stage's execution sequence).
+        for s in range(p):
+            for phase, i in _stage_order(plan, s):
+                duration = stage_forward if phase == "F" else stage_backward
+                work[(phase, s, i)] = kg.add(
+                    f"{phase}{i}@stage{s}",
+                    streams=[streams[s]],
+                    duration=duration,
+                    kind="forward" if phase == "F" else "backward",
+                    op=f"mb{i}",
+                    phase=phase,
+                    device=s,
+                )
+        # Pass 2: boundary sends and cross-stage dependencies (created after
+        # pass 1 because a backward depends on the *next* stage's kernel).
+        for s in range(p - 1):
+            for i in range(m):
+                fsend = kg.add(
+                    f"fsend{i}@stage{s}",
+                    deps=[work[("F", s, i)]],
+                    duration=hop,
+                    kind="pipe-send",
+                    op=f"mb{i}",
+                    phase="F",
+                    device=s,
+                )
+                work[("F", s + 1, i)].add_dep(fsend)
+                bsend = kg.add(
+                    f"bsend{i}@stage{s + 1}",
+                    deps=[work[("B", s + 1, i)]],
+                    duration=hop,
+                    kind="pipe-send",
+                    op=f"mb{i}",
+                    phase="B",
+                    device=s + 1,
+                )
+                work[("B", s, i)].add_dep(bsend)
+        makespan = kg.execute()
+        slot = stage_forward + stage_backward
+        exposed_comm = 2 * (p - 1) * hop
+        return PipelineReport(
+            iteration_latency=makespan,
+            bubble_latency=makespan - m * slot - exposed_comm,
+            communication_latency=exposed_comm,
+            stage_latency=slot,
+            timeline=kg.timeline(),
+        )
 
-    kg = (graph_factory or KernelGraph)()
-    streams = [kg.stream(f"stage{s}") for s in range(p)]
-    work: Dict[Tuple[str, int, int], object] = {}
-    # Pass 1: enqueue stage kernels in schedule order (stream order is
-    # submission order, so this pins each stage's execution sequence).
-    for s in range(p):
-        for phase, i in _stage_order(plan, s):
-            duration = stage_forward if phase == "F" else stage_backward
-            work[(phase, s, i)] = kg.add(
-                f"{phase}{i}@stage{s}",
-                streams=[streams[s]],
-                duration=duration,
-                kind="forward" if phase == "F" else "backward",
-                op=f"mb{i}",
-                phase=phase,
-                device=s,
-            )
-    # Pass 2: boundary sends and cross-stage dependencies (created after
-    # pass 1 because a backward depends on the *next* stage's kernel).
-    for s in range(p - 1):
-        for i in range(m):
-            fsend = kg.add(
-                f"fsend{i}@stage{s}",
-                deps=[work[("F", s, i)]],
-                duration=hop,
-                kind="pipe-send",
-                op=f"mb{i}",
-                phase="F",
-                device=s,
-            )
-            work[("F", s + 1, i)].add_dep(fsend)
-            bsend = kg.add(
-                f"bsend{i}@stage{s + 1}",
-                deps=[work[("B", s + 1, i)]],
-                duration=hop,
-                kind="pipe-send",
-                op=f"mb{i}",
-                phase="B",
-                device=s + 1,
-            )
-            work[("B", s, i)].add_dep(bsend)
-    makespan = kg.execute()
-    slot = stage_forward + stage_backward
-    exposed_comm = 2 * (p - 1) * hop
-    report = PipelineReport(
-        iteration_latency=makespan,
-        bubble_latency=makespan - m * slot - exposed_comm,
-        communication_latency=exposed_comm,
-        stage_latency=slot,
-        timeline=kg.timeline(),
+    if graph_factory is not None:
+        return replay(graph_factory())
+    report, _ = diskcache.memoize(
+        "pipesim",
+        ("pipesim", 1, plan, stage_forward, stage_backward, boundary_bytes,
+         link),
+        lambda: replay(KernelGraph()),
+        PipelineReport,
     )
-    if key is not None:
-        diskcache.store("pipesim", key, report)
     return report

@@ -16,7 +16,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..cluster.collectives import COLLECTIVE_EFFICIENCY
 from ..cluster.profiler import FabricProfiler
 from ..cluster.topology import ClusterTopology, v100_cluster
-from ..core.dims import Dim
 from ..core.optimizer.parallel import parallel_map, resolve_jobs
 from ..core.optimizer.strategy import PrimeParOptimizer
 from ..core.spec import PartitionSpec
@@ -237,12 +236,12 @@ class Planner3D:
         With ``jobs > 1`` (default: the planner's ``jobs``) the distinct
         per-``(m, micro)`` tensor-parallel plan searches fan out over a
         process pool first and are merged back into the plan cache by
-        configuration key; the per-configuration simulations then fan out
-        over the same pool.  Results (and telemetry, via the workers'
-        registry snapshots) merge in submission order, so the sweep's
-        output is identical to serial — and, through the simulation disk
-        cache (``PRIMEPAR_CACHE*``), warm re-sweeps skip the event loops
-        entirely.
+        configuration key (and their telemetry, via the workers' registry
+        snapshots, in submission order).  The per-configuration
+        simulations then run in this process, so the sweep's output is
+        identical to serial — and, through the disk cache
+        (``PRIMEPAR_CACHE*``), warm re-sweeps skip the searches' candidate
+        builds and the event loops.
         """
         jobs = self.jobs if jobs is None else resolve_jobs(jobs)
         configs = [
@@ -275,24 +274,13 @@ class Planner3D:
                         # the same ValueError the serial path would, and the
                         # config is skipped identically.
             results = []
-            if jobs > 1 and len(configs) > 1:
-                payloads = [(self, config, method) for config in configs]
-                for status, value in parallel_map(
-                    _simulate_task, payloads, jobs
-                ):
-                    if status == "ok":
-                        results.append(value)
-                        counter("sweep.configs", outcome="evaluated").inc()
-                    else:
-                        counter("sweep.configs", outcome="skipped").inc()
-            else:
-                for config in configs:
-                    try:
-                        results.append(self.simulate(config, method))
-                    except ValueError:
-                        counter("sweep.configs", outcome="skipped").inc()
-                        continue
-                    counter("sweep.configs", outcome="evaluated").inc()
+            for config in configs:
+                try:
+                    results.append(self.simulate(config, method))
+                except ValueError:
+                    counter("sweep.configs", outcome="skipped").inc()
+                    continue
+                counter("sweep.configs", outcome="evaluated").inc()
         return results
 
 
@@ -306,22 +294,5 @@ def _plan_task(payload: Tuple["Planner3D", Tuple[str, int, int]]) -> Tuple[str, 
     planner, (method, m, micro) = payload
     try:
         return ("ok", planner._plan_for(method, m, micro))
-    except ValueError as exc:
-        return ("error", str(exc))
-
-
-def _simulate_task(
-    payload: Tuple["Planner3D", Config3D, str]
-) -> Tuple[str, object]:
-    """Worker: simulate one 3D configuration.
-
-    The planner arrives with its plan cache pre-populated (the sweep
-    prefetches plan searches first), so this is pure simulation.  Returns
-    ``("ok", Result3D)`` or ``("error", message)``; errors are counted as
-    skipped configurations by the parent, exactly like the serial path.
-    """
-    planner, config, method = payload
-    try:
-        return ("ok", planner.simulate(config, method))
     except ValueError as exc:
         return ("error", str(exc))

@@ -291,8 +291,8 @@ class PlanService:
         """Validate a raw ``/v1/simulate`` body and replay its plan.
 
         The answer carries the report's numbers, its JSON-shaped
-        ``utilization`` and the ``plan`` it replayed.  Simulation reports are additionally disk-cached by
-        :mod:`repro.sim.simcache` underneath ``run_model``.
+        ``utilization`` and the ``plan`` it replayed.  ``run_model``
+        disk-caches the simulation report underneath.
         """
         request = SimulateRequest.from_json(body)
 

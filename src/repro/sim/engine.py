@@ -71,9 +71,10 @@ frozen copy of the original implementation):
   falls back to replaying the full layer stack through the event engine.
   A spliced report keeps the one-layer timeline and tiles it only on
   demand (:meth:`~repro.sim.executor.IterationReport.full_timeline`).
-  Reports are additionally memoized on disk through :mod:`repro.sim.simcache`
-  (the ``PRIMEPAR_CACHE*`` knobs apply), with cached hits re-emitting the
-  telemetry of the run they replace.
+  Reports are additionally memoized on disk through
+  :func:`repro.cache.memoize` (``simreport`` entries; the ``PRIMEPAR_CACHE*``
+  knobs apply), with cached hits re-emitting the telemetry of the run they
+  replace.
 * **Lower once, build once, re-time per scenario.**  Every cost term a
   replay needs (Eq. 7 step compute, sized ring transfers, all-reduce and
   layernorm extras, Eq. 8–9 redistribution, the memory terms) depends only
@@ -104,6 +105,7 @@ from typing import (
     TypeVar,
 )
 
+from .. import cache as diskcache
 from ..cluster.profiler import FabricProfiler
 from ..cluster.topology import PathResources
 from ..core.dims import ALL_PHASES, Phase
@@ -116,7 +118,6 @@ from ..graph.graph import ComputationGraph
 from ..obs.metrics import counter, gauge
 from ..obs.reqtrace import trace_event
 from ..obs.spans import span
-from . import simcache
 from .executor import (
     IterationReport,
     build_utilization,
@@ -127,6 +128,12 @@ from .memory_tracker import track_iteration
 from .timeline import KernelRecord, Timeline
 
 _R = TypeVar("_R")
+
+#: Bump when report layout or engine semantics change meaning.
+SIM_SCHEMA = 2
+
+#: Cache kind of iteration reports (file prefix in the cache directory).
+REPORT_KIND = "simreport"
 
 #: Perf-stat keys every optimised KernelGraph reports (see ``perf_stats``).
 PERF_STAT_KEYS = (
@@ -777,17 +784,15 @@ class EventDrivenSimulator:
         profiler: Fabric profiler providing the cluster and cost models.
         graph_factory: Constructor for the kernel-DAG executor; the golden
             regression suite swaps in the frozen pre-optimisation engine,
-            the fault layer a fault-injecting graph.
-        use_disk_cache: Memoize :class:`IterationReport` results through
-            :mod:`repro.sim.simcache` (stock :class:`KernelGraph` only: a
-            custom graph's reports are not the stock ones).
+            the fault layer a fault-injecting graph.  Only the stock
+            :class:`KernelGraph`'s reports are memoized on disk: a custom
+            graph's reports are not the stock ones.
     """
 
     def __init__(
         self,
         profiler: FabricProfiler,
         graph_factory: Callable[[], KernelGraph] = KernelGraph,
-        use_disk_cache: bool = True,
     ) -> None:
         self.profiler = profiler
         self.topology = profiler.topology
@@ -796,7 +801,6 @@ class EventDrivenSimulator:
         self.inter = InterOperatorCostModel(profiler)
         self.memory = MemoryCostModel()
         self.graph_factory = graph_factory
-        self.use_disk_cache = use_disk_cache
         #: The last lowering built, as ``(graph, specs in node order,
         #: lowering)``; see :meth:`lower`.
         self._lowered: Optional[
@@ -950,11 +954,22 @@ class EventDrivenSimulator:
     # cached entry points
     # ------------------------------------------------------------------
 
-    def _cache_key(self, graph, plan, global_batch, n_layers) -> Optional[str]:
-        if not self.use_disk_cache or self.graph_factory is not KernelGraph:
-            return None
-        return simcache.report_key(
-            self.profiler, graph, plan, global_batch, n_layers
+    def _report_key(self, graph, plan, global_batch, n_layers) -> Tuple:
+        """Content-key parts of one simulated iteration's report."""
+        return (
+            REPORT_KIND,
+            SIM_SCHEMA,
+            tuple(graph.nodes),
+            tuple(graph.edges),
+            tuple(
+                sorted(
+                    (name, str(spec), spec.n_bits)
+                    for name, spec in plan.items()
+                )
+            ),
+            int(global_batch),
+            int(n_layers),
+            self.profiler.topology,
         )
 
     def _replay(
@@ -967,21 +982,32 @@ class EventDrivenSimulator:
         """``n_layers`` replayed through the engine, via the report cache.
 
         Returns ``(report, spliceable)``; only a one-layer replay can be
-        spliceable.
+        spliceable.  A cached entry carries the telemetry the simulation
+        emitted (kernel counts, heap and rebalance tallies), which a hit
+        re-emits.
         """
-        key = self._cache_key(graph, plan, global_batch, n_layers)
-        if key is not None:
-            entry = simcache.load(key)
-            if entry is not None:
-                report = entry["report"]
-                self._replay_telemetry(report, entry["stats"])
-                return report, entry["spliceable"]
-        report, spliceable, stats = self._simulate(
-            graph, self.lower(graph, plan), global_batch, n_layers
-        )
-        if key is not None:
-            simcache.store(key, report, spliceable, stats)
-        return report, spliceable
+
+        def simulate() -> Dict[str, object]:
+            report, spliceable, stats = self._simulate(
+                graph, self.lower(graph, plan), global_batch, n_layers
+            )
+            return {
+                "report": report, "spliceable": spliceable,
+                "stats": dict(stats),
+            }
+
+        if self.graph_factory is not KernelGraph:
+            entry = simulate()
+        else:
+            entry, hit = diskcache.memoize(
+                REPORT_KIND,
+                self._report_key(graph, plan, global_batch, n_layers),
+                simulate,
+                dict,
+            )
+            if hit:
+                self._replay_telemetry(entry["report"], entry["stats"])
+        return entry["report"], entry["spliceable"]
 
     @staticmethod
     def _replay_telemetry(report: IterationReport, stats: Mapping) -> None:

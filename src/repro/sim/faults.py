@@ -300,16 +300,26 @@ class FaultModel:
                     f"faults.{name}",
                 )
             values[name] = float(raw)
-        recovery_payload = dict(payload.get("recovery", {}))
+        nested = payload.get("recovery", {})
+        if not isinstance(nested, Mapping):
+            raise ValidationError(
+                "recovery model must be a JSON object", "faults.recovery"
+            )
+        recovery_payload = dict(nested)
         for name in _RECOVERY_FIELDS:
             if name in payload:
                 recovery_payload[name] = payload[name]
-        try:
-            recovery = RecoveryModel.from_json(recovery_payload)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"invalid recovery model: {exc}", "faults.recovery"
-            ) from exc
+            raw = recovery_payload.get(name, getattr(RecoveryModel, name))
+            integral = name == "checkpoint_interval"
+            if isinstance(raw, bool) or not isinstance(
+                raw, int if integral else (int, float)
+            ):
+                raise ValidationError(
+                    f"recovery field {name!r} must be "
+                    + ("an integer" if integral else "a number"),
+                    f"faults.{name}",
+                )
+        recovery = RecoveryModel.from_json(recovery_payload)
         model = cls(recovery=recovery, **values)
         model.validate()
         return model

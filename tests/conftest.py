@@ -28,6 +28,13 @@ def _hermetic_cache(tmp_path_factory):
         os.environ["PRIMEPAR_CACHE_DIR"] = saved
 
 
+@pytest.fixture
+def no_disk_cache(monkeypatch):
+    """Switch the disk cache off (``PRIMEPAR_CACHE=0``) for one test, so
+    every replay simulates instead of answering from a stored report."""
+    monkeypatch.setenv("PRIMEPAR_CACHE", "0")
+
+
 @pytest.fixture(autouse=True)
 def _restore_repro_logger():
     """Undo ``repro.obs.configure_logging`` side effects after each test.

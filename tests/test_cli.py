@@ -225,4 +225,8 @@ class TestCommands:
         assert "sim.splice" in names
         assert "sim.queue_pushes" in names
         assert "sim.contention_flushes" in names
-        assert "sim.report_cache" in names
+        assert any(
+            entry["name"] == "cache.hits"
+            and entry["labels"].get("kind") == "simreport"
+            for entry in doc["counters"]
+        )

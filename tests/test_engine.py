@@ -483,12 +483,13 @@ class TestRandomizedCrossValidation:
         plan = {"fc": PartitionSpec.from_string(spec_text, 2)}
         return graph, plan, batch, spec_text
 
+    @pytest.mark.usefixtures("no_disk_cache")
     def test_fifty_random_contention_free_configs(self):
         import random
 
         rng = random.Random(20260805)
         profiler = FabricProfiler(v100_cluster(4))
-        event_sim = EventDrivenSimulator(profiler, use_disk_cache=False)
+        event_sim = EventDrivenSimulator(profiler)
         for case in range(50):
             graph, plan, batch, spec_text = self._random_case(rng)
             latency, memory, _ = predicted(profiler, graph, plan)
@@ -497,6 +498,7 @@ class TestRandomizedCrossValidation:
             assert event.latency == pytest.approx(latency, rel=1e-6), context
             assert event.peak_memory_bytes == memory, context
 
+    @pytest.mark.usefixtures("no_disk_cache")
     def test_random_configs_are_deterministic(self):
         """Replaying one random config twice yields identical timelines."""
         import random
@@ -504,10 +506,10 @@ class TestRandomizedCrossValidation:
         rng = random.Random(20260805)
         profiler = FabricProfiler(v100_cluster(4))
         graph, plan, batch, _ = self._random_case(rng)
-        first = EventDrivenSimulator(profiler, use_disk_cache=False).run(
+        first = EventDrivenSimulator(profiler).run(
             graph, plan, batch
         )
-        second = EventDrivenSimulator(profiler, use_disk_cache=False).run(
+        second = EventDrivenSimulator(profiler).run(
             graph, plan, batch
         )
         assert first.timeline.records == second.timeline.records

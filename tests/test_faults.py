@@ -117,11 +117,34 @@ class TestFaultModelSpec:
         with pytest.raises(ValidationError):
             FaultModel.from_json({"straggler_rate": 0.1, "typo_key": 1})
 
+    @pytest.mark.parametrize("via", ["fault_model", "service"])
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"checkpoint_interval": 16.7}, "checkpoint_interval"),
+            ({"checkpoint_interval": True}, "checkpoint_interval"),
+            ({"restart_seconds": "30"}, "restart_seconds"),
+            ({"recovery": {"replan_seconds": "5"}}, "replan_seconds"),
+            ({"recovery": 5}, "recovery"),
+        ],
+    )
+    def test_recovery_fields_are_validated_not_coerced(self, body, field, via):
+        from repro.serve.service import PlanService
+
+        with pytest.raises(ValidationError) as excinfo:
+            if via == "fault_model":
+                FaultModel.from_json(body)
+            else:
+                PlanService().robustness_from_request({"faults": body})
+        assert excinfo.value.field == f"faults.{field}"
+        assert field in str(excinfo.value)
+
 
 class TestAttribution:
+    @pytest.mark.usefixtures("no_disk_cache")
     def test_identity_holds_exactly(self, setting):
         profiler, graph, plan = setting
-        nominal = EventDrivenSimulator(profiler, use_disk_cache=False)
+        nominal = EventDrivenSimulator(profiler)
         nominal_latency = nominal.run_model(graph, plan, 8, 4).latency
         sweep = FaultSweep(profiler, graph, plan, 4)
         for scenario in MIXED.scenarios(
@@ -145,12 +168,13 @@ class TestAttribution:
 class TestLinkSlowdownsNeverHelp:
     """Seeded property: degraded links can only increase iteration time."""
 
+    @pytest.mark.usefixtures("no_disk_cache")
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_degraded_links_monotone(self, setting, seed):
         profiler, graph, plan = setting
-        nominal = EventDrivenSimulator(
-            profiler, use_disk_cache=False
-        ).run_model(graph, plan, 8, 4).latency
+        nominal = EventDrivenSimulator(profiler).run_model(
+            graph, plan, 8, 4
+        ).latency
         link_only = FaultModel.from_spec("degrade=1.0:0.4")
         sweep = FaultSweep(profiler, graph, plan, 4)
         for scenario in link_only.scenarios(
@@ -163,6 +187,7 @@ class TestLinkSlowdownsNeverHelp:
             if scenario.degraded_links:
                 assert outcome.latency > nominal
 
+    @pytest.mark.usefixtures("no_disk_cache")
     def test_flap_stall_delays_completion(self):
         """A hard NIC outage mid-iteration parks in-flight ring flows.
 
@@ -189,7 +214,7 @@ class TestLinkSlowdownsNeverHelp:
         graph = ComputationGraph(nodes=[fc], edges=[])
         plan = {"fc": PartitionSpec.from_string("P2x2", 2)}
         profiler = FabricProfiler(v100_cluster(4, gpus_per_node=2))
-        stock = EventDrivenSimulator(profiler, use_disk_cache=False)
+        stock = EventDrivenSimulator(profiler)
         report = stock.run_model(graph, plan, 2, 1)
         assert report.breakdown.get("ring-exposed", 0.0) > 0
         nominal = report.latency
@@ -351,7 +376,7 @@ class TestSharedLowering:
         clone = pickle.loads(pickle.dumps(lowering))
         assert isinstance(clone, PlanLowering)
         assert clone == lowering
-        simulator = EventDrivenSimulator(profiler, use_disk_cache=False)
+        simulator = EventDrivenSimulator(profiler)
 
         def replay(priced):
             kg = simulator.build(graph, priced, 4)
@@ -421,10 +446,11 @@ class TestPriceOnce:
 
 
 class TestZeroFaultGraphPassThrough:
+    @pytest.mark.usefixtures("no_disk_cache")
     def test_empty_scenario_is_identity(self, setting):
         profiler, graph, plan = setting
         topology = profiler.topology
-        stock = EventDrivenSimulator(profiler, use_disk_cache=False)
+        stock = EventDrivenSimulator(profiler)
         faulty = EventDrivenSimulator(
             profiler,
             graph_factory=lambda: FaultyKernelGraph(
@@ -435,6 +461,7 @@ class TestZeroFaultGraphPassThrough:
         b = faulty.run_model(graph, plan, 8, 4)
         assert a == b
 
+    @pytest.mark.usefixtures("no_disk_cache")
     def test_straggler_slows_only_compute(self, setting):
         profiler, graph, plan = setting
         topology = profiler.topology
@@ -445,7 +472,7 @@ class TestZeroFaultGraphPassThrough:
             profiler,
             graph_factory=lambda: FaultyKernelGraph(scenario, topology),
         )
-        stock = EventDrivenSimulator(profiler, use_disk_cache=False)
+        stock = EventDrivenSimulator(profiler)
         assert (
             faulty.run_model(graph, plan, 8, 4).latency
             > stock.run_model(graph, plan, 8, 4).latency

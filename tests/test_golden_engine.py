@@ -103,7 +103,7 @@ def simulators(profiler):
         profiler,
         graph_factory=OrderedLegacyKernelGraph,
     )
-    candidate = EventDrivenSimulator(profiler, use_disk_cache=False)
+    candidate = EventDrivenSimulator(profiler)
     return golden, candidate
 
 
@@ -126,6 +126,7 @@ def contended_case():
     return profiler, graph, plan, 2
 
 
+@pytest.mark.usefixtures("no_disk_cache")
 class TestGoldenSingleIteration:
     def test_megatron_two_nodes_cross_node_nic(self, profiler8, large_block):
         plan = megatron_plan(large_block, 3, dp_degree=2)
@@ -175,6 +176,7 @@ class TestGoldenSingleIteration:
 
 
 class TestGoldenRunModel:
+    @pytest.mark.usefixtures("no_disk_cache")
     def test_spliced_run_model_matches_legacy_tiling(
         self, profiler8, large_block
     ):
@@ -201,7 +203,7 @@ class TestGoldenRunModel:
         plan = megatron_plan(large_block, 3, dp_degree=2)
         golden, _ = simulators(profiler8)
         legacy_scaled = golden.run(large_block, plan, 8).scaled_to_layers(4, 8)
-        cached_sim = EventDrivenSimulator(profiler8, use_disk_cache=True)
+        cached_sim = EventDrivenSimulator(profiler8)
         cold = cached_sim.run_model(large_block, plan, 8, n_layers=4)
         with use_registry(MetricsRegistry()) as registry:
             warm = cached_sim.run_model(large_block, plan, 8, n_layers=4)
@@ -211,8 +213,8 @@ class TestGoldenRunModel:
         hits = [
             entry
             for entry in snapshot["counters"]
-            if entry["name"] == "sim.report_cache"
-            and entry["labels"].get("outcome") == "hit"
+            if entry["name"] == "cache.hits"
+            and entry["labels"].get("kind") == "simreport"
         ]
         assert hits and hits[0]["value"] >= 1
 
@@ -221,7 +223,7 @@ class TestGoldenRunModel:
         plan = megatron_plan(large_block, 3, dp_degree=2)
 
         def run_and_snapshot():
-            sim = EventDrivenSimulator(profiler8, use_disk_cache=True)
+            sim = EventDrivenSimulator(profiler8)
             with use_registry(MetricsRegistry()) as registry:
                 sim.run_model(large_block, plan, 8, n_layers=4)
                 return registry.snapshot()
@@ -236,7 +238,7 @@ class TestGoldenRunModel:
                 for kind in ("counters", "gauges")
                 for e in snapshot[kind]
                 if e["name"].startswith("sim.")
-                and e["name"] not in ("sim.report_cache", "sim.lowerings")
+                and e["name"] != "sim.lowerings"
             }
 
         assert sim_series(warm) == sim_series(cold)
@@ -320,13 +322,14 @@ class TestGoldenZeroFault:
         )
 
 
+@pytest.mark.usefixtures("no_disk_cache")
 class TestOnlineStatsMatchScan:
     def test_busy_fractions_equal_timeline_scan(self):
         """Online per-device busy accumulation == the post-hoc scan."""
         from repro.sim.executor import device_busy_fractions
 
         profiler, graph, plan, batch = contended_case()
-        candidate = EventDrivenSimulator(profiler, use_disk_cache=False)
+        candidate = EventDrivenSimulator(profiler)
         report = candidate.run(graph, plan, batch)
         scanned = device_busy_fractions(report.timeline)
         online = {
@@ -423,13 +426,14 @@ class TestGoldenFaultedReplays:
             golden.to_json(), sort_keys=True
         )
 
+    @pytest.mark.usefixtures("no_disk_cache")
     @pytest.mark.parametrize("factor", [0.0, 0.25])
     def test_link_opened_mid_flap_matches_frozen(self, factor):
         """A NIC pool first used while its flap is on starts throttled."""
         from repro.sim.faults import FaultScenario, NicFlap
 
         profiler, graph, plan, batch = contended_case()
-        nominal = EventDrivenSimulator(profiler, use_disk_cache=False).run(
+        nominal = EventDrivenSimulator(profiler).run(
             graph, plan, batch
         )
         flaps = tuple(

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    EventDrivenSimulator,
     FabricProfiler,
     Planner3D,
     PrimeParOptimizer,
@@ -24,10 +25,15 @@ from repro import (
 )
 from repro import cache as diskcache
 from repro.core.cost.intra import IntraOperatorCostModel
+from repro.core.dims import Dim
 from repro.core.dsi import DsiEvaluator
-from repro.core.optimizer.candidates import build_candidates
+from repro.core.optimizer.candidates import build_candidates, type_key
 from repro.core.optimizer.parallel import parallel_map, resolve_jobs
+from repro.core.spec import PartitionSpec
+from repro.graph.graph import ComputationGraph
 from repro.graph.models import OPT_6_7B
+from repro.graph.operators import OpKind, OperatorSpec
+from repro.parallel3d.pipeline import PipelinePlan, pipeline_iteration_events
 
 
 def _fingerprint(plan):
@@ -386,6 +392,106 @@ def test_cache_disabled_by_env(tmp_path, monkeypatch):
     assert diskcache.entry_count() == 0
     monkeypatch.setenv("PRIMEPAR_CACHE", "1")
     assert diskcache.cache_enabled()
+
+
+def test_memoize_hits_misses_and_checks_types(tmp_path, monkeypatch):
+    monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return [1, 2]
+
+    parts = ("unit-key", 1)
+    assert diskcache.memoize("unit", parts, compute, list) == ([1, 2], False)
+    assert diskcache.memoize("unit", parts, compute, list) == ([1, 2], True)
+    assert len(calls) == 1
+    # The file kind is separate from the key's own kind.
+    key = diskcache.content_key(*parts)
+    assert [p.name for p in tmp_path.glob("*.pkl")] == [f"unit-{key[:40]}.pkl"]
+    # A loaded value that is not ``expect`` is a miss, recomputed and stored.
+    assert diskcache.memoize("unit", parts, lambda: (3,), tuple) == ((3,), False)
+    assert diskcache.memoize("unit", parts, compute, tuple) == ((3,), True)
+    # Uncacheable key parts compute without touching the disk.
+    assert diskcache.memo_key("unit-key", object()) is None
+    assert diskcache.memoize(
+        "unit", ("unit-key", object()), compute, list
+    ) == ([1, 2], False)
+    assert len(calls) == 2
+    assert diskcache.entry_count() == 1
+
+
+#: Full content key of one fixed input per disk kind.  A digest that moves
+#: colds every warm cache of that kind: bump ``CACHE_VERSION`` on purpose
+#: instead of letting a refactor move it.
+PINNED_KEYS = {
+    "profiler": "be8df2354f6256d2785e52865d91b88d7aa04c54ca20b29af618e701a7e7305f",
+    "candidates": "267dc8d5778a860f434bd9d58da3ad2c385888dc96f21b5194d0c13fe0dae4b5",
+    "simreport": "91beb990d485b8898e6d7e59263ca631438daf4cfa6e05c93ec0c725f6c37030",
+    "pipesim": "9e959902b18fa11c93b2375387ab83cef3f21cdf1e6db6bf7d12207fbbf00d74",
+}
+
+
+def _pinned_operator():
+    return OperatorSpec(
+        name="fc",
+        kind=OpKind.LINEAR,
+        dim_axes={
+            Dim.B: ("batch",),
+            Dim.M: ("seq",),
+            Dim.K: ("hidden",),
+            Dim.N: ("ffn",),
+        },
+        axis_sizes={"batch": 8, "seq": 64, "hidden": 1024, "ffn": 4096},
+    )
+
+
+def _pinned_key_parts(kind):
+    fc = _pinned_operator()
+    topology = v100_cluster(4)
+    return {
+        "profiler": ("profiler-allreduce", topology, (0,)),
+        "candidates": (
+            "candidates", type_key(fc), topology, 2e-11, True, True, None,
+        ),
+        "simreport": (
+            "simreport", 2, (fc,), (), (("fc", "P2x2", 2),), 8, 1, topology,
+        ),
+        "pipesim": (
+            "pipesim", 1, PipelinePlan(2, 2), 1e-3, 2e-3, 4e6,
+            topology.inter_link,
+        ),
+    }[kind]
+
+
+def _fill_pinned(kind):
+    """Run the code path that stores ``kind``'s pinned entry."""
+    graph = ComputationGraph(nodes=[_pinned_operator()], edges=[])
+    profiler = FabricProfiler(v100_cluster(4))
+    if kind == "profiler":
+        profiler.allreduce_model((0,))
+    elif kind == "candidates":
+        PrimeParOptimizer(profiler, alpha=2e-11).candidates_for(graph)
+    elif kind == "simreport":
+        plan = {"fc": PartitionSpec.from_string("P2x2", 2)}
+        EventDrivenSimulator(profiler).run(graph, plan, 8)
+    else:
+        pipeline_iteration_events(
+            PipelinePlan(2, 2), 1e-3, 2e-3, 4e6,
+            profiler.topology.inter_link,
+        )
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_KEYS))
+def test_cache_keys_are_pinned(kind, tmp_path, monkeypatch):
+    """Warm caches stay warm: each kind's key and entry file are fixed."""
+    monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
+    key = PINNED_KEYS[kind]
+    assert diskcache.content_key(*_pinned_key_parts(kind)) == key
+    _fill_pinned(kind)
+    assert [p.name for p in tmp_path.glob(f"{kind}-*.pkl")] == [
+        f"{kind}-{key[:40]}.pkl"
+    ]
 
 
 def test_corrupt_candidate_entry_never_crashes_search(tmp_path, monkeypatch):

@@ -126,13 +126,14 @@ class TestWriteTrace:
 
 
 class TestSplicedTrace:
+    @pytest.mark.usefixtures("no_disk_cache")
     def test_exported_trace_tiles_the_layer_record_for_record(
         self, profiler8, large_block
     ):
         """A spliced whole-model report keeps one layer and exports all of
         them: the trace equals the layer tiled along the clock."""
         plan = megatron_plan(large_block, 3, dp_degree=2)
-        sim = EventDrivenSimulator(profiler8, use_disk_cache=False)
+        sim = EventDrivenSimulator(profiler8)
         layer = sim.run(large_block, plan, 8).timeline
         whole = sim.run_model(large_block, plan, 8, n_layers=4)
         assert whole.tiles == 4
@@ -156,6 +157,7 @@ class TestSplicedTrace:
 
 
 class TestByteStability:
+    @pytest.mark.usefixtures("no_disk_cache")
     def test_identical_runs_write_identical_bytes(self, profiler4, topo4, tmp_path):
         """Two fresh simulations of one scenario must serialise to the same
         bytes — the engine is deterministic (events tie-break by submission
@@ -176,7 +178,7 @@ class TestByteStability:
         plan = {"fc": PartitionSpec.from_string("P2x2", 2)}
         paths = []
         for run in range(2):
-            sim = EventDrivenSimulator(profiler4, use_disk_cache=False)
+            sim = EventDrivenSimulator(profiler4)
             report = sim.run(graph, plan, 8)
             path = tmp_path / f"trace{run}.json"
             write_trace(str(path), report.timeline, topo4)
