@@ -5,10 +5,13 @@ build-equivalence checks (kept specs, byte-identical
 ``pickle.dumps(CandidateSet)``, ``candidates.*`` counters) against
 ``tests/legacy_candidates.py``, with the real Eq. 7 cost model, on every
 operator type of the six models at 8 and 16 devices (both space switches,
-beam ``None`` and 48), and on OPT-175B at 32 devices with beam 48; and
-``cost_batch``'s step-table all-reduce pricing against the per-spec
-``cost`` on every spatial spec of the six models at 16 devices and of
-OPT-175B at 32.
+beam ``None`` and 48), and on OPT-175B at 32 devices with beam 48;
+``cost_batch``'s step-table Eq. 7 pricing against the frozen per-spec
+assembly (``tests/legacy_intra.py``) on every enumerated spec of the six
+models at 16 devices and of OPT-175B at 32; and the bulk ring sends
+against ``analysis.ring_transfers`` and ``epilogue_transfers`` on every
+temporal spec of OPT-175B at 32 devices, the space its beam-48 builds
+prune.
 Takes a few minutes; ``-k opt_175b_32`` runs the 32-device check alone
 (CI's bench-smoke job does)::
 
@@ -25,8 +28,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 
 from test_candidates_bulk import (
+    assert_costs_match_legacy,
     assert_grid,
-    assert_spatial_costs_match_scalar,
+    assert_ring_sends_match_analysis,
     operator_types,
 )
 
@@ -56,4 +60,8 @@ def test_opt_175b_32_devices_beam_48():
     [(key, 16) for key in sorted(MODELS_BY_KEY)] + [("opt-175b", 32)],
 )
 def test_spatial_cost_batch_matches_scalar(model_key, n_devices):
-    assert_spatial_costs_match_scalar(model_key, n_devices)
+    assert_costs_match_legacy(model_key, n_devices)
+
+
+def test_ring_sends_match_analysis_opt_175b_32():
+    assert assert_ring_sends_match_analysis("opt-175b", 32) > 0

@@ -3,8 +3,9 @@
 Measures the PrimePar strategy search end to end at several cluster scales
 under four regimes — cold cache + serial, cold cache + ``--jobs`` workers,
 warm cache + serial, warm cache + workers — with the per-stage wall-clock
-breakdown (``candidates``, ``segment_dp``, ``merge``, and ``classify``:
-the boundary-class share of ``candidates``) reported by the optimizer, the
+breakdown (``candidates``, ``segment_dp``, ``merge``, and two shares of
+``candidates``: ``intra``, Eq. 7 pricing of every enumerated spec, and
+``classify``, boundary matrices and selection) reported by the optimizer, the
 Bellman share of ``segment_dp`` (``bellman_seconds``: the
 stage minus its Eq. 8-9 edge pricing) and each segment's DP time and
 expanded states, plus a cold and a warm serial ``Planner3D`` sweep.  Each
@@ -231,10 +232,11 @@ def test_opt_speed_smoke(benchmark):
         for regime in REGIMES:
             stages = entry["runs"][regime]["stages"]
             assert set(stages) == {
-                "candidates", "classify", "segment_dp", "merge"
+                "candidates", "intra", "classify", "segment_dp", "merge"
             }
             if regime.endswith("serial"):
                 assert 0.0 <= stages["classify"] <= stages["candidates"]
+                assert 0.0 <= stages["intra"] <= stages["candidates"]
             run = entry["runs"][regime]
             assert 0.0 <= run["bellman_seconds"] <= stages["segment_dp"]
             assert run["segments"]

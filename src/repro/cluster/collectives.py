@@ -8,9 +8,10 @@ more expensive than intra-node (paper Fig. 2a, Fig. 5).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .groups import GroupingPattern, ring_order
 from .topology import ClusterTopology
@@ -39,35 +40,74 @@ def _ring_edges(group: Sequence[int]) -> List[Tuple[int, int]]:
 
 
 def _effective_transfer_times(
-    topology: ClusterTopology, transfers: Sequence[Transfer]
-) -> List[float]:
-    """Per-transfer times when all ``transfers`` run concurrently.
+    topology: ClusterTopology,
+    src: np.ndarray,
+    dst: np.ndarray,
+    n_bytes: np.ndarray,
+) -> np.ndarray:
+    """Per-transfer times when each row's transfers run concurrently.
 
-    Concurrent inter-node streams leaving (or entering) the same node share
-    its NICs; intra-node NVLink is point-to-point and not shared in this
-    model.  Multi-hop torus links already embed contention in their spec.
+    ``src``, ``dst`` and ``n_bytes`` are ``(rows, n)`` arrays (``n_bytes``
+    may broadcast); a negative ``src`` marks an empty slot.  Concurrent
+    inter-node streams of one row leaving (or entering) the same node share
+    its NICs, counted per row with one ``bincount``; intra-node NVLink is
+    point-to-point and not shared in this model.  Multi-hop torus links
+    already embed contention in their spec.  Self and empty sends, and
+    sends of no bytes, take 0.
     """
-    out_streams: Dict[int, int] = defaultdict(int)
-    in_streams: Dict[int, int] = defaultdict(int)
-    for tr in transfers:
-        if tr.src != tr.dst and not topology.torus and not topology.same_node(tr.src, tr.dst):
-            out_streams[topology.node_of(tr.src)] += 1
-            in_streams[topology.node_of(tr.dst)] += 1
-    times = []
-    for tr in transfers:
-        if tr.src == tr.dst or tr.n_bytes <= 0:
-            times.append(0.0)
-            continue
-        link = topology.link_between(tr.src, tr.dst)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    n_bytes = np.asarray(n_bytes, dtype=float)
+    present = src >= 0
+    src = np.where(present, src, 0)
+    dst = np.where(present, dst, 0)
+    moving = present & (src != dst)
+    intra, inter = topology.intra_link, topology.inter_link
+    if topology.torus:
+        rows, cols = topology.torus
+        dr = (src // cols - dst // cols) % rows
+        dc = (src % cols - dst % cols) % cols
+        hops = np.minimum(dr, rows - dr) + np.minimum(dc, cols - dc)
+        near = hops <= 1
+        bandwidth = np.where(
+            near, intra.bandwidth, intra.bandwidth / np.maximum(hops, 1)
+        )
+        latency = np.where(near, intra.latency, intra.latency * hops)
         sharing = 1.0
-        if not topology.torus and not topology.same_node(tr.src, tr.dst):
-            contenders = max(
-                out_streams[topology.node_of(tr.src)],
-                in_streams[topology.node_of(tr.dst)],
-            )
-            sharing = max(1.0, contenders / topology.nics_per_node)
-        times.append(link.latency + tr.n_bytes * sharing / link.bandwidth)
-    return times
+    else:
+        src_node = src // topology.gpus_per_node
+        dst_node = dst // topology.gpus_per_node
+        cross = moving & (src_node != dst_node)
+        bandwidth = np.where(cross, inter.bandwidth, intra.bandwidth)
+        latency = np.where(cross, inter.latency, intra.latency)
+        n_nodes = topology.n_nodes
+        row = np.arange(src.shape[0])[:, None] * n_nodes
+        out_streams = np.bincount(
+            (row + src_node)[cross], minlength=src.shape[0] * n_nodes
+        )
+        in_streams = np.bincount(
+            (row + dst_node)[cross], minlength=src.shape[0] * n_nodes
+        )
+        contenders = np.maximum(
+            out_streams[row + src_node], in_streams[row + dst_node]
+        )
+        sharing = np.where(
+            cross, np.maximum(1.0, contenders / topology.nics_per_node), 1.0
+        )
+    times = latency + n_bytes * sharing / bandwidth
+    return np.where(moving & (n_bytes > 0), times, 0.0)
+
+
+def _transfer_times(
+    topology: ClusterTopology, transfers: Sequence[Transfer]
+) -> np.ndarray:
+    """:func:`_effective_transfer_times` of one concurrent transfer list."""
+    return _effective_transfer_times(
+        topology,
+        np.array([[tr.src for tr in transfers]], dtype=np.int64),
+        np.array([[tr.dst for tr in transfers]], dtype=np.int64),
+        np.array([[tr.n_bytes for tr in transfers]], dtype=float),
+    )[0]
 
 
 def concurrent_step_time(
@@ -76,7 +116,7 @@ def concurrent_step_time(
     """Completion time of a set of concurrent point-to-point transfers."""
     if not transfers:
         return 0.0
-    return max(_effective_transfer_times(topology, transfers))
+    return float(_transfer_times(topology, transfers).max())
 
 
 def ring_allreduce_time(
@@ -96,29 +136,8 @@ def ring_allreduce_time(
     g = len(group)
     if g <= 1 or n_bytes <= 0:
         return 0.0
-    chunk = n_bytes / g
-    rounds = 2 * (g - 1)
-    all_edges: List[Transfer] = []
-    own_edges: List[Transfer] = []
-    for member_group in [group] + [list(cg) for cg in concurrent_groups]:
-        if len(member_group) <= 1:
-            continue
-        edges = [
-            Transfer(src=a, dst=b, n_bytes=chunk)
-            for a, b in _ring_edges(member_group)
-        ]
-        if member_group == group:
-            own_edges = edges
-        all_edges.extend(edges)
-    if not own_edges:
-        return 0.0
-    # own_edges were appended first, so their times lead the result list.
-    times = _effective_transfer_times(topology, all_edges)
-    per_round = max(times[: len(own_edges)])
-    return (
-        COLLECTIVE_LAUNCH_OVERHEAD
-        + rounds * per_round / COLLECTIVE_EFFICIENCY
-    )
+    groups = [group] + [list(cg) for cg in concurrent_groups if len(cg) > 1]
+    return _ring_allreduce_times(topology, groups, n_bytes / g, 2 * (g - 1))[0]
 
 
 def pattern_allreduce_time(
@@ -129,11 +148,38 @@ def pattern_allreduce_time(
     Every group executes simultaneously; the pattern completes when the
     slowest group does (paper Sec. 4.1).
     """
-    if pattern.group_size <= 1 or n_bytes <= 0:
+    g = pattern.group_size
+    if g <= 1 or n_bytes <= 0:
         return 0.0
-    worst = 0.0
-    groups = [list(g) for g in pattern.groups]
-    for i, group in enumerate(groups):
-        others = groups[:i] + groups[i + 1 :]
-        worst = max(worst, ring_allreduce_time(topology, group, n_bytes, others))
-    return worst
+    groups = [list(group) for group in pattern.groups]
+    latencies = _ring_allreduce_times(topology, groups, n_bytes / g, 2 * (g - 1))
+    return max([0.0] + latencies)
+
+
+def _ring_allreduce_times(
+    topology: ClusterTopology,
+    groups: Sequence[Sequence[int]],
+    chunk: float,
+    rounds: int,
+) -> List[float]:
+    """Each group's ring all-reduce latency while every group's ring runs:
+    ``rounds`` rounds of ``chunk``-byte sends, paced by the ring's slowest
+    edge among all the groups' concurrent edges."""
+    rings = [_ring_edges(group) for group in groups]
+    edges = [edge for ring in rings for edge in ring]
+    times = _effective_transfer_times(
+        topology,
+        np.array([[a for a, _ in edges]], dtype=np.int64),
+        np.array([[b for _, b in edges]], dtype=np.int64),
+        chunk,
+    )[0]
+    latencies = []
+    end = 0
+    for ring in rings:
+        per_round = float(times[end:end + len(ring)].max())
+        end += len(ring)
+        latencies.append(
+            COLLECTIVE_LAUNCH_OVERHEAD
+            + rounds * per_round / COLLECTIVE_EFFICIENCY
+        )
+    return latencies

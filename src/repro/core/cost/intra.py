@@ -10,13 +10,15 @@ coefficient ``alpha``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
+
+import numpy as np
 
 from ...cluster.profiler import FabricProfiler
 from ...graph.operators import OperatorSpec
 from ..dims import ALL_PHASES
 from ..spec import PartitionSpec
-from ..steps import StepTable
+from ..steps import DsiTable, StepTable
 from .communication import CommunicationCostModel
 from .compute import ComputeCostModel
 from .memory import MemoryCostModel
@@ -50,96 +52,89 @@ class IntraCost:
 
 
 class IntraOperatorCostModel:
-    """Evaluates Eq. 7 for (operator, spec) pairs, with caching."""
+    """Evaluates Eq. 7 for (operator, spec) pairs."""
 
     def __init__(self, profiler: FabricProfiler, alpha: float = 0.0) -> None:
         self.compute = ComputeCostModel(profiler.topology.device)
         self.communication = CommunicationCostModel(profiler)
         self.memory = MemoryCostModel()
         self.alpha = alpha
-        self._cache: Dict[Tuple[str, Tuple, int], IntraCost] = {}
 
     def cost(self, op: OperatorSpec, spec: PartitionSpec) -> IntraCost:
         """``intraC(n, P)`` with its full breakdown."""
-        key = (op.name, spec.steps, spec.n_bits)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        compute_total = 0.0
-        ring_total = 0.0
-        exposed_total = 0.0
-        allreduce_total = 0.0
-        for phase in ALL_PHASES:
-            step_compute = self.compute.step_latency(op, spec, phase)
-            rings = self.communication.ring_phase_latencies(op, spec, phase)
-            for ring in rings:
-                compute_total += step_compute
-                ring_total += ring
-                exposed_total += max(ring - step_compute, 0.0)
-            allreduce_total += self.communication.allreduce_latency(op, spec, phase)
-        allreduce_total += self.communication.layernorm_extras(op, spec)
-        result = IntraCost(
-            compute_latency=compute_total,
-            ring_latency=ring_total,
-            ring_exposed=exposed_total,
-            allreduce_latency=allreduce_total,
-            memory_bytes=self.memory.operator_memory(op, spec),
-            alpha=self.alpha,
-        )
-        self._cache[key] = result
-        return result
+        return self.cost_batch(op, [spec])[0]
 
     def cost_batch(
         self, op: OperatorSpec, specs: Sequence[PartitionSpec]
     ) -> List[IntraCost]:
-        """``intraC(n, P)`` over a whole candidate list.
+        """``intraC(n, P)`` over a whole candidate list, from one step table.
 
-        Purely spatial specs (the bulk of any candidate space) share one
-        vectorized compute-latency evaluation and one step-table all-reduce
-        pricing per phase; temporal specs need their per-step ring
-        schedules and go through the scalar path.
-        Every entry is bit-identical to ``cost(op, specs[i])``.
+        Every term is priced for all specs at once: compute per step from
+        the slice counts, memory with the primitive's double buffers,
+        all-reduce group indicators from the bits each dim's DSIs depend
+        on, and each temporal step's ring sends on the fabric (purely
+        spatial specs have one step and no ring).  Per phase, each
+        temporal step adds its compute and its ring latency's excess over
+        that compute, in step order.
         """
-        results: List[IntraCost] = [
-            self._cache.get((op.name, spec.steps, spec.n_bits)) for spec in specs
-        ]
-        spatial = [
-            i
-            for i, cached in enumerate(results)
-            if cached is None and not specs[i].has_temporal
-        ]
-        if spatial:
-            batch = [specs[i] for i in spatial]
-            table = StepTable(batch)
-            step_compute = {
-                phase: self.compute.step_latency_batch(op, batch, phase)
-                for phase in ALL_PHASES
-            }
-            allreduce = {
-                phase: self.communication.allreduce_latency_batch(
-                    op, table, phase
+        if not specs:
+            return []
+        table = StepTable(specs)
+        counts = table.slice_counts.astype(float)
+        n_steps = table.total_steps
+        rings = {
+            phase: np.zeros((len(specs), int(n_steps.max())))
+            for phase in ALL_PHASES
+        }
+        temporal = np.flatnonzero(table.has_temporal)
+        if len(temporal):
+            ring_table = table.take(temporal)
+            ring_dsis = DsiTable(ring_table)
+            for phase in ALL_PHASES:
+                sends = self.communication.ring_sends(
+                    op, ring_table, ring_dsis, phase
                 )
-                for phase in ALL_PHASES
-            }
-            for j, i in enumerate(spatial):
-                spec = specs[i]
-                compute_total = 0.0
-                allreduce_total = 0.0
-                for phase in ALL_PHASES:
-                    compute_total += float(step_compute[phase][j])
-                    allreduce_total += allreduce[phase][j]
-                allreduce_total += self.communication.layernorm_extras(op, spec)
-                result = IntraCost(
-                    compute_latency=compute_total,
-                    ring_latency=0.0,
-                    ring_exposed=0.0,
-                    allreduce_latency=allreduce_total,
-                    memory_bytes=self.memory.operator_memory(op, spec),
-                    alpha=self.alpha,
+                latencies = self.communication.ring_latencies(sends)
+                rings[phase][temporal, : latencies.shape[1]] = latencies
+        compute_total = np.zeros(len(specs))
+        ring_total = np.zeros(len(specs))
+        exposed_total = np.zeros(len(specs))
+        allreduce_total = np.zeros(len(specs))
+        for phase in ALL_PHASES:
+            step_compute = self.compute.step_latency_batch(op, counts, phase)
+            for t in range(rings[phase].shape[1]):
+                live = t < n_steps
+                ring = rings[phase][:, t]
+                compute_total = np.where(
+                    live, compute_total + step_compute, compute_total
                 )
-                self._cache[(op.name, spec.steps, spec.n_bits)] = result
-                results[i] = result
-        for i, cached in enumerate(results):
-            if cached is None:
-                results[i] = self.cost(op, specs[i])
-        return results
+                ring_total = np.where(live, ring_total + ring, ring_total)
+                exposed_total = np.where(
+                    live,
+                    exposed_total + np.maximum(ring - step_compute, 0.0),
+                    exposed_total,
+                )
+            allreduce_total = allreduce_total + np.array(
+                self.communication.allreduce_latency_batch(op, table, phase)
+            )
+        allreduce_total = allreduce_total + np.array(
+            self.communication.layernorm_extras_batch(op, table)
+        )
+        memory = self.memory.operator_memory_batch(op, table)
+        return [
+            IntraCost(
+                compute_latency=compute,
+                ring_latency=ring,
+                ring_exposed=exposed,
+                allreduce_latency=allreduce,
+                memory_bytes=memory_bytes,
+                alpha=self.alpha,
+            )
+            for compute, ring, exposed, allreduce, memory_bytes in zip(
+                compute_total.tolist(),
+                ring_total.tolist(),
+                exposed_total.tolist(),
+                allreduce_total.tolist(),
+                memory.tolist(),
+            )
+        ]

@@ -21,10 +21,10 @@ Conventions (matching Alg. 1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .device import DeviceId, square_coordinates
-from .dims import ALL_DIMS, ALL_PHASES, Dim, Phase
+from .dims import ALL_DIMS, Dim, Phase
 from .partitions import DimPartition, PartitionStep, Replicate, TemporalPartition
 
 
@@ -37,6 +37,29 @@ class DsiResult:
 
     def __getitem__(self, dim: Dim) -> int:
         return self.values[dim]
+
+
+#: Dims whose DSIs vary across temporal steps, per phase (Eq. 4-6):
+#: Forward varies ``N``; Backward varies ``K``; Gradient varies ``M``
+#: every step and ``N``/``K`` only at the final step (the ``delta``
+#: redistribution of ``dW``).
+TEMPORAL_VARYING: Mapping[Phase, Tuple[Dim, ...]] = {
+    Phase.FORWARD: (Dim.N,),
+    Phase.BACKWARD: (Dim.K,),
+    Phase.GRADIENT: (Dim.M, Dim.N, Dim.K),
+}
+
+
+def sequence_slice_counts(steps: Sequence[PartitionStep]) -> Dict[Dim, int]:
+    """Number of slices each dimension is split into (phase-invariant)."""
+    counts = {dim: 1 for dim in ALL_DIMS}
+    for step in steps:
+        if isinstance(step, DimPartition):
+            counts[step.dim] *= 2
+        elif isinstance(step, TemporalPartition):
+            for dim in (Dim.M, Dim.N, Dim.K):
+                counts[dim] *= step.side
+    return counts
 
 
 def check_bits(steps: Sequence[PartitionStep], n_bits: int) -> None:
@@ -84,8 +107,7 @@ class DsiEvaluator:
         self.total_steps = 1
         for slot in self._temporal_slots:
             self.total_steps *= slot.step.temporal_steps
-        self._slice_counts = self._compute_slice_counts()
-        self._bit_deps = self._compute_bit_dependencies()
+        self._slice_counts = sequence_slice_counts(self.steps)
 
     # ------------------------------------------------------------------
     # structure queries
@@ -102,16 +124,6 @@ class DsiEvaluator:
     def slice_counts(self) -> Mapping[Dim, int]:
         """Number of slices each dimension is split into (phase-invariant)."""
         return dict(self._slice_counts)
-
-    def _compute_slice_counts(self) -> Dict[Dim, int]:
-        counts = {dim: 1 for dim in ALL_DIMS}
-        for step in self.steps:
-            if isinstance(step, DimPartition):
-                counts[step.dim] *= 2
-            elif isinstance(step, TemporalPartition):
-                for dim in (Dim.M, Dim.N, Dim.K):
-                    counts[dim] *= step.side
-        return counts
 
     # ------------------------------------------------------------------
     # temporal step decomposition
@@ -186,60 +198,6 @@ class DsiEvaluator:
         """DSI tuple of a tensor (one entry per tensor dim) at ``(device, t)``."""
         result = self.dsi(device, phase, t)
         return tuple(result[d] for d in dims)
-
-    # ------------------------------------------------------------------
-    # symbolic dependency analysis (for group indicators, paper Sec. 4.1)
-    # ------------------------------------------------------------------
-
-    def _compute_bit_dependencies(self) -> Dict[Tuple[Phase, Dim], Set[int]]:
-        deps: Dict[Tuple[Phase, Dim], Set[int]] = {
-            (phase, dim): set() for phase in ALL_PHASES for dim in ALL_DIMS
-        }
-        bit = 0
-        for step in self.steps:
-            if isinstance(step, Replicate):
-                bit += 1
-                continue
-            if isinstance(step, DimPartition):
-                for phase in ALL_PHASES:
-                    deps[(phase, step.dim)].add(bit)
-                bit += 1
-            else:
-                row_bits = {bit + 2 * j for j in range(step.k)}
-                col_bits = {bit + 2 * j + 1 for j in range(step.k)}
-                for phase in ALL_PHASES:
-                    deps[(phase, Dim.M)] |= row_bits
-                    deps[(phase, Dim.N)] |= row_bits | col_bits
-                    deps[(phase, Dim.K)] |= col_bits
-                bit += step.bits_consumed
-        return deps
-
-    def group_indicator(self, phase: Phase, dims: Sequence[Dim]) -> Tuple[int, ...]:
-        """Bit positions jointly influencing the DSIs of ``dims`` in ``phase``."""
-        positions: Set[int] = set()
-        for dim in dims:
-            positions |= self._bit_deps[(phase, dim)]
-        return tuple(sorted(positions))
-
-    def temporal_varying_dims(self, phase: Phase) -> Mapping[Dim, bool]:
-        """Which dims' DSIs vary across temporal steps in ``phase``.
-
-        Derived from Eq. 4-6: Forward varies ``N``; Backward varies ``K``;
-        Gradient varies ``M`` every step and ``N``/``K`` only at the final
-        step (the ``delta`` redistribution of ``dW``).
-        """
-        varying = {dim: False for dim in ALL_DIMS}
-        if not self._temporal_slots:
-            return varying
-        if phase is Phase.FORWARD:
-            varying[Dim.N] = True
-        elif phase is Phase.BACKWARD:
-            varying[Dim.K] = True
-        else:
-            varying[Dim.M] = True
-            varying[Dim.N] = True
-            varying[Dim.K] = True
-        return varying
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         from .partitions import format_sequence

@@ -207,7 +207,8 @@ def build_candidates(
             f"operator {op.name} admits no partitioning over {n_bits} bits"
         )
     raw_size = len(specs) + twins
-    costs = np.array([c.total for c in intra_model.cost_batch(op, specs)])
+    with span("candidates.intra", op=op.name, specs=len(specs)):
+        costs = np.array([c.total for c in intra_model.cost_batch(op, specs)])
     with span("candidates.classify", op=op.name, specs=raw_size):
         order = np.arange(len(specs))
         if beam is not None and len(specs) > beam:

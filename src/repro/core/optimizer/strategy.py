@@ -43,10 +43,12 @@ class SearchResult:
         candidate_sizes: Per-node (raw space size, kept candidate count).
         model_cost: Cost after layer stacking (when requested).
         stage_seconds: Wall-clock per pipeline stage (``candidates``,
-            ``segment_dp``, ``merge``), plus ``classify``: the part of
-            ``candidates`` spent on boundary matrices and selection (its
-            ``candidates.classify`` spans, summed over builds, pool
-            workers' included; 0 when every set came from a cache).
+            ``segment_dp``, ``merge``), plus two parts of ``candidates``,
+            each its spans summed over builds, pool workers' included, and
+            0 when every set came from a cache: ``intra``, Eq. 7 pricing
+            of every enumerated spec (``candidates.intra``), and
+            ``classify``, boundary matrices and selection
+            (``candidates.classify``).
         telemetry: The search's own :func:`repro.obs.telemetry_scope`,
             never a concurrent search's: the metrics it recorded
             (``"metrics"``: counters, gauges, histograms) and the timing
@@ -327,6 +329,10 @@ class PrimeParOptimizer:
             model_cost=model_cost,
             stage_seconds={
                 "candidates": candidates_done - started,
+                "intra": sum(
+                    s["duration"] for s in spans
+                    if s["name"] == "candidates.intra"
+                ),
                 "classify": sum(
                     s["duration"] for s in spans
                     if s["name"] == "candidates.classify"

@@ -1,9 +1,9 @@
 """Partition specifications: a sequence of basic partitions bound to a cluster.
 
 A :class:`PartitionSpec` is the unit the optimizer searches over — one per
-operator.  It owns a :class:`~repro.core.dsi.DsiEvaluator`, built on first
-use, and offers layout queries used by the cost model and the execution
-simulator.
+operator.  Its structure (slice counts, temporal steps) is read from the
+steps; the DSI queries of analysis, the runtime and the engine go through
+a :class:`~repro.core.dsi.DsiEvaluator`, built on first use.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .dims import ALL_DIMS, Dim, Phase
-from .dsi import DsiEvaluator, check_bits
+from .dsi import DsiEvaluator, check_bits, sequence_slice_counts
 from .partitions import (
     DimPartition,
     PartitionStep,
@@ -21,6 +21,7 @@ from .partitions import (
     format_sequence,
     parse_sequence,
 )
+from .steps import StepTable
 
 
 class PartitionSpec:
@@ -62,9 +63,16 @@ class PartitionSpec:
         """The sequence's Alg. 1 evaluator, built on first use."""
         return DsiEvaluator(self.steps, self.n_bits)
 
+    @cached_property
+    def table(self) -> StepTable:
+        """The spec's one-row :class:`~repro.core.steps.StepTable`, built
+        on first use: the cost models price a lone spec from it."""
+        return StepTable([self])
+
     def __getstate__(self) -> Dict:
         """A spec pickles as its steps and bit width; derived state
-        (:attr:`evaluator`, :attr:`slice_counts`) is rebuilt on use."""
+        (:attr:`evaluator`, :attr:`table`, :attr:`slice_counts`) is
+        rebuilt on use."""
         return {"steps": self.steps, "n_bits": self.n_bits}
 
     # ------------------------------------------------------------------
@@ -93,15 +101,18 @@ class PartitionSpec:
 
     @property
     def total_steps(self) -> int:
-        return self.evaluator.total_steps
+        total = 1
+        for step in self.steps:
+            total *= step.temporal_steps
+        return total
 
     @property
     def has_temporal(self) -> bool:
-        return self.evaluator.has_temporal
+        return any(isinstance(step, TemporalPartition) for step in self.steps)
 
     @cached_property
     def slice_counts(self) -> Mapping[Dim, int]:
-        return self.evaluator.slice_counts()
+        return sequence_slice_counts(self.steps)
 
     def __eq__(self, other: object) -> bool:
         return (

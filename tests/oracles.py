@@ -15,7 +15,13 @@ package computes in bulk or never spells out:
   replaces by a min-plus vector fold;
 * :func:`dsi_matrix` — one spec's DSIs on every rank at one ``(phase,
   t)``, which ``repro.core.steps.boundary_matrices`` computes for a whole
-  spec list at every boundary point.
+  spec list at every boundary point;
+* :func:`group_indicator` — the device-id bits a dim set's DSIs depend
+  on, which ``repro.core.steps.StepTable.partition_bits`` computes as bit
+  masks for a whole spec list;
+* :func:`temporal_varying_dims` — which dims' DSIs change across a
+  phase's temporal steps, which ``repro.core.dsi.TEMPORAL_VARYING``
+  states per phase.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from repro.core.dims import ALL_DIMS, Dim, Phase
 from repro.core.dsi import DsiEvaluator
 from repro.core.layout import grid_events
 from repro.core.optimizer.dp import min_plus
-from repro.core.partitions import DimPartition, Replicate
+from repro.core.partitions import DimPartition, Replicate, TemporalPartition
 from repro.core.spec import PartitionSpec
 from repro.graph.operators import OperatorSpec
 from repro.graph.tensors import AxisInterval
@@ -187,3 +193,38 @@ def dsi_matrix(evaluator: DsiEvaluator, phase: Phase, t: int = 0) -> np.ndarray:
             bit += step.bits_consumed
             temporal_pos += 1
     return np.stack([values[dim] for dim in ALL_DIMS], axis=1)
+
+
+def group_indicator(
+    evaluator: DsiEvaluator, phase: Phase, dims: Sequence[Dim]
+) -> Tuple[int, ...]:
+    """Device-id bit positions jointly influencing the DSIs of ``dims``.
+
+    Walks the sequence as Alg. 1 does: a dim partition's bit feeds its
+    dim; a primitive's row bits feed ``M`` and ``N``, its column bits
+    ``N`` and ``K`` (paper Sec. 4.1).  The same in every ``phase``.
+    """
+    positions = set()
+    bit = 0
+    for step in evaluator.steps:
+        if isinstance(step, DimPartition) and step.dim in dims:
+            positions.add(bit)
+        elif isinstance(step, TemporalPartition):
+            rows = {bit + 2 * j for j in range(step.k)}
+            cols = {bit + 2 * j + 1 for j in range(step.k)}
+            if Dim.M in dims or Dim.N in dims:
+                positions |= rows
+            if Dim.N in dims or Dim.K in dims:
+                positions |= cols
+        bit += step.bits_consumed
+    return tuple(sorted(positions))
+
+
+def temporal_varying_dims(evaluator: DsiEvaluator, phase: Phase) -> Dict[Dim, bool]:
+    """Whether each dim's DSI differs from step 0's at some later temporal
+    step of ``phase`` on some rank."""
+    first = dsi_matrix(evaluator, phase, 0)
+    varying = np.zeros(len(ALL_DIMS), dtype=bool)
+    for t in range(1, evaluator.total_steps):
+        varying |= (dsi_matrix(evaluator, phase, t) != first).any(axis=0)
+    return {dim: bool(v) for dim, v in zip(ALL_DIMS, varying)}

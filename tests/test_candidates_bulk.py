@@ -18,10 +18,14 @@ Eq. 7 model.  To keep this suite fast, ``benchmarks/bench_candidates.py``
 runs the whole grid with real costs at 8 and 16 devices, and OPT-175B at
 32 devices with beam 48.
 
-All-reduce pricing: ``cost_batch`` prices spatial specs from a step table,
-and must match the per-spec ``cost`` bit for bit on every spatial spec of
-the six models at 4 and 8 devices (16, and OPT-175B at 32, in the bench
-tier).
+Eq. 7 pricing: ``cost_batch`` prices every spec from one step table, and
+must match the frozen per-spec assembly (``tests/legacy_intra.py``) bit for
+bit on every enumerated spec, temporal included, of the six models at 4
+and 8 devices (16, and OPT-175B at 32, in the bench tier).  Its bulk ring
+sends must equal the scalar ``analysis.ring_transfers`` and
+``epilogue_transfers`` rank by rank, in schedule order, on every temporal
+spec of the six models at 4, 8 and 16 devices (OPT-175B at 32 in the bench
+tier).  A build over the six models constructs no ``DsiEvaluator``.
 """
 
 from __future__ import annotations
@@ -36,10 +40,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import legacy_candidates as legacy  # noqa: E402  (frozen per-spec collapse)
-from oracles import dsi_matrix  # noqa: E402  (scalar boundary-matrix oracle)
+import legacy_intra  # noqa: E402  (frozen per-spec Eq. 7 assembly)
+from oracles import dsi_matrix, group_indicator  # noqa: E402  (scalar oracles)
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
 from repro.core.cost.intra import IntraCost, IntraOperatorCostModel
+from repro.core.dims import ALL_DIMS, ALL_PHASES
+from repro.core.dsi import DsiEvaluator
 from repro.core.optimizer.candidates import (
     build_candidates,
     inject_canonical,
@@ -50,7 +57,7 @@ from repro.core.layout import grid_events
 from repro.core.partitions import DimPartition, Replicate
 from repro.core.space import enumerate_specs
 from repro.core.spec import PartitionSpec
-from repro.core.steps import BOUNDARY_POINTS, boundary_matrices
+from repro.core.steps import BOUNDARY_POINTS, DsiTable, StepTable, boundary_matrices
 from repro.graph.models import MODELS_BY_KEY
 from repro.graph.transformer import build_block_graph
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -208,23 +215,101 @@ def test_partition_and_matrices_match_oracle(n_devices):
         assert_injective_with_matrices(op, enumerated_specs(op, n_bits))
 
 
-def assert_spatial_costs_match_scalar(model_key, n_devices):
-    """``cost_batch`` prices spatial specs' all-reduces from a step table;
-    every ``IntraCost`` must equal the per-spec path's, bit for bit."""
+@pytest.mark.parametrize("n_devices", [4, 16])
+def test_partition_bits_match_oracle(n_devices):
+    """Every enumerated spec's step-table bit masks are the device-id bits
+    each dim's DSIs depend on, the primitive's row and column bits
+    included."""
+    n_bits = n_devices.bit_length() - 1
+    for op in operator_types("opt-175b", n_devices):
+        specs = enumerated_specs(op, n_bits)
+        bits = StepTable(specs).partition_bits
+        for spec, masks in zip(specs, bits.tolist()):
+            expected = [
+                sum(1 << b for b in group_indicator(spec.evaluator, phase, (dim,)))
+                for phase in ALL_PHASES
+                for dim in ALL_DIMS
+            ]
+            assert masks * len(ALL_PHASES) == expected, str(spec)
+
+
+def assert_costs_match_legacy(model_key, n_devices):
+    """``cost_batch`` prices every enumerated spec from one step table;
+    each ``IntraCost`` must equal the frozen per-spec assembly's, bit for
+    bit."""
     profiler = FabricProfiler(v100_cluster(n_devices))
     batched = IntraOperatorCostModel(profiler, alpha=2e-11)
-    scalar = IntraOperatorCostModel(profiler, alpha=2e-11)
     n_bits = n_devices.bit_length() - 1
     for op in operator_types(model_key, n_devices):
-        specs = enumerated_specs(op, n_bits, include_temporal=False)
+        specs = enumerated_specs(op, n_bits)
         for spec, cost in zip(specs, batched.cost_batch(op, specs)):
-            assert cost == scalar.cost(op, spec), (op.name, str(spec))
+            reference = legacy_intra.intra_cost(profiler, 2e-11, op, spec)
+            assert repr(cost) == repr(reference), (op.name, str(spec))
 
 
 @pytest.mark.parametrize("n_devices", [4, 8])
 @pytest.mark.parametrize("model_key", sorted(MODELS_BY_KEY))
 def test_spatial_cost_batch_matches_scalar(model_key, n_devices):
-    assert_spatial_costs_match_scalar(model_key, n_devices)
+    """Every enumerated spec, spatial and temporal (the name predates the
+    temporal ones joining the bulk path)."""
+    assert_costs_match_legacy(model_key, n_devices)
+
+
+def assert_ring_sends_match_analysis(model_key, n_devices):
+    """Bulk ring sends of every temporal spec, per phase and step, equal
+    the scalar schedule from ``analysis.ring_transfers`` and
+    ``epilogue_transfers``: same tensors, senders and receivers, in the
+    same order."""
+    communication = IntraOperatorCostModel(
+        FabricProfiler(v100_cluster(n_devices))
+    ).communication
+    n_bits = n_devices.bit_length() - 1
+    checked = 0
+    for op in operator_types(model_key, n_devices):
+        specs = [s for s in enumerated_specs(op, n_bits) if s.has_temporal]
+        if not specs:
+            continue
+        table = StepTable(specs)
+        dsis = DsiTable(table)
+        for phase in ALL_PHASES:
+            sends = communication.ring_sends(op, table, dsis, phase)
+            for i, spec in enumerate(specs):
+                expected = legacy_intra.ring_schedule(op, spec, phase)
+                got = {
+                    step: [
+                        (sends.tensors[e], src, dst)
+                        for e, sources in enumerate(row)
+                        for dst, src in enumerate(sources)
+                        if src >= 0
+                    ]
+                    for step, row in enumerate(
+                        sends.src[i, : spec.total_steps].tolist()
+                    )
+                }
+                assert got == expected, (op.name, str(spec), phase)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("n_devices", [4, 8, 16])
+@pytest.mark.parametrize("model_key", sorted(MODELS_BY_KEY))
+def test_ring_sends_match_analysis(model_key, n_devices):
+    assert assert_ring_sends_match_analysis(model_key, n_devices) > 0
+
+
+def test_build_constructs_no_evaluator(monkeypatch):
+    """Candidate builds read structure from steps and DSIs from step
+    tables: no spec builds its ``DsiEvaluator``."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("DsiEvaluator built during a candidate build")
+
+    monkeypatch.setattr(DsiEvaluator, "__init__", refuse)
+    intra = IntraOperatorCostModel(FabricProfiler(v100_cluster(8)))
+    for model_key in sorted(MODELS_BY_KEY):
+        for op in operator_types(model_key, 8):
+            cset = build_candidates(op, 3, intra, beam=48)
+            assert len(cset) > 0
 
 
 def test_axis_choice_splits_classes():

@@ -1,5 +1,10 @@
 """Cluster substrate: topology, grouping patterns, collectives, profiler."""
 
+import dataclasses
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster.collectives import (
@@ -14,6 +19,9 @@ from repro.cluster.hardware import A100_SXM4_80GB, V100_SXM2_32GB
 from repro.cluster.links import INFINIBAND_100G, NVLINK_V100, LinkSpec
 from repro.cluster.profiler import fit_linear
 from repro.cluster.topology import ClusterTopology, torus_cluster, v100_cluster
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import legacy_intra  # noqa: E402  (per-transfer scalar step pricing)
 
 
 class TestLinks:
@@ -193,3 +201,35 @@ class TestHardware:
     def test_effective_rates(self):
         assert V100_SXM2_32GB.effective_matmul_flops < V100_SXM2_32GB.peak_flops
         assert A100_SXM4_80GB.peak_flops > V100_SXM2_32GB.peak_flops
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [
+        v100_cluster(16),
+        v100_cluster(8, gpus_per_node=2),
+        dataclasses.replace(v100_cluster(32), nics_per_node=2),
+        torus_cluster(4, 4),
+        torus_cluster(2, 8),
+    ],
+    ids=["v100-16", "v100-8x2", "v100-32-2nics", "torus4x4", "torus2x8"],
+)
+def test_vectorized_step_time_matches_scalar(topology):
+    """Array pricing of a concurrent step, NIC streams counted with one
+    ``bincount``, equals the per-transfer scalar loop bit for bit: self
+    sends, empty sends and shared NICs included."""
+    rng = random.Random(7)
+    for _ in range(200):
+        transfers = [
+            (
+                rng.randrange(topology.n_devices),
+                rng.randrange(topology.n_devices),
+                rng.choice([0.0, 1.0, 12345.0, 1e6 * rng.random()]),
+            )
+            for _ in range(rng.randrange(1, 20))
+        ]
+        expected = legacy_intra.concurrent_step_time(topology, transfers)
+        got = concurrent_step_time(
+            topology, [Transfer(*transfer) for transfer in transfers]
+        )
+        assert got.hex() == expected.hex(), transfers

@@ -17,7 +17,11 @@ from repro.core.partitions import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import dsi_matrix  # noqa: E402  (vectorised scalar reference)
+from oracles import (  # noqa: E402  (scalar references)
+    dsi_matrix,
+    group_indicator,
+    temporal_varying_dims,
+)
 
 
 def evaluator(text: str, n_bits: int) -> DsiEvaluator:
@@ -154,25 +158,25 @@ class TestMatrixAgreement:
 class TestBitDependencies:
     def test_dim_partition_dependency(self):
         ev = evaluator("B-N", 2)
-        assert ev.group_indicator(Phase.FORWARD, (Dim.B,)) == (0,)
-        assert ev.group_indicator(Phase.FORWARD, (Dim.N,)) == (1,)
-        assert ev.group_indicator(Phase.FORWARD, (Dim.M,)) == ()
+        assert group_indicator(ev, Phase.FORWARD, (Dim.B,)) == (0,)
+        assert group_indicator(ev, Phase.FORWARD, (Dim.N,)) == (1,)
+        assert group_indicator(ev, Phase.FORWARD, (Dim.M,)) == ()
 
     def test_temporal_dependencies(self):
         ev = evaluator("P2x2", 2)
-        assert ev.group_indicator(Phase.FORWARD, (Dim.M,)) == (0,)
-        assert ev.group_indicator(Phase.FORWARD, (Dim.K,)) == (1,)
-        assert ev.group_indicator(Phase.FORWARD, (Dim.N,)) == (0, 1)
+        assert group_indicator(ev, Phase.FORWARD, (Dim.M,)) == (0,)
+        assert group_indicator(ev, Phase.FORWARD, (Dim.K,)) == (1,)
+        assert group_indicator(ev, Phase.FORWARD, (Dim.N,)) == (0, 1)
 
     def test_replicate_has_no_dependencies(self):
         ev = evaluator("R-N", 2)
-        assert ev.group_indicator(Phase.FORWARD, (Dim.N,)) == (1,)
+        assert group_indicator(ev, Phase.FORWARD, (Dim.N,)) == (1,)
         for dim in ALL_DIMS:
-            assert 0 not in ev.group_indicator(Phase.FORWARD, (dim,))
+            assert 0 not in group_indicator(ev, Phase.FORWARD, (dim,))
 
     def test_group_indicator_union(self):
         ev = evaluator("N-P2x2", 3)
-        assert ev.group_indicator(Phase.FORWARD, (Dim.M, Dim.K)) == (1, 2)
+        assert group_indicator(ev, Phase.FORWARD, (Dim.M, Dim.K)) == (1, 2)
 
     def test_device_bit_width_checked(self):
         ev = evaluator("B-N", 2)
@@ -183,19 +187,19 @@ class TestBitDependencies:
 class TestTemporalVaryingDims:
     def test_no_temporal(self):
         ev = evaluator("B-N", 2)
-        assert not any(ev.temporal_varying_dims(Phase.FORWARD).values())
+        assert not any(temporal_varying_dims(ev, Phase.FORWARD).values())
 
     def test_forward_varies_n(self):
         ev = evaluator("P2x2", 2)
-        varying = ev.temporal_varying_dims(Phase.FORWARD)
+        varying = temporal_varying_dims(ev, Phase.FORWARD)
         assert varying[Dim.N] and not varying[Dim.M] and not varying[Dim.K]
 
     def test_backward_varies_k(self):
         ev = evaluator("P2x2", 2)
-        varying = ev.temporal_varying_dims(Phase.BACKWARD)
+        varying = temporal_varying_dims(ev, Phase.BACKWARD)
         assert varying[Dim.K] and not varying[Dim.N]
 
     def test_gradient_varies_mnk(self):
         ev = evaluator("P2x2", 2)
-        varying = ev.temporal_varying_dims(Phase.GRADIENT)
+        varying = temporal_varying_dims(ev, Phase.GRADIENT)
         assert varying[Dim.M] and varying[Dim.N] and varying[Dim.K]

@@ -361,6 +361,29 @@ class TestCrossProcessDeterminism:
         warm, _, _ = self._search(1, tmp_path / "t", monkeypatch)
         assert warm.stage_seconds["classify"] == 0.0
 
+    def test_intra_split_out_of_candidates(self, tmp_path, monkeypatch):
+        """One ``candidates.intra`` span per build times Eq. 7 pricing;
+        ``stage_seconds["intra"]`` sums them, pool workers' included, and
+        a warm search builds nothing and reports 0."""
+        for jobs in (1, 2):
+            cold, _, _ = self._search(jobs, tmp_path / f"j{jobs}", monkeypatch)
+            builds = sum(
+                entry["value"]
+                for entry in cold.telemetry["metrics"]["counters"]
+                if entry["name"] == "candidates.builds"
+            )
+            intra = [
+                s for s in cold.telemetry["spans"]
+                if s["name"] == "candidates.intra"
+            ]
+            assert len(intra) == builds > 0
+            seconds = cold.stage_seconds["intra"]
+            assert seconds == sum(s["duration"] for s in intra) > 0.0
+            if jobs == 1:
+                assert seconds < cold.stage_seconds["candidates"]
+        warm, _, _ = self._search(1, tmp_path / "j1", monkeypatch)
+        assert warm.stage_seconds["intra"] == 0.0
+
 
 def _barrier_at_candidates(monkeypatch, parties):
     """Make ``parties`` concurrent searches overlap: each waits for the

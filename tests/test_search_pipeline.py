@@ -12,8 +12,14 @@ import logging
 import os
 import pickle
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import legacy_intra  # noqa: E402  (frozen per-spec Eq. 7 assembly)
 
 from repro import (
     EventDrivenSimulator,
@@ -54,19 +60,78 @@ def _search(n_devices, jobs=1, beam=None, n_layers=2):
 
 
 def test_cost_batch_matches_scalar(small_block, profiler8):
-    """Every batched cost equals the scalar path, temporal specs included."""
-    batch_model = IntraOperatorCostModel(profiler8, alpha=2e-11)
-    scalar_model = IntraOperatorCostModel(profiler8, alpha=2e-11)
+    """Every batched cost equals the frozen per-spec assembly, temporal
+    specs included, and ``cost`` is ``cost_batch`` on one spec."""
+    model = IntraOperatorCostModel(profiler8, alpha=2e-11)
     checked_temporal = 0
     for node in small_block.nodes:
-        cset = build_candidates(node, 3, batch_model)
-        batched = batch_model.cost_batch(node, cset.specs)
+        cset = build_candidates(node, 3, model)
+        batched = model.cost_batch(node, cset.specs)
         for spec, cost in zip(cset.specs, batched):
-            reference = scalar_model.cost(node, spec)
-            assert cost == reference, (node.name, spec)
+            reference = legacy_intra.intra_cost(profiler8, 2e-11, node, spec)
+            assert repr(cost) == repr(reference), (node.name, spec)
+            assert model.cost(node, spec) == cost
             if spec.has_temporal:
                 checked_temporal += 1
     assert checked_temporal > 0  # temporal specs went through the comparison
+
+
+#: A fresh OPT-6.7B batch-32 search on 4 devices, printing its cost bits.
+_FRESH_SEARCH = """
+from repro import FabricProfiler, PrimeParOptimizer, build_block_graph, v100_cluster
+from repro.graph.models import OPT_6_7B
+optimizer = PrimeParOptimizer(FabricProfiler(v100_cluster(4)))
+graph = build_block_graph(OPT_6_7B.block_shape(batch=32))
+print(optimizer.optimize(graph).cost.hex())
+"""
+
+
+def _reshaped_cost():
+    """One optimizer searches OPT-6.7B at batch 8, then at batch 32: same
+    operator names, other shapes.  Returns the batch-32 cost bits."""
+    optimizer = PrimeParOptimizer(FabricProfiler(v100_cluster(4)))
+    optimizer.optimize(build_block_graph(OPT_6_7B.block_shape(batch=8)))
+    graph = build_block_graph(OPT_6_7B.block_shape(batch=32))
+    return optimizer.optimize(graph).cost.hex()
+
+
+def _fresh_cost():
+    optimizer = PrimeParOptimizer(FabricProfiler(v100_cluster(4)))
+    graph = build_block_graph(OPT_6_7B.block_shape(batch=32))
+    return optimizer.optimize(graph).cost.hex()
+
+
+@pytest.mark.usefixtures("no_disk_cache")
+def test_reshaped_operator_priced_afresh():
+    """Eq. 7 keyed by operator name priced batch 32 with batch 8's
+    costs (0.090 instead of 0.341); a reused optimizer must answer what a
+    fresh one does."""
+    assert _reshaped_cost() == _fresh_cost()
+
+
+def test_reshaped_operator_cache_entry_is_right(tmp_path, monkeypatch):
+    """The batch-32 candidate sets a reused optimizer stores on disk carry
+    the right costs: a fresh process reading that cache answers what a
+    cold search in an empty cache does."""
+    import subprocess
+
+    monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path / "reused"))
+    _reshaped_cost()
+    monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path / "empty"))
+    cold = _fresh_cost()
+    env = dict(os.environ, PRIMEPAR_CACHE_DIR=str(tmp_path / "reused"))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (env.get("PYTHONPATH"), "src") if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_SEARCH],
+        env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == [cold]
 
 
 # ----------------------------------------------------------------------
