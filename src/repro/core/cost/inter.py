@@ -13,12 +13,13 @@ cross-node class, each priced by its own profiled model.
 The matrix API evaluates a whole (producer-candidates x consumer-candidates)
 cost table at once — the hot path of the DP.  Every per-axis slice count is
 a power of two, so ``count + index`` is a *heap id* naming one per-axis
-interval whatever the spec.  Each side's :class:`SliceTables` maps ``(spec,
-slice index)`` to heap ids, per dim (:func:`slice_ids`), for as long as the
-spec list lives: a candidate set owns one for the whole search.  Decoding
-every spec and rank at a boundary point is one gather per axis by the
-stacked DSI matrices; one ``np.unique`` over the mixed-radix combination of
-the per-axis heap ids numbers each side's joint boxes (:func:`_joint_ids`).
+interval whatever the spec.  :func:`boundary_ids` decodes a spec list once:
+per dim it maps ``(spec, slice index)`` to heap ids (:func:`slice_ids`) and
+gathers them by the DSIs of every rank at every boundary point, into one
+compact array a candidate set keeps from its build on; each side's
+:class:`SliceTables` only slices it.  One ``np.unique`` over the mixed-radix
+combination of the per-axis heap ids numbers each side's joint boxes
+(:func:`_joint_ids`).
 ``overlap / length`` is tabulated once per axis over the two sides' heap
 ids, and the box-pair coverage table is the product of gathers from those
 factor tables in a fixed axis order (:func:`_coverage`): every element
@@ -40,7 +41,6 @@ from ...cluster.profiler import FabricProfiler
 from ...graph.graph import ComputationGraph, Edge
 from ...graph.operators import OperatorSpec
 from ...graph.tensors import DTYPE_BYTES
-from ...obs.metrics import counter
 from ..dims import ALL_DIMS, Dim, Phase
 from ..layout import grid_events
 from ..spec import PartitionSpec
@@ -62,6 +62,19 @@ CHUNK_BYTES = 256 << 10
 
 #: Per-axis ``(ids, intervals)`` pairs: heap ids and each heap id's interval.
 Decoded = Dict[str, Tuple[np.ndarray, np.ndarray]]
+
+
+def _heap_intervals(sizes: Sequence[int], n_heaps: int) -> np.ndarray:
+    """``intervals[a, h]``: heap id ``h``'s half-open interval on an axis
+    of size ``sizes[a]``, for ``h < n_heaps``.  Heap id ``h`` is part ``h
+    - n`` of ``n``, ``n`` the largest power of two ``<= h``; row 0 is the
+    whole axis."""
+    heap = np.maximum(np.arange(n_heaps), 1)
+    n = 1 << (np.frexp(heap)[1].astype(np.int64) - 1)
+    j = heap - n
+    base, extra = np.divmod(np.asarray(sizes, dtype=np.int64)[:, None], n)
+    start = j * base + np.minimum(j, extra)
+    return np.stack([start, start + base + (j < extra)], axis=-1)
 
 
 def slice_ids(op: OperatorSpec, specs: Sequence[PartitionSpec], dim: Dim) -> Decoded:
@@ -111,71 +124,101 @@ def slice_ids(op: OperatorSpec, specs: Sequence[PartitionSpec], dim: Dim) -> Dec
             f"{counts[a, s]} slices under {specs[s]}, not a power of two"
         )
     ids = counts[:, :, None] + index
-    heap = np.maximum(np.arange(2 * int(counts.max())), 1)
-    # Heap id h is part h - n of n, n the largest power of two <= h.
-    n = 1 << (np.frexp(heap)[1].astype(np.int64) - 1)
-    j = heap - n
-    base, extra = np.divmod(np.array([op.axis_sizes[a] for a in axes])[:, None], n)
-    start = j * base + np.minimum(j, extra)
-    intervals = np.stack([start, start + base + (j < extra)], axis=-1)
+    intervals = _heap_intervals(
+        [op.axis_sizes[a] for a in axes], 2 * int(counts.max())
+    )
     return {axis: (ids[a], intervals[a]) for a, axis in enumerate(axes)}
 
 
-class SliceTables:
-    """Per-axis slice-id decoder of one operator's spec list.
+def boundary_axes(op: OperatorSpec) -> Tuple[str, ...]:
+    """``op``'s logical axes in :func:`boundary_ids` column order: each
+    dim's axes, dims in :data:`~repro.core.dims.ALL_DIMS` order."""
+    return tuple(axis for dim in ALL_DIMS for axis in op.dim_axes.get(dim, ()))
 
-    Holds one :func:`slice_ids` per dim, built on first use and reused by
-    every later decode; ``inter.decode_tables{outcome=build|reuse}``
-    counts the two, once per decoded dim.  ``boundary`` is the specs'
-    stacked :func:`~repro.core.steps.boundary_matrices`, computed here
-    when not given.  A candidate set owns one decoder for the whole
-    search, over its own boundary array (:attr:`~repro.core.optimizer.
-    candidates.CandidateSet.tables`, never pickled); a priced plan gets a
-    one-spec decoder per node, each over its row of one boundary pass for
-    the plan (:meth:`InterOperatorCostModel.plan_edge_costs`).
+
+def boundary_ids(
+    op: OperatorSpec,
+    specs: Sequence[PartitionSpec],
+    boundary: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Every spec's boundary layouts as per-axis heap ids, in one pass.
+
+    ``ids[s, p, d, a]`` is the heap id of the slice of axis
+    ``boundary_axes(op)[a]`` that rank ``d`` holds under ``specs[s]`` at
+    ``BOUNDARY_POINTS[p]``, shape ``(n_specs, len(BOUNDARY_POINTS),
+    n_devices, n_axes)`` in the smallest unsigned dtype that holds every
+    heap id.  Each dim's :func:`slice_ids` is built once and gathered by
+    spec and by the DSI column of ``boundary`` (the specs'
+    :func:`~repro.core.steps.boundary_matrices`, computed when not
+    given), one gather per axis for all five points.
+    """
+    if boundary is None:
+        boundary = boundary_matrices(specs)
+    rows = np.arange(len(specs))[:, None, None]
+    gathered = []
+    for dim in ALL_DIMS:
+        if not op.dim_axes.get(dim):
+            continue
+        column = boundary[..., ALL_DIMS.index(dim)]
+        for ids, _ in slice_ids(op, specs, dim).values():
+            gathered.append(ids[rows, column])
+    ids = np.stack(gathered, axis=-1)
+    return ids.astype(np.min_scalar_type(int(ids.max())))
+
+
+class SliceTables:
+    """Per-axis heap ids of one operator's specs at every boundary point.
+
+    Wraps :func:`boundary_ids`' array, plus ``intervals[a, h]``, heap id
+    ``h``'s interval on axis ``a`` for every heap id up to the largest
+    held (in closed form from the axis sizes, so never stored).  A
+    candidate set decodes its specs once, at build, and keeps the array
+    (:attr:`~repro.core.optimizer.candidates.CandidateSet.heap_ids`);
+    its decoder (:attr:`~repro.core.optimizer.candidates.CandidateSet.
+    tables`, never pickled) only slices it.  A priced plan decodes one
+    spec per node through the same function (:meth:`decode`,
+    :meth:`InterOperatorCostModel.plan_edge_costs`).
     """
 
-    def __init__(
-        self,
+    def __init__(self, op: OperatorSpec, ids: np.ndarray) -> None:
+        self.op = op
+        self.ids = ids
+        self.columns = {axis: a for a, axis in enumerate(boundary_axes(op))}
+        self.intervals = _heap_intervals(
+            [op.axis_sizes[axis] for axis in self.columns], int(ids.max()) + 1
+        )
+
+    @classmethod
+    def decode(
+        cls,
         op: OperatorSpec,
         specs: Sequence[PartitionSpec],
         boundary: Optional[np.ndarray] = None,
-    ) -> None:
-        self.op = op
-        self.specs = specs
-        self.boundary = boundary_matrices(specs) if boundary is None else boundary
-        self._ids: Dict[Dim, Decoded] = {}
+    ) -> "SliceTables":
+        """The decoder of ``specs``, by :func:`boundary_ids`."""
+        return cls(op, boundary_ids(op, specs, boundary))
 
     def __len__(self) -> int:
-        return len(self.specs)
+        return self.ids.shape[0]
 
     @property
     def n_devices(self) -> int:
-        return self.specs[0].n_devices
+        return self.ids.shape[2]
 
     def axis_ids(self, point: Tuple[Phase, int], dims: Sequence[Dim]) -> Decoded:
         """Boundary layouts of the specs at ``point``, as heap ids.
 
-        Returns, for each logical axis spanned by ``dims``, ``(ids,
-        intervals)``: ``ids`` is the ``(n_specs, n_devices)`` heap id of
-        the slice each rank holds, one gather from the dim's
-        :func:`slice_ids` by spec and by the rank's DSI (a slice of the
-        boundary array at ``point``, one of :data:`BOUNDARY_POINTS`).
+        Returns, for each logical axis spanned by ``dims`` (in ``dims``
+        order, then each dim's axes), ``(ids, intervals)``: ``ids`` is
+        the ``(n_specs, n_devices)`` heap id of the slice each rank holds
+        at ``point``, one of :data:`BOUNDARY_POINTS`.
         """
-        matrices = self.boundary[:, BOUNDARY_POINTS.index(point)]
-        rows = np.arange(len(self.specs))[:, None]
+        at = self.ids[:, BOUNDARY_POINTS.index(point)]
         decoded: Decoded = {}
         for dim in dims:
-            if not self.op.dim_axes.get(dim):
-                continue
-            tables = self._ids.get(dim)
-            outcome = "build" if tables is None else "reuse"
-            counter("inter.decode_tables", outcome=outcome).inc()
-            if tables is None:
-                tables = self._ids[dim] = slice_ids(self.op, self.specs, dim)
-            column = matrices[:, :, ALL_DIMS.index(dim)]
-            for axis, (ids, intervals) in tables.items():
-                decoded[axis] = (ids[rows, column], intervals)
+            for axis in self.op.dim_axes.get(dim, ()):
+                a = self.columns[axis]
+                decoded[axis] = (at[..., a], self.intervals[a])
         return decoded
 
 
@@ -437,7 +480,9 @@ class InterOperatorCostModel:
         specs = [plan[node.name] for node in graph.nodes]
         boundary = boundary_matrices(specs)
         tables = {
-            node.name: SliceTables(node, specs[i : i + 1], boundary[i : i + 1])
+            node.name: SliceTables.decode(
+                node, specs[i : i + 1], boundary[i : i + 1]
+            )
             for i, node in enumerate(graph.nodes)
         }
         return tuple(

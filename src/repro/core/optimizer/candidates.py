@@ -25,10 +25,14 @@ from ..layout import grid_events
 from ..partitions import DimPartition
 from ..spec import PartitionSpec
 from ..space import enumerate_specs
-from ..steps import boundary_matrices
-from ..cost.inter import SliceTables
+from ..cost.inter import SliceTables, boundary_ids
 from ..cost.intra import IntraOperatorCostModel
 from .canonical import canonical_specs
+
+
+#: Bump when a :class:`CandidateSet`'s fields change meaning; part of the
+#: candidates disk-cache key, so older entries are never read.
+CANDIDATE_SCHEMA = 1
 
 
 @dataclass
@@ -40,21 +44,29 @@ class CandidateSet:
         specs: The enumerated specs, then the canonical extras that are not
             an earlier spec's twin (all of them, or a beam of them).
         intra: Eq. 7 totals per spec, shape ``(P,)``.
-        boundary: The specs' :func:`~repro.core.steps.boundary_matrices`,
-            shape ``(P, 5, n_devices, 4)`` in a compact unsigned dtype.
+        heap_ids: The specs' boundary layouts as per-axis heap ids,
+            :func:`~repro.core.cost.inter.boundary_ids`' ``(P, 5,
+            n_devices, n_axes)`` array in a compact unsigned dtype.
         raw_size: Enumerated specs plus every canonical extra not equal to
             one, twins included (paper's ``P``).
+        cache_token: Content identity: same token ⇒ same op type and
+            specs.  Memoization key material for edge cost matrices — two
+            sets with equal tokens produce identical inter-cost matrices
+            for a structurally identical edge.  A digest of the type key,
+            bit width and spellings (which round-trip through
+            ``from_string``), so the memo hashes it once, not every spec's
+            steps per lookup.
 
-    Derived state (:attr:`tables`, :attr:`cache_token`) is built on first
-    use and never pickled, so a priced set pickles to the bytes of a fresh
-    one.
+    The decoder (:attr:`tables`) is built on first use and never pickled,
+    so a priced set pickles to the bytes of a fresh one.
     """
 
     op: OperatorSpec
     specs: List[PartitionSpec]
     intra: np.ndarray
-    boundary: np.ndarray
+    heap_ids: np.ndarray
     raw_size: int
+    cache_token: str
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -62,7 +74,6 @@ class CandidateSet:
     def __getstate__(self) -> Dict:
         state = dict(self.__dict__)
         state.pop("_tables", None)
-        state.pop("_cache_token", None)
         return state
 
     @property
@@ -70,31 +81,19 @@ class CandidateSet:
         """The specs' slice-id decoder, shared by every edge priced."""
         tables = self.__dict__.get("_tables")
         if tables is None:
-            tables = self.__dict__["_tables"] = SliceTables(
-                self.op, self.specs, self.boundary
-            )
+            tables = SliceTables(self.op, self.heap_ids)
+            self.__dict__["_tables"] = tables
         return tables
 
-    @property
-    def cache_token(self) -> str:
-        """Content identity: same token ⇒ same op type and specs.
 
-        Memoization key material for edge cost matrices — two candidate
-        sets with equal tokens produce identical inter-cost matrices for a
-        structurally identical edge.  A digest of the type key, bit width
-        and spellings (which round-trip through ``from_string``), so the
-        memo hashes it once, not every spec's steps per lookup.
-        """
-        token = self.__dict__.get("_cache_token")
-        if token is None:
-            text = repr((
-                type_key(self.op),
-                self.specs[0].n_bits if self.specs else 0,
-                [str(spec) for spec in self.specs],
-            ))
-            token = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
-            self.__dict__["_cache_token"] = token
-        return token
+def candidate_token(op: OperatorSpec, specs: Sequence[PartitionSpec]) -> str:
+    """:attr:`CandidateSet.cache_token` of ``specs`` for ``op``."""
+    text = repr((
+        type_key(op),
+        specs[0].n_bits if specs else 0,
+        [str(spec) for spec in specs],
+    ))
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 def _spelling(spec: PartitionSpec) -> Tuple:
@@ -166,8 +165,9 @@ def build_candidates(
     """Enumerate and cost one operator's partition space.
 
     Canonical extras join through :func:`inject_canonical`.  The kept
-    specs' boundary matrices are computed in one bulk pass and kept with
-    the set, so edge pricing slices them instead of recomputing.
+    specs' boundary layouts are decoded to per-axis heap ids in one bulk
+    pass (:func:`~repro.core.cost.inter.boundary_ids`) and kept with the
+    set, so edge pricing slices them instead of decoding.
 
     Args:
         op: The operator node.
@@ -218,7 +218,7 @@ def build_candidates(
             keep.update(protected)
             order = np.array(sorted(keep))
         kept = [specs[i] for i in order]
-        boundary = boundary_matrices(kept)
+        heap_ids = boundary_ids(op, kept)
     op_label = op.kind.name.lower()
     counter("candidates.builds", op=op_label).inc()
     counter("candidates.raw", op=op_label).inc(raw_size)
@@ -229,8 +229,9 @@ def build_candidates(
         op=op,
         specs=kept,
         intra=costs[order],
-        boundary=boundary,
+        heap_ids=heap_ids,
         raw_size=raw_size,
+        cache_token=candidate_token(op, kept),
     )
 
 

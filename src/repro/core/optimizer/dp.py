@@ -9,6 +9,7 @@ the cost of an extended edge from the segment start if one exists.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, MutableMapping, Optional, Sequence, Tuple
 
@@ -31,10 +32,12 @@ def min_plus(
     """Tropical matrix product: ``out[a,c] = min_b left[a,b] + right[b,c]``.
 
     Returns the result and the argmin over ``b`` (backpointers).  The
-    ``(A x B x chunk)`` float64 broadcast takes as many output columns as
-    fit in :data:`~repro.core.cost.inter.CHUNK_BYTES` (at least one); every
-    column sees the same sums whatever the chunking, so argmin ties break
-    identically.
+    ``(A x chunk x B)`` float64 broadcast ``left[a, b] + right.T[c, b]``
+    takes as many output columns as fit in
+    :data:`~repro.core.cost.inter.CHUNK_BYTES` (at least one) and reduces
+    over its last, contiguous axis; every column sees the same sums
+    whatever the chunking, and ``argmin`` keeps the first minimum, so ties
+    break identically.
     """
     n_a, n_b = left.shape
     n_b2, n_c = right.shape
@@ -42,14 +45,14 @@ def min_plus(
         raise ValueError(f"shape mismatch {left.shape} x {right.shape}")
     out = np.empty((n_a, n_c))
     arg = np.empty((n_a, n_c), dtype=np.int32)
+    columns = np.ascontiguousarray(right.T)
     chunk = max(1, CHUNK_BYTES // (n_a * n_b * out.itemsize))
     for lo in range(0, n_c, chunk):
         hi = min(lo + chunk, n_c)
-        stacked = left[:, :, None] + right[None, :, lo:hi]
-        arg[:, lo:hi] = stacked.argmin(axis=1)
-        out[:, lo:hi] = np.take_along_axis(
-            stacked, arg[:, lo:hi][:, None, :], axis=1
-        )[:, 0, :]
+        stacked = left[:, None, :] + columns[None, lo:hi, :]
+        best = stacked.argmin(axis=2)
+        arg[:, lo:hi] = best
+        out[:, lo:hi] = np.take_along_axis(stacked, best[..., None], axis=2)[..., 0]
     return out, arg
 
 
@@ -61,7 +64,8 @@ class SegmentTable:
     candidate class ``a`` and the end node class ``c`` — including both
     endpoint intra costs.  ``backpointers[j]`` maps node ``j``'s optimal
     predecessor class: ``arg[a, c]`` is the class of node ``j-1``.
-    ``states`` counts the DP states (table cells) its Bellman steps expanded.
+    ``states`` counts the DP states (table cells) its Bellman steps expanded
+    and ``bellman_seconds`` is the wall time of their min-plus products.
     """
 
     start: str
@@ -70,6 +74,7 @@ class SegmentTable:
     cost: np.ndarray
     backpointers: Dict[str, np.ndarray] = field(default_factory=dict)
     states: int = 0
+    bellman_seconds: float = 0.0
 
     def extract(self, a: int, c: int, out: Dict[str, int]) -> None:
         """Fill ``out`` with the optimal class per node given endpoints."""
@@ -182,7 +187,9 @@ def solve_segment(
             # Assumption 1 guarantees e_{j, j+1} exists for true chains; a
             # missing edge contributes zero cost.
             edge_prev = np.zeros((len(candidates[previous]), len(node_set)))
+        started = time.perf_counter()
         new_cost, arg = min_plus(table.cost, edge_prev)
+        table.bellman_seconds += time.perf_counter() - started
         counter("dp.states_expanded").inc(new_cost.size)
         table.states += new_cost.size
         new_cost += node_set.intra[None, :]

@@ -24,7 +24,9 @@ from ...obs.spans import span, telemetry_scope
 from ..cost.inter import InterOperatorCostModel
 from ..cost.intra import IntraOperatorCostModel
 from ..spec import PartitionSpec
-from .candidates import CandidateSet, build_candidates, type_key
+from .candidates import (
+    CANDIDATE_SCHEMA, CandidateSet, build_candidates, type_key,
+)
 from .deadline import Deadline, check_deadline
 from .dp import SegmentTable, edge_cost_matrix, solve_segment
 from .merge import MergeTable, merge_tables, stack_layers
@@ -47,15 +49,16 @@ class SearchResult:
             each its spans summed over builds, pool workers' included, and
             0 when every set came from a cache: ``intra``, Eq. 7 pricing
             of every enumerated spec (``candidates.intra``), and
-            ``classify``, boundary matrices and selection
-            (``candidates.classify``).
+            ``classify``, heap-id decoding and selection
+            (``candidates.classify``); and ``bellman``, the Bellman
+            products of ``segment_dp`` and ``merge`` (Eq. 11-14 min-plus
+            products and the layer fold), timed around each product.
         telemetry: The search's own :func:`repro.obs.telemetry_scope`,
             never a concurrent search's: the metrics it recorded
             (``"metrics"``: counters, gauges, histograms) and the timing
             spans it closed (``"spans"``).
             ``search.edge_cost`` spans time the Eq. 8-9 edge pricing inside
-            ``search.segment_dp`` (and ``search.merge``); the rest of
-            ``segment_dp`` is the Bellman products.  One
+            ``search.segment_dp`` (and ``search.merge``).  One
             ``search.segment`` span per segment carries its ``start``
             node, ``nodes`` and expanded DP ``states``.  Worker-process
             telemetry from ``jobs > 1`` fan-out is merged in, so the
@@ -119,6 +122,7 @@ class PrimeParOptimizer:
         """Content hash for one operator type's candidate set, or ``None``."""
         return diskcache.memo_key(
             "candidates",
+            CANDIDATE_SCHEMA,
             type_key(node),
             self.profiler.topology,
             self.intra_model.alpha,
@@ -246,6 +250,7 @@ class PrimeParOptimizer:
                         attrs["states"] = table.states
                     tables.append(table)
             segments_done = time.perf_counter()
+            bellman = sum(table.bellman_seconds for table in tables)
             with span("search.merge", segments=len(tables)):
                 # Cross-segment edges span exactly two adjacent segments
                 # (their source anchors the earlier one, paper Fig. 6's
@@ -274,6 +279,7 @@ class PrimeParOptimizer:
                             for e in pair_edges
                         )
                         consumed.update(e.key() for e in pair_edges)
+                        started_merge = time.perf_counter()
                         paired.append(
                             merge_tables(
                                 tables[i],
@@ -282,6 +288,7 @@ class PrimeParOptimizer:
                                 cross_edge_cost=cross_cost,
                             )
                         )
+                        bellman += time.perf_counter() - started_merge
                         i += 2
                     else:
                         paired.append(tables[i])
@@ -299,9 +306,11 @@ class PrimeParOptimizer:
                 merged = paired[0]
                 for table in paired[1:]:
                     check_deadline(deadline, "merge")
+                    started_merge = time.perf_counter()
                     merged = merge_tables(
                         merged, table, candidates[table.start].intra
                     )
+                    bellman += time.perf_counter() - started_merge
                 layer_cost = merged.cost
                 best_flat = int(np.argmin(layer_cost))
                 a, c = np.unravel_index(best_flat, layer_cost.shape)
@@ -313,9 +322,11 @@ class PrimeParOptimizer:
                 }
                 model_cost = None
                 if n_layers > 1:
+                    started_merge = time.perf_counter()
                     model_cost = stack_layers(
                         layer_cost, candidates[merged.end].intra, n_layers
                     )
+                    bellman += time.perf_counter() - started_merge
         finished = time.perf_counter()
         spans = scope.collector.export()
         return SearchResult(
@@ -339,6 +350,7 @@ class PrimeParOptimizer:
                 ),
                 "segment_dp": segments_done - candidates_done,
                 "merge": finished - segments_done,
+                "bellman": bellman,
             },
             telemetry={"metrics": scope.registry.snapshot(), "spans": spans},
         )

@@ -5,11 +5,11 @@ boundary classes were computed in bulk: ``boundary_class_key`` walks each
 spec's DSI matrices with the scalar ``dsi_matrix`` oracle
 (``tests/oracles.py``) and packs them, the slice counts and the grid
 signature into bytes, and ``build_candidates`` keeps each key's cheapest
-spec in a dict, then stacks the kept specs' scalar matrices into the set's
-``boundary`` array.  The equivalence suite (``tests/test_candidates_bulk.py``)
-proves the twin-check build keeps the same specs as this collapse, with
-byte-identical pickles.  Do not edit except to re-freeze against a new
-baseline.
+spec in a dict, then stacks the kept specs' scalar matrices and decodes
+them to the set's heap ids (``repro.core.cost.inter.boundary_ids``).  The
+equivalence suite (``tests/test_candidates_bulk.py``) proves the twin-check
+build keeps the same specs as this collapse, with byte-identical pickles.
+Do not edit except to re-freeze against a new baseline.
 """
 
 from __future__ import annotations
@@ -20,9 +20,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from oracles import dsi_matrix  # scalar oracle, lives next to this file
+from repro.core.cost.inter import boundary_ids
 from repro.core.cost.intra import IntraOperatorCostModel
 from repro.core.dims import ALL_DIMS, Dim
-from repro.core.optimizer.candidates import CandidateSet, operator_dim_limits
+from repro.core.optimizer.candidates import (
+    CandidateSet,
+    candidate_token,
+    operator_dim_limits,
+)
 from repro.core.optimizer.canonical import canonical_specs
 from repro.core.partitions import DimPartition, TemporalPartition
 from repro.core.space import enumerate_specs
@@ -176,6 +181,7 @@ def build_candidates(
         op=op,
         specs=kept,
         intra=costs[order],
-        boundary=boundary,
+        heap_ids=boundary_ids(op, kept, boundary),
         raw_size=raw_size,
+        cache_token=candidate_token(op, kept),
     )

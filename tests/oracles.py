@@ -16,6 +16,12 @@ package computes in bulk or never spells out:
 * :func:`dsi_matrix` — one spec's DSIs on every rank at one ``(phase,
   t)``, which ``repro.core.steps.boundary_matrices`` computes for a whole
   spec list at every boundary point;
+* :func:`heap_id_matrix` — one spec's per-axis heap ids on every rank at
+  one ``(phase, t)``, which ``repro.core.cost.inter.boundary_ids``
+  computes for a whole spec list at every boundary point;
+* :func:`min_plus_strided` — the min-plus product reduced over the
+  strided middle axis of a ``(A x B x C)`` broadcast, the byte-equality
+  oracle of ``repro.core.optimizer.dp.min_plus``;
 * :func:`group_indicator` — the device-id bits a dim set's DSIs depend
   on, which ``repro.core.steps.StepTable.partition_bits`` computes as bit
   masks for a whole spec list;
@@ -31,6 +37,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.analysis import RingTransfer
+from repro.core.cost.inter import CHUNK_BYTES, slice_ids
 from repro.core.device import DeviceId
 from repro.core.dims import ALL_DIMS, Dim, Phase
 from repro.core.dsi import DsiEvaluator
@@ -193,6 +200,51 @@ def dsi_matrix(evaluator: DsiEvaluator, phase: Phase, t: int = 0) -> np.ndarray:
             bit += step.bits_consumed
             temporal_pos += 1
     return np.stack([values[dim] for dim in ALL_DIMS], axis=1)
+
+
+def heap_id_matrix(
+    op: OperatorSpec, spec: PartitionSpec, phase: Phase, t: int = 0
+) -> np.ndarray:
+    """One spec's per-axis heap ids on every rank: ``(n_devices, n_axes)``.
+
+    Spec by spec and point by point: each dim's ``slice_ids`` of ``spec``
+    alone, gathered by the dim's column of :func:`dsi_matrix`; axes are
+    each dim's, dims in ``ALL_DIMS`` order.
+    """
+    dsis = dsi_matrix(spec.evaluator, phase, t)
+    columns = []
+    for dim in ALL_DIMS:
+        if not op.dim_axes.get(dim):
+            continue
+        for ids, _ in slice_ids(op, [spec], dim).values():
+            columns.append(ids[0, dsis[:, ALL_DIMS.index(dim)]])
+    return np.stack(columns, axis=1)
+
+
+def min_plus_strided(
+    left: np.ndarray, right: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``out[a,c] = min_b left[a,b] + right[b,c]`` and its first argmin.
+
+    The ``(A x B x chunk)`` float64 broadcast takes as many output columns
+    as fit in ``CHUNK_BYTES`` (at least one) and reduces over its strided
+    middle axis.
+    """
+    n_a, n_b = left.shape
+    n_b2, n_c = right.shape
+    if n_b != n_b2:
+        raise ValueError(f"shape mismatch {left.shape} x {right.shape}")
+    out = np.empty((n_a, n_c))
+    arg = np.empty((n_a, n_c), dtype=np.int32)
+    chunk = max(1, CHUNK_BYTES // (n_a * n_b * out.itemsize))
+    for lo in range(0, n_c, chunk):
+        hi = min(lo + chunk, n_c)
+        stacked = left[:, :, None] + right[None, :, lo:hi]
+        arg[:, lo:hi] = stacked.argmin(axis=1)
+        out[:, lo:hi] = np.take_along_axis(
+            stacked, arg[:, lo:hi][:, None, :], axis=1
+        )[:, 0, :]
+    return out, arg
 
 
 def group_indicator(

@@ -106,7 +106,9 @@ class TestTrafficGroundTruth:
             )
             fc2_spec = PartitionSpec.from_string(fc2_text, 3)
             intra, inter_elems = inter.forward_traffic_matrix(
-                edge, SliceTables(act, [act_spec]), SliceTables(fc2, [fc2_spec])
+                edge,
+                SliceTables.decode(act, [act_spec]),
+                SliceTables.decode(fc2, [fc2_spec]),
             )
             predicted = float(intra[0, 0] + inter_elems[0, 0])
             truth = measured_redistribution(

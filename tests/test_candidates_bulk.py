@@ -379,14 +379,14 @@ def test_unknown_explicit_axis_rejected():
 
 
 def test_boundary_array_matches_oracle():
-    """A build keeps its specs' boundary matrices as one compact,
-    contiguous array, each ``[spec, point]`` the scalar oracle's."""
+    """The kept specs' boundary matrices form one compact, contiguous
+    array, each ``[spec, point]`` the scalar oracle's."""
     op = operator_types("opt-6.7b", 8)[-3]
     profiler = FabricProfiler(v100_cluster(8))
     cset = build_candidates(op, 3, IntraOperatorCostModel(profiler), beam=48)
     temporal = [spec for spec in cset.specs if spec.has_temporal]
     assert temporal and len(temporal) < len(cset.specs)
-    boundary = cset.boundary
+    boundary = boundary_matrices(cset.specs)
     assert boundary.shape == (len(cset), len(BOUNDARY_POINTS), 8, 4)
     assert boundary.dtype == np.uint8 and boundary.flags.c_contiguous
     for i, spec in enumerate(cset.specs):

@@ -11,18 +11,27 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import legacy_inter  # noqa: E402  (frozen per-rank model, lives next to this file)
-from oracles import axis_intervals  # noqa: E402  (scalar oracle)
+from oracles import (  # noqa: E402  (scalar oracles)
+    axis_intervals,
+    heap_id_matrix,
+    slice_interval,
+)
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import torus_cluster, v100_cluster
 from repro.core.cost import inter as inter_module
-from repro.core.cost.inter import InterOperatorCostModel, SliceTables, slice_ids
+from repro.core.cost.inter import (
+    InterOperatorCostModel,
+    SliceTables,
+    boundary_axes,
+    slice_ids,
+)
 from repro.core.dims import ALL_DIMS, Dim
 from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.core.spec import PartitionSpec
+from repro.core.steps import BOUNDARY_POINTS
 from repro.graph.graph import Edge
 from repro.graph.models import MODELS_BY_KEY
 from repro.graph.transformer import build_block_graph
-from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.sim.engine import EventDrivenSimulator
 
 
@@ -40,7 +49,9 @@ def _edge(graph, src, dst, slot="I"):
 def _price(model, edge, prod_op, prod_spec, cons_op, cons_spec):
     """``edge_costs`` of one spec per side, each with its own decoder."""
     return model.edge_costs(
-        edge, SliceTables(prod_op, [prod_spec]), SliceTables(cons_op, [cons_spec])
+        edge,
+        SliceTables.decode(prod_op, [prod_spec]),
+        SliceTables.decode(cons_op, [cons_spec]),
     )
 
 
@@ -109,7 +120,9 @@ class TestMisalignedEdges:
         )
         fc2_spec = PartitionSpec.from_string("N-P2x2", 3)
         intra, inter = inter8.forward_traffic_matrix(
-            edge, SliceTables(act, [act_spec]), SliceTables(fc2, [fc2_spec])
+            edge,
+            SliceTables.decode(act, [act_spec]),
+            SliceTables.decode(fc2, [fc2_spec]),
         )
         assert intra[0, 0] > 0
         assert inter[0, 0] == 0.0
@@ -128,7 +141,9 @@ class TestMatrixConsistency:
             PartitionSpec.from_string(s, 3) for s in ("B-N-N", "N-P2x2", "K-B-B")
         ]
         matrix = inter8.cost_matrix(
-            edge, SliceTables(act, act_specs), SliceTables(fc2, fc2_specs)
+            edge,
+            SliceTables.decode(act, act_specs),
+            SliceTables.decode(fc2, fc2_specs),
         )
         for i, sa in enumerate(act_specs):
             for j, sf in enumerate(fc2_specs):
@@ -220,9 +235,9 @@ def _assert_single_specs_match_frozen(profiler, graph, candidates, per_side=4):
             for cons_spec in dst.specs[:per_side]:
                 args = (edge, src.op, prod_spec, dst.op, cons_spec)
                 expected = (frozen.cost(*args),) + frozen.directional_costs(*args)
-                prod = SliceTables(src.op, [prod_spec])
-                cons = SliceTables(dst.op, [cons_spec])
-                # The repeat call reuses the decoders' tables.
+                prod = SliceTables.decode(src.op, [prod_spec])
+                cons = SliceTables.decode(dst.op, [cons_spec])
+                # The repeat call prices from the same decoders.
                 assert batched.edge_costs(edge, prod, cons) == expected
                 assert batched.edge_costs(edge, prod, cons) == expected
 
@@ -458,39 +473,106 @@ class TestSliceTables:
             assert b"SliceTables" not in data
 
 
-class TestDecodeTableCounts:
-    def test_one_build_per_set_and_dim(self, profiler16):
-        """A warm 16-device beam-48 OPT-175B search builds each table once."""
+class TestDecodeOnce:
+    def test_warm_search_decodes_nothing(self, profiler16):
+        """A warm 16-device beam-48 OPT-175B search prices every edge from
+        the heap ids its sets were built with: no slice table, no
+        boundary matrix."""
         graph = build_block_graph(MODELS_BY_KEY["opt-175b"].block_shape(batch=16))
         PrimeParOptimizer(profiler16, beam=48).optimize(graph)  # warms the cache
-        decodes = []
-        axis_ids = SliceTables.axis_ids
+        calls = []
 
-        def counted(self, point, dims):
-            decodes.extend(
-                (id(self), dim) for dim in dims if self.op.dim_axes.get(dim)
-            )
-            return axis_ids(self, point, dims)
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("decoded during a warm search")
 
-        registry = MetricsRegistry()
         optimizer = PrimeParOptimizer(profiler16, beam=48)
-        with use_registry(registry), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(SliceTables, "axis_ids", counted)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inter_module, "slice_ids", recorded)
+            patch.setattr(inter_module, "boundary_matrices", recorded)
             optimizer.optimize(graph)
-        counts = {
-            entry["labels"]["outcome"]: entry["value"]
-            for entry in registry.snapshot()["counters"]
-            if entry["name"] == "inter.decode_tables"
-        }
-        assert counts == {
-            "build": len(set(decodes)),
-            "reuse": len(decodes) - len(set(decodes)),
-        }
-        # 56 decodes of 10 candidate sets over 18 (set, dims) keys touch
-        # 36 (set, dim) pairs.
-        assert counts["build"] == 36
-        owners = {id(s.tables) for s in optimizer.candidates_for(graph).values()}
-        assert {owner for owner, _ in decodes} <= owners
+        assert not calls
+        assert all(
+            "_tables" in s.__dict__
+            for s in optimizer.candidates_for(graph).values()
+        )
+
+
+def _assert_heap_ids_match_oracle(candidates):
+    """Every set's stored heap ids are each spec's ``slice_ids`` gathered
+    by the scalar ``dsi_matrix`` at each boundary point, and every interval
+    of its decoder the oracle's."""
+    for candidate_set in {id(s): s for s in candidates.values()}.values():
+        op = candidate_set.op
+        axes = boundary_axes(op)
+        ids = candidate_set.heap_ids
+        intervals = candidate_set.tables.intervals
+        assert ids.shape == (
+            len(candidate_set), len(BOUNDARY_POINTS),
+            candidate_set.specs[0].n_devices, len(axes),
+        )
+        assert ids.dtype == np.min_scalar_type(intervals.shape[1] - 1)
+        assert ids.flags.c_contiguous and intervals.flags.c_contiguous
+        for a, axis in enumerate(axes):
+            size = op.axis_sizes[axis]
+            for heap, (start, stop) in enumerate(intervals[a].tolist()):
+                n = 1 << (max(heap, 1).bit_length() - 1)
+                assert (start, stop) == slice_interval(size, n, max(heap, 1) - n)
+        for s, spec in enumerate(candidate_set.specs):
+            for p, point in enumerate(BOUNDARY_POINTS):
+                assert np.array_equal(
+                    ids[s, p], heap_id_matrix(op, spec, *point)
+                ), (op.name, str(spec), point)
+
+
+class TestBoundaryIds:
+    """Candidate sets carry their boundary layouts as per-axis heap ids."""
+
+    @pytest.mark.parametrize("n_devices", [4, 8])
+    @pytest.mark.parametrize("model_key", sorted(MODELS_BY_KEY))
+    def test_heap_ids_match_oracle(self, model_key, n_devices):
+        profiler = FabricProfiler(v100_cluster(n_devices))
+        graph = build_block_graph(MODELS_BY_KEY[model_key].block_shape(batch=16))
+        _assert_heap_ids_match_oracle(
+            PrimeParOptimizer(profiler).candidates_for(graph)
+        )
+
+    def test_reloaded_sets_price_like_fresh(
+        self, profiler8, large_block, tmp_path, monkeypatch
+    ):
+        """A set reloaded from disk pickles and prices every edge matrix
+        to the bytes of a freshly built one, and keeps no ``boundary``."""
+        monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
+        fresh = PrimeParOptimizer(profiler8).candidates_for(large_block)
+        loaded = PrimeParOptimizer(profiler8).candidates_for(large_block)
+        model = InterOperatorCostModel(profiler8)
+        for name, built in fresh.items():
+            again = loaded[name]
+            assert again is not built
+            data = pickle.dumps(built, pickle.HIGHEST_PROTOCOL)
+            assert data == pickle.dumps(again, pickle.HIGHEST_PROTOCOL)
+            assert "boundary" not in vars(pickle.loads(data))
+        for edge in large_block.edges:
+            matrices = [
+                model.cost_matrix(edge, sets[edge.src].tables, sets[edge.dst].tables)
+                for sets in (fresh, loaded)
+            ]
+            assert matrices[0].tobytes() == matrices[1].tobytes(), edge.key()
+
+    def test_one_spec_decode_is_a_row_of_the_bulk(self, large_block):
+        """``plan_edge_costs``' one-spec decoders hold the rows of the set's
+        own decode: one decode function for both."""
+        op = large_block.node("L0.qkv")
+        specs = [
+            PartitionSpec.from_string(text, 3)
+            for text in ("B-K-K", "N-P2x2", "B-M-N", "R-R-R")
+        ]
+        bulk = SliceTables.decode(op, specs)
+        for s, spec in enumerate(specs):
+            lone = SliceTables.decode(op, [spec])
+            assert np.array_equal(lone.ids[0], bulk.ids[s])
+            width = lone.intervals.shape[1]
+            assert np.array_equal(lone.intervals, bulk.intervals[:, :width])
 
 
 def _recorded_shortfalls(patch):

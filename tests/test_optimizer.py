@@ -2,17 +2,21 @@
 
 import itertools
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import stack_layers_doubling  # noqa: E402  (paper Sec. 5.1 stack)
+from oracles import (  # noqa: E402
+    min_plus_strided,  # the strided Bellman kernel
+    stack_layers_doubling,  # paper Sec. 5.1 stack
+)
 from repro.core.cost.overall import OverallCostModel
 from repro.core.optimizer.candidates import build_candidates, type_key
 from repro.core.optimizer.canonical import canonical_specs
-from repro.core.optimizer import dp
+from repro.core.optimizer import dp, merge
 from repro.core.optimizer.dp import min_plus, solve_segment
 from repro.core.optimizer.merge import merge_tables, stack_layers
 from repro.core.optimizer.segmenter import segment_graph
@@ -62,6 +66,63 @@ class TestMinPlus:
         out, arg = min_plus(left, right)
         assert out.tobytes() == whole_out.tobytes()
         assert arg.tobytes() == whole_arg.tobytes()
+
+
+def _min_plus_cases():
+    """Random, tie-heavy, ``inf``-row, ``1 x n`` and multi-chunk inputs."""
+    rng = np.random.default_rng(3)
+    ties_left = rng.integers(0, 3, (17, 31)).astype(float)
+    ties_right = rng.integers(0, 3, (31, 45)).astype(float)
+    inf_left = rng.random((6, 11))
+    inf_left[2] = np.inf
+    inf_left[4, ::2] = np.inf
+    inf_right = rng.random((11, 8))
+    inf_right[:, 5] = np.inf
+    fold = rng.integers(0, 5, (56, 56)).astype(float)
+    return {
+        "random": (rng.random((7, 5)), rng.random((5, 9))),
+        "ties": (ties_left, ties_right),
+        "inf-rows": (inf_left, inf_right),
+        "fold-row": (fold.min(axis=0, keepdims=True), fold),
+        "chunked": (rng.random((40, 120)), rng.random((120, 300))),
+        "chunked-ties": (
+            rng.integers(0, 2, (64, 96)).astype(float),
+            rng.integers(0, 2, (96, 130)).astype(float),
+        ),
+    }
+
+
+class TestMinPlusKernel:
+    """The contiguous kernel is byte-identical to the strided oracle."""
+
+    @pytest.mark.parametrize("case", sorted(_min_plus_cases()))
+    def test_matches_strided_oracle(self, case):
+        left, right = _min_plus_cases()[case]
+        out, arg = min_plus(left, right)
+        expected_out, expected_arg = min_plus_strided(left, right)
+        assert out.tobytes() == expected_out.tobytes()
+        assert arg.tobytes() == expected_arg.tobytes()
+
+    def test_bellman_stage_times_every_product(self, monkeypatch, profiler8):
+        """``stage_seconds["bellman"]`` holds the segment DP's and the
+        merge's min-plus products, the layer fold included."""
+        delay = 2e-3
+        calls = []
+
+        def slow(left, right):
+            calls.append(left.shape)
+            time.sleep(delay)
+            return min_plus(left, right)
+
+        monkeypatch.setattr(dp, "min_plus", slow)
+        monkeypatch.setattr(merge, "min_plus", slow)
+        graph = build_block_graph(OPT_6_7B.block_shape(batch=8))
+        result = PrimeParOptimizer(profiler8, beam=8).optimize(graph, n_layers=4)
+        stages = result.stage_seconds
+        folds = [shape for shape in calls if shape[0] == 1]
+        assert len(folds) == 3 and len(calls) > len(folds) + 1
+        assert len(calls) * delay <= stages["bellman"]
+        assert stages["bellman"] <= stages["segment_dp"] + stages["merge"]
 
 
 class TestSegmenter:

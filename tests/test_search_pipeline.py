@@ -491,7 +491,7 @@ def test_memoize_hits_misses_and_checks_types(tmp_path, monkeypatch):
 #: instead of letting a refactor move it.
 PINNED_KEYS = {
     "profiler": "be8df2354f6256d2785e52865d91b88d7aa04c54ca20b29af618e701a7e7305f",
-    "candidates": "267dc8d5778a860f434bd9d58da3ad2c385888dc96f21b5194d0c13fe0dae4b5",
+    "candidates": "4aabc269b2fac709554aadff72a5837fe7e4432601a5e21eee01743b6c9021d0",
     "simreport": "91beb990d485b8898e6d7e59263ca631438daf4cfa6e05c93ec0c725f6c37030",
     "pipesim": "9e959902b18fa11c93b2375387ab83cef3f21cdf1e6db6bf7d12207fbbf00d74",
 }
@@ -517,7 +517,7 @@ def _pinned_key_parts(kind):
     return {
         "profiler": ("profiler-allreduce", topology, (0,)),
         "candidates": (
-            "candidates", type_key(fc), topology, 2e-11, True, True, None,
+            "candidates", 1, type_key(fc), topology, 2e-11, True, True, None,
         ),
         "simreport": (
             "simreport", 2, (fc,), (), (("fc", "P2x2", 2),), 8, 1, topology,
