@@ -5,7 +5,8 @@ classes — compute-only (stragglers), link-only (degraded NIC pools),
 outage-only (checkpoint/restart recovery) and a mixed model — and records
 the Monte-Carlo percentiles and per-class attribution for each, plus where
 the sweep's time went, from its spans: lowering the plan
-(``lower_seconds``, ``sim.lower``), building kernel DAGs
+(``lower_seconds``, ``sim.lower``; a lowering loaded from the disk
+cache is not priced and adds nothing), building kernel DAGs
 (``build_seconds``, ``sim.build``) and executing them
 (``replay_seconds``, ``sim.execute``), with the kernels those replays
 executed (``kernels_executed``, from the same spans, so
@@ -20,7 +21,9 @@ along:
 * **reports_identical** (per class) — the sweep's report, whose replays
   share one lowering and re-time one kernel DAG per shape, must equal
   byte for byte a re-run of the same scenarios in which every replay
-  lowers the plan and builds a fresh DAG through ``graph_factory``;
+  prices the plan with the disk cache off (so a cached lowering is
+  checked against a freshly priced one) and builds a fresh DAG through
+  ``graph_factory``;
 
 * **determinism** — the mixed-class report must be bit-identical when the
   scenario fan-out runs serially and with ``--jobs`` workers (the seeded
@@ -87,8 +90,9 @@ def _report_bytes(report) -> str:
 
 
 def _per_replay_lowering_report(*args, **kwargs):
-    """:func:`evaluate_robustness` with every fault replay lowering the plan
-    and building a fresh kernel DAG itself, through ``graph_factory``."""
+    """:func:`evaluate_robustness` with every fault replay pricing the plan
+    (disk cache off) and building a fresh kernel DAG itself, through
+    ``graph_factory``."""
 
     def fresh_dag(sweep, scenario, n_layers):
         topology = sweep.simulator.topology
@@ -96,7 +100,8 @@ def _per_replay_lowering_report(*args, **kwargs):
             sweep.simulator.profiler,
             graph_factory=lambda: faults.FaultyKernelGraph(scenario, topology),
         )
-        lowering = simulator.lower(sweep.graph, sweep.plan)
+        with mock.patch.dict(os.environ, {"PRIMEPAR_CACHE": "off"}):
+            lowering = simulator.lower(sweep.graph, sweep.plan)
         return simulator.build(sweep.graph, lowering, n_layers)
 
     with mock.patch.object(faults.FaultSweep, "_dag", fresh_dag):

@@ -2,11 +2,12 @@
 
 Repeated benchmark and CLI invocations redo identical work: candidate-set
 enumeration + intra costing per operator type, the profiler's
-least-squares model fits, and simulation replays (``simreport`` entries
-for iteration reports, ``pipesim`` entries for event-driven pipeline
-schedules).  All are pure functions of their inputs, so the results are
-stored on disk keyed by a content hash of everything that can influence
-them (model shape, topology, alpha, beam, schema version, ...).
+least-squares model fits, plan lowerings (``lowering`` entries, the
+event engine's priced cost terms) and simulation replays (``simreport``
+entries for iteration reports, ``pipesim`` entries for event-driven
+pipeline schedules).  All are pure functions of their inputs, so the
+results are stored on disk keyed by a content hash of everything that can
+influence them (model shape, topology, alpha, beam, schema version, ...).
 :func:`memoize` is the one path that wraps such a computation.
 
 Keys are built by :func:`content_key` from a *canonical* byte encoding of

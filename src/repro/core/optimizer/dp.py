@@ -37,22 +37,23 @@ def min_plus(
     :data:`~repro.core.cost.inter.CHUNK_BYTES` (at least one) and reduces
     over its last, contiguous axis; every column sees the same sums
     whatever the chunking, and ``argmin`` keeps the first minimum, so ties
-    break identically.
+    break identically.  Only the argmin is kept per chunk: ``out`` is
+    rebuilt once as ``left[a, arg] + right[arg, c]``, the same IEEE add of
+    the same two operands, so it is byte-identical to the minimum itself.
     """
     n_a, n_b = left.shape
     n_b2, n_c = right.shape
     if n_b != n_b2:
         raise ValueError(f"shape mismatch {left.shape} x {right.shape}")
-    out = np.empty((n_a, n_c))
     arg = np.empty((n_a, n_c), dtype=np.int32)
     columns = np.ascontiguousarray(right.T)
-    chunk = max(1, CHUNK_BYTES // (n_a * n_b * out.itemsize))
+    chunk = max(1, CHUNK_BYTES // (n_a * n_b * columns.itemsize))
     for lo in range(0, n_c, chunk):
         hi = min(lo + chunk, n_c)
-        stacked = left[:, None, :] + columns[None, lo:hi, :]
-        best = stacked.argmin(axis=2)
-        arg[:, lo:hi] = best
-        out[:, lo:hi] = np.take_along_axis(stacked, best[..., None], axis=2)[..., 0]
+        arg[:, lo:hi] = (left[:, None, :] + columns[None, lo:hi, :]).argmin(
+            axis=2
+        )
+    out = left[np.arange(n_a)[:, None], arg] + right[arg, np.arange(n_c)]
     return out, arg
 
 

@@ -79,7 +79,9 @@ frozen copy of the original implementation):
   replay needs (Eq. 7 step compute, sized ring transfers, all-reduce and
   layernorm extras, Eq. 8–9 redistribution, the memory terms) depends only
   on the graph, the plan and the fabric, so :meth:`EventDrivenSimulator.lower`
-  prices them once into a picklable :class:`PlanLowering`, and
+  prices them once into a picklable :class:`PlanLowering` (memoized on disk
+  as ``lowering`` entries, so a later request replaying the same plan loads
+  it instead of re-pricing), and
   :meth:`EventDrivenSimulator.build` turns it into a kernel DAG whose
   kernels keep their priced durations.  Faults change durations and link
   capacities, not the DAG's shape: each :meth:`KernelGraph.execute` takes
@@ -134,6 +136,12 @@ SIM_SCHEMA = 2
 
 #: Cache kind of iteration reports (file prefix in the cache directory).
 REPORT_KIND = "simreport"
+
+#: Bump when :class:`PlanLowering`'s layout or pricing changes meaning.
+LOWERING_SCHEMA = 1
+
+#: Cache kind of plan lowerings.
+LOWERING_KIND = "lowering"
 
 #: Perf-stat keys every optimised KernelGraph reports (see ``perf_stats``).
 PERF_STAT_KEYS = (
@@ -819,13 +827,42 @@ class EventDrivenSimulator:
         The last lowering is kept: calling again with the same graph object
         and equal specs returns it without re-pricing, so a fault sweep
         whose nominal replay missed the report cache reuses the nominal's
-        lowering.
+        lowering.  Beyond that, lowerings are memoized on disk
+        (``lowering`` entries, keyed like a report less batch and layers),
+        so a fresh simulator asked for an already-priced plan loads it;
+        ``sim.lowerings`` counts only the lowerings actually priced.
         """
         specs = tuple(plan[node.name] for node in graph.nodes)
         if self._lowered is not None:
             last_graph, last_specs, lowering = self._lowered
             if last_graph is graph and last_specs == specs:
                 return lowering
+        lowering, _ = diskcache.memoize(
+            LOWERING_KIND,
+            (
+                LOWERING_KIND,
+                LOWERING_SCHEMA,
+                tuple(graph.nodes),
+                tuple(graph.edges),
+                tuple(
+                    (node.name, str(spec), spec.n_bits)
+                    for node, spec in zip(graph.nodes, specs)
+                ),
+                self.profiler.topology,
+            ),
+            lambda: self._price(graph, plan, specs),
+            PlanLowering,
+        )
+        self._lowered = (graph, specs, lowering)
+        return lowering
+
+    def _price(
+        self,
+        graph: ComputationGraph,
+        plan: Mapping[str, PartitionSpec],
+        specs: Tuple[PartitionSpec, ...],
+    ) -> PlanLowering:
+        """Price ``plan``'s :class:`PlanLowering` from scratch."""
         started = time.perf_counter()
         with span("sim.lower", ops=len(graph.nodes), edges=len(graph.edges)):
             edge_costs = {
@@ -859,7 +896,6 @@ class EventDrivenSimulator:
             "sim.lower", ops=len(graph.nodes),
             seconds=time.perf_counter() - started,
         )
-        self._lowered = (graph, specs, lowering)
         return lowering
 
     def _price_phase(

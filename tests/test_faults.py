@@ -14,17 +14,22 @@ The contracts under test:
   ``test_golden_engine.py``).
 * **Lower once, build once** — a sweep prices the plan once, builds each
   kernel-DAG shape once and re-times it per scenario, byte-identically to
-  replays that lower the plan and build a fresh DAG themselves.
+  replays that lower the plan and build a fresh DAG themselves; a plan
+  already lowered loads its lowering from the disk cache and prices
+  nothing, with the same report bytes as pricing from scratch.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pickle
+from unittest import mock
 
 import pytest
 
 from repro import EventDrivenSimulator, PrimeParOptimizer, ValidationError
+from repro import cache as diskcache
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
 from repro.core.cost.inter import InterOperatorCostModel
@@ -279,8 +284,10 @@ def _report_bytes(report) -> str:
 
 
 def _per_replay_lowering(monkeypatch):
-    """Make every fault replay lower the plan and build its kernel DAG
-    itself, through ``graph_factory`` (the from-scratch reference path)."""
+    """Make every fault replay price the plan and build its kernel DAG
+    itself, through ``graph_factory`` (the from-scratch reference path).
+    Each lowering runs with the disk cache off, so it is priced, never
+    loaded."""
 
     def fresh_dag(sweep, scenario, n_layers):
         topology = sweep.simulator.topology
@@ -288,7 +295,8 @@ def _per_replay_lowering(monkeypatch):
             sweep.simulator.profiler,
             graph_factory=lambda: faults.FaultyKernelGraph(scenario, topology),
         )
-        lowering = simulator.lower(sweep.graph, sweep.plan)
+        with mock.patch.dict(os.environ, {"PRIMEPAR_CACHE": "off"}):
+            lowering = simulator.lower(sweep.graph, sweep.plan)
         return simulator.build(sweep.graph, lowering, n_layers)
 
     monkeypatch.setattr(faults.FaultSweep, "_dag", fresh_dag)
@@ -402,24 +410,44 @@ class TestPriceOnce:
         )
         return calls
 
-    @staticmethod
-    def _lowerings(snapshot) -> float:
-        return sum(
-            e["value"] for e in snapshot["counters"]
-            if e["name"] == "sim.lowerings"
-        )
-
-    def test_faulted_sweep_prices_each_edge_once(self, setting, monkeypatch):
+    def _sweep(self, setting, monkeypatch):
+        """Count edge pricings and metrics of one faulted sweep."""
         profiler, graph, plan = setting
-        EventDrivenSimulator(profiler).run_model(graph, plan, 8, 4)  # warm
         calls = self._count_pricing(monkeypatch)
         with use_registry(MetricsRegistry()) as registry:
             evaluate_robustness(
                 profiler, graph, plan, 8, 4, MIXED, scenarios=6, seed=3,
             )
-            snapshot = registry.snapshot()
+            return calls, registry.snapshot()
+
+    def test_faulted_sweep_prices_each_edge_once(
+        self, setting, monkeypatch, tmp_path
+    ):
+        """A cached report but no cached lowering: the sweep prices every
+        edge once, and stores the lowering it priced."""
+        profiler, graph, plan = setting
+        monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
+        EventDrivenSimulator(profiler).run_model(graph, plan, 8, 4)  # warm
+        for path in tmp_path.glob("lowering-*.pkl"):
+            path.unlink()
+        calls, snapshot = self._sweep(setting, monkeypatch)
         assert sorted(calls) == sorted(edge.key() for edge in graph.edges)
-        assert self._lowerings(snapshot) == 1
+        assert _counted(snapshot, "sim.lowerings") == 1
+        assert _counted(snapshot, "cache.stores", kind="lowering") == 1
+        assert len(list(tmp_path.glob("lowering-*.pkl"))) == 1
+
+    def test_warm_sweep_loads_the_lowering(
+        self, setting, monkeypatch, tmp_path
+    ):
+        """After a warm ``run_model`` the sweep prices no edge: it loads
+        the lowering the nominal replay stored."""
+        profiler, graph, plan = setting
+        monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
+        EventDrivenSimulator(profiler).run_model(graph, plan, 8, 4)  # warm
+        calls, snapshot = self._sweep(setting, monkeypatch)
+        assert calls == []
+        assert _counted(snapshot, "sim.lowerings") == 0
+        assert _counted(snapshot, "cache.hits", kind="lowering") == 1
 
     def test_cold_nominal_lowering_is_reused(self, setting, monkeypatch):
         profiler, graph, plan = setting
@@ -442,7 +470,69 @@ class TestPriceOnce:
             snapshot = registry.snapshot()
         assert report.outage_scenarios == 4
         assert calls == []
-        assert self._lowerings(snapshot) == 0
+        assert _counted(snapshot, "sim.lowerings") == 0
+
+
+def _counted(snapshot, name: str, **labels: str) -> float:
+    return sum(
+        e["value"] for e in snapshot["counters"]
+        if e["name"] == name
+        and all(e["labels"].get(k) == v for k, v in labels.items())
+    )
+
+
+class TestLoweringCache:
+    """``lowering`` disk entries: one simulator stores, a fresh one loads,
+    and a loaded lowering replays to the bytes of a priced one."""
+
+    def test_loaded_lowering_report_matches_cache_off(
+        self, setting, monkeypatch, tmp_path
+    ):
+        profiler, graph, plan = setting
+        monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
+        EventDrivenSimulator(profiler).lower(graph, plan)  # stores
+        assert len(list(tmp_path.glob("lowering-*.pkl"))) == 1
+        with use_registry(MetricsRegistry()) as registry:
+            loaded = _report_bytes(evaluate_robustness(
+                profiler, graph, plan, 8, 4, MIXED, scenarios=6, seed=3,
+            ))
+            snapshot = registry.snapshot()
+        assert _counted(snapshot, "cache.hits", kind="lowering") == 1
+        assert _counted(snapshot, "sim.lowerings") == 0
+        monkeypatch.setenv("PRIMEPAR_CACHE", "off")
+        priced = _report_bytes(evaluate_robustness(
+            profiler, graph, plan, 8, 4, MIXED, scenarios=6, seed=3,
+        ))
+        assert loaded == priced
+
+    @pytest.mark.parametrize("cause", ["corrupt", "stale", "foreign"])
+    def test_bad_entry_is_repriced(
+        self, setting, monkeypatch, tmp_path, cause
+    ):
+        """A corrupt or stale entry is discarded, and one holding no
+        ``PlanLowering`` is a miss; each is priced again."""
+        profiler, graph, plan = setting
+        monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
+        reference = EventDrivenSimulator(profiler).lower(graph, plan)
+        (path,) = tmp_path.glob("lowering-*.pkl")
+        path.write_bytes({
+            "corrupt": b"not a pickle at all",
+            "stale": pickle.dumps(
+                {"version": diskcache.CACHE_VERSION - 1, "value": reference}
+            ),
+            "foreign": pickle.dumps(
+                {"version": diskcache.CACHE_VERSION, "value": {"not": 1}}
+            ),
+        }[cause])
+        with use_registry(MetricsRegistry()) as registry:
+            lowering = EventDrivenSimulator(profiler).lower(graph, plan)
+            snapshot = registry.snapshot()
+        assert lowering == reference
+        assert _counted(snapshot, "sim.lowerings") == 1
+        assert _counted(
+            snapshot, "cache.discards", kind="lowering", cause=cause
+        ) == (cause != "foreign")
+        assert EventDrivenSimulator(profiler).lower(graph, plan) == reference
 
 
 class TestZeroFaultGraphPassThrough:

@@ -494,6 +494,7 @@ PINNED_KEYS = {
     "candidates": "4aabc269b2fac709554aadff72a5837fe7e4432601a5e21eee01743b6c9021d0",
     "simreport": "91beb990d485b8898e6d7e59263ca631438daf4cfa6e05c93ec0c725f6c37030",
     "pipesim": "9e959902b18fa11c93b2375387ab83cef3f21cdf1e6db6bf7d12207fbbf00d74",
+    "lowering": "1ab6d340d442c38cf9489065049bd601dbf340f3162adc56d09c184d45c2819a",
 }
 
 
@@ -522,6 +523,9 @@ def _pinned_key_parts(kind):
         "simreport": (
             "simreport", 2, (fc,), (), (("fc", "P2x2", 2),), 8, 1, topology,
         ),
+        "lowering": (
+            "lowering", 1, (fc,), (), (("fc", "P2x2", 2),), topology,
+        ),
         "pipesim": (
             "pipesim", 1, PipelinePlan(2, 2), 1e-3, 2e-3, 4e6,
             topology.inter_link,
@@ -540,6 +544,9 @@ def _fill_pinned(kind):
     elif kind == "simreport":
         plan = {"fc": PartitionSpec.from_string("P2x2", 2)}
         EventDrivenSimulator(profiler).run(graph, plan, 8)
+    elif kind == "lowering":
+        plan = {"fc": PartitionSpec.from_string("P2x2", 2)}
+        EventDrivenSimulator(profiler).lower(graph, plan)
     else:
         pipeline_iteration_events(
             PipelinePlan(2, 2), 1e-3, 2e-3, 4e6,
