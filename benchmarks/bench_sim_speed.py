@@ -24,7 +24,11 @@ Scenarios:
   (``tests/legacy_faults.py``, one fresh build per scenario) and on one
   build of the live fault graph re-timed per scenario.  Only
   ``execute`` is timed; it records microseconds per kernel, the engine
-  counters of the live runs and whether every makespan is identical.
+  counters of the live runs and whether every makespan is identical.  Its
+  ``transfer_free`` class replays the Megatron plan's DAG of the same
+  depth under the compute-class scenarios: it has no transfers, so the
+  live graph schedules it in one pass, which is also timed against the
+  live event loop on the same build, every kernel's times compared.
 
 Standalone::
 
@@ -292,8 +296,86 @@ FAULTED_CLASSES = {
 }
 
 
+def _kernel_times(kg) -> List[Tuple[float, float]]:
+    return [(k.start_time, k.end_time) for k in kg.kernels]
+
+
+def _timed(run: Callable[[], float]) -> Tuple[float, float]:
+    started = time.perf_counter()
+    makespan = run()
+    return time.perf_counter() - started, makespan
+
+
+def _faulted_class(
+    spec, profiler, graph, lowering, template, n_layers, scenarios,
+    loop=False,
+) -> Dict:
+    """Execute ``template`` under ``spec``'s scenarios, each also on a fresh
+    frozen fault graph; with ``loop``, also on the live event loop, and
+    compare every kernel's times, not only the makespans."""
+    topology = profiler.topology
+    template.retime(FaultScenario(index=0, seed=0))
+    drawn = FaultModel.from_spec(spec).scenarios(
+        topology, scenarios, 0, template.execute()
+    )
+    entry = {
+        "spec": spec,
+        "scenarios": len(drawn),
+        "kernels": len(template.kernels),
+        "transfers": sum(k.transfer is not None for k in template.kernels),
+        "legacy_seconds": 0.0,
+        "seconds": 0.0,
+        "contention_flushes": 0,
+        "queue_pushes": 0,
+        "identical": True,
+    }
+    if loop:
+        entry["loop_seconds"] = 0.0
+    for scenario in drawn:
+        frozen = EventDrivenSimulator(
+            profiler,
+            graph_factory=lambda: legacy_faults.FaultyKernelGraph(
+                scenario, topology
+            ),
+        ).build(graph, lowering, n_layers)
+        legacy_seconds, legacy_makespan = _timed(frozen.execute)
+        legacy_times = _kernel_times(frozen) if loop else None
+        del frozen
+        template.retime(scenario)
+        seconds, makespan = _timed(template.execute)
+        stats = template.perf_stats()
+        entry["legacy_seconds"] += legacy_seconds
+        entry["seconds"] += seconds
+        entry["contention_flushes"] += stats["contention_flushes"]
+        entry["queue_pushes"] += stats["queue_pushes"]
+        entry["identical"] &= makespan == legacy_makespan
+        if loop:
+            times = _kernel_times(template)
+            entry["identical"] &= times == legacy_times
+            loop_seconds, loop_makespan = _timed(template._execute_events)
+            entry["loop_seconds"] += loop_seconds
+            entry["identical"] &= (
+                loop_makespan == makespan
+                and _kernel_times(template) == times
+            )
+    entry["schedule"] = template.schedule
+    executed = entry["kernels"] * len(drawn)
+    entry["legacy_us_per_kernel"] = entry["legacy_seconds"] / executed * 1e6
+    entry["us_per_kernel"] = entry["seconds"] / executed * 1e6
+    if loop:
+        entry["loop_us_per_kernel"] = entry["loop_seconds"] / executed * 1e6
+        entry["speedup_vs_loop"] = entry["loop_seconds"] / entry["seconds"]
+    return entry
+
+
 def _measure_faulted_execute(smoke: bool, workdir: str) -> Dict:
-    """Cold ``execute`` of one fault-sweep DAG: frozen vs live fault graph."""
+    """Cold ``execute`` of one fault-sweep DAG: frozen vs live fault graph.
+
+    The PrimePar plan's DAG carries ring transfers, so it takes the event
+    loop; the ``transfer_free`` class replays the Megatron plan's DAG of
+    the same depth, which has none and takes the one-pass schedule, and
+    also times the event loop on it.
+    """
     model = OPT_6_7B if smoke else OPT_175B
     n_devices, gpus_per_node = (4, 2) if smoke else (32, 4)
     batch = 8 if smoke else 32
@@ -316,57 +398,30 @@ def _measure_faulted_execute(smoke: bool, workdir: str) -> Dict:
     )
     lowering = live.lower(graph, plan)
     template = live.build(graph, lowering, n_layers)
-    nominal = template.execute()
-    n_kernels = len(template.kernels)
-
-    def timed_execute(kg) -> Tuple[float, float]:
-        started = time.perf_counter()
-        makespan = kg.execute()
-        return time.perf_counter() - started, makespan
-
-    classes = {}
-    for label, spec in FAULTED_CLASSES.items():
-        drawn = FaultModel.from_spec(spec).scenarios(
-            topology, scenarios, 0, nominal
+    classes = {
+        label: _faulted_class(
+            spec, profiler, graph, lowering, template, n_layers, scenarios
         )
-        entry = {
-            "spec": spec,
-            "scenarios": len(drawn),
-            "legacy_seconds": 0.0,
-            "seconds": 0.0,
-            "contention_flushes": 0,
-            "queue_pushes": 0,
-            "identical": True,
-        }
-        for scenario in drawn:
-            frozen = EventDrivenSimulator(
-                profiler,
-                graph_factory=lambda: legacy_faults.FaultyKernelGraph(
-                    scenario, topology
-                ),
-            ).build(graph, lowering, n_layers)
-            legacy_seconds, legacy_makespan = timed_execute(frozen)
-            del frozen
-            template.retime(scenario)
-            seconds, makespan = timed_execute(template)
-            stats = template.perf_stats()
-            entry["legacy_seconds"] += legacy_seconds
-            entry["seconds"] += seconds
-            entry["contention_flushes"] += stats["contention_flushes"]
-            entry["queue_pushes"] += stats["queue_pushes"]
-            entry["identical"] &= makespan == legacy_makespan
-        executed = n_kernels * len(drawn)
-        entry["legacy_us_per_kernel"] = entry["legacy_seconds"] / executed * 1e6
-        entry["us_per_kernel"] = entry["seconds"] / executed * 1e6
-        classes[label] = entry
+        for label, spec in FAULTED_CLASSES.items()
+    }
+    megatron = best_megatron_plan(
+        EventDrivenSimulator(profiler), graph, batch
+    ).plan
+    lowering = live.lower(graph, megatron)
+    classes["transfer_free"] = _faulted_class(
+        FAULTED_CLASSES["compute"], profiler, graph, lowering,
+        live.build(graph, lowering, n_layers), n_layers, scenarios,
+        loop=True,
+    )
+    classes["transfer_free"]["plan"] = "megatron"
     legacy_seconds = sum(e["legacy_seconds"] for e in classes.values())
     seconds = sum(e["seconds"] for e in classes.values())
-    executed = n_kernels * sum(e["scenarios"] for e in classes.values())
+    executed = sum(e["kernels"] * e["scenarios"] for e in classes.values())
     return {
         "model": model.name,
         "devices": n_devices,
         "layers": n_layers,
-        "kernels": n_kernels,
+        "kernels": len(template.kernels),
         "classes": classes,
         "legacy_us_per_kernel": legacy_seconds / executed * 1e6,
         "us_per_kernel": seconds / executed * 1e6,
@@ -491,6 +546,15 @@ def _report(payload: Dict) -> str:
         f"live {faulted['us_per_kernel']:.2f} us/kernel "
         f"({faulted['speedup']:.2f}x)"
         f"  [identical={faulted['identical']}]"
+    )
+    free = faulted["classes"]["transfer_free"]
+    lines.append(
+        f"    transfer-free megatron ({free['kernels']} kernels): "
+        f"legacy {free['legacy_us_per_kernel']:.2f}, "
+        f"loop {free['loop_us_per_kernel']:.2f}, "
+        f"pass {free['us_per_kernel']:.2f} us/kernel "
+        f"({free['speedup_vs_loop']:.2f}x the loop)"
+        f"  [identical={free['identical']}]"
     )
     return "\n".join(lines)
 

@@ -12,7 +12,8 @@ models (Eq. 7–9); this module replays them on the simulated cluster:
 * :class:`SimKernel` — a dependency-driven task occupying streams and/or
   carrying a point-to-point transfer;
 * :class:`KernelGraph` — builds a kernel DAG and executes it to completion
-  in one discrete-event loop with a simulated clock;
+  in one discrete-event loop with a simulated clock (or, for a DAG without
+  transfers, in one topological pass);
 * :class:`EventDrivenSimulator` — lowers a partition plan to a kernel DAG
   (per-device compute steps, overlapped ring sends on real link resources,
   all-reduce/redistribution barrier kernels) and produces an
@@ -58,6 +59,23 @@ frozen copy of the original implementation):
   pushes far fewer entries; ``queue_pushes`` and ``queue_stale_drops``
   keep counting what the closure engine's queue did (one push per
   re-timing, one stale drop per superseded one).
+* **One pass for transfer-free DAGs.**  The loop exists for fluid link
+  contention between flows.  A DAG without transfers (every Megatron
+  plan's, and a PrimePar plan's whose specs send no ring traffic) and
+  without timed events has none, and there each kernel starts the moment
+  its last wait finishes; the clock never runs backwards, so that is the
+  latest end among its predecessors.  :meth:`KernelGraph.execute` then
+  computes the schedule in one pass in submission order, ``start[i] =
+  max(end[p] for p in preds[i])`` (``0.0`` for a root) and ``end[i] =
+  start[i] + duration``: the same max and the same IEEE add as the loop's
+  ``now + durations[i]``, so every timestamp is bit-identical by
+  construction, not by tolerance.  The compiled DAG keeps ``preds`` only
+  if every wait is on a kernel of the graph submitted before its waiter
+  and each device's busy kernels share a stream in turn: they then finish
+  in kernel order, which is the order the loop adds their busy seconds
+  in.  The counters are the loop's (one queue push per kernel, nothing
+  else) and no link opens.  Any other DAG, and any graph with timed
+  events (a fault graph's NIC flaps), takes the loop.
 * **Determinism.**  Equal-timestamp events fire in submission order
   (``seq`` is one monotonic counter; a re-timing draws a fresh value, so
   it orders as a new submission); flows are iterated in activation order
@@ -280,11 +298,13 @@ class _CompiledDag:
     streams, then its dependants — and ``roots`` lists, reversed, the
     kernels that wait for nothing.  Both are reversed so they go straight
     onto the loop's LIFO stack and pop in the original engine's order.
+    ``preds[i]`` lists the same waits as kernel indices, duplicates kept,
+    when the DAG can be scheduled in one pass (else ``preds`` is ``None``).
     """
 
     __slots__ = (
         "n", "waits", "wakes", "roots", "durations", "transfers",
-        "busy_device", "_kernels", "_by_kind",
+        "busy_device", "preds", "_kernels", "_by_kind",
     )
 
     def __init__(self, kernels: Sequence[SimKernel]) -> None:
@@ -355,6 +375,37 @@ class _CompiledDag:
             kernel.device if kernel.record and not kernel.overlapped else None
             for kernel in kernels
         ]
+        self.preds = self._pass_preds()
+
+    def _pass_preds(self) -> Optional[List[List[int]]]:
+        """Each kernel's predecessors, if the DAG can skip the event loop
+        (no transfer, every wait on an earlier kernel of the graph, each
+        device's busy kernels chained by shared streams; see the module
+        doc), else ``None``."""
+        n = self.n
+        if self.transfers.count(None) != n:
+            return None
+        preds: List[List[int]] = [[] for _ in range(n)]
+        for j, woken in enumerate(self.wakes):
+            for i in woken:
+                if i <= j:
+                    return None
+                preds[i].append(j)
+        # A dependency outside the graph is a wait nothing wakes.
+        if list(map(len, preds)) != self.waits:
+            return None
+        busy_streams: Dict[int, List[StreamResource]] = {}
+        for kernel, device in zip(self._kernels, self.busy_device):
+            if device is not None:
+                streams = kernel.streams
+                prior = busy_streams.get(device, streams)
+                busy_streams[device] = streams
+                for stream in streams:
+                    if stream in prior:
+                        break
+                else:
+                    return None
+        return preds
 
     def by_kind(self) -> Dict[Tuple[str, int], List[int]]:
         """The kernels with a positive duration that occupy streams (no
@@ -390,6 +441,9 @@ class KernelGraph:
         self._links: Dict[str, _SharedLink] = {}
         self._busy: Dict[int, float] = {}
         self._perf: Dict[str, int] = dict.fromkeys(PERF_STAT_KEYS, 0)
+        #: How the last :meth:`execute` scheduled the DAG: ``"pass"`` or
+        #: ``"events"`` (``None`` before the first).
+        self.schedule: Optional[str] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -483,12 +537,49 @@ class KernelGraph:
 
         Resets the clock, event heap, links, flows and counters and every
         kernel's start and end times, so a re-execution equals the first
-        run of a freshly built graph.
+        run of a freshly built graph.  A DAG with neither transfers nor
+        timed events is scheduled in one pass (see the module doc), any
+        other through the event loop; :attr:`schedule` says which ran.
 
         Raises:
             RuntimeError: If the DAG deadlocks (a dependency cycle, or
                 stream submission orders inconsistent with the deps).
         """
+        dag = self._compile()
+        preds = dag.preds
+        if preds is None or self._timed_events():
+            self.schedule = "events"
+            return self._execute_events()
+        self.schedule = "pass"
+        durations = self.run_durations()
+        n = dag.n
+        start = [0.0] * n
+        end = [0.0] * n
+        for i, mine in enumerate(preds):
+            if not mine:
+                begin = 0.0
+            elif len(mine) == 1:
+                begin = end[mine[0]]
+            else:
+                begin = max([end[j] for j in mine])
+            start[i] = begin
+            end[i] = begin + durations[i]
+        self._links = {}
+        self._busy = busy = {}
+        for i, device in enumerate(dag.busy_device):
+            if device is not None:
+                elapsed = end[i] - start[i]
+                if elapsed > 0:
+                    busy[device] = busy.get(device, 0.0) + elapsed
+        self._perf = dict.fromkeys(PERF_STAT_KEYS, 0)
+        self._perf["queue_pushes"] = n
+        for kernel, started, ended in zip(self.kernels, start, end):
+            kernel.start_time = started
+            kernel.end_time = ended
+        return max(end, default=0.0)
+
+    def _execute_events(self) -> float:
+        """:meth:`execute` through the event loop, for any DAG."""
         dag = self._compile()
         n = dag.n
         flow_code = n          # [n, 2n): a flow's completion
@@ -1130,8 +1221,11 @@ class EventDrivenSimulator:
         ``(makespan, spliceable, stats)``; only a one-layer run can be
         spliceable.
         """
-        with span("sim.execute", kernels=len(kg.kernels)):
+        with span("sim.execute", kernels=len(kg.kernels)) as attrs:
             latency = kg.execute()
+            schedule = getattr(kg, "schedule", None)
+            if schedule is not None:
+                attrs["schedule"] = schedule
         spliceable = n_layers == 1 and self._spliceable(kg, latency)
         counter("sim.kernels_executed").inc(len(kg.kernels))
         stats: Dict[str, int] = {"kernels": len(kg.kernels)}

@@ -56,6 +56,10 @@ THRESHOLDS: List[Tuple[str, str, str, float]] = [
     # The cold engine alone: live fault-graph execute vs the frozen one.
     ("BENCH_sim_speed.json", "faulted_execute.speedup",
      "lower_worse", 0.50),
+    # A transfer-free DAG's one-pass schedule vs the event loop on it.
+    ("BENCH_sim_speed.json",
+     "faulted_execute.classes.transfer_free.speedup_vs_loop",
+     "lower_worse", 0.50),
     # The robustness metrics are deterministic simulation outputs (seeded
     # scenarios, nearest-rank percentiles) — any drift is a model change,
     # so the tolerance is tight rather than a noise allowance.
