@@ -10,10 +10,13 @@ cache is not priced and adds nothing), building kernel DAGs
 (``build_seconds``, ``sim.build``) and executing them
 (``replay_seconds``, ``sim.execute``), with the kernels those replays
 executed (``kernels_executed``, from the same spans, so
-``replay_seconds / kernels_executed`` is the engine's cost per kernel)
-and the contention flushes the engine counted (``contention_flushes``,
-the ``sim.contention_flushes`` counter, which a nominal replay served
-from the report cache re-emits).  A splice census counts how often a faulted
+``replay_seconds / kernels_executed`` is the engine's cost per kernel;
+a DAG holds only the step-begin markers that wait on a transfer or start
+a send, so that cost is per kernel that shapes the schedule, higher than
+in runs whose counts held no-op markers: compare ``replay_seconds``
+across them) and the contention flushes the engine counted
+(``contention_flushes``, the ``sim.contention_flushes`` counter, which a
+nominal replay served from the report cache re-emits).  A splice census counts how often a faulted
 one-layer probe spliced (``splice_probes``, ``spliced``, from the
 ``faults.splice_probes`` counter).  Three structural checks ride
 along:

@@ -13,7 +13,8 @@ influence them (model shape, topology, alpha, beam, schema version, ...).
 Keys are built by :func:`content_key` from a *canonical* byte encoding of
 plain Python values (numbers, strings, tuples, dicts, enums, dataclasses) —
 anything unstable (object identities, unsorted sets) is rejected rather
-than silently hashed.  Values are pickled together with
+than silently hashed.  A part several keys share can be encoded once
+(:func:`encoded`) and spliced into each, with the same digest.  Values are pickled together with
 :data:`CACHE_VERSION`; entries written by an older schema, or corrupted on
 disk, are deleted and recomputed with a logged warning — they never crash a
 search.
@@ -88,7 +89,10 @@ def _canonical(value: Any, out: list) -> None:
     elif isinstance(value, str):
         out.append(b"s%d:" % len(value.encode()) + value.encode())
     elif isinstance(value, bytes):
-        out.append(b"b%d:" % len(value) + value)
+        if isinstance(value, Encoded):
+            out.append(value)
+        else:
+            out.append(b"b%d:" % len(value) + value)
     elif isinstance(value, enum.Enum):
         _canonical((type(value).__qualname__, value.value), out)
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -123,6 +127,26 @@ def _canonical(value: Any, out: list) -> None:
         out.append(b"}")
     else:
         raise TypeError(f"value of type {type(value)!r} is not cacheable")
+
+
+class Encoded(bytes):
+    """A value's canonical encoding, made by :func:`encoded`.
+
+    :func:`content_key` splices it in verbatim, so a key holding it has
+    the digest of a key holding the value, and a part shared by several
+    keys is encoded once.
+    """
+
+
+def encoded(value: Any) -> Any:
+    """``value``'s :class:`Encoded` bytes, or ``value`` itself if it
+    cannot be canonically encoded (so :func:`memo_key` still says so)."""
+    out: list = []
+    try:
+        _canonical(value, out)
+    except TypeError:
+        return value
+    return Encoded(b"".join(out))
 
 
 def content_key(kind: str, *parts: Any) -> str:

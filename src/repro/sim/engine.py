@@ -76,6 +76,19 @@ frozen copy of the original implementation):
   in.  The counters are the loop's (one queue push per kernel, nothing
   else) and no link opens.  Any other DAG, and any graph with timed
   events (a fault graph's NIC flaps), takes the loop.
+* **Only kernels that shape the schedule.**  A lowered DAG holds each
+  rank's compute steps, the real ring sends, and per collective a barrier
+  plus one kernel per rank.  A step-begin marker (zero duration, on its
+  rank's stream, never recorded) is added only where it constrains the
+  schedule: it waits on the ring transfers its rank received in the
+  previous step, or ring sends leave its rank at that step and start from
+  it.  A marker with neither has no dependency, so it would end exactly
+  when its stream predecessor does.  Leaving it out moves no other kernel
+  in the one-pass schedule, by construction, and none in the event loop
+  on ``tests/test_legacy_build.py``'s grid, which holds every kept
+  kernel's times to the frozen build that emitted a marker per rank and
+  step.  A transfer-free DAG holds ~43% fewer kernels to build, compile,
+  re-time and replay.
 * **Determinism.**  Equal-timestamp events fire in submission order
   (``seq`` is one monotonic counter; a re-timing draws a fresh value, so
   it orders as a new submission); flows are iterated in activation order
@@ -92,7 +105,9 @@ frozen copy of the original implementation):
   Reports are additionally memoized on disk through
   :func:`repro.cache.memoize` (``simreport`` entries; the ``PRIMEPAR_CACHE*``
   knobs apply), with cached hits re-emitting the telemetry of the run they
-  replace.
+  replace.  The ``simreport`` and ``lowering`` keys splice in one
+  canonical encoding of the graph, made once per simulator and graph
+  (:func:`repro.cache.encoded`), with the digests of plain keys.
 * **Lower once, build once, re-time per scenario.**  Every cost term a
   replay needs (Eq. 7 step compute, sized ring transfers, all-reduce and
   layernorm extras, Eq. 8–9 redistribution, the memory terms) depends only
@@ -115,6 +130,7 @@ import math
 import time
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     Dict,
     List,
@@ -150,7 +166,7 @@ from .timeline import KernelRecord, Timeline
 _R = TypeVar("_R")
 
 #: Bump when report layout or engine semantics change meaning.
-SIM_SCHEMA = 2
+SIM_SCHEMA = 3
 
 #: Cache kind of iteration reports (file prefix in the cache directory).
 REPORT_KIND = "simreport"
@@ -252,6 +268,8 @@ class SimKernel:
         self,
         name: str,
         *,
+        streams: Sequence[StreamResource] = (),
+        deps: Sequence["SimKernel"] = (),
         duration: float = 0.0,
         kind: str = "",
         op: str = "",
@@ -270,8 +288,8 @@ class SimKernel:
         self.overlapped = overlapped
         self.record = record
         self.transfer = transfer
-        self.deps: List[SimKernel] = []
-        self.streams: List[StreamResource] = []
+        self.deps: List[SimKernel] = list(deps)
+        self.streams: List[StreamResource] = list(streams)
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
 
@@ -455,35 +473,10 @@ class KernelGraph:
             self._streams[name] = StreamResource(name)
         return self._streams[name]
 
-    def add(
-        self,
-        name: str,
-        *,
-        streams: Sequence[StreamResource] = (),
-        deps: Sequence[SimKernel] = (),
-        duration: float = 0.0,
-        transfer: Optional[Tuple[float, PathResources]] = None,
-        kind: str = "",
-        op: str = "",
-        phase: str = "-",
-        device: int = 0,
-        overlapped: bool = False,
-        record: bool = True,
-    ) -> SimKernel:
-        """Create a kernel on its streams (in submission order), with deps."""
-        kernel = SimKernel(
-            name,
-            duration=duration,
-            kind=kind,
-            op=op,
-            phase=phase,
-            device=device,
-            overlapped=overlapped,
-            record=record,
-            transfer=transfer,
-        )
-        kernel.streams = list(streams)
-        kernel.deps = list(deps)
+    def add(self, name: str, **fields: Any) -> SimKernel:
+        """Create a kernel on its streams (in submission order), with deps;
+        ``fields`` are :class:`SimKernel`'s keywords."""
+        kernel = SimKernel(name, **fields)
         self.kernels.append(kernel)
         self._dag = None
         return kernel
@@ -905,6 +898,9 @@ class EventDrivenSimulator:
         self._lowered: Optional[
             Tuple[ComputationGraph, Tuple[PartitionSpec, ...], PlanLowering]
         ] = None
+        #: The last graph and its nodes and edges as memo key parts; see
+        #: :meth:`_graph_parts`.
+        self._graph_key: Optional[Tuple[ComputationGraph, Any, Any]] = None
 
     # ------------------------------------------------------------------
     # lowering
@@ -933,8 +929,7 @@ class EventDrivenSimulator:
             (
                 LOWERING_KIND,
                 LOWERING_SCHEMA,
-                tuple(graph.nodes),
-                tuple(graph.edges),
+                *self._graph_parts(graph),
                 tuple(
                     (node.name, str(spec), spec.n_bits)
                     for node, spec in zip(graph.nodes, specs)
@@ -946,6 +941,19 @@ class EventDrivenSimulator:
         )
         self._lowered = (graph, specs, lowering)
         return lowering
+
+    def _graph_parts(self, graph: ComputationGraph) -> Tuple[Any, Any]:
+        """``tuple(graph.nodes)`` and ``tuple(graph.edges)`` as memo key
+        parts, canonically encoded once per graph: the ``lowering`` and
+        ``simreport`` keys of one request splice the same bytes."""
+        last = self._graph_key
+        if last is None or last[0] is not graph:
+            last = self._graph_key = (
+                graph,
+                diskcache.encoded(tuple(graph.nodes)),
+                diskcache.encoded(tuple(graph.edges)),
+            )
+        return last[1], last[2]
 
     def _price(
         self,
@@ -1086,8 +1094,7 @@ class EventDrivenSimulator:
         return (
             REPORT_KIND,
             SIM_SCHEMA,
-            tuple(graph.nodes),
-            tuple(graph.edges),
+            *self._graph_parts(graph),
             tuple(
                 sorted(
                     (name, str(spec), spec.n_bits)
@@ -1374,23 +1381,27 @@ class EventDrivenSimulator:
             # Step-begin markers: device r enters step t once its previous
             # step's compute (stream FIFO) and inbound double-buffer
             # transfers are done.  Ring sends overlapping step t start here.
-            markers: List[SimKernel] = []
+            # A marker that waits on no transfer and starts no send would
+            # end exactly when its stream predecessor does, so it is left
+            # out.
+            sends = ring_schedule.get(t, ())
+            senders = {send[1] for send in sends}
+            markers: Dict[int, SimKernel] = {}
             for rank, stream in enumerate(streams):
                 if t == 0:
                     deps = tails[rank]
                     tails[rank] = []
                 else:
                     deps = inbound_prev[rank]
-                markers.append(
-                    kg.add(
+                if deps or rank in senders:
+                    markers[rank] = kg.add(
                         f"{name}.{phase_tag}.begin{t}[{rank}]",
                         streams=[stream],
                         deps=deps,
                         record=False,
                     )
-                )
             inbound_now: Dict[int, List[SimKernel]] = {r: [] for r in range(n_ranks)}
-            for tensor, src, dst, n_bytes in ring_schedule.get(t, ()):
+            for tensor, src, dst, n_bytes in sends:
                 transfer = kg.add(
                     f"{name}.{phase_tag}.ring{t}.{tensor}[{src}->{dst}]",
                     deps=[markers[src]],

@@ -65,6 +65,32 @@ def test_fanned_out_threshold_compares_each_scale(tmp_path, capsys):
     assert "scales[*].cache_bytes[0]" in failures[2]
 
 
+def test_fault_dag_kernels_cannot_regrow(tmp_path, capsys):
+    """One fault class whose DAG holds one more kernel than the baseline
+    fails; one that holds fewer passes."""
+    baseline = json.loads(
+        (bench_compare.DEFAULT_BASELINE_DIR / "BENCH_sim_speed.json").read_text()
+    )
+    current = copy.deepcopy(baseline)
+    classes = current["faulted_execute"]["classes"]
+    compute, link = list(classes)[:2]
+    classes[compute]["kernels"] += 1
+    classes[link]["kernels"] -= 1
+    base_dir, cur_dir = tmp_path / "base", tmp_path / "cur"
+    for directory, doc in ((base_dir, baseline), (cur_dir, current)):
+        directory.mkdir()
+        for path in bench_compare.DEFAULT_BASELINE_DIR.glob("BENCH_*.json"):
+            (directory / path.name).write_text(path.read_text())
+        (directory / "BENCH_sim_speed.json").write_text(json.dumps(doc))
+    assert _run("--current-dir", cur_dir, "--baseline-dir", base_dir) == 1
+    failures = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  FAIL")
+    ]
+    assert len(failures) == 1
+    assert "faulted_execute.classes[*].kernels[0]" in failures[0]
+
+
 def test_smoke_requires_edge_pricing_seconds(tmp_path, capsys):
     """A smoke run whose warm serial search lacks its edge-pricing time
     fails, even with every search in its time bounds."""

@@ -486,13 +486,49 @@ def test_memoize_hits_misses_and_checks_types(tmp_path, monkeypatch):
     assert diskcache.entry_count() == 1
 
 
+def test_encoded_parts_splice_into_the_same_digest():
+    """A part encoded once keys exactly like the value it encodes; a part
+    that cannot be encoded stays itself, so the key is still refused."""
+    fc = _pinned_operator()
+    parts = ("unit-key", (fc, fc), {"a": (1, 2.5)}, b"raw")
+    spliced = tuple(diskcache.encoded(part) for part in parts)
+    assert all(isinstance(p, diskcache.Encoded) for p in spliced)
+    assert diskcache.content_key(*spliced) == diskcache.content_key(*parts)
+    # Raw bytes and their encoding stay distinct parts.
+    assert diskcache.content_key(*parts[:-1], b"b3:raw") != (
+        diskcache.content_key(*spliced)
+    )
+    unencodable = object()
+    assert diskcache.encoded(unencodable) is unencodable
+    assert diskcache.memo_key("unit-key", diskcache.encoded(unencodable)) is None
+
+
+def test_simulator_encodes_its_graph_once(monkeypatch):
+    """The ``simreport`` and ``lowering`` keys of one graph share its
+    encoding, and a new graph is encoded afresh."""
+    graph = ComputationGraph(nodes=[_pinned_operator()], edges=[])
+    simulator = EventDrivenSimulator(FabricProfiler(v100_cluster(4)))
+    encoded = []
+    real = diskcache.encoded
+    monkeypatch.setattr(
+        diskcache, "encoded", lambda value: encoded.append(value) or real(value)
+    )
+    first = simulator._graph_parts(graph)
+    assert simulator._graph_parts(graph) == first
+    assert len(encoded) == 2
+    assert first == (real(graph.nodes), real(graph.edges))
+    other = ComputationGraph(nodes=[_pinned_operator()], edges=[])
+    assert simulator._graph_parts(other) == first
+    assert len(encoded) == 4
+
+
 #: Full content key of one fixed input per disk kind.  A digest that moves
 #: colds every warm cache of that kind: bump ``CACHE_VERSION`` on purpose
 #: instead of letting a refactor move it.
 PINNED_KEYS = {
     "profiler": "be8df2354f6256d2785e52865d91b88d7aa04c54ca20b29af618e701a7e7305f",
     "candidates": "4aabc269b2fac709554aadff72a5837fe7e4432601a5e21eee01743b6c9021d0",
-    "simreport": "91beb990d485b8898e6d7e59263ca631438daf4cfa6e05c93ec0c725f6c37030",
+    "simreport": "62e5a5a32c99f3144fbe5cb01d494d4521ba65d4e4c0643cc2aa074976ff9768",
     "pipesim": "9e959902b18fa11c93b2375387ab83cef3f21cdf1e6db6bf7d12207fbbf00d74",
     "lowering": "1ab6d340d442c38cf9489065049bd601dbf340f3162adc56d09c184d45c2819a",
 }
@@ -521,7 +557,7 @@ def _pinned_key_parts(kind):
             "candidates", 1, type_key(fc), topology, 2e-11, True, True, None,
         ),
         "simreport": (
-            "simreport", 2, (fc,), (), (("fc", "P2x2", 2),), 8, 1, topology,
+            "simreport", 3, (fc,), (), (("fc", "P2x2", 2),), 8, 1, topology,
         ),
         "lowering": (
             "lowering", 1, (fc,), (), (("fc", "P2x2", 2),), topology,

@@ -60,6 +60,10 @@ THRESHOLDS: List[Tuple[str, str, str, float]] = [
     ("BENCH_sim_speed.json",
      "faulted_execute.classes.transfer_free.speedup_vs_loop",
      "lower_worse", 0.50),
+    # Kernels each fault-sweep DAG holds: the build is deterministic, so
+    # no allowance; kernels that shape no schedule must not come back.
+    ("BENCH_sim_speed.json", "faulted_execute.classes[*].kernels",
+     "higher_worse", 0.0),
     # The robustness metrics are deterministic simulation outputs (seeded
     # scenarios, nearest-rank percentiles) — any drift is a model change,
     # so the tolerance is tight rather than a noise allowance.
