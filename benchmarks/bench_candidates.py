@@ -9,7 +9,8 @@ beam ``None`` and 48), and on OPT-175B at 32 devices with beam 48;
 ``cost_batch``'s step-table Eq. 7 pricing against the frozen per-spec
 assembly (``tests/legacy_intra.py``) on every enumerated spec of the six
 models at 16 devices and of OPT-175B at 32; and the bulk ring sends
-against ``analysis.ring_transfers`` and ``epilogue_transfers`` on every
+against the scalar oracle's ``ring_transfers`` and ``epilogue_transfers``
+(``tests/schedule_oracle.py``) on every
 temporal spec of OPT-175B at 32 devices, the space its beam-48 builds
 prune.
 Takes a few minutes; ``-k opt_175b_32`` runs the 32-device check alone

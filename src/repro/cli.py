@@ -17,8 +17,8 @@ Request flags are generated from the :mod:`repro.api` dataclass fields —
 the same schema the serving daemon and :class:`repro.serve.PlanClient`
 speak — so names, defaults, allowed values and help text match every
 front-end, and a bad ``--devices`` fails with the identical message
-(exit code 2).  ``verify`` reports a malformed ``--spec`` or a ``--bits``
-the spec does not consume the same way.
+(exit code 2).  ``verify`` reports a malformed ``--spec``, a ``--bits``
+the spec does not consume or a negative ``--seed`` the same way.
 
 ``search``, ``simulate``, ``explain`` and ``faults`` answer through an
 in-process :class:`repro.serve.PlanService` with a fresh in-memory plan
@@ -213,6 +213,8 @@ def cmd_verify(args) -> int:
         spec = PartitionSpec(steps, args.bits)
     except ValueError as exc:
         raise ValidationError(str(exc), "bits") from None
+    if args.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {args.seed}", "seed")
     report = verify_spec(spec, seed=args.seed)
     emit(
         f"spec: {report.spec} over {2 ** args.bits} devices",

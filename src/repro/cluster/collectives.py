@@ -119,27 +119,6 @@ def concurrent_step_time(
     return float(_transfer_times(topology, transfers).max())
 
 
-def ring_allreduce_time(
-    topology: ClusterTopology,
-    group: Sequence[int],
-    n_bytes: float,
-    concurrent_groups: Sequence[Sequence[int]] = (),
-) -> float:
-    """Ring all-reduce latency for one group of ``n_bytes`` per device.
-
-    Ring all-reduce moves ``2 (g-1)/g * n_bytes`` per device over the ring's
-    bottleneck link in ``2 (g-1)`` latency-bound rounds.  ``concurrent_groups``
-    are the *other* groups of the same SPMD pattern executing simultaneously;
-    they contend for NICs.
-    """
-    group = list(group)
-    g = len(group)
-    if g <= 1 or n_bytes <= 0:
-        return 0.0
-    groups = [group] + [list(cg) for cg in concurrent_groups if len(cg) > 1]
-    return _ring_allreduce_times(topology, groups, n_bytes / g, 2 * (g - 1))[0]
-
-
 def pattern_allreduce_time(
     topology: ClusterTopology, pattern: GroupingPattern, n_bytes: float
 ) -> float:

@@ -27,10 +27,6 @@ def block_elements(op: OperatorSpec, spec: PartitionSpec, dims) -> float:
     return float(block_elements_batch(op, counts, dims)[0])
 
 
-def block_bytes(op: OperatorSpec, spec: PartitionSpec, dims) -> float:
-    return block_elements(op, spec, dims) * DTYPE_BYTES
-
-
 def block_elements_batch(
     op: OperatorSpec, counts: np.ndarray, dims
 ) -> np.ndarray:

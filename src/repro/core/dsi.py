@@ -1,4 +1,4 @@
-"""Dimension Slice Index (DSI) evaluation — paper Algorithm 1.
+"""Dimension Slice Index (DSI) conventions — paper Algorithm 1.
 
 A partition plan is a sequence of basic partitions.  Walking the sequence
 yields, for every training phase and every dimension, a **DSI function**
@@ -16,27 +16,18 @@ Conventions (matching Alg. 1):
   index ``t`` in ``[0, 2^k)``.
 * With several temporal primitives in one sequence, the flat temporal step is
   mixed-radix: earlier primitives are outer loops.
+
+:class:`~repro.core.steps.DsiTable` evaluates these functions for a whole
+spec list at once; this module holds the per-sequence structure they rest
+on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
-from .device import DeviceId, square_coordinates
 from .dims import ALL_DIMS, Dim, Phase
-from .partitions import DimPartition, PartitionStep, Replicate, TemporalPartition
-
-
-@dataclass(frozen=True)
-class DsiResult:
-    """DSIs of one sub-operator ``(D, t)`` in one phase."""
-
-    phase: Phase
-    values: Mapping[Dim, int]
-
-    def __getitem__(self, dim: Dim) -> int:
-        return self.values[dim]
+from .partitions import DimPartition, PartitionStep, TemporalPartition
 
 
 #: Dims whose DSIs vary across temporal steps, per phase (Eq. 4-6):
@@ -69,137 +60,3 @@ def check_bits(steps: Sequence[PartitionStep], n_bits: int) -> None:
         raise ValueError(
             f"sequence consumes {consumed} bits but cluster has {n_bits}"
         )
-
-
-@dataclass
-class _TemporalSlot:
-    """Bookkeeping for one temporal primitive within a sequence."""
-
-    step: TemporalPartition
-    start_bit: int
-    index: int  # position among temporal primitives, in sequence order
-
-
-class DsiEvaluator:
-    """Evaluates Alg. 1 DSI functions for a fixed partition sequence.
-
-    Args:
-        steps: The partition sequence ``P``.
-        n_bits: Total device-id bits of the cluster (``2**n_bits`` devices).
-            The sequence must consume exactly ``n_bits`` bits.
-
-    Raises:
-        ValueError: If the sequence does not consume exactly ``n_bits`` bits.
-    """
-
-    def __init__(self, steps: Sequence[PartitionStep], n_bits: int) -> None:
-        self.steps: Tuple[PartitionStep, ...] = tuple(steps)
-        self.n_bits = n_bits
-        check_bits(self.steps, n_bits)
-        self._temporal_slots: List[_TemporalSlot] = []
-        bit = 0
-        for step in self.steps:
-            if isinstance(step, TemporalPartition):
-                self._temporal_slots.append(
-                    _TemporalSlot(step, bit, len(self._temporal_slots))
-                )
-            bit += step.bits_consumed
-        self.total_steps = 1
-        for slot in self._temporal_slots:
-            self.total_steps *= slot.step.temporal_steps
-        self._slice_counts = sequence_slice_counts(self.steps)
-
-    # ------------------------------------------------------------------
-    # structure queries
-    # ------------------------------------------------------------------
-
-    @property
-    def n_devices(self) -> int:
-        return 1 << self.n_bits
-
-    @property
-    def has_temporal(self) -> bool:
-        return bool(self._temporal_slots)
-
-    def slice_counts(self) -> Mapping[Dim, int]:
-        """Number of slices each dimension is split into (phase-invariant)."""
-        return dict(self._slice_counts)
-
-    # ------------------------------------------------------------------
-    # temporal step decomposition
-    # ------------------------------------------------------------------
-
-    def decompose_step(self, t: int) -> Tuple[int, ...]:
-        """Split flat temporal step into per-primitive indices (outer first).
-
-        Negative ``t`` indexes from the end (``-1`` is the last step), which
-        the inter-operator cost model uses for Eq. 8's ``t = -1``.
-        """
-        t %= self.total_steps
-        indices = [0] * len(self._temporal_slots)
-        for pos in range(len(self._temporal_slots) - 1, -1, -1):
-            radix = self._temporal_slots[pos].step.temporal_steps
-            indices[pos] = t % radix
-            t //= radix
-        return tuple(indices)
-
-    # ------------------------------------------------------------------
-    # DSI evaluation (Algorithm 1)
-    # ------------------------------------------------------------------
-
-    def dsi(self, device: DeviceId, phase: Phase, t: int = 0) -> DsiResult:
-        """Evaluate all DSIs of sub-operator ``(device, t)`` in ``phase``."""
-        if device.n_bits != self.n_bits:
-            raise ValueError(
-                f"device has {device.n_bits} bits, evaluator expects {self.n_bits}"
-            )
-        t_indices = self.decompose_step(t)
-        values = {dim: 0 for dim in ALL_DIMS}
-        bit = 0
-        temporal_pos = 0
-        for step in self.steps:
-            if isinstance(step, Replicate):
-                bit += 1
-            elif isinstance(step, DimPartition):
-                values[step.dim] = 2 * values[step.dim] + device.bit(bit)
-                bit += 1
-            else:
-                side = step.side
-                row, col = square_coordinates(device, bit, step.k)
-                t_local = t_indices[temporal_pos]
-                last = 1 if t_local == side - 1 else 0
-                if phase is Phase.FORWARD:
-                    contrib = {
-                        Dim.M: row % side,
-                        Dim.N: (row + col + t_local) % side,
-                        Dim.K: col % side,
-                    }
-                elif phase is Phase.BACKWARD:
-                    contrib = {
-                        Dim.M: row % side,
-                        Dim.N: (row + col - 1) % side,
-                        Dim.K: (col + t_local) % side,
-                    }
-                else:  # Phase.GRADIENT
-                    contrib = {
-                        Dim.M: (row + t_local) % side,
-                        Dim.N: (row + col - 1 + last) % side,
-                        Dim.K: (col - 1 + last) % side,
-                    }
-                for dim, value in contrib.items():
-                    values[dim] = side * values[dim] + value
-                bit += step.bits_consumed
-                temporal_pos += 1
-        return DsiResult(phase=phase, values=values)
-
-    def tensor_dsi(
-        self, device: DeviceId, phase: Phase, t: int, dims: Sequence[Dim]
-    ) -> Tuple[int, ...]:
-        """DSI tuple of a tensor (one entry per tensor dim) at ``(device, t)``."""
-        result = self.dsi(device, phase, t)
-        return tuple(result[d] for d in dims)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        from .partitions import format_sequence
-
-        return f"DsiEvaluator({format_sequence(self.steps)}, n_bits={self.n_bits})"

@@ -2,8 +2,9 @@
 
 A :class:`PartitionSpec` is the unit the optimizer searches over — one per
 operator.  Its structure (slice counts, temporal steps) is read from the
-steps; the DSI queries of analysis, the runtime and the engine go through
-a :class:`~repro.core.dsi.DsiEvaluator`, built on first use.
+steps; its DSIs, ring sends and all-reduce groups are read from its
+one-row :class:`~repro.core.steps.StepTable`, as the cost models, the
+engine and the runtime read a whole candidate list's.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from functools import cached_property
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .dims import ALL_DIMS, Dim, Phase
-from .dsi import DsiEvaluator, check_bits, sequence_slice_counts
+from .dsi import check_bits, sequence_slice_counts
 from .partitions import (
     DimPartition,
     PartitionStep,
@@ -59,11 +60,6 @@ class PartitionSpec:
         check_bits(self.steps, n_bits)
 
     @cached_property
-    def evaluator(self) -> DsiEvaluator:
-        """The sequence's Alg. 1 evaluator, built on first use."""
-        return DsiEvaluator(self.steps, self.n_bits)
-
-    @cached_property
     def table(self) -> StepTable:
         """The spec's one-row :class:`~repro.core.steps.StepTable`, built
         on first use: the cost models price a lone spec from it."""
@@ -71,8 +67,7 @@ class PartitionSpec:
 
     def __getstate__(self) -> Dict:
         """A spec pickles as its steps and bit width; derived state
-        (:attr:`evaluator`, :attr:`table`, :attr:`slice_counts`) is
-        rebuilt on use."""
+        (:attr:`table`, :attr:`slice_counts`) is rebuilt on use."""
         return {"steps": self.steps, "n_bits": self.n_bits}
 
     # ------------------------------------------------------------------

@@ -124,8 +124,8 @@ class StepTable:
 
     def local_steps(self, t: int) -> np.ndarray:
         """``[spec, slot]`` each primitive's own step index at flat step
-        ``t`` (0 for other steps).  Earlier primitives are outer loops, as
-        in :meth:`~repro.core.dsi.DsiEvaluator.decompose_step`; ``t`` is
+        ``t`` (0 for other steps).  Earlier primitives are outer loops (the
+        flat step is mixed-radix, see :mod:`repro.core.dsi`); ``t`` is
         taken modulo each spec's total steps, so -1 is the last step."""
         flat = t % self.total_steps
         inner = np.ones_like(self.side)
@@ -152,6 +152,12 @@ class StepTable:
         bits[:, n] |= rows | cols
         bits[:, kk] |= cols
         return bits
+
+    def dim_bits(self, dims) -> np.ndarray:
+        """``[spec]`` bit mask of the device-id bits the DSI of any of
+        ``dims`` depends on: the union of their :attr:`partition_bits`."""
+        columns = [ALL_DIMS.index(dim) for dim in dims]
+        return np.bitwise_or.reduce(self.partition_bits[:, columns], axis=1)
 
 
 class DsiTable:

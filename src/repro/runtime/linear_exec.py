@@ -2,24 +2,36 @@
 
 This is the reproduction's ground-truth engine: it runs the Forward,
 Backward and Gradient phases of ``O = I W`` under *any* partition sequence —
-conventional, spatial-temporal, or mixed — with explicit per-step block
-exchanges derived from the DSI schedules (paper Table 1 for the pure
-primitive), and with all-reduce only where the DSI analysis demands it.
-The results are compared bit-for-bit-close against a single-device
-reference, proving the primitive's Features 1-3 end to end.
+conventional, spatial-temporal, or mixed — and performs exactly the
+communication Eq. 7 prices: the ring sends of
+:func:`repro.core.ring.ring_senders` (paper Table 1 for the pure
+primitive) and an all-reduce per output block whose holders hold
+different partial sums, read from the spec's
+:attr:`~repro.core.steps.StepTable.partition_bits`.  Every block sits where
+the spec's :class:`~repro.core.steps.DsiTable` puts it.  The results are
+compared bit-for-bit-close against a single-device reference, proving the
+primitive's Features 1-3 end to end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core import analysis
-from ..core.device import DeviceId, all_devices
-from ..core.dims import Dim, LINEAR_SIGNATURES, Phase, TensorRole
+from ..core.device import DeviceId
+from ..core.dims import (
+    ALL_DIMS,
+    Dim,
+    LINEAR_SIGNATURES,
+    Phase,
+    PhaseSignature,
+    TensorRole,
+)
+from ..core.ring import ring_senders
 from ..core.spec import PartitionSpec
+from ..core.steps import DsiTable
 from .virtual_cluster import VirtualCluster
 
 
@@ -56,7 +68,7 @@ class PartitionedLinear:
         self.spec = spec
         self.shape = shape
         self.cluster = VirtualCluster(spec.n_bits)
-        self.signatures = LINEAR_SIGNATURES
+        self.dsis = DsiTable(spec.table)
         counts = spec.slice_counts
         for dim in Dim:
             if shape.size(dim) % counts[dim]:
@@ -69,36 +81,39 @@ class PartitionedLinear:
     # block addressing
     # ------------------------------------------------------------------
 
-    def _block(self, array: np.ndarray, dims: Tuple[Dim, ...], dsi: Mapping[Dim, int]) -> np.ndarray:
+    def _blocks(
+        self, tensor: TensorRole, phase: Phase, t: int
+    ) -> List[Tuple[slice, ...]]:
+        """Each rank's index of its ``tensor`` block at ``(phase, t)``."""
         counts = self.spec.slice_counts
-        index = tuple(
-            _axis_slice(self.shape.size(d), counts[d], dsi[d]) for d in dims
-        )
-        return array[index]
+        columns = [ALL_DIMS.index(d) for d in tensor.dims]
+        return [
+            tuple(
+                _axis_slice(self.shape.size(d), counts[d], dsi[c])
+                for d, c in zip(tensor.dims, columns)
+            )
+            for dsi in self.dsis.at(phase, t)[0].tolist()
+        ]
 
     def _scatter(
         self, array: np.ndarray, tensor: TensorRole, phase: Phase, t: int
     ) -> None:
         """Place each device's block of ``tensor`` per the DSI at ``(phase, t)``."""
-        for device in all_devices(self.spec.n_bits):
-            dsi = self.spec.evaluator.dsi(device, phase, t)
-            block = self._block(array, tensor.dims, dsi.values).copy()
-            self.cluster.device(device).put(tensor.name, block)
+        for device, index in zip(
+            self.cluster.devices, self._blocks(tensor, phase, t)
+        ):
+            device.put(tensor.name, array[index].copy())
 
     def _gather(
         self, tensor: TensorRole, phase: Phase, t: int
     ) -> np.ndarray:
         """Reassemble the global tensor from blocks at ``(phase, t)``."""
-        counts = self.spec.slice_counts
         shape = tuple(self.shape.size(d) for d in tensor.dims)
         out = np.full(shape, np.nan)
-        for device in all_devices(self.spec.n_bits):
-            dsi = self.spec.evaluator.dsi(device, phase, t)
-            index = tuple(
-                _axis_slice(self.shape.size(d), counts[d], dsi[d])
-                for d in tensor.dims
-            )
-            out[index] = self.cluster.device(device).get(tensor.name)
+        for device, index in zip(
+            self.cluster.devices, self._blocks(tensor, phase, t)
+        ):
+            out[index] = device.get(tensor.name)
         if np.isnan(out).any():
             raise RuntimeError(f"gather of {tensor.name} left holes")
         return out
@@ -107,57 +122,93 @@ class PartitionedLinear:
     # phase execution
     # ------------------------------------------------------------------
 
-    def _exchange(self, transfers, name_map: Optional[Dict[str, str]] = None) -> None:
-        name_map = name_map or {}
-        for tr in transfers:
-            name = name_map.get(tr.tensor, tr.tensor)
-            block = self.cluster.device(tr.src).get(name)
-            self.cluster.send(tr.src, tr.dst, name, block)
+    def _exchange(
+        self,
+        entries: Sequence[TensorRole],
+        src: np.ndarray,
+        moving: Sequence[int],
+    ) -> None:
+        """Send the ``moving`` entries' blocks, ``src[entry, dst]`` the
+        sender of ``dst``'s block (-1: none), then deliver them all."""
+        devices = self.cluster.devices
+        for e in moving:
+            name = entries[e].name
+            for dst, sender in enumerate(src[e].tolist()):
+                if sender >= 0:
+                    self.cluster.send(
+                        devices[sender].device_id,
+                        devices[dst].device_id,
+                        name,
+                        devices[sender].get(name),
+                    )
         self.cluster.deliver()
 
     def _run_phase(self, phase: Phase, compute) -> None:
-        """Drive one phase: per-step compute, ring exchanges, all-reduce.
+        """Drive one phase: per-step compute, ring sends, all-reduce.
 
-        ``compute(device, dsi, t)`` returns the step's output contribution
-        block; contributions accumulate into the phase output, which is
-        redistributed whenever its DSI moves between steps (the ``dW``
-        case, paper Sec. 3.3).
+        ``compute(store)`` returns a device's output contribution at the
+        current step from its block store; contributions accumulate into
+        the phase output.  Each step first receives the accumulated
+        output's redistribution (the ``dW`` case, paper Sec. 3.3), then
+        computes, then sends the input blocks the next step needs (and, at
+        Backward's final step, ``W``'s realignment with Forward).
         """
-        spec = self.spec
-        signature = self.signatures[phase]
-        evaluator = spec.evaluator
-        out_name = signature.output.name
-        by_step = analysis.transfers_by_step(spec, signature)
-        for t in range(spec.total_steps):
-            if t > 0:
-                moved = [
-                    tr
-                    for tr in by_step.get(t - 1, [])
-                    if tr.tensor == out_name
-                ]
-                if moved:
-                    self._exchange(moved)
-            for device in all_devices(spec.n_bits):
-                dsi = evaluator.dsi(device, phase, t)
-                contribution = compute(device, dsi, t)
-                store = self.cluster.device(device).store
+        signature = LINEAR_SIGNATURES[phase]
+        entries, src = ring_senders(
+            self.spec.table, self.dsis, LINEAR_SIGNATURES, phase
+        )
+        out = len(signature.inputs)
+        name = signature.output.name
+        inputs = [e for e in range(len(entries)) if e != out]
+        for t in range(self.spec.total_steps):
+            self._exchange(entries, src[0, t], [out])
+            for device in self.cluster.devices:
+                contribution = compute(device.store)
                 if t == 0:
-                    store[out_name] = contribution
+                    device.store[name] = contribution
                 else:
-                    store[out_name] = store[out_name] + contribution
-            input_moves = [
-                tr
-                for tr in by_step.get(t, [])
-                if tr.tensor != out_name
-            ]
-            if input_moves:
-                self._exchange(input_moves)
-        for group in analysis.allreduce_groups(spec, signature):
+                    device.store[name] = device.store[name] + contribution
+            self._exchange(entries, src[0, t], inputs)
+        for members, representatives in self._allreduce_groups(signature):
             self.cluster.allreduce(
-                list(group.members),
-                out_name,
-                representatives=list(group.class_representatives),
+                members, name, representatives=representatives
             )
+
+    def _allreduce_groups(
+        self, signature: PhaseSignature
+    ) -> List[Tuple[List[DeviceId], List[DeviceId]]]:
+        """``(members, representatives)`` of each all-reduce of the phase
+        output.
+
+        Members share the rank bits the output dims' DSIs depend on.  The
+        bits the reduce dims' DSIs depend on and the output's do not tell
+        the members' partial sums apart; the first member of each such
+        class in rank order contributes, and the rest are its replicas
+        (paper Sec. 4.1's group indicator).
+        """
+        n_bits = self.spec.n_bits
+
+        def rank_bits(dims) -> int:
+            """Rank mask of the bits ``dims`` depend on: mask bit ``b``
+            is device-id bit ``b``, the rank's bit ``n_bits - 1 - b``."""
+            mask = int(self.spec.table.dim_bits(dims)[0])
+            return sum(
+                1 << (n_bits - 1 - b) for b in range(n_bits) if mask >> b & 1
+            )
+
+        output = rank_bits(signature.output.dims)
+        partial = rank_bits(signature.reduce_dims) & ~output
+        if not partial:
+            return []
+        groups: Dict[int, Tuple[List[DeviceId], Dict[int, DeviceId]]] = {}
+        for device in self.cluster.devices:
+            members, classes = groups.setdefault(device.rank & output, ([], {}))
+            members.append(device.device_id)
+            classes.setdefault(device.rank & partial, device.device_id)
+        return [
+            (members, list(classes.values()))
+            for members, classes in groups.values()
+        ]
 
     # ------------------------------------------------------------------
     # training iteration
@@ -174,60 +225,42 @@ class PartitionedLinear:
 
         Returns the gathered global ``O``, ``dI``, ``dW`` and updated ``W``.
         """
-        spec = self.spec
         cluster = self.cluster
-        sig_f = self.signatures[Phase.FORWARD]
-        sig_b = self.signatures[Phase.BACKWARD]
-        sig_g = self.signatures[Phase.GRADIENT]
+        sig_f = LINEAR_SIGNATURES[Phase.FORWARD]
+        sig_b = LINEAR_SIGNATURES[Phase.BACKWARD]
+        sig_g = LINEAR_SIGNATURES[Phase.GRADIENT]
+        tensor_i, tensor_w = sig_f.inputs
+        tensor_do = sig_b.inputs[0]
 
         # ---- Forward -------------------------------------------------
-        self._scatter(inputs, sig_f.inputs[0], Phase.FORWARD, 0)
-        self._scatter(weight, sig_f.inputs[1], Phase.FORWARD, 0)
+        self._scatter(inputs, tensor_i, Phase.FORWARD, 0)
+        self._scatter(weight, tensor_w, Phase.FORWARD, 0)
+        self._run_phase(Phase.FORWARD, lambda store: store["I"] @ store["W"])
+        output = self._gather(sig_f.output, Phase.FORWARD, -1)
 
-        def forward_step(device: DeviceId, dsi, t: int) -> np.ndarray:
-            store = cluster.device(device).store
-            return store["I"] @ store["W"]
-
-        self._run_phase(Phase.FORWARD, forward_step)
-        output = self._gather(sig_f.output, Phase.FORWARD, spec.total_steps - 1)
-
-        # ---- stash alignment (Feature 3): I stays for Gradient --------
-        # The I blocks now sit at Forward's final step; Gradient's first
-        # step must find them in place.
-        self._assert_aligned("I", Phase.FORWARD, Phase.GRADIENT, sig_f.inputs[0])
+        # ---- stash alignment (Feature 3) -------------------------------
+        # I stays put for Gradient, and W for Backward: the blocks each
+        # device holds at Forward's final step are the ones their first
+        # steps use.
+        self._assert_aligned(tensor_i, Phase.FORWARD, Phase.GRADIENT)
+        self._assert_aligned(tensor_w, Phase.FORWARD, Phase.BACKWARD)
 
         # ---- Backward --------------------------------------------------
-        # W realigns from Forward-end to Backward-start if the layouts
-        # differ (never for pure spatial; a no-op check for pure temporal).
-        self._realign("W", Phase.FORWARD, Phase.BACKWARD, sig_f.inputs[1])
-        self._scatter(grad_output, sig_b.inputs[0], Phase.BACKWARD, 0)
-        stashed_i = {
-            device.rank: cluster.device(device).get("I").copy()
-            for device in all_devices(spec.n_bits)
-        }
-
-        def backward_step(device: DeviceId, dsi, t: int) -> np.ndarray:
-            store = cluster.device(device).store
-            return store["dO"] @ store["W"].T
-
-        self._run_phase(Phase.BACKWARD, backward_step)
-        grad_input = self._gather(sig_b.output, Phase.BACKWARD, spec.total_steps - 1)
-
-        # W ends Backward realigned to Forward-start positions via the
-        # epilogue ring (paper Table 1, Backward t = 2^k - 1).
-        self._exchange(
-            analysis.epilogue_transfers(
-                spec, sig_f.inputs[1], Phase.BACKWARD, Phase.FORWARD
-            )
+        self._scatter(grad_output, tensor_do, Phase.BACKWARD, 0)
+        stashed_i = [device.get("I").copy() for device in cluster.devices]
+        # W ends Backward realigned to Forward-start positions by the
+        # ring's final sends (paper Table 1, Backward t = 2^k - 1).
+        self._run_phase(
+            Phase.BACKWARD, lambda store: store["dO"] @ store["W"].T
         )
+        grad_input = self._gather(sig_b.output, Phase.BACKWARD, -1)
 
         # ---- Gradient --------------------------------------------------
-        for device in all_devices(spec.n_bits):
-            cluster.device(device).put("I", stashed_i[device.rank])
-        self._realign("dO", Phase.BACKWARD, Phase.GRADIENT, sig_b.inputs[0])
+        for device, block in zip(cluster.devices, stashed_i):
+            device.put("I", block)
+        self._assert_aligned(tensor_do, Phase.BACKWARD, Phase.GRADIENT)
 
-        def gradient_step(device: DeviceId, dsi, t: int) -> np.ndarray:
-            store = cluster.device(device).store
+        def gradient_step(store) -> np.ndarray:
             i_block = store["I"]
             do_block = store["dO"]
             flat_i = i_block.reshape(-1, i_block.shape[-1])
@@ -235,17 +268,15 @@ class PartitionedLinear:
             return flat_i.T @ flat_do
 
         self._run_phase(Phase.GRADIENT, gradient_step)
-        grad_weight = self._gather(sig_g.output, Phase.GRADIENT, spec.total_steps - 1)
+        grad_weight = self._gather(sig_g.output, Phase.GRADIENT, -1)
 
         # ---- update ----------------------------------------------------
         # dW's final distribution matches W at Forward start (Feature 3's
         # weight-cycle alignment), so the update is purely local.
-        if not analysis.weight_cycle_aligned(spec):
-            raise RuntimeError(f"weight cycle misaligned under {spec}")
-        for device in all_devices(spec.n_bits):
-            store = cluster.device(device).store
-            store["W"] = store["W"] - lr * store["dW"]
-        new_weight = self._gather(sig_f.inputs[1], Phase.FORWARD, 0)
+        self._assert_aligned(sig_g.output, Phase.GRADIENT, Phase.FORWARD)
+        for device in cluster.devices:
+            device.store["W"] = device.store["W"] - lr * device.store["dW"]
+        new_weight = self._gather(tensor_w, Phase.FORWARD, 0)
 
         return {
             "O": output,
@@ -254,29 +285,16 @@ class PartitionedLinear:
             "W": new_weight,
         }
 
-    # ------------------------------------------------------------------
-    # alignment helpers
-    # ------------------------------------------------------------------
-
     def _assert_aligned(
-        self, name: str, earlier: Phase, later: Phase, tensor: TensorRole
+        self, tensor: TensorRole, earlier: Phase, later: Phase
     ) -> None:
-        if not analysis.phase_transition_aligned(
-            self.spec, earlier, later, tensor.dims
-        ):
+        """Raise unless every device's block of ``tensor`` at the end of
+        ``earlier`` is the one it needs at the start of ``later``."""
+        columns = [ALL_DIMS.index(d) for d in tensor.dims]
+        held = self.dsis.at(earlier, -1)[0][:, columns]
+        needed = self.dsis.at(later, 0)[0][:, columns]
+        if not np.array_equal(held, needed):
             raise RuntimeError(
-                f"{name} misaligned between {earlier} and {later} under "
-                f"{self.spec}"
+                f"{tensor.name} misaligned between {earlier} and {later} "
+                f"under {self.spec}"
             )
-
-    def _realign(
-        self, name: str, from_phase: Phase, to_phase: Phase, tensor: TensorRole
-    ) -> None:
-        """Move blocks if the next phase expects a different distribution."""
-        if analysis.phase_transition_aligned(
-            self.spec, from_phase, to_phase, tensor.dims
-        ):
-            return
-        self._exchange(
-            analysis.epilogue_transfers(self.spec, tensor, from_phase, to_phase)
-        )

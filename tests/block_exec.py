@@ -15,6 +15,7 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
+from dsi_oracle import evaluator
 from repro.core.device import all_devices
 from repro.core.dims import Dim, Phase
 from repro.core.spec import PartitionSpec
@@ -44,7 +45,7 @@ def _held_ranges(
     counts = spec.slice_counts
     out = {}
     for device in all_devices(spec.n_bits):
-        dsi = spec.evaluator.dsi(device, phase, t)
+        dsi = evaluator(spec).dsi(device, phase, t)
         ranges = []
         for dim in dims:
             sl = _axis_slice(sizes[dim], counts[dim], dsi[dim])

@@ -19,6 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from dsi_oracle import evaluator  # scalar Alg. 1 walk, next to this file
 from oracles import dsi_matrix  # scalar oracle, lives next to this file
 from repro.core.cost.inter import boundary_ids
 from repro.core.cost.intra import IntraOperatorCostModel
@@ -107,7 +108,7 @@ def boundary_class_key(op: OperatorSpec, spec: PartitionSpec) -> bytes:
             grid += struct.pack("<q", factor)
     parts.append(bytes(grid))
     for phase, t in BOUNDARY_POINTS:
-        parts.append(dsi_matrix(spec.evaluator, phase, t).tobytes())
+        parts.append(dsi_matrix(evaluator(spec), phase, t).tobytes())
     return b"|".join(parts)
 
 
@@ -174,7 +175,7 @@ def build_candidates(
     counter("candidates.beam_evicted", op=op_label).inc(n_classes - len(order))
     kept = [specs[i] for i in order]
     boundary = np.stack([
-        [dsi_matrix(spec.evaluator, phase, t) for phase, t in BOUNDARY_POINTS]
+        [dsi_matrix(evaluator(spec), phase, t) for phase, t in BOUNDARY_POINTS]
         for spec in kept
     ]).astype(np.min_scalar_type(1 << n_bits))
     return CandidateSet(

@@ -14,6 +14,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from dsi_oracle import evaluator  # scalar Alg. 1 walk, next to this file
 from oracles import axis_intervals, dsi_matrix  # scalar oracles, next to this file
 from repro.cluster.profiler import FabricProfiler
 from repro.graph.graph import Edge
@@ -54,7 +55,7 @@ class NodeBoundary:
         phase, t = point
         t = t % self.spec.total_steps
         n_dev = self.spec.n_devices
-        matrix = dsi_matrix(self.spec.evaluator, phase, t)
+        matrix = dsi_matrix(evaluator(self.spec), phase, t)
         boxes: Dict[str, np.ndarray] = {}
         for dim in dims:
             axes = tuple(self.op.dim_axes[dim])

@@ -6,8 +6,8 @@ per spec, all-reduce and layernorm group indicators from each spec's
 bit dependencies and memory from the DSIs that vary across steps (the
 ``group_indicator`` and ``temporal_varying_dims`` oracles,
 ``tests/oracles.py``), and ring
-latencies from the scalar :func:`repro.core.analysis.ring_transfers` and
-:func:`~repro.core.analysis.epilogue_transfers`, placed on the fabric one
+latencies from the scalar ``ring_transfers`` and ``epilogue_transfers``
+(``tests/schedule_oracle.py``), placed on the fabric one
 ``Transfer`` at a time.  The equivalence suites
 (``tests/test_candidates_bulk.py``, ``benchmarks/bench_candidates.py``)
 prove the bulk ``IntraOperatorCostModel.cost_batch`` equals this oracle
@@ -20,10 +20,11 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Mapping, Tuple
 
+import schedule_oracle as analysis  # scalar ring schedule
+from dsi_oracle import evaluator  # scalar Alg. 1 walk
 from oracles import group_indicator, temporal_varying_dims  # scalar oracles
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import ClusterTopology
-from repro.core import analysis
 from repro.core.cost.intra import IntraCost
 from repro.core.dims import ALL_DIMS, ALL_PHASES, Dim, Phase
 from repro.core.spec import PartitionSpec
@@ -96,7 +97,7 @@ def operator_memory(op: OperatorSpec, spec: PartitionSpec) -> float:
     if spec.has_temporal:
         for phase in (Phase.FORWARD, Phase.BACKWARD, Phase.GRADIENT):
             signature = op.signatures()[phase]
-            varying = temporal_varying_dims(spec.evaluator, phase)
+            varying = temporal_varying_dims(evaluator(spec), phase)
             moving_inputs = 0.0
             for tensor in signature.inputs:
                 if any(varying[d] for d in tensor.dims):
@@ -118,10 +119,10 @@ def allreduce_latency(
     if not signature.reduce_dims:
         return 0.0
     output_bits = set(
-        group_indicator(spec.evaluator, phase, signature.output.dims)
+        group_indicator(evaluator(spec), phase, signature.output.dims)
     )
     reduce_bits = set(
-        group_indicator(spec.evaluator, phase, tuple(signature.reduce_dims))
+        group_indicator(evaluator(spec), phase, tuple(signature.reduce_dims))
     )
     indicator = tuple(sorted(reduce_bits - output_bits))
     if not indicator:
@@ -137,10 +138,10 @@ def layernorm_extras(
         return 0.0
     total = 0.0
     if spec.slice_counts[Dim.K] > 1:
-        indicator = group_indicator(spec.evaluator, Phase.FORWARD, (Dim.K,))
+        indicator = group_indicator(evaluator(spec), Phase.FORWARD, (Dim.K,))
         stats_bytes = 2 * 4 * block_bytes(op, spec, (Dim.B, Dim.M)) / DTYPE_BYTES
         total += profiler.allreduce_model(indicator).predict(stats_bytes)
-    row_bits = group_indicator(spec.evaluator, Phase.GRADIENT, (Dim.B, Dim.M))
+    row_bits = group_indicator(evaluator(spec), Phase.GRADIENT, (Dim.B, Dim.M))
     if row_bits:
         grad_bytes = 2 * block_bytes(op, spec, (Dim.K,))
         total += profiler.allreduce_model(row_bits).predict(grad_bytes)

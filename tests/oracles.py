@@ -36,17 +36,17 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.analysis import RingTransfer
+from dsi_oracle import DsiEvaluator, evaluator
 from repro.core.cost.inter import CHUNK_BYTES, slice_ids
 from repro.core.device import DeviceId
 from repro.core.dims import ALL_DIMS, Dim, Phase
-from repro.core.dsi import DsiEvaluator
 from repro.core.layout import grid_events
 from repro.core.optimizer.dp import min_plus
 from repro.core.partitions import DimPartition, Replicate, TemporalPartition
 from repro.core.spec import PartitionSpec
 from repro.graph.operators import OperatorSpec
 from repro.graph.tensors import AxisInterval
+from schedule_oracle import RingTransfer
 
 
 def slice_interval(total: int, n_slices: int, index: int) -> Tuple[int, int]:
@@ -211,7 +211,7 @@ def heap_id_matrix(
     alone, gathered by the dim's column of :func:`dsi_matrix`; axes are
     each dim's, dims in ``ALL_DIMS`` order.
     """
-    dsis = dsi_matrix(spec.evaluator, phase, t)
+    dsis = dsi_matrix(evaluator(spec), phase, t)
     columns = []
     for dim in ALL_DIMS:
         if not op.dim_axes.get(dim):

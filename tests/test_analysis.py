@@ -1,8 +1,14 @@
-"""Numeric DSI analyses: all-reduce groups, replication, ring transfers."""
+"""The scalar schedule oracle (``tests/schedule_oracle.py``): all-reduce
+groups, replication, ring transfers."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.core import analysis
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import schedule_oracle as analysis  # noqa: E402  (scalar ring schedule)
+from dsi_oracle import evaluator  # noqa: E402  (scalar Alg. 1 walk)
 from repro.core.device import DeviceId, all_devices
 from repro.core.dims import (
     BATCHED_MATMUL_SIGNATURES,
@@ -151,10 +157,10 @@ class TestRingTransfers:
                 tensor = next(
                     t for t in signature.tensors if t.name == tr.tensor
                 )
-                src_now = s.evaluator.tensor_dsi(
+                src_now = evaluator(s).tensor_dsi(
                     tr.src, signature.phase, tr.step, tensor.dims
                 )
-                dst_next = s.evaluator.tensor_dsi(
+                dst_next = evaluator(s).tensor_dsi(
                     tr.dst, signature.phase, tr.step + 1, tensor.dims
                 )
                 assert src_now == dst_next

@@ -1,11 +1,15 @@
 """Baselines: Megatron-LM plans, the Alpa stand-in, the ideal memory bound."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import schedule_oracle as analysis  # noqa: E402  (scalar all-reduce groups)
 from repro.baselines.alpa import alpa_optimizer
 from repro.baselines.ideal import global_footprint_bytes, ideal_peak_memory
 from repro.baselines.megatron import best_megatron_plan, megatron_plan
-from repro.core import analysis
 from repro.core.dims import Dim, Phase
 from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.core.partitions import Replicate

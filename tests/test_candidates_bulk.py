@@ -22,10 +22,10 @@ Eq. 7 pricing: ``cost_batch`` prices every spec from one step table, and
 must match the frozen per-spec assembly (``tests/legacy_intra.py``) bit for
 bit on every enumerated spec, temporal included, of the six models at 4
 and 8 devices (16, and OPT-175B at 32, in the bench tier).  Its bulk ring
-sends must equal the scalar ``analysis.ring_transfers`` and
-``epilogue_transfers`` rank by rank, in schedule order, on every temporal
-spec of the six models at 4, 8 and 16 devices (OPT-175B at 32 in the bench
-tier).  A build over the six models constructs no ``DsiEvaluator``.
+sends must equal the scalar ``ring_transfers`` and ``epilogue_transfers``
+of ``tests/schedule_oracle.py`` rank by rank, in schedule order, on every
+temporal spec of the six models at 4, 8 and 16 devices (OPT-175B at 32 in
+the bench tier).
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import legacy_candidates as legacy  # noqa: E402  (frozen per-spec collapse)
 import legacy_intra  # noqa: E402  (frozen per-spec Eq. 7 assembly)
+from dsi_oracle import evaluator  # noqa: E402  (scalar Alg. 1 walk)
 from oracles import dsi_matrix, group_indicator  # noqa: E402  (scalar oracles)
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
 from repro.core.cost.intra import IntraCost, IntraOperatorCostModel
 from repro.core.dims import ALL_DIMS, ALL_PHASES
-from repro.core.dsi import DsiEvaluator
 from repro.core.optimizer.candidates import (
     build_candidates,
     inject_canonical,
@@ -170,7 +170,7 @@ def assert_injective_with_matrices(op, specs):
     for i, spec in enumerate(specs):
         for p, point in enumerate(BOUNDARY_POINTS):
             assert np.array_equal(
-                matrices[i, p], dsi_matrix(spec.evaluator, *point)
+                matrices[i, p], dsi_matrix(evaluator(spec), *point)
             ), (op.name, str(spec), point)
 
 
@@ -226,7 +226,7 @@ def test_partition_bits_match_oracle(n_devices):
         bits = StepTable(specs).partition_bits
         for spec, masks in zip(specs, bits.tolist()):
             expected = [
-                sum(1 << b for b in group_indicator(spec.evaluator, phase, (dim,)))
+                sum(1 << b for b in group_indicator(evaluator(spec), phase, (dim,)))
                 for phase in ALL_PHASES
                 for dim in ALL_DIMS
             ]
@@ -257,7 +257,7 @@ def test_spatial_cost_batch_matches_scalar(model_key, n_devices):
 
 def assert_ring_sends_match_analysis(model_key, n_devices):
     """Bulk ring sends of every temporal spec, per phase and step, equal
-    the scalar schedule from ``analysis.ring_transfers`` and
+    the scalar schedule from the oracle's ``ring_transfers`` and
     ``epilogue_transfers``: same tensors, senders and receivers, in the
     same order."""
     communication = IntraOperatorCostModel(
@@ -295,21 +295,6 @@ def assert_ring_sends_match_analysis(model_key, n_devices):
 @pytest.mark.parametrize("model_key", sorted(MODELS_BY_KEY))
 def test_ring_sends_match_analysis(model_key, n_devices):
     assert assert_ring_sends_match_analysis(model_key, n_devices) > 0
-
-
-def test_build_constructs_no_evaluator(monkeypatch):
-    """Candidate builds read structure from steps and DSIs from step
-    tables: no spec builds its ``DsiEvaluator``."""
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("DsiEvaluator built during a candidate build")
-
-    monkeypatch.setattr(DsiEvaluator, "__init__", refuse)
-    intra = IntraOperatorCostModel(FabricProfiler(v100_cluster(8)))
-    for model_key in sorted(MODELS_BY_KEY):
-        for op in operator_types(model_key, 8):
-            cset = build_candidates(op, 3, intra, beam=48)
-            assert len(cset) > 0
 
 
 def test_axis_choice_splits_classes():
@@ -392,5 +377,5 @@ def test_boundary_array_matches_oracle():
     for i, spec in enumerate(cset.specs):
         for p, point in enumerate(BOUNDARY_POINTS):
             assert np.array_equal(
-                boundary[i, p], dsi_matrix(spec.evaluator, *point)
+                boundary[i, p], dsi_matrix(evaluator(spec), *point)
             ), (str(spec), point)

@@ -78,12 +78,13 @@ class TestParser:
             ("N-P2x2", "4", "bits", "sequence consumes 3 bits but cluster has 4"),
             ("N-P2x2", "0", "bits", "sequence consumes 3 bits but cluster has 0"),
             ("bogus", "2", "spec", "unrecognised partition step token: 'bogus'"),
+            ("P2x2", "2 --seed -1", "seed", "seed must be >= 0, got -1"),
         ],
     )
     def test_verify_rejects_bad_spec_or_bits(
         self, capsys, spec, bits, field, message
     ):
-        argv = ["verify", "--spec", spec, "--bits", bits]
+        argv = ["verify", "--spec", spec, "--bits", *bits.split()]
         with pytest.raises(ValidationError) as err:
             cmd_verify(build_parser().parse_args(argv))
         assert err.value.field == field

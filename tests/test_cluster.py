@@ -12,7 +12,6 @@ from repro.cluster.collectives import (
     Transfer,
     concurrent_step_time,
     pattern_allreduce_time,
-    ring_allreduce_time,
 )
 from repro.cluster.groups import grouping_pattern, ring_order
 from repro.cluster.hardware import A100_SXM4_80GB, V100_SXM2_32GB
@@ -137,7 +136,6 @@ class TestCollectives:
         topo = v100_cluster(8)
         pattern = grouping_pattern(3, ())
         assert pattern_allreduce_time(topo, pattern, 1 << 20) == 0.0
-        assert ring_allreduce_time(topo, [2], 1 << 20) == 0.0
 
     def test_nic_sharing_slows_concurrent_streams(self):
         topo = v100_cluster(8)
@@ -159,8 +157,8 @@ class TestCollectives:
 
     def test_collective_efficiency_applied(self):
         topo = v100_cluster(4)
-        group = [0, 1, 2, 3]
-        time = ring_allreduce_time(topo, group, 1 << 24)
+        pattern = grouping_pattern(2, (0, 1))  # one group of all 4 ranks
+        time = pattern_allreduce_time(topo, pattern, 1 << 24)
         ideal_round = (1 << 24) / 4 / topo.intra_link.bandwidth
         assert time >= 6 * ideal_round / COLLECTIVE_EFFICIENCY
 

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.device import DeviceId, all_devices
 from repro.core.dims import ALL_DIMS, ALL_PHASES, Dim, Phase
-from repro.core.dsi import DsiEvaluator
 from repro.core.partitions import (
     DimPartition,
     Replicate,
@@ -17,6 +16,7 @@ from repro.core.partitions import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from dsi_oracle import DsiEvaluator  # noqa: E402  (scalar Alg. 1 walk)
 from oracles import (  # noqa: E402  (scalar references)
     dsi_matrix,
     group_indicator,

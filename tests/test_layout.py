@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from legacy_candidates import grid_signature  # noqa: E402  (the scalar oracle's)
+from dsi_oracle import evaluator  # noqa: E402  (scalar Alg. 1 walk)
 from oracles import axis_intervals, dsi_matrix  # noqa: E402  (scalar oracles)
 from repro.core.cost.inter import SliceTables
 from repro.core.dims import ALL_DIMS, Dim
@@ -215,7 +216,7 @@ class TestBatchedAxisBoxes:
                     i: _boxes(single.axis_ids(point, ALL_DIMS))
                     for i, single in lone.items()
                 }
-                matrices = [dsi_matrix(spec.evaluator, *point) for spec in specs]
+                matrices = [dsi_matrix(evaluator(spec), *point) for spec in specs]
                 for dim in dims:
                     column = ALL_DIMS.index(dim)
                     for axis in op.dim_axes[dim]:

@@ -6,11 +6,10 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+import schedule_oracle as analysis  # noqa: E402  (scalar ring schedule)
+from dsi_oracle import evaluator  # noqa: E402  (scalar Alg. 1 walk)
 from oracles import is_ring_pattern  # noqa: E402  (ring-shape oracle)
-from repro.core import analysis
-from repro.core.dims import Dim, LINEAR_SIGNATURES, Phase
-from repro.core.device import all_devices, square_coordinates
-from repro.core.primitive import (
+from primitive_oracle import (  # noqa: E402  (Eq. 4-6, Table 1 closed form)
     SquareCoord,
     check_collective_free,
     check_no_replication,
@@ -21,6 +20,8 @@ from repro.core.primitive import (
     table1_sender,
     verify_features,
 )
+from repro.core.dims import Dim, LINEAR_SIGNATURES, Phase
+from repro.core.device import all_devices, square_coordinates
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -49,7 +50,7 @@ class TestDsiClosedForm:
             for phase in Phase:
                 for t in range(side):
                     closed = primitive_dsi(phase, row, col, t, k)
-                    walked = spec.evaluator.dsi(device, phase, t)
+                    walked = evaluator(spec).dsi(device, phase, t)
                     for dim in (Dim.M, Dim.N, Dim.K):
                         assert closed[dim] == walked[dim]
 

@@ -7,8 +7,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+import schedule_oracle as analysis  # noqa: E402  (scalar ring schedule)
+from dsi_oracle import evaluator  # noqa: E402  (scalar Alg. 1 walk)
 from oracles import dsi_matrix, slice_interval  # noqa: E402  (scalar references)
-from repro.core import analysis
 from repro.core.device import DeviceId, all_devices
 from repro.core.dims import ALL_DIMS, ALL_PHASES, Dim, LINEAR_SIGNATURES, Phase
 from repro.core.optimizer.dp import min_plus
@@ -58,7 +59,7 @@ class TestDsiInvariants:
                     for dim in tensor.dims:
                         expected *= spec.slice_counts[dim]
                     held = {
-                        spec.evaluator.tensor_dsi(d, phase, t, tensor.dims)
+                        evaluator(spec).tensor_dsi(d, phase, t, tensor.dims)
                         for d in all_devices(spec.n_bits)
                     }
                     assert len(held) == expected
@@ -68,7 +69,7 @@ class TestDsiInvariants:
     def test_dsi_within_slice_range(self, spec):
         for phase in ALL_PHASES:
             for t in range(spec.total_steps):
-                matrix = dsi_matrix(spec.evaluator, phase, t)
+                matrix = dsi_matrix(evaluator(spec), phase, t)
                 for i, dim in enumerate(ALL_DIMS):
                     assert matrix[:, i].min() >= 0
                     assert matrix[:, i].max() < spec.slice_counts[dim]

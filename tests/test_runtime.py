@@ -1,10 +1,16 @@
 """Numerical equivalence of partitioned training on the virtual cluster."""
 
+import itertools
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import schedule_oracle  # noqa: E402  (scalar ring schedule and groups)
 from repro.core.device import DeviceId
-from repro.core.dims import ALL_DIMS
+from repro.core.dims import ALL_DIMS, LINEAR_SIGNATURES, Phase
 from repro.core.space import enumerate_specs
 from repro.core.spec import PartitionSpec
 from repro.runtime.linear_exec import LinearShape, PartitionedLinear
@@ -68,7 +74,7 @@ class TestReference:
 
 
 class TestEquivalenceExhaustive:
-    @pytest.mark.parametrize("n_bits", [1, 2])
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4])
     def test_all_specs_match_reference(self, n_bits):
         """Every sequence in the space preserves training semantics."""
         for spec in enumerate_specs(n_bits, ALL_DIMS, include_replicate=True):
@@ -90,6 +96,100 @@ class TestEquivalenceExhaustive:
     def test_selected_large_specs(self, text, n):
         report = verify_spec(PartitionSpec.from_string(text, n), seed=7)
         assert report.passed, report.max_errors
+
+
+def executed_schedule(spec):
+    """Run one iteration of ``spec`` and record what the cluster did.
+
+    Returns ``(sends, groups)``: the set of ``(tensor, src, dst)`` ranks
+    sent after each ``(phase, step)``'s compute and before the next one's,
+    and the set of ``(members, representatives)`` ranks all-reduced at the
+    end of each phase.
+    """
+    side = max(spec.slice_counts.values())
+    shape = LinearShape(side, side, side, side)
+    rng = np.random.default_rng(0)
+    executor = PartitionedLinear(spec, shape)
+    cluster = executor.cluster
+    sends, groups = {}, {}
+    where = {}
+    run_phase, send, allreduce = (
+        executor._run_phase, cluster.send, cluster.allreduce
+    )
+
+    def recording_phase(phase, compute):
+        calls = itertools.count()
+        where["at"] = (phase, None)
+
+        def counted(store):
+            where["at"] = (phase, next(calls) // spec.n_devices)
+            return compute(store)
+
+        run_phase(phase, counted)
+
+    def recording_send(src, dst, name, block):
+        sends.setdefault(where["at"], set()).add((name, src.rank, dst.rank))
+        send(src, dst, name, block)
+
+    def recording_allreduce(members, name, representatives=None):
+        groups.setdefault(where["at"][0], set()).add(
+            (
+                tuple(d.rank for d in members),
+                tuple(d.rank for d in representatives),
+            )
+        )
+        allreduce(members, name, representatives=representatives)
+
+    executor._run_phase = recording_phase
+    cluster.send = recording_send
+    cluster.allreduce = recording_allreduce
+    executor.run_iteration(
+        rng.standard_normal((side, side, side)),
+        rng.standard_normal((side, side)),
+        rng.standard_normal((side, side, side)),
+    )
+    return sends, groups
+
+
+def oracle_schedule(spec):
+    """:func:`executed_schedule`'s record, from the scalar oracle: its
+    ``transfers_by_step`` plus Backward's ``W`` ``epilogue_transfers``,
+    and its ``allreduce_groups``."""
+    sends, groups = {}, {}
+    for phase, signature in LINEAR_SIGNATURES.items():
+        transfers = [
+            transfer
+            for step in schedule_oracle.transfers_by_step(spec, signature).values()
+            for transfer in step
+        ]
+        if phase is Phase.BACKWARD:
+            transfers += schedule_oracle.epilogue_transfers(
+                spec, signature.inputs[1], Phase.BACKWARD, Phase.FORWARD
+            )
+        for tr in transfers:
+            sends.setdefault((phase, tr.step), set()).add(
+                (tr.tensor, tr.src.rank, tr.dst.rank)
+            )
+        found = schedule_oracle.allreduce_groups(spec, signature)
+        if found:
+            groups[phase] = {
+                (
+                    tuple(d.rank for d in group.members),
+                    tuple(d.rank for d in group.class_representatives),
+                )
+                for group in found
+            }
+    return sends, groups
+
+
+class TestExecutedSchedule:
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4])
+    def test_schedule_matches_oracle(self, n_bits):
+        """Every linear spec: the virtual cluster sends, step by step, and
+        all-reduces, phase by phase, exactly what the scalar oracle
+        derives (``tests/schedule_oracle.py``)."""
+        for spec in enumerate_specs(n_bits, ALL_DIMS, include_replicate=True):
+            assert executed_schedule(spec) == oracle_schedule(spec), str(spec)
 
 
 class TestFeatureStatistics:
