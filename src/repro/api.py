@@ -16,6 +16,13 @@ Every surface that accepts a planning request — the ``primepar`` CLI, the
 * **Daemon knobs** — :class:`ServeConfig`, whose fields generate the
   ``primepar serve`` flags the same way and are checked by the same rules
   when it is built.
+* **Fault model** — the fields of :class:`~repro.sim.faults.FaultModel`
+  and :class:`~repro.sim.faults.RecoveryModel`, which a robustness
+  request's ``faults`` spells, are declared with the same :func:`_arg`
+  and checked under ``faults.<name>`` when parsed or built directly.
+
+One function, :func:`_value`, checks every field that arrives from
+outside the program.
 
 Wire compatibility: field names, canonicalization (``batch == 0`` resolves
 to ``max(8, min(devices, 32))``) and the plan cache key are bit-identical
@@ -26,6 +33,7 @@ bench baselines remain valid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import Field, dataclass, field, fields
 from typing import Any, Dict, Mapping, Tuple, Union
 
@@ -43,6 +51,7 @@ __all__ = [
     "ServeConfig",
     "SimulateRequest",
     "ValidationError",
+    "check_fields",
     "field_type",
     "plan_from_json",
     "plan_to_json",
@@ -97,10 +106,11 @@ class ValidationError(Exception):
 
 
 def _arg(default: Any, help: str, **rules: Any) -> Any:
-    """A request or :class:`ServeConfig` field: default, help and ``rules``.
+    """A request, daemon-knob or fault-model field: default, help, ``rules``.
 
-    Rules: ``choices`` (allowed values), ``lo``/``hi`` (inclusive bounds)
-    and ``flag`` (the CLI flag stem when it differs from the field name).
+    Rules: ``choices`` (allowed values), ``lo``/``hi`` (inclusive bounds),
+    ``gt`` (an exclusive lower bound, paired with ``hi``) and ``flag``
+    (the CLI flag stem when it differs from the field name).
     """
     return field(default=default, metadata={"help": help, **rules})
 
@@ -131,32 +141,53 @@ def field_type(f: Field) -> type:
     return _KINDS[f.type][0][0]
 
 
-def _value(body: Mapping[str, Any], f: Field) -> Any:
-    """One field of a flat body, type- and rule-checked."""
+def _value(body: Mapping[str, Any], f: Field, prefix: str = "") -> Any:
+    """One field of a flat body, type- and rule-checked.
+
+    ``prefix`` is the path of the object the field sits in (``"faults."``
+    for a fault-model field); errors carry ``prefix + name``.
+    """
     name, rules = f.name, f.metadata
+    path = prefix + name
     value = body.get(name, f.default)
     kinds, kind_name = _KINDS[f.type]
     if isinstance(value, bool) and bool not in kinds:
-        raise ValidationError(f"field {name!r} must be {kind_name}", name)
+        raise ValidationError(f"field {name!r} must be {kind_name}", path)
     if float in kinds and isinstance(value, int):
-        value = float(value)
+        # an int past the float range fails the finite check, not float()
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if not isinstance(value, kinds):
-        raise ValidationError(f"field {name!r} must be {kind_name}", name)
+        raise ValidationError(f"field {name!r} must be {kind_name}", path)
     if isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"field {name!r} must be finite", name)
+        raise ValidationError(f"field {name!r} must be finite", path)
     choices = rules.get("choices")
     if choices is not None and value not in choices:
         raise ValidationError(
-            f"{name} must be one of {choices}, got {value!r}", name
+            f"{name} must be one of {choices}, got {value!r}", path
         )
-    lo, hi = rules.get("lo"), rules.get("hi")
-    if hi is not None and not lo <= value <= hi:
+    lo, hi, gt = rules.get("lo"), rules.get("hi"), rules.get("gt")
+    if gt is not None and not gt < value <= hi:
         raise ValidationError(
-            f"{name} must be in [{lo}, {hi}], got {value}", name
+            f"{name} must be in ({gt}, {hi}], got {value}", path
+        )
+    if lo is not None and hi is not None and not lo <= value <= hi:
+        raise ValidationError(
+            f"{name} must be in [{lo}, {hi}], got {value}", path
         )
     if lo is not None and value < lo:
-        raise ValidationError(f"{name} must be >= {lo}, got {value}", name)
+        raise ValidationError(f"{name} must be >= {lo}, got {value}", path)
     return value
+
+
+def check_fields(obj: Any, prefix: str = "") -> None:
+    """Check every declared field of dataclass ``obj`` by :func:`_value`.
+
+    Called from ``__post_init__``, so a directly built object obeys the
+    rules a parsed body does; an int in a float field becomes a float.
+    """
+    for f in fields(obj):
+        if f.metadata:
+            object.__setattr__(obj, f.name, _value(vars(obj), f, prefix))
 
 
 def _require_object(body: Any) -> Mapping[str, Any]:
@@ -351,7 +382,8 @@ class RobustnessRequest(_Request):
     """One robustness-scoring request (``primepar faults``, ``POST /v1/robustness``).
 
     Only the *shape* of ``faults`` is checked here; :meth:`fault_model`
-    performs semantic validation, raising under the ``faults`` field path.
+    checks each fault field against its declaration, raising under the
+    ``faults.<name>`` field path.
     """
 
     endpoint = "/v1/robustness"
@@ -362,8 +394,9 @@ class RobustnessRequest(_Request):
         "",
         "fault model: a spec such as \"straggler=0.2:1.8,degrade=0.3:0.5,"
         "flap=0.5:0.002:0.25,outage=0.05,ckpt=16,restart=30,replan=5\" or "
-        "a JSON object of FaultModel fields; empty = zero faults (the CLI "
-        "also reads @file.json)",
+        "a JSON object of FaultModel fields, each checked against its "
+        "declared bounds (e.g. flap rate <= 64, slowdown <= 100); empty = "
+        "zero faults (the CLI also reads @file.json)",
     )
     scenarios: int = _arg(
         16, "Monte-Carlo fault scenarios per plan", lo=1, hi=1024
@@ -481,9 +514,7 @@ class ServeConfig:
 
     def __post_init__(self) -> None:
         """Check every flag field by the rules the request fields use."""
-        for f in fields(self):
-            if f.metadata:
-                _value(vars(self), f)
+        check_fields(self)
 
 
 # ----------------------------------------------------------------------

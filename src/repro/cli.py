@@ -644,6 +644,10 @@ def cmd_cache(args) -> int:
 
 def cmd_sweep3d(args) -> int:
     request = SearchRequest.from_json(request_body(args))
+    if args.microbatch < 0:
+        raise ValidationError(
+            f"microbatch must be >= 0, got {args.microbatch}", "microbatch"
+        )
     model = MODELS_BY_KEY[request.model]
     logger.info(
         "3D sweep of %s over %d devices (jobs %d)",
@@ -836,7 +840,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep3d", help="3D parallelism sweep (Fig. 10)")
     _add_request_flags(sweep, SearchRequest)
     _add_jobs(sweep)
-    sweep.add_argument("--microbatch", type=int, default=4)
+    sweep.add_argument(
+        "--microbatch", type=int, default=4,
+        help="sequences per pipeline micro-batch (0 = 1)",
+    )
     sweep.set_defaults(func=cmd_sweep3d)
 
     simulate = sub.add_parser(

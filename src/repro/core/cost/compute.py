@@ -21,20 +21,11 @@ from ..spec import PartitionSpec
 _COLUMN = {dim: i for i, dim in enumerate(ALL_DIMS)}
 
 
-def block_elements(op: OperatorSpec, spec: PartitionSpec, dims) -> float:
-    """Per-device per-step element count of a tensor spanning ``dims``."""
-    counts = spec.table.slice_counts.astype(float)
-    return float(block_elements_batch(op, counts, dims)[0])
-
-
 def block_elements_batch(
     op: OperatorSpec, counts: np.ndarray, dims
 ) -> np.ndarray:
-    """Vectorized :func:`block_elements` over a slice-count matrix.
-
-    Multiplies factors in the same (dim) order as the scalar path, so each
-    row is bit-identical to ``block_elements`` on that spec.
-    """
+    """Per-device per-step element count of a tensor spanning ``dims``,
+    one row per row of the slice-count matrix ``counts``."""
     elements = np.ones(counts.shape[0])
     for dim in dims:
         elements = elements * (op.dim_size(dim) / counts[:, _COLUMN[dim]])

@@ -1,4 +1,4 @@
-"""Device identifiers and logical device squares.
+"""Device identifiers.
 
 PrimePar partitions over ``2**n`` homogeneous devices, each identified by a
 **Device ID** bit-vector ``D = (d_1, ..., d_n)`` with ``d_i in {0, 1}``
@@ -43,10 +43,6 @@ class DeviceId:
     def n_bits(self) -> int:
         return len(self.bits)
 
-    def bit(self, index: int) -> int:
-        """Return bit ``d_{index+1}`` (0-based indexing into the vector)."""
-        return self.bits[index]
-
     def sub_bits(self, positions: Sequence[int]) -> Tuple[int, ...]:
         """Project the id onto a subset of bit positions (a group indicator)."""
         return tuple(self.bits[p] for p in positions)
@@ -58,32 +54,3 @@ class DeviceId:
 def all_devices(n_bits: int) -> Tuple[DeviceId, ...]:
     """All ``2**n_bits`` device ids in rank order."""
     return tuple(DeviceId.from_rank(r, n_bits) for r in range(1 << n_bits))
-
-
-def square_coordinates(device: DeviceId, start_bit: int, k: int) -> Tuple[int, int]:
-    """Row/column of a device within the logical ``2^k x 2^k`` square.
-
-    Per paper Alg. 1 lines 9-10, for a primitive starting at bit ``i``::
-
-        r = 2^{k-1} d_i     + 2^{k-2} d_{i+2} + ... + 2^0 d_{i+2k-2}
-        c = 2^{k-1} d_{i+1} + 2^{k-2} d_{i+3} + ... + 2^0 d_{i+2k-1}
-
-    Args:
-        device: The device id.
-        start_bit: 0-based index of the first bit the primitive consumes.
-        k: The primitive's ``k`` (square side is ``2**k``).
-
-    Returns:
-        ``(r, c)`` coordinates, each in ``[0, 2**k)``.
-    """
-    if start_bit + 2 * k > device.n_bits:
-        raise ValueError(
-            f"P_{{2^{k} x 2^{k}}} at bit {start_bit} needs {2 * k} bits, "
-            f"device has {device.n_bits}"
-        )
-    row = 0
-    col = 0
-    for j in range(k):
-        row = (row << 1) | device.bit(start_bit + 2 * j)
-        col = (col << 1) | device.bit(start_bit + 2 * j + 1)
-    return row, col

@@ -12,12 +12,11 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .dims import ALL_DIMS, Dim, Phase
+from .dims import ALL_DIMS, Dim
 from .dsi import check_bits, sequence_slice_counts
 from .partitions import (
     DimPartition,
     PartitionStep,
-    Replicate,
     TemporalPartition,
     format_sequence,
     parse_sequence,

@@ -48,12 +48,18 @@ replay whenever a flap makes the schedule time-varying.
 from __future__ import annotations
 
 import json
-import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..api import OBJECTIVES, ValidationError, stamp
+from ..api import (
+    OBJECTIVES,
+    ValidationError,
+    _arg,
+    check_fields,
+    field_type,
+    stamp,
+)
 from ..cluster.profiler import FabricProfiler
 from ..cluster.topology import ClusterTopology
 from ..core.optimizer.parallel import parallel_map, resolve_jobs
@@ -112,6 +118,17 @@ def scenario_seed(seed: int, index: int) -> int:
     stable across Python versions).
     """
     return (seed * 1_000_003 + index * 7_919) & 0x7FFFFFFFFFFFFFFF
+
+
+def _known(body: Mapping[str, Any], names: Sequence[str], path: str) -> None:
+    """Reject a key of a fault-model object that no field declares."""
+    for key in body:
+        if key not in names:
+            raise ValidationError(
+                f"unknown fault-model field {key!r}; expected one of "
+                f"{sorted(names)}",
+                f"faults.{path}{key}",
+            )
 
 
 # ----------------------------------------------------------------------
@@ -174,27 +191,24 @@ class RecoveryModel:
     plus ``lost_iterations`` re-run at nominal speed (uniform over
     ``checkpoint_interval``), plus ``restart_seconds`` of restart, plus
     ``replan_seconds`` of re-planning on the changed topology
-    (``0`` disables the re-plan term).
+    (``0`` disables the re-plan term).  The bounds keep a recovery cost
+    finite.
     """
 
-    checkpoint_interval: int = 16
-    restart_seconds: float = 30.0
-    replan_seconds: float = 5.0
+    checkpoint_interval: int = _arg(
+        16, "iterations between checkpoints; at most 10^6", lo=1, hi=10**6
+    )
+    restart_seconds: float = _arg(
+        30.0, "restart seconds after an outage; at most 86400 (a day)",
+        lo=0, hi=86_400,
+    )
+    replan_seconds: float = _arg(
+        5.0, "re-planning seconds after an outage; at most 86400 (a day)",
+        lo=0, hi=86_400,
+    )
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "checkpoint_interval": self.checkpoint_interval,
-            "restart_seconds": self.restart_seconds,
-            "replan_seconds": self.replan_seconds,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "RecoveryModel":
-        return cls(
-            int(payload.get("checkpoint_interval", 16)),
-            float(payload.get("restart_seconds", 30.0)),
-            float(payload.get("replan_seconds", 5.0)),
-        )
+    def __post_init__(self) -> None:
+        check_fields(self, "faults.")
 
 
 @dataclass(frozen=True)
@@ -241,12 +255,6 @@ class FaultScenario:
 # the fault model (fleet-level rates -> seeded scenarios)
 # ----------------------------------------------------------------------
 
-_MODEL_FIELDS = (
-    "straggler_rate", "straggler_slowdown", "degrade_rate", "degrade_factor",
-    "flap_rate", "flap_duration", "flap_reroute", "outage_rate",
-)
-_RECOVERY_FIELDS = ("checkpoint_interval", "restart_seconds", "replan_seconds")
-
 
 @dataclass(frozen=True)
 class FaultModel:
@@ -259,70 +267,81 @@ class FaultModel:
     them uniformly in ``[0.5, 1.5]`` of the excess so scenarios are not
     all identical.
 
+    Each field (and each :class:`RecoveryModel` field) is declared with
+    its type, default and bounds like a :mod:`repro.api` request field,
+    and checked by the same rules under ``faults.<name>`` whether it is
+    parsed or built directly.  The upper bounds keep every draw and sum
+    finite and every sweep's sampling bounded.
+
     The draw order inside :meth:`sample` is part of the schema — reordering
     it changes every seeded scenario, which the determinism suite treats as
     a break.
     """
 
-    straggler_rate: float = 0.0
-    straggler_slowdown: float = 1.5
-    degrade_rate: float = 0.0
-    degrade_factor: float = 0.5
-    flap_rate: float = 0.0
-    flap_duration: float = 0.002
-    flap_reroute: float = 0.0
-    outage_rate: float = 0.0
+    straggler_rate: float = _arg(
+        0.0, "probability that a device straggles", lo=0, hi=1
+    )
+    straggler_slowdown: float = _arg(
+        1.5,
+        "mean compute slowdown of a straggler; at most 100 so a jittered "
+        "draw stays finite",
+        lo=1, hi=100,
+    )
+    degrade_rate: float = _arg(
+        0.0, "probability that a node's NIC pool is degraded", lo=0, hi=1
+    )
+    degrade_factor: float = _arg(
+        0.5, "mean fraction of its bandwidth a degraded NIC pool keeps",
+        gt=0, hi=1,
+    )
+    flap_rate: float = _arg(
+        0.0,
+        "expected NIC flaps per node; at most 64, since each flap is drawn "
+        "and replayed one by one",
+        lo=0, hi=64,
+    )
+    flap_duration: float = _arg(
+        0.002,
+        "mean flap length in seconds; at most 3600 so a stalled transfer "
+        "ends in finite time",
+        lo=0, hi=3600,
+    )
+    flap_reroute: float = _arg(
+        0.0, "NIC capacity fraction left during a flap (0 = outage)",
+        lo=0, hi=1,
+    )
+    outage_rate: float = _arg(
+        0.0, "probability of a node outage mid-iteration", lo=0, hi=1
+    )
     recovery: RecoveryModel = field(default_factory=RecoveryModel)
+
+    def __post_init__(self) -> None:
+        check_fields(self, "faults.")
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "FaultModel":
-        """Build from a JSON object, rejecting unknown or ill-typed fields."""
+        """Build from a JSON object, rejecting unknown or ill-typed fields.
+
+        Recovery fields may sit in a nested ``recovery`` object or at the
+        top level (which wins).
+        """
         if not isinstance(payload, Mapping):
             raise ValidationError(
                 "fault model must be a JSON object", "faults"
             )
-        known = set(_MODEL_FIELDS) | set(_RECOVERY_FIELDS) | {"recovery"}
-        for key in payload:
-            if key not in known:
-                raise ValidationError(
-                    f"unknown fault-model field {key!r}; expected one of "
-                    f"{sorted(known)}",
-                    f"faults.{key}",
-                )
-        values: Dict[str, float] = {}
-        for name in _MODEL_FIELDS:
-            raw = payload.get(name, getattr(cls, name))
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                raise ValidationError(
-                    f"fault-model field {name!r} must be a number",
-                    f"faults.{name}",
-                )
-            values[name] = float(raw)
-        nested = payload.get("recovery", {})
+        recovery_names = [f.name for f in fields(RecoveryModel)]
+        _known(payload, [f.name for f in fields(cls)] + recovery_names, "")
+        values = dict(payload)
+        nested = values.pop("recovery", {})
         if not isinstance(nested, Mapping):
             raise ValidationError(
                 "recovery model must be a JSON object", "faults.recovery"
             )
-        recovery_payload = dict(nested)
-        for name in _RECOVERY_FIELDS:
-            if name in payload:
-                recovery_payload[name] = payload[name]
-            raw = recovery_payload.get(name, getattr(RecoveryModel, name))
-            integral = name == "checkpoint_interval"
-            if isinstance(raw, bool) or not isinstance(
-                raw, int if integral else (int, float)
-            ):
-                raise ValidationError(
-                    f"recovery field {name!r} must be "
-                    + ("an integer" if integral else "a number"),
-                    f"faults.{name}",
-                )
-        recovery = RecoveryModel.from_json(recovery_payload)
-        model = cls(recovery=recovery, **values)
-        model.validate()
-        return model
+        _known(nested, recovery_names, "recovery.")
+        flat = {k: values.pop(k) for k in recovery_names if k in values}
+        return cls(recovery=RecoveryModel(**{**nested, **flat}), **values)
 
     @classmethod
     def from_spec(cls, text: str) -> "FaultModel":
@@ -344,6 +363,10 @@ class FaultModel:
             "restart": ("restart_seconds",),
             "replan": ("replan_seconds",),
         }
+        kinds = {
+            f.name: field_type(f)
+            for f in fields(cls) + fields(RecoveryModel) if f.metadata
+        }
         for clause in filter(None, (c.strip() for c in text.split(","))):
             name, sep, rest = clause.partition("=")
             if not sep or name not in clause_map:
@@ -361,78 +384,17 @@ class FaultModel:
                 )
             for field_name, part in zip(fields_for, parts):
                 try:
-                    value: Any = (
-                        int(part) if field_name == "checkpoint_interval"
-                        else float(part)
-                    )
+                    payload[field_name] = kinds[field_name](part)
                 except ValueError as exc:
                     raise ValidationError(
                         f"bad number {part!r} in fault spec clause {clause!r}",
                         f"faults.{field_name}",
                     ) from exc
-                payload[field_name] = value
         return cls.from_json(payload)
 
-    def validate(self) -> None:
-        for name in _MODEL_FIELDS + _RECOVERY_FIELDS:
-            value = getattr(
-                self.recovery if name in _RECOVERY_FIELDS else self, name
-            )
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"{name} must be finite, got {value}", f"faults.{name}"
-                )
-        for name in ("straggler_rate", "degrade_rate", "outage_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValidationError(
-                    f"{name} must be in [0, 1], got {rate}", f"faults.{name}"
-                )
-        if self.flap_rate < 0:
-            raise ValidationError(
-                f"flap_rate must be >= 0, got {self.flap_rate}",
-                "faults.flap_rate",
-            )
-        if self.straggler_slowdown < 1.0:
-            raise ValidationError(
-                f"straggler_slowdown must be >= 1, got "
-                f"{self.straggler_slowdown}",
-                "faults.straggler_slowdown",
-            )
-        if not 0.0 < self.degrade_factor <= 1.0:
-            raise ValidationError(
-                f"degrade_factor must be in (0, 1], got {self.degrade_factor}",
-                "faults.degrade_factor",
-            )
-        if self.flap_duration < 0:
-            raise ValidationError(
-                f"flap_duration must be >= 0, got {self.flap_duration}",
-                "faults.flap_duration",
-            )
-        if not 0.0 <= self.flap_reroute <= 1.0:
-            raise ValidationError(
-                f"flap_reroute must be in [0, 1], got {self.flap_reroute}",
-                "faults.flap_reroute",
-            )
-        if self.recovery.checkpoint_interval < 1:
-            raise ValidationError(
-                "checkpoint_interval must be >= 1, got "
-                f"{self.recovery.checkpoint_interval}",
-                "faults.checkpoint_interval",
-            )
-        for name in ("restart_seconds", "replan_seconds"):
-            value = getattr(self.recovery, name)
-            if value < 0:
-                raise ValidationError(
-                    f"{name} must be >= 0, got {value}", f"faults.{name}"
-                )
-
     def to_json(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            name: getattr(self, name) for name in _MODEL_FIELDS
-        }
-        payload["recovery"] = self.recovery.to_json()
-        return payload
+        """Every field in declaration order, ``recovery`` nested."""
+        return {**vars(self), "recovery": dict(vars(self.recovery))}
 
     def canonical(self) -> str:
         """A stable string form for cache keys and determinism checks."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Mapping, Sequence, Tuple
 
-from repro.core.device import DeviceId, square_coordinates
+from repro.core.device import DeviceId
 from repro.core.dims import ALL_DIMS, Dim, Phase
 from repro.core.dsi import check_bits, sequence_slice_counts
 from repro.core.partitions import (
@@ -25,6 +25,35 @@ from repro.core.partitions import (
     format_sequence,
 )
 from repro.core.spec import PartitionSpec
+
+
+def square_coordinates(device: DeviceId, start_bit: int, k: int) -> Tuple[int, int]:
+    """Row/column of a device within the logical ``2^k x 2^k`` square.
+
+    Per paper Alg. 1 lines 9-10, for a primitive starting at bit ``i``::
+
+        r = 2^{k-1} d_i     + 2^{k-2} d_{i+2} + ... + 2^0 d_{i+2k-2}
+        c = 2^{k-1} d_{i+1} + 2^{k-2} d_{i+3} + ... + 2^0 d_{i+2k-1}
+
+    Args:
+        device: The device id.
+        start_bit: 0-based index of the first bit the primitive consumes.
+        k: The primitive's ``k`` (square side is ``2**k``).
+
+    Returns:
+        ``(r, c)`` coordinates, each in ``[0, 2**k)``.
+    """
+    if start_bit + 2 * k > device.n_bits:
+        raise ValueError(
+            f"P_{{2^{k} x 2^{k}}} at bit {start_bit} needs {2 * k} bits, "
+            f"device has {device.n_bits}"
+        )
+    row = 0
+    col = 0
+    for j in range(k):
+        row = (row << 1) | device.bits[start_bit + 2 * j]
+        col = (col << 1) | device.bits[start_bit + 2 * j + 1]
+    return row, col
 
 
 @dataclass(frozen=True)
@@ -128,7 +157,7 @@ class DsiEvaluator:
             if isinstance(step, Replicate):
                 bit += 1
             elif isinstance(step, DimPartition):
-                values[step.dim] = 2 * values[step.dim] + device.bit(bit)
+                values[step.dim] = 2 * values[step.dim] + device.bits[bit]
                 bit += 1
             else:
                 side = step.side

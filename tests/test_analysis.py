@@ -171,7 +171,7 @@ class TestRingTransfers:
         for signature in LINEAR_SIGNATURES.values():
             for tr in analysis.ring_transfers(s, signature):
                 # The N bit (leading) selects the node; src and dst agree.
-                assert tr.src.bit(0) == tr.dst.bit(0)
+                assert tr.src.bits[0] == tr.dst.bits[0]
 
     def test_transfers_by_step_partition(self):
         s = spec("P4x4", 4)

@@ -10,7 +10,13 @@ from repro.api import (
     SimulateRequest,
     ValidationError,
 )
-from repro.cli import build_parser, cmd_verify, main, request_body
+from repro.cli import (
+    build_parser,
+    cmd_sweep3d,
+    cmd_verify,
+    main,
+    request_body,
+)
 
 
 class TestParser:
@@ -49,6 +55,18 @@ class TestParser:
             SimulateRequest.from_json(request_body(args))
         assert err.value.field == "layers"
         assert main(["simulate", "--devices", "4", "--layers", "-3"]) == 2
+
+    def test_sweep3d_rejects_negative_microbatch(self, capsys):
+        args = build_parser().parse_args(["sweep3d", "--microbatch", "-4"])
+        with pytest.raises(ValidationError) as err:
+            cmd_sweep3d(args)
+        assert err.value.field == "microbatch"
+        capsys.readouterr()
+        assert main(["sweep3d", "--devices", "4", "--microbatch", "-4"]) == 2
+        assert (
+            "invalid request: microbatch must be >= 0, got -4"
+            in capsys.readouterr().err
+        )
 
     def test_explain_rejects_config3d_device_mismatch(self, capsys):
         assert main(["explain", "--devices", "8", "--config3d", "2:2:4"]) == 2

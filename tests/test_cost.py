@@ -6,7 +6,7 @@ from repro.core.cost.communication import CommunicationCostModel
 from repro.core.cost.compute import (
     ComputeCostModel,
     block_bytes_batch,
-    block_elements,
+    block_elements_batch,
 )
 from repro.core.cost.intra import IntraOperatorCostModel
 from repro.core.cost.memory import MemoryCostModel
@@ -43,8 +43,9 @@ class TestBlockSizes:
         spec = PartitionSpec.from_string("N-P2x2", 3)
         # N: 4 slices, M: 2, K: 2
         full = fc2.dim_size(Dim.B) * fc2.dim_size(Dim.M) * fc2.dim_size(Dim.N)
-        assert block_elements(fc2, spec, (Dim.B, Dim.M, Dim.N)) == full / 8
         counts = spec.table.slice_counts.astype(float)
+        dims = (Dim.B, Dim.M, Dim.N)
+        assert block_elements_batch(fc2, counts, dims)[0] == full / 8
         assert block_bytes_batch(fc2, counts, (Dim.N, Dim.K))[0] == pytest.approx(
             fc2.dim_size(Dim.N) * fc2.dim_size(Dim.K) / 8 * DTYPE_BYTES
         )

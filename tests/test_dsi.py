@@ -73,8 +73,8 @@ class TestPaperExamples:
         for phase in ALL_PHASES:
             for device in all_devices(2):
                 result = ev.dsi(device, phase)
-                assert result[Dim.M] == device.bit(0)
-                assert result[Dim.N] == device.bit(1)
+                assert result[Dim.M] == device.bits[0]
+                assert result[Dim.N] == device.bits[1]
                 assert result[Dim.B] == 0
                 assert result[Dim.K] == 0
 
@@ -82,7 +82,7 @@ class TestPaperExamples:
         """Pure P_{2x2}: Eq. 4 DSIs."""
         ev = evaluator("P2x2", 2)
         for device in all_devices(2):
-            r, c = device.bit(0), device.bit(1)
+            r, c = device.bits[0], device.bits[1]
             for t in range(2):
                 result = ev.dsi(device, Phase.FORWARD, t)
                 assert result[Dim.M] == r % 2
@@ -92,7 +92,7 @@ class TestPaperExamples:
     def test_backward_eq5(self):
         ev = evaluator("P2x2", 2)
         for device in all_devices(2):
-            r, c = device.bit(0), device.bit(1)
+            r, c = device.bits[0], device.bits[1]
             for t in range(2):
                 result = ev.dsi(device, Phase.BACKWARD, t)
                 assert result[Dim.M] == r % 2
@@ -102,7 +102,7 @@ class TestPaperExamples:
     def test_gradient_eq6(self):
         ev = evaluator("P2x2", 2)
         for device in all_devices(2):
-            r, c = device.bit(0), device.bit(1)
+            r, c = device.bits[0], device.bits[1]
             for t in range(2):
                 delta = 1 if t == 1 else 0
                 result = ev.dsi(device, Phase.GRADIENT, t)
@@ -114,8 +114,8 @@ class TestPaperExamples:
         """Alg. 1: earlier steps occupy higher DSI digits."""
         ev = evaluator("N-P2x2", 3)
         for device in all_devices(3):
-            spatial = device.bit(0)
-            r, c = device.bit(1), device.bit(2)
+            spatial = device.bits[0]
+            r, c = device.bits[1], device.bits[2]
             result = ev.dsi(device, Phase.FORWARD, t=0)
             assert result[Dim.N] == 2 * spatial + (r + c) % 2
 

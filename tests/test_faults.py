@@ -21,7 +21,9 @@ The contracts under test:
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import pickle
 from unittest import mock
@@ -143,6 +145,128 @@ class TestFaultModelSpec:
                 PlanService().robustness_from_request({"faults": body})
         assert excinfo.value.field == f"faults.{field}"
         assert field in str(excinfo.value)
+
+
+def _below(x):
+    return x - 1 if isinstance(x, int) else math.nextafter(x, -math.inf)
+
+
+def _above(x):
+    return x + 1 if isinstance(x, int) else math.nextafter(x, math.inf)
+
+
+#: Every fault field: its lowest and highest accepted values, and the
+#: spec clause that spells it (``{}`` marks the field's position).
+FIELD_RULES = {
+    "straggler_rate": (0.0, 1.0, "straggler={}"),
+    "straggler_slowdown": (1.0, 100.0, "straggler=0:{}"),
+    "degrade_rate": (0.0, 1.0, "degrade={}"),
+    "degrade_factor": (_above(0.0), 1.0, "degrade=0:{}"),
+    "flap_rate": (0.0, 64.0, "flap={}"),
+    "flap_duration": (0.0, 3600.0, "flap=0:{}"),
+    "flap_reroute": (0.0, 1.0, "flap=0:0:{}"),
+    "outage_rate": (0.0, 1.0, "outage={}"),
+    "checkpoint_interval": (1, 10**6, "ckpt={}"),
+    "restart_seconds": (0.0, 86_400.0, "restart={}"),
+    "replan_seconds": (0.0, 86_400.0, "replan={}"),
+}
+
+RECOVERY_FIELDS = {f.name for f in dataclasses.fields(RecoveryModel)}
+
+
+def _build_directly(name, value):
+    if name in RECOVERY_FIELDS:
+        return FaultModel(recovery=RecoveryModel(**{name: value}))
+    return FaultModel(**{name: value})
+
+
+_VIAS = {
+    "from_json": lambda name, value: FaultModel.from_json({name: value}),
+    "from_spec": lambda name, value: FaultModel.from_spec(
+        FIELD_RULES[name][2].format(value)
+    ),
+    "direct": _build_directly,
+}
+
+
+def _field_value(model, name):
+    return getattr(model.recovery if name in RECOVERY_FIELDS else model, name)
+
+
+class TestFaultFieldRules:
+    """Each fault field is checked by the rules declared on it."""
+
+    def test_table_covers_every_field(self):
+        declared = {
+            f.name for f in dataclasses.fields(FaultModel)
+        } - {"recovery"} | RECOVERY_FIELDS
+        assert declared == set(FIELD_RULES)
+
+    @pytest.mark.parametrize("via", sorted(_VIAS))
+    @pytest.mark.parametrize("name", sorted(FIELD_RULES))
+    def test_edges_accepted_and_just_past_rejected(self, name, via):
+        lo, hi, _ = FIELD_RULES[name]
+        build = _VIAS[via]
+        for value in (lo, hi):
+            assert _field_value(build(name, value), name) == value
+        low = 0.0 if name == "degrade_factor" else _below(lo)
+        for value in (low, _above(hi)):
+            with pytest.raises(ValidationError) as err:
+                build(name, value)
+            assert err.value.field == f"faults.{name}", value
+            assert name in str(err.value)
+
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(ValidationError) as err:
+            FaultModel(
+                straggler_rate=5.0,
+                recovery=RecoveryModel(checkpoint_interval=0),
+            )
+        assert err.value.field.startswith("faults.")
+
+    def test_unbounded_flap_rate_rejected(self, capsys):
+        """``flap=1e12`` would draw flaps for ever; every door refuses it.
+
+        ``from_spec`` goes first, so a lost bound fails here rather than
+        hanging the sampling behind the service and the CLI.
+        """
+        from repro.cli import main
+        from repro.serve.service import PlanService
+
+        for build in (
+            lambda: FaultModel.from_spec("flap=1e12"),
+            lambda: PlanService().robustness_from_request(
+                {"faults": "flap=1e12"}
+            ),
+        ):
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert err.value.field == "faults.flap_rate"
+        argv = ["faults", "--devices", "4", "--faults", "flap=1e12"]
+        assert main(argv) == 2
+        assert "flap_rate" in capsys.readouterr().err
+
+    def test_overflowing_slowdown_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            FaultModel.from_spec("straggler=1:1.7e308")
+        assert err.value.field == "faults.straggler_slowdown"
+
+    def test_int_past_float_range_rejected_not_raised(self):
+        with pytest.raises(ValidationError) as err:
+            FaultModel.from_json({"straggler_slowdown": 10**400})
+        assert err.value.field == "faults.straggler_slowdown"
+
+    def test_upper_bound_model_reports_finite_json(self):
+        from repro.serve.service import PlanService
+
+        faults = {name: hi for name, (_, hi, _) in FIELD_RULES.items()}
+        out = PlanService().robustness_from_request(
+            {
+                "model": "opt-6.7b", "devices": 4, "faults": faults,
+                "scenarios": 2, "layers": 1,
+            }
+        )
+        json.dumps(out["report"], allow_nan=False)
 
 
 class TestAttribution:

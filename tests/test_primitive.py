@@ -7,7 +7,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import schedule_oracle as analysis  # noqa: E402  (scalar ring schedule)
-from dsi_oracle import evaluator  # noqa: E402  (scalar Alg. 1 walk)
+from dsi_oracle import (  # noqa: E402  (scalar Alg. 1 walk)
+    evaluator,
+    square_coordinates,
+)
 from oracles import is_ring_pattern  # noqa: E402  (ring-shape oracle)
 from primitive_oracle import (  # noqa: E402  (Eq. 4-6, Table 1 closed form)
     SquareCoord,
@@ -21,7 +24,7 @@ from primitive_oracle import (  # noqa: E402  (Eq. 4-6, Table 1 closed form)
     verify_features,
 )
 from repro.core.dims import Dim, LINEAR_SIGNATURES, Phase
-from repro.core.device import all_devices, square_coordinates
+from repro.core.device import all_devices
 
 
 @pytest.mark.parametrize("k", [1, 2])
