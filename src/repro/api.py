@@ -42,7 +42,9 @@ from .graph.models import MODELS_BY_KEY
 
 __all__ = [
     "ExplainRequest",
+    "MAX_ALPHA",
     "MAX_DEVICES",
+    "MAX_LAYERS",
     "OBJECTIVES",
     "PLANS",
     "RobustnessRequest",
@@ -65,6 +67,13 @@ SCHEMA_VERSION = 1
 
 #: Largest cluster a request may ask for (guards against absurd bodies).
 MAX_DEVICES = 4096
+
+#: Deepest replay a request may ask for (replay time grows linearly with
+#: depth; the deepest benchmark model has 96 layers).
+MAX_LAYERS = 1024
+
+#: Largest Eq. 7 memory weight in s/byte; every plan cost stays finite.
+MAX_ALPHA = 1.0
 
 #: Plan-scoring objectives understood by the robustness layer.
 OBJECTIVES = ("nominal", "p50", "p95", "p99", "blend")
@@ -261,7 +270,10 @@ class SearchRequest(_Request):
     batch: int = _arg(
         0, "global batch (0 = max(8, min(devices, 32)))", lo=0
     )
-    alpha: float = _arg(2e-11, "Eq. 7 memory weight in s/byte", lo=0)
+    alpha: float = _arg(
+        2e-11, f"Eq. 7 memory weight in s/byte, at most {MAX_ALPHA:g}",
+        lo=0, hi=MAX_ALPHA,
+    )
     beam: int = _arg(0, "beam width for the search (0 = exact)", lo=0)
     include_temporal: bool = _arg(
         True,
@@ -332,7 +344,8 @@ class SimulateRequest(_Request):
     search: SearchRequest = field(default_factory=SearchRequest)
     plan: str = _plan_arg()
     layers: int = _arg(
-        0, "layers to simulate (0 = the model's full depth)", lo=0
+        0, f"layers to simulate, at most {MAX_LAYERS} (0 = the model's "
+        "full depth)", lo=0, hi=MAX_LAYERS,
     )
 
     @classmethod
@@ -414,7 +427,8 @@ class RobustnessRequest(_Request):
         0.5, "nominal/p99 weight of the blend objective", lo=0, hi=1
     )
     layers: int = _arg(
-        8, "layers per robustness replay (0 = the model's full depth)", lo=0
+        8, f"layers per robustness replay, at most {MAX_LAYERS} (0 = the "
+        "model's full depth)", lo=0, hi=MAX_LAYERS,
     )
 
     @classmethod
@@ -465,7 +479,9 @@ class ServeConfig:
     """
 
     host: str = _arg("127.0.0.1", "bind address")
-    port: int = _arg(8780, "TCP port; 0 picks an ephemeral one")
+    port: int = _arg(
+        8780, "TCP port; 0 picks an ephemeral one", lo=0, hi=65535
+    )
     max_concurrent: int = _arg(
         2, "searches/simulations allowed to run at once", lo=1
     )
@@ -487,7 +503,7 @@ class ServeConfig:
         lo=0,
     )
     drain_timeout: float = _arg(
-        10.0, "seconds to wait for in-flight requests on shutdown"
+        10.0, "seconds to wait for in-flight requests on shutdown", lo=0
     )
     retry_after: float = 1.0
     trace_store_size: int = _arg(
@@ -500,6 +516,7 @@ class ServeConfig:
         30.0,
         "seconds between flight-recorder process snapshots "
         "(0 disables the sampler)",
+        lo=0,
     )
     slo_window: int = _arg(
         256,
@@ -510,6 +527,7 @@ class ServeConfig:
         0.0,
         "p95 latency target in ms for /v1/* traffic; /healthz reports "
         "breach when exceeded (0 disables)",
+        lo=0,
     )
 
     def __post_init__(self) -> None:

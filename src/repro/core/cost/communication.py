@@ -11,8 +11,8 @@ Two traffic classes exist:
   simulated fabric, concurrently per step.
 
 Both are derived for a whole candidate list at once from its
-:class:`~repro.core.steps.StepTable`; the per-spec methods are that
-derivation on one spec.
+:class:`~repro.core.steps.StepTable`
+(:meth:`~repro.core.cost.intra.IntraOperatorCostModel.price_batch`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from ...graph.operators import OpKind, OperatorSpec
 from ...graph.tensors import DTYPE_BYTES
 from ..dims import ALL_DIMS, Dim, Phase
 from ..ring import ring_senders
-from ..spec import PartitionSpec
 from ..steps import DsiTable, StepTable
 from .compute import block_bytes_batch
 
@@ -101,12 +100,6 @@ class CommunicationCostModel:
             for mask, payload in zip(masks.tolist(), payloads.tolist())
         ]
 
-    def allreduce_latency(
-        self, op: OperatorSpec, spec: PartitionSpec, phase: Phase
-    ) -> float:
-        """``allreduce(n, P)`` for one phase."""
-        return self.allreduce_latency_batch(op, spec.table, phase)[0]
-
     def layernorm_extras_batch(
         self, op: OperatorSpec, table: StepTable
     ) -> List[float]:
@@ -138,9 +131,6 @@ class CommunicationCostModel:
                 total += self._model(row_mask).predict(grad_bytes)
             extras.append(total)
         return extras
-
-    def layernorm_extras(self, op: OperatorSpec, spec: PartitionSpec) -> float:
-        return self.layernorm_extras_batch(op, spec.table)[0]
 
     # ------------------------------------------------------------------
     # ring point-to-point (temporal primitive)
@@ -183,28 +173,3 @@ class CommunicationCostModel:
             n_bytes.reshape(rows),
         )
         return times.max(axis=1, initial=0.0).reshape(n_specs, n_steps)
-
-    def ring_phase_transfers(
-        self, op: OperatorSpec, spec: PartitionSpec, phase: Phase
-    ) -> Dict[int, List[Tuple[str, int, int, float]]]:
-        """Sized ring transfers per overlapped step of one phase.
-
-        Returns ``step -> [(tensor name, src rank, dst rank, bytes)]`` — the
-        concrete point-to-point sends a discrete-event engine places onto
-        fabric link resources.  Empty for purely spatial specs.
-        """
-        if not spec.has_temporal:
-            return {}
-        sends = self.ring_sends(op, spec.table, DsiTable(spec.table), phase)
-        sizes = sends.n_bytes[0].tolist()
-        schedule = {}
-        for step, row in enumerate(sends.src[0].tolist()):
-            entries = [
-                (sends.tensors[e], src, dst, sizes[e])
-                for e, sources in enumerate(row)
-                for dst, src in enumerate(sources)
-                if src >= 0
-            ]
-            if entries:
-                schedule[step] = entries
-        return schedule

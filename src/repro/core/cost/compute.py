@@ -15,7 +15,6 @@ from ...cluster.hardware import DeviceSpec
 from ...graph.operators import OperatorSpec
 from ...graph.tensors import DTYPE_BYTES
 from ..dims import ALL_DIMS, Phase
-from ..spec import PartitionSpec
 
 
 _COLUMN = {dim: i for i, dim in enumerate(ALL_DIMS)}
@@ -41,14 +40,6 @@ class ComputeCostModel:
 
     def __init__(self, device: DeviceSpec) -> None:
         self.device = device
-
-    def step_latency(self, op: OperatorSpec, spec: PartitionSpec, phase: Phase) -> float:
-        """Latency of one temporal step of ``phase`` — ``compute(n, P, t)``."""
-        return float(
-            self.step_latency_batch(
-                op, spec.table.slice_counts.astype(float), phase
-            )[0]
-        )
 
     def step_latency_batch(
         self, op: OperatorSpec, counts: np.ndarray, phase: Phase

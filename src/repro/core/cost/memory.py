@@ -8,30 +8,24 @@ every device sharing it.  The temporal primitive adds double buffers for the
 tensors in flight between steps (paper Fig. 4).
 
 Every term is computed for a whole candidate list at once, from its slice
-counts and primitive flags (a :class:`~repro.core.steps.StepTable`); the
-per-spec methods read one row.
+counts and primitive flags (a :class:`~repro.core.steps.StepTable`);
+:class:`~repro.core.cost.intra.IntraTerms` keeps the three parts and sums
+them to ``memory(n, P)``.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
 from ...graph.operators import OpKind, OperatorSpec
 from ..dims import ALL_DIMS, Dim, Phase
 from ..dsi import TEMPORAL_VARYING
-from ..spec import PartitionSpec
-from ..steps import StepTable
 from .compute import block_bytes_batch, block_elements_batch
 
 
 class MemoryCostModel:
-    """Per-device peak memory of a partitioned operator, in bytes."""
-
-    # ------------------------------------------------------------------
-    # components, over a slice-count matrix ``[spec, dim]``
-    # ------------------------------------------------------------------
+    """Per-device peak memory of a partitioned operator, in bytes, for
+    every row of a slice-count matrix ``[spec, dim]``."""
 
     def parameter_bytes_batch(
         self, op: OperatorSpec, counts: np.ndarray
@@ -98,44 +92,3 @@ class MemoryCostModel:
                 moving_output = np.zeros(len(counts))
             worst = np.maximum(np.maximum(worst, moving_inputs), moving_output)
         return np.where(temporal, worst, 0.0)
-
-    def operator_memory_batch(
-        self, op: OperatorSpec, table: StepTable
-    ) -> np.ndarray:
-        """``memory(n, P)`` of every spec of ``table``."""
-        counts = table.slice_counts.astype(float)
-        return (
-            self.parameter_bytes_batch(op, counts)
-            + self.stash_bytes_batch(op, counts)
-            + self.double_buffer_bytes_batch(op, counts, table.has_temporal)
-        )
-
-    # ------------------------------------------------------------------
-    # one spec
-    # ------------------------------------------------------------------
-
-    def parameter_bytes(self, op: OperatorSpec, spec: PartitionSpec) -> float:
-        return float(self.parameter_bytes_batch(op, _counts(spec))[0])
-
-    def stash_bytes(self, op: OperatorSpec, spec: PartitionSpec) -> float:
-        return float(self.stash_bytes_batch(op, _counts(spec))[0])
-
-    def double_buffer_bytes(self, op: OperatorSpec, spec: PartitionSpec) -> float:
-        return float(
-            self.double_buffer_bytes_batch(
-                op, _counts(spec), spec.table.has_temporal
-            )[0]
-        )
-
-    def operator_memory(self, op: OperatorSpec, spec: PartitionSpec) -> float:
-        """``memory(n, P)``: per-device peak bytes of one operator."""
-        return float(self.operator_memory_batch(op, spec.table)[0])
-
-    def plan_memory(self, items: Iterable) -> float:
-        """Per-device peak bytes of a whole plan: ``(op, spec)`` pairs."""
-        return sum(self.operator_memory(op, spec) for op, spec in items)
-
-
-def _counts(spec: PartitionSpec) -> np.ndarray:
-    """``spec``'s slice counts as a one-row float ``[spec, dim]`` matrix."""
-    return spec.table.slice_counts.astype(float)

@@ -2,19 +2,21 @@
 
 ``C = sum_i intraC(n_i, P_i) + sum_(i,j) interC(n_i, n_j, P_i, P_j)`` over
 a computation graph with one partition spec per node.  :class:`PlanCost` is
-the one price list of a plan: ``explain`` reads its tables from it.
+the one price list of a plan: ``explain`` reads its tables from it, and the
+event engine (:meth:`~repro.sim.engine.EventDrivenSimulator.lower`)
+replays its terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Tuple
 
 from ...cluster.profiler import FabricProfiler
 from ...graph.graph import ComputationGraph, Edge
 from ..spec import PartitionSpec
 from .inter import InterOperatorCostModel
-from .intra import IntraCost, IntraOperatorCostModel
+from .intra import IntraCost, IntraOperatorCostModel, IntraTerms
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,8 @@ class PlanCost:
     memory_bytes: float
     #: Each operator's :class:`IntraCost`, in ``graph.nodes`` order.
     operators: Tuple[IntraCost, ...]
+    #: The one-row :class:`IntraTerms` each of ``operators`` folds.
+    terms: Tuple[IntraTerms, ...] = field(compare=False)
     #: ``(edge, interC, forward, backward)`` per edge, in ``graph.edges``
     #: order (:meth:`InterOperatorCostModel.plan_edge_costs`).
     edges: Tuple[Tuple[Edge, float, float, float], ...]
@@ -65,9 +69,11 @@ class OverallCostModel:
         self, graph: ComputationGraph, plan: Mapping[str, PartitionSpec]
     ) -> PlanCost:
         """Cost of ``plan`` (node name -> spec) over ``graph``."""
-        operators = tuple(
-            self.intra.cost(node, plan[node.name]) for node in graph.nodes
+        terms = tuple(
+            self.intra.price_batch(node, [plan[node.name]])
+            for node in graph.nodes
         )
+        operators = tuple(self.intra.fold(priced)[0] for priced in terms)
         compute = ring = allreduce = memory = 0.0
         for cost in operators:
             compute += cost.compute_latency
@@ -85,5 +91,6 @@ class OverallCostModel:
             inter_latency=inter_total,
             memory_bytes=memory,
             operators=operators,
+            terms=terms,
             edges=edges,
         )

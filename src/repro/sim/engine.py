@@ -1,7 +1,8 @@
 """Discrete-event simulation engine with per-device streams and link contention.
 
 The repo's one plan simulator.  Kernels are priced by the paper's cost
-models (Eq. 7–9); this module replays them on the simulated cluster:
+models (Eq. 7–9, one price list per plan); this module replays them on the
+simulated cluster:
 
 * :class:`StreamResource` — a serial FIFO execution stream (one per device
   compute stream, one per pipeline stage);
@@ -111,10 +112,12 @@ frozen copy of the original implementation):
 * **Lower once, build once, re-time per scenario.**  Every cost term a
   replay needs (Eq. 7 step compute, sized ring transfers, all-reduce and
   layernorm extras, Eq. 8–9 redistribution, the memory terms) depends only
-  on the graph, the plan and the fabric, so :meth:`EventDrivenSimulator.lower`
-  prices them once into a picklable :class:`PlanLowering` (memoized on disk
-  as ``lowering`` entries, so a later request replaying the same plan loads
-  it instead of re-pricing), and
+  on the graph, the plan and the fabric.  :meth:`EventDrivenSimulator.lower`
+  reads them from the plan's one price list
+  (:meth:`~repro.core.cost.overall.OverallCostModel.plan_cost`, the list
+  ``explain`` shows) into a picklable :class:`PlanLowering`, pricing
+  nothing itself (memoized on disk as ``lowering`` entries, so a later
+  request replaying the same plan loads it instead), and
   :meth:`EventDrivenSimulator.build` turns it into a kernel DAG whose
   kernels keep their priced durations.  Faults change durations and link
   capacities, not the DAG's shape: each :meth:`KernelGraph.execute` takes
@@ -145,10 +148,8 @@ from .. import cache as diskcache
 from ..cluster.profiler import FabricProfiler
 from ..cluster.topology import PathResources
 from ..core.dims import ALL_PHASES, Phase
-from ..core.cost.communication import CommunicationCostModel
-from ..core.cost.compute import ComputeCostModel
-from ..core.cost.inter import InterOperatorCostModel
-from ..core.cost.memory import MemoryCostModel
+from ..core.cost.intra import PhaseTerms
+from ..core.cost.overall import OverallCostModel
 from ..core.spec import PartitionSpec
 from ..graph.graph import ComputationGraph
 from ..obs.metrics import counter, gauge
@@ -843,6 +844,30 @@ class PhaseLowering:
     allreduce: float
 
 
+def _phase_lowering(spec: PartitionSpec, priced: PhaseTerms) -> PhaseLowering:
+    """One plan operator's phase, from its one-row :class:`PhaseTerms`.
+
+    A phase with neither compute nor ring sends emits no kernels, so it
+    carries no all-reduce.
+    """
+    step_compute = float(priced.step_compute[0])
+    ring = {}
+    if priced.sends is not None:
+        sends = priced.sends
+        sizes = sends.n_bytes[0].tolist()
+        for step, row in enumerate(sends.src[0].tolist()):
+            entries = tuple(
+                (sends.tensors[e], src, dst, sizes[e])
+                for e, sources in enumerate(row)
+                for dst, src in enumerate(sources)
+                if src >= 0 and sizes[e] > 0 and src != dst
+            )
+            if entries:
+                ring[step] = entries
+    allreduce = priced.allreduce[0] if step_compute > 0 or ring else 0.0
+    return PhaseLowering(step_compute, spec.total_steps, ring, allreduce)
+
+
 @dataclass(frozen=True)
 class PlanLowering:
     """Every cost term an event replay of one ``(graph, plan)`` reads.
@@ -857,7 +882,7 @@ class PlanLowering:
     edge_costs: Mapping[Tuple[str, str, str], Tuple[float, float]]
     phases: Mapping[Tuple[str, Phase], PhaseLowering]
     layernorm_extras: Mapping[str, float]
-    #: One layer's static per-device memory (``MemoryCostModel.plan_memory``).
+    #: One layer's static per-device memory (``PlanCost.memory_bytes``).
     plan_memory: float
     #: One layer's tracked watermark (``track_iteration``) and its makeup.
     watermark_peak: float
@@ -888,10 +913,6 @@ class EventDrivenSimulator:
     ) -> None:
         self.profiler = profiler
         self.topology = profiler.topology
-        self.compute = ComputeCostModel(profiler.topology.device)
-        self.communication = CommunicationCostModel(profiler)
-        self.inter = InterOperatorCostModel(profiler)
-        self.memory = MemoryCostModel()
         self.graph_factory = graph_factory
         #: The last lowering built, as ``(graph, specs in node order,
         #: lowering)``; see :meth:`lower`.
@@ -909,7 +930,8 @@ class EventDrivenSimulator:
     def lower(
         self, graph: ComputationGraph, plan: Mapping[str, PartitionSpec]
     ) -> PlanLowering:
-        """Price every cost term a replay of ``plan`` on ``graph`` reads.
+        """Every cost term a replay of ``plan`` on ``graph`` reads, from
+        the plan's Eq. 10 price list.
 
         The last lowering is kept: calling again with the same graph object
         and equal specs returns it without re-pricing, so a fault sweep
@@ -936,7 +958,7 @@ class EventDrivenSimulator:
                 ),
                 self.profiler.topology,
             ),
-            lambda: self._price(graph, plan, specs),
+            lambda: self._read_price_list(graph, plan),
             PlanLowering,
         )
         self._lowered = (graph, specs, lowering)
@@ -955,38 +977,33 @@ class EventDrivenSimulator:
             )
         return last[1], last[2]
 
-    def _price(
-        self,
-        graph: ComputationGraph,
-        plan: Mapping[str, PartitionSpec],
-        specs: Tuple[PartitionSpec, ...],
+    def _read_price_list(
+        self, graph: ComputationGraph, plan: Mapping[str, PartitionSpec]
     ) -> PlanLowering:
-        """Price ``plan``'s :class:`PlanLowering` from scratch."""
+        """``plan``'s :class:`PlanLowering`, read from its Eq. 10 price list
+        (:meth:`~repro.core.cost.overall.OverallCostModel.plan_cost`)."""
         started = time.perf_counter()
         with span("sim.lower", ops=len(graph.nodes), edges=len(graph.edges)):
-            edge_costs = {
-                edge.key(): (forward, backward)
-                for edge, _, forward, backward in self.inter.plan_edge_costs(
-                    graph, plan
-                )
-            }
-            phases: Dict[Tuple[str, Phase], PhaseLowering] = {}
-            extras: Dict[str, float] = {}
-            for node in graph.nodes:
-                spec = plan[node.name]
-                for phase in ALL_PHASES:
-                    phases[node.name, phase] = self._price_phase(
-                        node, spec, phase
-                    )
-                extras[node.name] = self.communication.layernorm_extras(
-                    node, spec
-                )
-            watermark = track_iteration(graph, plan)
+            priced = OverallCostModel(self.profiler).plan_cost(graph, plan)
+            operators = tuple(zip(graph.nodes, priced.terms))
+            watermark = track_iteration(graph, priced)
             lowering = PlanLowering(
-                edge_costs=edge_costs,
-                phases=phases,
-                layernorm_extras=extras,
-                plan_memory=self.memory.plan_memory(zip(graph.nodes, specs)),
+                edge_costs={
+                    edge.key(): (forward, backward)
+                    for edge, _, forward, backward in priced.edges
+                },
+                phases={
+                    (node.name, phase): _phase_lowering(
+                        plan[node.name], terms.phases[phase]
+                    )
+                    for node, terms in operators
+                    for phase in ALL_PHASES
+                },
+                layernorm_extras={
+                    node.name: terms.layernorm_extras[0]
+                    for node, terms in operators
+                },
+                plan_memory=priced.memory_bytes,
                 watermark_peak=watermark.peak,
                 watermark_composition=watermark.composition_at_peak(),
             )
@@ -996,26 +1013,6 @@ class EventDrivenSimulator:
             seconds=time.perf_counter() - started,
         )
         return lowering
-
-    def _price_phase(
-        self, node, spec: PartitionSpec, phase: Phase
-    ) -> PhaseLowering:
-        """Step compute, real ring sends and all-reduce of one phase."""
-        step_compute = self.compute.step_latency(node, spec, phase)
-        ring = {}
-        for step, entries in self.communication.ring_phase_transfers(
-            node, spec, phase
-        ).items():
-            sends = tuple(e for e in entries if e[3] > 0 and e[1] != e[2])
-            if sends:
-                ring[step] = sends
-        # A phase with neither compute nor ring traffic emits no kernels,
-        # so its all-reduce is never priced (nor its profiler model fitted).
-        allreduce = (
-            self.communication.allreduce_latency(node, spec, phase)
-            if step_compute > 0 or ring else 0.0
-        )
-        return PhaseLowering(step_compute, spec.total_steps, ring, allreduce)
 
     # ------------------------------------------------------------------
     # single iteration

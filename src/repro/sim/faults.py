@@ -1008,15 +1008,13 @@ def robust_search(
 
     The portfolio holds the PrimePar optimum with the temporal primitive,
     the conventional (spatial-only) optimum, and the Megatron-style
-    baseline whose degree Eq. 10 prices fastest (for Megatron's
-    contention-free plans that is the engine's own ranking, and no
-    candidate is replayed just to be discarded); identical plans are
-    evaluated once.  ``sim_layers`` bounds the robustness replays
-    (default: ``n_layers``); the plan *search* always runs at
-    ``n_layers``.
+    baseline of :func:`~repro.baselines.megatron.best_megatron_plan`
+    (the degree with the highest simulated throughput at ``n_layers``);
+    identical plans are evaluated once.  ``sim_layers`` bounds the
+    robustness replays (default: ``n_layers``); the plan *search* always
+    runs at ``n_layers``.
     """
-    from ..baselines.megatron import megatron_plans
-    from ..core.cost.overall import OverallCostModel
+    from ..baselines.megatron import best_megatron_plan
     from ..core.optimizer.strategy import PrimeParOptimizer
 
     depth = sim_layers if sim_layers else n_layers
@@ -1033,12 +1031,10 @@ def robust_search(
             result = optimizer.optimize(graph, n_layers=n_layers,
                                         deadline=deadline)
             portfolio.append((label, dict(result.plan)))
-        cost = OverallCostModel(profiler)
-        _, megatron = min(
-            megatron_plans(graph, profiler.topology, global_batch),
-            key=lambda entry: cost.plan_cost(graph, entry[1]).latency,
+        megatron = best_megatron_plan(
+            EventDrivenSimulator(profiler), graph, global_batch, n_layers
         )
-        portfolio.append(("megatron", megatron))
+        portfolio.append(("megatron", megatron.plan))
 
         candidates: List[RobustCandidate] = []
         seen: Dict[str, RobustnessReport] = {}

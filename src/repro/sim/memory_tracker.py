@@ -10,10 +10,9 @@ occurs and what it is made of.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, List
 
-from ..core.cost.memory import MemoryCostModel
-from ..core.spec import PartitionSpec
+from ..core.cost.overall import PlanCost
 from ..graph.graph import ComputationGraph
 from ..obs.metrics import counter, gauge
 
@@ -53,34 +52,26 @@ class MemoryTimeline:
         return {k: v for k, v in totals.items() if v > 1e-9}
 
 
-def track_iteration(
-    graph: ComputationGraph,
-    plan: Mapping[str, PartitionSpec],
-) -> MemoryTimeline:
+def track_iteration(graph: ComputationGraph, priced: PlanCost) -> MemoryTimeline:
     """Play one iteration's allocations and releases.
 
-    Parameters (weights + gradients) and temporal double buffers are
-    resident for the whole iteration; stashes appear per operator during
-    Forward and disappear as the reverse sweep finishes each operator's
-    Gradient phase.
+    ``priced`` is the plan's price list; each operator's parameters,
+    stashes and double buffers are its memory terms.  Parameters (weights
+    + gradients) and temporal double buffers are resident for the whole
+    iteration; stashes appear per operator during Forward and disappear as
+    the reverse sweep finishes each operator's Gradient phase.
     """
-    memory_model = MemoryCostModel()
     timeline = MemoryTimeline()
-    for node in graph.nodes:
-        spec = plan[node.name]
+    for node, terms in zip(graph.nodes, priced.terms):
         timeline.record(
-            node.name, "parameters", memory_model.parameter_bytes(node, spec)
+            node.name, "parameters", float(terms.parameter_bytes[0])
         )
-        timeline.record(
-            node.name, "buffers", memory_model.double_buffer_bytes(node, spec)
-        )
-    stash: Dict[str, float] = {}
-    for node in graph.nodes:  # Forward sweep
-        spec = plan[node.name]
-        stash[node.name] = memory_model.stash_bytes(node, spec)
-        timeline.record(node.name, "stash", stash[node.name])
-    for node in reversed(graph.nodes):  # Backward + Gradient sweep
-        timeline.record(node.name, "stash", -stash[node.name])
+        timeline.record(node.name, "buffers", float(terms.buffer_bytes[0]))
+    stash = [float(terms.stash_bytes[0]) for terms in priced.terms]
+    for node, stashed in zip(graph.nodes, stash):  # Forward sweep
+        timeline.record(node.name, "stash", stashed)
+    for node, stashed in zip(reversed(graph.nodes), reversed(stash)):
+        timeline.record(node.name, "stash", -stashed)  # Backward + Gradient
     counter("memory.iterations_tracked").inc()
     gauge("memory.watermark_bytes").track_max(timeline.peak)
     for kind, resident in timeline.composition_at_peak().items():

@@ -9,10 +9,13 @@ budget share a plan).  :class:`ServeConfig` is checked by the same rules.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from repro.api import (
+    MAX_ALPHA,
+    MAX_LAYERS,
     OBJECTIVES,
     SCHEMA_VERSION,
     ExplainRequest,
@@ -74,6 +77,14 @@ class TestSearchRequest:
             SearchRequest.from_json(body)
         assert err.value.field == field
         assert "finite" in str(err.value)
+
+    def test_alpha_bounded(self):
+        """The bound keeps every plan cost finite; 1e300 overflowed it."""
+        assert SearchRequest.from_json({"alpha": MAX_ALPHA}).alpha == MAX_ALPHA
+        for alpha in (math.nextafter(MAX_ALPHA, math.inf), 1e300):
+            with pytest.raises(ValidationError) as err:
+                SearchRequest.from_json({"alpha": alpha})
+            assert err.value.field == "alpha"
 
     def test_cache_key_excludes_deadline(self):
         base = SearchRequest.from_json({"devices": 8, "batch": 8})
@@ -168,6 +179,15 @@ class TestNestedRequests:
             request.fault_model()
         assert err.value.field == field
 
+    @pytest.mark.parametrize("cls", [SimulateRequest, RobustnessRequest])
+    def test_layers_bounded(self, cls):
+        """Replay time grows with depth: a huge ``layers`` is a 400."""
+        assert cls.from_json({"layers": MAX_LAYERS}).n_layers == MAX_LAYERS
+        for layers in (MAX_LAYERS + 1, 10**7):
+            with pytest.raises(ValidationError) as err:
+                cls.from_json({"layers": layers})
+            assert err.value.field == "layers"
+
     def test_objectives_closed_set(self):
         assert "p99" in OBJECTIVES
         assert "nominal" in OBJECTIVES
@@ -186,6 +206,12 @@ class TestServeConfig:
             ("flight_size", 0),
             ("slo_window", 0),
             ("drain_timeout", float("nan")),
+            ("drain_timeout", -1.0),
+            ("port", -1),
+            ("port", 65536),
+            ("port", 70000),
+            ("flight_snapshot_interval", -1.0),
+            ("slo_p95_ms", -1.0),
         ],
     )
     def test_out_of_range_knobs_rejected(self, field, value):
@@ -197,9 +223,12 @@ class TestServeConfig:
         config = ServeConfig(
             deadline=0, jobs=0, queue_depth=0, lru_size=1,
             max_concurrent=1, trace_store_size=1, flight_size=1,
-            slo_window=1,
+            slo_window=1, port=0, drain_timeout=0,
+            flight_snapshot_interval=0, slo_p95_ms=0,
         )
         assert config.deadline == 0 and config.jobs == 0
+        assert config.port == 0 and config.drain_timeout == 0
+        assert ServeConfig(port=65535).port == 65535
 
 
 class TestEnvelopes:

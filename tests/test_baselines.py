@@ -9,10 +9,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import schedule_oracle as analysis  # noqa: E402  (scalar all-reduce groups)
 from repro.baselines.alpa import alpa_optimizer
 from repro.baselines.ideal import global_footprint_bytes, ideal_peak_memory
-from repro.baselines.megatron import best_megatron_plan, megatron_plan
+from repro.baselines.megatron import (
+    best_megatron_plan,
+    megatron_plan,
+    megatron_plans,
+)
+from repro.cluster.profiler import FabricProfiler
+from repro.cluster.topology import v100_cluster
+from repro.core.cost.overall import OverallCostModel
 from repro.core.dims import Dim, Phase
 from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.core.partitions import Replicate
+from repro.graph.models import MODELS_BY_KEY
+from repro.graph.transformer import build_block_graph
 from repro.sim.engine import EventDrivenSimulator
 
 
@@ -90,6 +99,28 @@ class TestBestMegatron:
             report = simulator.run_model(large_block, plan, 8, 1)
             assert report.throughput <= best.report.throughput * (1 + 1e-9)
             d *= 2
+
+
+    @pytest.mark.parametrize(
+        "model_key, devices",
+        [("opt-6.7b", 4), ("opt-6.7b", 8), ("llama2-70b", 4), ("llama2-70b", 8)],
+    )
+    def test_throughput_pick_is_eq10_fastest(self, model_key, devices):
+        """On contention-free single-node cells the simulated-throughput
+        pick is also the degree Eq. 10 prices fastest: the rule the
+        robustness portfolio once used agrees with this one."""
+        model = MODELS_BY_KEY[model_key]
+        profiler = FabricProfiler(v100_cluster(devices))
+        graph = build_block_graph(model.block_shape(batch=8))
+        best = best_megatron_plan(
+            EventDrivenSimulator(profiler), graph, 8, model.n_layers
+        )
+        cost = OverallCostModel(profiler)
+        fastest, _ = min(
+            megatron_plans(graph, profiler.topology, 8),
+            key=lambda entry: cost.plan_cost(graph, entry[1]).latency,
+        )
+        assert best.dp_degree == fastest
 
 
 class TestAlpa:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.api import (
+    MAX_LAYERS,
     RobustnessRequest,
     SearchRequest,
     SimulateRequest,
@@ -55,6 +56,32 @@ class TestParser:
             SimulateRequest.from_json(request_body(args))
         assert err.value.field == "layers"
         assert main(["simulate", "--devices", "4", "--layers", "-3"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["simulate"], ["faults", "--scenarios", "1"]]
+    )
+    def test_layers_bounded(self, capsys, argv):
+        argv = argv + ["--devices", "2", "--layers"]
+        assert main(argv + [str(MAX_LAYERS + 1)]) == 2
+        assert (
+            f"invalid request: layers must be in [0, {MAX_LAYERS}], "
+            f"got {MAX_LAYERS + 1}" in capsys.readouterr().err
+        )
+        assert main(argv + [str(MAX_LAYERS)]) == 0
+
+    def test_alpha_bounded(self, capsys):
+        assert main(["search", "--devices", "2", "--alpha", "1e300"]) == 2
+        assert "invalid request: alpha must be in [0, 1.0]" in (
+            capsys.readouterr().err
+        )
+
+    def test_serve_port_bounded(self, capsys):
+        """An out-of-range port exits 2 before the daemon binds."""
+        assert main(["serve", "--port", "70000"]) == 2
+        assert (
+            "invalid request: port must be in [0, 65535], got 70000"
+            in capsys.readouterr().err
+        )
 
     def test_sweep3d_rejects_negative_microbatch(self, capsys):
         args = build_parser().parse_args(["sweep3d", "--microbatch", "-4"])

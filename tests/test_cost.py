@@ -8,8 +8,10 @@ from repro.core.cost.compute import (
     block_bytes_batch,
     block_elements_batch,
 )
+from repro.baselines.megatron import megatron_plan
 from repro.core.cost.intra import IntraOperatorCostModel
 from repro.core.cost.memory import MemoryCostModel
+from repro.core.cost.overall import OverallCostModel
 from repro.core.dims import ALL_PHASES, Dim, Phase
 from repro.core.spec import PartitionSpec
 from repro.core.steps import DsiTable
@@ -20,6 +22,19 @@ def indicator(op, spec, phase):
     """Bit mask (bit ``b`` = device-id bit ``b``) of the group indicator
     of ``phase``'s output all-reduce."""
     return int(CommunicationCostModel._indicator_masks(op, spec.table, phase)[0])
+
+
+def counts(spec):
+    """``spec``'s slice counts as a one-row float ``[spec, dim]`` matrix."""
+    return spec.table.slice_counts.astype(float)
+
+
+def step_latency(model, op, spec, phase):
+    return model.step_latency_batch(op, counts(spec), phase)[0]
+
+
+def allreduce(comm, op, spec, phase):
+    return comm.allreduce_latency_batch(op, spec.table, phase)[0]
 
 
 def ring_latencies(comm, op, spec, phase):
@@ -55,7 +70,7 @@ class TestComputeModel:
     def test_step_latency_independent_of_t(self, topo8, fc2):
         model = ComputeCostModel(topo8.device)
         spec = PartitionSpec.from_string("N-P2x2", 3)
-        a = model.step_latency(fc2, spec, Phase.FORWARD)
+        a = step_latency(model, fc2, spec, Phase.FORWARD)
         assert a > 0
 
     def test_phase_latency_scales_with_steps(self, profiler8, fc2):
@@ -65,7 +80,7 @@ class TestComputeModel:
         assert temporal.total_steps == 2
         assert intra.cost(fc2, temporal).compute_latency == pytest.approx(
             sum(
-                2 * intra.compute.step_latency(fc2, temporal, phase)
+                2 * step_latency(intra.compute, fc2, temporal, phase)
                 for phase in ALL_PHASES
             )
         )
@@ -75,8 +90,8 @@ class TestComputeModel:
         model = ComputeCostModel(topo8.device)
         a = PartitionSpec.from_string("B-N-K", 3)
         b = PartitionSpec.from_string("N-P2x2", 3)
-        la = a.total_steps * model.step_latency(fc2, a, Phase.FORWARD)
-        lb = b.total_steps * model.step_latency(fc2, b, Phase.FORWARD)
+        la = a.total_steps * step_latency(model, fc2, a, Phase.FORWARD)
+        lb = b.total_steps * step_latency(model, fc2, b, Phase.FORWARD)
         assert la == pytest.approx(lb, rel=0.1)
 
     def test_pointwise_zero_gradient(self, topo8, act):
@@ -84,14 +99,14 @@ class TestComputeModel:
         spec = PartitionSpec.from_string(
             "B-K-K", 3, legal_dims=act.legal_dims, allow_temporal=False
         )
-        assert model.step_latency(act, spec, Phase.GRADIENT) == 0.0
+        assert step_latency(model, act, spec, Phase.GRADIENT) == 0.0
 
     def test_replication_does_not_shrink_compute(self, topo8, fc2):
         model = ComputeCostModel(topo8.device)
         split = PartitionSpec.from_string("N-N-N", 3)
         repl = PartitionSpec.from_string("R-R-N", 3)
-        assert model.step_latency(fc2, repl, Phase.FORWARD) > model.step_latency(
-            fc2, split, Phase.FORWARD
+        assert step_latency(model, fc2, repl, Phase.FORWARD) > step_latency(
+            model, fc2, split, Phase.FORWARD
         )
 
 
@@ -112,13 +127,13 @@ class TestCommunicationModel:
         comm = CommunicationCostModel(profiler8)
         spec = PartitionSpec.from_string("R-P2x2", 3)
         for phase in ALL_PHASES:
-            assert comm.allreduce_latency(fc2, spec, phase) == 0.0
+            assert allreduce(comm, fc2, spec, phase) == 0.0
 
     def test_dp_gradient_allreduce_positive(self, profiler8, fc2):
         comm = CommunicationCostModel(profiler8)
         spec = PartitionSpec.from_string("B-B-B", 3)
-        assert comm.allreduce_latency(fc2, spec, Phase.GRADIENT) > 0
-        assert comm.allreduce_latency(fc2, spec, Phase.FORWARD) == 0.0
+        assert allreduce(comm, fc2, spec, Phase.GRADIENT) > 0
+        assert allreduce(comm, fc2, spec, Phase.FORWARD) == 0.0
 
     def test_ring_latencies_zero_without_temporal(self, profiler8, fc2):
         comm = CommunicationCostModel(profiler8)
@@ -154,10 +169,11 @@ class TestCommunicationModel:
         no_k = PartitionSpec.from_string(
             "B-M-M", 3, legal_dims=ln.legal_dims, allow_temporal=False
         )
-        assert comm.layernorm_extras(ln, split_k) > 0
-        assert comm.layernorm_extras(large_block.node("L0.fc1"), split_k) == 0.0
+        fc1 = large_block.node("L0.fc1")
+        assert comm.layernorm_extras_batch(ln, split_k.table)[0] > 0
+        assert comm.layernorm_extras_batch(fc1, split_k.table)[0] == 0.0
         # B/M partitioning still all-reduces the tiny gamma/beta gradients.
-        assert comm.layernorm_extras(ln, no_k) > 0
+        assert comm.layernorm_extras_batch(ln, no_k.table)[0] > 0
 
 
 class TestMemoryModel:
@@ -165,32 +181,38 @@ class TestMemoryModel:
         memory = MemoryCostModel()
         dp = PartitionSpec.from_string("B-B-B", 3)
         full_w = fc2.dim_size(Dim.N) * fc2.dim_size(Dim.K) * DTYPE_BYTES
-        assert memory.parameter_bytes(fc2, dp) == pytest.approx(2 * full_w)
+        assert memory.parameter_bytes_batch(fc2, counts(dp))[0] == pytest.approx(
+            2 * full_w
+        )
 
     def test_partitioned_weight_shrinks(self, fc2):
         memory = MemoryCostModel()
         mp = PartitionSpec.from_string("N-N-N", 3)
         dp = PartitionSpec.from_string("B-B-B", 3)
-        assert memory.parameter_bytes(fc2, mp) == pytest.approx(
-            memory.parameter_bytes(fc2, dp) / 8
+        assert memory.parameter_bytes_batch(fc2, counts(mp))[0] == pytest.approx(
+            memory.parameter_bytes_batch(fc2, counts(dp))[0] / 8
         )
 
     def test_temporal_partitions_weight_fully(self, fc2):
         memory = MemoryCostModel()
         spec = PartitionSpec.from_string("N-P2x2", 3)
         dp = PartitionSpec.from_string("B-B-B", 3)
-        assert memory.parameter_bytes(fc2, spec) == pytest.approx(
-            memory.parameter_bytes(fc2, dp) / 8
+        assert memory.parameter_bytes_batch(fc2, counts(spec))[0] == pytest.approx(
+            memory.parameter_bytes_batch(fc2, counts(dp))[0] / 8
         )
 
     def test_double_buffer_only_for_temporal(self, fc2):
         memory = MemoryCostModel()
-        assert memory.double_buffer_bytes(
-            fc2, PartitionSpec.from_string("B-N-K", 3)
-        ) == 0.0
-        assert memory.double_buffer_bytes(
-            fc2, PartitionSpec.from_string("N-P2x2", 3)
-        ) > 0.0
+        spatial = PartitionSpec.from_string("B-N-K", 3)
+        temporal = PartitionSpec.from_string("N-P2x2", 3)
+        buffers = [
+            memory.double_buffer_bytes_batch(
+                fc2, counts(spec), spec.table.has_temporal
+            )[0]
+            for spec in (spatial, temporal)
+        ]
+        assert buffers[0] == 0.0
+        assert buffers[1] > 0.0
 
     def test_no_stash_for_residual_add(self, large_block):
         memory = MemoryCostModel()
@@ -198,13 +220,18 @@ class TestMemoryModel:
         spec = PartitionSpec.from_string(
             "B-K-K", 3, legal_dims=add.legal_dims, allow_temporal=False
         )
-        assert memory.stash_bytes(add, spec) == 0.0
+        assert memory.stash_bytes_batch(add, counts(spec))[0] == 0.0
 
-    def test_plan_memory_sums(self, large_mlp, fc2):
-        memory = MemoryCostModel()
-        spec = PartitionSpec.from_string("N-N-N", 3)
-        total = memory.plan_memory([(fc2, spec), (fc2, spec)])
-        assert total == pytest.approx(2 * memory.operator_memory(fc2, spec))
+    def test_plan_memory_sums(self, profiler8, large_block):
+        """A plan's memory is the sum of its operators' three parts."""
+        plan = megatron_plan(large_block, 3, dp_degree=2)
+        priced = OverallCostModel(profiler8).plan_cost(large_block, plan)
+        parts = [
+            t.parameter_bytes[0] + t.stash_bytes[0] + t.buffer_bytes[0]
+            for t in priced.terms
+        ]
+        assert [c.memory_bytes for c in priced.operators] == parts
+        assert priced.memory_bytes == pytest.approx(sum(parts))
 
 
 class TestIntraCost:

@@ -7,6 +7,7 @@ from repro.baselines.megatron import megatron_plan
 from repro.cluster.links import LinkSpec
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import torus_cluster, v100_cluster
+from repro.core.cost.overall import OverallCostModel
 from repro.core.dims import Dim
 from repro.core.explain import explain_plan
 from repro.core.optimizer.strategy import PrimeParOptimizer
@@ -19,6 +20,22 @@ from repro.parallel3d.pipeline import (
     pipeline_iteration_events,
 )
 from repro.sim.engine import EventDrivenSimulator, KernelGraph
+
+
+def fc_graph():
+    """A one-operator graph: a single linear layer named ``fc``."""
+    fc = OperatorSpec(
+        name="fc",
+        kind=OpKind.LINEAR,
+        dim_axes={
+            Dim.B: ("batch",),
+            Dim.M: ("seq",),
+            Dim.K: ("hidden",),
+            Dim.N: ("ffn",),
+        },
+        axis_sizes={"batch": 4, "seq": 128, "hidden": 1024, "ffn": 4096},
+    )
+    return ComputationGraph(nodes=[fc], edges=[])
 
 
 def predicted(profiler, graph, plan):
@@ -283,21 +300,9 @@ class TestCrossValidation:
     def test_temporal_plan_on_torus(self):
         # Torus neighbour links are dedicated in both models, so even the
         # temporal primitive's rings stay contention-free and exact.
-        fc = OperatorSpec(
-            name="fc",
-            kind=OpKind.LINEAR,
-            dim_axes={
-                Dim.B: ("batch",),
-                Dim.M: ("seq",),
-                Dim.K: ("hidden",),
-                Dim.N: ("ffn",),
-            },
-            axis_sizes={"batch": 4, "seq": 128, "hidden": 1024, "ffn": 4096},
-        )
-        graph = ComputationGraph(nodes=[fc], edges=[])
         plan = {"fc": PartitionSpec.from_string("P2x2", 2)}
         profiler = FabricProfiler(torus_cluster(2, 2))
-        self._compare(profiler, graph, plan, 4)
+        self._compare(profiler, fc_graph(), plan, 4)
 
     def test_optimized_plan_on_torus(self, small_mlp):
         profiler = FabricProfiler(torus_cluster(2, 2))
@@ -313,6 +318,33 @@ class TestCrossValidation:
         )
         assert event.latency == pytest.approx(4 * latency, rel=0.01)
         assert event.layers_scaled == 4
+
+
+class TestLowering:
+    """A lowering is read from Eq. 10's price list, not re-priced."""
+
+    @pytest.mark.parametrize(
+        "spec, bits", [("P2x2", 2), ("N-P2x2", 3), ("B-K", 2)]
+    )
+    def test_lowering_replays_plan_cost(self, spec, bits):
+        profiler = FabricProfiler(v100_cluster(1 << bits))
+        graph = fc_graph()
+        plan = {"fc": PartitionSpec.from_string(spec, bits)}
+        lowering = EventDrivenSimulator(profiler).lower(graph, plan)
+        priced = OverallCostModel(profiler).plan_cost(graph, plan)
+        (terms,) = priced.terms
+        assert lowering.plan_memory == priced.memory_bytes
+        assert lowering.layernorm_extras == {"fc": terms.layernorm_extras[0]}
+        for phase, phase_terms in terms.phases.items():
+            lowered = lowering.phases["fc", phase]
+            assert lowered.step_compute == phase_terms.step_compute[0]
+            assert lowered.allreduce == phase_terms.allreduce[0]
+            # The engine sends in exactly the steps Eq. 7 prices a ring for.
+            rings = phase_terms.ring[0].tolist()
+            assert sorted(lowered.ring) == [
+                t for t, ring in enumerate(rings) if ring > 0
+            ]
+        assert lowering.edge_costs == {}
 
 
 class TestContention:

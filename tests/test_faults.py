@@ -32,6 +32,7 @@ import pytest
 
 from repro import EventDrivenSimulator, PrimeParOptimizer, ValidationError
 from repro import cache as diskcache
+from repro.baselines.megatron import best_megatron_plan
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
 from repro.core.cost.inter import InterOperatorCostModel
@@ -734,6 +735,12 @@ class TestRobustSearch:
         doc = json.loads(json.dumps(result.to_json()))
         assert doc["kind"] == "robust_search"
         assert doc["best"] == result.best.label
+        # Megatron's degree follows the one rule the service and
+        # ``compare`` use.
+        (megatron,) = (c for c in result.candidates if c.label == "megatron")
+        assert megatron.plan == best_megatron_plan(
+            EventDrivenSimulator(profiler), graph, 8, 4
+        ).plan
 
     def test_objective_validation(self, setting):
         profiler, graph, plan = setting

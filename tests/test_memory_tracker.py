@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.megatron import megatron_plan
-from repro.core.cost.memory import MemoryCostModel
+from repro.core.cost.overall import OverallCostModel
 from repro.sim.memory_tracker import MemoryTimeline, track_iteration
 
 
@@ -31,31 +31,33 @@ class TestMemoryTimeline:
         assert composition == {"parameters": 100, "stash": 50}
 
 
+def track(profiler, graph, plan):
+    """The watermark of ``plan`` played from its price list."""
+    priced = OverallCostModel(profiler).plan_cost(graph, plan)
+    return track_iteration(graph, priced), priced
+
+
 class TestTrackIteration:
-    def test_peak_matches_static_model(self, large_block):
+    def test_peak_matches_static_model(self, profiler8, large_block):
         """Peak occurs at the end of Forward: all stashes live at once, so
         the playback peak equals the paper's static sum."""
         plan = megatron_plan(large_block, 3, dp_degree=2)
-        timeline = track_iteration(large_block, plan)
-        static = MemoryCostModel().plan_memory(
-            (node, plan[node.name]) for node in large_block.nodes
-        )
-        assert timeline.peak == pytest.approx(static)
+        timeline, priced = track(profiler8, large_block, plan)
+        assert timeline.peak == pytest.approx(priced.memory_bytes)
 
-    def test_iteration_ends_with_persistent_state_only(self, large_block):
+    def test_iteration_ends_with_persistent_state_only(
+        self, profiler8, large_block
+    ):
         plan = megatron_plan(large_block, 3, dp_degree=2)
-        timeline = track_iteration(large_block, plan)
-        memory = MemoryCostModel()
+        timeline, priced = track(profiler8, large_block, plan)
         persistent = sum(
-            memory.parameter_bytes(n, plan[n.name])
-            + memory.double_buffer_bytes(n, plan[n.name])
-            for n in large_block.nodes
+            t.parameter_bytes[0] + t.buffer_bytes[0] for t in priced.terms
         )
         assert timeline.resident == pytest.approx(persistent)
 
-    def test_peak_composition_includes_stash(self, large_block):
+    def test_peak_composition_includes_stash(self, profiler8, large_block):
         plan = megatron_plan(large_block, 3, dp_degree=2)
-        timeline = track_iteration(large_block, plan)
+        timeline, _ = track(profiler8, large_block, plan)
         composition = timeline.composition_at_peak()
         assert composition.get("stash", 0) > 0
         assert composition.get("parameters", 0) > 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextvars
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -27,7 +28,7 @@ from repro.core.optimizer.deadline import Deadline, SearchDeadlineExceeded
 from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.graph.models import MODELS_BY_KEY
 from repro.graph.transformer import build_block_graph
-from repro.api import ExplainRequest, ValidationError
+from repro.api import MAX_ALPHA, MAX_LAYERS, ExplainRequest, ValidationError
 from repro.obs.metrics import MetricsRegistry, counter, use_registry
 from repro.serve import (
     AdmissionController,
@@ -501,6 +502,38 @@ class TestPlanService:
         assert payload["plan"] == {
             name: str(spec) for name, spec in sorted(best.plan.items())
         }
+
+    def test_alpha_bound_keeps_costs_finite(self, fresh_cache, registry):
+        """At the bound the answer is strict JSON; past it, a 400 on
+        ``alpha`` before any search (1e300 once answered ``cost: NaN``)."""
+        service = _service()
+        payload = service.search_from_request({"devices": 2, "alpha": MAX_ALPHA})
+        assert math.isfinite(payload["cost"])
+        assert math.isfinite(payload["model_cost"])
+        json.dumps(payload, allow_nan=False)
+        for alpha in (math.nextafter(MAX_ALPHA, math.inf), 1e300):
+            with pytest.raises(ValidationError) as err:
+                service.search_from_request({"devices": 2, "alpha": alpha})
+            assert err.value.field == "alpha"
+        assert counter("serve.searches").value == 1
+
+    def test_layers_bounded(self, fresh_cache, registry):
+        """A replay deeper than ``MAX_LAYERS`` is refused before it holds
+        an admission slot; the bound itself is served."""
+        service = _service()
+        for answer in (service.simulate_from_request,
+                       service.robustness_from_request):
+            with pytest.raises(ValidationError) as err:
+                answer({"devices": 2, "layers": MAX_LAYERS + 1})
+            assert err.value.field == "layers"
+        assert counter("serve.searches").value == 0
+        payload = service.robustness_from_request(
+            {"devices": 2, "layers": MAX_LAYERS, "scenarios": 1}
+        )
+        assert payload["report"]["n_scenarios"] == 1
+        assert service.simulate_from_request(
+            {"devices": 2, "layers": MAX_LAYERS}
+        )["layers"] == MAX_LAYERS
 
 
 # ----------------------------------------------------------------------
