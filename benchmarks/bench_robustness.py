@@ -15,11 +15,12 @@ a DAG holds only the step-begin markers that wait on a transfer or start
 a send, so that cost is per kernel that shapes the schedule, higher than
 in runs whose counts held no-op markers: compare ``replay_seconds``
 across them) and the contention flushes the engine counted
-(``contention_flushes``, the ``sim.contention_flushes`` counter, which a
-nominal replay served from the report cache re-emits).  A splice census counts how often a faulted
-one-layer probe spliced (``splice_probes``, ``spliced``, from the
-``faults.splice_probes`` counter).  Three structural checks ride
-along:
+(``contention_flushes``, the ``sim.contention_flushes`` counter).  The
+nominal replay runs on the sweep's own DAGs, so every figure above
+includes it.  A splice census counts how often a one-layer probe — the
+nominal's and each faulted replay's — spliced (``splice_probes``,
+``spliced``, from the ``faults.splice_probes`` counter).  Three
+structural checks ride along:
 
 * **reports_identical** (per class) — the sweep's report, whose replays
   share one lowering and re-time one kernel DAG per shape, must equal

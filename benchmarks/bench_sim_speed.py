@@ -22,9 +22,11 @@ Scenarios:
   32-device, 8-layer OPT-175B kernel DAG under its compute- and
   link-class scenarios, each executed on the frozen fault graph
   (``tests/legacy_faults.py``, one fresh build per scenario) and on one
-  build of the live fault graph re-timed per scenario.  Only
-  ``execute`` is timed; it records microseconds per kernel, the engine
-  counters of the live runs and whether every makespan is identical.  Its
+  build of the live fault graph re-timed per scenario.  Each class times
+  its live template's build once (``build_seconds``: the columnar build
+  compiles as it adds, so no execute pays for compiling) and every
+  ``execute``; it records microseconds per kernel, the engine counters of
+  the live runs and whether every makespan is identical.  Its
   ``transfer_free`` class replays the Megatron plan's DAG of the same
   depth under the compute-class scenarios: it has no transfers, so the
   live graph schedules it in one pass, which is also timed against the
@@ -54,8 +56,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 sys.path.insert(0, str(Path(__file__).parent))
 
-import legacy_engine
 import legacy_faults
+from frozen_graphs import OrderedLegacyKernelGraph
 from conftest import ALPHA, RESULTS_DIR, beam_for, span_root
 
 from repro import (
@@ -77,42 +79,6 @@ from repro.parallel3d.pipeline import PipelinePlan, pipeline_iteration_events
 from repro.sim.faults import FaultModel, FaultScenario, FaultyKernelGraph
 
 REGIMES = ("legacy", "cold", "warm")
-
-
-class _OrderedFlowSet:
-    """Set API over an insertion-ordered dict (activation order)."""
-
-    def __init__(self):
-        self._flows = {}
-
-    def add(self, flow):
-        self._flows[flow] = None
-
-    def discard(self, flow):
-        self._flows.pop(flow, None)
-
-    def __iter__(self):
-        return iter(self._flows)
-
-    def __contains__(self, flow):
-        return flow in self._flows
-
-    def __len__(self):
-        return len(self._flows)
-
-    def __bool__(self):
-        return bool(self._flows)
-
-
-class OrderedLegacyKernelGraph(legacy_engine.KernelGraph):
-    """The pre-PR engine with its set-iteration order pinned to activation
-    order, so same-timestamp completion cascades are reproducible and the
-    identical-report checks below are run-to-run stable (see the golden
-    regression suite for the full rationale)."""
-
-    def __init__(self):
-        super().__init__()
-        self._active_flows = _OrderedFlowSet()
 
 
 def _best_of(fn: Callable[[], object], rounds: int) -> Tuple[float, object]:
@@ -307,13 +273,17 @@ def _timed(run: Callable[[], float]) -> Tuple[float, float]:
 
 
 def _faulted_class(
-    spec, profiler, graph, lowering, template, n_layers, scenarios,
-    loop=False,
+    spec, simulator, graph, lowering, n_layers, scenarios, loop=False,
 ) -> Dict:
-    """Execute ``template`` under ``spec``'s scenarios, each also on a fresh
-    frozen fault graph; with ``loop``, also on the live event loop, and
-    compare every kernel's times, not only the makespans."""
+    """Build the live template of ``lowering`` (timed as ``build_seconds``)
+    and execute it under ``spec``'s scenarios, each also on a fresh frozen
+    fault graph; with ``loop``, also on the live event loop, and compare
+    every kernel's times, not only the makespans."""
+    profiler = simulator.profiler
     topology = profiler.topology
+    started = time.perf_counter()
+    template = simulator.build(graph, lowering, n_layers)
+    build_seconds = time.perf_counter() - started
     template.retime(FaultScenario(index=0, seed=0))
     drawn = FaultModel.from_spec(spec).scenarios(
         topology, scenarios, 0, template.execute()
@@ -321,8 +291,9 @@ def _faulted_class(
     entry = {
         "spec": spec,
         "scenarios": len(drawn),
-        "kernels": len(template.kernels),
+        "kernels": len(template),
         "transfers": sum(k.transfer is not None for k in template.kernels),
+        "build_seconds": build_seconds,
         "legacy_seconds": 0.0,
         "seconds": 0.0,
         "contention_flushes": 0,
@@ -397,21 +368,18 @@ def _measure_faulted_execute(smoke: bool, workdir: str) -> Dict:
         ),
     )
     lowering = live.lower(graph, plan)
-    template = live.build(graph, lowering, n_layers)
     classes = {
         label: _faulted_class(
-            spec, profiler, graph, lowering, template, n_layers, scenarios
+            spec, live, graph, lowering, n_layers, scenarios
         )
         for label, spec in FAULTED_CLASSES.items()
     }
     megatron = best_megatron_plan(
         EventDrivenSimulator(profiler), graph, batch
     ).plan
-    lowering = live.lower(graph, megatron)
     classes["transfer_free"] = _faulted_class(
-        FAULTED_CLASSES["compute"], profiler, graph, lowering,
-        live.build(graph, lowering, n_layers), n_layers, scenarios,
-        loop=True,
+        FAULTED_CLASSES["compute"], live, graph, live.lower(graph, megatron),
+        n_layers, scenarios, loop=True,
     )
     classes["transfer_free"]["plan"] = "megatron"
     legacy_seconds = sum(e["legacy_seconds"] for e in classes.values())
@@ -421,7 +389,7 @@ def _measure_faulted_execute(smoke: bool, workdir: str) -> Dict:
         "model": model.name,
         "devices": n_devices,
         "layers": n_layers,
-        "kernels": len(template.kernels),
+        "kernels": classes["compute"]["kernels"],
         "classes": classes,
         "legacy_us_per_kernel": legacy_seconds / executed * 1e6,
         "us_per_kernel": seconds / executed * 1e6,

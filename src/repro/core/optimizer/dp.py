@@ -57,6 +57,28 @@ def min_plus(
     return out, arg
 
 
+def min_plus_diagonal(
+    intra: np.ndarray, right: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`min_plus` of ``diag(intra)`` (``inf`` off the diagonal) and
+    ``right``, in closed form: a segment's first Bellman step.
+
+    Row ``a`` of the diagonal matrix has one finite entry, at column
+    ``a``, so ``out[a, c] = intra[a] + right[a, c]`` — the same IEEE add
+    the dense product keeps — with backpointer ``a``.  Where that sum is
+    not finite every candidate is ``inf`` and the dense product's
+    ``argmin`` keeps the first, ``0``; so does this one.  Byte-identical
+    to the dense product, in ``O(A C)`` instead of ``O(A^2 C)``.
+    """
+    n_a = len(intra)
+    if right.shape[0] != n_a:
+        raise ValueError(f"shape mismatch {(n_a, n_a)} x {right.shape}")
+    out = intra[:, None] + right
+    rows = np.arange(n_a, dtype=np.int32)[:, None]
+    arg = np.where(np.isfinite(out), rows, np.int32(0))
+    return out, arg
+
+
 @dataclass
 class SegmentTable:
     """Optimal sub-structure of one segment with backpointers.
@@ -174,7 +196,8 @@ def solve_segment(
         counter("dp.segments_solved").inc()
         histogram("dp.table_cells", buckets=_TABLE_BUCKETS).observe(cost.size)
         return SegmentTable(start, start, names, cost)
-    # C_{i,i}: only the start node, p_i = p_i.
+    # C_{i,i}: only the start node, p_i = p_i.  The first Bellman step
+    # multiplies it in closed form.
     cost = np.full((n_start, n_start), np.inf)
     np.fill_diagonal(cost, start_set.intra)
     table = SegmentTable(start, start, names, cost)
@@ -189,7 +212,10 @@ def solve_segment(
             # missing edge contributes zero cost.
             edge_prev = np.zeros((len(candidates[previous]), len(node_set)))
         started = time.perf_counter()
-        new_cost, arg = min_plus(table.cost, edge_prev)
+        if previous == start:
+            new_cost, arg = min_plus_diagonal(start_set.intra, edge_prev)
+        else:
+            new_cost, arg = min_plus(table.cost, edge_prev)
         table.bellman_seconds += time.perf_counter() - started
         counter("dp.states_expanded").inc(new_cost.size)
         table.states += new_cost.size

@@ -88,12 +88,17 @@ def stack_layers(
     doubling instead; the fold is the same min-plus product associated
     from the left, ``O(L P^2)`` against ``O(log L P^3)``, and only the
     scalar is needed since the plan comes from the one-layer table.
+
+    Each step takes the minimum directly rather than through
+    :func:`~repro.core.optimizer.dp.min_plus`'s argmin and gather: the
+    minimum is the same IEEE sum as the one at the argmin, so the fold
+    is byte-identical without the backpointers nobody reads.
     """
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
-    row = layer_cost.min(axis=0, keepdims=True)
+    row = layer_cost.min(axis=0)
     if n_layers > 1:
         adjusted = layer_cost - boundary_intra[:, None]
         for _ in range(n_layers - 1):
-            row, _ = min_plus(row, adjusted)
+            row = (row[:, None] + adjusted).min(axis=0)
     return float(row.min())

@@ -129,7 +129,7 @@ def pipeline_iteration_events(
 
     def replay(kg) -> PipelineReport:
         streams = [kg.stream(f"stage{s}") for s in range(p)]
-        work: Dict[Tuple[str, int, int], object] = {}
+        work: Dict[Tuple[str, int, int], int] = {}
         # Pass 1: enqueue stage kernels in schedule order (stream order is
         # submission order, so this pins each stage's execution sequence).
         for s in range(p):
@@ -157,7 +157,7 @@ def pipeline_iteration_events(
                     phase="F",
                     device=s,
                 )
-                work[("F", s + 1, i)].add_dep(fsend)
+                kg.add_dep(work[("F", s + 1, i)], fsend)
                 bsend = kg.add(
                     f"bsend{i}@stage{s + 1}",
                     deps=[work[("B", s + 1, i)]],
@@ -167,7 +167,7 @@ def pipeline_iteration_events(
                     phase="B",
                     device=s + 1,
                 )
-                work[("B", s, i)].add_dep(bsend)
+                kg.add_dep(work[("B", s, i)], bsend)
         makespan = kg.execute()
         slot = stage_forward + stage_backward
         exposed_comm = 2 * (p - 1) * hop

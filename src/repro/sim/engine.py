@@ -10,11 +10,11 @@ simulated cluster:
   :meth:`~repro.cluster.topology.ClusterTopology.path_resources`) modelled as
   bandwidth-sharing fluid resources — concurrent transfers touching a node's
   NIC pool, in either direction, divide its capacity;
-* :class:`SimKernel` — a dependency-driven task occupying streams and/or
-  carrying a point-to-point transfer;
-* :class:`KernelGraph` — builds a kernel DAG and executes it to completion
-  in one discrete-event loop with a simulated clock (or, for a DAG without
-  transfers, in one topological pass);
+* :class:`KernelGraph` — builds a kernel DAG (dependency-driven tasks
+  occupying streams and/or carrying a point-to-point transfer) and
+  executes it to completion in one discrete-event loop with a simulated
+  clock (or, for a DAG without transfers, in one topological pass);
+  :class:`SimKernel` is one kernel as a record, made on demand;
 * :class:`EventDrivenSimulator` — lowers a partition plan to a kernel DAG
   (per-device compute steps, overlapped ring sends on real link resources,
   all-reduce/redistribution barrier kernels) and produces an
@@ -43,12 +43,18 @@ frozen copy of the original implementation):
   recomputed only for flows touching a dirty link; unaffected flows keep
   their rate, which a global recompute would reproduce bit-identically
   anyway (it is a pure function of unchanged link occupancy).
-* **A compiled DAG and one flat event loop.**  :meth:`KernelGraph.execute`
-  compiles the DAG once (again only after an ``add``) into integer
-  tables: per kernel a count of what it waits for (its dependencies plus
-  its predecessor on each stream, so a stream FIFO is just more edges)
-  and the kernels its finish wakes, in the order the original engine
-  tried them.  A re-execution copies the counts and runs one loop over a
+* **A DAG built as integer tables, and one flat event loop.**
+  :meth:`KernelGraph.add` appends a kernel's columns (duration, device,
+  transfer, labels) and returns its index, the handle dependants name it
+  by; as it appends it fills the execution tables: per kernel a count of
+  what it waits for (its dependencies plus its predecessor on each
+  stream, so a stream FIFO is just more edges) and the kernels its
+  finish wakes, in the order the original engine tried them, plus the
+  roots, the one-pass predecessors, each stream's last kernel and the
+  kernels a duration rule may stretch.  No kernel object is built and
+  no compile pass walks the DAG again; a :class:`SimKernel` record is
+  made only when a report or test asks (:attr:`KernelGraph.kernels`).
+  An execution copies the counts and runs one loop over a
   single ``(when, seq, code)`` heap that carries every event type —
   kernel finishes, flow activations and completions, and the graph's own
   timed events (a fault graph's NIC flaps) — with no callback per event.
@@ -70,13 +76,14 @@ frozen copy of the original implementation):
   max(end[p] for p in preds[i])`` (``0.0`` for a root) and ``end[i] =
   start[i] + duration``: the same max and the same IEEE add as the loop's
   ``now + durations[i]``, so every timestamp is bit-identical by
-  construction, not by tolerance.  The compiled DAG keeps ``preds`` only
-  if every wait is on a kernel of the graph submitted before its waiter
-  and each device's busy kernels share a stream in turn: they then finish
-  in kernel order, which is the order the loop adds their busy seconds
-  in.  The counters are the loop's (one queue push per kernel, nothing
-  else) and no link opens.  Any other DAG, and any graph with timed
-  events (a fault graph's NIC flaps), takes the loop.
+  construction, not by tolerance.  The pass applies only while every
+  wait is on a kernel of the graph submitted before its waiter and each
+  device's busy kernels share a stream in turn: they then finish in
+  kernel order, which is the order the loop adds their busy seconds in.
+  The counters are the loop's (one queue push per kernel, nothing else)
+  and no link opens.  Any other DAG, and any graph with timed events (a
+  fault graph's NIC flaps), takes the loop.  The run's times stay in two
+  lists (no per-kernel write-back).
 * **Only kernels that shape the schedule.**  A lowered DAG holds each
   rank's compute steps, the real ring sends, and per collective a barrier
   plus one kernel per rank.  A step-begin marker (zero duration, on its
@@ -99,8 +106,10 @@ frozen copy of the original implementation):
   :meth:`EventDrivenSimulator.run_model` simulates one transformer layer
   and splices it ``n_layers`` times only after verifying the layer
   boundary is synchronising (every device stream ends exactly at the
-  makespan, so no contention or slack crosses the boundary); otherwise it
-  falls back to replaying the full layer stack through the event engine.
+  makespan, so no contention or slack crosses the boundary; the graph
+  reads it off each stream's last kernel, :meth:`KernelGraph.spliceable`);
+  otherwise it falls back to replaying the full layer stack through the
+  event engine.
   A spliced report keeps the one-layer timeline and tiles it only on
   demand (:meth:`~repro.sim.executor.IterationReport.full_timeline`).
   Reports are additionally memoized on disk through
@@ -123,7 +132,8 @@ frozen copy of the original implementation):
   capacities, not the DAG's shape: each :meth:`KernelGraph.execute` takes
   its kernel durations from the graph's one duration rule
   (:meth:`KernelGraph.run_durations`), so the fault layer builds each DAG
-  shape once per sweep and re-executes it per scenario.
+  shape once per robustness request and re-executes it per scenario, the
+  nominal (empty) scenario included.
 """
 
 from __future__ import annotations
@@ -131,6 +141,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from bisect import insort
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -138,6 +149,7 @@ from typing import (
     Dict,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -249,214 +261,99 @@ class _Flow:
         self.queued_when = 0.0
 
 
-class SimKernel:
-    """A dependency-driven task on the simulated cluster.
+class SimKernel(NamedTuple):
+    """One kernel of a :class:`KernelGraph`, as a report or test reads it.
 
-    A kernel starts once every dependency has finished and it is at the head
-    of each of its streams; it then either runs for its graph's
-    :meth:`~KernelGraph.run_durations` entry or, if it carries a
-    ``transfer``, drains through the fabric's shared link resources at
-    whatever bandwidth contention leaves it.  ``start_time`` and
-    ``end_time`` hold the last execution's times (``None`` if it never ran).
+    Made on demand by :attr:`KernelGraph.kernels` from the graph's columns;
+    the graph keeps none.  ``deps`` name kernels by index; ``start_time``
+    and ``end_time`` hold the last execution's times (``None`` if it never
+    ran).
     """
 
-    __slots__ = (
-        "name", "kind", "op", "phase", "device", "duration", "overlapped",
-        "record", "transfer", "deps", "streams", "start_time", "end_time",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        streams: Sequence[StreamResource] = (),
-        deps: Sequence["SimKernel"] = (),
-        duration: float = 0.0,
-        kind: str = "",
-        op: str = "",
-        phase: str = "-",
-        device: int = 0,
-        overlapped: bool = False,
-        record: bool = True,
-        transfer: Optional[Tuple[float, PathResources]] = None,
-    ) -> None:
-        self.name = name
-        self.kind = kind
-        self.op = op
-        self.phase = phase
-        self.device = device
-        self.duration = duration
-        self.overlapped = overlapped
-        self.record = record
-        self.transfer = transfer
-        self.deps: List[SimKernel] = list(deps)
-        self.streams: List[StreamResource] = list(streams)
-        self.start_time: Optional[float] = None
-        self.end_time: Optional[float] = None
-
-    def add_dep(self, other: "SimKernel") -> None:
-        """Require ``other`` to finish before this kernel may start.
-
-        Dependencies are read when the graph compiles (the first
-        :meth:`KernelGraph.execute` after an ``add``), so add them before
-        that.
-        """
-        self.deps.append(other)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SimKernel({self.name!r})"
-
-
-class _CompiledDag:
-    """A kernel DAG as integer tables (see :meth:`KernelGraph._compile`).
-
-    Kernels are numbered by submission order.  ``waits[i]`` counts what
-    kernel ``i`` waits for: its dependencies plus its predecessor on each
-    of its streams.  ``wakes[i]`` lists, *reversed*, the kernels whose
-    count ``i``'s finish decrements — the next kernel on each of its
-    streams, then its dependants — and ``roots`` lists, reversed, the
-    kernels that wait for nothing.  Both are reversed so they go straight
-    onto the loop's LIFO stack and pop in the original engine's order.
-    ``preds[i]`` lists the same waits as kernel indices, duplicates kept,
-    when the DAG can be scheduled in one pass (else ``preds`` is ``None``).
-    """
-
-    __slots__ = (
-        "n", "waits", "wakes", "roots", "durations", "transfers",
-        "busy_device", "preds", "_kernels", "_by_kind",
-    )
-
-    def __init__(self, kernels: Sequence[SimKernel]) -> None:
-        self._kernels = kernels
-        self._by_kind: Optional[Dict[Tuple[str, int], List[int]]] = None
-        n = self.n = len(kernels)
-        index = {kernel: i for i, kernel in enumerate(kernels)}
-        waits = [len(kernel.deps) for kernel in kernels]
-        succs: Dict[int, List[int]] = {}
-        # The next kernel on each stream: of a one-stream kernel, and of a
-        # multi-stream kernel (in its stream order).
-        stream_next: List[Optional[int]] = [None] * n
-        multi_next: Dict[int, List[Optional[int]]] = {}
-        tails: Dict[StreamResource, int] = {}
-        for i, kernel in enumerate(kernels):
-            for dep in kernel.deps:
-                # A dependency outside the graph never finishes: kernel i
-                # keeps waiting and the run reports the deadlock.
-                j = index.get(dep)
-                if j is not None:
-                    if j in succs:
-                        succs[j].append(i)
-                    else:
-                        succs[j] = [i]
-            for stream in kernel.streams:
-                prev = tails.get(stream)
-                tails[stream] = i
-                if prev is not None:
-                    waits[i] += 1
-                    streams = kernels[prev].streams
-                    if len(streams) == 1:
-                        stream_next[prev] = i
-                    else:
-                        if prev not in multi_next:
-                            multi_next[prev] = [None] * len(streams)
-                        multi_next[prev][streams.index(stream)] = i
-        self.waits = waits
-        wakes = [() if j is None else (j,) for j in stream_next]
-        for i in {**multi_next, **succs}:
-            woken = (
-                [j for j in multi_next[i] if j is not None]
-                if i in multi_next else list(wakes[i])
-            )
-            woken += succs.get(i, ())
-            woken.reverse()
-            wakes[i] = tuple(woken)
-        self.wakes: List[Tuple[int, ...]] = wakes
-        self.roots = [i for i in reversed(range(n)) if not waits[i]]
-        # Clamped at zero (``max(d, 0.0)``), as the clock never runs
-        # backwards.
-        self.durations = [
-            0.0 if kernel.duration < 0.0 else kernel.duration
-            for kernel in kernels
-        ]
-        self.transfers: List[
-            Optional[Tuple[float, float, float, Tuple[Tuple[str, float], ...]]]
-        ] = [
-            None if kernel.transfer is None else (
-                kernel.transfer[0],
-                max(kernel.transfer[1].latency, 0.0),
-                kernel.transfer[1].stream_bandwidth,
-                kernel.transfer[1].shared,
-            )
-            for kernel in kernels
-        ]
-        #: Device whose busy time a kernel's run adds to, or ``None``.
-        self.busy_device = [
-            kernel.device if kernel.record and not kernel.overlapped else None
-            for kernel in kernels
-        ]
-        self.preds = self._pass_preds()
-
-    def _pass_preds(self) -> Optional[List[List[int]]]:
-        """Each kernel's predecessors, if the DAG can skip the event loop
-        (no transfer, every wait on an earlier kernel of the graph, each
-        device's busy kernels chained by shared streams; see the module
-        doc), else ``None``."""
-        n = self.n
-        if self.transfers.count(None) != n:
-            return None
-        preds: List[List[int]] = [[] for _ in range(n)]
-        for j, woken in enumerate(self.wakes):
-            for i in woken:
-                if i <= j:
-                    return None
-                preds[i].append(j)
-        # A dependency outside the graph is a wait nothing wakes.
-        if list(map(len, preds)) != self.waits:
-            return None
-        busy_streams: Dict[int, List[StreamResource]] = {}
-        for kernel, device in zip(self._kernels, self.busy_device):
-            if device is not None:
-                streams = kernel.streams
-                prior = busy_streams.get(device, streams)
-                busy_streams[device] = streams
-                for stream in streams:
-                    if stream in prior:
-                        break
-                else:
-                    return None
-        return preds
-
-    def by_kind(self) -> Dict[Tuple[str, int], List[int]]:
-        """The kernels with a positive duration that occupy streams (no
-        transfer), by ``(kind, device)``: what a duration rule stretching
-        one kind of kernel on one device touches.  Built on first use."""
-        if self._by_kind is None:
-            self._by_kind = {}
-            for i, kernel in enumerate(self._kernels):
-                if kernel.transfer is None and kernel.duration > 0:
-                    key = (kernel.kind, kernel.device)
-                    if key in self._by_kind:
-                        self._by_kind[key].append(i)
-                    else:
-                        self._by_kind[key] = [i]
-        return self._by_kind
+    name: str
+    kind: str
+    op: str
+    phase: str
+    device: int
+    duration: float
+    overlapped: bool
+    record: bool
+    transfer: Optional[Tuple[float, PathResources]]
+    deps: Tuple[int, ...]
+    streams: Tuple[StreamResource, ...]
+    start_time: Optional[float]
+    end_time: Optional[float]
 
 
 class KernelGraph:
     """Builds a kernel DAG over streams/links and executes it to completion.
 
-    The DAG (kernels, their deps and stream order) is built once and
-    compiled on its first :meth:`execute`; each execution starts from a
-    fresh run state, so a graph may be executed again — e.g. after a
-    fault graph is re-timed for another scenario — and yields what a
-    freshly built copy would.
+    A kernel starts once every dependency has finished and it is at the
+    head of each of its streams; it then either runs for its
+    :meth:`run_durations` entry or, if it carries a ``transfer``, drains
+    through the fabric's shared link resources at whatever bandwidth
+    contention leaves it.
+
+    Kernels are numbered by submission order: :meth:`add` returns the
+    index, which is the handle a dependant names it by.  Each kernel is
+    one entry in each per-kernel column — ``_durations`` (priced),
+    ``_flows`` (a transfer's bytes, latency, peak rate and links),
+    ``_busy_device``, ``_deps``, and ``_labels`` (name, kind, op, phase,
+    device, flags, raw transfer and streams: what only a record or the
+    timeline reads) — and :meth:`add` fills the execution tables as it
+    appends (see the module doc):
+
+    * ``_waits[i]`` counts what kernel ``i`` waits for: its dependencies
+      plus its predecessor on each of its streams;
+    * ``_wakes[i]`` lists, *reversed*, the kernels whose count ``i``'s
+      finish decrements — the next kernel on each of its streams (in its
+      stream order), then its dependants (ascending) — so it goes straight
+      onto the loop's LIFO stack and pops in the original engine's order;
+    * ``_roots`` lists the kernels that wait for nothing, and ``_preds[i]``
+      the same waits as ``_waits[i]`` as kernel indices (ascending,
+      duplicates kept), which the one-pass schedule reads while
+      ``_one_pass`` holds;
+    * ``_tails`` maps each stream to its last kernel, ``_multi`` the
+      kernels on several streams to those streams, ``_floating`` lists the
+      kernels on no stream, and ``_by_kind`` the stretchable kernels by
+      ``(kind, device)``.
+
+    Each execution starts from a fresh run state, so a graph may be
+    executed again — e.g. after a fault graph is re-timed for another
+    scenario — and yields what a freshly built copy would.
     """
 
     def __init__(self) -> None:
-        self.kernels: List[SimKernel] = []
         self._streams: Dict[str, StreamResource] = {}
-        self._dag: Optional[_CompiledDag] = None
-        # The last execution's links, per-device busy seconds and counters.
+        # ---- per-kernel columns
+        #: ``(name, kind, op, phase, device, overlapped, record, transfer,
+        #: streams)``: what only a record or the timeline reads.
+        self._labels: List[Tuple[Any, ...]] = []
+        #: Priced durations, clamped at zero: the clock never runs
+        #: backwards.
+        self._durations: List[float] = []
+        self._deps: List[Tuple[int, ...]] = []
+        #: ``(bytes, latency, peak rate, shared links)`` of a transfer.
+        self._flows: List[
+            Optional[Tuple[float, float, float, Tuple[Tuple[str, float], ...]]]
+        ] = []
+        #: Device whose busy time a kernel's run adds to, or ``None``.
+        self._busy_device: List[Optional[int]] = []
+        # ---- execution tables (see the class doc)
+        self._waits: List[int] = []
+        self._wakes: List[List[int]] = []
+        self._roots: List[int] = []
+        self._preds: List[List[int]] = []
+        self._one_pass = True
+        self._tails: Dict[StreamResource, int] = {}
+        self._multi: Dict[int, Tuple[StreamResource, ...]] = {}
+        self._floating: List[int] = []
+        self._by_kind: Dict[Tuple[str, int], List[int]] = {}
+        # Each device's last busy kernel's streams (the one-pass check).
+        self._busy_streams: Dict[int, Tuple[StreamResource, ...]] = {}
+        # ---- the last execution's times, links, busy seconds and counters
+        self._start: List[Optional[float]] = []
+        self._end: List[Optional[float]] = []
         self._links: Dict[str, _SharedLink] = {}
         self._busy: Dict[int, float] = {}
         self._perf: Dict[str, int] = dict.fromkeys(PERF_STAT_KEYS, 0)
@@ -474,21 +371,158 @@ class KernelGraph:
             self._streams[name] = StreamResource(name)
         return self._streams[name]
 
-    def add(self, name: str, **fields: Any) -> SimKernel:
-        """Create a kernel on its streams (in submission order), with deps;
-        ``fields`` are :class:`SimKernel`'s keywords."""
-        kernel = SimKernel(name, **fields)
-        self.kernels.append(kernel)
-        self._dag = None
-        return kernel
+    def __len__(self) -> int:
+        """The number of kernels added."""
+        return len(self._durations)
 
-    def _compile(self) -> _CompiledDag:
-        """The DAG's integer tables, rebuilt after an ``add`` (or after
-        kernels were removed from :attr:`kernels`)."""
-        dag = self._dag
-        if dag is None or dag.n != len(self.kernels):
-            dag = self._dag = _CompiledDag(self.kernels)
-        return dag
+    def add(
+        self,
+        name: str,
+        *,
+        streams: Sequence[StreamResource] = (),
+        deps: Sequence[int] = (),
+        duration: float = 0.0,
+        kind: str = "",
+        op: str = "",
+        phase: str = "-",
+        device: int = 0,
+        overlapped: bool = False,
+        record: bool = True,
+        transfer: Optional[Tuple[float, PathResources]] = None,
+    ) -> int:
+        """Append a kernel on ``streams`` (queued in submission order) that
+        waits for ``deps``, indices this graph's ``add`` returned; returns
+        the new kernel's index.
+
+        A ``record=False`` kernel (a barrier or marker) stays off the
+        timeline and the busy seconds, and so does an ``overlapped`` one's
+        busy time.
+        """
+        i = len(self._durations)
+        streams = tuple(streams)
+        deps = tuple(deps)
+        for j in deps:
+            if not 0 <= j < i:
+                raise IndexError(
+                    f"kernel {name!r} waits for {j!r}, which is not an "
+                    "earlier kernel of this graph"
+                )
+        self._labels.append((
+            name, kind, op, phase, device, overlapped, record, transfer,
+            streams,
+        ))
+        self._durations.append(0.0 if duration < 0.0 else duration)
+        self._deps.append(deps)
+        wakes = self._wakes
+        wakes.append([])
+        preds = list(deps)
+        for j in deps:
+            wakes[j].insert(0, i)
+        if len(streams) > 1:
+            self._multi[i] = streams
+        elif not streams:
+            self._floating.append(i)
+        tails = self._tails
+        for stream in streams:
+            prev = tails.get(stream)
+            tails[stream] = i
+            if prev is None:
+                continue
+            preds.append(prev)
+            theirs = self._multi.get(prev)
+            if theirs is None:
+                wakes[prev].append(i)
+                continue
+            # Behind the next kernels already added on ``prev``'s earlier
+            # streams (the reversed list ends with them).
+            filled = 0
+            for other in theirs:
+                if other is stream:
+                    break
+                if tails[other] != prev:
+                    filled += 1
+            wakes[prev].insert(len(wakes[prev]) - filled, i)
+        self._waits.append(len(preds))
+        if not preds:
+            self._roots.append(i)
+        elif len(preds) > 1:
+            preds.sort()
+        self._preds.append(preds)
+        if transfer is None:
+            self._flows.append(None)
+            if duration > 0:
+                stretchable = self._by_kind.get((kind, device))
+                if stretchable is None:
+                    self._by_kind[kind, device] = [i]
+                else:
+                    stretchable.append(i)
+        else:
+            path = transfer[1]
+            self._flows.append((
+                transfer[0], max(path.latency, 0.0), path.stream_bandwidth,
+                path.shared,
+            ))
+            self._one_pass = False
+        if record and not overlapped:
+            self._busy_device.append(device)
+            if self._one_pass:
+                # A device's busy kernels must share a stream in turn to
+                # finish in kernel order (see the module doc): a busy
+                # kernel on no stream, or on none of its device's previous
+                # busy kernel's, ends the pass.
+                prior = self._busy_streams.get(device, streams)
+                self._busy_streams[device] = streams
+                if not streams or (streams != prior and not any(
+                    stream in prior for stream in streams
+                )):
+                    self._one_pass = False
+        else:
+            self._busy_device.append(None)
+        return i
+
+    def add_dep(self, kernel: int, dep: int) -> None:
+        """Make ``kernel`` also wait for ``dep`` (both indices of this
+        graph); ``dep`` may be a kernel added after it."""
+        n = len(self._durations)
+        if not (0 <= kernel < n and 0 <= dep < n):
+            raise IndexError(f"no kernel {kernel!r} or {dep!r} in this graph")
+        self._deps[kernel] += (dep,)
+        if not self._waits[kernel]:
+            self._roots.remove(kernel)
+        self._waits[kernel] += 1
+        insort(self._preds[kernel], dep)
+        if dep >= kernel:
+            self._one_pass = False
+        # Among ``dep``'s dependants (the head of its reversed wakes, in
+        # descending order), ahead of the next kernels on its streams.
+        woken = self._wakes[dep]
+        streams = self._labels[dep][-1]
+        dependants = len(woken) - sum(
+            1 for s in streams if self._tails[s] != dep
+        )
+        at = 0
+        while at < dependants and woken[at] > kernel:
+            at += 1
+        woken.insert(at, kernel)
+
+    @property
+    def kernels(self) -> List[SimKernel]:
+        """Every kernel as a :class:`SimKernel` record, made on each call
+        (times ``None`` for kernels added since the last execution)."""
+        unrun = [None] * (len(self._durations) - len(self._end))
+        return [
+            SimKernel(
+                name, kind, op, phase, device, duration, overlapped, record,
+                transfer, deps, streams, started, ended,
+            )
+            for (
+                name, kind, op, phase, device, overlapped, record, transfer,
+                streams,
+            ), duration, deps, started, ended in zip(
+                self._labels, self._durations, self._deps,
+                self._start + unrun, self._end + unrun,
+            )
+        ]
 
     # ------------------------------------------------------------------
     # execution
@@ -497,13 +531,12 @@ class KernelGraph:
     def run_durations(self) -> List[float]:
         """The duration rule: how long each kernel runs this execution.
 
-        Indexed like :attr:`kernels` (transfers' entries are unused).  The
-        stock graph runs every kernel for its priced ``duration``; a fault
-        graph stretches some (see
-        :class:`~repro.sim.faults.FaultyKernelGraph`).  The list is only
-        read.
+        Indexed by kernel (transfers' entries are unused).  The stock
+        graph runs every kernel for its priced duration; a fault graph
+        stretches some (see :class:`~repro.sim.faults.FaultyKernelGraph`).
+        The list is only read.
         """
-        return self._compile().durations
+        return self._durations
 
     def _timed_events(self) -> List[float]:
         """Reset the graph's own timed events; returns their times.
@@ -539,17 +572,15 @@ class KernelGraph:
             RuntimeError: If the DAG deadlocks (a dependency cycle, or
                 stream submission orders inconsistent with the deps).
         """
-        dag = self._compile()
-        preds = dag.preds
-        if preds is None or self._timed_events():
+        if not self._one_pass or self._timed_events():
             self.schedule = "events"
             return self._execute_events()
         self.schedule = "pass"
         durations = self.run_durations()
-        n = dag.n
+        n = len(durations)
         start = [0.0] * n
         end = [0.0] * n
-        for i, mine in enumerate(preds):
+        for i, mine in enumerate(self._preds):
             if not mine:
                 begin = 0.0
             elif len(mine) == 1:
@@ -560,30 +591,28 @@ class KernelGraph:
             end[i] = begin + durations[i]
         self._links = {}
         self._busy = busy = {}
-        for i, device in enumerate(dag.busy_device):
+        for i, device in enumerate(self._busy_device):
             if device is not None:
                 elapsed = end[i] - start[i]
                 if elapsed > 0:
                     busy[device] = busy.get(device, 0.0) + elapsed
         self._perf = dict.fromkeys(PERF_STAT_KEYS, 0)
         self._perf["queue_pushes"] = n
-        for kernel, started, ended in zip(self.kernels, start, end):
-            kernel.start_time = started
-            kernel.end_time = ended
+        self._start = start
+        self._end = end
         return max(end, default=0.0)
 
     def _execute_events(self) -> float:
         """:meth:`execute` through the event loop, for any DAG."""
-        dag = self._compile()
-        n = dag.n
+        n = len(self._durations)
         flow_code = n          # [n, 2n): a flow's completion
         activate_code = 2 * n  # [2n, 3n): a flow joins the fabric
         timed_code = 3 * n     # [3n, ...): the graph's own timed events
         durations = self.run_durations()
-        wakes = dag.wakes
-        transfers = dag.transfers
-        busy_device = dag.busy_device
-        waits = list(dag.waits)
+        wakes = self._wakes
+        transfers = self._flows
+        busy_device = self._busy_device
+        waits = list(self._waits)
         self._links = links = {}
         self._busy = busy = {}
         open_link = self._link
@@ -610,7 +639,7 @@ class KernelGraph:
         # kernels to try starting, so zero-byte transfers that finish as
         # they start cascade depth-first, in the original engine's order.
         done = -1
-        ready = list(dag.roots)
+        ready = self._roots[::-1]
         while True:
             # ---- finish ``done``, start every kernel it (or a root) frees
             while True:
@@ -772,37 +801,60 @@ class KernelGraph:
             # live or as a stale drop.
             "queue_stale_drops": seq - live,
         }
-        for kernel, started, ended in zip(self.kernels, start, end):
-            kernel.start_time = started
-            kernel.end_time = ended
+        self._start = start
+        self._end = end
         if finished < n:
-            stuck = [k.name for k in self.kernels if k.end_time is None]
+            stuck = [
+                labels[0] for labels, ended in zip(self._labels, end)
+                if ended is None
+            ]
             raise RuntimeError(
                 f"kernel DAG deadlocked; {len(stuck)} kernels never ran "
                 f"(first: {stuck[:5]})"
             )
         return max(end, default=0.0)
 
+    def spliceable(self, makespan: float) -> bool:
+        """Whether the last execution, ending at ``makespan``, may be tiled
+        exactly.
+
+        Tiling a layer is exact iff the layer boundary synchronises every
+        device: each stream's last kernel must end at the makespan (so the
+        next layer starts cold on every stream at one instant) and no
+        streamless kernel — an in-flight transfer — may outlast the
+        streams.  A stream runs its kernels in turn, so its tail ends
+        last; a stream whose kernels all end at ``0.0`` is idle and does
+        not count.
+        """
+        if makespan <= 0:
+            return True
+        end = self._end
+        ends = [end[i] for i in self._tails.values() if end[i] > 0.0]
+        if not ends:
+            return True
+        if any(ended != makespan for ended in ends):
+            return False
+        return max((end[i] for i in self._floating), default=0.0) <= makespan
+
     def timeline(self) -> Timeline:
         """The executed schedule as a :class:`Timeline` (per-device records)."""
         records = [
             KernelRecord(
-                op=k.op,
-                phase=k.phase,
-                kind=k.kind,
-                start=k.start_time,
-                duration=k.end_time - k.start_time,
-                overlapped=k.overlapped,
-                device=k.device,
+                op=op,
+                phase=phase,
+                kind=kind,
+                start=started,
+                duration=ended - started,
+                overlapped=overlapped,
+                device=device,
             )
-            for k in self.kernels
-            if k.record and k.end_time is not None
-            and k.end_time > k.start_time
+            for (_, kind, op, phase, device, overlapped, record, *_), started,
+            ended in zip(self._labels, self._start, self._end)
+            if record and ended is not None and ended > started
         ]
         records.sort(key=lambda r: (r.start, r.device, r.kind))
         makespan = max(
-            (k.end_time for k in self.kernels if k.end_time is not None),
-            default=0.0,
+            (ended for ended in self._end if ended is not None), default=0.0
         )
         return Timeline(records=records, clock=makespan)
 
@@ -899,11 +951,14 @@ class EventDrivenSimulator:
 
     Args:
         profiler: Fabric profiler providing the cluster and cost models.
-        graph_factory: Constructor for the kernel-DAG executor; the golden
-            regression suite swaps in the frozen pre-optimisation engine,
-            the fault layer a fault-injecting graph.  Only the stock
-            :class:`KernelGraph`'s reports are memoized on disk: a custom
-            graph's reports are not the stock ones.
+        graph_factory: Constructor for the kernel-DAG executor: a
+            :class:`KernelGraph` or any class with its ``stream``/``add``
+            construction and its execution calls (``len``, ``execute``,
+            ``spliceable``, ``timeline``, ``link_stats``).  The fault
+            layer passes a fault-injecting graph; the golden regression
+            suite the frozen pre-optimisation engine behind those calls.
+            Only the stock :class:`KernelGraph`'s reports are memoized on
+            disk: a custom graph's reports are not the stock ones.
     """
 
     def __init__(
@@ -934,9 +989,10 @@ class EventDrivenSimulator:
         the plan's Eq. 10 price list.
 
         The last lowering is kept: calling again with the same graph object
-        and equal specs returns it without re-pricing, so a fault sweep
-        whose nominal replay missed the report cache reuses the nominal's
-        lowering.  Beyond that, lowerings are memoized on disk
+        and equal specs returns it without re-pricing, so a
+        :meth:`run_model` whose splice probe is not spliceable replays the
+        full stack on the probe's lowering.  Beyond that, lowerings are
+        memoized on disk
         (``lowering`` entries, keyed like a report less batch and layers),
         so a fresh simulator asked for an already-priced plan loads it;
         ``sim.lowerings`` counts only the lowerings actually priced.
@@ -1171,9 +1227,7 @@ class EventDrivenSimulator:
             kg = self.graph_factory()
             n_devices = self.topology.n_devices
             streams = [kg.stream(f"dev{r}") for r in range(n_devices)]
-            tails: Dict[int, List[SimKernel]] = {
-                r: [] for r in range(n_devices)
-            }
+            tails: Dict[int, List[int]] = {r: [] for r in range(n_devices)}
             edge_costs = lowering.edge_costs
             phases = lowering.phases
 
@@ -1225,14 +1279,15 @@ class EventDrivenSimulator:
         ``(makespan, spliceable, stats)``; only a one-layer run can be
         spliceable.
         """
-        with span("sim.execute", kernels=len(kg.kernels)) as attrs:
+        kernels = len(kg)
+        with span("sim.execute", kernels=kernels) as attrs:
             latency = kg.execute()
             schedule = getattr(kg, "schedule", None)
             if schedule is not None:
                 attrs["schedule"] = schedule
-        spliceable = n_layers == 1 and self._spliceable(kg, latency)
-        counter("sim.kernels_executed").inc(len(kg.kernels))
-        stats: Dict[str, int] = {"kernels": len(kg.kernels)}
+        spliceable = n_layers == 1 and kg.spliceable(latency)
+        counter("sim.kernels_executed").inc(kernels)
+        stats: Dict[str, int] = {"kernels": kernels}
         perf = getattr(kg, "perf_stats", None)
         if perf is not None:
             stats.update(perf())
@@ -1278,35 +1333,6 @@ class EventDrivenSimulator:
         )
         return report, spliceable, stats
 
-    @staticmethod
-    def _spliceable(kg: KernelGraph, makespan: float) -> bool:
-        """Whether the one-layer schedule may be tiled exactly.
-
-        Tiling a layer is exact iff the layer boundary synchronises every
-        device: each stream's last kernel must end at the makespan (so the
-        next layer starts cold on every stream at one instant) and no
-        streamless kernel — an in-flight transfer — may outlast the
-        streams.  Computed from the executed kernels only, so it works on
-        any graph implementation, including the frozen pre-PR engine.
-        """
-        if makespan <= 0:
-            return True
-        last_end: Dict[str, float] = {}
-        stream_max = 0.0
-        for kernel in kg.kernels:
-            end = kernel.end_time
-            for stream in kernel.streams:
-                prev = last_end.get(stream.name, 0.0)
-                if end > prev:
-                    last_end[stream.name] = end
-            if not kernel.streams and end is not None and end > stream_max:
-                stream_max = end
-        if not last_end:
-            return True
-        if any(end != makespan for end in last_end.values()):
-            return False
-        return stream_max <= makespan
-
     # ------------------------------------------------------------------
     # lowering
     # ------------------------------------------------------------------
@@ -1315,7 +1341,7 @@ class EventDrivenSimulator:
         self,
         kg: KernelGraph,
         streams: Sequence[StreamResource],
-        tails: Dict[int, List[SimKernel]],
+        tails: Dict[int, List[int]],
         op_name: str,
         phase: str,
         kind: str,
@@ -1330,11 +1356,11 @@ class EventDrivenSimulator:
         """
         if duration <= 0:
             return
-        deps: List[SimKernel] = []
+        deps: List[int] = []
         for rank in range(len(streams)):
             deps.extend(tails[rank])
             tails[rank] = []
-        barrier = kg.add(
+        kg.add(
             f"{op_name}.{phase}.{kind}.barrier",
             streams=streams,
             deps=deps,
@@ -1343,20 +1369,19 @@ class EventDrivenSimulator:
         for rank, stream in enumerate(streams):
             kg.add(
                 f"{op_name}.{phase}.{kind}[{rank}]",
-                streams=[stream],
+                streams=(stream,),
                 duration=duration,
                 kind=kind,
                 op=op_name,
                 phase=phase,
                 device=rank,
             )
-        del barrier
 
     def _lower_phase(
         self,
         kg: KernelGraph,
         streams: Sequence[StreamResource],
-        tails: Dict[int, List[SimKernel]],
+        tails: Dict[int, List[int]],
         op: str,
         name: str,
         priced: PhaseLowering,
@@ -1372,8 +1397,9 @@ class EventDrivenSimulator:
         if step_compute <= 0 and not ring_schedule:
             return
         n_ranks = len(streams)
+        lanes = [(stream,) for stream in streams]
         phase_tag = phase.value
-        inbound_prev: Dict[int, List[SimKernel]] = {r: [] for r in range(n_ranks)}
+        inbound_prev: Dict[int, List[int]] = {r: [] for r in range(n_ranks)}
         for t in range(priced.total_steps):
             # Step-begin markers: device r enters step t once its previous
             # step's compute (stream FIFO) and inbound double-buffer
@@ -1383,8 +1409,8 @@ class EventDrivenSimulator:
             # out.
             sends = ring_schedule.get(t, ())
             senders = {send[1] for send in sends}
-            markers: Dict[int, SimKernel] = {}
-            for rank, stream in enumerate(streams):
+            markers: Dict[int, int] = {}
+            for rank, lane in enumerate(lanes):
                 if t == 0:
                     deps = tails[rank]
                     tails[rank] = []
@@ -1393,15 +1419,15 @@ class EventDrivenSimulator:
                 if deps or rank in senders:
                     markers[rank] = kg.add(
                         f"{name}.{phase_tag}.begin{t}[{rank}]",
-                        streams=[stream],
+                        streams=lane,
                         deps=deps,
                         record=False,
                     )
-            inbound_now: Dict[int, List[SimKernel]] = {r: [] for r in range(n_ranks)}
+            inbound_now: Dict[int, List[int]] = {r: [] for r in range(n_ranks)}
             for tensor, src, dst, n_bytes in sends:
                 transfer = kg.add(
                     f"{name}.{phase_tag}.ring{t}.{tensor}[{src}->{dst}]",
-                    deps=[markers[src]],
+                    deps=(markers[src],),
                     transfer=(n_bytes, self.topology.path_resources(src, dst)),
                     kind="ring",
                     op=op,
@@ -1411,10 +1437,10 @@ class EventDrivenSimulator:
                 )
                 inbound_now[dst].append(transfer)
             if step_compute > 0:
-                for rank, stream in enumerate(streams):
+                for rank, lane in enumerate(lanes):
                     kg.add(
                         f"{name}.{phase_tag}.step{t}[{rank}]",
-                        streams=[stream],
+                        streams=lane,
                         duration=step_compute,
                         kind="compute",
                         op=op,

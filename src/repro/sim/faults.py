@@ -25,10 +25,11 @@ gracefully.  This module makes that question answerable:
   scenario.  With an empty scenario every override is a pass-through — the
   zero-fault path stays bit-identical to the stock engine, and the golden
   suite holds it there.
-* **Scoring** — :func:`evaluate_robustness` replays a plan across the
-  sampled scenarios — building each kernel-DAG shape once per sweep
-  (:class:`FaultSweep`) and re-timing it per scenario, with no per-replay
-  report — and folds the outcomes into a :class:`RobustnessReport`:
+* **Scoring** — :func:`evaluate_robustness` replays a plan under the
+  empty scenario and across the sampled ones — building each kernel-DAG
+  shape once per request (:class:`FaultSweep`) and re-timing it per
+  scenario, with no per-replay report — and folds the outcomes into a
+  :class:`RobustnessReport`:
   p50/p95/p99 iteration latency (nearest-rank, via
   :mod:`repro.obs.quantiles`), slowdown attribution (compute vs. link vs.
   recovery), and expected recovery cost.
@@ -533,8 +534,8 @@ class FaultyKernelGraph(KernelGraph):
         if not (self._slowdown or self._link_stretch):
             return durations
         durations = list(durations)
-        kernels = self.kernels
-        by_kind = self._compile().by_kind()
+        priced = self._durations
+        by_kind = self._by_kind
         for kinds, stretches in (
             (COMPUTE_KINDS, self._slowdown),
             (LINK_KINDS, self._link_stretch),
@@ -542,7 +543,7 @@ class FaultyKernelGraph(KernelGraph):
             for device, stretch in stretches.items():
                 for kind in kinds:
                     for i in by_kind.get((kind, device), ()):
-                        durations[i] = kernels[i].duration * stretch
+                        durations[i] = priced[i] * stretch
         return durations
 
     def _timed_events(self) -> List[float]:
@@ -688,19 +689,21 @@ _NOMINAL = FaultScenario(index=0, seed=0)
 
 
 class FaultSweep:
-    """The faulted replays of one robustness sweep over one plan.
+    """The replays of one robustness sweep over one plan.
 
     Faults change kernel durations and link capacities, not the kernel
     DAG's shape, so each shape — the one-layer splice probe and the
     ``n_layers`` stack — is built once, on its first replay, and re-timed
     per scenario (:meth:`FaultyKernelGraph.retime`) before each execution.
-    A replay returns only the makespan; it builds no timeline, breakdown,
-    utilization or report.
+    The nominal replay (the empty scenario) runs on the same DAGs as the
+    faulted ones.  A replay returns only the makespan; it builds no
+    timeline, breakdown, utilization or report.
 
     A sweep owns mutable DAG templates: keep one per thread of work (the
     server runs requests on threads, ``jobs`` workers build their own).
     ``lowering`` is :meth:`EventDrivenSimulator.lower` of ``plan``;
-    without one the plan is lowered on the first replay.
+    without one the plan is lowered (or its lowering loaded) on the first
+    replay.
     """
 
     def __init__(
@@ -873,12 +876,17 @@ def evaluate_robustness(
     are nearest-rank — so the report is bit-identical serial or under any
     ``jobs`` fan-out.
 
-    The plan is lowered once if any scenario needs the engine, and every
-    replay reads that lowering (shipped to workers in the task payload).
-    The faulted scenarios are split into one contiguous run per worker,
-    each replayed by its own :class:`FaultSweep`, so each worker builds
-    each kernel-DAG shape once.  Nominal and outage-only sweeps replay
-    nothing and lower nothing beyond what the nominal replay itself needs.
+    One :class:`FaultSweep` lowers the plan once and replays the empty
+    scenario for the nominal latency, under
+    :meth:`~repro.sim.engine.EventDrivenSimulator.run_layers`'s splice
+    policy with the one-layer makespan tiled ``n_layers`` times: bit for
+    bit :meth:`~repro.sim.engine.EventDrivenSimulator.run_model`'s
+    latency, without its report.  A serial run replays every faulted
+    scenario on that sweep's kernel DAGs, so each shape is built once per
+    request.  With ``jobs`` workers the faulted scenarios are split into
+    one contiguous run per worker, each replayed by its own sweep from the
+    shipped lowering.  ``global_batch`` sets no latency; it is kept so
+    the call reads like the other simulation entry points.
     """
     if scenarios < 1:
         raise ValidationError(
@@ -889,10 +897,10 @@ def evaluate_robustness(
         scenarios=scenarios,
         devices=profiler.topology.n_devices,
     ):
-        simulator = EventDrivenSimulator(profiler)
-        nominal = simulator.run_model(graph, plan, global_batch, n_layers)
+        sweep = FaultSweep(profiler, graph, plan, n_layers)
+        nominal = sweep.latency(_NOMINAL)
         drawn = fault_model.scenarios(
-            profiler.topology, scenarios, seed, nominal.latency
+            profiler.topology, scenarios, seed, nominal
         )
         outcomes: List[Optional[ScenarioOutcome]] = []
         faulted: List[FaultScenario] = []
@@ -901,8 +909,8 @@ def evaluate_robustness(
                 counter("faults.scenarios", kind="nominal").inc()
                 outcomes.append(ScenarioOutcome(
                     index=scenario.index,
-                    latency=nominal.latency,
-                    nominal_latency=nominal.latency,
+                    latency=nominal,
+                    nominal_latency=nominal,
                     compute_delay=0.0,
                     link_delay=0.0,
                     recovery_delay=0.0,
@@ -911,18 +919,20 @@ def evaluate_robustness(
                 counter("faults.scenarios", kind="faulted").inc()
                 outcomes.append(None)
                 faulted.append(scenario)
-        if faulted:
-            lowering = (
-                simulator.lower(graph, plan)
-                if any(s.has_engine_faults for s in faulted) else None
-            )
-            runs = min(resolve_jobs(jobs), len(faulted))
+        recovery = fault_model.recovery
+        runs = min(resolve_jobs(jobs), len(faulted))
+        if runs <= 1:
+            replayed = iter([
+                simulate_scenario(sweep, scenario, recovery, nominal)
+                for scenario in faulted
+            ])
+        else:
             payloads = [
                 (
-                    profiler, graph, plan, n_layers, lowering,
+                    profiler, graph, plan, n_layers, sweep.lowering,
                     faulted[i * len(faulted) // runs:
                             (i + 1) * len(faulted) // runs],
-                    fault_model.recovery, nominal.latency,
+                    recovery, nominal,
                 )
                 for i in range(runs)
             ]
@@ -931,11 +941,11 @@ def evaluate_robustness(
                 for run in parallel_map(_sweep_task, payloads, jobs)
                 for outcome in run
             ])
-            outcomes = [
-                next(replayed) if outcome is None else outcome
-                for outcome in outcomes
-            ]
-        return build_report(outcomes, nominal.latency, fault_model, seed)
+        outcomes = [
+            next(replayed) if outcome is None else outcome
+            for outcome in outcomes
+        ]
+        return build_report(outcomes, nominal, fault_model, seed)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,10 @@ The contracts under test:
   replays that lower the plan and build a fresh DAG themselves; a plan
   already lowered loads its lowering from the disk cache and prices
   nothing, with the same report bytes as pricing from scratch.
+* **One sweep per request** — the nominal latency is a replay of the
+  empty scenario on the sweep's own DAGs, bit for bit ``run_model``'s
+  latency, with no report, no ``run_model`` call and no ``simreport``
+  entry read.
 """
 
 from __future__ import annotations
@@ -32,15 +36,17 @@ import pytest
 
 from repro import EventDrivenSimulator, PrimeParOptimizer, ValidationError
 from repro import cache as diskcache
-from repro.baselines.megatron import best_megatron_plan
+from repro.baselines.megatron import best_megatron_plan, megatron_plan
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
 from repro.core.cost.inter import InterOperatorCostModel
+from repro.core.spec import PartitionSpec
 from repro.graph.models import OPT_6_7B
 from repro.graph.transformer import build_block_graph
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.spans import SpanCollector, use_collector
 from repro.sim import faults
-from repro.sim.engine import PlanLowering
+from repro.sim.engine import LOWERING_KIND, REPORT_KIND, PlanLowering
 from repro.sim.faults import (
     DegradedLink,
     FaultModel,
@@ -596,6 +602,85 @@ class TestPriceOnce:
         assert report.outage_scenarios == 4
         assert calls == []
         assert _counted(snapshot, "sim.lowerings") == 0
+
+
+#: One OPT-6.7B layer on 4 devices with temporal (P2x2) linear operators:
+#: ring sends cross the two nodes' NICs.
+TEMPORAL_PLAN = {
+    "input": "M-K", "L0.ln1": "M-K", "L0.qkv": "P2x2",
+    "L0.scores": "B[batch]-B[heads]", "L0.softmax": "B[batch]-B[heads]",
+    "L0.context": "B[batch]-B[heads]", "L0.out_proj": "P2x2",
+    "L0.add1": "M-K", "L0.ln2": "M-K", "L0.fc1": "P2x2", "L0.act": "M-K",
+    "L0.fc2": "P2x2", "L0.add2": "M-K",
+}
+
+
+class TestOneSweepPerRequest:
+    """``evaluate_robustness`` replays the nominal on its fault sweep."""
+
+    @pytest.fixture(scope="class")
+    def plans(self, setting):
+        profiler, graph, _ = setting
+        return {
+            "megatron": megatron_plan(graph, 2, dp_degree=2),
+            "temporal": {
+                name: PartitionSpec.from_string(text, 2)
+                for name, text in TEMPORAL_PLAN.items()
+            },
+        }
+
+    @pytest.mark.usefixtures("no_disk_cache")
+    @pytest.mark.parametrize("n_layers", [1, 4])
+    @pytest.mark.parametrize("label", ["megatron", "temporal"])
+    def test_nominal_is_run_model_latency(
+        self, setting, plans, label, n_layers
+    ):
+        """A transfer-free plan and a ring-transfer plan, spliced or not."""
+        profiler, graph, _ = setting
+        plan = plans[label]
+        lowering = EventDrivenSimulator(profiler).lower(graph, plan)
+        rings = any(phase.ring for phase in lowering.phases.values())
+        assert rings == (label == "temporal")
+        report = evaluate_robustness(
+            profiler, graph, plan, 8, n_layers,
+            FaultModel.from_spec("straggler=0.5:1.5,degrade=0.5:0.5"),
+            scenarios=3, seed=1,
+        )
+        expected = EventDrivenSimulator(profiler).run_model(
+            graph, plan, 8, n_layers
+        )
+        assert report.nominal_latency.hex() == expected.latency.hex()
+
+    @pytest.mark.parametrize("label", ["megatron", "temporal"])
+    def test_one_request_builds_lowers_and_reads_once(
+        self, setting, plans, label, monkeypatch, tmp_path
+    ):
+        """Each DAG shape is built once, one lowering is priced or
+        loaded, and no report is simulated, loaded or stored, even with a
+        ``simreport`` entry for the plan on disk."""
+        profiler, graph, _ = setting
+        plan = plans[label]
+        monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
+        EventDrivenSimulator(profiler).run_model(graph, plan, 8, 4)
+        assert list(tmp_path.glob(f"{REPORT_KIND}-*.pkl"))
+
+        def no_report(*args, **kwargs):
+            raise AssertionError("a robustness sweep ran run_model")
+
+        monkeypatch.setattr(EventDrivenSimulator, "run_model", no_report)
+        with use_registry(MetricsRegistry()) as registry:
+            with use_collector(SpanCollector()) as collector:
+                evaluate_robustness(
+                    profiler, graph, plan, 8, 4, MIXED, scenarios=6, seed=3,
+                )
+                spans = collector.export()
+            snapshot = registry.snapshot()
+        builds = [s["attrs"]["layers"] for s in spans if s["name"] == "sim.build"]
+        assert sorted(builds) == [1, 4]
+        assert _counted(snapshot, "sim.lowerings") == 0
+        assert _counted(snapshot, "cache.hits", kind=LOWERING_KIND) == 1
+        for outcome in ("hits", "misses", "stores"):
+            assert _counted(snapshot, f"cache.{outcome}", kind=REPORT_KIND) == 0
 
 
 def _counted(snapshot, name: str, **labels: str) -> float:

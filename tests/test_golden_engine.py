@@ -18,8 +18,10 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-import legacy_engine  # noqa: E402  (vendored baseline, lives next to this file)
-import legacy_faults  # noqa: E402  (vendored baseline, lives next to this file)
+from frozen_graphs import (  # noqa: E402  (vendored baselines, next to this file)
+    LegacyFaultyKernelGraph,
+    OrderedLegacyKernelGraph,
+)
 from repro.baselines.megatron import megatron_plan
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import torus_cluster, v100_cluster
@@ -37,50 +39,6 @@ from repro.parallel3d.pipeline import (
 )
 from repro.sim import faults
 from repro.sim.engine import EventDrivenSimulator
-
-
-class _OrderedFlowSet:
-    """Set API over an insertion-ordered dict (activation order)."""
-
-    def __init__(self):
-        self._flows = {}
-
-    def add(self, flow):
-        self._flows[flow] = None
-
-    def discard(self, flow):
-        self._flows.pop(flow, None)
-
-    def __iter__(self):
-        return iter(self._flows)
-
-    def __contains__(self, flow):
-        return flow in self._flows
-
-    def __len__(self):
-        return len(self._flows)
-
-    def __bool__(self):
-        return bool(self._flows)
-
-
-class OrderedLegacyKernelGraph(legacy_engine.KernelGraph):
-    """The frozen pre-PR engine with its one unordered choice pinned.
-
-    The pre-PR ``_rebalance`` iterates ``_active_flows`` — a plain ``set``,
-    ordered by object id — when scheduling completions, so among flows that
-    complete at the *same* timestamp the set's arbitrary permutation decides
-    which finishes first and which absorbs a 1-ulp residual reschedule.
-    Every permutation is a legal pre-PR execution; runs differ only by
-    allocator layout.  For a reproducible golden baseline we pin that
-    iteration to activation order (the deterministic order the optimised
-    engine specifies), leaving every float operation of the frozen engine
-    untouched.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._active_flows = _OrderedFlowSet()
 
 
 def assert_reports_identical(golden, candidate):
@@ -377,9 +335,7 @@ def _fresh_legacy_dag_per_replay(monkeypatch):
         topology = sweep.simulator.topology
         simulator = EventDrivenSimulator(
             sweep.simulator.profiler,
-            graph_factory=lambda: legacy_faults.FaultyKernelGraph(
-                scenario, topology
-            ),
+            graph_factory=lambda: LegacyFaultyKernelGraph(scenario, topology),
         )
         return simulator.build(sweep.graph, sweep.lowering, n_layers)
 
@@ -448,7 +404,7 @@ class TestGoldenFaultedReplays:
                 graph_factory=lambda: graph_cls(scenario, profiler.topology),
             ).run(graph, plan, batch)
 
-        golden = replay(legacy_faults.FaultyKernelGraph)
+        golden = replay(LegacyFaultyKernelGraph)
         assert golden.latency > nominal.latency
         assert_reports_identical(golden, replay(faults.FaultyKernelGraph))
 

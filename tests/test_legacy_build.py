@@ -27,6 +27,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import legacy_build  # noqa: E402  (vendored baseline, lives next to this file)
+from frozen_graphs import splice_walk  # noqa: E402
 from repro.baselines.megatron import megatron_plan
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
@@ -109,10 +110,11 @@ def _times(kg):
 def _unanchored_markers(kg):
     """Names of ``kg``'s step-begin markers that wait on nothing and start
     no ring send."""
-    anchors = {id(dep) for k in kg.kernels if k.transfer for dep in k.deps}
+    kernels = kg.kernels
+    anchors = {dep for k in kernels if k.transfer for dep in k.deps}
     return {
-        k.name for k in kg.kernels
-        if ".begin" in k.name and not k.deps and id(k) not in anchors
+        k.name for i, k in enumerate(kernels)
+        if ".begin" in k.name and not k.deps and i not in anchors
     }
 
 
@@ -150,6 +152,9 @@ def test_kept_kernels_keep_their_times(plans, model, cluster):
                     }
                     assert (kept.device_busy_seconds()
                             == frozen.device_busy_seconds())
+                    assert kept.spliceable(makespan) == splice_walk(
+                        kept.kernels, makespan
+                    )
     # Megatron plans take the pass, and every flap the loop.
     assert schedules == {"pass", "events"}
 

@@ -17,7 +17,7 @@ from repro.core.cost.overall import OverallCostModel
 from repro.core.optimizer.candidates import build_candidates, type_key
 from repro.core.optimizer.canonical import canonical_specs
 from repro.core.optimizer import dp, merge
-from repro.core.optimizer.dp import min_plus, solve_segment
+from repro.core.optimizer.dp import min_plus, min_plus_diagonal, solve_segment
 from repro.core.optimizer.merge import merge_tables, stack_layers
 from repro.core.optimizer.segmenter import segment_graph
 from repro.core.optimizer import strategy
@@ -105,24 +105,70 @@ class TestMinPlusKernel:
 
     def test_bellman_stage_times_every_product(self, monkeypatch, profiler8):
         """``stage_seconds["bellman"]`` holds the segment DP's and the
-        merge's min-plus products, the layer fold included."""
+        merge's min-plus products, each segment's closed-form first step
+        and the layer fold."""
         delay = 2e-3
         calls = []
 
-        def slow(left, right):
-            calls.append(left.shape)
-            time.sleep(delay)
-            return min_plus(left, right)
+        def slowed(label, fn):
+            def slow(*args):
+                calls.append(label)
+                time.sleep(delay)
+                return fn(*args)
 
-        monkeypatch.setattr(dp, "min_plus", slow)
-        monkeypatch.setattr(merge, "min_plus", slow)
+            return slow
+
+        monkeypatch.setattr(dp, "min_plus", slowed("product", min_plus))
+        monkeypatch.setattr(
+            dp, "min_plus_diagonal", slowed("first", min_plus_diagonal)
+        )
+        monkeypatch.setattr(merge, "min_plus", slowed("product", min_plus))
+        monkeypatch.setattr(
+            strategy, "stack_layers", slowed("fold", stack_layers)
+        )
         graph = build_block_graph(OPT_6_7B.block_shape(batch=8))
         result = PrimeParOptimizer(profiler8, beam=8).optimize(graph, n_layers=4)
         stages = result.stage_seconds
-        folds = [shape for shape in calls if shape[0] == 1]
-        assert len(folds) == 3 and len(calls) > len(folds) + 1
+        assert calls.count("fold") == 1 and calls.count("first") >= 1
+        assert calls.count("product") > 1
         assert len(calls) * delay <= stages["bellman"]
         assert stages["bellman"] <= stages["segment_dp"] + stages["merge"]
+
+    @staticmethod
+    def _diagonal_cases():
+        """First steps: random, tie-heavy, ``inf`` intra rows and
+        all-``inf`` edge columns (and both)."""
+        rng = np.random.default_rng(5)
+        inf_intra = rng.random(9)
+        inf_intra[[0, 4]] = np.inf
+        inf_columns = rng.random((9, 13))
+        inf_columns[:, [0, 6]] = np.inf
+        inf_columns[3, 2] = np.inf
+        return {
+            "random": (rng.random(7), rng.random((7, 11))),
+            "ties": (
+                rng.integers(0, 2, 12).astype(float),
+                rng.integers(0, 2, (12, 15)).astype(float),
+            ),
+            "inf-rows": (inf_intra, rng.random((9, 13))),
+            "inf-columns": (rng.random(9), inf_columns),
+            "both": (inf_intra, inf_columns),
+        }
+
+    @pytest.mark.parametrize(
+        "case", ["random", "ties", "inf-rows", "inf-columns", "both"]
+    )
+    def test_diagonal_first_step_matches_dense(self, case):
+        intra, right = self._diagonal_cases()[case]
+        dense = np.full((len(intra), len(intra)), np.inf)
+        np.fill_diagonal(dense, intra)
+        out, arg = min_plus_diagonal(intra, right)
+        expected_out, expected_arg = min_plus(dense, right)
+        assert out.tobytes() == expected_out.tobytes()
+        assert arg.dtype == expected_arg.dtype
+        assert arg.tobytes() == expected_arg.tobytes()
+        if case not in ("random", "ties"):
+            assert np.isinf(out).any()
 
 
 class TestSegmenter:
@@ -310,6 +356,25 @@ class TestLayerStacking:
             fold = stack_layers(layer_cost, intra, depth)
             doubling = stack_layers_doubling(layer_cost, intra, depth)
             assert fold == pytest.approx(doubling, rel=1e-12, abs=0), depth
+
+    @pytest.mark.parametrize("classes", [1, 5, 56])
+    def test_fold_matches_min_plus_fold(self, classes):
+        """Each step's minimum is the sum at ``min_plus``'s argmin, so the
+        fold is byte-identical to folding through ``min_plus``, ``inf``
+        entries and tied minima included."""
+        rng = np.random.default_rng(classes)
+        layer_cost = rng.integers(1, 6, (classes, classes)).astype(float)
+        layer_cost += rng.random((classes, classes)) * (classes > 1)
+        layer_cost[rng.random((classes, classes)) < 0.3] = np.inf
+        layer_cost[0, 0] = 3.0
+        intra = rng.random(classes)
+        for depth in (1, 2, 3, 17):
+            row = layer_cost.min(axis=0, keepdims=True)
+            for _ in range(depth - 1):
+                row, _ = min_plus(row, layer_cost - intra[:, None])
+            expected = float(row.min())
+            got = stack_layers(layer_cost, intra, depth)
+            assert got.hex() == expected.hex(), depth
 
     def test_merge_requires_matching_boundary(self, profiler4, small_mlp):
         optimizer = PrimeParOptimizer(profiler4)

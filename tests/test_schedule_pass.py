@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import legacy_engine  # noqa: E402  (vendored baseline, lives next to this file)
 import legacy_faults  # noqa: E402  (vendored baseline, lives next to this file)
+from frozen_graphs import LegacyKernelGraph, splice_walk  # noqa: E402
 from repro.baselines.megatron import megatron_plan
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
@@ -102,11 +103,15 @@ def outcome(kg, makespan):
 
 
 def both_schedules(kg):
-    """``(pass outcome, loop outcome)`` of one graph, pass first."""
+    """``(pass outcome, loop outcome)`` of one graph, pass first; each
+    run's splice check must equal the kernel walk's."""
     makespan = kg.execute()
     assert kg.schedule == "pass"
+    assert kg.spliceable(makespan) == splice_walk(kg.kernels, makespan)
     fast = outcome(kg, makespan)
-    return fast, outcome(kg, kg._execute_events())
+    makespan = kg._execute_events()
+    assert kg.spliceable(makespan) == splice_walk(kg.kernels, makespan)
+    return fast, outcome(kg, makespan)
 
 
 class TestPassEqualsLoop:
@@ -239,18 +244,19 @@ class TestFallsBackToLoop:
             s0, s1 = kg.stream("dev0"), kg.stream("dev1")
             a = kg.add("a", streams=[s0], duration=1.0)
             b = kg.add("b", streams=[s1], duration=2.0, device=1)
-            a.add_dep(b)
+            kg.add_dep(a, b)
             return kg
 
-        frozen = recipe(legacy_engine.KernelGraph())
+        frozen = recipe(LegacyKernelGraph())
         assert assert_frozen_equal(recipe(KernelGraph()), frozen) == 3.0
 
-    def test_dep_outside_the_graph_deadlocks(self):
+    def test_cycle_deadlocks_like_the_frozen_engine(self):
         def recipe(kg):
-            stranger = type(kg)().add("stranger", duration=1.0)
-            s0 = kg.stream("dev0")
-            kg.add("a", streams=[s0], duration=1.0)
-            kg.add("b", streams=[s0], deps=[stranger], duration=1.0)
+            s0, s1 = kg.stream("dev0"), kg.stream("dev1")
+            kg.add("ok", streams=[s1], duration=1.0)
+            a = kg.add("a", streams=[s0], duration=1.0)
+            b = kg.add("b", deps=[a], duration=1.0)
+            kg.add_dep(a, b)
             return kg
 
         kg = recipe(KernelGraph())
@@ -258,8 +264,22 @@ class TestFallsBackToLoop:
             kg.execute()
         assert kg.schedule == "events"
         with pytest.raises(RuntimeError) as frozen:
-            recipe(legacy_engine.KernelGraph()).execute()
+            recipe(LegacyKernelGraph()).execute()
         assert str(live.value) == str(frozen.value)
+
+    def test_dep_outside_the_graph_is_refused(self):
+        """A dependency names an earlier kernel of the same graph: an
+        index the graph never returned is refused when it is added (the
+        frozen engine, whose handles were objects, deadlocked at run
+        time instead)."""
+        kg = KernelGraph()
+        a = kg.add("a", streams=[kg.stream("dev0")], duration=1.0)
+        for stranger in (a + 1, -1):
+            with pytest.raises(IndexError, match="not an earlier kernel"):
+                kg.add("b", deps=[stranger], duration=1.0)
+        with pytest.raises(IndexError):
+            kg.add_dep(a, a + 1)
+        assert len(kg) == 1
 
     def test_nic_flap(self):
         """A flap is a timed event even where no transfer feels it."""
