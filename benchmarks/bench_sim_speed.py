@@ -56,8 +56,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 sys.path.insert(0, str(Path(__file__).parent))
 
-import legacy_faults
-from frozen_graphs import OrderedLegacyKernelGraph
+from frozen_graphs import LegacyFaultyKernelGraph, OrderedLegacyKernelGraph
 from conftest import ALPHA, RESULTS_DIR, beam_for, span_root
 
 from repro import (
@@ -305,7 +304,7 @@ def _faulted_class(
     for scenario in drawn:
         frozen = EventDrivenSimulator(
             profiler,
-            graph_factory=lambda: legacy_faults.FaultyKernelGraph(
+            graph_factory=lambda: LegacyFaultyKernelGraph(
                 scenario, topology
             ),
         ).build(graph, lowering, n_layers)

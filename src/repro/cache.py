@@ -76,6 +76,13 @@ def cache_dir() -> Path:
     return root / "primepar"
 
 
+#: Each dataclass type's field names, in declaration order, once its
+#: first instance is encoded.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+_SCALAR_TYPES = (type(None), bool, int, float)
+
+
 def _canonical(value: Any, out: list) -> None:
     """Append an injective byte encoding of ``value`` to ``out``.
 
@@ -83,7 +90,35 @@ def _canonical(value: Any, out: list) -> None:
     collide; dict items are sorted by their encoded keys for order
     independence.  Unsupported types raise ``TypeError`` — callers treat
     that as "not cacheable", never as a silent unstable hash.
+
+    The exact types ``str``, ``tuple``, ``list``, ``None``, ``bool``,
+    ``int`` and ``float``, and dataclass types already seen, skip the
+    ``isinstance`` chain below; every other type (subclasses such as an
+    ``IntEnum`` included) takes it, so the bytes are the chain's either
+    way.
     """
+    cls = type(value)
+    if cls is str:
+        data = value.encode()
+        out.append(b"s%d:" % len(data) + data)
+        return
+    if cls is tuple or cls is list:
+        out.append(b"t%d:(" % len(value))
+        for item in value:
+            _canonical(item, out)
+        out.append(b")")
+        return
+    if cls in _SCALAR_TYPES:
+        out.append(f"{cls.__name__}:{value!r};".encode())
+        return
+    names = _FIELD_NAMES.get(cls)
+    if names is not None:
+        out.append(f"d:{cls.__qualname__}(".encode())
+        for name in names:
+            _canonical(name, out)
+            _canonical(getattr(value, name), out)
+        out.append(b")")
+        return
     if value is None or isinstance(value, (bool, int, float, complex)):
         out.append(f"{type(value).__name__}:{value!r};".encode())
     elif isinstance(value, str):
@@ -96,11 +131,10 @@ def _canonical(value: Any, out: list) -> None:
     elif isinstance(value, enum.Enum):
         _canonical((type(value).__qualname__, value.value), out)
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out.append(f"d:{type(value).__qualname__}(".encode())
-        for field in dataclasses.fields(value):
-            _canonical(field.name, out)
-            _canonical(getattr(value, field.name), out)
-        out.append(b")")
+        _FIELD_NAMES[cls] = tuple(
+            field.name for field in dataclasses.fields(value)
+        )
+        _canonical(value, out)
     elif isinstance(value, (tuple, list)):
         out.append(b"t%d:(" % len(value))
         for item in value:

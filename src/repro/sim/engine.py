@@ -66,6 +66,14 @@ frozen copy of the original implementation):
   pushes far fewer entries; ``queue_pushes`` and ``queue_stale_drops``
   keep counting what the closure engine's queue did (one push per
   re-timing, one stale drop per superseded one).
+* **Per-rank kernels appended in bulk.**  The lowered DAG is SPMD: every
+  compute step and every collective adds the same kernel once per rank.
+  :meth:`KernelGraph.add_per_rank` appends such a group as one call: the
+  label, duration, dependency, transfer and busy-device columns grow by
+  list extension, and only the stream wiring, the stretch index and the
+  one-pass check walk the ranks (through the helpers :meth:`KernelGraph.add`
+  uses, so the tables are those of one ``add`` per rank).  Markers,
+  barriers and ring transfers stay on ``add``.
 * **One pass for transfer-free DAGs.**  The loop exists for fluid link
   contention between flows.  A DAG without transfers (every Megatron
   plan's, and a PrimePar plan's whose specs send no ring traffic) and
@@ -81,9 +89,13 @@ frozen copy of the original implementation):
   device's busy kernels share a stream in turn: they then finish in
   kernel order, which is the order the loop adds their busy seconds in.
   The counters are the loop's (one queue push per kernel, nothing else)
-  and no link opens.  Any other DAG, and any graph with timed events (a
-  fault graph's NIC flaps), takes the loop.  The run's times stay in two
-  lists (no per-kernel write-back).
+  and no link opens.  The pass computes only start and end times: a
+  fault replay reads just the makespan, so the busy seconds are summed
+  on demand, in kernel order, by the first
+  :meth:`KernelGraph.device_busy_seconds` call after the run — the same
+  adds in the same order as the loop's online sum.  Any other DAG, and
+  any graph with timed events (a fault graph's NIC flaps), takes the
+  loop.  The run's times stay in two lists (no per-kernel write-back).
 * **Only kernels that shape the schedule.**  A lowered DAG holds each
   rank's compute steps, the real ring sends, and per collective a barrier
   plus one kernel per rank.  A step-begin marker (zero duration, on its
@@ -295,13 +307,14 @@ class KernelGraph:
     contention leaves it.
 
     Kernels are numbered by submission order: :meth:`add` returns the
-    index, which is the handle a dependant names it by.  Each kernel is
-    one entry in each per-kernel column — ``_durations`` (priced),
-    ``_flows`` (a transfer's bytes, latency, peak rate and links),
-    ``_busy_device``, ``_deps``, and ``_labels`` (name, kind, op, phase,
-    device, flags, raw transfer and streams: what only a record or the
-    timeline reads) — and :meth:`add` fills the execution tables as it
-    appends (see the module doc):
+    index, which is the handle a dependant names it by, and
+    :meth:`add_per_rank` appends one dependency-free kernel per rank, as
+    that many ``add`` calls would.  Each kernel is one entry in each
+    per-kernel column — ``_durations`` (priced), ``_flows`` (a transfer's
+    bytes, latency, peak rate and links), ``_busy_device``, ``_deps``, and
+    ``_labels`` (name, kind, op, phase, device, flags, raw transfer and
+    streams: what only a record or the timeline reads) — and both fill
+    the execution tables as they append (see the module doc):
 
     * ``_waits[i]`` counts what kernel ``i`` waits for: its dependencies
       plus its predecessor on each of its streams;
@@ -355,7 +368,9 @@ class KernelGraph:
         self._start: List[Optional[float]] = []
         self._end: List[Optional[float]] = []
         self._links: Dict[str, _SharedLink] = {}
-        self._busy: Dict[int, float] = {}
+        #: ``None`` after a one-pass run until :meth:`device_busy_seconds`
+        #: sums it.
+        self._busy: Optional[Dict[int, float]] = {}
         self._perf: Dict[str, int] = dict.fromkeys(PERF_STAT_KEYS, 0)
         #: How the last :meth:`execute` scheduled the DAG: ``"pass"`` or
         #: ``"events"`` (``None`` before the first).
@@ -418,44 +433,11 @@ class KernelGraph:
         preds = list(deps)
         for j in deps:
             wakes[j].insert(0, i)
-        if len(streams) > 1:
-            self._multi[i] = streams
-        elif not streams:
-            self._floating.append(i)
-        tails = self._tails
-        for stream in streams:
-            prev = tails.get(stream)
-            tails[stream] = i
-            if prev is None:
-                continue
-            preds.append(prev)
-            theirs = self._multi.get(prev)
-            if theirs is None:
-                wakes[prev].append(i)
-                continue
-            # Behind the next kernels already added on ``prev``'s earlier
-            # streams (the reversed list ends with them).
-            filled = 0
-            for other in theirs:
-                if other is stream:
-                    break
-                if tails[other] != prev:
-                    filled += 1
-            wakes[prev].insert(len(wakes[prev]) - filled, i)
-        self._waits.append(len(preds))
-        if not preds:
-            self._roots.append(i)
-        elif len(preds) > 1:
-            preds.sort()
-        self._preds.append(preds)
+        self._enqueue(i, (streams,), (preds,))
         if transfer is None:
             self._flows.append(None)
             if duration > 0:
-                stretchable = self._by_kind.get((kind, device))
-                if stretchable is None:
-                    self._by_kind[kind, device] = [i]
-                else:
-                    stretchable.append(i)
+                self._stretchable(kind, (device,), i)
         else:
             path = transfer[1]
             self._flows.append((
@@ -466,19 +448,126 @@ class KernelGraph:
         if record and not overlapped:
             self._busy_device.append(device)
             if self._one_pass:
-                # A device's busy kernels must share a stream in turn to
-                # finish in kernel order (see the module doc): a busy
-                # kernel on no stream, or on none of its device's previous
-                # busy kernel's, ends the pass.
-                prior = self._busy_streams.get(device, streams)
-                self._busy_streams[device] = streams
-                if not streams or (streams != prior and not any(
-                    stream in prior for stream in streams
-                )):
-                    self._one_pass = False
+                self._check_busy((device,), (streams,))
         else:
             self._busy_device.append(None)
         return i
+
+    def add_per_rank(
+        self,
+        name: str,
+        lanes: Sequence[Tuple[StreamResource, ...]],
+        duration: float,
+        kind: str,
+        op: str,
+        phase: str,
+    ) -> None:
+        """Append one kernel per rank: kernel ``r`` runs on ``lanes[r]``,
+        named ``f"{name}[{r}]"``, on device ``r``, with no dependencies.
+
+        The same kernels, in the same order, as one :meth:`add` per rank
+        with those arguments (recorded, not overlapped, no transfer), but
+        the columns grow in bulk: only the stream wiring, the stretch index
+        and the one-pass check walk the ranks.
+        """
+        first = len(self._durations)
+        n = len(lanes)
+        ranks = range(n)
+        self._labels.extend([
+            (f"{name}[{r}]", kind, op, phase, r, False, True, None, lane)
+            for r, lane in enumerate(lanes)
+        ])
+        self._durations.extend([0.0 if duration < 0.0 else duration] * n)
+        self._deps.extend([()] * n)
+        self._flows.extend([None] * n)
+        self._busy_device.extend(ranks)
+        self._wakes.extend([[] for _ in ranks])
+        self._enqueue(first, lanes, [[] for _ in ranks])
+        if duration > 0:
+            self._stretchable(kind, ranks, first)
+        if self._one_pass:
+            self._check_busy(ranks, lanes)
+
+    def _enqueue(
+        self,
+        first: int,
+        lanes: Sequence[Tuple[StreamResource, ...]],
+        waiting: Sequence[List[int]],
+    ) -> None:
+        """Queue kernels ``first, first + 1, ...`` on ``lanes[0], lanes[1],
+        ...``: kernel ``first + k`` waits for the kernels ``waiting[k]``
+        lists and, on each of its streams, for that stream's previous
+        kernel.  Fills the waits, wakes, roots, preds and stream tables
+        (see the class doc)."""
+        wakes = self._wakes
+        tails = self._tails
+        multi = self._multi
+        waits = self._waits
+        for i, (streams, preds) in enumerate(zip(lanes, waiting), first):
+            if len(streams) > 1:
+                multi[i] = streams
+            elif not streams:
+                self._floating.append(i)
+            for stream in streams:
+                prev = tails.get(stream)
+                tails[stream] = i
+                if prev is None:
+                    continue
+                preds.append(prev)
+                theirs = multi.get(prev)
+                if theirs is None:
+                    wakes[prev].append(i)
+                    continue
+                # Behind the next kernels already added on ``prev``'s
+                # earlier streams (the reversed list ends with them).
+                filled = 0
+                for other in theirs:
+                    if other is stream:
+                        break
+                    if tails[other] != prev:
+                        filled += 1
+                wakes[prev].insert(len(wakes[prev]) - filled, i)
+            waits.append(len(preds))
+            if not preds:
+                self._roots.append(i)
+            elif len(preds) > 1:
+                preds.sort()
+        self._preds.extend(waiting)
+
+    def _stretchable(
+        self, kind: str, devices: Sequence[int], first: int
+    ) -> None:
+        """Index kernels ``first, first + 1, ...``, one per entry of
+        ``devices``, under ``(kind, device)`` for a duration rule."""
+        by_kind = self._by_kind
+        for i, device in enumerate(devices, first):
+            stretchable = by_kind.get((kind, device))
+            if stretchable is None:
+                by_kind[kind, device] = [i]
+            else:
+                stretchable.append(i)
+
+    def _check_busy(
+        self,
+        devices: Sequence[int],
+        lanes: Sequence[Tuple[StreamResource, ...]],
+    ) -> None:
+        """The one-pass check for busy kernels, the next of ``devices`` on
+        the next of ``lanes`` each.
+
+        A device's busy kernels must share a stream in turn to finish in
+        kernel order (see the module doc): a busy kernel on no stream, or
+        on none of its device's previous busy kernel's, ends the pass.
+        """
+        busy_streams = self._busy_streams
+        for device, streams in zip(devices, lanes):
+            prior = busy_streams.get(device, streams)
+            busy_streams[device] = streams
+            if not streams or (streams != prior and not any(
+                stream in prior for stream in streams
+            )):
+                self._one_pass = False
+                return
 
     def add_dep(self, kernel: int, dep: int) -> None:
         """Make ``kernel`` also wait for ``dep`` (both indices of this
@@ -590,12 +679,7 @@ class KernelGraph:
             start[i] = begin
             end[i] = begin + durations[i]
         self._links = {}
-        self._busy = busy = {}
-        for i, device in enumerate(self._busy_device):
-            if device is not None:
-                elapsed = end[i] - start[i]
-                if elapsed > 0:
-                    busy[device] = busy.get(device, 0.0) + elapsed
+        self._busy = None  # summed on demand (device_busy_seconds)
         self._perf = dict.fromkeys(PERF_STAT_KEYS, 0)
         self._perf["queue_pushes"] = n
         self._start = start
@@ -866,15 +950,29 @@ class KernelGraph:
         }
 
     def device_busy_seconds(self) -> Dict[int, float]:
-        """Per-device occupied stream seconds, accumulated as kernels finish.
+        """Per-device occupied stream seconds of the last execution.
 
+        The event loop accumulates them as kernels finish.  The one-pass
+        schedule computes only start and end times; its busy seconds are
+        summed here, on the first call after the run, in kernel order,
+        which is the order its kernels finish in (see the module doc).
         Each device's recorded non-overlapped kernels run serially on its
-        stream, so they finish in ``start`` order and this online sum adds
-        the same durations in the same order as the post-hoc scan in
+        stream, so either sum adds the same durations in the same order as
+        the post-hoc scan in
         :func:`~repro.sim.executor.device_busy_fractions` — the totals are
         bit-identical, without a pass over the timeline.
         """
-        return dict(self._busy)
+        busy = self._busy
+        if busy is None:
+            self._busy = busy = {}
+            for device, started, ended in zip(
+                self._busy_device, self._start, self._end
+            ):
+                if device is not None:
+                    elapsed = ended - started
+                    if elapsed > 0:
+                        busy[device] = busy.get(device, 0.0) + elapsed
+        return dict(busy)
 
     def perf_stats(self) -> Dict[str, int]:
         """Engine work counters for this execution (see ``PERF_STAT_KEYS``)."""
@@ -952,8 +1050,9 @@ class EventDrivenSimulator:
     Args:
         profiler: Fabric profiler providing the cluster and cost models.
         graph_factory: Constructor for the kernel-DAG executor: a
-            :class:`KernelGraph` or any class with its ``stream``/``add``
-            construction and its execution calls (``len``, ``execute``,
+            :class:`KernelGraph` or any class with its
+            ``stream``/``add``/``add_per_rank`` construction and its
+            execution calls (``len``, ``execute``,
             ``spliceable``, ``timeline``, ``link_stats``).  The fault
             layer passes a fault-injecting graph; the golden regression
             suite the frozen pre-optimisation engine behind those calls.
@@ -1366,16 +1465,10 @@ class EventDrivenSimulator:
             deps=deps,
             record=False,
         )
-        for rank, stream in enumerate(streams):
-            kg.add(
-                f"{op_name}.{phase}.{kind}[{rank}]",
-                streams=(stream,),
-                duration=duration,
-                kind=kind,
-                op=op_name,
-                phase=phase,
-                device=rank,
-            )
+        kg.add_per_rank(
+            f"{op_name}.{phase}.{kind}", [(stream,) for stream in streams],
+            duration, kind, op_name, phase,
+        )
 
     def _lower_phase(
         self,
@@ -1437,16 +1530,10 @@ class EventDrivenSimulator:
                 )
                 inbound_now[dst].append(transfer)
             if step_compute > 0:
-                for rank, lane in enumerate(lanes):
-                    kg.add(
-                        f"{name}.{phase_tag}.step{t}[{rank}]",
-                        streams=lane,
-                        duration=step_compute,
-                        kind="compute",
-                        op=op,
-                        phase=phase_tag,
-                        device=rank,
-                    )
+                kg.add_per_rank(
+                    f"{name}.{phase_tag}.step{t}", lanes, step_compute,
+                    "compute", op, phase_tag,
+                )
             inbound_prev = inbound_now
         for rank in range(n_ranks):
             tails[rank].extend(inbound_prev[rank])

@@ -30,12 +30,11 @@ def device_busy_fractions(
     Overlapped ring transfers do not occupy a stream; everything else
     (compute, all-reduce, redistribution, exposed ring time) does.
 
-    ``busy_seconds`` supplies per-device occupied seconds accumulated
-    online during simulation (see
-    :meth:`~repro.sim.engine.KernelGraph.device_busy_seconds`), skipping
-    the timeline scan; each device's kernels are serial, so the online
-    sum adds the same durations in the same order and the fractions are
-    bit-identical to the scan.
+    ``busy_seconds`` supplies the engine's per-device occupied seconds
+    (see :meth:`~repro.sim.engine.KernelGraph.device_busy_seconds`),
+    skipping the timeline scan; each device's kernels are serial, so the
+    engine's sum adds the same durations in the same order and the
+    fractions are bit-identical to the scan.
     """
     if busy_seconds is not None:
         busy: Dict[int, float] = dict(busy_seconds)

@@ -1,11 +1,13 @@
 """The frozen engines behind the live kernel-graph protocol.
 
 The live :class:`~repro.sim.engine.KernelGraph` keeps its DAG in columns:
-``len(kg)`` is its kernel count, ``kg.add_dep(kernel, dep)`` goes through
-the graph, and ``kg.spliceable(makespan)`` answers the splice check from
-its per-stream tails.  The frozen engines (``legacy_engine``,
+``len(kg)`` is its kernel count, ``kg.add_per_rank(...)`` appends one
+kernel per rank in bulk, ``kg.add_dep(kernel, dep)`` goes through the
+graph, and ``kg.spliceable(makespan)`` answers the splice check from its
+per-stream tails.  The frozen engines (``legacy_engine``,
 ``legacy_faults``) keep one object per kernel.  :class:`FrozenProtocol`
-gives them the same three calls over those objects, so the simulator and
+gives them the same four calls over those objects (``add_per_rank`` as
+one frozen ``add`` per rank), so the simulator and
 the pipeline replay drive them unchanged, and :func:`splice_walk` — the
 kernel walk the simulator ran before the engine kept columns — is the
 splice oracle the live check is held to.
@@ -43,9 +45,21 @@ def splice_walk(kernels: Iterable, makespan: float) -> bool:
     return stream_max <= makespan
 
 
-class FrozenProtocol:
-    """The live graph's kernel count, ``add_dep`` and splice check, over a
-    frozen engine's kernel objects."""
+class PerRankAdds:
+    """``add_per_rank`` as one ``add`` per rank: what the live graph's
+    bulk append must equal, and the frozen engines' per-rank append."""
+
+    def add_per_rank(self, name, lanes, duration, kind, op, phase) -> None:
+        for rank, lane in enumerate(lanes):
+            self.add(
+                f"{name}[{rank}]", streams=lane, duration=duration,
+                kind=kind, op=op, phase=phase, device=rank,
+            )
+
+
+class FrozenProtocol(PerRankAdds):
+    """The live graph's kernel count, per-rank append, ``add_dep`` and
+    splice check, over a frozen engine's kernel objects."""
 
     def __len__(self) -> int:
         return len(self.kernels)

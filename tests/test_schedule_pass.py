@@ -19,7 +19,11 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import legacy_engine  # noqa: E402  (vendored baseline, lives next to this file)
 import legacy_faults  # noqa: E402  (vendored baseline, lives next to this file)
-from frozen_graphs import LegacyKernelGraph, splice_walk  # noqa: E402
+from frozen_graphs import (  # noqa: E402
+    LegacyFaultyKernelGraph,
+    LegacyKernelGraph,
+    splice_walk,
+)
 from repro.baselines.megatron import megatron_plan
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
@@ -198,7 +202,7 @@ class TestPassEqualsLoop:
             assert kg.schedule == "pass"
             frozen = EventDrivenSimulator(
                 profiler,
-                graph_factory=lambda: legacy_faults.FaultyKernelGraph(
+                graph_factory=lambda: LegacyFaultyKernelGraph(
                     scenario, topology
                 ),
             ).build(graph, lowering, 2)
@@ -300,7 +304,7 @@ class TestFallsBackToLoop:
             return simulator.build(graph, simulator.lower(graph, plan), 1)
 
         kg = dag(FaultyKernelGraph)
-        frozen = dag(legacy_faults.FaultyKernelGraph)
+        frozen = dag(LegacyFaultyKernelGraph)
         assert_frozen_equal(kg, frozen)
         assert kg.perf_stats() == frozen.perf_stats()
         assert kg.device_busy_seconds() == frozen.device_busy_seconds()

@@ -593,6 +593,62 @@ def test_cache_keys_are_pinned(kind, tmp_path, monkeypatch):
     ]
 
 
+#: Keys of a whole OPT-6.7B block (every operator kind, enum and nested
+#: mapping the encoding meets): its ``lowering`` key as ``lower`` builds
+#: it, two candidate ``_disk_key``s and a plan-store key, as the encoding
+#: gave them before ``_canonical`` took its exact-type fast paths.
+BLOCK_KEYS = {
+    "lowering": "033cc78536ccefd945e2491a47081e85b529343b5ba21abb75cac596edd7b991",
+    "candidates L0.fc1": "1f69199d9b695f1b8f4446e18851a4e20f79328be75e9e1bb7fe2a93aeea0b87",
+    "candidates L0.softmax": "c46fa4075385d1b0e833e09f03871cc69082f96605cb9306a676e5c8f8ccba55",
+    "plan": "c58ca355cf1ed63f8a1e9ff455bcc1c8633ea4c57a390bd0f141a2b84ccd1953",
+}
+
+
+def test_block_graph_keys_are_pinned(monkeypatch):
+    """The fast paths encode the bytes the ``isinstance`` chain did."""
+    from repro.api import SearchRequest
+    from repro.baselines.megatron import megatron_plan
+
+    profiler = FabricProfiler(v100_cluster(8, gpus_per_node=4))
+    graph = build_block_graph(OPT_6_7B.block_shape(batch=8))
+    keys = {}
+
+    def capture(kind, key_parts, compute, expect):
+        keys.setdefault(kind, diskcache.memo_key(*key_parts))
+        return compute(), False
+
+    monkeypatch.setattr(diskcache, "memoize", capture)
+    EventDrivenSimulator(profiler).lower(
+        graph, megatron_plan(graph, profiler.topology.n_bits, dp_degree=2)
+    )
+    optimizer = PrimeParOptimizer(profiler, alpha=2e-11, beam=48)
+    for name in ("L0.fc1", "L0.softmax"):
+        keys[f"candidates {name}"] = optimizer._disk_key(graph.node(name))
+    keys["plan"] = SearchRequest.from_json(
+        {"model": "opt-175b", "devices": 8, "batch": 16}
+    ).cache_key()
+    assert {kind: keys[kind] for kind in BLOCK_KEYS} == BLOCK_KEYS
+
+
+def test_canonical_subclasses_keep_the_isinstance_chain():
+    """A subclass of a fast-path type encodes as the chain says (an
+    ``IntEnum`` as an ``int`` of its own type name, a ``str`` subclass as
+    a string)."""
+    import enum
+
+    class Level(enum.IntEnum):
+        LOW = 1
+
+    class Name(str):
+        pass
+
+    assert diskcache.encoded(Level.LOW) == f"Level:{Level.LOW!r};".encode()
+    assert diskcache.encoded(Name("ab")) == diskcache.encoded("ab")
+    assert diskcache.encoded(True) != diskcache.encoded(1)
+    assert diskcache.encoded(None) == b"NoneType:None;"
+
+
 def test_corrupt_candidate_entry_never_crashes_search(tmp_path, monkeypatch):
     """A trashed candidate-set entry is recomputed, not fatal."""
     monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
