@@ -27,7 +27,8 @@ structural checks ride along:
   byte for byte a re-run of the same scenarios in which every replay
   prices the plan with the disk cache off (so a cached lowering is
   checked against a freshly priced one) and builds a fresh DAG through
-  ``graph_factory``;
+  ``graph_factory``, lowering every layer (so the sweep's stacked DAGs
+  are checked against the per-layer build);
 
 * **determinism** — the mixed-class report must be bit-identical when the
   scenario fan-out runs serially and with ``--jobs`` workers (the seeded
@@ -62,8 +63,10 @@ from pathlib import Path
 from typing import Dict, List, Optional
 from unittest import mock
 
+sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 sys.path.insert(0, str(Path(__file__).parent))
 
+from frozen_graphs import PerLayerSimulator
 from conftest import ALPHA, RESULTS_DIR, beam_for, jobs_for, span_root
 
 from repro import (
@@ -74,7 +77,7 @@ from repro import (
 )
 from repro.graph.models import OPT_6_7B, OPT_175B
 from repro.obs import MetricsRegistry, telemetry_scope
-from repro.sim import EventDrivenSimulator, faults
+from repro.sim import faults
 from repro.sim.faults import FaultModel, evaluate_robustness, robust_search
 
 #: The four fault classes scored against the same plan.
@@ -95,12 +98,12 @@ def _report_bytes(report) -> str:
 
 def _per_replay_lowering_report(*args, **kwargs):
     """:func:`evaluate_robustness` with every fault replay pricing the plan
-    (disk cache off) and building a fresh kernel DAG itself, through
-    ``graph_factory``."""
+    (disk cache off) and building a fresh kernel DAG itself, layer by
+    layer (``tests/frozen_graphs.py``), through ``graph_factory``."""
 
     def fresh_dag(sweep, scenario, n_layers):
         topology = sweep.simulator.topology
-        simulator = EventDrivenSimulator(
+        simulator = PerLayerSimulator(
             sweep.simulator.profiler,
             graph_factory=lambda: faults.FaultyKernelGraph(scenario, topology),
         )

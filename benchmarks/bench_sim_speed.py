@@ -23,10 +23,14 @@ Scenarios:
   link-class scenarios, each executed on the frozen fault graph
   (``tests/legacy_faults.py``, one fresh build per scenario) and on one
   build of the live fault graph re-timed per scenario.  Each class times
-  its live template's build once (``build_seconds``: the columnar build
-  compiles as it adds, so no execute pays for compiling) and every
-  ``execute``; it records microseconds per kernel, the engine counters of
-  the live runs and whether every makespan is identical.  Its
+  its live template's build (``build_seconds``: one layer lowered and its
+  forward and backward blocks stacked; the columnar build compiles as it
+  adds, so no execute pays for compiling) against the same DAG lowered
+  layer by layer (``per_layer_build_seconds``, ``tests/frozen_graphs.py``;
+  ``build_speedup``), requiring the two graphs equal table for table, and
+  every ``execute``; it records microseconds per kernel, the engine
+  counters of the live runs and whether the graphs and every makespan
+  are identical.  Its
   ``transfer_free`` class replays the Megatron plan's DAG of the same
   depth under the compute-class scenarios: it has no transfers, so the
   live graph schedules it in one pass, which is also timed against the
@@ -44,6 +48,7 @@ smoke configuration).  Results land in ``benchmarks/results/BENCH_sim_speed.json
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import shutil
@@ -56,7 +61,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 sys.path.insert(0, str(Path(__file__).parent))
 
-from frozen_graphs import LegacyFaultyKernelGraph, OrderedLegacyKernelGraph
+from frozen_graphs import (
+    LegacyFaultyKernelGraph,
+    OrderedLegacyKernelGraph,
+    PerLayerSimulator,
+    tables,
+)
 from conftest import ALPHA, RESULTS_DIR, beam_for, span_root
 
 from repro import (
@@ -81,10 +91,13 @@ REGIMES = ("legacy", "cold", "warm")
 
 
 def _best_of(fn: Callable[[], object], rounds: int) -> Tuple[float, object]:
-    """Best-of-``rounds`` wall clock; returns (seconds, last result)."""
+    """Best-of-``rounds`` wall clock, each round after a full collection
+    with the previous result dropped; returns (seconds, last result)."""
     best = float("inf")
     result = None
     for _ in range(rounds):
+        result = None
+        gc.collect()
         started = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - started)
@@ -107,7 +120,7 @@ def _three_regimes(
     rounds: int,
 ) -> Dict:
     """Time ``run`` on the legacy engine, then cold- and warm-cache."""
-    legacy = EventDrivenSimulator(
+    legacy = PerLayerSimulator(
         profiler,
         graph_factory=OrderedLegacyKernelGraph,
     )
@@ -271,18 +284,33 @@ def _timed(run: Callable[[], float]) -> Tuple[float, float]:
     return time.perf_counter() - started, makespan
 
 
+#: Rounds of each template build timed (best of).
+BUILD_ROUNDS = 3
+
+
 def _faulted_class(
     spec, simulator, graph, lowering, n_layers, scenarios, loop=False,
 ) -> Dict:
-    """Build the live template of ``lowering`` (timed as ``build_seconds``)
-    and execute it under ``spec``'s scenarios, each also on a fresh frozen
-    fault graph; with ``loop``, also on the live event loop, and compare
-    every kernel's times, not only the makespans."""
+    """Build the live template of ``lowering`` (``build_seconds``: one
+    layer lowered, its blocks stacked) and the same DAG lowered layer by
+    layer (``per_layer_build_seconds``; ``build_speedup`` is their ratio),
+    both best of ``BUILD_ROUNDS`` and required equal table for table;
+    then execute the template under ``spec``'s scenarios, each also on a
+    fresh frozen fault graph; with ``loop``, also on the live event loop,
+    and compare every kernel's times, not only the makespans."""
     profiler = simulator.profiler
     topology = profiler.topology
-    started = time.perf_counter()
-    template = simulator.build(graph, lowering, n_layers)
-    build_seconds = time.perf_counter() - started
+    build_seconds, template = _best_of(
+        lambda: simulator.build(graph, lowering, n_layers), BUILD_ROUNDS
+    )
+    per_layer = PerLayerSimulator(
+        profiler, graph_factory=simulator.graph_factory
+    )
+    per_layer_seconds, reference = _best_of(
+        lambda: per_layer.build(graph, lowering, n_layers), BUILD_ROUNDS
+    )
+    same_graph = tables(template) == tables(reference)
+    del reference
     template.retime(FaultScenario(index=0, seed=0))
     drawn = FaultModel.from_spec(spec).scenarios(
         topology, scenarios, 0, template.execute()
@@ -293,16 +321,18 @@ def _faulted_class(
         "kernels": len(template),
         "transfers": sum(k.transfer is not None for k in template.kernels),
         "build_seconds": build_seconds,
+        "per_layer_build_seconds": per_layer_seconds,
+        "build_speedup": per_layer_seconds / build_seconds,
         "legacy_seconds": 0.0,
         "seconds": 0.0,
         "contention_flushes": 0,
         "queue_pushes": 0,
-        "identical": True,
+        "identical": same_graph,
     }
     if loop:
         entry["loop_seconds"] = 0.0
     for scenario in drawn:
-        frozen = EventDrivenSimulator(
+        frozen = PerLayerSimulator(
             profiler,
             graph_factory=lambda: LegacyFaultyKernelGraph(
                 scenario, topology
@@ -514,6 +544,11 @@ def _report(payload: Dict) -> str:
         f"({faulted['speedup']:.2f}x)"
         f"  [identical={faulted['identical']}]"
     )
+    builds = ", ".join(
+        f"{label} {entry['build_speedup']:.2f}x"
+        for label, entry in faulted["classes"].items()
+    )
+    lines.append(f"    stacked build vs per-layer: {builds}")
     free = faulted["classes"]["transfer_free"]
     lines.append(
         f"    transfer-free megatron ({free['kernels']} kernels): "

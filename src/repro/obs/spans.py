@@ -56,6 +56,33 @@ class Span:
     proc: str = "main"
 
 
+#: Types ``dataclasses.asdict`` returns as they are (deep copies of them
+#: are themselves).
+_ATOMS = (str, int, float, bool, type(None))
+
+
+def _exported(span: Span) -> Dict[str, object]:
+    """``dataclasses.asdict(span)``: the same dict, with ``attrs`` deep
+    copied, without ``asdict``'s per-field recursion where every key and
+    value of ``attrs`` is atomic."""
+    attrs = span.attrs
+    if all(
+        type(key) in _ATOMS and type(value) in _ATOMS
+        for key, value in attrs.items()
+    ):
+        attrs = dict(attrs)
+    else:
+        attrs = asdict(span)["attrs"]
+    return {
+        "name": span.name,
+        "path": span.path,
+        "start": span.start,
+        "duration": span.duration,
+        "attrs": attrs,
+        "proc": span.proc,
+    }
+
+
 class SpanCollector:
     """Accumulates completed spans; thread-safe."""
 
@@ -81,12 +108,12 @@ class SpanCollector:
     # ------------------------------------------------------------------
 
     def export(self) -> List[Dict[str, object]]:
-        """Completed spans as dicts sorted by start."""
+        """Completed spans as dicts sorted by start: each
+        ``dataclasses.asdict(span)``, built directly."""
         with self._lock:
             spans = list(self._spans)
-        return [
-            asdict(s) for s in sorted(spans, key=lambda s: (s.start, s.path))
-        ]
+        spans.sort(key=lambda s: (s.start, s.path))
+        return [_exported(s) for s in spans]
 
     def merge(
         self,

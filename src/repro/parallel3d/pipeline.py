@@ -121,7 +121,7 @@ def pipeline_iteration_events(
     golden regression suite passes the frozen pre-optimisation engine) and
     disables memoization.
     """
-    from ..sim.engine import KernelGraph  # local: keep import DAG shallow
+    from ..sim.kernel_graph import KernelGraph  # local: keep DAG shallow
     from .. import cache as diskcache
 
     p, m = plan.n_stages, plan.n_microbatches

@@ -11,13 +11,8 @@ exports as a Chrome trace via :mod:`repro.sim.trace`.
 :func:`robust_search` for tail-latency-optimal planning).
 """
 
-from .engine import (
-    EventDrivenSimulator,
-    KernelGraph,
-    PlanLowering,
-    SimKernel,
-    StreamResource,
-)
+from .engine import EventDrivenSimulator, PlanLowering
+from .kernel_graph import KernelGraph, SimKernel, StreamResource
 from .executor import IterationReport
 from .faults import (
     DegradedLink,

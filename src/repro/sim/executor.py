@@ -31,7 +31,7 @@ def device_busy_fractions(
     (compute, all-reduce, redistribution, exposed ring time) does.
 
     ``busy_seconds`` supplies the engine's per-device occupied seconds
-    (see :meth:`~repro.sim.engine.KernelGraph.device_busy_seconds`),
+    (see :meth:`~repro.sim.kernel_graph.KernelGraph.device_busy_seconds`),
     skipping the timeline scan; each device's kernels are serial, so the
     engine's sum adds the same durations in the same order and the
     fractions are bit-identical to the scan.

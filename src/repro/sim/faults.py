@@ -17,7 +17,7 @@ gracefully.  This module makes that question answerable:
   :func:`~repro.core.optimizer.parallel.parallel_map`, and independent of
   evaluation order.
 * **Injection** — :class:`FaultyKernelGraph` subclasses the event engine's
-  :class:`~repro.sim.engine.KernelGraph`: stragglers stretch compute-kind
+  :class:`~repro.sim.kernel_graph.KernelGraph`: stragglers stretch compute-kind
   kernel durations, degraded links scale shared NIC capacities, and flaps
   modulate effective link capacity over time (``reroute_factor == 0`` stalls
   in-flight transfers until the link returns).  Faults act when the graph
@@ -69,12 +69,8 @@ from ..graph.graph import ComputationGraph
 from ..obs.metrics import counter
 from ..obs.quantiles import nearest_rank
 from ..obs.spans import span
-from .engine import (
-    EventDrivenSimulator,
-    KernelGraph,
-    PlanLowering,
-    _SharedLink,
-)
+from .engine import EventDrivenSimulator, OneLayer, PlanLowering
+from .kernel_graph import KernelGraph, _SharedLink
 
 __all__ = [
     "DegradedLink",
@@ -723,8 +719,10 @@ class FaultSweep:
         self.plan = plan
         self.n_layers = n_layers
         self._lowering = lowering
-        #: Built kernel DAGs by layer count.
-        self._templates: Dict[int, FaultyKernelGraph] = {}
+        #: The one-layer DAG (the splice probe's, and the source the
+        #: stack's blocks are copied from) and the ``n_layers`` stack.
+        self._layer: Optional[OneLayer] = None
+        self._stack: Optional[FaultyKernelGraph] = None
 
     @property
     def lowering(self) -> PlanLowering:
@@ -762,11 +760,19 @@ class FaultSweep:
         return latency, spliceable
 
     def _dag(self, scenario: FaultScenario, n_layers: int) -> KernelGraph:
-        """The ``n_layers`` kernel DAG, timed for ``scenario``."""
-        kg = self._templates.get(n_layers)
-        if kg is None:
-            kg = self.simulator.build(self.graph, self.lowering, n_layers)
-            self._templates[n_layers] = kg
+        """The ``n_layers`` kernel DAG (one layer or the full stack), timed
+        for ``scenario``.  The stack copies the one-layer DAG's blocks, so
+        a sweep lowers one layer whichever it replays first."""
+        if self._layer is None:
+            self._layer = self.simulator.build_layer(self.graph, self.lowering)
+        if n_layers == 1:
+            kg = self._layer.kg
+        else:
+            if self._stack is None:
+                self._stack = self.simulator.build(
+                    self.graph, self.lowering, n_layers, self._layer
+                )
+            kg = self._stack
         kg.retime(scenario)
         return kg
 

@@ -1,6 +1,7 @@
-"""The frozen engines behind the live kernel-graph protocol.
+"""The frozen engines behind the live kernel-graph protocol, and the
+per-layer plan build they are built by.
 
-The live :class:`~repro.sim.engine.KernelGraph` keeps its DAG in columns:
+The live :class:`~repro.sim.kernel_graph.KernelGraph` keeps its DAG in columns:
 ``len(kg)`` is its kernel count, ``kg.add_per_rank(...)`` appends one
 kernel per rank in bulk, ``kg.add_dep(kernel, dep)`` goes through the
 graph, and ``kg.spliceable(makespan)`` answers the splice check from its
@@ -11,14 +12,26 @@ one frozen ``add`` per rank), so the simulator and
 the pipeline replay drive them unchanged, and :func:`splice_walk` — the
 kernel walk the simulator ran before the engine kept columns — is the
 splice oracle the live check is held to.
+
+The live :meth:`EventDrivenSimulator.build` lowers one layer and stacks
+copies of its forward and backward blocks.  :func:`per_layer_build` is a
+frozen copy of the build before that: every layer lowered kernel by
+kernel through the simulator's phase code.  :class:`PerLayerSimulator`
+builds with it; the frozen engines are always built so, which keeps the
+golden suites from holding the block copy to itself, and the stacked
+graphs are held to it table for table (``tests/test_stacked_build.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List
 
 import legacy_engine
 import legacy_faults
+from repro.core.dims import Phase
+from repro.obs.spans import span
+from repro.sim.engine import EventDrivenSimulator
+from repro.sim.kernel_graph import StreamResource
 
 
 def splice_walk(kernels: Iterable, makespan: float) -> bool:
@@ -43,6 +56,94 @@ def splice_walk(kernels: Iterable, makespan: float) -> bool:
     if any(end != makespan for end in last_end.values()):
         return False
     return stream_max <= makespan
+
+
+def per_layer_build(simulator, graph, lowering, n_layers):
+    """``n_layers`` of ``graph``'s kernel DAG on a new
+    ``simulator.graph_factory()``, every layer lowered kernel by kernel.
+
+    Frozen copy of :meth:`EventDrivenSimulator.build` before it stacked
+    block copies (commit 2da9ac3).  Do not edit except to re-freeze
+    against a new baseline.
+    """
+    with span("sim.build", layers=n_layers):
+        kg = simulator.graph_factory()
+        n_devices = simulator.topology.n_devices
+        streams = [kg.stream(f"dev{r}") for r in range(n_devices)]
+        tails: Dict[int, List[int]] = {r: [] for r in range(n_devices)}
+        edge_costs = lowering.edge_costs
+        phases = lowering.phases
+
+        def tag(name: str, layer: int) -> str:
+            return name if n_layers == 1 else f"L{layer}.{name}"
+
+        # ---- Forward -----------------------------------------------
+        for layer in range(n_layers):
+            for node in graph.nodes:
+                for edge in graph.in_edges(node.name):
+                    fwd, _ = edge_costs[edge.key()]
+                    simulator._collective(
+                        kg, streams, tails, tag(node.name, layer), "-",
+                        "redistribute", fwd,
+                    )
+                simulator._lower_phase(
+                    kg, streams, tails, node.name, tag(node.name, layer),
+                    phases[node.name, Phase.FORWARD], Phase.FORWARD,
+                )
+
+        # ---- Backward + Gradient (reverse order) --------------------
+        for layer in reversed(range(n_layers)):
+            for node in reversed(graph.nodes):
+                for edge in graph.out_edges(node.name):
+                    _, bwd = edge_costs[edge.key()]
+                    simulator._collective(
+                        kg, streams, tails, tag(node.name, layer), "-",
+                        "redistribute", bwd,
+                    )
+                for phase in (Phase.BACKWARD, Phase.GRADIENT):
+                    simulator._lower_phase(
+                        kg, streams, tails, node.name,
+                        tag(node.name, layer), phases[node.name, phase],
+                        phase,
+                    )
+                simulator._collective(
+                    kg, streams, tails, tag(node.name, layer), "G",
+                    "allreduce", lowering.layernorm_extras[node.name],
+                )
+        return kg
+
+
+class PerLayerSimulator(EventDrivenSimulator):
+    """The live simulator building every DAG with :func:`per_layer_build`
+    (any ``layer`` passed is ignored)."""
+
+    def build(self, graph, lowering, n_layers, layer=None):
+        return per_layer_build(self, graph, lowering, n_layers)
+
+
+#: Every per-kernel column and execution table ``add`` fills.
+TABLES = (
+    "_labels", "_durations", "_deps", "_flows", "_busy_device", "_waits",
+    "_wakes", "_roots", "_preds", "_tails", "_multi", "_floating",
+    "_by_kind", "_busy_streams", "_one_pass",
+)
+
+
+def named(value):
+    """``value`` with every stream replaced by its name, so two graphs'
+    tables compare by content."""
+    if isinstance(value, dict):
+        return {named(key): named(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(named(item) for item in value)
+    if isinstance(value, StreamResource):
+        return value.name
+    return value
+
+
+def tables(kg):
+    """Every column and table of the live graph ``kg``, streams by name."""
+    return {table: named(getattr(kg, table)) for table in TABLES}
 
 
 class PerRankAdds:

@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from frozen_graphs import (  # noqa: E402  (vendored baselines, next to this file)
     LegacyFaultyKernelGraph,
     OrderedLegacyKernelGraph,
+    PerLayerSimulator,
 )
 from repro.baselines.megatron import megatron_plan
 from repro.cluster.profiler import FabricProfiler
@@ -57,7 +58,7 @@ def assert_reports_identical(golden, candidate):
 
 
 def simulators(profiler):
-    golden = EventDrivenSimulator(
+    golden = PerLayerSimulator(
         profiler,
         graph_factory=OrderedLegacyKernelGraph,
     )
@@ -333,7 +334,7 @@ def _fresh_legacy_dag_per_replay(monkeypatch):
 
     def fresh_dag(sweep, scenario, n_layers):
         topology = sweep.simulator.topology
-        simulator = EventDrivenSimulator(
+        simulator = PerLayerSimulator(
             sweep.simulator.profiler,
             graph_factory=lambda: LegacyFaultyKernelGraph(scenario, topology),
         )
@@ -398,13 +399,13 @@ class TestGoldenFaultedReplays:
         )
         scenario = FaultScenario(index=0, seed=0, nic_flaps=flaps)
 
-        def replay(graph_cls):
-            return EventDrivenSimulator(
+        def replay(graph_cls, simulator_cls=EventDrivenSimulator):
+            return simulator_cls(
                 profiler,
                 graph_factory=lambda: graph_cls(scenario, profiler.topology),
             ).run(graph, plan, batch)
 
-        golden = replay(LegacyFaultyKernelGraph)
+        golden = replay(LegacyFaultyKernelGraph, PerLayerSimulator)
         assert golden.latency > nominal.latency
         assert_reports_identical(golden, replay(faults.FaultyKernelGraph))
 

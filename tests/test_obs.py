@@ -22,6 +22,7 @@ from repro.obs.metrics import (
     use_registry,
 )
 from repro.obs.spans import (
+    Span,
     SpanCollector,
     get_collector,
     span,
@@ -166,6 +167,30 @@ class TestSpans:
         assert outer["name"] == "outer"
         assert outer["attrs"] == {"n": 1}
         assert outer["duration"] >= inner["duration"]
+
+    def test_export_equals_asdict_for_nested_attrs(self):
+        """``export`` builds ``dataclasses.asdict``'s dicts directly:
+        equal for flat and nested ``attrs``, and as deep a copy."""
+        import dataclasses
+
+        inner = Span("x", "x", 0.0, 1.0)
+        collector = SpanCollector()
+        for i, attrs in enumerate((
+            {},
+            {"kernels": 362, "schedule": "pass", "ok": True, "none": None},
+            {"by": {"compute": [1, 2], "pair": (3, (4, 5))}},
+            {"span": inner, "spans": [inner], 1.5: "float key"},
+        )):
+            collector.append(Span("s", f"p{i}", float(i), 0.5, attrs, "w"))
+        exported = collector.export()
+        expected = [dataclasses.asdict(s) for s in collector._spans]
+        assert exported == expected
+        assert [list(e) for e in exported] == [list(e) for e in expected]
+        assert exported[3]["attrs"]["span"] == dataclasses.asdict(inner)
+        for mine, kept in zip(exported, collector._spans):
+            assert mine["attrs"] is not kept.attrs
+        exported[2]["attrs"]["by"]["compute"].append(3)
+        assert collector._spans[2].attrs["by"]["compute"] == [1, 2]
 
     def test_span_without_collector_keeps_nothing(self):
         assert get_collector() is None

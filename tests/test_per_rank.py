@@ -14,26 +14,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from frozen_graphs import PerRankAdds  # noqa: E402
+from frozen_graphs import (  # noqa: E402
+    PerLayerSimulator,
+    PerRankAdds,
+    TABLES,
+    tables,
+)
 from repro.api import SearchRequest
 from repro.baselines.megatron import megatron_plan
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
 from repro.serve.service import PlanService, _setting, plan_from_json
-from repro.sim.engine import (
-    EventDrivenSimulator,
-    KernelGraph,
-    StreamResource,
-)
+from repro.sim.engine import EventDrivenSimulator, KernelGraph
 from repro.sim.faults import FaultScenario, FaultyKernelGraph, Straggler
-
-#: Every per-kernel column and execution table ``add`` fills.
-TABLES = (
-    "_labels", "_durations", "_deps", "_flows", "_busy_device", "_waits",
-    "_wakes", "_roots", "_preds", "_tails", "_multi", "_floating",
-    "_by_kind", "_busy_streams", "_one_pass",
-)
-
 
 class PerKernelGraph(PerRankAdds, KernelGraph):
     """The live graph with its per-rank groups added one kernel at a
@@ -42,23 +35,6 @@ class PerKernelGraph(PerRankAdds, KernelGraph):
 
 class PerKernelFaultyGraph(PerRankAdds, FaultyKernelGraph):
     """The same, for the fault graph the sweep builds."""
-
-
-def named(value):
-    """``value`` with every stream replaced by its name, so two graphs'
-    tables compare by content."""
-    if isinstance(value, dict):
-        return {named(key): named(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(named(item) for item in value)
-    if isinstance(value, StreamResource):
-        return value.name
-    return value
-
-
-def tables(kg):
-    """Every column and table of ``kg``, streams by name."""
-    return {table: named(getattr(kg, table)) for table in TABLES}
 
 
 def assert_same_graph(bulk, reference):
@@ -96,17 +72,21 @@ def megatron_setting(small_block):
 
 
 def _builds(profiler, graph, plan, n_layers):
-    """``(bulk, per-kernel)`` builds of one lowering, as fault graphs."""
+    """``(bulk, per-kernel)`` builds of one lowering, as fault graphs; the
+    per-kernel graph lowers every layer (``per_layer_build``)."""
     topology = profiler.topology
     lowering = EventDrivenSimulator(profiler).lower(graph, plan)
 
-    def build(graph_cls):
-        return EventDrivenSimulator(
+    def build(graph_cls, simulator_cls):
+        return simulator_cls(
             profiler,
             graph_factory=lambda: graph_cls(FaultScenario(0, 0), topology),
         ).build(graph, lowering, n_layers)
 
-    return build(FaultyKernelGraph), build(PerKernelFaultyGraph)
+    return (
+        build(FaultyKernelGraph, EventDrivenSimulator),
+        build(PerKernelFaultyGraph, PerLayerSimulator),
+    )
 
 
 class TestLoweredPlans:

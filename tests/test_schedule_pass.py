@@ -22,6 +22,7 @@ import legacy_faults  # noqa: E402  (vendored baseline, lives next to this file)
 from frozen_graphs import (  # noqa: E402
     LegacyFaultyKernelGraph,
     LegacyKernelGraph,
+    PerLayerSimulator,
     splice_walk,
 )
 from repro.baselines.megatron import megatron_plan
@@ -200,7 +201,7 @@ class TestPassEqualsLoop:
             kg.retime(scenario)
             makespan = kg.execute()
             assert kg.schedule == "pass"
-            frozen = EventDrivenSimulator(
+            frozen = PerLayerSimulator(
                 profiler,
                 graph_factory=lambda: LegacyFaultyKernelGraph(
                     scenario, topology
@@ -297,14 +298,14 @@ class TestFallsBackToLoop:
             nic_flaps=(NicFlap(0, 1e-4, 1e-3, 0.0),),
         )
 
-        def dag(graph_cls):
-            simulator = EventDrivenSimulator(
+        def dag(graph_cls, simulator_cls=EventDrivenSimulator):
+            simulator = simulator_cls(
                 profiler, graph_factory=lambda: graph_cls(scenario, topology)
             )
             return simulator.build(graph, simulator.lower(graph, plan), 1)
 
         kg = dag(FaultyKernelGraph)
-        frozen = dag(LegacyFaultyKernelGraph)
+        frozen = dag(LegacyFaultyKernelGraph, PerLayerSimulator)
         assert_frozen_equal(kg, frozen)
         assert kg.perf_stats() == frozen.perf_stats()
         assert kg.device_busy_seconds() == frozen.device_busy_seconds()

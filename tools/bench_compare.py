@@ -68,6 +68,10 @@ THRESHOLDS: List[Tuple[str, str, str, float]] = [
     # graph fills its execution tables as it appends).
     ("BENCH_sim_speed.json", "faulted_execute.classes[*].build_seconds",
      "higher_worse", 0.50),
+    # The same template built by stacking one lowered layer's blocks, vs
+    # lowering every layer (the graphs must be equal: ``identical``).
+    ("BENCH_sim_speed.json", "faulted_execute.classes[*].build_speedup",
+     "lower_worse", 0.50),
     # The robustness metrics are deterministic simulation outputs (seeded
     # scenarios, nearest-rank percentiles) — any drift is a model change,
     # so the tolerance is tight rather than a noise allowance.
@@ -121,6 +125,8 @@ SMOKE_BOUNDS: List[Tuple[str, str, str, float]] = [
     ("BENCH_serve.json", "tracing.p95_ms", "<", 50.0),
     ("BENCH_serve.json", "throughput.rps", ">", 1.0),
     ("BENCH_sim_speed.json", "contended_replay.speedup_warm", ">", 1.0),
+    ("BENCH_sim_speed.json", "faulted_execute.classes[*].build_speedup",
+     ">", 1.0),
     ("BENCH_robustness.json", "nominal_latency", ">", 0.0),
     ("BENCH_opt_speed.json", "scales[*].runs.warm_serial.elapsed_seconds",
      "<", 10.0),
