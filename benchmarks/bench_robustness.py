@@ -23,12 +23,12 @@ nominal's and each faulted replay's — spliced (``splice_probes``,
 structural checks ride along:
 
 * **reports_identical** (per class) — the sweep's report, whose replays
-  share one lowering and re-time one kernel DAG per shape, must equal
+  share one lowering and run one kernel DAG per shape, must equal
   byte for byte a re-run of the same scenarios in which every replay
   prices the plan with the disk cache off (so a cached lowering is
-  checked against a freshly priced one) and builds a fresh DAG through
-  ``graph_factory``, lowering every layer (so the sweep's stacked DAGs
-  are checked against the per-layer build);
+  checked against a freshly priced one) and builds a fresh DAG, lowering
+  every layer (so the sweep's stacked DAGs are checked against the
+  per-layer build);
 
 * **determinism** — the mixed-class report must be bit-identical when the
   scenario fan-out runs serially and with ``--jobs`` workers (the seeded
@@ -99,14 +99,10 @@ def _report_bytes(report) -> str:
 def _per_replay_lowering_report(*args, **kwargs):
     """:func:`evaluate_robustness` with every fault replay pricing the plan
     (disk cache off) and building a fresh kernel DAG itself, layer by
-    layer (``tests/frozen_graphs.py``), through ``graph_factory``."""
+    layer (``tests/frozen_graphs.py``)."""
 
-    def fresh_dag(sweep, scenario, n_layers):
-        topology = sweep.simulator.topology
-        simulator = PerLayerSimulator(
-            sweep.simulator.profiler,
-            graph_factory=lambda: faults.FaultyKernelGraph(scenario, topology),
-        )
+    def fresh_dag(sweep, n_layers):
+        simulator = PerLayerSimulator(sweep.simulator.profiler)
         with mock.patch.dict(os.environ, {"PRIMEPAR_CACHE": "off"}):
             lowering = simulator.lower(sweep.graph, sweep.plan)
         return simulator.build(sweep.graph, lowering, n_layers)
@@ -193,7 +189,7 @@ def run_benchmark(
         nominal_latency = None
         for label, spec in FAULT_CLASSES.items():
             fault_model = FaultModel.from_spec(spec)
-            sweep = (profiler, graph, plan, batch, n_layers, fault_model)
+            sweep = (profiler, graph, plan, n_layers, fault_model)
             # One scope per class: its own spans and counters, merged
             # into the run's (for --metrics-out) when the class is done.
             with telemetry_scope() as scope:
@@ -225,7 +221,7 @@ def run_benchmark(
         mixed_model = FaultModel.from_spec(FAULT_CLASSES["mixed"])
         started = time.perf_counter()
         parallel_report = evaluate_robustness(
-            profiler, graph, plan, batch, n_layers, mixed_model,
+            profiler, graph, plan, n_layers, mixed_model,
             scenarios=scenarios, seed=seed, jobs=jobs,
         )
         parallel_seconds = time.perf_counter() - started

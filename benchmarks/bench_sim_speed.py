@@ -22,7 +22,8 @@ Scenarios:
   32-device, 8-layer OPT-175B kernel DAG under its compute- and
   link-class scenarios, each executed on the frozen fault graph
   (``tests/legacy_faults.py``, one fresh build per scenario) and on one
-  build of the live fault graph re-timed per scenario.  Each class times
+  build of the live graph, executed under each scenario's engine
+  arguments (``FaultScenario.engine_args``).  Each class times
   its live template's build (``build_seconds``: one layer lowered and its
   forward and backward blocks stacked; the columnar build compiles as it
   adds, so no execute pays for compiling) against the same DAG lowered
@@ -85,7 +86,7 @@ from repro.graph.models import OPT_6_7B, OPT_175B
 from repro.graph.operators import OpKind, OperatorSpec
 from repro.graph.transformer import build_mlp_graph
 from repro.parallel3d.pipeline import PipelinePlan, pipeline_iteration_events
-from repro.sim.faults import FaultModel, FaultScenario, FaultyKernelGraph
+from repro.sim.faults import FaultModel
 
 REGIMES = ("legacy", "cold", "warm")
 
@@ -303,15 +304,12 @@ def _faulted_class(
     build_seconds, template = _best_of(
         lambda: simulator.build(graph, lowering, n_layers), BUILD_ROUNDS
     )
-    per_layer = PerLayerSimulator(
-        profiler, graph_factory=simulator.graph_factory
-    )
+    per_layer = PerLayerSimulator(profiler)
     per_layer_seconds, reference = _best_of(
         lambda: per_layer.build(graph, lowering, n_layers), BUILD_ROUNDS
     )
     same_graph = tables(template) == tables(reference)
     del reference
-    template.retime(FaultScenario(index=0, seed=0))
     drawn = FaultModel.from_spec(spec).scenarios(
         topology, scenarios, 0, template.execute()
     )
@@ -341,8 +339,8 @@ def _faulted_class(
         legacy_seconds, legacy_makespan = _timed(frozen.execute)
         legacy_times = _kernel_times(frozen) if loop else None
         del frozen
-        template.retime(scenario)
-        seconds, makespan = _timed(template.execute)
+        faults = scenario.engine_args(topology)
+        seconds, makespan = _timed(lambda: template.execute(**faults))
         stats = template.perf_stats()
         entry["legacy_seconds"] += legacy_seconds
         entry["seconds"] += seconds
@@ -352,7 +350,9 @@ def _faulted_class(
         if loop:
             times = _kernel_times(template)
             entry["identical"] &= times == legacy_times
-            loop_seconds, loop_makespan = _timed(template._execute_events)
+            loop_seconds, loop_makespan = _timed(
+                lambda: template._execute_events(**faults)
+            )
             entry["loop_seconds"] += loop_seconds
             entry["identical"] &= (
                 loop_makespan == makespan
@@ -369,7 +369,8 @@ def _faulted_class(
 
 
 def _measure_faulted_execute(smoke: bool, workdir: str) -> Dict:
-    """Cold ``execute`` of one fault-sweep DAG: frozen vs live fault graph.
+    """Cold ``execute`` of one fault-sweep DAG: frozen fault graph vs live
+    graph.
 
     The PrimePar plan's DAG carries ring transfers, so it takes the event
     loop; the ``transfer_free`` class replays the Megatron plan's DAG of
@@ -385,17 +386,11 @@ def _measure_faulted_execute(smoke: bool, workdir: str) -> Dict:
     profiler = FabricProfiler(
         v100_cluster(n_devices, gpus_per_node=gpus_per_node)
     )
-    topology = profiler.topology
     graph = build_block_graph(model.block_shape(batch=batch))
     plan = PrimeParOptimizer(
         profiler, alpha=ALPHA, beam=beam_for(n_devices)
     ).optimize(graph, n_layers=model.n_layers).plan
-    live = EventDrivenSimulator(
-        profiler,
-        graph_factory=lambda: FaultyKernelGraph(
-            FaultScenario(index=0, seed=0), topology
-        ),
-    )
+    live = EventDrivenSimulator(profiler)
     lowering = live.lower(graph, plan)
     classes = {
         label: _faulted_class(

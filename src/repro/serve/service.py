@@ -368,7 +368,6 @@ class PlanService:
                 profiler,
                 graph,
                 plan,
-                search.batch,
                 request.n_layers,
                 request.fault_model(),
                 scenarios=request.scenarios,

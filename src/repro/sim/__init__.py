@@ -6,7 +6,8 @@ It produces an :class:`~repro.sim.executor.IterationReport`, whose timeline
 exports as a Chrome trace via :mod:`repro.sim.trace`.
 
 :mod:`repro.sim.faults` layers seeded fault injection on the event engine
-(:class:`FaultyKernelGraph`) and Monte-Carlo robustness scoring on top
+(a scenario is the arguments :meth:`KernelGraph.execute` is given) and
+Monte-Carlo robustness scoring on top
 (:func:`evaluate_robustness` → :class:`RobustnessReport`,
 :func:`robust_search` for tail-latency-optimal planning).
 """
@@ -18,7 +19,6 @@ from .faults import (
     DegradedLink,
     FaultModel,
     FaultScenario,
-    FaultyKernelGraph,
     NicFlap,
     NodeOutage,
     RecoveryModel,
@@ -35,7 +35,6 @@ __all__ = [
     "EventDrivenSimulator",
     "FaultModel",
     "FaultScenario",
-    "FaultyKernelGraph",
     "IterationReport",
     "KernelGraph",
     "KernelRecord",

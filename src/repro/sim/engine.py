@@ -37,7 +37,7 @@ to that against a frozen copy of the original implementation):
   on ``tests/test_legacy_build.py``'s grid, which holds every kept
   kernel's times to the frozen build that emitted a marker per rank and
   step.  A transfer-free DAG holds ~43% fewer kernels to build, compile,
-  re-time and replay.
+  stretch and replay.
 * **Layers stacked, not re-lowered.**  Layer ``k``'s kernels are layer
   0's shifted by an index offset and named ``L{k}.``.
   :meth:`EventDrivenSimulator.build` lowers one layer kernel by kernel
@@ -65,7 +65,7 @@ to that against a frozen copy of the original implementation):
   replace.  The ``simreport`` and ``lowering`` keys splice in one
   canonical encoding of the graph, made once per simulator and graph
   (:func:`repro.cache.encoded`), with the digests of plain keys.
-* **Lower once, build once, re-time per scenario.**  Every cost term a
+* **Lower once, build once, run per scenario.**  Every cost term a
   replay needs (Eq. 7 step compute, sized ring transfers, all-reduce and
   layernorm extras, Eq. 8–9 redistribution, the memory terms) depends only
   on the graph, the plan and the fabric.  :meth:`EventDrivenSimulator.lower`
@@ -77,11 +77,11 @@ to that against a frozen copy of the original implementation):
   :meth:`EventDrivenSimulator.build` turns it into a kernel DAG whose
   kernels keep their priced durations (one layer lowered, the rest
   stacked).  Faults change durations and link
-  capacities, not the DAG's shape: each :meth:`KernelGraph.execute` takes
-  its kernel durations from the graph's one duration rule
-  (:meth:`KernelGraph.run_durations`), so the fault layer builds each DAG
+  capacities, not the DAG's shape: a scenario is only what
+  :meth:`KernelGraph.execute` is given (duration stretches, link
+  capacity factors, NIC flap windows), so the fault layer builds each DAG
   shape once per robustness request and re-executes it per scenario, the
-  nominal (empty) scenario included.
+  nominal (empty) scenario, which passes nothing, included.
 """
 
 from __future__ import annotations
@@ -243,15 +243,15 @@ class EventDrivenSimulator:
 
     Args:
         profiler: Fabric profiler providing the cluster and cost models.
-        graph_factory: Constructor for the kernel-DAG executor: a
-            :class:`KernelGraph` (a multi-layer :meth:`build` copies
-            blocks between two of them) or, for one-layer builds, any
-            class with its ``stream``/``add``/``add_per_rank``
+        graph_factory: Constructor for the kernel-DAG executor, a test
+            seam for the frozen engines: for one-layer builds, any class
+            with :class:`KernelGraph`'s ``stream``/``add``/``add_per_rank``
             construction and its execution calls (``len``, ``execute``,
-            ``spliceable``, ``timeline``, ``link_stats``).  The fault
-            layer passes a fault-injecting graph.  Only the stock
-            :class:`KernelGraph`'s reports are memoized on disk: a custom
-            graph's reports are not the stock ones.
+            ``spliceable``, ``timeline``, ``link_stats``); a multi-layer
+            :meth:`build` copies blocks between two :class:`KernelGraph`
+            instances.  Only the stock :class:`KernelGraph`'s reports are
+            memoized on disk: a custom graph's reports are not the stock
+            ones.
     """
 
     def __init__(
@@ -514,12 +514,13 @@ class EventDrivenSimulator:
         """``n_layers`` of ``graph``'s kernel DAG on a new ``graph_factory()``.
 
         Kernel durations and transfers are read from ``lowering`` (see
-        :meth:`lower`); the graph is ready to :meth:`execute`, as often as
-        its caller re-times it.  One layer is lowered (:meth:`build_layer`;
-        ``layer`` passes one already built from the same graph and
-        lowering) and its forward and backward blocks are stacked: every
-        layer's forward block in layer order, then every layer's backward
-        block in reverse, each tagged ``L{k}.`` (see :meth:`_stack`).
+        :meth:`lower`); the graph is ready to :meth:`execute`, under as
+        many fault scenarios as its caller likes.  One layer is lowered
+        (:meth:`build_layer`; ``layer`` passes one already built from the
+        same graph and lowering) and its forward and backward blocks are
+        stacked: every layer's forward block in layer order, then every
+        layer's backward block in reverse, each tagged ``L{k}.`` (see
+        :meth:`_stack`).
         """
         if layer is None:
             layer = self.build_layer(graph, lowering)
@@ -599,9 +600,14 @@ class EventDrivenSimulator:
         return kg
 
     def execute(
-        self, kg: KernelGraph, lowering: PlanLowering, n_layers: int
+        self,
+        kg: KernelGraph,
+        lowering: PlanLowering,
+        n_layers: int,
+        **faults: Any,
     ) -> Tuple[float, bool, Dict[str, int]]:
-        """Execute ``kg`` (an ``n_layers`` :meth:`build` of ``lowering``).
+        """Execute ``kg`` (an ``n_layers`` :meth:`build` of ``lowering``)
+        under ``faults``, :meth:`KernelGraph.execute`'s arguments.
 
         Records the run's telemetry (``sim.kernels_executed``, the
         ``PERF_STAT_KEYS`` counters, ``sim.peak_memory_bytes``) and returns
@@ -610,7 +616,7 @@ class EventDrivenSimulator:
         """
         kernels = len(kg)
         with span("sim.execute", kernels=kernels) as attrs:
-            latency = kg.execute()
+            latency = kg.execute(**faults)
             schedule = getattr(kg, "schedule", None)
             if schedule is not None:
                 attrs["schedule"] = schedule

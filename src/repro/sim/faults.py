@@ -16,18 +16,18 @@ gracefully.  This module makes that question answerable:
   outcomes are bit-identical serial or fanned out through
   :func:`~repro.core.optimizer.parallel.parallel_map`, and independent of
   evaluation order.
-* **Injection** — :class:`FaultyKernelGraph` subclasses the event engine's
-  :class:`~repro.sim.kernel_graph.KernelGraph`: stragglers stretch compute-kind
+* **Injection** — a scenario is data the event engine's
+  :meth:`~repro.sim.kernel_graph.KernelGraph.execute` is given
+  (:meth:`FaultScenario.engine_args`): stragglers stretch compute-kind
   kernel durations, degraded links scale shared NIC capacities, and flaps
   modulate effective link capacity over time (``reroute_factor == 0`` stalls
   in-flight transfers until the link returns).  Faults act when the graph
-  executes, not when it is built, so one built graph is re-timed per
-  scenario.  With an empty scenario every override is a pass-through — the
-  zero-fault path stays bit-identical to the stock engine, and the golden
-  suite holds it there.
+  executes, not when it is built, so one built graph serves every
+  scenario.  The empty scenario passes nothing — the zero-fault path is
+  the stock engine's, and the golden suite holds it to the frozen one.
 * **Scoring** — :func:`evaluate_robustness` replays a plan under the
   empty scenario and across the sampled ones — building each kernel-DAG
-  shape once per request (:class:`FaultSweep`) and re-timing it per
+  shape once per request (:class:`FaultSweep`) and executing it per
   scenario, with no per-replay report — and folds the outcomes into a
   :class:`RobustnessReport`:
   p50/p95/p99 iteration latency (nearest-rank, via
@@ -70,14 +70,13 @@ from ..obs.metrics import counter
 from ..obs.quantiles import nearest_rank
 from ..obs.spans import span
 from .engine import EventDrivenSimulator, OneLayer, PlanLowering
-from .kernel_graph import KernelGraph, _SharedLink
+from .kernel_graph import KernelGraph
 
 __all__ = [
     "DegradedLink",
     "FaultModel",
     "FaultScenario",
     "FaultSweep",
-    "FaultyKernelGraph",
     "NicFlap",
     "NodeOutage",
     "RecoveryModel",
@@ -228,11 +227,6 @@ class FaultScenario:
         return bool(self.degraded_links or self.nic_flaps)
 
     @property
-    def has_engine_faults(self) -> bool:
-        """Whether the event engine must replay this scenario at all."""
-        return self.has_compute_faults or self.has_link_faults
-
-    @property
     def is_nominal(self) -> bool:
         return not (
             self.stragglers or self.degraded_links or self.nic_flaps
@@ -246,6 +240,48 @@ class FaultScenario:
     def compute_only(self) -> "FaultScenario":
         """This scenario with only its compute faults (for attribution)."""
         return replace(self, degraded_links=(), nic_flaps=(), outage=None)
+
+    def engine_args(self, topology: ClusterTopology) -> Dict[str, Any]:
+        """This scenario's engine faults on ``topology`` as
+        :meth:`~repro.sim.kernel_graph.KernelGraph.execute` arguments,
+        leaving out the empty ones (the nominal scenario's are none; an
+        outage is priced after the replay, not in it).
+
+        * ``stretch``: a straggler runs its device's compute-kind kernels
+          ``slowdown`` times longer; on a multi-node cluster a degraded
+          node's devices run their bandwidth-bound collectives
+          (``LINK_KINDS``) ``1 / factor`` times longer — a single node has
+          no NIC in any collective's path;
+        * ``capacity``: a degraded node's NIC pool ``nic:node{n}`` opens at
+          ``factor`` of its bandwidth;
+        * ``flaps``: each flap's ``(pool, start, end, reroute_factor)``,
+          in scenario order.
+        """
+        stretch = {
+            (kind, straggler.device): straggler.slowdown
+            for straggler in self.stragglers
+            for kind in COMPUTE_KINDS
+        }
+        if topology.n_nodes > 1:
+            by_node = {d.node: d.factor for d in self.degraded_links}
+            for device in range(topology.n_devices):
+                factor = by_node.get(topology.node_of(device))
+                if factor is not None:
+                    stretch.update(
+                        ((kind, device), 1.0 / factor) for kind in LINK_KINDS
+                    )
+        args = {
+            "stretch": stretch,
+            "capacity": {
+                f"nic:node{d.node}": d.factor for d in self.degraded_links
+            },
+            "flaps": tuple(
+                (f"nic:node{f.node}", f.start, f.start + f.duration,
+                 f.reroute_factor)
+                for f in self.nic_flaps
+            ),
+        }
+        return {name: value for name, value in args.items() if value}
 
 
 # ----------------------------------------------------------------------
@@ -465,121 +501,6 @@ class FaultModel:
 
 
 # ----------------------------------------------------------------------
-# injection: a KernelGraph with faults applied
-# ----------------------------------------------------------------------
-
-
-class FaultyKernelGraph(KernelGraph):
-    """A :class:`KernelGraph` executing under one :class:`FaultScenario`.
-
-    Faults re-time the DAG without changing its shape, so one built graph
-    serves a whole sweep: :meth:`retime` swaps the scenario and the next
-    :meth:`execute` runs under it, exactly as a graph freshly built for
-    that scenario would.
-
-    * Stragglers stretch compute-kind kernel durations on their device.
-    * Degraded links scale the capacity of the node's shared NIC pool and
-      stretch bandwidth-bound collective kernels on the node's devices by
-      ``1 / factor`` (see ``LINK_KINDS``).
-    * NIC flaps are the graph's timed events: while one is active, the
-      pool's ``available`` bandwidth is ``reroute_factor`` of its (possibly
-      already degraded) capacity, and the base class's one fair-share
-      flush divides that; at factor ``0`` in-flight flows stall
-      (completion parked at ``inf``) until the restore event re-times
-      them.
-
-    Both stretches are the graph's duration rule (:meth:`run_durations`),
-    applied per execution; kernels keep their priced durations.  With an
-    empty scenario every path below is a bit-exact pass-through of the
-    base class — asserted against the frozen legacy engine by the golden
-    suite.
-    """
-
-    def __init__(
-        self, scenario: FaultScenario, topology: ClusterTopology
-    ) -> None:
-        super().__init__()
-        self._topology = topology
-        self.retime(scenario)
-
-    def retime(self, scenario: FaultScenario) -> None:
-        """Run the next :meth:`execute` under ``scenario``'s faults."""
-        topology = self._topology
-        self.scenario = scenario
-        self._slowdown = {s.device: s.slowdown for s in scenario.stragglers}
-        self._degraded = {
-            f"nic:node{d.node}": d.factor for d in scenario.degraded_links
-        }
-        #: Degraded-node collective stretch per device (multi-node only:
-        #: single-node clusters have no NIC in any collective's path).
-        self._link_stretch: Dict[int, float] = {}
-        if topology.n_nodes > 1:
-            by_node = {d.node: d.factor for d in scenario.degraded_links}
-            for device in range(topology.n_devices):
-                factor = by_node.get(topology.node_of(device))
-                if factor is not None:
-                    self._link_stretch[device] = 1.0 / factor
-        self._flaps = [
-            (f"nic:node{f.node}", f) for f in scenario.nic_flaps
-        ]
-        #: Active flap factors per link key (a list: flaps may overlap).
-        self._flap_active: Dict[str, List[float]] = {}
-
-    def run_durations(self) -> List[float]:
-        durations = super().run_durations()
-        if not (self._slowdown or self._link_stretch):
-            return durations
-        durations = list(durations)
-        priced = self._durations
-        by_kind = self._by_kind
-        for kinds, stretches in (
-            (COMPUTE_KINDS, self._slowdown),
-            (LINK_KINDS, self._link_stretch),
-        ):
-            for device, stretch in stretches.items():
-                for kind in kinds:
-                    for i in by_kind.get((kind, device), ()):
-                        durations[i] = priced[i] * stretch
-        return durations
-
-    def _timed_events(self) -> List[float]:
-        """Each flap's start and end edge, in scenario order."""
-        self._flap_active = {}
-        return [
-            edge
-            for _, flap in self._flaps
-            for edge in (flap.start, flap.start + flap.duration)
-        ]
-
-    def _fire_timed(self, index: int) -> Optional[_SharedLink]:
-        key, flap = self._flaps[index // 2]
-        active = self._flap_active.setdefault(key, [])
-        if index % 2 == 0:
-            active.append(flap.reroute_factor)
-        else:
-            active.remove(flap.reroute_factor)
-        link = self._links.get(key)
-        if link is not None:
-            self._apply_flaps(link)
-        return link
-
-    def _link(self, key: str, capacity: float) -> _SharedLink:
-        link = self._links.get(key)
-        if link is None:
-            factor = self._degraded.get(key)
-            if factor is not None:
-                capacity = capacity * factor
-            link = super()._link(key, capacity)
-            self._apply_flaps(link)
-        return link
-
-    def _apply_flaps(self, link: _SharedLink) -> None:
-        """Cut ``link``'s available bandwidth to its worst active flap."""
-        active = self._flap_active.get(link.key)
-        link.available = link.capacity * min(active) if active else link.capacity
-
-
-# ----------------------------------------------------------------------
 # scenario evaluation
 # ----------------------------------------------------------------------
 
@@ -680,7 +601,7 @@ class RobustnessReport:
         )
 
 
-#: The empty scenario a :class:`FaultSweep`'s templates are built under.
+#: The empty scenario, whose replay is the nominal latency.
 _NOMINAL = FaultScenario(index=0, seed=0)
 
 
@@ -689,14 +610,15 @@ class FaultSweep:
 
     Faults change kernel durations and link capacities, not the kernel
     DAG's shape, so each shape — the one-layer splice probe and the
-    ``n_layers`` stack — is built once, on its first replay, and re-timed
-    per scenario (:meth:`FaultyKernelGraph.retime`) before each execution.
-    The nominal replay (the empty scenario) runs on the same DAGs as the
-    faulted ones.  A replay returns only the makespan; it builds no
+    ``n_layers`` stack — is built once, on its first replay, and executed
+    under each scenario's :meth:`FaultScenario.engine_args`.  The nominal
+    replay (the empty scenario) runs on the same DAGs as the faulted
+    ones.  A replay returns only the makespan; it builds no
     timeline, breakdown, utilization or report.
 
-    A sweep owns mutable DAG templates: keep one per thread of work (the
-    server runs requests on threads, ``jobs`` workers build their own).
+    A sweep owns DAGs that keep their last run's state: keep one per
+    thread of work (the server runs requests on threads, ``jobs`` workers
+    build their own).
     ``lowering`` is :meth:`EventDrivenSimulator.lower` of ``plan``;
     without one the plan is lowered (or its lowering loaded) on the first
     replay.
@@ -710,11 +632,7 @@ class FaultSweep:
         n_layers: int,
         lowering: Optional[PlanLowering] = None,
     ) -> None:
-        topology = profiler.topology
-        self.simulator = EventDrivenSimulator(
-            profiler,
-            graph_factory=lambda: FaultyKernelGraph(_NOMINAL, topology),
-        )
+        self.simulator = EventDrivenSimulator(profiler)
         self.graph = graph
         self.plan = plan
         self.n_layers = n_layers
@@ -722,7 +640,7 @@ class FaultSweep:
         #: The one-layer DAG (the splice probe's, and the source the
         #: stack's blocks are copied from) and the ``n_layers`` stack.
         self._layer: Optional[OneLayer] = None
-        self._stack: Optional[FaultyKernelGraph] = None
+        self._stack: Optional[KernelGraph] = None
 
     @property
     def lowering(self) -> PlanLowering:
@@ -736,21 +654,22 @@ class FaultSweep:
 
         Follows :meth:`EventDrivenSimulator.run_layers`'s splice policy; a
         flap makes the schedule time-varying and forces the full stack.
+        The scenario becomes engine arguments once, for every replay.
         """
         n_layers = self.n_layers
+        faults = scenario.engine_args(self.simulator.topology)
         return self.simulator.run_layers(
             n_layers,
-            lambda layers: self._replay(scenario, layers),
+            lambda layers: self._replay(layers, faults),
             lambda single: single * n_layers,
             force_replay=bool(scenario.nic_flaps),
         )
 
     def _replay(
-        self, scenario: FaultScenario, n_layers: int
+        self, n_layers: int, faults: Mapping[str, Any]
     ) -> Tuple[float, bool]:
-        kg = self._dag(scenario, n_layers)
         latency, spliceable, _ = self.simulator.execute(
-            kg, self.lowering, n_layers
+            self._dag(n_layers), self.lowering, n_layers, **faults
         )
         if n_layers < self.n_layers:
             counter(
@@ -759,22 +678,19 @@ class FaultSweep:
             ).inc()
         return latency, spliceable
 
-    def _dag(self, scenario: FaultScenario, n_layers: int) -> KernelGraph:
-        """The ``n_layers`` kernel DAG (one layer or the full stack), timed
-        for ``scenario``.  The stack copies the one-layer DAG's blocks, so
-        a sweep lowers one layer whichever it replays first."""
+    def _dag(self, n_layers: int) -> KernelGraph:
+        """The ``n_layers`` kernel DAG (one layer or the full stack).  The
+        stack copies the one-layer DAG's blocks, so a sweep lowers one
+        layer whichever it replays first."""
         if self._layer is None:
             self._layer = self.simulator.build_layer(self.graph, self.lowering)
         if n_layers == 1:
-            kg = self._layer.kg
-        else:
-            if self._stack is None:
-                self._stack = self.simulator.build(
-                    self.graph, self.lowering, n_layers, self._layer
-                )
-            kg = self._stack
-        kg.retime(scenario)
-        return kg
+            return self._layer.kg
+        if self._stack is None:
+            self._stack = self.simulator.build(
+                self.graph, self.lowering, n_layers, self._layer
+            )
+        return self._stack
 
 
 def simulate_scenario(
@@ -867,7 +783,6 @@ def evaluate_robustness(
     profiler: FabricProfiler,
     graph: ComputationGraph,
     plan: Mapping[str, PartitionSpec],
-    global_batch: int,
     n_layers: int,
     fault_model: FaultModel,
     *,
@@ -891,8 +806,7 @@ def evaluate_robustness(
     scenario on that sweep's kernel DAGs, so each shape is built once per
     request.  With ``jobs`` workers the faulted scenarios are split into
     one contiguous run per worker, each replayed by its own sweep from the
-    shipped lowering.  ``global_batch`` sets no latency; it is kept so
-    the call reads like the other simulation entry points.
+    shipped lowering.
     """
     if scenarios < 1:
         raise ValidationError(
@@ -1061,7 +975,7 @@ def robust_search(
             report = seen.get(fingerprint)
             if report is None:
                 report = evaluate_robustness(
-                    profiler, graph, plan, global_batch, depth, fault_model,
+                    profiler, graph, plan, depth, fault_model,
                     scenarios=scenarios, seed=seed, jobs=jobs,
                 )
                 seen[fingerprint] = report

@@ -39,13 +39,14 @@ frozen copy of the original implementation):
   stream, so a stream FIFO is just more edges) and the kernels its
   finish wakes, in the order the original engine tried them, plus the
   roots, the one-pass predecessors, each stream's last kernel and the
-  kernels a duration rule may stretch.  No kernel object is built and
+  kernels a fault may stretch.  No kernel object is built and
   no compile pass walks the DAG again; a :class:`SimKernel` record is
   made only when a report or test asks (:attr:`KernelGraph.kernels`).
   An execution copies the counts and runs one loop over a
   single ``(when, seq, code)`` heap that carries every event type —
-  kernel finishes, flow activations and completions, and the graph's own
-  timed events (a fault graph's NIC flaps) — with no callback per event.
+  kernel finishes, flow activations and completions, and the edges of
+  the NIC flaps :meth:`KernelGraph.execute` is given — with no callback
+  per event.
   A flow's completion is the only event ever re-timed, and a flow keeps
   only its earliest entry in the heap: a re-timing to a later time leaves
   that entry to surface first and re-queues it at the live time then, and
@@ -74,8 +75,8 @@ frozen copy of the original implementation):
   simulator stacks layers this way instead of lowering each.
 * **One pass for transfer-free DAGs.**  The loop exists for fluid link
   contention between flows.  A DAG without transfers (every Megatron
-  plan's, and a PrimePar plan's whose specs send no ring traffic) and
-  without timed events has none, and there each kernel starts the moment
+  plan's, and a PrimePar plan's whose specs send no ring traffic), run
+  without flaps, has none, and there each kernel starts the moment
   its last wait finishes; the clock never runs backwards, so that is the
   latest end among its predecessors.  :meth:`KernelGraph.execute` then
   computes the schedule in one pass in submission order, ``start[i] =
@@ -92,8 +93,8 @@ frozen copy of the original implementation):
   on demand, in kernel order, by the first
   :meth:`KernelGraph.device_busy_seconds` call after the run — the same
   adds in the same order as the loop's online sum.  Any other DAG, and
-  any graph with timed events (a fault graph's NIC flaps), takes the
-  loop.  The run's times stay in two lists (no per-kernel write-back).
+  any run given flaps, takes the loop.  The run's times stay in two
+  lists (no per-kernel write-back).
 * **Determinism.**  Equal-timestamp events fire in submission order
   (``seq`` is one monotonic counter; a re-timing draws a fresh value, so
   it orders as a new submission); flows are iterated in activation order
@@ -154,8 +155,8 @@ class _SharedLink:
     def __init__(self, key: str, capacity: float) -> None:
         self.key = key
         self.capacity = capacity
-        #: Bandwidth the fair-share solve divides: ``capacity`` unless a
-        #: fault (see :class:`~repro.sim.faults.FaultyKernelGraph`) cuts it.
+        #: Bandwidth the fair-share solve divides: ``capacity`` unless an
+        #: active NIC flap (:meth:`KernelGraph.execute`'s ``flaps``) cuts it.
         self.available = capacity
         #: Active flows keyed by kernel index — insertion-ordered, so
         #: iteration is deterministic (activation order).
@@ -348,10 +349,10 @@ class KernelGraph:
     """Builds a kernel DAG over streams/links and executes it to completion.
 
     A kernel starts once every dependency has finished and it is at the
-    head of each of its streams; it then either runs for its
-    :meth:`run_durations` entry or, if it carries a ``transfer``, drains
-    through the fabric's shared link resources at whatever bandwidth
-    contention leaves it.
+    head of each of its streams; it then either runs for its priced
+    duration (stretched by the run's faults, see :meth:`execute`) or, if
+    it carries a ``transfer``, drains through the fabric's shared link
+    resources at whatever bandwidth contention leaves it.
 
     Kernels are numbered by submission order: :meth:`add` returns the
     index, which is the handle a dependant names it by, and
@@ -380,9 +381,10 @@ class KernelGraph:
       kernels on no stream, and ``_by_kind`` the stretchable kernels by
       ``(kind, device)``.
 
-    Each execution starts from a fresh run state, so a graph may be
-    executed again — e.g. after a fault graph is re-timed for another
-    scenario — and yields what a freshly built copy would.
+    Each execution starts from a fresh run state and takes a fault
+    scenario only as :meth:`execute`'s arguments, so one graph may be
+    executed again under another and yields what a freshly built copy
+    would.
     """
 
     def __init__(self) -> None:
@@ -817,55 +819,40 @@ class KernelGraph:
     # execution
     # ------------------------------------------------------------------
 
-    def run_durations(self) -> List[float]:
-        """The duration rule: how long each kernel runs this execution.
-
-        Indexed by kernel (transfers' entries are unused).  The stock
-        graph runs every kernel for its priced duration; a fault graph
-        stretches some (see :class:`~repro.sim.faults.FaultyKernelGraph`).
-        The list is only read.
-        """
-        return self._durations
-
-    def _timed_events(self) -> List[float]:
-        """Reset the graph's own timed events; returns their times.
-
-        The loop fires event ``i`` at ``times[i]`` through
-        :meth:`_fire_timed`, ordered before any kernel event of the same
-        timestamp.  The stock graph has none.
-        """
-        return []
-
-    def _fire_timed(self, index: int) -> Optional[_SharedLink]:
-        """Fire timed event ``index``; returns the link whose available
-        bandwidth it changed (``None`` if that link is not open yet)."""
-        raise IndexError(index)
-
-    def _link(self, key: str, capacity: float) -> _SharedLink:
-        """The shared link ``key``, opened on its first transfer of a run."""
-        link = self._links.get(key)
-        if link is None:
-            link = self._links[key] = _SharedLink(key, capacity)
-        return link
-
-    def execute(self) -> float:
+    def execute(
+        self,
+        stretch: Mapping[Tuple[str, int], float] = {},
+        capacity: Mapping[str, float] = {},
+        flaps: Sequence[Tuple[str, float, float, float]] = (),
+    ) -> float:
         """Run every kernel from a fresh run state; returns the makespan.
 
         Resets the clock, event heap, links, flows and counters and every
         kernel's start and end times, so a re-execution equals the first
-        run of a freshly built graph.  A DAG with neither transfers nor
-        timed events is scheduled in one pass (see the module doc), any
-        other through the event loop; :attr:`schedule` says which ran.
+        run of a freshly built graph.  The arguments describe one run's
+        faults; the graph keeps none of them:
+
+        * ``stretch`` maps ``(kind, device)`` to a factor: those stretchable
+          kernels run for their priced duration times it;
+        * ``capacity`` maps a shared link's key to the fraction of its
+          bandwidth it opens with;
+        * ``flaps`` lists ``(link key, start, end, factor)`` windows: while
+          any is on, the link's available bandwidth is its capacity times
+          the smallest active factor (``0.0`` stalls its flows).
+
+        A DAG with neither transfers nor flaps is scheduled in one pass
+        (see the module doc), any other through the event loop;
+        :attr:`schedule` says which ran.
 
         Raises:
             RuntimeError: If the DAG deadlocks (a dependency cycle, or
                 stream submission orders inconsistent with the deps).
         """
-        if not self._one_pass or self._timed_events():
+        if flaps or not self._one_pass:
             self.schedule = "events"
-            return self._execute_events()
+            return self._execute_events(stretch, capacity, flaps)
         self.schedule = "pass"
-        durations = self.run_durations()
+        durations = self._stretched(stretch)
         n = len(durations)
         start = [0.0] * n
         end = [0.0] * n
@@ -886,20 +873,41 @@ class KernelGraph:
         self._end = end
         return max(end, default=0.0)
 
-    def _execute_events(self) -> float:
+    def _stretched(
+        self, stretch: Mapping[Tuple[str, int], float]
+    ) -> List[float]:
+        """Each kernel's duration this run (transfers' entries are unused):
+        the priced list itself unless ``stretch`` names a kernel."""
+        priced = self._durations
+        if not stretch:
+            return priced
+        durations = list(priced)
+        by_kind = self._by_kind
+        for key, factor in stretch.items():
+            for i in by_kind.get(key, ()):
+                durations[i] = priced[i] * factor
+        return durations
+
+    def _execute_events(
+        self,
+        stretch: Mapping[Tuple[str, int], float] = {},
+        capacity: Mapping[str, float] = {},
+        flaps: Sequence[Tuple[str, float, float, float]] = (),
+    ) -> float:
         """:meth:`execute` through the event loop, for any DAG."""
         n = len(self._durations)
         flow_code = n          # [n, 2n): a flow's completion
         activate_code = 2 * n  # [2n, 3n): a flow joins the fabric
-        timed_code = 3 * n     # [3n, ...): the graph's own timed events
-        durations = self.run_durations()
+        flap_code = 3 * n      # [3n, ...): a flap's start or end edge
+        durations = self._stretched(stretch)
         wakes = self._wakes
         transfers = self._flows
         busy_device = self._busy_device
         waits = list(self._waits)
         self._links = links = {}
         self._busy = busy = {}
-        open_link = self._link
+        # Active flap factors per link key (a list: flaps may overlap).
+        flapping: Dict[str, List[float]] = {}
         start: List[Optional[float]] = [None] * n
         end: List[Optional[float]] = [None] * n
         flows: List[Optional[_Flow]] = [None] * n
@@ -914,9 +922,12 @@ class KernelGraph:
         heappush, heappop = heapq.heappush, heapq.heappop
         heap: List[Tuple[float, int, int]] = []
         seq = 0
-        for i, when in enumerate(self._timed_events()):
-            seq += 1
-            heappush(heap, (max(when, 0.0), seq, timed_code + i))
+        # Each flap's start and end edge, in scenario order, ahead of any
+        # kernel event of the same timestamp.
+        for i, (_, begin, until, _) in enumerate(flaps):
+            heappush(heap, (max(begin, 0.0), seq + 1, flap_code + 2 * i))
+            heappush(heap, (max(until, 0.0), seq + 2, flap_code + 2 * i + 1))
+            seq += 2
         now = 0.0
         finished = 0
         # ``done`` finishes at ``now``; ``ready`` (a LIFO stack) holds the
@@ -957,10 +968,16 @@ class KernelGraph:
                     done = i
                     continue
                 resources = []
-                for key, capacity in shared:
+                for key, bandwidth in shared:
                     link = links.get(key)
                     if link is None:
-                        link = open_link(key, capacity)
+                        factor = capacity.get(key)
+                        if factor is not None:
+                            bandwidth = bandwidth * factor
+                        link = links[key] = _SharedLink(key, bandwidth)
+                        cut = flapping.get(key)
+                        if cut:
+                            link.available = bandwidth * min(cut)
                     link.bytes_total += n_bytes
                     resources.append(link)
                 flows[i] = _Flow(n_bytes, peak_rate, resources)
@@ -1057,7 +1074,7 @@ class KernelGraph:
                     break
                 live += 1
                 now = when
-                if code < timed_code:
+                if code < flap_code:
                     # Join the fabric: update occupancy now, defer the
                     # rate solve to the flush.
                     f = code - activate_code
@@ -1070,9 +1087,19 @@ class KernelGraph:
                     pending_rates[f] = flow
                     dirty = True
                 else:
-                    link = self._fire_timed(code - timed_code)
+                    edge = code - flap_code
+                    key, _, _, factor = flaps[edge >> 1]
+                    cut = flapping.setdefault(key, [])
+                    if edge & 1:
+                        cut.remove(factor)
+                    else:
+                        cut.append(factor)
+                    link = links.get(key)
                     if link is not None:
-                        dirty_links[link.key] = link
+                        link.available = (
+                            link.capacity * min(cut) if cut else link.capacity
+                        )
+                        dirty_links[key] = link
                         dirty = True
             if done < 0:
                 break

@@ -276,7 +276,7 @@ class TestResultRoundTrips:
 
         profiler, graph, result = setting
         report = evaluate_robustness(
-            profiler, graph, result.plan, 8, 4,
+            profiler, graph, result.plan, 4,
             FaultModel.from_spec("straggler=0.5:1.6,outage=0.3"),
             scenarios=4, seed=0,
         )

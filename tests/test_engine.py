@@ -45,50 +45,68 @@ def predicted(profiler, graph, plan):
     return doc["total_cost"], doc["memory_bytes"], doc["components"]
 
 
-class _TimedGraph(KernelGraph):
-    """A stock graph with timed events at ``times``; records firing order."""
+#: Two nodes of two GPUs: a 0 -> 2 transfer crosses both NIC pools.
+_NICS = v100_cluster(4, gpus_per_node=2)
+_PATH = _NICS.path_resources(0, 2)
 
-    def __init__(self, times):
-        super().__init__()
-        self.times = list(times)
-        self.fired = []
 
-    def _timed_events(self):
-        self.fired = []
-        return self.times
-
-    def _fire_timed(self, index):
-        self.fired.append(index)
-        return None
+def _flapped(seconds, flaps):
+    """A graph whose one transfer, 0 -> 2, takes ``seconds`` at full NIC
+    bandwidth after its latency, run under ``flaps``; returns the
+    graph and the transfer's end."""
+    kg = KernelGraph()
+    t = kg.add("t", transfer=(seconds * _PATH.stream_bandwidth, _PATH))
+    kg.execute(flaps=flaps)
+    assert kg.schedule == "events"
+    return kg, kg.kernels[t].end_time
 
 
 class TestSimulationEngine:
     """The event loop's clock contract (``KernelGraph.execute``): events
     fire in time order, equal timestamps in submission order, and nothing
-    is scheduled before the current time."""
+    is scheduled before the current time.  NIC flaps are the events a
+    caller times, so they probe it."""
 
     def test_events_fire_in_time_order(self):
-        kg = _TimedGraph([2.0, 1.0])
+        """Flaps listed late-first still stall the transfer in time order,
+        and kernels on the streams keep their own times."""
+        kg = KernelGraph()
         late = kg.add("late", streams=[kg.stream("dev0")], duration=2.0)
         early = kg.add("early", streams=[kg.stream("dev1")], duration=1.0)
-        assert kg.execute() == 2.0
-        assert kg.fired == [1, 0]
+        t = kg.add("t", transfer=(4.0 * _PATH.stream_bandwidth, _PATH))
+        flaps = [("nic:node0", 2.0, 2.5, 0.0), ("nic:node1", 1.0, 1.5, 0.0)]
+        assert kg.execute(flaps=flaps) == kg.kernels[t].end_time
         kernels = kg.kernels
         assert (kernels[early].end_time, kernels[late].end_time) == (1.0, 2.0)
+        assert kernels[t].end_time == pytest.approx(_PATH.latency + 5.0)
 
     def test_ties_fire_in_submission_order(self):
-        kg = _TimedGraph([1.0, 1.0, 0.5, 1.0])
-        kg.execute()
-        assert kg.fired == [2, 0, 1, 3]
+        """A zero-length flap's start edge fires before its end edge, so
+        it cuts nothing; back-to-back flaps stall as one window."""
+        _, nominal = _flapped(1.0, [])
+        _, instant = _flapped(1.0, [("nic:node0", 0.5, 0.5, 0.0)])
+        assert instant == pytest.approx(nominal)
+        _, joined = _flapped(1.0, [
+            ("nic:node0", 0.5, 1.0, 0.0), ("nic:node0", 1.0, 1.5, 0.0),
+        ])
+        assert joined == pytest.approx(nominal + 1.0)
 
     def test_past_events_clamp_to_now(self):
-        kg = _TimedGraph([-1.0])
+        """An edge before the clock's start fires at 0.0: a flap already
+        over is a no-op, and one still on stalls the transfer from its
+        activation; the clock never runs backwards."""
+        _, nominal = _flapped(1.0, [])
+        _, over = _flapped(1.0, [("nic:node0", -2.0, -1.0, 0.0)])
+        assert over == nominal
+        _, stalled = _flapped(1.0, [("nic:node1", -1.0, 0.5, 0.0)])
+        assert stalled == pytest.approx(1.5)
+        kg = KernelGraph()
         s = kg.stream("dev0")
         a = kg.add("a", streams=[s], duration=5.0)
         back = kg.add("back", streams=[s], duration=-1.0)
         after = kg.add("after", streams=[s], duration=0.0)
-        assert kg.execute() == 5.0
-        assert kg.fired == [0]
+        assert kg.execute(flaps=[("nic:node0", -1.0, 1.0, 0.0)]) == 5.0
+        assert kg.schedule == "events"
         kernels = kg.kernels
         assert kernels[back].start_time == kernels[back].end_time == 5.0
         assert kernels[after].start_time == kernels[a].end_time == 5.0

@@ -13,7 +13,7 @@ The contracts under test:
   engine (the frozen-legacy half of this lives in
   ``test_golden_engine.py``).
 * **Lower once, build once** — a sweep prices the plan once, builds each
-  kernel-DAG shape once and re-times it per scenario, byte-identically to
+  kernel-DAG shape once and executes it per scenario, byte-identically to
   replays that lower the plan and build a fresh DAG themselves; a plan
   already lowered loads its lowering from the disk cache and prices
   nothing, with the same report bytes as pricing from scratch.
@@ -30,10 +30,17 @@ import json
 import math
 import os
 import pickle
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from frozen_graphs import (  # noqa: E402  (vendored baselines, next to this file)
+    LegacyFaultyKernelGraph,
+    PerLayerSimulator,
+)
 from repro import EventDrivenSimulator, PrimeParOptimizer, ValidationError
 from repro import cache as diskcache
 from repro.baselines.megatron import best_megatron_plan, megatron_plan
@@ -46,13 +53,17 @@ from repro.graph.transformer import build_block_graph
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.spans import SpanCollector, use_collector
 from repro.sim import faults
-from repro.sim.engine import LOWERING_KIND, REPORT_KIND, PlanLowering
+from repro.sim.engine import (
+    LOWERING_KIND,
+    REPORT_KIND,
+    KernelGraph,
+    PlanLowering,
+)
 from repro.sim.faults import (
     DegradedLink,
     FaultModel,
     FaultScenario,
     FaultSweep,
-    FaultyKernelGraph,
     NicFlap,
     RecoveryModel,
     Straggler,
@@ -371,11 +382,11 @@ class TestDeterminism:
     def test_serial_equals_parallel_bit_identical(self, setting):
         profiler, graph, plan = setting
         serial = evaluate_robustness(
-            profiler, graph, plan, 8, 4, MIXED,
+            profiler, graph, plan, 4, MIXED,
             scenarios=8, seed=3, jobs=1,
         )
         parallel = evaluate_robustness(
-            profiler, graph, plan, 8, 4, MIXED,
+            profiler, graph, plan, 4, MIXED,
             scenarios=8, seed=3, jobs=2,
         )
         assert serial == parallel
@@ -386,7 +397,7 @@ class TestDeterminism:
     def test_zero_fault_report_matches_stock_engine(self, setting):
         profiler, graph, plan = setting
         report = evaluate_robustness(
-            profiler, graph, plan, 8, 4, FaultModel.from_spec(""),
+            profiler, graph, plan, 4, FaultModel.from_spec(""),
             scenarios=3, seed=0,
         )
         stock = EventDrivenSimulator(profiler).run_model(graph, plan, 8, 4)
@@ -401,7 +412,7 @@ class TestDeterminism:
         """The ``/v1/robustness`` report document survives the JSON wire."""
         profiler, graph, plan = setting
         report = evaluate_robustness(
-            profiler, graph, plan, 8, 4, MIXED, scenarios=4, seed=1
+            profiler, graph, plan, 4, MIXED, scenarios=4, seed=1
         )
         doc = report.to_json()
         assert json.loads(json.dumps(doc)) == doc
@@ -415,17 +426,12 @@ def _report_bytes(report) -> str:
 
 
 def _per_replay_lowering(monkeypatch):
-    """Make every fault replay price the plan and build its kernel DAG
-    itself, through ``graph_factory`` (the from-scratch reference path).
-    Each lowering runs with the disk cache off, so it is priced, never
-    loaded."""
+    """Make every fault replay price the plan and build a fresh kernel DAG
+    itself (the from-scratch reference path).  Each lowering runs with the
+    disk cache off, so it is priced, never loaded."""
 
-    def fresh_dag(sweep, scenario, n_layers):
-        topology = sweep.simulator.topology
-        simulator = EventDrivenSimulator(
-            sweep.simulator.profiler,
-            graph_factory=lambda: faults.FaultyKernelGraph(scenario, topology),
-        )
+    def fresh_dag(sweep, n_layers):
+        simulator = EventDrivenSimulator(sweep.simulator.profiler)
         with mock.patch.dict(os.environ, {"PRIMEPAR_CACHE": "off"}):
             lowering = simulator.lower(sweep.graph, sweep.plan)
         return simulator.build(sweep.graph, lowering, n_layers)
@@ -451,7 +457,7 @@ class TestSharedLowering:
         profiler, graph, plan = setting
         return {
             (label, jobs): _report_bytes(evaluate_robustness(
-                profiler, graph, plan, 8, 4, FaultModel.from_spec(spec),
+                profiler, graph, plan, 4, FaultModel.from_spec(spec),
                 scenarios=6, seed=4, jobs=jobs,
             ))
             for label, spec in self.SPECS.items()
@@ -466,7 +472,7 @@ class TestSharedLowering:
         _per_replay_lowering(monkeypatch)
         model = FaultModel.from_spec(self.SPECS[label])
         reference = _report_bytes(evaluate_robustness(
-            profiler, graph, plan, 8, 4, model, scenarios=6, seed=4, jobs=1,
+            profiler, graph, plan, 4, model, scenarios=6, seed=4, jobs=1,
         ))
         assert shared_reports[label, 1] == reference
         assert shared_reports[label, 2] == reference
@@ -491,7 +497,7 @@ class TestSharedLowering:
         assert shared == reference
 
     def test_sweep_builds_each_dag_shape_once(self, setting):
-        """The probe and the full stack are built once each, then re-timed."""
+        """The probe and the full stack are built once each, then re-run."""
         from repro.obs.spans import SpanCollector, use_collector
 
         profiler, graph, plan = setting
@@ -499,7 +505,7 @@ class TestSharedLowering:
         model = FaultModel.from_spec(self.SPECS["mixed_flaps"])
         with use_collector(SpanCollector()) as collector:
             evaluate_robustness(
-                profiler, graph, plan, 8, 4, model, scenarios=6, seed=4,
+                profiler, graph, plan, 4, model, scenarios=6, seed=4,
             )
             spans = collector.export()
         builds = [
@@ -547,7 +553,7 @@ class TestPriceOnce:
         calls = self._count_pricing(monkeypatch)
         with use_registry(MetricsRegistry()) as registry:
             evaluate_robustness(
-                profiler, graph, plan, 8, 4, MIXED, scenarios=6, seed=3,
+                profiler, graph, plan, 4, MIXED, scenarios=6, seed=3,
             )
             return calls, registry.snapshot()
 
@@ -585,7 +591,7 @@ class TestPriceOnce:
         monkeypatch.setenv("PRIMEPAR_CACHE", "off")
         calls = self._count_pricing(monkeypatch)
         evaluate_robustness(
-            profiler, graph, plan, 8, 4, MIXED, scenarios=6, seed=3,
+            profiler, graph, plan, 4, MIXED, scenarios=6, seed=3,
         )
         assert len(calls) == len(graph.edges)
 
@@ -595,7 +601,7 @@ class TestPriceOnce:
         calls = self._count_pricing(monkeypatch)
         with use_registry(MetricsRegistry()) as registry:
             report = evaluate_robustness(
-                profiler, graph, plan, 8, 4,
+                profiler, graph, plan, 4,
                 FaultModel.from_spec("outage=1.0"), scenarios=4, seed=0,
             )
             snapshot = registry.snapshot()
@@ -642,7 +648,7 @@ class TestOneSweepPerRequest:
         rings = any(phase.ring for phase in lowering.phases.values())
         assert rings == (label == "temporal")
         report = evaluate_robustness(
-            profiler, graph, plan, 8, n_layers,
+            profiler, graph, plan, n_layers,
             FaultModel.from_spec("straggler=0.5:1.5,degrade=0.5:0.5"),
             scenarios=3, seed=1,
         )
@@ -671,7 +677,7 @@ class TestOneSweepPerRequest:
         with use_registry(MetricsRegistry()) as registry:
             with use_collector(SpanCollector()) as collector:
                 evaluate_robustness(
-                    profiler, graph, plan, 8, 4, MIXED, scenarios=6, seed=3,
+                    profiler, graph, plan, 4, MIXED, scenarios=6, seed=3,
                 )
                 spans = collector.export()
             snapshot = registry.snapshot()
@@ -704,14 +710,14 @@ class TestLoweringCache:
         assert len(list(tmp_path.glob("lowering-*.pkl"))) == 1
         with use_registry(MetricsRegistry()) as registry:
             loaded = _report_bytes(evaluate_robustness(
-                profiler, graph, plan, 8, 4, MIXED, scenarios=6, seed=3,
+                profiler, graph, plan, 4, MIXED, scenarios=6, seed=3,
             ))
             snapshot = registry.snapshot()
         assert _counted(snapshot, "cache.hits", kind="lowering") == 1
         assert _counted(snapshot, "sim.lowerings") == 0
         monkeypatch.setenv("PRIMEPAR_CACHE", "off")
         priced = _report_bytes(evaluate_robustness(
-            profiler, graph, plan, 8, 4, MIXED, scenarios=6, seed=3,
+            profiler, graph, plan, 4, MIXED, scenarios=6, seed=3,
         ))
         assert loaded == priced
 
@@ -746,64 +752,119 @@ class TestLoweringCache:
 
 
 class TestZeroFaultGraphPassThrough:
+    """A scenario reaches the engine only as ``KernelGraph.execute``'s
+    arguments (``FaultScenario.engine_args``)."""
+
     @pytest.mark.usefixtures("no_disk_cache")
     def test_empty_scenario_is_identity(self, setting):
+        """The empty scenario passes nothing, so a sweep's nominal replay
+        is the stock engine's run."""
         profiler, graph, plan = setting
-        topology = profiler.topology
+        assert FaultScenario(index=0, seed=0).engine_args(
+            profiler.topology
+        ) == {}
         stock = EventDrivenSimulator(profiler)
-        faulty = EventDrivenSimulator(
-            profiler,
-            graph_factory=lambda: FaultyKernelGraph(
-                FaultScenario(index=0, seed=0), topology
-            ),
+        sweep = FaultSweep(profiler, graph, plan, 4)
+        assert sweep.latency(FaultScenario(index=0, seed=0)) == (
+            stock.run_model(graph, plan, 8, 4).latency
         )
-        a = stock.run_model(graph, plan, 8, 4)
-        b = faulty.run_model(graph, plan, 8, 4)
-        assert a == b
 
     @pytest.mark.usefixtures("no_disk_cache")
     def test_straggler_slows_only_compute(self, setting):
         profiler, graph, plan = setting
-        topology = profiler.topology
         scenario = FaultScenario(
             index=0, seed=0, stragglers=(Straggler(device=0, slowdown=2.0),)
         )
-        faulty = EventDrivenSimulator(
-            profiler,
-            graph_factory=lambda: FaultyKernelGraph(scenario, topology),
-        )
+        assert scenario.engine_args(profiler.topology) == {
+            "stretch": {
+                (kind, 0): 2.0 for kind in ("compute", "forward", "backward")
+            },
+        }
         stock = EventDrivenSimulator(profiler)
         assert (
-            faulty.run_model(graph, plan, 8, 4).latency
+            FaultSweep(profiler, graph, plan, 4).latency(scenario)
             > stock.run_model(graph, plan, 8, 4).latency
         )
 
-    def test_custom_graph_bypasses_report_cache(self, setting):
-        """A stock report in the cache never answers a faulted replay."""
+    def test_custom_graph_bypasses_report_cache(
+        self, setting, monkeypatch, tmp_path
+    ):
+        """A stock report in the cache never answers a ``run_model`` on a
+        simulator built with another ``graph_factory`` (the frozen
+        engines' seam): here the frozen fault graph under a straggler."""
         profiler, graph, plan = setting
         topology = profiler.topology
+        monkeypatch.setenv("PRIMEPAR_CACHE_DIR", str(tmp_path))
         scenario = FaultScenario(
             index=0, seed=0, stragglers=(Straggler(device=0, slowdown=2.0),)
         )
         stock = EventDrivenSimulator(profiler).run_model(graph, plan, 8, 4)
-        faulty = EventDrivenSimulator(
-            profiler,
-            graph_factory=lambda: FaultyKernelGraph(scenario, topology),
-        ).run_model(graph, plan, 8, 4)
+        assert list(tmp_path.glob(f"{REPORT_KIND}-*.pkl"))
+        with use_registry(MetricsRegistry()) as registry:
+            faulty = PerLayerSimulator(
+                profiler,
+                graph_factory=lambda: LegacyFaultyKernelGraph(
+                    scenario, topology
+                ),
+            ).run_model(graph, plan, 8, 4)
+            snapshot = registry.snapshot()
         assert faulty.latency > stock.latency
+        for outcome in ("hits", "misses", "stores"):
+            assert _counted(snapshot, f"cache.{outcome}", kind=REPORT_KIND) == 0
 
     def test_degraded_link_scales_capacity(self, setting):
+        """A degraded node's NIC pool opens at its factor of the bandwidth,
+        and the node's collectives stretch by its inverse."""
         profiler, _, _ = setting
         topology = profiler.topology
         scenario = FaultScenario(
             index=0, seed=0,
             degraded_links=(DegradedLink(node=0, factor=0.5),),
         )
-        kg = FaultyKernelGraph(scenario, topology)
-        link = kg._link("nic:node0", 100.0)
-        assert link.capacity == pytest.approx(50.0)
-        full = kg._link("nic:node1", 100.0)
-        assert full.capacity == pytest.approx(100.0)
+        args = scenario.engine_args(topology)
+        assert args["capacity"] == {"nic:node0": 0.5}
+        assert args["stretch"] == {
+            (kind, device): 2.0
+            for device in (0, 1) for kind in ("redistribute", "allreduce")
+        }
+        kg = KernelGraph()
+        kg.add("t", transfer=(1e6, topology.path_resources(0, 2)))
+        kg.execute(capacity=args["capacity"])
+        stats = kg.link_stats()
+        assert stats["nic:node0"][1] == pytest.approx(
+            0.5 * stats["nic:node1"][1]
+        )
+
+    @pytest.mark.parametrize("factor", [0.0, 0.25])
+    def test_flap_before_first_transfer_cuts_link_when_it_opens(
+        self, setting, factor
+    ):
+        """A flap on a NIC pool no transfer has used yet throttles the pool
+        from the moment its first transfer opens it until the flap ends."""
+        profiler, _, _ = setting
+        path = profiler.topology.path_resources(0, 2)
+        seconds = 1.0  # the transfer's bytes at full bandwidth
+
+        def transfer_end(scenario):
+            kg = KernelGraph()
+            a = kg.add("a", streams=[kg.stream("dev0")], duration=1.0)
+            t = kg.add(
+                "t", deps=[a],
+                transfer=(seconds * path.stream_bandwidth, path),
+            )
+            kg.execute(**scenario.engine_args(profiler.topology))
+            return kg.kernels[t].end_time
+
+        opened = 1.0 + path.latency
+        assert transfer_end(FaultScenario(0, 0)) == pytest.approx(
+            opened + seconds
+        )
+        flap = NicFlap(node=0, start=0.5, duration=1.5, reroute_factor=factor)
+        cut = transfer_end(FaultScenario(0, 0, nic_flaps=(flap,)))
+        # Throttled from its opening until the flap ends at 2.0, then at
+        # full bandwidth for the bytes left.
+        done = (2.0 - opened) * factor
+        assert cut == pytest.approx(2.0 + (seconds - done))
 
 
 class TestRobustSearch:
@@ -830,7 +891,7 @@ class TestRobustSearch:
     def test_objective_validation(self, setting):
         profiler, graph, plan = setting
         report = evaluate_robustness(
-            profiler, graph, plan, 8, 4, MIXED, scenarios=2, seed=0
+            profiler, graph, plan, 4, MIXED, scenarios=2, seed=0
         )
         with pytest.raises(ValidationError):
             report.score("p42")

@@ -10,6 +10,7 @@ float-for-float — timestamps, throughput, peak memory, utilization — not
 merely to a tolerance.
 """
 
+import hashlib
 import json
 import pickle
 import sys
@@ -235,50 +236,44 @@ class TestGoldenPipeline:
 
 
 class TestGoldenZeroFault:
-    """The fault layer's empty scenario is a pass-through: bit-identical to
-    the *frozen pre-PR* engine, not merely to today's optimised engine, so
+    """The fault layer's empty scenario is a pass-through: a sweep's
+    nominal replay (``FaultSweep.latency`` of the empty scenario, the path
+    every robustness request takes) is bit-identical to the *frozen pre-PR*
+    engine's latency, not merely to today's optimised engine, so
     zero-fault robustness runs inherit the full golden guarantee."""
 
     @staticmethod
-    def zero_fault_simulator(profiler):
-        from repro.sim.faults import FaultScenario, FaultyKernelGraph
-
-        topology = profiler.topology
-        scenario = FaultScenario(index=0, seed=0)
-        assert scenario.is_nominal
-        return EventDrivenSimulator(
-            profiler,
-            graph_factory=lambda: FaultyKernelGraph(scenario, topology),
-        )
+    def nominal_latency(profiler, graph, plan, n_layers=1):
+        """The empty scenario's latency, replayed by a fresh sweep."""
+        scenario = faults.FaultScenario(index=0, seed=0)
+        assert scenario.engine_args(profiler.topology) == {}
+        sweep = faults.FaultSweep(profiler, graph, plan, n_layers)
+        return sweep.latency(scenario)
 
     def test_zero_fault_megatron_matches_legacy(self, profiler8, large_block):
         plan = megatron_plan(large_block, 3, dp_degree=2)
         golden, _ = simulators(profiler8)
-        faulty = self.zero_fault_simulator(profiler8)
-        assert_reports_identical(
-            golden.run(large_block, plan, 8),
-            faulty.run(large_block, plan, 8),
+        assert self.nominal_latency(profiler8, large_block, plan) == (
+            golden.run(large_block, plan, 8).latency
         )
 
     def test_zero_fault_contended_matches_legacy(self):
         profiler, graph, plan, batch = contended_case()
         golden, _ = simulators(profiler)
-        faulty = self.zero_fault_simulator(profiler)
         report_golden = golden.run(graph, plan, batch)
-        report_faulty = faulty.run(graph, plan, batch)
         # The scenario must exercise the fluid-contention override.
         assert report_golden.breakdown.get("ring-exposed", 0.0) > 0
-        assert_reports_identical(report_golden, report_faulty)
+        assert self.nominal_latency(profiler, graph, plan) == (
+            report_golden.latency
+        )
 
     def test_zero_fault_run_model_matches_legacy(self, profiler8, large_block):
         plan = megatron_plan(large_block, 3, dp_degree=2)
         golden, _ = simulators(profiler8)
         legacy_scaled = golden.run(large_block, plan, 8).scaled_to_layers(4, 8)
-        faulty = self.zero_fault_simulator(profiler8)
-        assert_reports_identical(
-            legacy_scaled,
-            faulty.run_model(large_block, plan, 8, n_layers=4),
-        )
+        assert self.nominal_latency(
+            profiler8, large_block, plan, n_layers=4
+        ) == legacy_scaled.latency
 
 
 @pytest.mark.usefixtures("no_disk_cache")
@@ -329,26 +324,41 @@ def _fresh_legacy_dag_per_replay(monkeypatch):
     """Replay every fault scenario on a frozen fault graph built for it.
 
     The frozen graph stretches durations as kernels are added and runs
-    once, so each replay builds its own through ``graph_factory``.
+    once, so each replay builds its own through ``graph_factory``, and it
+    ignores the scenario's engine arguments the sweep passes it.
     """
+    latency = faults.FaultSweep.latency
 
-    def fresh_dag(sweep, scenario, n_layers):
+    def frozen_latency(sweep, scenario):
         topology = sweep.simulator.topology
         simulator = PerLayerSimulator(
             sweep.simulator.profiler,
             graph_factory=lambda: LegacyFaultyKernelGraph(scenario, topology),
         )
-        return simulator.build(sweep.graph, sweep.lowering, n_layers)
+        sweep._dag = lambda n_layers: simulator.build(
+            sweep.graph, sweep.lowering, n_layers
+        )
+        return latency(sweep, scenario)
 
-    monkeypatch.setattr(faults.FaultSweep, "_dag", fresh_dag)
+    monkeypatch.setattr(faults.FaultSweep, "latency", frozen_latency)
+
+
+def _executed(kg, **faults):
+    """One execution of ``kg`` under ``faults`` — makespan, kernel records,
+    link bytes, busy seconds and engine counters — as bytes."""
+    makespan = kg.execute(**faults)
+    return pickle.dumps((
+        makespan, kg.timeline(), kg.link_stats(),
+        kg.device_busy_seconds(), kg.perf_stats(),
+    ))
 
 
 class TestGoldenFaultedReplays:
-    """Flaps cut a link's ``available`` bandwidth under the base engine's
-    one fair-share flush, and faults stretch durations by one rule as
-    kernels start on a DAG built once per sweep; the frozen fault graph
-    kept its own flush copy and stretched kernels as it built a fresh DAG
-    per replay.  Both must yield the same robustness reports, byte for
+    """Flaps cut a link's ``available`` bandwidth under the engine's one
+    fair-share flush, and faults stretch durations as an execution starts
+    on a DAG built once per sweep; the frozen fault graph kept its own
+    flush copy and stretched kernels as it built a fresh DAG per
+    replay.  Both must yield the same robustness reports, byte for
     byte."""
 
     @pytest.mark.parametrize("n_devices, gpus_per_node", [(4, 2), (8, 2), (16, 4)])
@@ -371,7 +381,7 @@ class TestGoldenFaultedReplays:
 
         def report():
             return evaluate_robustness(
-                profiler, graph, plan, 16, 2, model, scenarios=4, seed=5
+                profiler, graph, plan, 2, model, scenarios=4, seed=5
             )
 
         candidate = report()
@@ -398,31 +408,71 @@ class TestGoldenFaultedReplays:
             for node in range(profiler.topology.n_nodes)
         )
         scenario = FaultScenario(index=0, seed=0, nic_flaps=flaps)
+        topology = profiler.topology
+        lowering = EventDrivenSimulator(profiler).lower(graph, plan)
+        frozen = PerLayerSimulator(
+            profiler,
+            graph_factory=lambda: LegacyFaultyKernelGraph(scenario, topology),
+        ).build(graph, lowering, 1)
+        golden = _executed(frozen)
+        assert pickle.loads(golden)[0] > nominal.latency
+        live = EventDrivenSimulator(profiler).build(graph, lowering, 1)
+        assert _executed(live, **scenario.engine_args(topology)) == golden
 
-        def replay(graph_cls, simulator_cls=EventDrivenSimulator):
-            return simulator_cls(
-                profiler,
-                graph_factory=lambda: graph_cls(scenario, profiler.topology),
-            ).run(graph, plan, batch)
 
-        golden = replay(LegacyFaultyKernelGraph, PerLayerSimulator)
-        assert golden.latency > nominal.latency
-        assert_reports_identical(golden, replay(faults.FaultyKernelGraph))
+#: SHA-256 of ``evaluate_robustness`` report bytes (sorted-key JSON) for
+#: ``_TEMPORAL_PLAN`` on two and four nodes of four GPUs under stragglers,
+#: degraded links, flaps (stalling and throttling) and outages: the
+#: stretch, capacity and flap arguments of ``KernelGraph.execute`` all
+#: shape them, so any drift in how a scenario is applied changes a hash.
+PINNED_REPORTS = {
+    (8, "0"):
+        "6e3f11e3124d8879bdff7a73f57111fa743c4d2b5cc660711d41bee16d861986",
+    (8, "0.25"):
+        "e04ccda94a63150e4162155a70febc8f99de5e84d5cdf59678af1803cf96ffb2",
+    (16, "0"):
+        "ec2fa9db83eec004d191f9304a80ffd041cc7038cd15fcb3a76513bb3b55fdd7",
+    (16, "0.25"):
+        "253c5de11c6beafd8c123c1fdb1def9627d5b163a997838cf2afd8404c13fbef",
+}
+
+
+@pytest.mark.parametrize("n_devices, reroute", sorted(PINNED_REPORTS))
+def test_robustness_report_bytes_pinned(n_devices, reroute, monkeypatch):
+    """Every fault class bites, and the report is the pinned bytes."""
+    from repro.sim.faults import FaultModel, evaluate_robustness
+
+    monkeypatch.setenv("PRIMEPAR_CACHE", "off")
+    profiler = FabricProfiler(v100_cluster(n_devices, gpus_per_node=4))
+    n_bits = n_devices.bit_length() - 1
+    plan = {
+        name: PartitionSpec.from_string("B-" * (n_bits - 2) + text, n_bits)
+        for name, text in _TEMPORAL_PLAN.items()
+    }
+    graph = build_block_graph(OPT_6_7B.block_shape(batch=16))
+    model = FaultModel.from_spec(
+        f"straggler=0.3:1.6,degrade=0.5:0.5,flap=2:0.003:{reroute},"
+        "outage=0.5"
+    )
+    report = evaluate_robustness(
+        profiler, graph, plan, 2, model, scenarios=8, seed=11
+    )
+    outcomes = report.outcomes
+    assert any(o.stragglers and o.compute_delay > 0 for o in outcomes)
+    assert any(o.nic_flaps and o.link_delay > 0 for o in outcomes)
+    assert any(o.outage for o in outcomes)
+    assert any(o.degraded_links for o in outcomes)
+    blob = json.dumps(report.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_REPORTS[
+        n_devices, reroute
+    ]
 
 
 class TestRetimedTemplate:
-    """One built fault graph, re-timed per scenario, equals a graph freshly
-    built for each scenario through ``graph_factory`` — makespan, kernel
-    records, link bytes, busy seconds and engine counters, byte for byte —
-    whatever scenario it ran before."""
-
-    @staticmethod
-    def _run(kg):
-        makespan = kg.execute()
-        return pickle.dumps((
-            makespan, kg.timeline(), kg.link_stats(),
-            kg.device_busy_seconds(), kg.perf_stats(),
-        ))
+    """One built graph, executed under each scenario in turn, equals a
+    graph freshly built for each scenario — makespan, kernel records, link
+    bytes, busy seconds and engine counters, byte for byte — whatever
+    scenario it ran before."""
 
     #: Two GPUs per node, so the temporal rings cross NICs and flaps bite.
     @pytest.mark.parametrize(
@@ -434,7 +484,6 @@ class TestRetimedTemplate:
         from repro.sim.faults import (
             DegradedLink,
             FaultScenario,
-            FaultyKernelGraph,
             NicFlap,
             Straggler,
         )
@@ -449,9 +498,7 @@ class TestRetimedTemplate:
         }
         graph = build_block_graph(OPT_6_7B.block_shape(batch=16))
         empty = FaultScenario(index=0, seed=0)
-        simulator = EventDrivenSimulator(
-            profiler, graph_factory=lambda: FaultyKernelGraph(empty, topology)
-        )
+        simulator = EventDrivenSimulator(profiler)
         lowering = simulator.lower(graph, plan)
 
         for n_layers in (1, 2):
@@ -471,16 +518,11 @@ class TestRetimedTemplate:
             ]
             latencies = []
             for scenario in sequence:
-                template.retime(scenario)
-                retimed = self._run(template)
-                fresh = EventDrivenSimulator(
-                    profiler,
-                    graph_factory=lambda: FaultyKernelGraph(
-                        scenario, topology
-                    ),
-                ).build(graph, lowering, n_layers)
-                assert retimed == self._run(fresh), scenario
-                latencies.append(pickle.loads(retimed)[0])
+                args = scenario.engine_args(topology)
+                rerun = _executed(template, **args)
+                fresh = simulator.build(graph, lowering, n_layers)
+                assert rerun == _executed(fresh, **args), scenario
+                latencies.append(pickle.loads(rerun)[0])
             # Every fault bites, and the last empty run is the first one.
             assert all(latency > nominal for latency in latencies[1:5])
             assert latencies[0] == latencies[-1] == nominal

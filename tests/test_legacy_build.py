@@ -39,7 +39,6 @@ from repro.sim.faults import (
     DegradedLink,
     FaultModel,
     FaultScenario,
-    FaultyKernelGraph,
     NicFlap,
     Straggler,
     evaluate_robustness,
@@ -122,10 +121,7 @@ def _unanchored_markers(kg):
 def test_kept_kernels_keep_their_times(plans, model, cluster):
     profiler, graph, by_label = plans(model, cluster)
     topology = profiler.topology
-    simulator = EventDrivenSimulator(
-        profiler,
-        graph_factory=lambda: FaultyKernelGraph(SCENARIOS["zero"], topology),
-    )
+    simulator = EventDrivenSimulator(profiler)
     schedules = set()
     for plan in by_label.values():
         lowering = simulator.lower(graph, plan)
@@ -139,11 +135,10 @@ def test_kept_kernels_keep_their_times(plans, model, cluster):
                 k.name for k in frozen.kernels if k.name not in dropped
             ]
             for scenario in SCENARIOS.values():
+                faults = scenario.engine_args(topology)
                 for run in ("execute", "_execute_events"):
-                    kept.retime(scenario)
-                    frozen.retime(scenario)
-                    makespan = getattr(kept, run)()
-                    assert makespan == getattr(frozen, run)()
+                    makespan = getattr(kept, run)(**faults)
+                    assert makespan == getattr(frozen, run)(**faults)
                     if run == "execute":
                         schedules.add(kept.schedule)
                     times = _times(frozen)
@@ -173,10 +168,10 @@ def test_reports_are_byte_equal(plans, model, cluster, no_disk_cache):
                 )
             assert pickle.dumps(report) == pickle.dumps(frozen)
         robustness = evaluate_robustness(
-            profiler, graph, plan, BATCH, 2, FAULTS, scenarios=4, seed=7,
+            profiler, graph, plan, 2, FAULTS, scenarios=4, seed=7,
         )
         with legacy_build.marker_build():
             frozen = evaluate_robustness(
-                profiler, graph, plan, BATCH, 2, FAULTS, scenarios=4, seed=7,
+                profiler, graph, plan, 2, FAULTS, scenarios=4, seed=7,
             )
         assert json.dumps(robustness.to_json()) == json.dumps(frozen.to_json())

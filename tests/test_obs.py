@@ -558,7 +558,7 @@ class TestLoweringTelemetry:
         registry, collector = MetricsRegistry(), SpanCollector()
         with use_registry(registry), use_collector(collector):
             evaluate_robustness(
-                profiler4, small_block, plan, 8, 2,
+                profiler4, small_block, plan, 2,
                 FaultModel.from_spec(self.FAULTS), scenarios=3, seed=0,
             )
         spans = collector.export()

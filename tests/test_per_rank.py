@@ -26,15 +26,11 @@ from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
 from repro.serve.service import PlanService, _setting, plan_from_json
 from repro.sim.engine import EventDrivenSimulator, KernelGraph
-from repro.sim.faults import FaultScenario, FaultyKernelGraph, Straggler
+from repro.sim.faults import FaultScenario, Straggler
 
 class PerKernelGraph(PerRankAdds, KernelGraph):
     """The live graph with its per-rank groups added one kernel at a
     time: the reference the bulk append is held to."""
-
-
-class PerKernelFaultyGraph(PerRankAdds, FaultyKernelGraph):
-    """The same, for the fault graph the sweep builds."""
 
 
 def assert_same_graph(bulk, reference):
@@ -72,21 +68,25 @@ def megatron_setting(small_block):
 
 
 def _builds(profiler, graph, plan, n_layers):
-    """``(bulk, per-kernel)`` builds of one lowering, as fault graphs; the
-    per-kernel graph lowers every layer (``per_layer_build``)."""
-    topology = profiler.topology
+    """``(bulk, per-kernel)`` builds of one lowering, as a fault sweep
+    builds them; the per-kernel graph lowers every layer
+    (``per_layer_build``)."""
     lowering = EventDrivenSimulator(profiler).lower(graph, plan)
-
-    def build(graph_cls, simulator_cls):
-        return simulator_cls(
-            profiler,
-            graph_factory=lambda: graph_cls(FaultScenario(0, 0), topology),
-        ).build(graph, lowering, n_layers)
-
     return (
-        build(FaultyKernelGraph, EventDrivenSimulator),
-        build(PerKernelFaultyGraph, PerLayerSimulator),
+        EventDrivenSimulator(profiler).build(graph, lowering, n_layers),
+        PerLayerSimulator(profiler, graph_factory=PerKernelGraph).build(
+            graph, lowering, n_layers
+        ),
     )
+
+
+def _straggling(*stragglers):
+    """``KernelGraph.execute``'s arguments for ``stragglers``, as
+    ``(device, slowdown)`` pairs (stragglers need no topology)."""
+    scenario = FaultScenario(0, 0, stragglers=tuple(
+        Straggler(device, slowdown) for device, slowdown in stragglers
+    ))
+    return scenario.engine_args(v100_cluster(8))
 
 
 class TestLoweredPlans:
@@ -97,10 +97,8 @@ class TestLoweredPlans:
     ):
         bulk, reference = _builds(*request.getfixturevalue(setting), n_layers)
         assert_same_graph(bulk, reference)
-        scenario = FaultScenario(0, 0, stragglers=(Straggler(3, 1.6),))
-        for kg in (bulk, reference):
-            kg.retime(scenario)
-        assert bulk.execute() == reference.execute()
+        faults = _straggling((3, 1.6))
+        assert bulk.execute(**faults) == reference.execute(**faults)
         assert bulk.schedule == reference.schedule == "pass"
         assert bulk.device_busy_seconds() == reference.device_busy_seconds()
         assert bulk.timeline() == reference.timeline()
@@ -265,10 +263,7 @@ class TestBusySecondsOnDemand:
 
     def test_one_pass_sum_is_the_kernel_order_sum(self, megatron_setting):
         kg, _ = _builds(*megatron_setting, 2)
-        kg.retime(FaultScenario(0, 0, stragglers=(
-            Straggler(1, 1.25), Straggler(6, 1.8),
-        )))
-        kg.execute()
+        kg.execute(**_straggling((1, 1.25), (6, 1.8)))
         assert kg.schedule == "pass"
         busy = kg.device_busy_seconds()
         assert busy == kernel_order_sum(kg)
@@ -278,35 +273,27 @@ class TestBusySecondsOnDemand:
     def test_alternating_scenarios_never_read_a_stale_sum(
         self, megatron_setting
     ):
-        """Re-timing and re-executing one graph gives each run its own
-        busy seconds, whether or not the previous run's were read."""
+        """Re-executing one graph under another scenario gives each run its
+        own busy seconds, whether or not the previous run's were read."""
         kg, _ = _builds(*megatron_setting, 2)
-        scenarios = [
-            FaultScenario(0, 0, stragglers=(Straggler(3, 1.8),)),
-            FaultScenario(1, 0, stragglers=(Straggler(0, 1.6),)),
-        ]
+        scenarios = [_straggling((3, 1.8)), _straggling((0, 1.6))]
         expected = []
-        for scenario in scenarios:
+        for faults in scenarios:
             fresh, _ = _builds(*megatron_setting, 2)
-            fresh.retime(scenario)
-            fresh.execute()
+            fresh.execute(**faults)
             expected.append(fresh.device_busy_seconds())
         assert expected[0] != expected[1]
         for round_ in range(4):
             index = round_ % 2
-            kg.retime(scenarios[index])
             if round_ == 2:
                 # Skip reading one run: the next run's sum is its own.
-                kg.execute()
-                kg.retime(scenarios[1 - index])
-            kg.execute()
+                kg.execute(**scenarios[index])
+                index = 1 - index
+            kg.execute(**scenarios[index])
             assert kg.schedule == "pass"
-            read = 1 - index if round_ == 2 else index
-            assert kg.device_busy_seconds() == expected[read]
+            assert kg.device_busy_seconds() == expected[index]
         # The event loop's online sum, then the pass again.
-        kg.retime(scenarios[0])
-        kg._execute_events()
+        kg._execute_events(**scenarios[0])
         assert kg.device_busy_seconds() == expected[0]
-        kg.retime(scenarios[1])
-        kg.execute()
+        kg.execute(**scenarios[1])
         assert kg.device_busy_seconds() == expected[1]

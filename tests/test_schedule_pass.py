@@ -1,7 +1,7 @@
 """The one-pass schedule of transfer-free kernel DAGs.
 
 ``KernelGraph.execute`` skips the event loop when a DAG carries no
-transfer and no timed event: each kernel then starts at the latest end
+transfer and the run no NIC flap: each kernel then starts at the latest end
 among its predecessors, which is the max and the add the loop does.  The
 property tests hold the pass to ``_execute_events`` bit for bit on random
 DAGs; the fallback tests pin which DAGs must take the loop, and hold
@@ -32,12 +32,7 @@ from repro.graph.models import OPT_6_7B
 from repro.graph.transformer import build_block_graph
 from repro.obs.spans import SpanCollector, collecting
 from repro.sim.engine import EventDrivenSimulator, KernelGraph
-from repro.sim.faults import (
-    FaultScenario,
-    FaultyKernelGraph,
-    NicFlap,
-    Straggler,
-)
+from repro.sim.faults import FaultScenario, NicFlap, Straggler
 
 #: Few distinct values, so ties between end times are common; zero too.
 DURATIONS = (0.0, 0.0, 0.1, 0.2, 0.3, 1.0, 1e-3, 0.7000000000000001)
@@ -107,14 +102,14 @@ def outcome(kg, makespan):
     ))
 
 
-def both_schedules(kg):
-    """``(pass outcome, loop outcome)`` of one graph, pass first; each
-    run's splice check must equal the kernel walk's."""
-    makespan = kg.execute()
+def both_schedules(kg, **faults):
+    """``(pass outcome, loop outcome)`` of one graph under ``faults``, pass
+    first; each run's splice check must equal the kernel walk's."""
+    makespan = kg.execute(**faults)
     assert kg.schedule == "pass"
     assert kg.spliceable(makespan) == splice_walk(kg.kernels, makespan)
     fast = outcome(kg, makespan)
-    makespan = kg._execute_events()
+    makespan = kg._execute_events(**faults)
     assert kg.spliceable(makespan) == splice_walk(kg.kernels, makespan)
     return fast, outcome(kg, makespan)
 
@@ -138,14 +133,14 @@ class TestPassEqualsLoop:
         ),
     )
     def test_retimed_fault_graph(self, recipe, stragglers):
-        """One fault graph build, re-timed per straggler scenario."""
+        """One graph build, executed under each straggler scenario."""
         topology = v100_cluster(N_DEVICES)
-        kg = build(FaultyKernelGraph(FaultScenario(0, 0), topology), recipe)
+        kg = build(KernelGraph(), recipe)
         for index, (device, slowdown) in enumerate(stragglers):
-            kg.retime(FaultScenario(
+            scenario = FaultScenario(
                 index, 0, stragglers=(Straggler(device, slowdown),)
-            ))
-            fast, loop = both_schedules(kg)
+            )
+            fast, loop = both_schedules(kg, **scenario.engine_args(topology))
             assert fast == loop
 
     @settings(max_examples=60, deadline=None)
@@ -184,12 +179,7 @@ class TestPassEqualsLoop:
         topology = profiler.topology
         graph = build_block_graph(OPT_6_7B.block_shape(batch=8))
         plan = megatron_plan(graph, topology.n_bits, dp_degree=2)
-        live = EventDrivenSimulator(
-            profiler,
-            graph_factory=lambda: FaultyKernelGraph(
-                FaultScenario(0, 0), topology
-            ),
-        )
+        live = EventDrivenSimulator(profiler)
         lowering = live.lower(graph, plan)
         kg = live.build(graph, lowering, 2)
         for scenario in (
@@ -198,8 +188,7 @@ class TestPassEqualsLoop:
                 Straggler(0, 1.25), Straggler(5, 1.6),
             )),
         ):
-            kg.retime(scenario)
-            makespan = kg.execute()
+            makespan = kg.execute(**scenario.engine_args(topology))
             assert kg.schedule == "pass"
             frozen = PerLayerSimulator(
                 profiler,
@@ -210,9 +199,10 @@ class TestPassEqualsLoop:
             assert outcome(kg, makespan) == outcome(frozen, frozen.execute())
 
 
-def assert_frozen_equal(kg, frozen):
-    """``kg`` took the loop and matches the frozen engine's execution."""
-    makespan = kg.execute()
+def assert_frozen_equal(kg, frozen, **faults):
+    """``kg`` took the loop under ``faults`` and matches the frozen
+    engine's execution."""
+    makespan = kg.execute(**faults)
     assert kg.schedule == "events"
     assert makespan == frozen.execute()
     assert [(k.start_time, k.end_time) for k in kg.kernels] == [
@@ -287,7 +277,8 @@ class TestFallsBackToLoop:
         assert len(kg) == 1
 
     def test_nic_flap(self):
-        """A flap is a timed event even where no transfer feels it."""
+        """A flap sends the run through the loop even where no transfer
+        feels it."""
         profiler = FabricProfiler(v100_cluster(4, gpus_per_node=2))
         topology = profiler.topology
         graph = build_block_graph(OPT_6_7B.block_shape(batch=8))
@@ -298,15 +289,13 @@ class TestFallsBackToLoop:
             nic_flaps=(NicFlap(0, 1e-4, 1e-3, 0.0),),
         )
 
-        def dag(graph_cls, simulator_cls=EventDrivenSimulator):
-            simulator = simulator_cls(
-                profiler, graph_factory=lambda: graph_cls(scenario, topology)
-            )
-            return simulator.build(graph, simulator.lower(graph, plan), 1)
-
-        kg = dag(FaultyKernelGraph)
-        frozen = dag(LegacyFaultyKernelGraph, PerLayerSimulator)
-        assert_frozen_equal(kg, frozen)
+        lowering = EventDrivenSimulator(profiler).lower(graph, plan)
+        kg = EventDrivenSimulator(profiler).build(graph, lowering, 1)
+        frozen = PerLayerSimulator(
+            profiler,
+            graph_factory=lambda: LegacyFaultyKernelGraph(scenario, topology),
+        ).build(graph, lowering, 1)
+        assert_frozen_equal(kg, frozen, **scenario.engine_args(topology))
         assert kg.perf_stats() == frozen.perf_stats()
         assert kg.device_busy_seconds() == frozen.device_busy_seconds()
 

@@ -32,12 +32,7 @@ from repro.graph.transformer import build_block_graph
 from repro.serve.service import PlanService, _setting, plan_from_json
 from repro.sim.engine import EventDrivenSimulator
 from repro.sim.kernel_graph import KernelBlock, KernelGraph, StreamResource
-from repro.sim.faults import (
-    FaultScenario,
-    FaultyKernelGraph,
-    NicFlap,
-    Straggler,
-)
+from repro.sim.faults import FaultScenario, NicFlap, Straggler
 
 # ----------------------------------------------------------------------
 # lowered plans
@@ -106,9 +101,7 @@ def setting():
 
 
 def _builds(profiler, graph, lowering, n_layers, monkeypatch):
-    """``(stacked, per-layer, prefixes of the blocks the stack lowered)``,
-    as fault graphs."""
-    topology = profiler.topology
+    """``(stacked, per-layer, prefixes of the blocks the stack lowered)``."""
     lowered = []
     for name in ("_lower_forward", "_lower_backward"):
         method = getattr(EventDrivenSimulator, name)
@@ -121,15 +114,8 @@ def _builds(profiler, graph, lowering, n_layers, monkeypatch):
 
         monkeypatch.setattr(EventDrivenSimulator, name, spy)
 
-    def factory():
-        return FaultyKernelGraph(FaultScenario(0, 0), topology)
-
-    stacked = EventDrivenSimulator(profiler, graph_factory=factory).build(
-        graph, lowering, n_layers
-    )
-    reference = PerLayerSimulator(profiler, graph_factory=factory).build(
-        graph, lowering, n_layers
-    )
+    stacked = EventDrivenSimulator(profiler).build(graph, lowering, n_layers)
+    reference = PerLayerSimulator(profiler).build(graph, lowering, n_layers)
     return stacked, reference, lowered
 
 
@@ -162,10 +148,9 @@ def test_stack_equals_per_layer_build(setting, label, n_layers, monkeypatch):
         assert lowered == []
     nominal = reference.execute()
     for scenario in _scenarios(nominal):
-        stacked.retime(scenario)
-        reference.retime(scenario)
-        makespan = stacked.execute()
-        assert makespan == reference.execute()
+        faults = scenario.engine_args(profiler.topology)
+        makespan = stacked.execute(**faults)
+        assert makespan == reference.execute(**faults)
         assert stacked.schedule == reference.schedule
         assert stacked.timeline() == reference.timeline()
         assert (stacked.device_busy_seconds()
@@ -194,7 +179,7 @@ def test_sweep_stacks_its_probe_layer(setting, monkeypatch):
     sweep.latency(flap)  # the full stack first
     sweep.latency(FaultScenario(1, 0))  # then the probe
     assert len(calls) == 1
-    assert sweep._dag(FaultScenario(0, 0), 1) is sweep._layer.kg
+    assert sweep._dag(1) is sweep._layer.kg
 
 
 # ----------------------------------------------------------------------
