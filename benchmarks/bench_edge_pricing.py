@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import multiprocessing
 import os
 import resource
@@ -35,7 +34,7 @@ from typing import Dict, List, Optional
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import RESULTS_DIR
+from conftest import write_result
 
 from repro import FabricProfiler, PrimeParOptimizer, build_block_graph, v100_cluster
 from repro.core.cost.inter import InterOperatorCostModel
@@ -110,10 +109,7 @@ def run_benchmark(n_devices: int = 32, out: Optional[str] = None) -> Dict:
         "digest": digest.hexdigest(),
         "edges": edges,
     }
-    out_path = Path(out) if out else RESULTS_DIR / "BENCH_edge_pricing.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+    write_result("BENCH_edge_pricing.json", payload, out)
     return payload
 
 

@@ -26,7 +26,6 @@ smoke configuration).  Results land in ``benchmarks/results/BENCH_opt_speed.json
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
@@ -37,7 +36,14 @@ from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import ALPHA, RESULTS_DIR, beam_for, jobs_for, span_root
+from conftest import (
+    ALPHA,
+    RESULTS_DIR,
+    beam_for,
+    jobs_for,
+    span_root,
+    write_result,
+)
 
 from repro import cache as diskcache
 from repro import (
@@ -178,10 +184,7 @@ def run_benchmark(
             os.environ.pop("PRIMEPAR_CACHE_DIR", None)
         else:
             os.environ["PRIMEPAR_CACHE_DIR"] = saved_env
-    out_path = Path(out) if out else RESULTS_DIR / "BENCH_opt_speed.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+    write_result("BENCH_opt_speed.json", payload, out)
     if metrics_out:
         from repro.obs import write_metrics
 

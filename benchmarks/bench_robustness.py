@@ -67,7 +67,14 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 sys.path.insert(0, str(Path(__file__).parent))
 
 from frozen_graphs import PerLayerSimulator
-from conftest import ALPHA, RESULTS_DIR, beam_for, jobs_for, span_root
+from conftest import (
+    ALPHA,
+    RESULTS_DIR,
+    beam_for,
+    jobs_for,
+    span_root,
+    write_result,
+)
 
 from repro import (
     FabricProfiler,
@@ -277,10 +284,7 @@ def run_benchmark(
             os.environ.pop("PRIMEPAR_CACHE_DIR", None)
         else:
             os.environ["PRIMEPAR_CACHE_DIR"] = saved_env
-    out_path = Path(out) if out else RESULTS_DIR / "BENCH_robustness.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+    write_result("BENCH_robustness.json", payload, out)
     if metrics_out:
         from repro.obs import write_metrics
 

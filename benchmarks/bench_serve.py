@@ -23,7 +23,6 @@ smoke configuration).  Results land in ``benchmarks/results/BENCH_serve.json``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
@@ -35,7 +34,7 @@ from typing import Dict, List, Optional
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import RESULTS_DIR, span_root
+from conftest import RESULTS_DIR, span_root, write_result
 
 from repro.obs.metrics import MetricsRegistry, counter, use_registry
 from repro.serve import (
@@ -249,10 +248,7 @@ def run_benchmark(
             os.environ.pop("PRIMEPAR_CACHE_DIR", None)
         else:
             os.environ["PRIMEPAR_CACHE_DIR"] = saved_env
-    out_path = Path(out) if out else RESULTS_DIR / "BENCH_serve.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+    write_result("BENCH_serve.json", payload, out)
     if metrics_out:
         from repro.obs import write_metrics
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import shutil
 import sys
@@ -68,7 +67,7 @@ from frozen_graphs import (
     PerLayerSimulator,
     tables,
 )
-from conftest import ALPHA, RESULTS_DIR, beam_for, span_root
+from conftest import ALPHA, RESULTS_DIR, beam_for, span_root, write_result
 
 from repro import (
     EventDrivenSimulator,
@@ -478,10 +477,7 @@ def run_benchmark(
             os.environ.pop("PRIMEPAR_CACHE_DIR", None)
         else:
             os.environ["PRIMEPAR_CACHE_DIR"] = saved_env
-    out_path = Path(out) if out else RESULTS_DIR / "BENCH_sim_speed.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+    write_result("BENCH_sim_speed.json", payload, out)
     if metrics_out:
         from repro.obs import write_metrics
 

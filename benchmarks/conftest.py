@@ -17,11 +17,14 @@ Environment knobs:
 from __future__ import annotations
 
 import contextlib
+import json
 import os
+import platform
 import sys
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+import numpy
 import pytest
 
 from repro import (
@@ -64,6 +67,23 @@ def span_root(metrics_out: Optional[str]):
     if metrics_out:
         return use_collector(SpanCollector())
     return contextlib.nullcontext()
+
+
+def write_result(
+    name: str, payload: Dict, out: Optional[str] = None
+) -> None:
+    """Write ``payload`` as JSON to ``out`` (default
+    ``benchmarks/results/<name>``), with a ``host`` block naming the
+    machine so a later comparison can tell host drift from a regression."""
+    payload["host"] = {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+    out_path = Path(out) if out else RESULTS_DIR / name
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(out_path, "w") as handle:
+        json.dump(payload, handle, indent=2)
 
 
 def emit(name: str, text: str) -> None:

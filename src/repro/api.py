@@ -506,27 +506,10 @@ class ServeConfig:
         10.0, "seconds to wait for in-flight requests on shutdown", lo=0
     )
     retry_after: float = 1.0
-    trace_store_size: int = _arg(
-        256, "completed request traces kept for GET /v1/traces/<id>", lo=1
-    )
-    flight_size: int = _arg(
-        256, "flight-recorder request-ring capacity", lo=1
-    )
-    flight_snapshot_interval: float = _arg(
-        30.0,
-        "seconds between flight-recorder process snapshots "
-        "(0 disables the sampler)",
-        lo=0,
-    )
-    slo_window: int = _arg(
-        256,
-        "rolling-latency window in requests behind /healthz quantiles",
-        lo=1,
-    )
     slo_p95_ms: float = _arg(
         0.0,
-        "p95 latency target in ms for /v1/* traffic; /healthz reports "
-        "breach when exceeded (0 disables)",
+        "p95 latency target in ms over the last 256 /v1/* requests; "
+        "/healthz reports breach when exceeded (0 disables)",
         lo=0,
     )
 

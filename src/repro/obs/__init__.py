@@ -6,7 +6,8 @@ subsystem (it imports nothing from the rest of the package):
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges and histograms with labels, exportable as schema-stable JSON and
   Prometheus text format.  Instrumented code reaches the *current*
-  registry through :func:`counter`/:func:`gauge`/:func:`histogram`.
+  registry through :func:`counter`/:func:`gauge`/:func:`histogram`;
+  :func:`nearest_rank` is the package's one percentile estimator.
 * :mod:`repro.obs.spans` — :func:`span`, a context manager producing nested
   wall-clock timing spans into a thread-safe :class:`SpanCollector`;
   :meth:`SpanCollector.merge` re-bases spans exported by child processes so
@@ -15,6 +16,9 @@ subsystem (it imports nothing from the rest of the package):
 * :mod:`repro.obs.logsetup` — :func:`configure_logging`, structured (plain
   or JSON-lines) logging for the ``repro`` logger tree, honouring the
   ``PRIMEPAR_LOG_LEVEL`` / ``PRIMEPAR_LOG_JSON`` environment knobs.
+* :mod:`repro.obs.reqtrace` — :class:`RequestTrace`, one request's causal
+  events and spans under a trace id (the serving daemon keeps finished
+  ones in its request ring).
 
 Where telemetry goes is one ``contextvars`` value: the current registry
 (the process one by default), span collector and request trace (none by
@@ -33,7 +37,6 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
-from .flight import FLIGHT_SCHEMA, FlightRecorder, process_rss_bytes
 from .logsetup import configure_logging, get_logger
 from .metrics import (
     MetricsRegistry,
@@ -43,12 +46,11 @@ from .metrics import (
     gauge,
     get_registry,
     histogram,
+    nearest_rank,
     use_registry,
 )
-from .quantiles import DEFAULT_QUANTILES, RollingQuantiles, quantile_label
 from .reqtrace import (
     RequestTrace,
-    TraceStore,
     current_trace,
     new_trace_id,
     trace_event,
@@ -68,16 +70,11 @@ from .spans import (
 METRICS_SCHEMA = 1
 
 __all__ = [
-    "DEFAULT_QUANTILES",
-    "FLIGHT_SCHEMA",
-    "FlightRecorder",
     "METRICS_SCHEMA",
     "MetricsRegistry",
     "RequestTrace",
-    "RollingQuantiles",
     "Span",
     "SpanCollector",
-    "TraceStore",
     "configure_logging",
     "counter",
     "current_trace",
@@ -89,9 +86,8 @@ __all__ = [
     "get_registry",
     "histogram",
     "metrics_document",
+    "nearest_rank",
     "new_trace_id",
-    "process_rss_bytes",
-    "quantile_label",
     "span",
     "telemetry_scope",
     "trace_event",

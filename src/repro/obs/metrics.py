@@ -21,6 +21,8 @@ values; gauges are last-write-wins in merge order).
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain sorted dicts —
 schema-stable JSON — and :func:`delta_snapshots` subtracts two of them.
+:func:`nearest_rank` is the one percentile estimator the package reports
+(the serving daemon's ``/healthz`` quantiles, robustness tail latencies).
 """
 
 from __future__ import annotations
@@ -359,6 +361,19 @@ def _fmt(value: float) -> str:
     if float(value) == int(value):
         return str(int(value))
     return repr(float(value))
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """The nearest-rank ``q``-quantile of an already-sorted sequence.
+
+    Matches ``benchmarks/bench_serve.py``'s ``_percentile`` exactly:
+    ``round(q * (n - 1))`` with banker's rounding, clamped to the range.
+    Returns ``0.0`` for an empty sequence.
+    """
+    if not ordered:
+        return 0.0
+    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
+    return ordered[index]
 
 
 def delta_snapshots(

@@ -17,8 +17,9 @@ latency.  This module adds the request dimension:
   below calls :func:`trace_event` (a cheap no-op when no trace is active)
   and :func:`~repro.obs.spans.span`, so deep layers need no trace-id
   plumbing in their signatures.
-* :class:`TraceStore` retains the last N completed records for retrieval
-  by id (``GET /v1/traces/<id>``).
+
+The serving daemon keeps finished records in its request ring
+(:mod:`repro.serve.server`) for retrieval by id (``GET /v1/traces/<id>``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import re
 import threading
 import time
 import uuid
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
@@ -104,39 +104,6 @@ class RequestTrace:
                 "events": [dict(e) for e in self.events],
                 "spans": self.collector.export(),
             }
-
-
-class TraceStore:
-    """The last ``max_entries`` completed traces, retrievable by id.
-
-    Insertion order is completion order; when full, the oldest record is
-    dropped.  A duplicate id (a client reusing its own id) replaces the
-    older record and refreshes its position.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def put(self, record: Dict[str, Any]) -> None:
-        trace_id = record["trace_id"]
-        with self._lock:
-            if trace_id in self._entries:
-                del self._entries[trace_id]
-            self._entries[trace_id] = record
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def get(self, trace_id: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            return self._entries.get(trace_id)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 # ----------------------------------------------------------------------

@@ -19,12 +19,13 @@
 to its endpoint; ``search``, ``plan``, ``trace``, ``healthz`` and
 ``metrics`` cover the rest.
 
-Observability (PR 8): every request carries a trace id through the whole
+Observability: every request carries a trace id through the whole
 causal path (store tier, queue wait, coalescing, optimizer spans) —
-``?debug=trace`` inlines the record, ``GET /v1/traces/<id>`` retrieves it
-later; an always-on :class:`repro.obs.FlightRecorder` keeps the last N
-requests + process snapshots behind ``GET /debug/flightrecorder`` and
-SIGUSR1; ``POST /v1/explain`` serves bit-exact plan-cost decompositions.
+``?debug=trace`` inlines the record.  The server keeps its last 256
+finished ``/v1/*`` records in one ring, the only source of
+``GET /v1/traces/<id>``, the ``/healthz`` latency quantiles and SLO status,
+and the flight-recorder dump (``GET /debug/flightrecorder`` and SIGUSR1).
+``POST /v1/explain`` serves bit-exact plan-cost decompositions.
 
 Unified request API: request bodies are the versioned, frozen dataclasses
 of :mod:`repro.api` (``SearchRequest``, ``SimulateRequest``,

@@ -22,14 +22,24 @@ The three derived endpoints also take ``plan`` (``primepar``, the
 searched plan, or ``megatron``).
 * ``GET /v1/plans/<key>`` — a previously computed payload by content hash
   (404 on miss).
-* ``GET /v1/traces/<id>`` — the completed request record for a trace id
-  (404 once it ages out of the bounded trace store).
-* ``GET /healthz``      — liveness + occupancy snapshot + rolling latency
-  quantiles with SLO status; 503 while draining.
+* ``GET /v1/traces/<id>`` — the newest finished request record for a
+  trace id (404 once it ages out of the request ring).
+* ``GET /healthz``      — liveness + occupancy snapshot + per-endpoint
+  latency quantiles and SLO status over the request ring; 503 while
+  draining.
 * ``GET /metrics``      — the current metrics registry in Prometheus text
   exposition format (straight from :mod:`repro.obs`).
-* ``GET /debug/flightrecorder`` — the always-on flight recorder's request
-  and process-snapshot rings (also dumped to a temp file on SIGUSR1).
+* ``GET /debug/flightrecorder`` — the request ring's summary fields plus
+  the current ``/healthz`` state (also dumped to a temp file on SIGUSR1).
+
+**The request ring.** The daemon keeps the records of its last
+:data:`REQUEST_RING_SIZE` finished ``/v1/*`` requests in one bounded ring,
+and every reader above reads it: trace lookup by id (newest first), the
+``/healthz`` quantiles (nearest-rank over each endpoint's share of the
+ring, and over the whole ring for the SLO) and the flight-recorder dump.
+A record's ``endpoint`` is its route label (``/v1/plans``, not
+``/v1/plans/<key>``); ``/healthz``, ``/metrics`` and unrouted requests
+never enter the ring, so polling cannot evict a trace.
 
 **Tracing.** Every request gets a trace id — the client's
 ``X-PrimePar-Trace-Id`` header when well-formed, a fresh uuid otherwise —
@@ -37,11 +47,11 @@ whose record and span collector are the handler's telemetry scope for the
 request's whole causal path (plan-store tiers, admission wait, coalescing,
 its own search and replay spans, never a concurrent request's).  Appending
 ``?debug=trace`` to any ``/v1/*`` call inlines the full record into the
-response under ``"trace"``; completed ``/v1/*`` records stay retrievable
-from ``GET /v1/traces/<id>`` until the store wraps.  Handler threads start
-from the context that started the server, so for ``primepar serve`` their
-metrics, searches' included, land in the process registry ``/metrics``
-exports.
+response under ``"trace"``; finished ``/v1/*`` records stay retrievable
+from ``GET /v1/traces/<id>`` until the request ring wraps.  Handler
+threads start from the context that started the server, so for
+``primepar serve`` their metrics, searches' included, land in the process
+registry ``/metrics`` exports.
 
 Overload surfaces as HTTP 429 (queue full) or 503 (slot/deadline timeout),
 both with a ``Retry-After`` header.  Shutdown is graceful: SIGTERM/SIGINT
@@ -52,8 +62,9 @@ Every request is logged structured (method, path, status, plus
 ``trace_id``/``duration_ms``/``endpoint``/``status`` fields) through
 :mod:`repro.obs.logsetup`; per-endpoint latency histograms
 (``serve.request_seconds``), request counters (``serve.requests``), an
-in-flight gauge (``serve.http_inflight``) and rolling latency-quantile
-gauges (``serve.latency_ms``) land in the metrics registry.
+in-flight gauge (``serve.http_inflight``) and the request ring's
+latency-quantile gauges (``serve.latency_ms``, refreshed at scrape time)
+land in the metrics registry.
 """
 
 from __future__ import annotations
@@ -67,7 +78,8 @@ import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from collections import deque
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..api import (
@@ -79,13 +91,17 @@ from ..api import (
     ValidationError,
 )
 from ..core.optimizer.deadline import SearchDeadlineExceeded
-from ..obs.flight import FlightRecorder
 from ..obs.logsetup import get_logger
-from ..obs.metrics import counter, describe, gauge, get_registry, histogram
-from ..obs.quantiles import RollingQuantiles
+from ..obs.metrics import (
+    counter,
+    describe,
+    gauge,
+    get_registry,
+    histogram,
+    nearest_rank,
+)
 from ..obs.reqtrace import (
     RequestTrace,
-    TraceStore,
     current_trace,
     new_trace_id,
     use_trace,
@@ -117,6 +133,21 @@ ROUTES = {
 #: The trace-id request header the daemon honours (case-insensitive).
 TRACE_HEADER = "X-PrimePar-Trace-Id"
 
+#: Finished ``/v1/*`` request records the daemon keeps (oldest evicted).
+REQUEST_RING_SIZE = 256
+
+#: Latency quantiles ``/healthz`` reports: ``(label, q)``.
+QUANTILES = (("p50", 0.5), ("p95", 0.95), ("p99", 0.99))
+
+#: Schema version of the flight-recorder dump.
+FLIGHT_SCHEMA = 2
+
+#: The record fields a flight-recorder dump lists per request.
+SUMMARY_FIELDS = (
+    "trace_id", "endpoint", "started_unix", "duration_ms", "status",
+    "outcome", "key",
+)
+
 #: ``# HELP`` text for the serving layer's metric families.
 METRIC_HELP = {
     "serve.requests": "HTTP requests by endpoint and status.",
@@ -133,7 +164,7 @@ METRIC_HELP = {
     "serve.explains": "Cost decompositions actually executed.",
     "serve.robustness": "Monte-Carlo robustness evaluations executed.",
     "serve.latency_ms":
-        "Rolling-window HTTP latency quantiles (ms) by endpoint.",
+        "HTTP latency quantiles (ms) by endpoint over the request ring.",
     "plan_store.lookups": "Plan-store lookups by tier (memory/disk/miss).",
 }
 
@@ -183,15 +214,9 @@ class PlanServer:
                 default_deadline=self.config.deadline or None,
             )
         self.service = service
-        self.traces = TraceStore(max_entries=self.config.trace_store_size)
-        self.flight = FlightRecorder(
-            max_requests=self.config.flight_size,
-            snapshot_interval=self.config.flight_snapshot_interval,
-            snapshot_provider=self._flight_snapshot,
-        )
-        self._latency_lock = threading.Lock()
-        self._latency: Dict[str, RollingQuantiles] = {}
-        self._slo = RollingQuantiles(window=self.config.slo_window)
+        self._requests: deque = deque(maxlen=REQUEST_RING_SIZE)
+        self._requests_dropped = 0
+        self._requests_lock = threading.Lock()
         self._httpd: Optional[_PlanHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
         self._inflight = 0
@@ -220,7 +245,6 @@ class PlanServer:
             daemon=True,
         )
         self._thread.start()
-        self.flight.start()
         logger.info("serving on http://%s:%d", self.host, self.port)
         return self
 
@@ -278,7 +302,6 @@ class PlanServer:
                 self.config.drain_timeout, self.inflight(),
             )
         self._httpd.server_close()
-        self.flight.stop()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         logger.info(
@@ -320,90 +343,104 @@ class PlanServer:
         )
         try:
             with open(path, "w", encoding="utf-8") as handle:
-                json.dump(self.flight.dump(), handle, indent=1, sort_keys=True)
+                json.dump(
+                    self.flight_dump(), handle, indent=1, sort_keys=True
+                )
         except Exception:
             logger.exception("flight-recorder dump to %s failed", path)
             return None
         logger.info("flight recorder dumped to %s", path)
         return path
 
-    # -- observability (handler callbacks) -----------------------------
+    # -- the request ring ----------------------------------------------
 
-    def _flight_snapshot(self) -> Dict[str, Any]:
-        """Extra per-snapshot state: LRU occupancy, admission depth."""
-        return {
-            "plan_store": self.service.store.stats(),
-            "admission_active": self.service.admission.active,
-            "admission_queued": self.service.admission.waiting,
-            "http_inflight": self.inflight(),
-        }
+    def complete_request(self, trace: RequestTrace) -> None:
+        """Keep one finished request's record when it is a ``/v1/*`` one."""
+        if not trace.endpoint.startswith("/v1/"):
+            return
+        record = trace.to_dict()
+        with self._requests_lock:
+            if len(self._requests) == REQUEST_RING_SIZE:
+                self._requests_dropped += 1
+            self._requests.append(record)
 
-    def observe_latency(self, endpoint: str, seconds: float) -> None:
-        """Feed the rolling quantile estimators (O(1) — the request hot
-        path; quantile evaluation happens at scrape time)."""
-        with self._latency_lock:
-            rolling = self._latency.get(endpoint)
-            if rolling is None:
-                rolling = self._latency[endpoint] = RollingQuantiles(
-                    window=self.config.slo_window
-                )
-        rolling.observe(seconds * 1e3)
-        if endpoint.startswith("/v1/"):
-            self._slo.observe(seconds * 1e3)
+    def finished_requests(self) -> List[Dict[str, Any]]:
+        """The ring's records, oldest first."""
+        with self._requests_lock:
+            return list(self._requests)
+
+    def trace(self, trace_id: str) -> Optional[Dict[str, Any]]:
+        """The newest record for ``trace_id`` in the ring, or ``None``."""
+        for record in reversed(self.finished_requests()):
+            if record["trace_id"] == trace_id:
+                return record
+        return None
 
     def latency_snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Per-endpoint rolling latency quantiles in ms, publishing the
-        ``serve.latency_ms`` gauges as a side effect (scrape time)."""
-        with self._latency_lock:
-            estimators = dict(self._latency)
+        """Per-endpoint latency quantiles in ms over the ring, publishing
+        the ``serve.latency_ms`` gauges as a side effect (scrape time)."""
+        durations: Dict[str, List[float]] = {}
+        for record in self.finished_requests():
+            durations.setdefault(record["endpoint"], []).append(
+                record["duration_ms"]
+            )
         snapshots = {
-            endpoint: rolling.snapshot()
-            for endpoint, rolling in sorted(estimators.items())
+            endpoint: _quantiles(values)
+            for endpoint, values in sorted(durations.items())
         }
         for endpoint, snap in snapshots.items():
-            for label in ("p50", "p95", "p99"):
+            for label, _ in QUANTILES:
                 gauge(
                     "serve.latency_ms", endpoint=endpoint, quantile=label
                 ).set(snap[label])
         return snapshots
 
     def slo_status(self) -> Dict[str, Any]:
-        """Rolling ``/v1/*`` p95 vs. the configured target."""
-        snap = self._slo.snapshot()
+        """The ring's p95 over every ``/v1/*`` record vs. the target."""
+        snap = _quantiles(r["duration_ms"] for r in self.finished_requests())
         target = self.config.slo_p95_ms
         status = "disabled"
         if target > 0:
-            p95 = snap["p95"]
-            if snap["count"] == 0 or p95 is None or p95 <= target:
-                status = "ok"
-            else:
-                status = "breach"
+            breached = snap["count"] and snap["p95"] > target
+            status = "breach" if breached else "ok"
         return {
             "status": status,
             "target_p95_ms": target,
-            "window": snap["window"],
             "count": snap["count"],
-            "p50_ms": snap["p50"],
-            "p95_ms": snap["p95"],
-            "p99_ms": snap["p99"],
+            **{f"{label}_ms": snap[label] for label, _ in QUANTILES},
         }
 
-    def complete_request(self, trace: RequestTrace) -> None:
-        """Retain one finished request: trace store + flight recorder."""
-        record = trace.to_dict()
-        if trace.endpoint.startswith("/v1/"):
-            self.traces.put(record)
-        self.flight.record_request(
-            {
-                "trace_id": record["trace_id"],
-                "endpoint": record["endpoint"],
-                "started_unix": record["started_unix"],
-                "duration_ms": record["duration_ms"],
-                "status": record["status"],
-                "outcome": record["outcome"],
-                "key": record["key"],
-            }
-        )
+    def health(self) -> Dict[str, Any]:
+        """Occupancy plus the ring's latency quantiles and SLO status: the
+        ``/healthz`` body (which answers only ``draining`` once shutdown
+        starts)."""
+        return {
+            "status": "draining" if self.draining else "ok",
+            "inflight": self.inflight(),
+            "active_searches": self.service.admission.active,
+            "queued_searches": self.service.admission.waiting,
+            "plan_store": self.service.store.stats(),
+            "latency_ms": self.latency_snapshot(),
+            "slo": self.slo_status(),
+        }
+
+    def flight_dump(self) -> Dict[str, Any]:
+        """The ring's summary fields (oldest first) and the ``/healthz``
+        state now: ``GET /debug/flightrecorder`` and the SIGUSR1 dump."""
+        with self._requests_lock:
+            records = list(self._requests)
+            dropped = self._requests_dropped
+        return {
+            "schema": FLIGHT_SCHEMA,
+            "generated_unix": time.time(),
+            "max_requests": REQUEST_RING_SIZE,
+            "requests_dropped": dropped,
+            "requests": [
+                {field: record[field] for field in SUMMARY_FIELDS}
+                for record in records
+            ],
+            "health": self.health(),
+        }
 
     # -- request accounting (handler callbacks) ------------------------
 
@@ -418,6 +455,15 @@ class PlanServer:
             gauge("serve.http_inflight").set(self._inflight)
             if self._inflight == 0:
                 self._drained.notify_all()
+
+
+def _quantiles(durations: Iterable[float]) -> Dict[str, float]:
+    """Sample count and nearest-rank :data:`QUANTILES` of ``durations``."""
+    ordered = sorted(durations)
+    return {
+        "count": len(ordered),
+        **{label: nearest_rank(ordered, q) for label, q in QUANTILES},
+    }
 
 
 def _make_handler(server: PlanServer):
@@ -456,8 +502,15 @@ def _make_handler(server: PlanServer):
             self.wfile.write(body)
 
         def _read_body(self) -> Dict[str, Any]:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > MAX_BODY_BYTES:
+            declared = self.headers.get("Content-Length") or "0"
+            length = int(declared) if declared.isdecimal() else -1
+            if not 0 <= length <= MAX_BODY_BYTES:
+                # The unread body would be parsed as the next request.
+                self.close_connection = True
+                if length < 0:
+                    raise ValidationError(
+                        f"invalid Content-Length {declared!r}"
+                    )
                 raise ValidationError(
                     f"request body too large ({length} > {MAX_BODY_BYTES})"
                 )
@@ -489,9 +542,9 @@ def _make_handler(server: PlanServer):
             return RequestTrace(trace_id, endpoint=endpoint)
 
         def _dispatch(self, method: str) -> None:
-            endpoint, status = self.path, 500
             started = time.perf_counter()
             trace = self._trace_for_request()
+            endpoint, status = trace.endpoint, 500
             server._enter_request()
             try:
                 with use_trace(trace):
@@ -508,9 +561,9 @@ def _make_handler(server: PlanServer):
             finally:
                 elapsed = time.perf_counter() - started
                 server._exit_request()
+                trace.endpoint = endpoint
                 trace.finish(status)
                 server.complete_request(trace)
-                server.observe_latency(endpoint, elapsed)
                 counter(
                     "serve.requests", endpoint=endpoint, status=status
                 ).inc()
@@ -553,29 +606,18 @@ def _make_handler(server: PlanServer):
                         retry_after=server.config.retry_after,
                     )
                     return "/healthz", 503
-                self._send_json(
-                    200,
-                    {
-                        "status": "ok",
-                        "inflight": server.inflight(),
-                        "active_searches": server.service.admission.active,
-                        "queued_searches": server.service.admission.waiting,
-                        "plan_store": server.service.store.stats(),
-                        "latency_ms": server.latency_snapshot(),
-                        "slo": server.slo_status(),
-                    },
-                )
+                self._send_json(200, server.health())
                 return "/healthz", 200
             if method == "GET" and path == "/metrics":
                 server.latency_snapshot()  # refresh serve.latency_ms gauges
                 self._send_text(200, get_registry().to_prometheus())
                 return "/metrics", 200
             if method == "GET" and path == "/debug/flightrecorder":
-                self._send_json(200, server.flight.dump())
+                self._send_json(200, server.flight_dump())
                 return "/debug/flightrecorder", 200
             if method == "GET" and path.startswith("/v1/traces/"):
                 trace_id = path[len("/v1/traces/"):]
-                record = server.traces.get(trace_id)
+                record = server.trace(trace_id)
                 if record is None:
                     self._send_json(
                         404, {"error": f"no trace for id {trace_id!r}"}

@@ -31,7 +31,7 @@ gracefully.  This module makes that question answerable:
   scenario, with no per-replay report — and folds the outcomes into a
   :class:`RobustnessReport`:
   p50/p95/p99 iteration latency (nearest-rank, via
-  :mod:`repro.obs.quantiles`), slowdown attribution (compute vs. link vs.
+  :func:`repro.obs.metrics.nearest_rank`), slowdown attribution (compute vs. link vs.
   recovery), and expected recovery cost.
 * **Tail-latency planning** — :func:`robust_search` scores a small plan
   portfolio (PrimePar with and without the temporal primitive, plus the
@@ -66,8 +66,7 @@ from ..cluster.topology import ClusterTopology
 from ..core.optimizer.parallel import parallel_map, resolve_jobs
 from ..core.spec import PartitionSpec
 from ..graph.graph import ComputationGraph
-from ..obs.metrics import counter
-from ..obs.quantiles import nearest_rank
+from ..obs.metrics import counter, nearest_rank
 from ..obs.spans import span
 from .engine import EventDrivenSimulator, OneLayer, PlanLowering
 from .kernel_graph import KernelGraph
@@ -544,7 +543,7 @@ class RobustnessReport:
     """A plan's behaviour under one fault model: tail latency + attribution.
 
     Percentiles are nearest-rank over the scenario latencies
-    (:func:`repro.obs.quantiles.nearest_rank`); ``attribution`` holds the
+    (:func:`repro.obs.metrics.nearest_rank`); ``attribution`` holds the
     mean seconds each fault class added per scenario;
     ``expected_recovery_cost`` equals ``attribution["recovery"]``.
     """

@@ -202,15 +202,11 @@ class TestServeConfig:
             ("lru_size", 0),
             ("max_concurrent", 0),
             ("queue_depth", -1),
-            ("trace_store_size", 0),
-            ("flight_size", 0),
-            ("slo_window", 0),
             ("drain_timeout", float("nan")),
             ("drain_timeout", -1.0),
             ("port", -1),
             ("port", 65536),
             ("port", 70000),
-            ("flight_snapshot_interval", -1.0),
             ("slo_p95_ms", -1.0),
         ],
     )
@@ -222,9 +218,7 @@ class TestServeConfig:
     def test_bounds_admit_their_edges(self):
         config = ServeConfig(
             deadline=0, jobs=0, queue_depth=0, lru_size=1,
-            max_concurrent=1, trace_store_size=1, flight_size=1,
-            slo_window=1, port=0, drain_timeout=0,
-            flight_snapshot_interval=0, slo_p95_ms=0,
+            max_concurrent=1, port=0, drain_timeout=0, slo_p95_ms=0,
         )
         assert config.deadline == 0 and config.jobs == 0
         assert config.port == 0 and config.drain_timeout == 0

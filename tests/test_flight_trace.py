@@ -1,11 +1,15 @@
-"""Request tracing, flight recorder, rolling quantiles, exposition hygiene.
+"""Request tracing, the request ring, exposition hygiene.
 
-The observability primitives behind the serving daemon's forensics:
-per-request trace records (:mod:`repro.obs.reqtrace`), the bounded flight
-recorder (:mod:`repro.obs.flight`), deterministic rolling latency
-quantiles (:mod:`repro.obs.quantiles`), and the Prometheus text-format
-guarantees the satellites tightened (one ``# HELP``/``# TYPE`` per family,
-label-value escaping, structured log fields).
+The observability behind the serving daemon's forensics: per-request
+trace records (:mod:`repro.obs.reqtrace`); the daemon's one ring of
+finished ``/v1/*`` records (:mod:`repro.serve.server`), which answers
+trace lookups, the ``/healthz`` nearest-rank quantiles and the
+flight-recorder dump; and the Prometheus text-format guarantees (one
+``# HELP``/``# TYPE`` per family, label-value escaping, structured log
+fields).
+
+The ring tests feed a never-started :class:`PlanServer` the way its
+handler does when a request finishes, so every duration is exact.
 """
 
 from __future__ import annotations
@@ -17,20 +21,18 @@ import time
 
 import pytest
 
-from repro.obs.flight import FLIGHT_SCHEMA, FlightRecorder, process_rss_bytes
 from repro.obs.logsetup import (
     RESERVED_FIELD_KEYS,
     configure_logging,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.quantiles import (
-    RollingQuantiles,
+from repro.obs.metrics import (
+    MetricsRegistry,
+    get_registry,
     nearest_rank,
-    quantile_label,
+    use_registry,
 )
 from repro.obs.reqtrace import (
     RequestTrace,
-    TraceStore,
     current_trace,
     new_trace_id,
     trace_event,
@@ -38,6 +40,12 @@ from repro.obs.reqtrace import (
     valid_trace_id,
 )
 from repro.obs.spans import get_collector, span
+from repro.serve import PlanServer, PlanService, PlanStore, ServeConfig
+from repro.serve.server import (
+    FLIGHT_SCHEMA,
+    REQUEST_RING_SIZE,
+    SUMMARY_FIELDS,
+)
 
 
 # ----------------------------------------------------------------------
@@ -144,122 +152,26 @@ class TestRequestTrace:
         assert current_trace() is None and get_collector() is None
 
 
-class TestTraceStore:
-    def test_wraparound_drops_oldest(self):
-        store = TraceStore(max_entries=3)
-        for i in range(5):
-            store.put({"trace_id": f"t{i}", "n": i})
-        assert len(store) == 3
-        assert store.get("t0") is None
-        assert store.get("t1") is None
-        assert [store.get(f"t{i}")["n"] for i in (2, 3, 4)] == [2, 3, 4]
-
-    def test_duplicate_id_replaces_and_refreshes_position(self):
-        store = TraceStore(max_entries=2)
-        store.put({"trace_id": "a", "n": 1})
-        store.put({"trace_id": "b", "n": 2})
-        store.put({"trace_id": "a", "n": 3})  # refresh: "b" is now oldest
-        store.put({"trace_id": "c", "n": 4})
-        assert store.get("b") is None
-        assert store.get("a")["n"] == 3
-        assert store.get("c")["n"] == 4
-
-    def test_get_missing_is_none(self):
-        assert TraceStore().get("no-such-trace") is None
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            TraceStore(max_entries=0)
-
-
 # ----------------------------------------------------------------------
-# FlightRecorder
+# the request ring
 # ----------------------------------------------------------------------
 
 
-class TestFlightRecorder:
-    def test_request_ring_wraparound_counts_dropped(self):
-        recorder = FlightRecorder(max_requests=3, snapshot_interval=0)
-        for i in range(5):
-            recorder.record_request({"trace_id": f"t{i}"})
-        dump = recorder.dump(take_snapshot=False)
-        assert dump["schema"] == FLIGHT_SCHEMA
-        assert dump["max_requests"] == 3
-        assert dump["requests_dropped"] == 2
-        assert [r["trace_id"] for r in dump["requests"]] == ["t2", "t3", "t4"]
-
-    def test_dump_takes_a_fresh_snapshot_by_default(self):
-        recorder = FlightRecorder(snapshot_interval=0)
-        dump = recorder.dump()
-        assert len(dump["snapshots"]) == 1
-        snap = dump["snapshots"][0]
-        assert snap["rss_bytes"] >= 0
-        assert snap["threads"] >= 1
-
-    def test_snapshot_provider_fields_are_merged(self):
-        recorder = FlightRecorder(
-            snapshot_interval=0,
-            snapshot_provider=lambda: {"lru_entries": 7, "queued": 0},
-        )
-        snap = recorder.snapshot()
-        assert snap["lru_entries"] == 7
-        assert snap["queued"] == 0
-
-    def test_snapshot_provider_errors_do_not_kill_sampling(self):
-        def broken():
-            raise RuntimeError("provider bug")
-
-        recorder = FlightRecorder(
-            snapshot_interval=0, snapshot_provider=broken
-        )
-        snap = recorder.snapshot()
-        assert "RuntimeError" in snap["provider_error"]
-        assert snap["rss_bytes"] >= 0  # base fields survived
-
-    def test_snapshot_ring_is_bounded(self):
-        recorder = FlightRecorder(max_snapshots=2, snapshot_interval=0)
-        for _ in range(4):
-            recorder.snapshot()
-        assert len(recorder.dump(take_snapshot=False)["snapshots"]) == 2
-
-    def test_background_sampler_runs_and_stops(self):
-        recorder = FlightRecorder(snapshot_interval=0.01)
-        recorder.start()
-        try:
-            deadline = time.monotonic() + 10.0
-            while len(recorder.dump(take_snapshot=False)["snapshots"]) < 2:
-                assert time.monotonic() < deadline, "sampler never sampled"
-                time.sleep(0.005)
-        finally:
-            recorder.stop()
-        recorder.stop()  # idempotent
-        assert recorder._thread is None
-
-    def test_start_is_noop_when_interval_disabled(self):
-        recorder = FlightRecorder(snapshot_interval=0)
-        assert recorder.start() is recorder
-        assert recorder._thread is None
-
-    def test_dump_is_json_serializable(self):
-        recorder = FlightRecorder(snapshot_interval=0)
-        recorder.record_request({"trace_id": "t", "status": 200})
-        json.dumps(recorder.dump())
-
-    def test_rejects_bad_capacities(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(max_requests=0)
-        with pytest.raises(ValueError):
-            FlightRecorder(max_snapshots=0)
-
-    def test_process_rss_is_plausible(self):
-        rss = process_rss_bytes()
-        # A running python interpreter is at least a few MiB resident.
-        assert rss > 1 << 20
+@pytest.fixture()
+def ring():
+    """A never-started server (its ring and gauges are all the tests
+    read), in a fresh metrics registry."""
+    store = PlanStore(max_entries=4, use_disk=False)
+    with use_registry(MetricsRegistry()):
+        yield PlanServer(ServeConfig(port=0), service=PlanService(store=store))
 
 
-# ----------------------------------------------------------------------
-# RollingQuantiles
-# ----------------------------------------------------------------------
+def _finish(server, trace_id, duration_ms=1.0, endpoint="/v1/search"):
+    """Hand ``server`` one finished request, as its handler does."""
+    trace = RequestTrace(trace_id, endpoint)
+    trace.duration_ms = duration_ms
+    trace.finish(200, outcome="memory")
+    server.complete_request(trace)
 
 
 def _bench_percentile(samples, q):
@@ -271,50 +183,138 @@ def _bench_percentile(samples, q):
     return ordered[index]
 
 
+class TestTraceStore:
+    """``GET /v1/traces/<id>``: the newest ring record with that id."""
+
+    def test_wraparound_drops_oldest(self, ring):
+        for i in range(REQUEST_RING_SIZE + 2):
+            _finish(ring, f"t{i}", duration_ms=float(i))
+        assert ring.trace("t0") is None
+        assert ring.trace("t1") is None
+        for i in (2, REQUEST_RING_SIZE + 1):
+            assert ring.trace(f"t{i}")["duration_ms"] == float(i)
+
+    def test_duplicate_id_replaces_and_refreshes_position(self, ring):
+        _finish(ring, "a", duration_ms=1.0)
+        _finish(ring, "b", duration_ms=2.0)
+        _finish(ring, "a", duration_ms=3.0)  # a client reusing its id
+        assert ring.trace("a")["duration_ms"] == 3.0
+        # The first "a" and then "b" fall off; the newest "a" stays.
+        for i in range(REQUEST_RING_SIZE - 1):
+            _finish(ring, f"filler-{i}")
+        assert ring.trace("b") is None
+        assert ring.trace("a")["duration_ms"] == 3.0
+
+    def test_get_missing_is_none(self, ring):
+        assert ring.trace("no-such-trace") is None
+
+    def test_only_v1_requests_enter_the_ring(self, ring):
+        _finish(ring, "kept", endpoint="/v1/plans")
+        for endpoint in ("/healthz", "/metrics", "(unrouted)"):
+            for i in range(REQUEST_RING_SIZE + 1):
+                _finish(ring, f"poll-{i}", endpoint=endpoint)
+        assert ring.trace("kept")["endpoint"] == "/v1/plans"
+        assert ring.trace("poll-0") is None
+        assert ring.flight_dump()["requests_dropped"] == 0
+
+
+class TestFlightRecorder:
+    """``GET /debug/flightrecorder`` and the SIGUSR1 dump."""
+
+    def test_request_ring_wraparound_counts_dropped(self, ring):
+        for i in range(REQUEST_RING_SIZE):
+            _finish(ring, f"t{i}")
+        assert ring.flight_dump()["requests_dropped"] == 0
+        _finish(ring, f"t{REQUEST_RING_SIZE}")  # the 257th evicts t0
+        dump = ring.flight_dump()
+        assert dump["schema"] == FLIGHT_SCHEMA == 2
+        assert dump["max_requests"] == REQUEST_RING_SIZE == 256
+        assert dump["requests_dropped"] == 1
+        assert [r["trace_id"] for r in dump["requests"]] == [
+            f"t{i}" for i in range(1, REQUEST_RING_SIZE + 1)
+        ]
+
+    def test_dump_carries_the_current_health(self, ring):
+        _finish(ring, "t", duration_ms=4.0)
+        health = ring.flight_dump()["health"]
+        assert health == ring.health()
+        assert health["status"] == "ok"
+        assert health["latency_ms"]["/v1/search"]["p95"] == 4.0
+
+    def test_dump_is_json_serializable(self, ring):
+        _finish(ring, "t")
+        dump = json.loads(json.dumps(ring.flight_dump()))
+        assert "snapshots" not in dump
+        assert [tuple(r) for r in dump["requests"]] == [SUMMARY_FIELDS]
+        assert dump["requests"][0]["outcome"] == "memory"
+
+
 class TestRollingQuantiles:
-    def test_matches_bench_percentile_exactly(self):
+    """``/healthz`` ``latency_ms`` and ``slo``: nearest-rank over the ring."""
+
+    def test_matches_bench_percentile_exactly(self, ring):
         # Deterministic but unordered sequence.
         values = [((i * 7919) % 101) / 10.0 for i in range(57)]
-        rolling = RollingQuantiles(window=100)
-        for v in values:
-            rolling.observe(v)
         for q in (0.0, 0.5, 0.95, 0.99, 1.0):
-            assert rolling.quantile(q) == _bench_percentile(values, q)
+            assert nearest_rank(sorted(values), q) == _bench_percentile(
+                values, q
+            )
+        for i, value in enumerate(values):
+            _finish(ring, f"t{i}", duration_ms=value)
+        latency = ring.latency_snapshot()["/v1/search"]
+        slo = ring.slo_status()
+        for label, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
+            assert latency[label] == _bench_percentile(values, q)
+            assert slo[f"{label}_ms"] == latency[label]
 
-    def test_window_evicts_oldest(self):
-        rolling = RollingQuantiles(window=4)
-        for v in range(10):
-            rolling.observe(float(v))
-        assert rolling.count == 10
-        snap = rolling.snapshot()
-        assert snap["window"] == 4.0
-        # Only 6..9 remain, so even p0-ish quantiles never see 0..5.
-        assert rolling.quantile(0.0) == 6.0
-        assert rolling.quantile(1.0) == 9.0
+    def test_window_evicts_oldest(self, ring):
+        for i in range(REQUEST_RING_SIZE + 44):
+            _finish(ring, f"t{i}", duration_ms=float(i))
+        latency = ring.latency_snapshot()["/v1/search"]
+        kept = [float(i) for i in range(44, REQUEST_RING_SIZE + 44)]
+        assert latency["count"] == REQUEST_RING_SIZE
+        assert latency["p50"] == nearest_rank(kept, 0.5)
+        assert latency["p99"] == nearest_rank(kept, 0.99)
 
-    def test_snapshot_schema(self):
-        rolling = RollingQuantiles(window=8)
-        assert rolling.snapshot() == {
-            "count": 0.0, "window": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
+    def test_endpoint_window_is_its_share_of_the_ring(self, ring):
+        for i in range(REQUEST_RING_SIZE):
+            _finish(ring, f"s{i}", duration_ms=float(i))
+        for i in range(100):
+            _finish(ring, f"p{i}", 1000.0 + i, endpoint="/v1/plans")
+        latency = ring.latency_snapshot()
+        search = [float(i) for i in range(100, REQUEST_RING_SIZE)]
+        plans = [1000.0 + i for i in range(100)]
+        assert latency["/v1/search"]["count"] == len(search) == 156
+        assert latency["/v1/plans"]["count"] == 100
+        assert latency["/v1/search"]["p95"] == nearest_rank(search, 0.95)
+        assert latency["/v1/plans"]["p95"] == nearest_rank(plans, 0.95)
+        assert ring.slo_status()["p95_ms"] == nearest_rank(
+            sorted(search + plans), 0.95
+        )
+
+    def test_gauges_publish_the_snapshot(self, ring):
+        for i in range(10):
+            _finish(ring, f"t{i}", duration_ms=float(i))
+        latency = ring.latency_snapshot()["/v1/search"]
+        for label in ("p50", "p95", "p99"):
+            gauge = get_registry().gauge(
+                "serve.latency_ms", endpoint="/v1/search", quantile=label
+            )
+            assert gauge.value == latency[label]
+
+    def test_snapshot_schema(self, ring):
+        assert ring.latency_snapshot() == {}
+        assert ring.slo_status() == {
+            "status": "disabled", "target_p95_ms": 0.0, "count": 0,
+            "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0,
         }
-        rolling.observe(3.0)
-        snap = rolling.snapshot()
-        assert snap["count"] == 1.0
-        assert snap["p50"] == snap["p95"] == snap["p99"] == 3.0
+        _finish(ring, "t", duration_ms=3.0)
+        assert ring.latency_snapshot() == {
+            "/v1/search": {"count": 1, "p50": 3.0, "p95": 3.0, "p99": 3.0},
+        }
 
     def test_nearest_rank_empty_is_zero(self):
         assert nearest_rank([], 0.5) == 0.0
-
-    def test_quantile_labels(self):
-        assert quantile_label(0.5) == "p50"
-        assert quantile_label(0.95) == "p95"
-        assert quantile_label(0.999) == "p99.9"
-
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ValueError):
-            RollingQuantiles(window=0)
-        with pytest.raises(ValueError):
-            RollingQuantiles(quantiles=(1.5,))
 
 
 # ----------------------------------------------------------------------

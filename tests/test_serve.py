@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import contextvars
 import json
+import logging
 import math
+import socket
 import subprocess
 import sys
 import threading
@@ -29,7 +31,12 @@ from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.graph.models import MODELS_BY_KEY
 from repro.graph.transformer import build_block_graph
 from repro.api import MAX_ALPHA, MAX_LAYERS, ExplainRequest, ValidationError
-from repro.obs.metrics import MetricsRegistry, counter, use_registry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    counter,
+    nearest_rank,
+    use_registry,
+)
 from repro.serve import (
     AdmissionController,
     AdmissionRejected,
@@ -581,6 +588,31 @@ class TestHTTPEndpoints:
         assert err.value.status == 400
         assert "power of two" in err.value.message
 
+    @pytest.mark.parametrize("declared", ["abc", "-5", "-1"])
+    def test_bad_content_length_is_400(self, server, declared, caplog):
+        """Anything but a non-negative integer ``Content-Length`` is a 400
+        at once: no traceback, no handler left reading the socket."""
+        raw = (
+            "POST /v1/search HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {declared}\r\n\r\n"
+        )
+        with caplog.at_level(logging.ERROR, logger="repro.serve"):
+            with socket.create_connection(
+                (server.host, server.port), timeout=10.0
+            ) as sock:
+                sock.sendall(raw.encode())
+                # The server closes the connection after its answer.
+                response = sock.makefile("rb").read()
+            answered = counter(
+                "serve.requests", endpoint="/v1/search", status=400
+            )
+            _wait_for(lambda: answered.value == 1)
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert "Content-Length" in json.loads(body)["error"]
+        assert "unhandled error" not in caplog.text
+        assert server.inflight() == 0
+
     @pytest.mark.parametrize(
         "path, body, field",
         [
@@ -809,9 +841,9 @@ def _component_fold(doc):
 def _wait_for(probe, timeout=30.0):
     """Poll ``probe`` until it returns a truthy value (returns it).
 
-    Request records, latency observations and flight-recorder entries
-    land *after* the response bytes are written (the handler's finally
-    block), so tests reading them back must allow a brief settle.
+    A request's record enters the request ring *after* the response
+    bytes are written (the handler's finally block), so tests reading
+    it back must allow a brief settle.
     """
     deadline = time.monotonic() + timeout
     while True:
@@ -1015,25 +1047,86 @@ class TestTracingHTTP:
             )
             and d
         )
-        assert dump["schema"] == 1
+        assert dump["schema"] == 2
         assert dump["requests_dropped"] == 0
+        assert "snapshots" not in dump
         by_id = {r["trace_id"]: r for r in dump["requests"]}
         record = by_id["flight-req-1"]
         assert record["endpoint"] == "/v1/search"
         assert record["status"] == 200
         assert record["outcome"] == "computed"
         assert record["duration_ms"] > 0.0
-        # The dump-time snapshot folds in the host's gauges.
-        snapshot = dump["snapshots"][-1]
-        assert snapshot["plan_store"]["entries"] >= 1
-        assert snapshot["admission_active"] == 0
-        assert snapshot["http_inflight"] >= 1  # this request itself
+        assert "events" not in record  # summary fields only
+        # The dump carries the /healthz state at dump time.
+        health = dump["health"]
+        assert health["plan_store"]["entries"] >= 1
+        assert health["active_searches"] == 0
+        assert health["inflight"] >= 1  # this request itself
+        assert health["latency_ms"]["/v1/search"]["count"] >= 1
 
     def test_dump_flight_recorder_writes_json(self, server):
+        PlanClient(server.url).search(
+            SearchRequest(model=MODEL, devices=2, batch=8), trace_id="dumped"
+        )
+        _wait_for(lambda: server.trace("dumped"))
         path = server.dump_flight_recorder()
         assert path is not None
         with open(path, "r", encoding="utf-8") as handle:
-            assert json.load(handle)["schema"] == 1
+            dump = json.load(handle)
+        assert dump["schema"] == 2
+        assert [r["trace_id"] for r in dump["requests"]] == ["dumped"]
+        assert dump["health"]["latency_ms"]["/v1/search"]["count"] == 1
+
+    def test_trace_survives_healthz_polls(self, server):
+        """Polling never evicts a trace: only ``/v1/*`` enters the ring."""
+        client = PlanClient(server.url)
+        client.search(
+            SearchRequest(model=MODEL, devices=2, batch=8), trace_id="kept-1"
+        )
+        _wait_for(lambda: server.trace("kept-1"))
+        for _ in range(300):
+            client.healthz()
+        assert client.trace("kept-1")["outcome"] == "computed"
+        assert "/healthz" not in client.healthz()["latency_ms"]
+
+    def test_three_readers_read_one_ring(self, server):
+        """``/healthz`` quantiles are nearest-rank over the dump's records."""
+        client = PlanClient(server.url)
+        request = SearchRequest(model=MODEL, devices=2, batch=8)
+        for i in range(5):
+            client.search(request, trace_id=f"ring-{i}")
+        client.trace("ring-0")
+        client.trace("no-such-id")
+        dump = _wait_for(
+            lambda: (d := client._json("GET", "/debug/flightrecorder"))
+            and len(d["requests"]) == 7
+            and d
+        )
+        health = client.healthz()
+        durations = {}
+        for record in dump["requests"]:
+            durations.setdefault(record["endpoint"], []).append(
+                record["duration_ms"]
+            )
+        assert sorted(durations) == ["/v1/search", "/v1/traces"]
+        for endpoint, values in durations.items():
+            ordered = sorted(values)
+            expected = {
+                "count": len(values),
+                "p50": nearest_rank(ordered, 0.5),
+                "p95": nearest_rank(ordered, 0.95),
+                "p99": nearest_rank(ordered, 0.99),
+            }
+            assert health["latency_ms"][endpoint] == expected
+            assert dump["health"]["latency_ms"][endpoint] == expected
+        everything = sorted(r["duration_ms"] for r in dump["requests"])
+        assert health["slo"]["count"] == 7
+        assert health["slo"]["p95_ms"] == nearest_rank(everything, 0.95)
+
+    def test_started_server_runs_no_sampler_thread(self, server):
+        names = [thread.name for thread in threading.enumerate()]
+        assert "primepar-serve" in names
+        assert "primepar-flight" not in names
 
 
 class TestExplainHTTP:
@@ -1250,10 +1343,6 @@ class TestServeCLI:
         assert args.lru_size == 256
         assert args.deadline == 120.0
         assert args.drain_timeout == 10.0
-        assert args.trace_store_size == 256
-        assert args.flight_size == 256
-        assert args.flight_snapshot_interval == 30.0
-        assert args.slo_window == 256
         assert args.slo_p95_ms == 0.0
 
     def test_serve_flags_follow_config_fields(self):
