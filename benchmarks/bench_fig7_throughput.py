@@ -2,21 +2,24 @@
 
 Six benchmark models, scaling over 4/8/16/32 GPUs (no pipeline
 parallelism).  Megatron enumerates its data-parallel degree; Alpa searches
-the conventional space; PrimePar searches the full spatial-temporal space.
+the conventional space; PrimePar searches the full spatial-temporal space,
+under the same memory weight ``ALPHA`` (``repro.baselines.portfolio``).
 Throughput is normalized to Megatron-LM per (model, scale).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from conftest import bench_scales, default_batch, emit
+from conftest import ALPHA, bench_scales, default_batch, emit
 
 from repro.graph.models import BENCHMARK_MODELS
 from repro.reporting.tables import Figure
 
 
 def _collect(comparisons):
-    figure = Figure("Fig. 7: training throughput (samples/s)")
+    figure = Figure(
+        f"Fig. 7: training throughput (samples/s), alpha {ALPHA:g} s/byte"
+    )
     for model in BENCHMARK_MODELS:
         for n_devices in bench_scales():
             batch = default_batch(n_devices)

@@ -7,14 +7,16 @@ buffers), normalized to Megatron-LM.
 
 from __future__ import annotations
 
-from conftest import bench_scales, default_batch, emit
+from conftest import ALPHA, bench_scales, default_batch, emit
 
 from repro.graph.models import BENCHMARK_MODELS
 from repro.reporting.tables import Figure
 
 
 def _collect(comparisons):
-    figure = Figure("Fig. 8: peak memory per GPU (GiB)")
+    figure = Figure(
+        f"Fig. 8: peak memory per GPU (GiB), alpha {ALPHA:g} s/byte"
+    )
     for model in BENCHMARK_MODELS:
         for n_devices in bench_scales():
             batch = default_batch(n_devices)

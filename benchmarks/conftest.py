@@ -9,7 +9,7 @@ Environment knobs:
 
 * ``REPRO_BENCH_SCALES`` — comma-separated GPU counts (default ``4,8,16,32``).
 * ``REPRO_BENCH_BEAM32`` — beam width for 32-GPU searches (default 48;
-  smaller is faster, exact search is ``0``/unset-able via ``-1``).
+  smaller is faster; ``0`` or below searches exactly).
 * ``REPRO_BENCH_JOBS`` — worker processes for the searches (default 1 =
   serial; 0 = all cores).
 """
@@ -30,17 +30,16 @@ import pytest
 from repro import (
     EventDrivenSimulator,
     FabricProfiler,
-    PrimeParOptimizer,
     build_block_graph,
     v100_cluster,
 )
-from repro.baselines.alpa import alpa_optimizer
-from repro.baselines.megatron import best_megatron_plan
+from repro.baselines.portfolio import portfolio
 from repro.obs import SpanCollector, use_collector
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Memory weight used for PrimePar's joint objective in all benchmarks.
+#: Memory weight of the joint objective (Eq. 7) in all benchmarks, for
+#: PrimePar and the Alpa stand-in alike.
 ALPHA = 2e-11
 
 
@@ -53,7 +52,7 @@ def beam_for(n_devices: int) -> Optional[int]:
     if n_devices < 32:
         return None
     raw = int(os.environ.get("REPRO_BENCH_BEAM32", "48"))
-    return None if raw < 0 else raw
+    return None if raw <= 0 else raw
 
 
 def jobs_for() -> int:
@@ -109,35 +108,26 @@ class ComparisonCache:
         return self._profilers[n_devices]
 
     def compare(self, model, n_devices: int, batch: int) -> Dict:
-        """Megatron (best d), Alpa and PrimePar reports for one setting."""
+        """Megatron (best d), Alpa and PrimePar reports for one setting,
+        the two searches under one :data:`ALPHA`."""
         key = (model.name, n_devices, batch)
         if key in self._results:
             return self._results[key]
         profiler = self.profiler(n_devices)
         simulator = EventDrivenSimulator(profiler)
         graph = build_block_graph(model.block_shape(batch=batch))
-        beam = beam_for(n_devices)
-        megatron = best_megatron_plan(
-            simulator, graph, batch, n_layers=model.n_layers
-        )
-        alpa_search = alpa_optimizer(profiler, beam=beam).optimize(graph)
-        alpa_report = simulator.run_model(
-            graph, alpa_search.plan, batch, model.n_layers
-        )
-        pp_search = PrimeParOptimizer(
-            profiler, alpha=ALPHA, beam=beam
-        ).optimize(graph)
-        pp_report = simulator.run_model(
-            graph, pp_search.plan, batch, model.n_layers
+        plans = portfolio(
+            profiler, graph, global_batch=batch, n_layers=model.n_layers,
+            alpha=ALPHA, beam=beam_for(n_devices),
         )
         result = {
-            "graph": graph,
-            "megatron": megatron.report,
-            "megatron_config": (megatron.dp_degree, megatron.mp_degree),
-            "alpa": alpa_report,
-            "alpa_search": alpa_search,
-            "primepar": pp_report,
-            "primepar_search": pp_search,
+            "megatron": plans.megatron.report,
+            "alpa": simulator.run_model(
+                graph, plans.conventional.plan, batch, model.n_layers
+            ),
+            "primepar": simulator.run_model(
+                graph, plans.primepar.plan, batch, model.n_layers
+            ),
         }
         self._results[key] = result
         return result

@@ -48,7 +48,6 @@ from . import (
     FabricProfiler,
     PartitionSpec,
     Planner3D,
-    PrimeParOptimizer,
     RobustnessRequest,
     SearchRequest,
     SimulateRequest,
@@ -57,8 +56,7 @@ from . import (
     verify_spec,
 )
 from .api import ServeConfig, field_type, plan_from_json, request_fields
-from .baselines.alpa import alpa_optimizer
-from .baselines.megatron import best_megatron_plan
+from .baselines.portfolio import portfolio
 from .graph.models import MODELS_BY_KEY
 from .obs import (
     SpanCollector,
@@ -238,24 +236,20 @@ def cmd_compare(args) -> int:
     logger.info(
         "comparing baselines for %s on %d devices", model.name, request.devices
     )
-    megatron = best_megatron_plan(simulator, graph, batch, model.n_layers)
-    alpa = alpa_optimizer(profiler, beam=request.beam or None).optimize(graph)
-    alpa_report = simulator.run_model(graph, alpa.plan, batch, model.n_layers)
-    primepar = PrimeParOptimizer(
-        profiler,
-        alpha=request.alpha,
-        include_temporal=request.include_temporal,
-        beam=request.beam or None,
-        jobs=args.jobs,
-    ).optimize(graph)
-    pp_report = simulator.run_model(
-        graph, primepar.plan, batch, model.n_layers
+    plans = portfolio(
+        profiler, graph, global_batch=batch, n_layers=model.n_layers,
+        alpha=request.alpha, beam=request.beam or None, jobs=args.jobs,
     )
+    megatron = plans.megatron
     rows = []
     for label, report in (
         (f"megatron (d={megatron.dp_degree})", megatron.report),
-        ("alpa", alpa_report),
-        ("primepar", pp_report),
+        ("alpa", simulator.run_model(
+            graph, plans.conventional.plan, batch, model.n_layers
+        )),
+        ("primepar", simulator.run_model(
+            graph, plans.primepar.plan, batch, model.n_layers
+        )),
     ):
         rows.append(
             [
@@ -271,7 +265,7 @@ def cmd_compare(args) -> int:
             ["system", "samples/s", "vs megatron", "GiB/dev", "collective ms"],
             rows,
             title=f"{model.name} on {request.devices} simulated V100s, "
-            f"batch {batch}",
+            f"batch {batch}, alpha {request.alpha:g} s/byte",
         )
     )
     return 0

@@ -101,18 +101,13 @@ class SegmentTable:
 
     def extract(self, a: int, c: int, out: Dict[str, int]) -> None:
         """Fill ``out`` with the optimal class per node given endpoints."""
-        index = {name: i for i, name in enumerate(self.node_names)}
+        names = self.node_names
         out[self.start] = a
         out[self.end] = c
         current = c
-        for name in reversed(self.node_names[1:-1] + (self.end,)):
-            arg = self.backpointers.get(name)
-            if arg is None:
-                continue
-            previous = int(arg[a, current])
-            prev_name = self.node_names[index[name] - 1]
-            out[prev_name] = previous
-            current = previous
+        for j in range(len(names) - 1, 0, -1):
+            current = int(self.backpointers[names[j]][a, current])
+            out[names[j - 1]] = current
 
 
 def edge_signature(edge: Edge) -> Tuple:
@@ -190,14 +185,8 @@ def solve_segment(
     start = names[0]
     start_set = candidates[start]
     n_start = len(start_set)
-    if len(names) == 1:
-        cost = np.full((n_start, n_start), np.inf)
-        np.fill_diagonal(cost, start_set.intra)
-        counter("dp.segments_solved").inc()
-        histogram("dp.table_cells", buckets=_TABLE_BUCKETS).observe(cost.size)
-        return SegmentTable(start, start, names, cost)
-    # C_{i,i}: only the start node, p_i = p_i.  The first Bellman step
-    # multiplies it in closed form.
+    # C_{i,i}: only the start node, p_i = p_i — a one-node segment's whole
+    # table.  The first Bellman step multiplies it in closed form.
     cost = np.full((n_start, n_start), np.inf)
     np.fill_diagonal(cost, start_set.intra)
     table = SegmentTable(start, start, names, cost)

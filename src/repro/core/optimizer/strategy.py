@@ -85,8 +85,8 @@ class PrimeParOptimizer:
         partition_batch: ``False`` removes batch partitioning — used when
             composing with externally-controlled data parallelism (Sec. 6.4).
         beam: Optional per-node candidate cap (cheapest classes by intra
-            cost) bounding search time on large clusters; ``None`` searches
-            the full space.
+            cost) bounding search time on large clusters, at least 1;
+            ``None`` searches the full space.
         jobs: Process-pool width for per-operator-type candidate builds
             (``1`` = serial, ``0`` = all cores).  Results are merged
             order-independently and are bit-identical to the serial path.
@@ -101,6 +101,8 @@ class PrimeParOptimizer:
         beam: Optional[int] = None,
         jobs: int = 1,
     ) -> None:
+        if beam is not None and beam < 1:
+            raise ValueError(f"beam must be >= 1 or None (exact), got {beam}")
         self.profiler = profiler
         self.include_temporal = include_temporal
         self.partition_batch = partition_batch

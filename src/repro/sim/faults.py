@@ -935,39 +935,24 @@ def robust_search(
 ) -> RobustSearchResult:
     """Rank a plan portfolio by tail latency under ``fault_model``.
 
-    The portfolio holds the PrimePar optimum with the temporal primitive,
-    the conventional (spatial-only) optimum, and the Megatron-style
-    baseline of :func:`~repro.baselines.megatron.best_megatron_plan`
-    (the degree with the highest simulated throughput at ``n_layers``);
+    The portfolio is :func:`~repro.baselines.portfolio.portfolio`'s:
+    the PrimePar optimum, the conventional (spatial-only) optimum under
+    the same ``alpha``, and Megatron's best degree at ``n_layers``;
     identical plans are evaluated once.  ``sim_layers`` bounds the
     robustness replays (default: ``n_layers``); the plan *search* always
     runs at ``n_layers``.
     """
-    from ..baselines.megatron import best_megatron_plan
-    from ..core.optimizer.strategy import PrimeParOptimizer
+    from ..baselines.portfolio import portfolio
 
     depth = sim_layers if sim_layers else n_layers
     with span("faults.robust_search", objective=objective):
-        portfolio: List[Tuple[str, Dict[str, PartitionSpec]]] = []
-        for label, temporal in (("primepar", True), ("conventional", False)):
-            optimizer = PrimeParOptimizer(
-                profiler,
-                alpha=alpha,
-                include_temporal=temporal,
-                beam=beam,
-                jobs=jobs or 1,
-            )
-            result = optimizer.optimize(graph, n_layers=n_layers,
-                                        deadline=deadline)
-            portfolio.append((label, dict(result.plan)))
-        megatron = best_megatron_plan(
-            EventDrivenSimulator(profiler), graph, global_batch, n_layers
+        plans = portfolio(
+            profiler, graph, global_batch=global_batch, n_layers=n_layers,
+            alpha=alpha, beam=beam, jobs=jobs or 1, deadline=deadline,
         )
-        portfolio.append(("megatron", megatron.plan))
-
         candidates: List[RobustCandidate] = []
         seen: Dict[str, RobustnessReport] = {}
-        for label, plan in portfolio:
+        for label, plan in zip(plans._fields, (m.plan for m in plans)):
             fingerprint = json.dumps(
                 {name: str(spec) for name, spec in sorted(plan.items())}
             )

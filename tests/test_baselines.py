@@ -7,13 +7,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import schedule_oracle as analysis  # noqa: E402  (scalar all-reduce groups)
-from repro.baselines.alpa import alpa_optimizer
 from repro.baselines.ideal import global_footprint_bytes, ideal_peak_memory
 from repro.baselines.megatron import (
     best_megatron_plan,
     megatron_plan,
     megatron_plans,
 )
+from repro.baselines.portfolio import portfolio
 from repro.cluster.profiler import FabricProfiler
 from repro.cluster.topology import v100_cluster
 from repro.core.cost.overall import OverallCostModel
@@ -123,23 +123,63 @@ class TestBestMegatron:
         assert best.dp_degree == fastest
 
 
-class TestAlpa:
-    def test_alpa_excludes_temporal(self, profiler4, small_block):
-        result = alpa_optimizer(profiler4).optimize(small_block)
-        assert all(not spec.has_temporal for spec in result.plan.values())
+#: The memory weight the benchmarks compare the three systems under.
+ALPHA = 2e-11
 
-    def test_alpa_optimizer_flag(self, profiler4):
-        optimizer = alpa_optimizer(profiler4)
-        assert isinstance(optimizer, PrimeParOptimizer)
-        assert not optimizer.include_temporal
+
+class TestAlpa:
+    """The Alpa stand-in: the portfolio's conventional-space search."""
+
+    def test_alpa_excludes_temporal(self, profiler4, small_block):
+        plans = portfolio(
+            profiler4, small_block, global_batch=8, n_layers=1, alpha=ALPHA
+        )
+        assert all(
+            not spec.has_temporal for spec in plans.conventional.plan.values()
+        )
+
+    def test_alpa_is_conventional_search(self, profiler4, small_block):
+        """The stand-in is PrimePar's own search without the temporal
+        primitive, under the portfolio's one alpha."""
+        plans = portfolio(
+            profiler4, small_block, global_batch=8, n_layers=2, alpha=ALPHA
+        )
+        direct = PrimeParOptimizer(
+            profiler4, alpha=ALPHA, include_temporal=False
+        ).optimize(small_block, n_layers=2)
+        assert plans.conventional.plan == direct.plan
+        assert plans.conventional.cost == direct.cost
+        assert plans.conventional.model_cost == direct.model_cost
 
     def test_alpa_at_least_as_good_as_megatron(self, profiler8, large_block):
-        """Alpa searches a superset of Megatron's manual plans."""
+        """Alpa searches a superset of Megatron's manual plans; at alpha 0
+        its objective is latency alone."""
         simulator = EventDrivenSimulator(profiler8)
-        meg = best_megatron_plan(simulator, large_block, global_batch=8)
-        alpa = alpa_optimizer(profiler8).optimize(large_block)
-        alpa_report = simulator.run_model(large_block, alpa.plan, 8, 1)
-        assert alpa_report.throughput >= meg.report.throughput * 0.999
+        plans = portfolio(
+            profiler8, large_block, global_batch=8, n_layers=1, alpha=0.0
+        )
+        alpa_report = simulator.run_model(
+            large_block, plans.conventional.plan, 8, 1
+        )
+        assert alpa_report.throughput >= (
+            plans.megatron.report.throughput * 0.999
+        )
+
+    @pytest.mark.parametrize("n_devices", [4, 8])
+    @pytest.mark.parametrize("key", sorted(MODELS_BY_KEY))
+    def test_spaces_nest_under_one_alpha(self, key, n_devices):
+        """The conventional space is a subset of PrimePar's, so under one
+        alpha PrimePar's exact optimum is never above the stand-in's, per
+        layer or over the whole stack (the six benchmark models)."""
+        model = MODELS_BY_KEY[key]
+        batch = max(8, n_devices)
+        plans = portfolio(
+            FabricProfiler(v100_cluster(n_devices)),
+            build_block_graph(model.block_shape(batch=batch)),
+            global_batch=batch, n_layers=model.n_layers, alpha=ALPHA,
+        )
+        assert plans.primepar.cost <= plans.conventional.cost
+        assert plans.primepar.model_cost <= plans.conventional.model_cost
 
 
 class TestIdealMemory:

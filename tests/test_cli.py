@@ -191,6 +191,39 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "megatron" in out and "primepar" in out
 
+    def test_compare_alpa_row_is_conventional_search(self, capsys):
+        """The ``alpa`` row is PrimePar's own search without the temporal
+        primitive, under the comparison's alpha, replayed at full depth."""
+        from repro import (
+            EventDrivenSimulator, FabricProfiler, PrimeParOptimizer,
+            build_block_graph, v100_cluster,
+        )
+        from repro.graph.models import OPT_6_7B
+
+        alpha = 3e-11
+        code = main(
+            ["compare", "--model", "opt-6.7b", "--devices", "4",
+             "--batch", "8", "--alpha", str(alpha)]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(f"alpha {alpha:g} s/byte")
+        (row,) = [line for line in lines if line.startswith("alpa ")]
+        samples, _, memory, collective = [
+            cell.strip() for cell in row.split("|")[1:]
+        ]
+        profiler = FabricProfiler(v100_cluster(4))
+        graph = build_block_graph(OPT_6_7B.block_shape(batch=8))
+        plan = PrimeParOptimizer(
+            profiler, alpha=alpha, include_temporal=False
+        ).optimize(graph).plan
+        report = EventDrivenSimulator(profiler).run_model(
+            graph, plan, 8, OPT_6_7B.n_layers
+        )
+        assert samples == f"{report.throughput:.2f}"
+        assert memory == f"{report.peak_memory_bytes / 2**30:.2f}"
+        assert collective == f"{report.collective_latency * 1e3:.0f}"
+
     def test_simulate_event_with_trace(self, capsys, tmp_path):
         trace_path = tmp_path / "out.json"
         code = main(

@@ -10,8 +10,8 @@ from repro import (
     v100_cluster,
     verify_spec,
 )
-from repro.baselines.alpa import alpa_optimizer
 from repro.baselines.megatron import best_megatron_plan
+from repro.baselines.portfolio import portfolio
 from repro.core.spec import PartitionSpec
 from repro.graph.models import OPT_175B, OPT_6_7B
 from repro.runtime.linear_exec import LinearShape
@@ -65,10 +65,11 @@ class TestHeadlineComparison:
     def test_alpa_close_to_megatron(self, setting16):
         """Paper Sec. 6.1: the two conventional baselines perform closely."""
         profiler, simulator, graph = setting16
-        megatron = best_megatron_plan(simulator, graph, global_batch=16)
-        alpa = alpa_optimizer(profiler).optimize(graph)
-        report = simulator.run_model(graph, alpa.plan, 16, 1)
-        ratio = report.throughput / megatron.report.throughput
+        plans = portfolio(
+            profiler, graph, global_batch=16, n_layers=1, alpha=2e-11
+        )
+        report = simulator.run_model(graph, plans.conventional.plan, 16, 1)
+        ratio = report.throughput / plans.megatron.report.throughput
         assert 0.9 <= ratio <= 1.35
 
     def test_collective_latency_reduced(self, setting16):

@@ -1,5 +1,6 @@
 """Segmented dynamic programming: Eq. 11-14, optimality and extraction."""
 
+import importlib.util
 import itertools
 import sys
 import time
@@ -297,6 +298,27 @@ class TestSpaceRelations:
         assert beamed.optimize(small_block).cost >= exact.optimize(
             small_block
         ).cost - 1e-12
+
+    @pytest.mark.parametrize("beam", [0, -1])
+    def test_beam_below_one_rejected(self, profiler4, beam):
+        """``None`` is the one spelling of an exact search: a beam of 0
+        would keep only each operator's canonical specs."""
+        with pytest.raises(ValueError, match="beam"):
+            PrimeParOptimizer(profiler4, beam=beam)
+
+    @pytest.mark.parametrize(
+        "raw, beam", [("0", None), ("-1", None), ("24", 24)]
+    )
+    def test_bench_beam_zero_is_exact(self, monkeypatch, raw, beam):
+        """``REPRO_BENCH_BEAM32=0`` asks the benchmarks for an exact search."""
+        root = Path(__file__).resolve().parent.parent
+        path = root / "benchmarks" / "conftest.py"
+        spec = importlib.util.spec_from_file_location("bench_conftest", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        monkeypatch.setenv("REPRO_BENCH_BEAM32", raw)
+        assert bench.beam_for(32) == beam
+        assert bench.beam_for(16) is None
 
     def test_plan_covers_every_node(self, profiler4, small_block):
         result = PrimeParOptimizer(profiler4).optimize(small_block)
