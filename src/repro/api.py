@@ -43,6 +43,7 @@ from .graph.models import MODELS_BY_KEY
 __all__ = [
     "ExplainRequest",
     "MAX_ALPHA",
+    "MAX_BATCH",
     "MAX_DEVICES",
     "MAX_LAYERS",
     "OBJECTIVES",
@@ -67,6 +68,10 @@ SCHEMA_VERSION = 1
 
 #: Largest cluster a request may ask for (guards against absurd bodies).
 MAX_DEVICES = 4096
+
+#: Largest global batch a request may ask for: every byte count a plan's
+#: price list sums stays far below 2**53, so its sums stay exact.
+MAX_BATCH = 65_536
 
 #: Deepest replay a request may ask for (replay time grows linearly with
 #: depth; the deepest benchmark model has 96 layers).
@@ -268,7 +273,8 @@ class SearchRequest(_Request):
         8, f"cluster size, a power of two in [2, {MAX_DEVICES}]"
     )
     batch: int = _arg(
-        0, "global batch (0 = max(8, min(devices, 32)))", lo=0
+        0, f"global batch, at most {MAX_BATCH} (0 = max(8, min(devices, "
+        "32)))", lo=0, hi=MAX_BATCH,
     )
     alpha: float = _arg(
         2e-11, f"Eq. 7 memory weight in s/byte, at most {MAX_ALPHA:g}",

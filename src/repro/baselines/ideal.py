@@ -7,31 +7,23 @@ peak memory is the global footprint divided by the device count.
 
 from __future__ import annotations
 
-from ..core.dims import Dim
+import numpy as np
+
+from ..core.cost.memory import MemoryCostModel
+from ..core.dims import ALL_DIMS
 from ..graph.graph import ComputationGraph
-from ..graph.operators import OpKind
-from ..graph.tensors import DTYPE_BYTES
 
 
 def global_footprint_bytes(graph: ComputationGraph) -> float:
-    """Total unpartitioned params + grads + stash of one graph instance."""
+    """Total unpartitioned params + grads + stash of one graph instance:
+    :class:`MemoryCostModel`'s parameter and stash bytes on one device
+    (every slice count 1, so no temporal double buffers)."""
+    memory = MemoryCostModel()
+    whole = np.ones((1, len(ALL_DIMS)))
     total = 0.0
     for node in graph.nodes:
-        params = node.parameter_elements()
-        total += 2 * params * node.weight_dtype_bytes  # weights + gradients
-        if not node.stash_inputs:
-            continue
-        if node.kind is OpKind.LINEAR:
-            stash = (
-                node.dim_size(Dim.B) * node.dim_size(Dim.M) * node.dim_size(Dim.N)
-            )
-        elif node.kind is OpKind.MATMUL:
-            b, m = node.dim_size(Dim.B), node.dim_size(Dim.M)
-            n, k = node.dim_size(Dim.N), node.dim_size(Dim.K)
-            stash = b * m * n + b * n * k
-        else:
-            stash = node.output_elements()
-        total += stash * DTYPE_BYTES
+        total += float(memory.parameter_bytes_batch(node, whole)[0])
+        total += float(memory.stash_bytes_batch(node, whole)[0])
     return total
 
 

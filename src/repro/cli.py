@@ -302,21 +302,18 @@ def _emit_utilization(payload: Dict[str, Any]) -> None:
                 title="hottest links",
             ),
         )
-    watermark = util.get("memory_watermark")
-    if watermark:
-        composition = ", ".join(
-            f"{kind} {resident / 2**30:.2f} GiB"
-            for kind, resident in sorted(
-                watermark.get("composition", {}).items()
-            )
+    composition = ", ".join(
+        f"{kind} {resident / 2**30:.2f} GiB"
+        for kind, resident in sorted(
+            util.get("memory_watermark", {}).get("composition", {}).items()
         )
-        emit(
-            f"\npeak memory per device: "
-            f"{payload['peak_memory_bytes'] / 2**30:.2f} GiB static model, "
-            f"{watermark.get('peak_bytes', 0.0) / 2**30:.2f} GiB tracked "
-            f"watermark over {payload['layers']} layers"
-            + (f" ({composition})" if composition else "")
-        )
+    )
+    emit(
+        f"\npeak memory per device: "
+        f"{payload['peak_memory_bytes'] / 2**30:.2f} GiB over "
+        f"{payload['layers']} layers"
+        + (f" ({composition})" if composition else "")
+    )
 
 
 def render_simulate(payload: Dict[str, Any]) -> None:

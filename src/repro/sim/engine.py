@@ -105,7 +105,7 @@ from .. import cache as diskcache
 from ..cluster.profiler import FabricProfiler
 from ..core.dims import ALL_PHASES, Phase
 from ..core.cost.intra import PhaseTerms
-from ..core.cost.overall import OverallCostModel
+from ..core.cost.overall import OverallCostModel, PlanCost
 from ..core.spec import PartitionSpec
 from ..graph.graph import ComputationGraph
 from ..obs.metrics import counter, gauge
@@ -124,7 +124,6 @@ from .kernel_graph import (
     SimKernel,
     StreamResource,
 )
-from .memory_tracker import track_iteration
 from .timeline import Timeline
 
 __all__ = [
@@ -147,7 +146,7 @@ SIM_SCHEMA = 3
 REPORT_KIND = "simreport"
 
 #: Bump when :class:`PlanLowering`'s layout or pricing changes meaning.
-LOWERING_SCHEMA = 1
+LOWERING_SCHEMA = 2
 
 #: Cache kind of plan lowerings.
 LOWERING_KIND = "lowering"
@@ -191,6 +190,31 @@ def _phase_lowering(spec: PartitionSpec, priced: PhaseTerms) -> PhaseLowering:
     return PhaseLowering(step_compute, spec.total_steps, ring, allreduce)
 
 
+def _memory_split(priced: PlanCost) -> Dict[str, float]:
+    """Per-device memory by kind: the sums of ``priced``'s parameter,
+    double-buffer and stash bytes over its operators, in node order.
+
+    Keys appear in the order the first operator holding each kind is met —
+    ``parameters`` and ``buffers`` of every operator, then ``stash`` — and
+    kinds of at most 1e-9 bytes are dropped.  Every stash is live at the
+    end of Forward, so the kinds add up to the peak,
+    ``priced.memory_bytes``.
+    """
+    held = [
+        (kind, float(n_bytes[0]))
+        for terms in priced.terms
+        for kind, n_bytes in (
+            ("parameters", terms.parameter_bytes),
+            ("buffers", terms.buffer_bytes),
+        )
+    ] + [("stash", float(terms.stash_bytes[0])) for terms in priced.terms]
+    totals: Dict[str, float] = {}
+    for kind, n_bytes in held:
+        if n_bytes:
+            totals[kind] = totals.get(kind, 0.0) + n_bytes
+    return {kind: total for kind, total in totals.items() if total > 1e-9}
+
+
 @dataclass(frozen=True)
 class PlanLowering:
     """Every cost term an event replay of one ``(graph, plan)`` reads.
@@ -205,11 +229,10 @@ class PlanLowering:
     edge_costs: Mapping[Tuple[str, str, str], Tuple[float, float]]
     phases: Mapping[Tuple[str, Phase], PhaseLowering]
     layernorm_extras: Mapping[str, float]
-    #: One layer's static per-device memory (``PlanCost.memory_bytes``).
+    #: One layer's per-device memory (``PlanCost.memory_bytes``) and its
+    #: split by kind (:func:`_memory_split`).
     plan_memory: float
-    #: One layer's tracked watermark (``track_iteration``) and its makeup.
-    watermark_peak: float
-    watermark_composition: Mapping[str, float]
+    memory_split: Mapping[str, float]
 
 
 #: Kernel kinds :meth:`EventDrivenSimulator._collective` adds per rank:
@@ -335,7 +358,6 @@ class EventDrivenSimulator:
         with span("sim.lower", ops=len(graph.nodes), edges=len(graph.edges)):
             priced = OverallCostModel(self.profiler).plan_cost(graph, plan)
             operators = tuple(zip(graph.nodes, priced.terms))
-            watermark = track_iteration(graph, priced)
             lowering = PlanLowering(
                 edge_costs={
                     edge.key(): (forward, backward)
@@ -353,8 +375,7 @@ class EventDrivenSimulator:
                     for node, terms in operators
                 },
                 plan_memory=priced.memory_bytes,
-                watermark_peak=watermark.peak,
-                watermark_composition=watermark.composition_at_peak(),
+                memory_split=_memory_split(priced),
             )
         counter("sim.lowerings").inc()
         trace_event(
@@ -657,10 +678,10 @@ class EventDrivenSimulator:
                 latency,
                 link_stats=kg.link_stats(),
                 memory_watermark={
-                    "peak_bytes": lowering.watermark_peak * n_layers,
+                    "peak_bytes": peak,
                     "composition": {
                         k: v * n_layers
-                        for k, v in lowering.watermark_composition.items()
+                        for k, v in lowering.memory_split.items()
                     },
                 },
                 busy_seconds=busy_getter() if busy_getter else None,

@@ -136,9 +136,9 @@ class IterationReport:
             :meth:`full_timeline` tiles it over every layer.
         layers_scaled: Number of identical layers this report covers.
         utilization: Cluster utilisation summary (per-device busy
-            fractions, per-link bytes and utilisation, memory watermark)
-            — see :func:`build_utilization`.  ``None`` for reports built
-            before telemetry was wired in.
+            fractions, per-link bytes and utilisation, and
+            ``memory_watermark``: ``peak_memory_bytes`` and its split by
+            kind) — see :func:`build_utilization`.
         tiles: Copies of ``timeline`` laid end to end that make up the
             iteration — ``layers_scaled`` for a spliced report, else 1.
     """

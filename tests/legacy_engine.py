@@ -27,7 +27,6 @@ from repro.graph.graph import ComputationGraph
 from repro.obs.metrics import counter, gauge
 from repro.obs.spans import span
 from repro.sim.executor import IterationReport, build_utilization, samples_per_second
-from repro.sim.memory_tracker import track_iteration
 from repro.sim.timeline import KernelRecord, Timeline
 
 

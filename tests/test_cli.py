@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.api import (
+    MAX_BATCH,
     MAX_LAYERS,
     RobustnessRequest,
     SearchRequest,
@@ -74,6 +75,15 @@ class TestParser:
         assert "invalid request: alpha must be in [0, 1.0]" in (
             capsys.readouterr().err
         )
+
+    def test_batch_bounded(self, capsys):
+        argv = ["search", "--devices", "2", "--batch"]
+        assert main(argv + [str(MAX_BATCH + 1)]) == 2
+        assert (
+            f"invalid request: batch must be in [0, {MAX_BATCH}], "
+            f"got {MAX_BATCH + 1}" in capsys.readouterr().err
+        )
+        assert main(argv + [str(MAX_BATCH)]) == 0
 
     def test_serve_port_bounded(self, capsys):
         """An out-of-range port exits 2 before the daemon binds."""

@@ -724,4 +724,11 @@ class TestCli:
         assert code == 0
         assert "utilization" in out.out
         assert "dev0" in out.out
-        assert "tracked" in out.out  # memory watermark line
+        # One memory figure, with its split by kind.
+        (memory,) = [
+            line for line in out.out.splitlines()
+            if line.startswith("peak memory per device: ")
+        ]
+        assert " GiB over 2 layers (" in memory
+        assert "parameters" in memory and "stash" in memory
+        assert "tracked" not in memory

@@ -521,7 +521,7 @@ PINNED_KEYS = {
     "candidates": "4aabc269b2fac709554aadff72a5837fe7e4432601a5e21eee01743b6c9021d0",
     "simreport": "62e5a5a32c99f3144fbe5cb01d494d4521ba65d4e4c0643cc2aa074976ff9768",
     "pipesim": "9e959902b18fa11c93b2375387ab83cef3f21cdf1e6db6bf7d12207fbbf00d74",
-    "lowering": "1ab6d340d442c38cf9489065049bd601dbf340f3162adc56d09c184d45c2819a",
+    "lowering": "d8806d99d8a8c0d0bde7c009ef4ca21702e7788ed123d0b12d76d3e5998b0745",
 }
 
 
@@ -551,7 +551,7 @@ def _pinned_key_parts(kind):
             "simreport", 3, (fc,), (), (("fc", "P2x2", 2),), 8, 1, topology,
         ),
         "lowering": (
-            "lowering", 1, (fc,), (), (("fc", "P2x2", 2),), topology,
+            "lowering", 2, (fc,), (), (("fc", "P2x2", 2),), topology,
         ),
         "pipesim": (
             "pipesim", 1, PipelinePlan(2, 2), 1e-3, 2e-3, 4e6,
@@ -598,7 +598,7 @@ def test_cache_keys_are_pinned(kind, tmp_path, monkeypatch):
 #: it, two candidate ``_disk_key``s and a plan-store key, as the encoding
 #: gave them before ``_canonical`` took its exact-type fast paths.
 BLOCK_KEYS = {
-    "lowering": "033cc78536ccefd945e2491a47081e85b529343b5ba21abb75cac596edd7b991",
+    "lowering": "3f595e5cf924bd0e2e39a89b1f9d0586fd2367f185a2783ff112b7c5f26fd37d",
     "candidates L0.fc1": "1f69199d9b695f1b8f4446e18851a4e20f79328be75e9e1bb7fe2a93aeea0b87",
     "candidates L0.softmax": "c46fa4075385d1b0e833e09f03871cc69082f96605cb9306a676e5c8f8ccba55",
     "plan": "c58ca355cf1ed63f8a1e9ff455bcc1c8633ea4c57a390bd0f141a2b84ccd1953",

@@ -30,7 +30,13 @@ from repro.core.optimizer.deadline import Deadline, SearchDeadlineExceeded
 from repro.core.optimizer.strategy import PrimeParOptimizer
 from repro.graph.models import MODELS_BY_KEY
 from repro.graph.transformer import build_block_graph
-from repro.api import MAX_ALPHA, MAX_LAYERS, ExplainRequest, ValidationError
+from repro.api import (
+    MAX_ALPHA,
+    MAX_BATCH,
+    MAX_LAYERS,
+    ExplainRequest,
+    ValidationError,
+)
 from repro.obs.metrics import (
     MetricsRegistry,
     counter,
@@ -523,6 +529,19 @@ class TestPlanService:
                 service.search_from_request({"devices": 2, "alpha": alpha})
             assert err.value.field == "alpha"
         assert counter("serve.searches").value == 1
+
+    def test_batch_bounded(self, fresh_cache, registry):
+        """Past ``MAX_BATCH`` byte counts near 2**53 and stop summing
+        exactly: a 400 on ``batch`` before any search; the bound is
+        searched."""
+        service = _service()
+        with pytest.raises(ValidationError) as err:
+            service.search_from_request({"devices": 2, "batch": MAX_BATCH + 1})
+        assert err.value.field == "batch"
+        assert counter("serve.searches").value == 0
+        payload = service.search_from_request({"devices": 2, "batch": MAX_BATCH})
+        assert payload["batch"] == MAX_BATCH
+        assert math.isfinite(payload["cost"])
 
     def test_layers_bounded(self, fresh_cache, registry):
         """A replay deeper than ``MAX_LAYERS`` is refused before it holds
