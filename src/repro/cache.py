@@ -1,13 +1,13 @@
 """Persistent on-disk cache for expensive search artefacts.
 
-Repeated benchmark and CLI invocations redo identical work: candidate-set
-enumeration + intra costing per operator type, the profiler's
-least-squares model fits, plan lowerings (``lowering`` entries, the
-event engine's priced cost terms) and simulation replays (``simreport``
-entries for iteration reports, ``pipesim`` entries for event-driven
-pipeline schedules).  All are pure functions of their inputs, so the
-results are stored on disk keyed by a content hash of everything that can
-influence them (model shape, topology, alpha, beam, schema version, ...).
+Repeated benchmark and CLI invocations redo identical work, kept in six
+kinds of entry: ``candidates`` (candidate sets + intra costs per operator
+type), ``profiler`` (least-squares model fits), ``lowering`` (a plan's
+priced engine terms), ``simreport`` (iteration reports), ``pipesim``
+(pipeline replays) and ``plan`` (:mod:`repro.serve.store`'s searched
+plans).  All are pure functions of their inputs, so the results are
+stored on disk keyed by a content hash of everything that can influence
+them (model shape, topology, alpha, beam, schema version, ...).
 :func:`memoize` is the one path that wraps such a computation.
 
 Keys are built by :func:`content_key` from a *canonical* byte encoding of

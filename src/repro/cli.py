@@ -654,6 +654,16 @@ def cmd_sweep3d(args) -> int:
     )
     megatron = {str(r.config): r for r in planner.sweep("megatron")}
     primepar = {str(r.config): r for r in planner.sweep("primepar")}
+    tried = [str(config) for config in planner.configs()]
+    evaluated = [c for c in tried if c in megatron and c in primepar]
+    if not evaluated:
+        raise ValidationError(
+            f"microbatch {args.microbatch}: no (p, d, m) configuration of "
+            f"{request.devices} devices was evaluated; each replica's share "
+            f"of global batch {request.batch} must split into whole "
+            f"micro-batches of {args.microbatch or 1}",
+            "microbatch",
+        )
     rows = [
         [
             config,
@@ -661,7 +671,7 @@ def cmd_sweep3d(args) -> int:
             f"{primepar[config].throughput:.2f}",
             f"{primepar[config].throughput / megatron[config].throughput:.2f}x",
         ]
-        for config in megatron
+        for config in evaluated
     ]
     emit(
         format_table(
@@ -670,6 +680,12 @@ def cmd_sweep3d(args) -> int:
             title=f"{model.name}: 3D parallelism on {request.devices} devices",
         )
     )
+    skipped = [c for c in tried if c not in evaluated]
+    if skipped:
+        emit(
+            f"skipped at global batch {request.batch}, micro-batch "
+            f"{args.microbatch or 1}: " + ", ".join(skipped)
+        )
     return 0
 
 

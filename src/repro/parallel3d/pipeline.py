@@ -106,7 +106,8 @@ def pipeline_iteration_events(
 
     Builds the schedule's kernel DAG — forward/backward micro-batch kernels
     on one stream per stage, activation/gradient sends between neighbouring
-    stages — and measures the iteration latency as the DAG's makespan.
+    stages — in dependency order, each kernel after the send it waits on,
+    and measures the iteration latency as the DAG's makespan.
     GPipe's makespan is ``(m + p - 1)(t_f + t_b) + 2 (p - 1) hop`` to
     float rounding, and so is 1F1B's when ``hop`` is zero.  With a nonzero
     hop 1F1B runs longer than that: its interleaved boundary sends stall
@@ -129,45 +130,37 @@ def pipeline_iteration_events(
 
     def replay(kg) -> PipelineReport:
         streams = [kg.stream(f"stage{s}") for s in range(p)]
-        work: Dict[Tuple[str, int, int], int] = {}
-        # Pass 1: enqueue stage kernels in schedule order (stream order is
-        # submission order, so this pins each stage's execution sequence).
-        for s in range(p):
-            for phase, i in _stage_order(plan, s):
-                duration = stage_forward if phase == "F" else stage_backward
-                work[(phase, s, i)] = kg.add(
-                    f"{phase}{i}@stage{s}",
-                    streams=[streams[s]],
-                    duration=duration,
-                    kind="forward" if phase == "F" else "backward",
-                    op=f"mb{i}",
-                    phase=phase,
-                    device=s,
-                )
-        # Pass 2: boundary sends and cross-stage dependencies (created after
-        # pass 1 because a backward depends on the *next* stage's kernel).
-        for s in range(p - 1):
-            for i in range(m):
-                fsend = kg.add(
-                    f"fsend{i}@stage{s}",
-                    deps=[work[("F", s, i)]],
-                    duration=hop,
-                    kind="pipe-send",
-                    op=f"mb{i}",
-                    phase="F",
-                    device=s,
-                )
-                kg.add_dep(work[("F", s + 1, i)], fsend)
-                bsend = kg.add(
-                    f"bsend{i}@stage{s + 1}",
-                    deps=[work[("B", s + 1, i)]],
-                    duration=hop,
-                    kind="pipe-send",
-                    op=f"mb{i}",
-                    phase="B",
-                    device=s + 1,
-                )
-                kg.add_dep(work[("B", s, i)], bsend)
+        orders = [_stage_order(plan, s) for s in range(p)]
+        done = [0] * p
+        # Sends by the ``(phase, stage, microbatch)`` of the kernel waiting.
+        sends: Dict[Tuple[str, int, int], int] = {}
+        # Sweep the stages, adding each one's kernels in schedule order (a
+        # stream runs in submission order) until the next waits on a send
+        # not yet added; a kernel's own send follows it.  The schedule is
+        # deadlock-free, so every sweep adds a kernel.
+        while any(d < len(order) for d, order in zip(done, orders)):
+            for s, order in enumerate(orders):
+                while done[s] < len(order):
+                    phase, i = order[done[s]]
+                    forward = phase == "F"
+                    waits = s > 0 if forward else s < p - 1
+                    if waits and (phase, s, i) not in sends:
+                        break
+                    kernel = kg.add(
+                        f"{phase}{i}@stage{s}", streams=[streams[s]],
+                        deps=[sends[phase, s, i]] if waits else [],
+                        duration=stage_forward if forward else stage_backward,
+                        kind="forward" if forward else "backward",
+                        op=f"mb{i}", phase=phase, device=s,
+                    )
+                    done[s] += 1
+                    to = s + 1 if forward else s - 1
+                    if 0 <= to < p:
+                        sends[phase, to, i] = kg.add(
+                            f"{phase.lower()}send{i}@stage{s}", deps=[kernel],
+                            duration=hop, kind="pipe-send", op=f"mb{i}",
+                            phase=phase, device=s,
+                        )
         makespan = kg.execute()
         slot = stage_forward + stage_backward
         exposed_comm = 2 * (p - 1) * hop

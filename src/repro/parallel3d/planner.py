@@ -230,8 +230,17 @@ class Planner3D:
             plan=plan,
         )
 
+    def configs(self) -> List[Config3D]:
+        """What :meth:`sweep` tries: each ``p > 1`` with ``d <= batch``."""
+        return [
+            config for config in enumerate_configs(self.n_devices)
+            if config.data <= self.global_batch
+        ]
+
     def sweep(self, method: str, jobs: Optional[int] = None) -> List[Result3D]:
-        """Fig. 10's sweep: every ``(p, d, m)`` with ``p > 1``.
+        """Fig. 10's sweep: every ``(p, d, m)`` with ``p > 1``, less those
+        :meth:`simulate` refuses (e.g. a batch that splits into no whole
+        micro-batches).
 
         With ``jobs > 1`` (default: the planner's ``jobs``) the distinct
         per-``(m, micro)`` tensor-parallel plan searches fan out over a
@@ -244,11 +253,7 @@ class Planner3D:
         builds and the event loops.
         """
         jobs = self.jobs if jobs is None else resolve_jobs(jobs)
-        configs = [
-            config
-            for config in enumerate_configs(self.n_devices)
-            if config.data <= self.global_batch
-        ]
+        configs = self.configs()
         with span(
             "sweep", method=method, configs=len(configs), jobs=jobs,
             devices=self.n_devices,

@@ -20,6 +20,9 @@ Performance model (everything below preserves emitted timestamps bit for
 bit; ``tests/test_golden_engine.py`` holds the graph to that against a
 frozen copy of the original implementation):
 
+* **An append-only DAG.**  Every way to add kernels refuses a wait on
+  anything but an earlier kernel, so every DAG is acyclic by
+  construction and submission order is a topological order.
 * **Batched incremental contention.**  The original engine re-solved the
   max-min fair-share allocation globally on every flow arrival and
   departure.  Arrivals and departures now only mark their links dirty; the
@@ -83,10 +86,9 @@ frozen copy of the original implementation):
   max(end[p] for p in preds[i])`` (``0.0`` for a root) and ``end[i] =
   start[i] + duration``: the same max and the same IEEE add as the loop's
   ``now + durations[i]``, so every timestamp is bit-identical by
-  construction, not by tolerance.  The pass applies only while every
-  wait is on a kernel of the graph submitted before its waiter and each
-  device's busy kernels share a stream in turn: they then finish in
-  kernel order, which is the order the loop adds their busy seconds in.
+  construction, not by tolerance.  The pass applies while each device's
+  busy kernels share a stream in turn: they then finish in kernel order,
+  which is the order the loop adds their busy seconds in.
   The counters are the loop's (one queue push per kernel, nothing else)
   and no link opens.  The pass computes only start and end times: a
   fault replay reads just the makespan, so the busy seconds are summed
@@ -106,7 +108,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import (
     Any,
     Container,
@@ -238,9 +240,8 @@ class KernelBlock:
     what a short walk finds — which kernels a copy wires to what precedes
     it, and what the one-pass check needs — and reads every column and
     table from its graph when a copy is appended, so append it before
-    that graph changes.  A kernel of the
-    block may wait for kernels before it (its *entry dependencies*, which
-    each copy names anew), never for one after it.
+    that graph changes.  A kernel of the block may wait for kernels before
+    it (its *entry dependencies*, which each copy names anew).
 
     * ``entries``: ``(kernel, its waits inside the block, its entry
       dependencies, per stream whether it is the block's first kernel
@@ -248,18 +249,16 @@ class KernelBlock:
       entry dependency, in kernel order;
     * ``roots``: the other kernels that wait for nothing;
     * ``lasts``: each stream's last kernel in the block;
-    * ``back_edge``: a kernel waits for a later kernel of the block;
     * ``passing``: the graph's DAG passes the one-pass check (see the
-      module doc), so the block has no transfer and no back edge and its
-      busy kernels pass among themselves; then ``busy_first`` and
+      module doc), so the block has no transfer and its busy kernels
+      pass among themselves; then ``busy_first`` and
       ``busy_last`` give each device's first and last busy kernel's
       streams.
     """
 
     __slots__ = (
         "graph", "start", "end", "entries", "roots", "multi", "floating",
-        "by_kind", "lasts", "back_edge", "passing", "busy_first",
-        "busy_last",
+        "by_kind", "lasts", "passing", "busy_first", "busy_last",
     )
 
     def __init__(self, graph: "KernelGraph", start: int, end: int) -> None:
@@ -304,18 +303,8 @@ class KernelBlock:
                         if len(found) == n_devices:
                             break
         entering = dict.fromkeys(firsts.values(), ())
-        self.back_edge = False
         for i, deps in enumerate(graph._deps[start:end], start):
-            if not deps:
-                continue
-            if max(deps) >= end:
-                raise ValueError(
-                    f"kernel {labels[i][0]!r} waits for a kernel after the "
-                    f"block [{start}, {end})"
-                )
-            if max(deps) >= i:
-                self.back_edge = True
-            if min(deps) < start:
+            if deps and min(deps) < start:
                 entering[i] = tuple(j for j in deps if j < start)
         preds = graph._preds
         self.entries: List[Tuple[int, Tuple[int, ...], Tuple[int, ...],
@@ -626,31 +615,6 @@ class KernelGraph:
                 self._one_pass = False
                 return
 
-    def add_dep(self, kernel: int, dep: int) -> None:
-        """Make ``kernel`` also wait for ``dep`` (both indices of this
-        graph); ``dep`` may be a kernel added after it."""
-        n = len(self._durations)
-        if not (0 <= kernel < n and 0 <= dep < n):
-            raise IndexError(f"no kernel {kernel!r} or {dep!r} in this graph")
-        self._deps[kernel] += (dep,)
-        if not self._waits[kernel]:
-            self._roots.remove(kernel)
-        self._waits[kernel] += 1
-        insort(self._preds[kernel], dep)
-        if dep >= kernel:
-            self._one_pass = False
-        # Among ``dep``'s dependants (the head of its reversed wakes, in
-        # descending order), ahead of the next kernels on its streams.
-        woken = self._wakes[dep]
-        streams = self._labels[dep][-1]
-        dependants = len(woken) - sum(
-            1 for s in streams if self._tails[s] != dep
-        )
-        at = 0
-        while at < dependants and woken[at] > kernel:
-            at += 1
-        woken.insert(at, kernel)
-
     def append_block(
         self,
         block: KernelBlock,
@@ -667,31 +631,35 @@ class KernelGraph:
         becomes this graph's), and its dependencies are shifted by the
         offset, an entry dependency ``j`` becoming ``entry[j]``.  The
         columns and tables equal those of one :meth:`add` per kernel in
-        order, then the :meth:`add_dep` of each dependency on a later
-        kernel: the block's own tables are copied with the offset, and
+        order: the block's own tables are copied with the offset, and
         only its ``entries`` are wired, as ``add`` wires a kernel, to the
         streams' previous kernels and to their entry dependencies.
 
         Raises:
             ValueError: If ``entry`` misses an entry dependency, or this
                 graph has another stream of a block stream's name.
+            IndexError: If an entry kernel is not one of this graph's.
         """
         source = block.graph
         start, end = block.start, block.end
-        missing = {
-            j for entering in block.entries for j in entering[2]
-        }.difference(entry)
+        needed = {j for entering in block.entries for j in entering[2]}
+        missing = needed.difference(entry)
         if missing:
             raise ValueError(
                 f"no entry kernel for dependencies {sorted(missing)} of the "
                 f"block [{start}, {end})"
             )
+        n = len(self._durations)
+        for j in sorted(needed):
+            if not 0 <= entry[j] < n:
+                raise IndexError(f"entry kernel {entry[j]!r} is not a kernel "
+                                 "of this graph")
         for stream in block.lasts:
             if self._streams.setdefault(stream.name, stream) is not stream:
                 raise ValueError(
                     f"this graph has another stream named {stream.name!r}"
                 )
-        shift = len(self._durations) - start
+        shift = n - start
         self._labels.extend([
             (
                 prefix + name, kind, prefix + op if kind in tagged else op,
@@ -758,8 +726,7 @@ class KernelGraph:
 
     def _check_block_busy(self, block: KernelBlock) -> None:
         """The one-pass check for a copy of ``block`` just appended, as
-        its kernels' :meth:`add` calls and back edges' :meth:`add_dep`
-        calls would run it.
+        its kernels' :meth:`add` calls would run it.
 
         A passing block needs only each device's first busy kernel
         checked against the graph's; otherwise its busy kernels are
@@ -793,7 +760,7 @@ class KernelGraph:
         self._check_busy(
             [device for device, _ in busy], [streams for _, streams in busy]
         )
-        if cut < end or block.back_edge:
+        if cut < end:
             self._one_pass = False
 
     @property
@@ -845,8 +812,8 @@ class KernelGraph:
         :attr:`schedule` says which ran.
 
         Raises:
-            RuntimeError: If the DAG deadlocks (a dependency cycle, or
-                stream submission orders inconsistent with the deps).
+            RuntimeError: If a kernel never runs (a fault of the loop
+                itself: no DAG this class builds can deadlock).
         """
         if flaps or not self._one_pass:
             self.schedule = "events"

@@ -3,15 +3,18 @@ per-layer plan build they are built by.
 
 The live :class:`~repro.sim.kernel_graph.KernelGraph` keeps its DAG in columns:
 ``len(kg)`` is its kernel count, ``kg.add_per_rank(...)`` appends one
-kernel per rank in bulk, ``kg.add_dep(kernel, dep)`` goes through the
-graph, and ``kg.spliceable(makespan)`` answers the splice check from its
-per-stream tails.  The frozen engines (``legacy_engine``,
-``legacy_faults``) keep one object per kernel.  :class:`FrozenProtocol`
-gives them the same four calls over those objects (``add_per_rank`` as
-one frozen ``add`` per rank), so the simulator and
-the pipeline replay drive them unchanged, and :func:`splice_walk` — the
-kernel walk the simulator ran before the engine kept columns — is the
-splice oracle the live check is held to.
+kernel per rank in bulk, and ``kg.spliceable(makespan)`` answers the
+splice check from its per-stream tails.  The frozen engines
+(``legacy_engine``, ``legacy_faults``) keep one object per kernel.
+:class:`FrozenProtocol` gives them the same three calls over those
+objects (``add_per_rank`` as one frozen ``add`` per rank), so the
+simulator and the pipeline replay drive them unchanged.  It also keeps
+``add_dep(kernel, dep)`` (a frozen kernel's own ``add_dep``), which the
+frozen two-pass pipeline build (``tests/legacy_pipeline.py``) patches
+its waits in with; the live graph has no such call, as every wait names
+an earlier kernel when it is added.  :func:`splice_walk` — the kernel
+walk the simulator ran before the engine kept columns — is the splice
+oracle the live check is held to.
 
 The live :meth:`EventDrivenSimulator.build` lowers one layer and stacks
 copies of its forward and backward blocks.  :func:`per_layer_build` is a
@@ -159,8 +162,8 @@ class PerRankAdds:
 
 
 class FrozenProtocol(PerRankAdds):
-    """The live graph's kernel count, per-rank append, ``add_dep`` and
-    splice check, over a frozen engine's kernel objects."""
+    """The live graph's kernel count, per-rank append and splice check,
+    and ``add_dep`` by handle, over a frozen engine's kernel objects."""
 
     def __len__(self) -> int:
         return len(self.kernels)

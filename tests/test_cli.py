@@ -105,6 +105,34 @@ class TestParser:
             in capsys.readouterr().err
         )
 
+    def test_sweep3d_with_no_whole_microbatch_exits_2(self, capsys):
+        """A micro-batch no configuration's batch share splits into leaves
+        nothing to evaluate: exit 2 naming the batch and micro-batch, not an
+        empty table."""
+        argv = [
+            "sweep3d", "--model", "opt-6.7b", "--devices", "4", "--batch", "8",
+        ]
+        assert main(argv + ["--microbatch", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid request: microbatch 3:" in captured.err
+        assert "global batch 8" in captured.err
+        assert "(p,d,m)" not in captured.out
+        assert main(argv + ["--microbatch", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "(p=2, d=1, m=2)" in out
+        assert "skipped" not in out
+
+    def test_sweep3d_lists_skipped_configurations(self, capsys):
+        assert main([
+            "sweep3d", "--model", "opt-6.7b", "--devices", "8", "--batch",
+            "8", "--microbatch", "3",
+        ]) == 0
+        table, skipped = capsys.readouterr().out.split("skipped")
+        assert "(p=2, d=4, m=1)" in table
+        assert skipped.startswith(" at global batch 8, micro-batch 3: ")
+        assert "(p=2, d=1, m=4)" in skipped
+        assert "(p=2, d=4, m=1)" not in skipped
+
     def test_explain_rejects_config3d_device_mismatch(self, capsys):
         assert main(["explain", "--devices", "8", "--config3d", "2:2:4"]) == 2
         assert (

@@ -21,7 +21,6 @@ import legacy_engine  # noqa: E402  (vendored baseline, lives next to this file)
 import legacy_faults  # noqa: E402  (vendored baseline, lives next to this file)
 from frozen_graphs import (  # noqa: E402
     LegacyFaultyKernelGraph,
-    LegacyKernelGraph,
     PerLayerSimulator,
     splice_walk,
 )
@@ -234,34 +233,6 @@ class TestFallsBackToLoop:
         assert kg.device_busy_seconds() == frozen.device_busy_seconds()
         assert kg.link_stats() == frozen.link_stats()
 
-    def test_dep_on_a_later_kernel(self):
-        def recipe(kg):
-            s0, s1 = kg.stream("dev0"), kg.stream("dev1")
-            a = kg.add("a", streams=[s0], duration=1.0)
-            b = kg.add("b", streams=[s1], duration=2.0, device=1)
-            kg.add_dep(a, b)
-            return kg
-
-        frozen = recipe(LegacyKernelGraph())
-        assert assert_frozen_equal(recipe(KernelGraph()), frozen) == 3.0
-
-    def test_cycle_deadlocks_like_the_frozen_engine(self):
-        def recipe(kg):
-            s0, s1 = kg.stream("dev0"), kg.stream("dev1")
-            kg.add("ok", streams=[s1], duration=1.0)
-            a = kg.add("a", streams=[s0], duration=1.0)
-            b = kg.add("b", deps=[a], duration=1.0)
-            kg.add_dep(a, b)
-            return kg
-
-        kg = recipe(KernelGraph())
-        with pytest.raises(RuntimeError, match="DAG deadlocked") as live:
-            kg.execute()
-        assert kg.schedule == "events"
-        with pytest.raises(RuntimeError) as frozen:
-            recipe(LegacyKernelGraph()).execute()
-        assert str(live.value) == str(frozen.value)
-
     def test_dep_outside_the_graph_is_refused(self):
         """A dependency names an earlier kernel of the same graph: an
         index the graph never returned is refused when it is added (the
@@ -272,8 +243,6 @@ class TestFallsBackToLoop:
         for stranger in (a + 1, -1):
             with pytest.raises(IndexError, match="not an earlier kernel"):
                 kg.add("b", deps=[stranger], duration=1.0)
-        with pytest.raises(IndexError):
-            kg.add_dep(a, a + 1)
         assert len(kg) == 1
 
     def test_nic_flap(self):

@@ -9,7 +9,7 @@ layer — column for column and table for table, and its executions to the
 per-layer graph's: makespan, schedule, ``timeline()``, busy seconds and
 the splice check.  The block copy itself is held to one ``add`` per
 kernel on hand-built graphs with multi-stream barriers, per-rank groups,
-transfers, entry dependencies and back edges.
+transfers and entry dependencies.
 """
 
 import sys
@@ -193,20 +193,18 @@ TAGGED = ("allreduce",)
 
 
 @st.composite
-def steps(draw, entries, max_steps=8, back_edges=True):
+def steps(draw, entries, max_steps=8):
     """Kernels to add after ``entries`` earlier kernels of the graph.
 
     ``("add", streams, deps, duration, device, record, kind, transfer)``
     adds one kernel, a dependency ``d >= 0`` naming the ``d``-th kernel
     these steps add and ``d < 0`` the earlier kernel ``-1 - d``;
-    ``("group", lanes, duration)`` appends a per-rank group;
-    ``("dep", kernel, dep)`` makes one of these kernels wait for another,
-    possibly a later one.
+    ``("group", lanes, duration)`` appends a per-rank group.
     """
     out = []
     n = 0
     for _ in range(draw(st.integers(min_value=0, max_value=max_steps))):
-        choice = draw(st.sampled_from(("add", "add", "group", "dep")))
+        choice = draw(st.sampled_from(("add", "add", "group")))
         if choice == "group":
             lanes = draw(st.lists(
                 st.lists(
@@ -217,11 +215,6 @@ def steps(draw, entries, max_steps=8, back_edges=True):
             ))
             out.append(("group", lanes, draw(st.sampled_from(DURATIONS))))
             n += len(lanes)
-        elif choice == "dep" and back_edges and n >= 2:
-            out.append(("dep", *draw(st.tuples(
-                st.integers(min_value=0, max_value=n - 1),
-                st.integers(min_value=0, max_value=n - 1),
-            ))))
         else:
             streams = draw(st.lists(
                 st.integers(min_value=0, max_value=N_STREAMS - 1),
@@ -240,13 +233,11 @@ def steps(draw, entries, max_steps=8, back_edges=True):
     return out
 
 
-def apply(kg, recipe, streams, topology, entry=(), prefix="", defer=False):
+def apply(kg, recipe, streams, topology, entry=(), prefix=""):
     """Add ``recipe``'s kernels to ``kg``: its earlier kernel ``j`` is
     ``entry[j]`` (``j`` itself without ``entry``), names and tagged ops
-    get ``prefix``; with ``defer``, every ``dep`` step runs after the
-    adds.  Returns the index of the first kernel added."""
+    get ``prefix``.  Returns the index of the first kernel added."""
     base = len(kg)
-    later = []
     for step in recipe:
         if step[0] == "group":
             _, lanes, duration = step
@@ -255,10 +246,6 @@ def apply(kg, recipe, streams, topology, entry=(), prefix="", defer=False):
                 [tuple(streams[s] for s in lane) for lane in lanes],
                 duration, "compute", "op", "F",
             )
-        elif step[0] == "dep" and defer:
-            later.append(step)
-        elif step[0] == "dep":
-            kg.add_dep(base + step[1], base + step[2])
         else:
             _, on, deps, duration, device, record, kind, transfer = step
             kg.add(
@@ -275,19 +262,17 @@ def apply(kg, recipe, streams, topology, entry=(), prefix="", defer=False):
                     (1e6, topology.path_resources(0, 2)) if transfer else None
                 ),
             )
-    for _, kernel, dep in later:
-        kg.add_dep(base + kernel, base + dep)
     return base
 
 
 @st.composite
 def copies(draw):
     """``(source prefix, block, source suffix, target prefix, entry)``."""
-    head = draw(steps(0, back_edges=False))
+    head = draw(steps(0))
     n_head = _count(head)
     block = draw(steps(n_head))
-    tail = draw(steps(n_head + _count(block), max_steps=4, back_edges=False))
-    target = draw(steps(0, back_edges=False))
+    tail = draw(steps(n_head + _count(block), max_steps=4))
+    target = draw(steps(0))
     n_target = _count(target)
     entry = [
         draw(st.integers(min_value=0, max_value=n_target - 1))
@@ -336,10 +321,7 @@ class TestHandBuiltBlocks:
         reference = KernelGraph()
         apply(reference, target, streams, topology)
         assert shift == len(reference) - start
-        apply(
-            reference, block, streams, topology, entry=entry, prefix="L1.",
-            defer=True,
-        )
+        apply(reference, block, streams, topology, entry=entry, prefix="L1.")
         assert_same_graph(copy, reference)
         assert run(copy) == run(reference)
 
@@ -376,14 +358,29 @@ class TestHandBuiltBlocks:
         lane = (kg.stream("dev0"),)
         first = kg.add("a", streams=lane)
         kg.add("b", deps=[first])
-        later = kg.add("c", streams=lane)
+        kg.add("c", streams=lane)
         with pytest.raises(ValueError, match="no entry kernel"):
             KernelGraph().append_block(KernelBlock(kg, 1, 3))
-        kg.add_dep(1, later)
-        with pytest.raises(ValueError, match="after the block"):
-            KernelBlock(kg, 1, 2)
         with pytest.raises(IndexError):
             KernelBlock(kg, 2, 9)
+
+    def test_entry_kernel_outside_the_graph_raises(self):
+        """An entry kernel must be one this graph already has, as a
+        dependency passed to ``add`` must: the copy waits only on earlier
+        kernels, so the DAG stays acyclic."""
+        source = KernelGraph()
+        lane = (source.stream("dev0"),)
+        first = source.add("a", streams=lane)
+        source.add("b", deps=[first])
+        block = KernelBlock(source, 1, 2)
+        target = KernelGraph()
+        target.add("x", duration=1.0)
+        for stranger in (1, 5, -1):
+            with pytest.raises(IndexError, match="not a kernel of this graph"):
+                target.append_block(block, entry={first: stranger})
+        assert len(target) == 1
+        target.append_block(block, entry={first: 0})
+        assert target.kernels[1].deps == (0,)
 
     def test_stream_of_another_graph_raises(self):
         source = KernelGraph()
