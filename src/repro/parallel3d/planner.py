@@ -11,7 +11,7 @@ as the paper evaluates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..cluster.collectives import COLLECTIVE_EFFICIENCY
 from ..cluster.profiler import FabricProfiler
@@ -237,14 +237,14 @@ class Planner3D:
             if config.data <= self.global_batch
         ]
 
-    def sweep(self, method: str, jobs: Optional[int] = None) -> List[Result3D]:
+    def sweep(self, method: str) -> List[Result3D]:
         """Fig. 10's sweep: every ``(p, d, m)`` with ``p > 1``, less those
         :meth:`simulate` refuses (e.g. a batch that splits into no whole
         micro-batches).
 
-        With ``jobs > 1`` (default: the planner's ``jobs``) the distinct
-        per-``(m, micro)`` tensor-parallel plan searches fan out over a
-        process pool first and are merged back into the plan cache by
+        With the planner's ``jobs > 1`` the distinct per-``(m, micro)``
+        tensor-parallel plan searches fan out over a process pool first
+        and are merged back into the plan cache by
         configuration key (and their telemetry, via the workers' registry
         snapshots, in submission order).  The per-configuration
         simulations then run in this process, so the sweep's output is
@@ -252,13 +252,12 @@ class Planner3D:
         (``PRIMEPAR_CACHE*``), warm re-sweeps skip the searches' candidate
         builds and the event loops.
         """
-        jobs = self.jobs if jobs is None else resolve_jobs(jobs)
         configs = self.configs()
         with span(
-            "sweep", method=method, configs=len(configs), jobs=jobs,
+            "sweep", method=method, configs=len(configs), jobs=self.jobs,
             devices=self.n_devices,
         ):
-            if jobs > 1:
+            if self.jobs > 1:
                 pending: List[Tuple[str, int, int]] = []
                 for config in configs:
                     key = (
@@ -270,7 +269,7 @@ class Planner3D:
                 if pending:
                     payloads = [(self, key) for key in pending]
                     for key, outcome in zip(
-                        pending, parallel_map(_plan_task, payloads, jobs)
+                        pending, parallel_map(_plan_task, payloads, self.jobs)
                     ):
                         status, value = outcome
                         if status == "ok":

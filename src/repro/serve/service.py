@@ -198,9 +198,7 @@ class PlanService:
             "beam": params.beam,
             "include_temporal": params.include_temporal,
             "n_layers": model.n_layers,
-            "plan": {
-                name: str(spec) for name, spec in sorted(result.plan.items())
-            },
+            "plan": plan_to_json(result.plan),
             "cost": result.cost,
             "model_cost": result.model_cost,
             "elapsed": result.elapsed,

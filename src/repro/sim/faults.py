@@ -59,6 +59,7 @@ from ..api import (
     _arg,
     check_fields,
     field_type,
+    plan_to_json,
     stamp,
 )
 from ..cluster.profiler import FabricProfiler
@@ -801,11 +802,12 @@ def evaluate_robustness(
     :meth:`~repro.sim.engine.EventDrivenSimulator.run_layers`'s splice
     policy with the one-layer makespan tiled ``n_layers`` times: bit for
     bit :meth:`~repro.sim.engine.EventDrivenSimulator.run_model`'s
-    latency, without its report.  A serial run replays every faulted
-    scenario on that sweep's kernel DAGs, so each shape is built once per
-    request.  With ``jobs`` workers the faulted scenarios are split into
-    one contiguous run per worker, each replayed by its own sweep from the
-    shipped lowering.
+    latency, without its report.  Every scenario goes through
+    :func:`simulate_scenario`, which replays nothing for a nominal one.  A
+    serial run replays the scenarios on that sweep's kernel DAGs, so each
+    shape is built once per request.  With ``jobs`` workers and at least
+    two faulted scenarios, the scenarios are split into one contiguous run
+    per worker, each replayed by its own sweep from the shipped lowering.
     """
     if scenarios < 1:
         raise ValidationError(
@@ -821,49 +823,32 @@ def evaluate_robustness(
         drawn = fault_model.scenarios(
             profiler.topology, scenarios, seed, nominal
         )
-        outcomes: List[Optional[ScenarioOutcome]] = []
-        faulted: List[FaultScenario] = []
+        faulted = 0
         for scenario in drawn:
-            if scenario.is_nominal:
-                counter("faults.scenarios", kind="nominal").inc()
-                outcomes.append(ScenarioOutcome(
-                    index=scenario.index,
-                    latency=nominal,
-                    nominal_latency=nominal,
-                    compute_delay=0.0,
-                    link_delay=0.0,
-                    recovery_delay=0.0,
-                ))
-            else:
-                counter("faults.scenarios", kind="faulted").inc()
-                outcomes.append(None)
-                faulted.append(scenario)
+            kind = "nominal" if scenario.is_nominal else "faulted"
+            counter("faults.scenarios", kind=kind).inc()
+            faulted += kind == "faulted"
         recovery = fault_model.recovery
-        runs = min(resolve_jobs(jobs), len(faulted))
+        runs = min(resolve_jobs(jobs), faulted)
         if runs <= 1:
-            replayed = iter([
+            outcomes = [
                 simulate_scenario(sweep, scenario, recovery, nominal)
-                for scenario in faulted
-            ])
+                for scenario in drawn
+            ]
         else:
             payloads = [
                 (
                     profiler, graph, plan, n_layers, sweep.lowering,
-                    faulted[i * len(faulted) // runs:
-                            (i + 1) * len(faulted) // runs],
+                    drawn[i * len(drawn) // runs:(i + 1) * len(drawn) // runs],
                     recovery, nominal,
                 )
                 for i in range(runs)
             ]
-            replayed = iter([
+            outcomes = [
                 outcome
                 for run in parallel_map(_sweep_task, payloads, jobs)
                 for outcome in run
-            ])
-        outcomes = [
-            next(replayed) if outcome is None else outcome
-            for outcome in outcomes
-        ]
+            ]
         return build_report(outcomes, nominal, fault_model, seed)
 
 
@@ -882,8 +867,6 @@ class RobustCandidate:
     report: RobustnessReport
 
     def to_json(self) -> Dict[str, Any]:
-        from ..api import plan_to_json
-
         return {
             "label": self.label,
             "plan": plan_to_json(self.plan),
@@ -953,9 +936,7 @@ def robust_search(
         candidates: List[RobustCandidate] = []
         seen: Dict[str, RobustnessReport] = {}
         for label, plan in zip(plans._fields, (m.plan for m in plans)):
-            fingerprint = json.dumps(
-                {name: str(spec) for name, spec in sorted(plan.items())}
-            )
+            fingerprint = json.dumps(plan_to_json(plan))
             report = seen.get(fingerprint)
             if report is None:
                 report = evaluate_robustness(

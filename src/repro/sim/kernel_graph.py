@@ -62,10 +62,10 @@ frozen copy of the original implementation):
   compute step and every collective adds the same kernel once per rank.
   :meth:`KernelGraph.add_per_rank` appends such a group as one call: the
   label, duration, dependency, transfer and busy-device columns grow by
-  list extension, and only the stream wiring, the stretch index and the
-  one-pass check walk the ranks (through the helpers :meth:`KernelGraph.add`
-  uses, so the tables are those of one ``add`` per rank).  Markers,
-  barriers and ring transfers stay on ``add``.
+  list extension, and only the stream wiring and the stretch index walk
+  the ranks (through the helpers :meth:`KernelGraph.add` uses, so the
+  tables are those of one ``add`` per rank).  Markers, barriers and ring
+  transfers stay on ``add``.
 * **Blocks copied in bulk.**  :meth:`KernelGraph.append_block` appends a
   copy of a :class:`KernelBlock` (a run of kernels of this graph or
   another): every column and table grows by the block's slice, its
@@ -73,9 +73,8 @@ frozen copy of the original implementation):
   lowered DAG's, without a comprehension each).  Only the block's
   entries — each stream's first kernel in the block, and the kernels
   waiting on kernels before it — are wired to what precedes the copy,
-  through the helpers ``add`` uses, and the one-pass check reads only
-  each device's first busy kernel where the source passes it.  The
-  simulator stacks layers this way instead of lowering each.
+  through the helpers ``add`` uses.  The simulator stacks layers this
+  way instead of lowering each.
 * **One pass for transfer-free DAGs.**  The loop exists for fluid link
   contention between flows.  A DAG without transfers (every Megatron
   plan's, and a PrimePar plan's whose specs send no ring traffic), run
@@ -86,13 +85,16 @@ frozen copy of the original implementation):
   max(end[p] for p in preds[i])`` (``0.0`` for a root) and ``end[i] =
   start[i] + duration``: the same max and the same IEEE add as the loop's
   ``now + durations[i]``, so every timestamp is bit-identical by
-  construction, not by tolerance.  The pass applies while each device's
-  busy kernels share a stream in turn: they then finish in kernel order,
-  which is the order the loop adds their busy seconds in.
-  The counters are the loop's (one queue push per kernel, nothing else)
-  and no link opens.  The pass computes only start and end times: a
-  fault replay reads just the makespan, so the busy seconds are summed
-  on demand, in kernel order, by the first
+  construction, not by tolerance.  The pass also needs each device's
+  busy kernels to share a stream in turn: they then finish in kernel
+  order, which is the order the loop adds their busy seconds in.  No way
+  to add kernels tracks this rule: the first execution at each kernel
+  count decides it in one scan of the transfer, busy-device and stream
+  columns, and later runs of the same DAG (a fault sweep's replays)
+  reuse the verdict.  The counters are the loop's (one queue push per
+  kernel, nothing else) and no link opens.  The pass computes only start
+  and end times: a fault replay reads just the makespan, so the busy
+  seconds are summed on demand, in kernel order, by the first
   :meth:`KernelGraph.device_busy_seconds` call after the run — the same
   adds in the same order as the loop's online sum.  Any other DAG, and
   any run given flaps, takes the loop.  The run's times stay in two
@@ -238,27 +240,22 @@ class KernelBlock:
 
     :meth:`KernelGraph.append_block` appends copies.  The block keeps only
     what a short walk finds — which kernels a copy wires to what precedes
-    it, and what the one-pass check needs — and reads every column and
-    table from its graph when a copy is appended, so append it before
-    that graph changes.  A kernel of the block may wait for kernels before
-    it (its *entry dependencies*, which each copy names anew).
+    it — and reads every column and table from its graph when a copy is
+    appended, so append it before that graph changes.  A kernel of the
+    block may wait for kernels before it (its *entry dependencies*, which
+    each copy names anew).
 
     * ``entries``: ``(kernel, its waits inside the block, its entry
       dependencies, per stream whether it is the block's first kernel
       there)`` for each kernel first on one of its streams or with an
       entry dependency, in kernel order;
     * ``roots``: the other kernels that wait for nothing;
-    * ``lasts``: each stream's last kernel in the block;
-    * ``passing``: the graph's DAG passes the one-pass check (see the
-      module doc), so the block has no transfer and its busy kernels
-      pass among themselves; then ``busy_first`` and
-      ``busy_last`` give each device's first and last busy kernel's
-      streams.
+    * ``lasts``: each stream's last kernel in the block.
     """
 
     __slots__ = (
         "graph", "start", "end", "entries", "roots", "multi", "floating",
-        "by_kind", "lasts", "passing", "busy_first", "busy_last",
+        "by_kind", "lasts",
     )
 
     def __init__(self, graph: "KernelGraph", start: int, end: int) -> None:
@@ -270,9 +267,8 @@ class KernelBlock:
         self.start = start
         self.end = end
         labels = graph._labels
-        # Each stream's first and last kernel, and (passing) each busy
-        # device's first and last busy kernel: scan from either end until
-        # every stream, or device, the graph's kernels use is found.
+        # Each stream's first and last kernel: scan from either end until
+        # every stream the graph's kernels use is found.
         kernels = range(start, end)
         n_streams = len(graph._tails)
         firsts: Dict[StreamResource, int] = {}
@@ -287,21 +283,6 @@ class KernelBlock:
                 self.lasts.setdefault(stream, i)
             if len(self.lasts) == n_streams:
                 break
-        self.passing = graph._one_pass
-        self.busy_first: Dict[int, Tuple[StreamResource, ...]] = {}
-        self.busy_last: Dict[int, Tuple[StreamResource, ...]] = {}
-        if self.passing:
-            busy_device = graph._busy_device
-            n_devices = len(graph._busy_streams)
-            for found, order in (
-                (self.busy_first, kernels), (self.busy_last, reversed(kernels))
-            ):
-                for i in order:
-                    device = busy_device[i]
-                    if device is not None and device not in found:
-                        found[device] = labels[i][8]
-                        if len(found) == n_devices:
-                            break
         entering = dict.fromkeys(firsts.values(), ())
         for i, deps in enumerate(graph._deps[start:end], start):
             if deps and min(deps) < start:
@@ -363,8 +344,7 @@ class KernelGraph:
       onto the loop's LIFO stack and pops in the original engine's order;
     * ``_roots`` lists the kernels that wait for nothing, and ``_preds[i]``
       the same waits as ``_waits[i]`` as kernel indices (ascending,
-      duplicates kept), which the one-pass schedule reads while
-      ``_one_pass`` holds;
+      duplicates kept), which the one-pass schedule reads;
     * ``_tails`` maps each stream to its last kernel, ``_multi`` the
       kernels on several streams to those streams, ``_floating`` lists the
       kernels on no stream, and ``_by_kind`` the stretchable kernels by
@@ -397,13 +377,13 @@ class KernelGraph:
         self._wakes: List[List[int]] = []
         self._roots: List[int] = []
         self._preds: List[List[int]] = []
-        self._one_pass = True
         self._tails: Dict[StreamResource, int] = {}
         self._multi: Dict[int, Tuple[StreamResource, ...]] = {}
         self._floating: List[int] = []
         self._by_kind: Dict[Tuple[str, int], List[int]] = {}
-        # Each device's last busy kernel's streams (the one-pass check).
-        self._busy_streams: Dict[int, Tuple[StreamResource, ...]] = {}
+        #: ``(kernel count, whether the one-pass schedule applies)`` as
+        #: :meth:`_passes` last decided it (``-1``: never).
+        self._verdict: Tuple[int, bool] = (-1, False)
         # ---- the last execution's times, links, busy seconds and counters
         self._start: List[Optional[float]] = []
         self._end: List[Optional[float]] = []
@@ -484,13 +464,7 @@ class KernelGraph:
                 transfer[0], max(path.latency, 0.0), path.stream_bandwidth,
                 path.shared,
             ))
-            self._one_pass = False
-        if record and not overlapped:
-            self._busy_device.append(device)
-            if self._one_pass:
-                self._check_busy((device,), (streams,))
-        else:
-            self._busy_device.append(None)
+        self._busy_device.append(device if record and not overlapped else None)
         return i
 
     def add_per_rank(
@@ -507,8 +481,8 @@ class KernelGraph:
 
         The same kernels, in the same order, as one :meth:`add` per rank
         with those arguments (recorded, not overlapped, no transfer), but
-        the columns grow in bulk: only the stream wiring, the stretch index
-        and the one-pass check walk the ranks.
+        the columns grow in bulk: only the stream wiring and the stretch
+        index walk the ranks.
         """
         first = len(self._durations)
         n = len(lanes)
@@ -525,8 +499,6 @@ class KernelGraph:
         self._enqueue(first, lanes, [[] for _ in ranks])
         if duration > 0:
             self._stretchable(kind, ranks, first)
-        if self._one_pass:
-            self._check_busy(ranks, lanes)
 
     def _enqueue(
         self,
@@ -592,28 +564,6 @@ class KernelGraph:
                 by_kind[kind, device] = [i]
             else:
                 stretchable.append(i)
-
-    def _check_busy(
-        self,
-        devices: Sequence[int],
-        lanes: Sequence[Tuple[StreamResource, ...]],
-    ) -> None:
-        """The one-pass check for busy kernels, the next of ``devices`` on
-        the next of ``lanes`` each.
-
-        A device's busy kernels must share a stream in turn to finish in
-        kernel order (see the module doc): a busy kernel on no stream, or
-        on none of its device's previous busy kernel's, ends the pass.
-        """
-        busy_streams = self._busy_streams
-        for device, streams in zip(devices, lanes):
-            prior = busy_streams.get(device, streams)
-            busy_streams[device] = streams
-            if not streams or (streams != prior and not any(
-                stream in prior for stream in streams
-            )):
-                self._one_pass = False
-                return
 
     def append_block(
         self,
@@ -720,48 +670,7 @@ class KernelGraph:
             by_kind.setdefault(key, []).extend(map(shift.__add__, stretchable))
         for stream, i in block.lasts.items():
             tails[stream] = i + shift
-        if self._one_pass:
-            self._check_block_busy(block)
         return shift
-
-    def _check_block_busy(self, block: KernelBlock) -> None:
-        """The one-pass check for a copy of ``block`` just appended, as
-        its kernels' :meth:`add` calls would run it.
-
-        A passing block needs only each device's first busy kernel
-        checked against the graph's; otherwise its busy kernels are
-        checked one by one, up to its first transfer, which ends the pass.
-        """
-        busy_streams = self._busy_streams
-        if block.passing and all(
-            prior is None or mine == prior
-            or any(stream in prior for stream in mine)
-            for mine, prior in (
-                (streams, busy_streams.get(device))
-                for device, streams in block.busy_first.items()
-            )
-        ):
-            busy_streams.update(block.busy_last)
-            return
-        source = block.graph
-        start, end = block.start, block.end
-        cut = next(
-            (
-                i for i, flow in enumerate(source._flows[start:end], start)
-                if flow is not None
-            ),
-            end,
-        )
-        busy = [
-            (device, source._labels[i][8])
-            for i, device in enumerate(source._busy_device[start:cut], start)
-            if device is not None
-        ]
-        self._check_busy(
-            [device for device, _ in busy], [streams for _, streams in busy]
-        )
-        if cut < end:
-            self._one_pass = False
 
     @property
     def kernels(self) -> List[SimKernel]:
@@ -807,15 +716,15 @@ class KernelGraph:
           any is on, the link's available bandwidth is its capacity times
           the smallest active factor (``0.0`` stalls its flows).
 
-        A DAG with neither transfers nor flaps is scheduled in one pass
-        (see the module doc), any other through the event loop;
-        :attr:`schedule` says which ran.
+        A run without flaps of a DAG :meth:`_passes` admits is scheduled
+        in one pass (see the module doc), any other through the event
+        loop; :attr:`schedule` says which ran.
 
         Raises:
             RuntimeError: If a kernel never runs (a fault of the loop
                 itself: no DAG this class builds can deadlock).
         """
-        if flaps or not self._one_pass:
+        if flaps or not self._passes():
             self.schedule = "events"
             return self._execute_events(stretch, capacity, flaps)
         self.schedule = "pass"
@@ -839,6 +748,33 @@ class KernelGraph:
         self._start = start
         self._end = end
         return max(end, default=0.0)
+
+    def _passes(self) -> bool:
+        """Whether the one-pass schedule applies to the DAG (see the
+        module doc): it has no transfer, and each device's busy kernels
+        share a stream in turn — a busy kernel on no stream, or on none of
+        its device's previous busy kernel's, needs the loop.  Decided once
+        per kernel count."""
+        n = len(self._durations)
+        checked, verdict = self._verdict
+        if checked == n:
+            return verdict
+        verdict = self._flows.count(None) == n
+        if verdict:
+            prior: Dict[int, Tuple[StreamResource, ...]] = {}
+            for device, labels in zip(self._busy_device, self._labels):
+                if device is None:
+                    continue
+                streams = labels[8]
+                last = prior.get(device, streams)
+                prior[device] = streams
+                if not streams or (streams != last and not any(
+                    stream in last for stream in streams
+                )):
+                    verdict = False
+                    break
+        self._verdict = (n, verdict)
+        return verdict
 
     def _stretched(
         self, stretch: Mapping[Tuple[str, int], float]

@@ -128,7 +128,7 @@ class PerLayerSimulator(EventDrivenSimulator):
 TABLES = (
     "_labels", "_durations", "_deps", "_flows", "_busy_device", "_waits",
     "_wakes", "_roots", "_preds", "_tails", "_multi", "_floating",
-    "_by_kind", "_busy_streams", "_one_pass",
+    "_by_kind",
 )
 
 

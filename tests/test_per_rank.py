@@ -34,10 +34,15 @@ class PerKernelGraph(PerRankAdds, KernelGraph):
 
 
 def assert_same_graph(bulk, reference):
+    """Equal columns and tables, and the same schedule verdict: both
+    graphs are executed once."""
     assert len(bulk) == len(reference)
     mine, theirs = tables(bulk), tables(reference)
     for table in TABLES:
         assert mine[table] == theirs[table], table
+    bulk.execute()
+    reference.execute()
+    assert bulk.schedule == reference.schedule
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.graph.models import OPT_6_7B
 from repro.graph.transformer import build_block_graph
 from repro.obs.spans import SpanCollector, collecting
 from repro.sim.engine import EventDrivenSimulator, KernelGraph
+from repro.sim.kernel_graph import KernelBlock
 from repro.sim.faults import FaultScenario, NicFlap, Straggler
 
 #: Few distinct values, so ties between end times are common; zero too.
@@ -279,6 +280,63 @@ class TestFallsBackToLoop:
         assert kg.schedule == "events"
         assert kg.device_busy_seconds() == {0: (0.1 + 0.2) + 0.3}
         assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+
+
+class TestVerdictFollowsGrowth:
+    """The schedule is decided when a graph executes, so a graph that
+    grows after running is decided anew."""
+
+    @staticmethod
+    def _transfer_free():
+        kg = KernelGraph()
+        s0, s1 = kg.stream("dev0"), kg.stream("dev1")
+        a = kg.add("a", streams=[s0], duration=1.0)
+        kg.add("b", streams=[s1], deps=[a], duration=0.5, device=1)
+        return kg
+
+    def test_add_of_a_transfer(self):
+        topology = v100_cluster(4, gpus_per_node=2)
+        kg = self._transfer_free()
+        assert kg.execute() == 1.5
+        assert kg.schedule == "pass"
+        kg.add(
+            "t", deps=[1], transfer=(1e8, topology.path_resources(0, 2)),
+            overlapped=True,
+        )
+        kg.execute()
+        assert kg.schedule == "events"
+
+    def test_append_block_holding_a_transfer(self):
+        topology = v100_cluster(4, gpus_per_node=2)
+        source = KernelGraph()
+        lane = (source.stream("dev0"),)
+        a = source.add("a", streams=lane, duration=1e-3)
+        source.add(
+            "t", deps=[a], transfer=(1e8, topology.path_resources(0, 2)),
+            overlapped=True,
+        )
+        block = KernelBlock(source, 0, len(source))
+        kg = KernelGraph()
+        kg.add("x", streams=[kg.stream("dev1")], duration=1.0, device=1)
+        kg.execute()
+        assert kg.schedule == "pass"
+        kg.append_block(block, "L1.")
+        kg.execute()
+        assert kg.schedule == "events"
+
+    def test_rerun_of_an_unchanged_graph(self):
+        topology = v100_cluster(4, gpus_per_node=2)
+        passing = self._transfer_free()
+        looping = self._transfer_free()
+        looping.add(
+            "t", deps=[0], transfer=(1e8, topology.path_resources(0, 2)),
+            overlapped=True,
+        )
+        for kg, schedule in ((passing, "pass"), (looping, "events")):
+            first = outcome(kg, kg.execute())
+            assert kg.schedule == schedule
+            assert outcome(kg, kg.execute()) == first
+            assert kg.schedule == schedule
 
 
 def test_execute_span_names_the_schedule():
